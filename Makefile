@@ -5,7 +5,7 @@ GO ?= go
 # run instead of hanging it.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: all build test race vet verify chaos bench bench-netv3 bench-disk bench-mux bench-tpcc bench-resync clean
+.PHONY: all build test quick race vet verify chaos smoke bench bench-netv3 bench-mux bench-tpcc bench-resync clean
 
 all: build
 
@@ -14,6 +14,12 @@ build:
 
 test:
 	$(GO) test -timeout $(TEST_TIMEOUT) ./...
+
+# quick is the edit loop: -short skips the simulated paper-figure shape
+# tests in internal/bench (~270 s of `make test`) and the few-thousand-
+# stream mux test, leaving the whole live stack in ~15 s.
+quick:
+	$(GO) test -short -timeout $(TEST_TIMEOUT) ./...
 
 race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...
@@ -24,11 +30,24 @@ vet:
 # verify is the gate every change must pass.
 verify: vet build race
 
-# chaos runs the deterministic fault-injection e2e suites (blackholed
-# peers, cancel storms, partitions) under the race detector, twice.
+# chaos runs every suite of the live stack's concurrent tiers — fault
+# injection (blackholed peers, cancel storms, partitions), resync and
+# replication-log protocols, the disk-queue backend differential, the
+# workload engine — under the race detector, twice, so an interleaving
+# that only fails sometimes gets two chances to.
 chaos:
-	$(GO) test -race -run Chaos -count=2 -timeout $(TEST_TIMEOUT) \
-		./internal/netv3/ ./internal/vvault/
+	$(GO) test -race -count=2 -timeout $(TEST_TIMEOUT) \
+		./internal/netv3/ ./internal/vvault/ ./internal/diskq/ \
+		./internal/repl/ ./internal/workload/
+
+# smoke drives the binaries and every benchmark once: TPC-C over the
+# in-process cluster (single server, then a two-node vault), and each
+# Benchmark* at one iteration with no BENCH_JSON, so nothing is recorded —
+# it only proves they still build and run.
+smoke:
+	$(GO) run ./cmd/v3tpcc -net -quick
+	$(GO) run ./cmd/v3tpcc -net -quick -nodes 2
+	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout $(TEST_TIMEOUT) ./...
 
 # bench regenerates the netv3 fast-path numbers (BENCH_netv3.json) and
 # runs the paper-figure benchmarks once.
@@ -42,20 +61,6 @@ bench-netv3:
 		-bench 'BenchmarkNetv3' -benchtime 1s ./internal/netv3/
 	BENCH_JSON=$(CURDIR)/BENCH_netv3.json $(GO) test -run '^$$' \
 		-bench 'BenchmarkNetv3Cluster' -benchtime 1s ./internal/vvault/
-
-# bench-disk re-records the batched-disk-backend ablation (the
-# BenchmarkNetv3DiskQ depth sweep over the 150 µs slow store) into
-# BENCH_netv3.json; the by-name merge leaves the rest of the file
-# intact. One process per row keeps the rows from perturbing each other
-# on small machines.
-bench-disk:
-	@for cfg in diskq-off diskq-d8 diskq-d32 diskq-d64 diskq-d128 diskq-d256; do \
-		for wl in 16 64; do \
-			BENCH_JSON=$(CURDIR)/BENCH_netv3.json $(GO) test -run '^$$' \
-				-bench "BenchmarkNetv3DiskQ/$$cfg/8192x$${wl}mixed\$$" \
-				-benchtime 4000x ./internal/netv3/ || exit 1; \
-		done; \
-	done
 
 # bench-tpcc re-records the real-stack workload rows (uniform, Zipfian
 # hot-key, sequential scan, bursty arrivals, full TPC-C mix) from the

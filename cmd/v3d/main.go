@@ -3,17 +3,17 @@
 //
 // Usage:
 //
-//	v3d -addr :9300 -size 256M                 # in-memory volume 1
-//	v3d -addr :9300 -file /data/vol.img -size 1G -cache 4096
-//	v3d -addr :9300 -cache 4096 -shards 32 -stats 10s
-//	v3d -addr :9300 -file /data/vol.img -size 1G -cache 4096 -workers 8
-//	v3d -addr :9300 -cache 4096 -workers 8 -nowritebehind -noprefetch
-//	v3d -addr :9300 -file /data/vol.img -size 1G -diskq -sqdepth 64
+//	v3d -addr :9300 -size 256M                 # in-memory volume 1, 64 MB cache
+//	v3d -addr :9300 -file /data/vol.img -size 1G -cache 32768
+//	v3d -addr :9300 -cache 0 -stats 10s        # uncached: every request hits the store
 //	v3d -addr :9300 -schedworkers 8 -admitlimit 512 -maxstreams 10000
 //	v3d -addr :9300 -metrics :9400             # Prometheus text + JSON snapshot
 //	v3d -addr :9300 -metrics :9400 -pprof      # + /debug/pprof/ profiles
 //	v3d -addr :9300 -metrics :9400             # /debug/flightrec is always there
-//	v3d -addr :9300 -nopool -nobatch           # seed-equivalent baseline
+//
+// With a cache (the default) a write is acknowledged once it is a dirty
+// cache block: an acknowledged write is readable at once and durable after
+// the client's next Flush.
 package main
 
 import (
@@ -56,18 +56,9 @@ func main() {
 	addr := flag.String("addr", ":9300", "listen address")
 	sizeStr := flag.String("size", "64M", "volume size (supports K/M/G suffix)")
 	file := flag.String("file", "", "back the volume with this file (default: memory)")
-	cache := flag.Int("cache", 0, "server MQ cache size in 8K blocks (0 = off)")
-	shards := flag.Int("shards", 0, "cache shard count (0 = default, 1 = single lock)")
+	cache := flag.Int("cache", 8192, "server MQ cache size in 8K blocks, with write-behind, read-ahead and the disk queue (0 = uncached: every request goes to the store)")
 	credits := flag.Int("credits", 64, "flow-control window per session")
-	noPool := flag.Bool("nopool", false, "disable buffer pooling (allocate per request)")
-	noBatch := flag.Bool("nobatch", false, "disable response batching (flush per response)")
-	workers := flag.Int("workers", 0, "disk worker goroutines per volume (0 = synchronous inline I/O)")
-	diskQ := flag.Bool("diskq", false, "batched submission/completion disk backend (io_uring on Linux file stores, goroutine pool otherwise); supersedes -workers for dispatch")
-	sqDepth := flag.Int("sqdepth", 0, "disk-queue submission depth with -diskq (0 = 64)")
-	noWriteBehind := flag.Bool("nowritebehind", false, "disable write-behind destaging (ack after store write)")
-	noPrefetch := flag.Bool("noprefetch", false, "disable sequential read-ahead")
-	dirtyMax := flag.Int("dirtymax", 0, "dirty-block high-watermark before write-through fallback (0 = cache/2)")
-	schedWorkers := flag.Int("schedworkers", 0, "shared scheduler worker pool with QoS lanes and admission control (0 = off; supersedes -workers/-diskq for dispatch)")
+	schedWorkers := flag.Int("schedworkers", 0, "request scheduler worker pool (0 = GOMAXPROCS)")
 	admitLimit := flag.Int("admitlimit", 0, "foreground queue depth before admission control sheds (0 = schedworkers*256)")
 	maxStreams := flag.Int("maxstreams", 0, "logical streams allowed per connection (0 = 65535)")
 	stats := flag.Duration("stats", 0, "log served/cache/pool counters at this interval (0 = off)")
@@ -84,15 +75,6 @@ func main() {
 	cfg := netv3.DefaultServerConfig()
 	cfg.Credits = *credits
 	cfg.CacheBlocks = *cache
-	cfg.CacheShards = *shards
-	cfg.NoPool = *noPool
-	cfg.NoBatch = *noBatch
-	cfg.DiskWorkers = *workers
-	cfg.DiskQ = *diskQ
-	cfg.SQDepth = *sqDepth
-	cfg.NoWriteBehind = *noWriteBehind
-	cfg.NoPrefetch = *noPrefetch
-	cfg.DirtyHighWater = *dirtyMax
 	cfg.SchedWorkers = *schedWorkers
 	cfg.AdmitLimit = *admitLimit
 	cfg.MaxStreams = *maxStreams

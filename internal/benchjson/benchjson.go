@@ -3,8 +3,9 @@
 // (BENCH_netv3.json) keeps exactly one row per benchmark name across
 // runs — same-name rows are replaced in place (newest wins), new names
 // append. That makes every entry point — the full sweep, a targeted
-// `make bench-disk`, a single `make bench-mux` — safe to run in any
-// order without discarding the others' history.
+// `make bench-tpcc`, a single `make bench-mux` — safe to run in any
+// order without discarding the others' history. Rows whose benchmark has
+// been deleted stay as recorded: the last ablation of a removed design.
 package benchjson
 
 import (

@@ -135,3 +135,24 @@ func TestWriteDuplicateNamesInOneRun(t *testing.T) {
 		t.Fatalf("row = %+v, want the newest duplicate", got[0])
 	}
 }
+
+// TestCheckedInLedgerHasUniqueNames holds the repo's own ledger to the
+// one-row-per-name contract Write maintains: a hand edit or an old
+// appending writer that duplicates a name makes "the row for X"
+// ambiguous for every reader.
+func TestCheckedInLedgerHasUniqueNames(t *testing.T) {
+	rows := readBack(t, filepath.Join("..", "..", "BENCH_netv3.json"))
+	if len(rows) == 0 {
+		t.Fatal("BENCH_netv3.json has no rows")
+	}
+	seen := make(map[string]bool, len(rows))
+	for _, r := range rows {
+		if r.Name == "" {
+			t.Errorf("row without a name: %+v", r)
+		}
+		if seen[r.Name] {
+			t.Errorf("duplicate ledger row %q", r.Name)
+		}
+		seen[r.Name] = true
+	}
+}

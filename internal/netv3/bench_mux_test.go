@@ -22,17 +22,10 @@ import (
 // RAM store the benchmarks measure the software path — frame parse,
 // scheduler queueing, credit accounting, response batching — which is
 // what the multiplexing claims are about.
-func benchMuxServer(b *testing.B, cfg ServerConfig) string {
+func benchMuxServer(b *testing.B, cfg ServerConfig, tune tuning) string {
 	b.Helper()
-	srv := NewServer(cfg)
-	srv.AddVolume(1, NewMemStore(64<<20))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve()
-	b.Cleanup(func() { srv.Close() })
-	return addr.String()
+	_, addr := startTunedServer(b, cfg, tune, NewMemStore(64<<20))
+	return addr
 }
 
 // openStreams opens n streams concurrently (serial opens at 10k streams
@@ -139,7 +132,7 @@ func BenchmarkNetv3MuxSessions(b *testing.B) {
 			cfg := DefaultServerConfig()
 			cfg.SchedWorkers = 8
 			cfg.Credits = 256
-			addr := benchMuxServer(b, cfg)
+			addr := benchMuxServer(b, cfg, tuning{})
 			ccfg := DefaultClientConfig()
 			ccfg.KeepaliveInterval = 0
 			c, err := Dial(addr, ccfg)
@@ -224,7 +217,7 @@ func BenchmarkNetv3MuxVsConns(b *testing.B) {
 		record(benchRecord{Name: name, OpsPerSec: ops, MBPerSec: ops * 4096 / 1e6})
 	}
 	b.Run("mux-512-streams-1-conn", func(b *testing.B) {
-		addr := benchMuxServer(b, serverCfg())
+		addr := benchMuxServer(b, serverCfg(), tuning{})
 		ccfg := DefaultClientConfig()
 		ccfg.KeepaliveInterval = 0
 		ccfg.WantCredits = clients
@@ -241,7 +234,7 @@ func BenchmarkNetv3MuxVsConns(b *testing.B) {
 		run(b, io)
 	})
 	b.Run("conn-per-client-512", func(b *testing.B) {
-		addr := benchMuxServer(b, serverCfg())
+		addr := benchMuxServer(b, serverCfg(), tuning{})
 		io := make([]IO, clients)
 		for i := range io {
 			ccfg := DefaultClientConfig()
@@ -276,9 +269,7 @@ func BenchmarkNetv3MuxLane(b *testing.B) {
 			cfg.SchedWorkers = 4
 			cfg.Credits = 256
 			cfg.CacheBlocks = 64 // small: fg misses, bg writes cross the high-watermark
-			cfg.DirtyHighWater = 16
-			cfg.DestageInterval = time.Millisecond
-			addr := benchMuxServer(b, cfg)
+			addr := benchMuxServer(b, cfg, tuning{dirtyHighWater: 16, destageInterval: time.Millisecond})
 			ccfg := DefaultClientConfig()
 			ccfg.KeepaliveInterval = 0
 			c, err := Dial(addr, ccfg)

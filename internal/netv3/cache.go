@@ -2,7 +2,6 @@ package netv3
 
 import (
 	"errors"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,6 +72,11 @@ type blockCache struct {
 	orphanMu    sync.Mutex
 	orphans     []*orphanEntry
 	orphanCount atomic.Int64
+	// orphanedTotal counts every block ever moved to the orphan list.
+	// Pinning is meant to keep it at zero; the test suites assert that at
+	// every server teardown — the evidence the orphan list needs before
+	// it can go.
+	orphanedTotal atomic.Int64
 }
 
 type orphanEntry struct {
@@ -93,16 +97,16 @@ type cacheShard struct {
 	// epochs count content-changing events in this shard, striped by
 	// block number: write absorbs, committed-write folds, destage
 	// unstages, and orphan commits all bump the written block's stripe
-	// under mu. The batched disk queue runs store reads without holding
-	// shard locks; it snapshots the covered blocks' stripes at submit and
-	// revalidates at completion — an unchanged stripe proves no write
-	// touched any block sharing it mid-flight, so the store bytes it read
-	// are neither stale nor torn. Striping (rather than one counter per
-	// shard) keeps the false-conflict rate low under mixed workloads: a
-	// write stream bumps only its own stripes, not every reader's. The
+	// under mu. The prefetcher reads the store without holding shard
+	// locks; it snapshots the covered blocks' stripes when it plans a
+	// window and revalidates at install — an unchanged stripe proves no
+	// write touched any block sharing it mid-flight, so the store bytes it
+	// read are neither stale nor torn. Striping (rather than one counter
+	// per shard) keeps the false-conflict rate low under mixed workloads:
+	// a write stream bumps only its own stripes, not every reader's. The
 	// stripe count is prime so the power-of-two strides block workloads
-	// favor cannot alias a whole write region onto a reader's stripes;
-	// a false conflict only costs one re-read through the classic path.
+	// favor cannot alias a whole write region onto a reader's stripes; a
+	// false conflict only costs one skipped read-ahead block.
 	epochs [epochStripes]uint64
 }
 
@@ -111,7 +115,7 @@ const epochStripes = 127
 
 func epochStripe(blk uint64) int { return int(blk % epochStripes) }
 
-// shardEpoch is one entry of a submit-time epoch snapshot: the observed
+// shardEpoch is one entry of a plan-time epoch snapshot: the observed
 // counter of one (shard, stripe) pair.
 type shardEpoch struct {
 	idx    int
@@ -119,21 +123,14 @@ type shardEpoch struct {
 	epoch  uint64
 }
 
-// defaultCacheShards is the shard count when ServerConfig.CacheShards is
-// zero. 16 keeps per-shard capacity useful for small caches while
-// allowing 16-way concurrent hits.
-const defaultCacheShards = 16
+// cacheShards is the shard count (a power of two): 16 keeps per-shard
+// capacity useful for small caches while allowing 16-way concurrent hits.
+const cacheShards = 16
 
-// newBlockCache builds a cache of totalBlocks across nshards shards
-// (rounded up to a power of two; 1 disables sharding for ablation).
-func newBlockCache(totalBlocks, nshards int, pool *bufpool.Pool) *blockCache {
-	if nshards <= 0 {
-		nshards = defaultCacheShards
-	}
-	if nshards&(nshards-1) != 0 {
-		nshards = 1 << bits.Len(uint(nshards))
-	}
-	// Never create more shards than blocks: each shard needs capacity.
+// newBlockCache builds a cache of totalBlocks across cacheShards shards —
+// fewer for a cache too small to give each shard a block.
+func newBlockCache(totalBlocks int, pool *bufpool.Pool) *blockCache {
+	nshards := cacheShards
 	for nshards > 1 && totalBlocks/nshards < 1 {
 		nshards /= 2
 	}
@@ -232,6 +229,7 @@ func (c *blockCache) evictLocked(v *volume, sh *cacheShard, victim uint64) {
 		c.orphans = append(c.orphans, e)
 		c.orphanMu.Unlock()
 		c.orphanCount.Add(1)
+		c.orphanedTotal.Add(1)
 		return
 	}
 	c.pool.Put(payload)
@@ -398,10 +396,11 @@ func (c *blockCache) readBlock(v *volume, blk uint64, within, n int64, dst []byt
 	return nil
 }
 
-// readBlockHit is the hit-only probe behind the disk pipeline's inline
-// fast path: it copies the block's bytes if resident and reports false
+// readBlockHit is the hit-only probe behind the session loop's inline
+// read path: it copies the block's bytes if resident and reports false
 // otherwise, never touching the store. A false return leaves dst
-// partially written; the caller re-issues the whole read on a worker.
+// partially written; the caller re-issues the whole read as a scheduler
+// task.
 func (c *blockCache) readBlockHit(blk uint64, within, n int64, dst []byte) bool {
 	sh := c.shard(blk)
 	sh.mu.Lock()
@@ -502,7 +501,7 @@ func (c *blockCache) absorbIfResident(blk uint64, within, n int64, src []byte) (
 // Absent blocks are left absent (write-around): the read path will fetch
 // the new bytes from the store. The epoch bumps even for absent blocks —
 // the store itself just changed under this block, which is exactly what
-// an in-flight queue read over the range must learn about.
+// an in-flight prefetch read over the range must learn about.
 func (c *blockCache) updateBlock(blk uint64, within, n int64, src []byte) {
 	sh := c.shard(blk)
 	sh.mu.Lock()
@@ -522,21 +521,6 @@ func (c *blockCache) bumpEpoch(blk uint64) {
 	sh.mu.Lock()
 	sh.epochs[epochStripe(blk)]++
 	sh.mu.Unlock()
-}
-
-// epochsUnchanged revalidates a submit-time epoch snapshot: true means
-// no content-changing event has touched any covered stripe since.
-func (c *blockCache) epochsUnchanged(epochs []shardEpoch) bool {
-	for _, e := range epochs {
-		sh := &c.shards[e.idx]
-		sh.mu.Lock()
-		cur := sh.epochs[e.stripe]
-		sh.mu.Unlock()
-		if cur != e.epoch {
-			return false
-		}
-	}
-	return true
 }
 
 // dirtySnapshot returns the sorted block numbers currently dirty — the
@@ -609,55 +593,6 @@ func (c *blockCache) unstage(blks []uint64, redirty bool) {
 		sh.epochs[epochStripe(blk)]++
 		sh.mu.Unlock()
 	}
-}
-
-// demandReadCheck decides whether the block range [start, start+n) may
-// be read from the store *without* shard locks held, as the batched disk
-// queue does. It is the submit half of the queue's coherence protocol:
-// under each touched shard's lock (ascending — the global order) it
-// rejects ranges with any uncommitted write-behind state — dirty,
-// flushing, or orphaned blocks, whose freshest bytes are not on disk —
-// and otherwise snapshots each covered block's epoch stripe for
-// completion-time revalidation. ok=false sends the caller down the
-// classic locked path.
-func (c *blockCache) demandReadCheck(start uint64, n int) (epochs []shardEpoch, ok bool) {
-	shardSet := make([]bool, len(c.shards))
-	for i := 0; i < n; i++ {
-		shardSet[(start+uint64(i))&c.mask] = true
-	}
-	var locked []*cacheShard
-	unlock := func() {
-		for _, sh := range locked {
-			sh.mu.Unlock()
-		}
-	}
-	for idx := range c.shards {
-		if shardSet[idx] {
-			c.shards[idx].mu.Lock()
-			locked = append(locked, &c.shards[idx])
-		}
-	}
-	epochs = make([]shardEpoch, 0, n)
-	for i := 0; i < n; i++ {
-		blk := start + uint64(i)
-		sh := c.shard(blk)
-		if _, d := sh.dirty[blk]; d {
-			unlock()
-			return nil, false
-		}
-		if _, f := sh.flushing[blk]; f {
-			unlock()
-			return nil, false
-		}
-		if c.orphaned(blk) {
-			unlock()
-			return nil, false
-		}
-		st := epochStripe(blk)
-		epochs = append(epochs, shardEpoch{idx: int(blk & c.mask), stripe: st, epoch: sh.epochs[st]})
-	}
-	unlock()
-	return epochs, true
 }
 
 // prefetchPlan is the lock phase of a batched prefetch fill: under the
@@ -750,8 +685,10 @@ func (c *blockCache) prefetchInstall(v *volume, blks []uint64, want, ok []bool, 
 		if evicted {
 			c.evictLocked(v, sh, victim)
 		}
-		// Same second-reference promotion as the classic fill: keep the
-		// not-yet-read window ahead of the MQ's lowest-queue LRU victim.
+		// Second reference on insert: without it a long scan's read-ahead
+		// lands in the MQ's lowest queue, whose LRU victim is the oldest
+		// not-yet-read prefetched block — the next one the stream needs.
+		// Promoted one level, eviction falls on already-consumed blocks.
 		sh.mq.Ref(blk)
 		payload := c.pool.Get(cacheBlockSize)
 		copy(payload, buf[i*cacheBlockSize:(i+1)*cacheBlockSize])
@@ -765,102 +702,6 @@ func (c *blockCache) prefetchInstall(v *volume, blks []uint64, want, ok []bool, 
 		sh.mu.Unlock()
 	}
 	return installed
-}
-
-// prefetchFill installs blocks [start, start+n) from one contiguous
-// store read, skipping resident and orphaned blocks. Every touched
-// shard stays locked across the read — the same publication rule as a
-// demand miss fill, widened to the whole range — so the
-// store-write-before-cache-update ordering of writers keeps installed
-// payloads fresh.
-func (c *blockCache) prefetchFill(v *volume, start uint64, n int) error {
-	vsize := v.store.Size()
-	for n > 0 && int64(start+uint64(n)-1)*cacheBlockSize >= vsize {
-		n--
-	}
-	if n <= 0 {
-		return nil
-	}
-	// Collect the distinct shards the range touches, in ascending index
-	// order (the global shard-lock order; single-shard paths trivially
-	// comply).
-	shardSet := make([]bool, len(c.shards))
-	nlock := 0
-	for i := 0; i < n; i++ {
-		idx := (start + uint64(i)) & c.mask
-		if !shardSet[idx] {
-			shardSet[idx] = true
-			nlock++
-		}
-	}
-	locked := make([]*cacheShard, 0, nlock)
-	for idx := range c.shards {
-		if shardSet[idx] {
-			c.shards[idx].mu.Lock()
-			locked = append(locked, &c.shards[idx])
-		}
-	}
-	unlock := func() {
-		for _, sh := range locked {
-			sh.mu.Unlock()
-		}
-	}
-	want := make([]bool, n)
-	need := 0
-	for i := 0; i < n; i++ {
-		blk := start + uint64(i)
-		sh := c.shard(blk)
-		if _, resident := sh.data[blk]; !resident && !c.orphaned(blk) {
-			want[i] = true
-			need++
-		}
-	}
-	if need == 0 {
-		unlock()
-		return nil
-	}
-	buf := c.pool.Get(n * cacheBlockSize)
-	readLen := int64(n) * cacheBlockSize
-	if over := int64(start)*cacheBlockSize + readLen - vsize; over > 0 {
-		readLen -= over
-	}
-	if err := v.store.ReadAt(buf[:readLen], int64(start)*cacheBlockSize); err != nil {
-		unlock()
-		c.pool.Put(buf)
-		return err
-	}
-	clear(buf[readLen:])
-	for i := 0; i < n; i++ {
-		if !want[i] {
-			continue
-		}
-		blk := start + uint64(i)
-		sh := c.shard(blk)
-		hit, victim, evicted, inserted := sh.mq.RefOrTryInsert(blk)
-		if hit {
-			continue // raced in by a demand fill in another shard? defensive
-		}
-		if !inserted {
-			continue // shard wall-to-wall pinned; skip the speculative fill
-		}
-		if evicted {
-			c.evictLocked(v, sh, victim)
-		}
-		// Second reference on insert: without it a long scan's read-ahead
-		// lands in the MQ's lowest queue, whose LRU victim is the oldest
-		// not-yet-read prefetched block — the next one the stream needs.
-		// Promoted one level, eviction falls on already-consumed blocks.
-		sh.mq.Ref(blk)
-		payload := c.pool.Get(cacheBlockSize)
-		copy(payload, buf[i*cacheBlockSize:(i+1)*cacheBlockSize])
-		sh.data[blk] = payload
-		sh.pref[blk] = struct{}{}
-		c.prefResident.Add(1)
-		c.prefFills.Add(1)
-	}
-	unlock()
-	c.pool.Put(buf)
-	return nil
 }
 
 // stats returns cumulative (hits, misses).

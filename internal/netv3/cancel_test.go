@@ -15,17 +15,7 @@ import (
 // mid-protocol.
 func startFaultServer(t *testing.T, cfg ServerConfig, volSize int64) (*Injected, string) {
 	t.Helper()
-	inj := faultnet.New(1)
-	srv := NewServer(cfg)
-	srv.AddVolume(1, NewMemStore(volSize))
-	ln, err := inj.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.ListenOn(ln)
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-	return &Injected{Inj: inj, Srv: srv}, ln.Addr().String()
+	return startFaultServerStore(t, cfg, tuning{}, NewMemStore(volSize))
 }
 
 // Injected bundles a fault-wrapped server with its injector.

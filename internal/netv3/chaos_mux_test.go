@@ -14,19 +14,16 @@ import (
 // startFaultServerStore is startFaultServer with a caller-supplied store,
 // for chaos runs that need injected device latency as well as injected
 // network faults.
-func startFaultServerStore(t *testing.T, cfg ServerConfig, store BlockStore) (*Injected, string) {
+func startFaultServerStore(t *testing.T, cfg ServerConfig, tune tuning, store BlockStore) (*Injected, string) {
 	t.Helper()
 	inj := faultnet.New(1)
-	srv := NewServer(cfg)
+	srv := newServer(cfg, tune)
 	srv.AddVolume(1, store)
 	ln, err := inj.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.ListenOn(ln)
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-	return &Injected{Inj: inj, Srv: srv}, ln.Addr().String()
+	return &Injected{Inj: inj, Srv: srv}, serve(t, srv, ln)
 }
 
 // TestChaosOverloadStormShedsBounded hammers a deliberately undersized
@@ -40,7 +37,7 @@ func TestChaosOverloadStormShedsBounded(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.SchedWorkers = 1
 	cfg.AdmitLimit = 4
-	f, addr := startFaultServerStore(t, cfg,
+	f, addr := startFaultServerStore(t, cfg, tuning{},
 		&slowStore{BlockStore: NewMemStore(4 << 20), delay: time.Millisecond})
 	ccfg := DefaultClientConfig()
 	ccfg.KeepaliveInterval = 0
@@ -117,9 +114,8 @@ func TestChaosForegroundLatencyUnderBackgroundSaturation(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.SchedWorkers = 2
 	cfg.CacheBlocks = 64 // small: fg reads miss, bg writes cross the high-watermark
-	cfg.DirtyHighWater = 16
-	cfg.DestageInterval = time.Millisecond
-	_, addr := startFaultServerStore(t, cfg,
+	tune := tuning{dirtyHighWater: 16, destageInterval: time.Millisecond}
+	_, addr := startFaultServerStore(t, cfg, tune,
 		&slowStore{BlockStore: NewMemStore(16 << 20), delay: 200 * time.Microsecond})
 	ccfg := DefaultClientConfig()
 	ccfg.KeepaliveInterval = 0
@@ -207,7 +203,7 @@ func TestChaosForegroundLatencyUnderBackgroundSaturation(t *testing.T) {
 func TestChaosBlackholeFailsAllStreams(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.SchedWorkers = 2
-	f, addr := startFaultServerStore(t, cfg, NewMemStore(4<<20))
+	f, addr := startFaultServer(t, cfg, 4<<20)
 	ccfg := DefaultClientConfig()
 	ccfg.KeepaliveInterval = 200 * time.Millisecond
 	ccfg.DialTimeout = 150 * time.Millisecond

@@ -40,9 +40,6 @@ type ClientConfig struct {
 	// While traffic flows the detector costs one atomic store per inbound
 	// frame. 0 disables.
 	KeepaliveInterval time.Duration
-	// NoBatch disables submission frame batching (ablation: every request
-	// is flushed to the socket individually).
-	NoBatch bool
 	// NoTrace stops the client from advertising FeatureTrace, so requests
 	// go out untraced and responses carry zero spans — the knob for the
 	// tracing ablation and for exercising the pre-trace-peer fallback
@@ -766,10 +763,6 @@ func (c *Client) submit(ctx context.Context, st *Stream, op int, vol uint32, off
 // the server's response batching. gen identifies the connection the
 // request was issued on: if a reconnect has replaced it, the write is
 // skipped — replay owns retransmission on the new connection.
-//
-// With NoBatch the submission reproduces the seed exactly: a freshly
-// allocated frame and an immediate flush per write, so frame and body
-// reach the kernel as separate unbatched syscalls.
 func (c *Client) send(gen int, p *Pending, m wire.Message, body []byte) error {
 	c.senders.Add(1)
 	c.sendMu.Lock()
@@ -789,24 +782,6 @@ func (c *Client) send(gen int, p *Pending, m wire.Message, body []byte) error {
 	trace := p != nil && p.t0 != 0
 	if trace {
 		p.t1 = obs.Now()
-	}
-	if c.cfg.NoBatch {
-		if _, err := c.bw.Write(wire.Marshal(m)); err != nil {
-			return err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
-		if len(body) > 0 {
-			if _, err := c.bw.Write(body); err != nil {
-				return err
-			}
-		}
-		err := c.bw.Flush()
-		if trace {
-			p.t2 = obs.Now()
-		}
-		return err
 	}
 	wire.MarshalInto(c.scratch[:], m)
 	if _, err := c.bw.Write(c.scratch[:]); err != nil {
@@ -892,7 +867,7 @@ func (c *Client) sendCtl(gen int, m wire.Message) {
 // decode into two reusable structs (one per response type), so steady
 // state reads allocate nothing on the completion path.
 func (c *Client) reader(conn net.Conn, gen int) {
-	br := bufio.NewReaderSize(conn, readBufSize(c.cfg.NoBatch))
+	br := bufio.NewReaderSize(conn, sockBufSize)
 	var frame [wire.ControlSize]byte
 	var rr wire.ReadResp
 	var wr wire.WriteResp
@@ -969,7 +944,7 @@ func (c *Client) reader(conn net.Conn, gen int) {
 			}
 			if err != nil { // stream died mid-payload
 				if p != nil {
-					c.unclaim(p)
+					c.unclaim(p, gen)
 				}
 				fail(err)
 				return
@@ -1024,9 +999,20 @@ func (c *Client) reader(conn net.Conn, gen int) {
 }
 
 // unclaim returns a claimed-but-undelivered request to the pending set
-// (the stream died mid-payload) so reconnection replays it — or fails it
-// with ErrClosed when the client is already gone.
-func (c *Client) unclaim(p *Pending) {
+// (the stream of connection generation gen died mid-payload) so
+// reconnection replays it — or fails it with ErrClosed when the client is
+// already gone.
+//
+// The reader is not always the first to notice a dead connection: a
+// submitter whose write failed may already have driven recovery to
+// completion while this reader sat in the payload read, and that replay
+// ran without the request — it was claimed, hence absent from the pending
+// set. Nothing would ever send it again, so in that case it is resent
+// here on the connection that replaced gen. (Replay runs under mu in one
+// hold with the generation bump, so "generation moved on and no recovery
+// in progress" means exactly "a replay that missed this request has
+// finished"; a recovery still in progress will find it in the set.)
+func (c *Client) unclaim(p *Pending, gen int) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -1035,7 +1021,15 @@ func (c *Client) unclaim(p *Pending) {
 	}
 	c.pending[p.seq] = p
 	c.tracker.Track(p.seq, time.Since(c.start))
+	cur := c.genID
+	resend := cur != gen && !c.recovering
 	c.mu.Unlock()
+	if resend {
+		c.retries.Add(1)
+		if err := c.send(cur, p, p.msg, p.body); err != nil {
+			c.connectionBroken()
+		}
+	}
 }
 
 func (c *Client) complete(seq uint64, err error, sp wire.SrvSpan) {

@@ -60,17 +60,6 @@ type destager struct {
 }
 
 func newDestager(s *Server, v *volume) *destager {
-	hw := s.cfg.DirtyHighWater
-	if hw <= 0 {
-		hw = s.cfg.CacheBlocks / 2
-		if hw < 1 {
-			hw = 1
-		}
-	}
-	iv := s.cfg.DestageInterval
-	if iv <= 0 {
-		iv = 5 * time.Millisecond
-	}
 	return &destager{
 		s:        s,
 		v:        v,
@@ -78,8 +67,8 @@ func newDestager(s *Server, v *volume) *destager {
 		kick:     make(chan struct{}, 1),
 		stopped:  make(chan struct{}),
 		bgKey:    newBGKey(),
-		interval: iv,
-		hiWater:  hw,
+		interval: s.tune.destageInterval,
+		hiWater:  s.tune.dirtyHighWater,
 	}
 }
 
@@ -105,19 +94,16 @@ func (d *destager) run(done <-chan struct{}) {
 }
 
 // destagePass runs one pass, routed through the scheduler's background
-// lane when the shared scheduler is on — so destaging competes for workers
-// under the lane policy (foreground priority, starvation-guarded) instead
-// of running unmetered beside them. This goroutine is a dedicated
-// producer, never a scheduler worker, so enqueue-and-wait cannot deadlock;
-// a refused enqueue (scheduler closing) falls back to running the pass
-// right here.
+// lane — so destaging competes for workers under the lane policy
+// (foreground priority, starvation-guarded) instead of running unmetered
+// beside them. This goroutine is a dedicated producer, never a scheduler
+// worker, so enqueue-and-wait cannot deadlock; a refused enqueue
+// (scheduler closing) falls back to running the pass right here.
 func (d *destager) destagePass() {
-	if sc := d.s.sched; sc != nil {
-		done := make(chan struct{})
-		if ok, _ := sc.tryEnqueue(d.bgKey, 1, true, func() { d.destageAll(); close(done) }); ok {
-			<-done
-			return
-		}
+	done := make(chan struct{})
+	if ok, _ := d.s.sched.tryEnqueue(d.bgKey, 1, true, func() { d.destageAll(); close(done) }); ok {
+		<-done
+		return
 	}
 	d.destageAll()
 }
@@ -164,15 +150,9 @@ func (d *destager) destageAll() {
 	}
 	blk0 := d.blocks.Load()
 	d.mu.Lock()
-	if d.v.dq != nil {
-		d.drainOrphansBatchedLocked()
-		d.passBatchedLocked()
-		d.drainOrphansBatchedLocked()
-	} else {
-		d.drainOrphansLocked()
-		d.passLocked()
-		d.drainOrphansLocked()
-	}
+	d.drainOrphansLocked()
+	d.passLocked()
+	d.drainOrphansLocked()
 	d.mu.Unlock()
 	if t0 != 0 {
 		dur := obs.Now() - t0
@@ -186,66 +166,20 @@ func (d *destager) destageAll() {
 	}
 }
 
-// passLocked commits the dirty snapshot as coalesced contiguous writes.
-// Caller holds d.mu.
-func (d *destager) passLocked() {
-	blks := d.cache.dirtySnapshot()
-	if len(blks) == 0 {
-		return
-	}
-	vsize := d.v.store.Size()
-	buf := d.s.pool.Get(maxDestageRun * cacheBlockSize)
-	defer d.s.pool.Put(buf)
-	i := 0
-	for i < len(blks) {
-		start := blks[i]
-		n := 0
-		for i < len(blks) && n < maxDestageRun && blks[i] == start+uint64(n) {
-			ln := blockLen(vsize, blks[i])
-			if !d.cache.stage(blks[i], buf[n*cacheBlockSize:int64(n)*cacheBlockSize+ln]) {
-				break // no longer resident-dirty; run ends here
-			}
-			n++
-			i++
-		}
-		if n == 0 {
-			i++ // skip the unstageable block
-			continue
-		}
-		staged := blks[i-n : i]
-		off := int64(start) * cacheBlockSize
-		runBytes := int64(n) * cacheBlockSize
-		if off+runBytes > vsize {
-			runBytes = vsize - off
-		}
-		if err := d.v.store.WriteAt(buf[:runBytes], off); err != nil {
-			d.s.logf("netv3: destage vol run [%d,+%d): %v", off, runBytes, err)
-			d.cache.unstage(staged, true)
-			d.setErr(err)
-			continue
-		}
-		d.cache.unstage(staged, false)
-		d.runs.Add(1)
-		d.blocks.Add(int64(n))
-		d.hist[batchBucket(n)].Add(1)
-	}
-}
-
-// passBatchedLocked is passLocked over the batched disk queue: the pass
-// stages every coalesced run exactly as the classic path does, but
-// instead of one blocking store write per run it submits ALL runs as a
-// single vectored batch and waits for the completions — the queue's
-// backends keep up to SQDepth extents in flight at once, so a pass of k
-// runs costs ~1 device round instead of k. Waiting happens under d.mu,
-// which preserves the destage mutex's ordering contract at pass
-// granularity: the runs of one batch cover pairwise-disjoint block
+// passLocked commits the dirty snapshot: adjacent dirty blocks coalesce
+// into contiguous runs of up to maxDestageRun blocks, and ALL runs of the
+// pass go to the disk queue as a single vectored batch — its backends keep
+// up to the queue depth in extents in flight at once, so a pass of k runs
+// costs ~1 device round instead of k. Waiting for the completions happens
+// under d.mu, which preserves the destage mutex's ordering contract at
+// pass granularity: the runs of one batch cover pairwise-disjoint block
 // ranges (a sorted, deduplicated dirty snapshot partitions into
 // non-overlapping runs), so their relative completion order cannot
 // change file contents, and no other destage-side write can start until
 // the whole batch has resolved. Each run stages into its own queue
 // buffer (registered with the kernel on the io_uring backend), sized so
 // one maximal run fills one registered slab. Caller holds d.mu.
-func (d *destager) passBatchedLocked() {
+func (d *destager) passLocked() {
 	blks := d.cache.dirtySnapshot()
 	if len(blks) == 0 {
 		return
@@ -324,76 +258,19 @@ func batchBucket(n int) int {
 	return b
 }
 
-// drainOrphansLocked commits evicted-while-dirty payloads. Each entry is
-// marked writing under the orphan lock, written without it, then removed
-// (or unmarked, on error, so the next pass retries). Caller holds d.mu.
+// drainOrphansLocked commits evicted-while-dirty payloads. Orphans are a
+// scatter workload: eviction punches them out of the dirty set at
+// unrelated offsets, so a drain is a pile of discontiguous single-block
+// extents — committed one blocking store write each, under the destage
+// mutex, they would starve the coalesced pass behind them. Instead one
+// sweep marks every drainable entry writing under the orphan lock and
+// commits them all as one vectored batch; afterwards each entry is
+// removed (or unmarked, on error, so the next pass retries). A batch's
+// writes land in any order, so same-block entries (the list can hold
+// several; newest last is authoritative) must not share a batch: the
+// sweep claims only each block's first unclaimed entry, front to back,
+// and the outer loop picks up the rest. Caller holds d.mu.
 func (d *destager) drainOrphansLocked() {
-	c := d.cache
-	for {
-		if c.orphanCount.Load() == 0 {
-			return
-		}
-		c.orphanMu.Lock()
-		var e *orphanEntry
-		for _, cand := range c.orphans {
-			if !cand.writing {
-				e = cand
-				break
-			}
-		}
-		if e != nil {
-			e.writing = true
-		}
-		c.orphanMu.Unlock()
-		if e == nil {
-			return
-		}
-		err := d.v.store.WriteAt(e.payload[:e.n], int64(e.blk)*cacheBlockSize)
-		c.orphanMu.Lock()
-		if err != nil {
-			e.writing = false // leave queued for the next pass
-		} else {
-			for i, cand := range c.orphans {
-				if cand == e {
-					c.orphans = append(c.orphans[:i], c.orphans[i+1:]...)
-					break
-				}
-			}
-			c.orphanCount.Add(-1)
-			c.pool.Put(e.payload)
-		}
-		c.orphanMu.Unlock()
-		if err != nil {
-			d.s.logf("netv3: destage orphan block %d: %v", e.blk, err)
-			d.setErr(err)
-			d.orphanRetries.Add(1)
-			return // don't hot-loop against a failing store
-		}
-		// The store changed under a block with no resident entry to fold
-		// into; invalidate any in-flight queue read over its shard.
-		// (Ordered after orphanMu is released: shard locks are taken
-		// before orphanMu everywhere else.)
-		c.bumpEpoch(e.blk)
-		d.orphanWrites.Add(1)
-		d.runs.Add(1)
-		d.blocks.Add(1)
-		d.hist[0].Add(1)
-	}
-}
-
-// drainOrphansBatchedLocked is drainOrphansLocked over the batched disk
-// queue. Orphans are the scatter workload the queue exists for: eviction
-// punches them out of the dirty set at unrelated offsets, so a drain is
-// a pile of discontiguous single-block extents — committed serially they
-// cost one blocking device round EACH, under the destage mutex, which
-// under cache pressure starves the coalesced pass behind them. Here one
-// sweep claims every drainable entry and commits them all as one
-// vectored batch. A batch's writes land in any order, so same-block
-// entries (the list can hold several; newest last is authoritative) must
-// not share a batch: the sweep claims only each block's first unclaimed
-// entry — the serial loop's front-to-back order — and the outer loop
-// picks up the rest. Caller holds d.mu.
-func (d *destager) drainOrphansBatchedLocked() {
 	c := d.cache
 	for {
 		if c.orphanCount.Load() == 0 {
@@ -449,8 +326,10 @@ func (d *destager) drainOrphansBatchedLocked() {
 				failed = true
 				continue
 			}
-			// Same ordering note as the serial path: bumpEpoch takes the
-			// shard lock, so it runs only after orphanMu is released.
+			// The store changed under a block with no resident entry to
+			// fold into; invalidate any in-flight prefetch read over its
+			// stripe. (Ordered after orphanMu is released: shard locks are
+			// taken before orphanMu everywhere else.)
 			c.bumpEpoch(e.blk)
 			d.orphanWrites.Add(1)
 			d.runs.Add(1)
@@ -546,12 +425,8 @@ func (d *destager) flush() error {
 	if err := d.takeErr(); err != nil {
 		return err
 	}
-	if dq := d.v.dq; dq != nil {
-		// The fsync rides the queue as a drain-barrier SQE: it starts only
-		// after every outstanding write completes, exactly the sequencing
-		// the classic path got from destageAll-then-Sync, without stalling
-		// submissions from other flows.
-		return dq.fsyncBarrier()
-	}
-	return d.v.store.Sync()
+	// The fsync rides the queue as a drain-barrier SQE: it starts only
+	// after every outstanding write completes, without stalling
+	// submissions from other flows.
+	return d.v.dq.fsyncBarrier()
 }

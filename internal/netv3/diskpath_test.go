@@ -11,42 +11,36 @@ import (
 	"time"
 )
 
-// diskCfg is a server config with the full pipelined disk path enabled
-// and background destaging effectively disabled (hour-long interval), so
-// tests control destage timing through Flush and the high-watermark.
+// diskCfg is a server config with the cached disk path on. Paired with
+// parked, it leaves destage timing to the test: only Flush and the
+// high-watermark move dirty blocks.
 func diskCfg() ServerConfig {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 256
-	cfg.DiskWorkers = 4
-	cfg.DestageInterval = time.Hour
 	return cfg
 }
 
-func startFileServer(t *testing.T, cfg ServerConfig, path string, size int64) (*Server, string) {
+// parked is the tuning that effectively disables background destaging
+// (hour-long interval).
+var parked = tuning{destageInterval: time.Hour}
+
+func startFileServer(t *testing.T, cfg ServerConfig, tune tuning, path string, size int64) (*Server, string) {
 	t.Helper()
 	fs, err := NewFileStore(path, size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(cfg)
-	srv.AddVolume(1, fs)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close(); fs.Close() })
-	return srv, addr.String()
+	t.Cleanup(func() { fs.Close() }) // runs after the server's own cleanup
+	return startTunedServer(t, cfg, tune, fs)
 }
 
 // TestDiskPathConcurrentMixed runs concurrent readers, writers, and
-// flushers against a file-backed volume with workers, write-behind, and
-// prefetch all enabled, and checks every byte that comes back.
+// flushers against a file-backed cached volume and checks every byte that
+// comes back.
 func TestDiskPathConcurrentMixed(t *testing.T) {
-	cfg := diskCfg()
-	cfg.DestageInterval = time.Millisecond // let the destager race the I/O
+	tune := tuning{destageInterval: time.Millisecond} // let the destager race the I/O
 	path := filepath.Join(t.TempDir(), "vol.img")
-	_, addr := startFileServer(t, cfg, path, 8<<20)
+	_, addr := startFileServer(t, diskCfg(), tune, path, 8<<20)
 
 	const workers = 4
 	var wg sync.WaitGroup
@@ -100,7 +94,7 @@ func TestDiskPathConcurrentMixed(t *testing.T) {
 // zeros, and Flush is what moves the bytes to disk.
 func TestWriteBehindIsBehind(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.img")
-	srv, addr := startFileServer(t, diskCfg(), path, 1<<20)
+	srv, addr := startFileServer(t, diskCfg(), parked, path, 1<<20)
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -171,15 +165,8 @@ func TestFlushCrashConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(diskCfg())
-	srv.AddVolume(1, fs)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-
-	c, err := Dial(addr.String(), DefaultClientConfig())
+	srv, addr := startTunedServer(t, diskCfg(), parked, fs)
+	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,22 +180,11 @@ func TestFlushCrashConsistency(t *testing.T) {
 	// "Crash": drop the client and server without any orderly destage
 	// beyond what Flush already guaranteed.
 	c.Close()
-	srv.Close()
+	closeServer(t, srv)
 	fs.Close()
 
-	fs2, err := NewFileStore(path, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := NewServer(diskCfg())
-	srv2.AddVolume(1, fs2)
-	addr2, err := srv2.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv2.Serve()
-	defer func() { srv2.Close(); fs2.Close() }()
-	c2, err := Dial(addr2.String(), DefaultClientConfig())
+	_, addr2 := startFileServer(t, diskCfg(), parked, path, size)
+	c2, err := Dial(addr2, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +202,8 @@ func TestFlushCrashConsistency(t *testing.T) {
 // in flight to the destager; the client's replay plus Flush must still
 // leave every byte correct and durable.
 func TestReconnectMidDestage(t *testing.T) {
-	cfg := diskCfg()
-	cfg.DestageInterval = time.Millisecond
 	path := filepath.Join(t.TempDir(), "vol.img")
-	_, addr := startFileServer(t, cfg, path, 4<<20)
+	_, addr := startFileServer(t, diskCfg(), tuning{destageInterval: time.Millisecond}, path, 4<<20)
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -275,10 +249,10 @@ func TestReconnectMidDestage(t *testing.T) {
 // valve: once uncommitted blocks reach the watermark, writes take the
 // synchronous path (and stay correct) instead of growing dirty state.
 func TestDirtyHighWaterFallsBackToWriteThrough(t *testing.T) {
-	cfg := diskCfg()
-	cfg.DirtyHighWater = 4
+	tune := parked
+	tune.dirtyHighWater = 4
 	path := filepath.Join(t.TempDir(), "vol.img")
-	srv, addr := startFileServer(t, cfg, path, 1<<20)
+	srv, addr := startFileServer(t, diskCfg(), tune, path, 1<<20)
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -306,13 +280,13 @@ func TestDirtyHighWaterFallsBackToWriteThrough(t *testing.T) {
 	}
 }
 
-// TestPrefetchSequentialStream drives a sequential scan and checks the
-// read-ahead pipeline: blocks get installed ahead of the reader and
-// later demand reads hit them.
+// TestPrefetchSequentialStream drives a sequential scan over a RAM
+// volume (the disk queue's portable backend) and checks the read-ahead
+// pipeline: blocks get installed ahead of the reader and later demand
+// reads hit them.
 func TestPrefetchSequentialStream(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 512
-	cfg.DiskWorkers = 4
 	srv, addr := startServer(t, cfg, 4<<20)
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
@@ -341,7 +315,7 @@ func TestPrefetchSequentialStream(t *testing.T) {
 // TestFlushUnknownVolume: the barrier on a nonexistent volume must fail
 // cleanly, not hang or kill the session.
 func TestFlushUnknownVolume(t *testing.T) {
-	_, addr := startServer(t, diskCfg(), 1<<20)
+	_, addr := startTunedServer(t, diskCfg(), parked, NewMemStore(1<<20))
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)

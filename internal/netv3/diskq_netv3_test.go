@@ -13,16 +13,8 @@ import (
 	"github.com/v3storage/v3/internal/faultnet"
 )
 
-// diskQCfg is diskCfg with the batched submission/completion disk
-// backend in place of the worker pool.
-func diskQCfg() ServerConfig {
-	cfg := DefaultServerConfig()
-	cfg.CacheBlocks = 256
-	cfg.DiskQ = true
-	cfg.SQDepth = 32
-	cfg.DestageInterval = time.Hour
-	return cfg
-}
+// shallowQ is parked with half the default disk-queue depth.
+var shallowQ = tuning{destageInterval: time.Hour, sqDepth: 32}
 
 // TestCheckStoreRangeOverflow is the regression test for the wire-offset
 // integer overflow: off+int64(n) wraps negative for offsets near
@@ -60,11 +52,20 @@ func TestCheckStoreRangeOverflow(t *testing.T) {
 }
 
 // TestDiskQMaliciousOffset drives hostile extents through the wire
-// protocol against a disk-queue server: a read at an offset chosen to
-// wrap the range check must come back as a clean error — not a server
-// panic — and the session must remain fully usable afterwards.
+// protocol, against a cached and an uncached volume (the inline paths and
+// the scheduler tasks each validate the range): a read or write at an
+// offset chosen to wrap the range check must come back as a clean error —
+// not a server panic — and the session must remain fully usable
+// afterwards.
 func TestDiskQMaliciousOffset(t *testing.T) {
-	_, addr := startServer(t, diskQCfg(), 1<<20)
+	for _, cacheBlocks := range []int{256, 0} {
+		hostileOffsets(t, ServerConfig{CacheBlocks: cacheBlocks})
+	}
+}
+
+func hostileOffsets(t *testing.T, cfg ServerConfig) {
+	t.Helper()
+	_, addr := startTunedServer(t, cfg, shallowQ, NewMemStore(1<<20))
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -92,54 +93,13 @@ func TestDiskQMaliciousOffset(t *testing.T) {
 	}
 }
 
-// TestDiskQWriteThroughRoundtrip runs the cache-less configuration where
-// every read and write rides the queue end to end (MemStore, so the
-// portable backend via the adapter), and checks both the data and that
-// the queue actually carried it.
-func TestDiskQWriteThroughRoundtrip(t *testing.T) {
-	cfg := DefaultServerConfig()
-	cfg.DiskQ = true
-	cfg.SQDepth = 16
-	srv, addr := startServer(t, cfg, 4<<20)
-	c, err := Dial(addr, DefaultClientConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const blocks = 64
-	for i := 0; i < blocks; i++ {
-		if err := c.Write(1, int64(i)*8192, bytes.Repeat([]byte{byte(i + 1)}, 8192)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(1); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 8192)
-	for i := 0; i < blocks; i++ {
-		if err := c.Read(1, int64(i)*8192, got); err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != byte(i+1) || got[8191] != byte(i+1) {
-			t.Fatalf("block %d wrong after queue roundtrip", i)
-		}
-	}
-	d := srv.DiskStats()
-	if d.DiskQWrites == 0 {
-		t.Fatalf("no writes went through the disk queue: %+v", d)
-	}
-	if d.DiskQReads == 0 {
-		t.Fatalf("no reads went through the disk queue: %+v", d)
-	}
-}
-
 // TestDiskQDestageBatches proves the destager drives the queue with
 // vectored batches: with background destaging parked, acked writes stay
 // out of the file until Flush, whose batched pass then commits runs via
 // multi-op submissions and leaves the bytes on disk.
 func TestDiskQDestageBatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.img")
-	srv, addr := startFileServer(t, diskQCfg(), path, 4<<20)
+	srv, addr := startFileServer(t, diskCfg(), shallowQ, path, 4<<20)
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +151,8 @@ func TestDiskQDestageBatches(t *testing.T) {
 	}
 }
 
-// TestDiskQCrashConsistency is the durability criterion under the
-// batched path: bytes acked and Flushed through the queue (batched
+// TestDiskQCrashConsistency is the durability criterion with an
+// unflushed tail: bytes acked and Flushed through the queue (batched
 // destage runs + the fsync barrier SQE) must be readable after the
 // server goes away mid-stream and a fresh process opens the file. The
 // second write burst is deliberately left unflushed — a crash may lose
@@ -204,15 +164,8 @@ func TestDiskQCrashConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(diskQCfg())
-	srv.AddVolume(1, fs)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-
-	c, err := Dial(addr.String(), DefaultClientConfig())
+	srv, addr := startTunedServer(t, diskCfg(), shallowQ, fs)
+	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +185,10 @@ func TestDiskQCrashConsistency(t *testing.T) {
 		}
 	}
 	c.Close()
-	srv.Close()
+	closeServer(t, srv)
 	fs.Close()
 
-	srv2, addr2 := startFileServer(t, diskQCfg(), path, size)
-	_ = srv2
+	_, addr2 := startFileServer(t, diskCfg(), shallowQ, path, size)
 	c2, err := Dial(addr2, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -253,14 +205,15 @@ func TestDiskQCrashConsistency(t *testing.T) {
 	}
 }
 
-// TestDiskQPrefetchStream checks read-ahead under the batched path: a
-// sequential scan must trigger window fills submitted as vectored
-// batches, and later demand reads must hit the installed blocks.
+// TestDiskQPrefetchStream checks read-ahead over a file-backed volume
+// (io_uring underneath where the kernel has it): a sequential scan must
+// trigger window fills submitted as vectored batches, and later demand
+// reads must hit the installed blocks.
 func TestDiskQPrefetchStream(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 512
-	cfg.DiskQ = true
-	srv, addr := startServer(t, cfg, 4<<20)
+	path := filepath.Join(t.TempDir(), "vol.img")
+	srv, addr := startFileServer(t, cfg, tuning{}, path, 4<<20)
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -277,65 +230,99 @@ func TestDiskQPrefetchStream(t *testing.T) {
 	}
 	d := srv.DiskStats()
 	if d.PrefetchFills == 0 {
-		t.Fatal("sequential scan triggered no prefetch fills under diskq")
+		t.Fatal("sequential scan triggered no prefetch fills")
 	}
 	if d.PrefetchHits == 0 {
-		t.Fatal("prefetched blocks were never hit under diskq")
+		t.Fatal("prefetched blocks were never hit")
 	}
-	t.Logf("diskq prefetch fills=%d hits=%d batches=%d reads=%d",
-		d.PrefetchFills, d.PrefetchHits, d.DiskQBatches, d.DiskQReads)
+	t.Logf("prefetch fills=%d hits=%d batches=%d (%s)",
+		d.PrefetchFills, d.PrefetchHits, d.DiskQBatches, srv.lookup(1).dq.q.BackendName())
 }
 
-// TestDiskQStoreFaults wires a faultnet store fault injector under the
-// queue (every Nth op fails, every Mth is short) and checks the error
-// plumbing the old synchronous path got for free: injected failures
-// surface as per-request errors — never hangs, never wrong bytes on the
-// ops that succeed — and the session survives all of it.
+// TestDiskQStoreFaults wires a faultnet store fault injector (every Nth
+// op fails, every Mth is short) under both halves of the pipeline and
+// checks the error plumbing: injected failures surface as errors — never
+// hangs, never wrong bytes on the ops that succeed — and the session
+// survives all of it.
 func TestDiskQStoreFaults(t *testing.T) {
-	inner := NewMemStore(2 << 20)
-	flaky := faultnet.NewStore(inner, faultnet.StoreConfig{ErrEvery: 7, ShortEvery: 11})
-	cfg := DefaultServerConfig()
-	cfg.DiskQ = true
-	cfg.SQDepth = 8
-	srv := NewServer(cfg)
-	srv.AddVolume(1, flaky)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-
-	c, err := Dial(addr.String(), DefaultClientConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var wErrs, rErrs, ok int
-	data := bytes.Repeat([]byte{0x7C}, 8192)
-	buf := make([]byte, 8192)
-	for i := 0; i < 60; i++ {
-		off := int64(i) * 8192
-		if err := c.Write(1, off, data); err != nil {
-			wErrs++
-			continue
+	// Uncached volume: every request is a scheduler task doing one store
+	// call, so a fault is that request's EIO.
+	t.Run("uncached", func(t *testing.T) {
+		flaky := faultnet.NewStore(NewMemStore(2<<20), faultnet.StoreConfig{ErrEvery: 7, ShortEvery: 11})
+		srv, addr := startTunedServer(t, DefaultServerConfig(), tuning{}, flaky)
+		c, err := Dial(addr, DefaultClientConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := c.Read(1, off, buf); err != nil {
-			rErrs++
-			continue
+		defer c.Close()
+		var wErrs, rErrs, ok int
+		data := bytes.Repeat([]byte{0x7C}, 8192)
+		buf := make([]byte, 8192)
+		for i := 0; i < 60; i++ {
+			off := int64(i) * 8192
+			if err := c.Write(1, off, data); err != nil {
+				wErrs++
+				continue
+			}
+			if err := c.Read(1, off, buf); err != nil {
+				rErrs++
+				continue
+			}
+			if !bytes.Equal(buf, data) {
+				t.Fatalf("op %d: successful read returned wrong bytes under fault injection", i)
+			}
+			ok++
 		}
-		if !bytes.Equal(buf, data) {
-			t.Fatalf("op %d: successful read returned wrong bytes under fault injection", i)
+		if wErrs+rErrs == 0 {
+			t.Fatalf("fault injector never fired (ops=%d)", flaky.Ops())
 		}
-		ok++
-	}
-	if wErrs+rErrs == 0 {
-		t.Fatalf("fault injector never fired (ops=%d)", flaky.Ops())
-	}
-	if ok == 0 {
-		t.Fatal("no operation survived fault injection")
-	}
-	t.Logf("faults: writeErrs=%d readErrs=%d ok=%d stats=%+v", wErrs, rErrs, ok, srv.DiskStats())
+		if ok == 0 {
+			t.Fatal("no operation survived fault injection")
+		}
+		t.Logf("faults: writeErrs=%d readErrs=%d ok=%d served=%d", wErrs, rErrs, ok, srv.Served())
+	})
+	// Cached volume: writes are acked as dirty blocks and the faults hit
+	// the destage batches on the disk queue. A failed run stays dirty and
+	// its error is sticky until the next Flush reports it; the Flush after
+	// that retries the run. With destaging parked, each Flush is exactly
+	// one store op, so the schedule fails flushes 7, 11, 14, ...
+	t.Run("cached", func(t *testing.T) {
+		inner := NewMemStore(2 << 20)
+		flaky := faultnet.NewStore(inner, faultnet.StoreConfig{ErrEvery: 7, ShortEvery: 11})
+		_, addr := startTunedServer(t, diskCfg(), parked, flaky)
+		c, err := Dial(addr, DefaultClientConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		const rounds = 16
+		flushErrs := 0
+		for i := 0; i < rounds; i++ {
+			if err := c.Write(1, int64(i)*8192, bytes.Repeat([]byte{byte(i + 1)}, 8192)); err != nil {
+				t.Fatalf("round %d: absorbed write failed: %v", i, err)
+			}
+			err := c.Flush(1)
+			for tries := 0; err != nil; tries++ {
+				flushErrs++
+				if tries == 3 {
+					t.Fatalf("round %d: flush never recovered: %v", i, err)
+				}
+				err = c.Flush(1)
+			}
+		}
+		if flushErrs == 0 {
+			t.Fatalf("no Flush reported an injected destage fault (ops=%d)", flaky.Ops())
+		}
+		got := make([]byte, 8192)
+		for i := 0; i < rounds; i++ {
+			if err := inner.ReadAt(got, int64(i)*8192); err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != byte(i+1) || got[8191] != byte(i+1) {
+				t.Fatalf("block %d not on the store after a successful Flush", i)
+			}
+		}
+	})
 }
 
 // opaqueStore hides a FileStore's concrete type so the server's queue
@@ -345,7 +332,7 @@ func TestDiskQStoreFaults(t *testing.T) {
 type opaqueStore struct{ BlockStore }
 
 // TestDiskQDifferentialBackends replays one deterministic workload trace
-// against two disk-queue servers over file-backed volumes — one eligible
+// against two servers over file-backed cached volumes — one eligible
 // for io_uring, one forced onto the portable backend — and requires
 // byte-identical results: every read's payload and the final file
 // images. On kernels without io_uring both runs use the portable
@@ -368,15 +355,8 @@ func TestDiskQDifferentialBackends(t *testing.T) {
 		if wrap {
 			store = opaqueStore{fs}
 		}
-		cfg := diskQCfg()
-		srv := NewServer(cfg)
-		srv.AddVolume(1, store)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve()
-		c, err := Dial(addr.String(), DefaultClientConfig())
+		srv, addr := startTunedServer(t, diskCfg(), shallowQ, store)
+		c, err := Dial(addr, DefaultClientConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +390,7 @@ func TestDiskQDifferentialBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Close()
-		srv.Close()
+		closeServer(t, srv)
 		fs.Close()
 		img, err := os.ReadFile(path)
 		if err != nil {
@@ -434,15 +414,21 @@ func TestDiskQDifferentialBackends(t *testing.T) {
 	}
 }
 
-// TestDiskQChaosPartition is TestChaosDestagePartition with the batched
-// disk backend underneath: a transient blackhole mid-write-burst, hung
-// peer detection, reconnection replay, then a flush barrier and full
-// read-back — the queue must not change any of the recovery semantics.
+// TestDiskQChaosPartition is TestChaosDestagePartition over a file-backed
+// volume, so the destage batches and the flush barrier ride the real-file
+// queue (io_uring where the kernel has it): a transient blackhole
+// mid-write-burst, hung peer detection, reconnection replay, then a flush
+// barrier and full read-back — the queue must not change any of the
+// recovery semantics.
 func TestDiskQChaosPartition(t *testing.T) {
 	scfg := DefaultServerConfig()
 	scfg.CacheBlocks = 512
-	scfg.DiskQ = true
-	f, addr := startFaultServer(t, scfg, 4<<20)
+	fs, err := NewFileStore(filepath.Join(t.TempDir(), "vol.img"), 4<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	f, addr := startFaultServerStore(t, scfg, tuning{}, fs)
 	cfg := DefaultClientConfig()
 	cfg.KeepaliveInterval = 200 * time.Millisecond
 	cfg.DialTimeout = 300 * time.Millisecond
@@ -493,43 +479,39 @@ func TestDiskQChaosPartition(t *testing.T) {
 			t.Fatalf("read-back %d: %v", i, err)
 		}
 		if !bytes.Equal(got, block(i)) {
-			t.Fatalf("block %d corrupted across partition under diskq", i)
+			t.Fatalf("block %d corrupted across partition", i)
 		}
 	}
 }
 
-// TestDiskQFlushSurfacesSyncError checks the fsync barrier's error path:
+// TestDiskQFlushSurfacesSyncError checks the Flush barrier's error path:
 // a store whose next Sync fails must turn the wire-level Flush into an
-// error — through the queue's fsync completion, not swallowed by it.
+// error — through the queue's fsync completion on a cached volume, and
+// through the flush task's direct Sync on an uncached one — not
+// swallowed by either.
 func TestDiskQFlushSurfacesSyncError(t *testing.T) {
-	inner := NewMemStore(1 << 20)
-	flaky := faultnet.NewStore(inner, faultnet.StoreConfig{})
-	cfg := DefaultServerConfig()
-	cfg.DiskQ = true
-	srv := NewServer(cfg)
-	srv.AddVolume(1, flaky)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(addr.String(), DefaultClientConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Write(1, 0, make([]byte, 4096)); err != nil {
-		t.Fatal(err)
-	}
-	flaky.FailNextSync(faultnet.ErrInjected)
-	if err := c.Flush(1); err == nil {
-		t.Fatal("flush succeeded despite injected fsync failure")
-	}
-	if err := c.Flush(1); err != nil {
-		t.Fatalf("flush did not recover after one-shot sync fault: %v", err)
-	}
-	if name := srv.lookup(1).dq.q.BackendName(); !strings.Contains(name, "portable") {
-		t.Fatalf("wrapped store unexpectedly not on portable backend: %s", name)
+	for _, cacheBlocks := range []int{256, 0} {
+		flaky := faultnet.NewStore(NewMemStore(1<<20), faultnet.StoreConfig{})
+		srv, addr := startTunedServer(t, ServerConfig{CacheBlocks: cacheBlocks}, tuning{}, flaky)
+		c, err := Dial(addr, DefaultClientConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Write(1, 0, make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		flaky.FailNextSync(faultnet.ErrInjected)
+		if err := c.Flush(1); err == nil {
+			t.Fatalf("cache %d: flush succeeded despite injected fsync failure", cacheBlocks)
+		}
+		if err := c.Flush(1); err != nil {
+			t.Fatalf("cache %d: flush did not recover after one-shot sync fault: %v", cacheBlocks, err)
+		}
+		if dq := srv.lookup(1).dq; dq != nil {
+			if name := dq.q.BackendName(); !strings.Contains(name, "portable") {
+				t.Fatalf("wrapped store unexpectedly not on portable backend: %s", name)
+			}
+		}
 	}
 }

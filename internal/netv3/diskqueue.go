@@ -6,25 +6,23 @@ import (
 	"sync/atomic"
 
 	"github.com/v3storage/v3/internal/diskq"
-	"github.com/v3storage/v3/internal/wire"
 )
 
-// diskQueue is a volume's batched submission/completion disk backend:
-// the netv3 face of internal/diskq. Where the classic diskPipe binds
-// one goroutine to one blocking store call, the queue moves every store
-// operation through an SQ/CQ pair — demand-read misses, write-through
-// writes, the destager's coalesced runs, the prefetcher's doubling
-// windows, and the Flush fsync barrier all become submissions, and one
-// dispatcher goroutine drains completions for the whole volume.
+// diskQueue is a cached volume's batched submission/completion disk
+// backend: the netv3 face of internal/diskq. The background store I/O of
+// the cached disk path — the destager's coalesced runs and orphan drains,
+// the prefetcher's read-ahead windows, and the Flush fsync barrier — moves
+// through one SQ/CQ pair as vectored submissions, and one dispatcher
+// goroutine drains completions for the whole volume. (Demand misses do
+// not ride it: a scheduler worker reads the store synchronously through
+// the cache.)
 //
 // Completion routing: every submission registers a callback keyed by
 // its token. Callbacks run on the dispatcher in reap order, which the
 // backends guarantee puts an fsync's completion after the completions
 // of every write it barriers — the property the flush path's
-// error-collection relies on. Callbacks must never block indefinitely:
-// cache work is lock-bounded and session sends are non-blocking by the
-// credit-sizing invariant (a session's completion lane holds at least
-// as many slots as the client holds credits).
+// error-collection relies on. Callbacks must never block: the only ones
+// registered are dqWaiter countdowns.
 //
 // Because Submit can be interleaved with the completion it triggers,
 // registration uses a claim protocol instead of insert-before-submit:
@@ -33,7 +31,6 @@ import (
 // run under mu, so a completion is executed exactly once, on whichever
 // side arrives second.
 type diskQueue struct {
-	s *Server
 	v *volume
 	q *diskq.Queue
 
@@ -43,11 +40,8 @@ type diskQueue struct {
 
 	dispatcherDone chan struct{}
 
-	reads     atomic.Int64 // demand reads served through the queue
-	writes    atomic.Int64 // async write-through writes
 	batches   atomic.Int64 // destage/prefetch vectored batches
-	fallbacks atomic.Int64 // submissions bounced to the classic path
-	retries   atomic.Int64 // reads redone classically after an epoch change
+	fallbacks atomic.Int64 // ops a closing queue refused; the submitter ran them itself
 }
 
 // storeFile adapts a BlockStore to diskq.File so wrapped stores (fault
@@ -86,27 +80,17 @@ func queueFile(store BlockStore) diskq.File {
 }
 
 func newDiskQueue(s *Server, v *volume) (*diskQueue, error) {
-	depth := s.cfg.SQDepth
-	if depth <= 0 {
-		depth = 64
-	}
-	workers := s.cfg.DiskWorkers
-	if workers <= 0 {
-		workers = depth
-	}
 	q, err := diskq.Open(queueFile(v.store), diskq.Config{
-		Depth:   depth,
-		Workers: workers,
+		Depth:   s.tune.sqDepth,
 		Metrics: s.cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err
 	}
 	dq := &diskQueue{
-		s:              s,
 		v:              v,
 		q:              q,
-		pending:        make(map[uint64]func(diskq.Completion), depth),
+		pending:        make(map[uint64]func(diskq.Completion), s.tune.sqDepth),
 		unclaimed:      make(map[uint64]diskq.Completion),
 		dispatcherDone: make(chan struct{}),
 	}
@@ -165,19 +149,6 @@ func (dq *diskQueue) claim(first uint64, fns []func(diskq.Completion)) {
 	for _, r := range run {
 		r.fn(r.c)
 	}
-}
-
-// trySubmit submits one op without blocking and registers its callback.
-// A false return means queue full or closed: the caller owns the op and
-// takes its classic path.
-func (dq *diskQueue) trySubmit(op diskq.Op, fn func(diskq.Completion)) bool {
-	tok, ok := dq.q.TrySubmit(op)
-	if !ok {
-		dq.fallbacks.Add(1)
-		return false
-	}
-	dq.claim(tok, []func(diskq.Completion){fn})
-	return true
 }
 
 // submitBatch submits ops as one vectored batch (blocking for queue
@@ -271,96 +242,6 @@ func (dq *diskQueue) fsyncBarrier() error {
 	return w.wait(1)[0].Err
 }
 
-// submitDemandRead moves a session's cache-miss read onto the queue.
-// The caller has already validated the range and verified no block in
-// it carries uncommitted write-behind state (dirty/flushing/orphan);
-// epochs is the per-touched-shard write-epoch snapshot taken during
-// that check. On completion the dispatcher revalidates the snapshot: if
-// any covered shard has absorbed a write since, the store bytes may be
-// stale or torn, and the read is redone through the classic cache path
-// (rare — it costs one synchronous cached read on the dispatcher).
-// A false return means queue full/closed: caller falls back.
-//
-// trace/arr carry a traced request's id and arrival stamp into the
-// completion callback, where the response's span block is filled: queue
-// wait is arrival→SQ submit, service is submit→response build, and the
-// disk-queue split (SQ wait vs device time) comes straight off the
-// Completion — the decomposition the merged client table surfaces as
-// its "srv diskq wait" and "srv device" columns.
-func (dq *diskQueue) submitDemandRead(sc *sessCtx, seq uint64, reqID uint64, body []byte, off int64, epochs []shardEpoch, trace uint64, arr int64) bool {
-	s := dq.s
-	sub := traceArr(trace)
-	s.flight.Record(fkDiskqSubmit, trace, uint64(off), uint64(len(body)))
-	finish := func(err error, c diskq.Completion) {
-		rr := &wire.ReadResp{Header: wire.Header{Ack: uint32(seq)}, ReqID: reqID, Credits: 1, Status: wire.StatusOK}
-		resp := body
-		if err != nil {
-			rr.Status = wire.StatusEIO
-			s.logf("netv3: diskq read [%d,+%d): %v", off, len(body), err)
-			s.pool.Put(body)
-			resp = nil
-		}
-		rr.Length = uint32(len(resp))
-		fillSpan(&rr.Header, &rr.SrvSpan, trace, arr, sub)
-		if trace != 0 {
-			rr.SrvDiskQNS = clamp32(c.QueueNS)
-			rr.SrvDeviceNS = clamp32(c.DeviceNS)
-		}
-		s.flight.Record(fkDiskqDone, trace, uint64(c.QueueNS), uint64(c.DeviceNS))
-		s.served.Add(1)
-		dq.reads.Add(1)
-		sc.complete(completion{msg: rr, body: resp})
-		sc.wg.Done()
-	}
-	ok := dq.trySubmit(diskq.Op{Kind: diskq.OpRead, Buf: body, Off: off}, func(c diskq.Completion) {
-		if c.Err == nil && dq.v.cache != nil && !dq.v.cache.epochsUnchanged(epochs) {
-			// A write landed on a covered epoch stripe mid-flight; the
-			// store image we read may predate (or tear) it. Redo through
-			// the coherent path — off the dispatcher, whose drain must
-			// never wait out a device-time store read (a redo here would
-			// stall every other completion behind it). Bounded by the
-			// session's credits, like any other in-flight request. The
-			// span keeps the wasted queue trip's disk split — that time
-			// was really spent serving this request.
-			dq.retries.Add(1)
-			go func() { finish(dq.v.cachedRead(body, off), c) }()
-			return
-		}
-		finish(c.Err, c)
-	})
-	return ok
-}
-
-// submitWrite moves a write-through write (cache disabled or
-// NoWriteBehind) onto the queue. The cache update and the response both
-// happen on completion, preserving the store-write-before-cache-update
-// ordering rule. A false return means the caller falls back.
-func (dq *diskQueue) submitWrite(sc *sessCtx, seq uint64, reqID uint64, body []byte, off int64, trace uint64, arr int64) bool {
-	s := dq.s
-	sub := traceArr(trace)
-	s.flight.Record(fkDiskqSubmit, trace, uint64(off), uint64(len(body)))
-	return dq.trySubmit(diskq.Op{Kind: diskq.OpWrite, Buf: body, Off: off}, func(c diskq.Completion) {
-		wr := &wire.WriteResp{Header: wire.Header{Ack: uint32(seq)}, ReqID: reqID, Credits: 1, Status: wire.StatusOK}
-		if c.Err != nil {
-			wr.Status = wire.StatusEIO
-			s.logf("netv3: diskq write [%d,+%d): %v", off, len(body), c.Err)
-		} else if dq.v.cache != nil {
-			updateCachedRange(dq.v.cache, body, off)
-		}
-		fillSpan(&wr.Header, &wr.SrvSpan, trace, arr, sub)
-		if trace != 0 {
-			wr.SrvDiskQNS = clamp32(c.QueueNS)
-			wr.SrvDeviceNS = clamp32(c.DeviceNS)
-		}
-		s.flight.Record(fkDiskqDone, trace, uint64(c.QueueNS), uint64(c.DeviceNS))
-		s.pool.Put(body)
-		s.served.Add(1)
-		dq.writes.Add(1)
-		sc.complete(completion{msg: wr})
-		sc.wg.Done()
-	})
-}
-
 // close stops intake and waits for the dispatcher to drain every
 // in-flight completion (running their callbacks) before returning.
 func (dq *diskQueue) close() {
@@ -370,20 +251,3 @@ func (dq *diskQueue) close() {
 
 // File exposes the store's backing file for the io_uring backend.
 func (s *FileStore) File() *os.File { return s.f }
-
-// updateCachedRange folds committed write bytes into any resident cache
-// blocks of [off, off+len(b)) — the block-split loop volume.write uses,
-// shared with the queue's asynchronous write completion.
-func updateCachedRange(c *blockCache, b []byte, off int64) {
-	end := off + int64(len(b))
-	for cur := off; cur < end; {
-		blk := uint64(cur / cacheBlockSize)
-		within := cur % cacheBlockSize
-		n := int64(cacheBlockSize - within)
-		if end-cur < n {
-			n = end - cur
-		}
-		c.updateBlock(blk, within, n, b[cur-off:cur-off+n])
-		cur += n
-	}
-}

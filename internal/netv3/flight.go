@@ -8,7 +8,7 @@ import (
 )
 
 // Flight-recorder event kinds. netv3 owns the kind space: the server,
-// the disk pipeline, and the vault all record into one ring, so a dump
+// the disk path, and the vault all record into one ring, so a dump
 // interleaves tiers by timestamp — the point of the recorder is seeing
 // what the scheduler, the disk queue, and the replicas were doing in
 // the instants before an incident.
@@ -18,8 +18,6 @@ import (
 const (
 	fkDispatch    uint8 = iota + 1 // request decoded; a=msg type, b=volume
 	fkShed                         // admission control refused; a=tenant key, b=fg backlog
-	fkDiskqSubmit                  // op handed to the disk queue; a=offset, b=length
-	fkDiskqDone                    // disk completion reaped; a=queue ns, b=device ns
 	fkDestage                      // one destage pass; a=blocks written, b=pass ns
 	fkPrefetch                     // one read-ahead fill; a=offset, b=fill ns
 	fkFlush                        // durability barrier served; a=volume, b=barrier ns
@@ -41,8 +39,6 @@ var flightKindNames = []string{
 	"",
 	"dispatch",
 	"sched-shed",
-	"diskq-submit",
-	"diskq-done",
 	"destage",
 	"prefetch",
 	"flush",
@@ -83,9 +79,10 @@ func traceArr(trace uint64) int64 {
 
 // fillSpan stamps a traced response's id and the two spans every path
 // shares: queue wait (arrival→start) and service time (start→now). The
-// disk-queue split fields are filled only by the disk-queue completion
-// path. No-op for untraced requests, leaving the block's zeros — the
-// same bytes a pre-trace server emits.
+// disk-queue split fields stay zero: no demand I/O rides the disk queue,
+// so its device time sits inside the service span. No-op for untraced
+// requests, leaving the block's zeros — the same bytes a pre-trace server
+// emits.
 func fillSpan(h *wire.Header, sp *wire.SrvSpan, trace uint64, arr, start int64) {
 	if trace == 0 {
 		return

@@ -1,9 +1,11 @@
 package netv3
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -12,7 +14,9 @@ import (
 	"github.com/v3storage/v3/internal/wire"
 )
 
-// startSchedServer is startServer with the shared scheduler enabled.
+// startSchedServer is startServer with a four-worker scheduler unless cfg
+// sizes it: the mux tests want worker concurrency even on a one-CPU host,
+// where the GOMAXPROCS default would give them a single worker.
 func startSchedServer(t *testing.T, cfg ServerConfig, volSize int64) (*Server, string) {
 	t.Helper()
 	if cfg.SchedWorkers == 0 {
@@ -129,37 +133,72 @@ func TestStreamsBasicIO(t *testing.T) {
 	}
 }
 
-// TestStreamsOnClassicServer checks that the stream layer works without
-// the shared scheduler: the registry and credit grants live in the session
-// loop, so classic dispatch (and its disk pipeline) serve stream traffic
-// unchanged.
-func TestStreamsOnClassicServer(t *testing.T) {
+// TestImplicitStreamOpenHonorsMaxStreams is the regression test for the
+// registry leak: a data frame on an unknown stream id opens that stream
+// implicitly, and that path used to skip the MaxStreams cap StreamOpen
+// enforces — a peer cycling the 32-bit stream id in Read frames grew the
+// session's registry (and StreamsActive) without bound. Speaking the wire
+// protocol directly, 70,000 reads each on its own stream id (past the
+// field's 65,535 ceiling, so no configured cap could have hidden it) must
+// all be answered while the server remembers at most MaxStreams of them.
+func TestImplicitStreamOpenHonorsMaxStreams(t *testing.T) {
+	const maxStreams, ids, readLen = 4, 70000, 512
 	cfg := DefaultServerConfig()
-	cfg.CacheBlocks = 128
-	cfg.DiskWorkers = 2
-	_, addr := startServer(t, cfg, 4<<20)
-	c, err := Dial(addr, DefaultClientConfig())
+	cfg.MaxStreams = maxStreams
+	srv, addr := startSchedServer(t, cfg, 1<<20)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	st, err := c.OpenStream(StreamConfig{Credits: 8})
-	if err != nil {
+	defer conn.Close()
+	if err := wire.WriteTo(conn, &wire.Connect{Features: wire.FeatureStreams}); err != nil {
 		t.Fatal(err)
 	}
-	payload := bytes.Repeat([]byte{0x5a}, 32<<10)
-	if err := st.Write(1, 128<<10, payload); err != nil {
+	br := bufio.NewReader(conn)
+	if m, err := wire.ReadFrom(br); err != nil {
 		t.Fatal(err)
+	} else if cr, ok := m.(*wire.ConnectResp); !ok || cr.Features&wire.FeatureStreams == 0 {
+		t.Fatalf("handshake: got %+v, want a ConnectResp with streams negotiated", m)
 	}
-	got := make([]byte, len(payload))
-	if err := st.Read(1, 128<<10, got); err != nil {
-		t.Fatal(err)
+	// The volume is uncached, so every read is a scheduler task and meets
+	// tenant(); a 32-deep window keeps the flood under admission control.
+	window := make(chan struct{}, 32)
+	sendErr := make(chan error, 1)
+	go func() {
+		for i := 1; i <= ids; i++ {
+			window <- struct{}{}
+			rd := &wire.Read{Header: wire.Header{Seq: uint64(i), Stream: uint32(i)},
+				ReqID: uint64(i), Volume: 1, Length: readLen}
+			if err := wire.WriteTo(conn, rd); err != nil {
+				sendErr <- err
+				return
+			}
+		}
+		sendErr <- nil
+	}()
+	var rr wire.ReadResp
+	var frame [wire.ControlSize]byte
+	body := make([]byte, readLen)
+	for i := 0; i < ids; i++ {
+		if _, err := wire.ReadFrame(br, &frame); err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if err := wire.UnmarshalInto(frame[:], &rr); err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if rr.Status != wire.StatusOK || rr.Length != readLen {
+			t.Fatalf("response %d on stream %d: status %v length %d", i, rr.Stream, rr.Status, rr.Length)
+		}
+		if _, err := io.ReadFull(br, body); err != nil {
+			t.Fatalf("response %d body: %v", i, err)
+		}
+		if got := srv.StreamsActive(); got > maxStreams {
+			t.Fatalf("StreamsActive = %d after %d answered reads, want <= %d", got, i+1, maxStreams)
+		}
+		<-window
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("data mismatch over stream on classic server")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	if err := <-sendErr; err != nil {
+		t.Fatalf("sending reads: %v", err)
 	}
 }
 
@@ -216,16 +255,9 @@ func TestAdmissionControlSheds(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.SchedWorkers = 1
 	cfg.AdmitLimit = 1
-	srv := NewServer(cfg)
-	srv.AddVolume(1, &slowStore{BlockStore: NewMemStore(1 << 20), delay: 2 * time.Millisecond})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
+	srv, addr := startTunedServer(t, cfg, tuning{}, &slowStore{BlockStore: NewMemStore(1 << 20), delay: 2 * time.Millisecond})
 
-	c, err := Dial(addr.String(), DefaultClientConfig())
+	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,16 +315,9 @@ func TestAdmissionControlSheds(t *testing.T) {
 func TestClosedStreamResponseDrains(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.SchedWorkers = 2
-	srv := NewServer(cfg)
-	srv.AddVolume(1, &slowStore{BlockStore: NewMemStore(1 << 20), delay: 50 * time.Millisecond})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
+	_, addr := startTunedServer(t, cfg, tuning{}, &slowStore{BlockStore: NewMemStore(1 << 20), delay: 50 * time.Millisecond})
 
-	c, err := Dial(addr.String(), DefaultClientConfig())
+	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,17 +222,11 @@ func maxNS(ns int64) int64 {
 // serverObs is a server's histogram set plus the gauge-func exports of
 // its existing counters; nil when no registry is configured.
 type serverObs struct {
-	// dispatch is the session loop's inline handling time per request:
-	// decode → response buffered (or task queued) — the server half of
-	// the paper's "server processing" column that the client can only see
-	// folded into its server+net stage.
+	// dispatch is the session loop's handling time per request: decode →
+	// response queued (or task enqueued) — the server half of the paper's
+	// "server processing" column that the client can only see folded into
+	// its server+net stage.
 	dispatch *obs.Hist
-	// queueWait is a disk task's time between session-loop enqueue and
-	// worker pickup — the disk-pipeline backlog signal.
-	queueWait *obs.Hist
-	// diskRead/diskWrite are store I/O service times inside the workers.
-	diskRead  *obs.Hist
-	diskWrite *obs.Hist
 	// destageRun is one background destage pass; flushDur one wire-level
 	// Flush barrier; prefetchFill one read-ahead fill.
 	destageRun   *obs.Hist
@@ -247,7 +241,7 @@ type serverObs struct {
 
 // newServerObs builds the histogram set and registers gauge funcs that
 // export the server's existing atomic counters (served, sessions, cache,
-// pool, disk pipeline) without double bookkeeping — the counters the old
+// pool, disk path) without double bookkeeping — the counters the old
 // v3d -stats loop logged, folded into the snapshot.
 func newServerObs(r *obs.Registry, s *Server) *serverObs {
 	if r == nil {
@@ -255,9 +249,6 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 	}
 	so := &serverObs{
 		dispatch:     r.Hist("netv3_srv_dispatch_ns"),
-		queueWait:    r.Hist("netv3_srv_disk_queue_wait_ns"),
-		diskRead:     r.Hist("netv3_srv_disk_read_ns"),
-		diskWrite:    r.Hist("netv3_srv_disk_write_ns"),
 		destageRun:   r.Hist("netv3_srv_destage_run_ns"),
 		flushDur:     r.Hist("netv3_srv_flush_ns"),
 		prefetchFill: r.Hist("netv3_srv_prefetch_fill_ns"),
@@ -306,8 +297,7 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 	r.GaugeFunc("netv3_srv_prefetch_fills_total", func() int64 { return s.DiskStats().PrefetchFills })
 	r.GaugeFunc("netv3_srv_prefetch_hits_total", func() int64 { return s.DiskStats().PrefetchHits })
 	r.GaugeFunc("netv3_srv_prefetch_dropped_total", func() int64 { return s.DiskStats().PrefetchDropped })
-	r.GaugeFunc("netv3_srv_inline_fallbacks_total", func() int64 { return s.DiskStats().InlineFallbacks })
-	// Disk-queue (DiskQ) exports. The in-flight gauge reads the live
+	// Disk-queue exports. The in-flight gauge reads the live
 	// SQ depth across volumes; the counters mirror DiskStats. The queue's
 	// own histograms (submit/reap batch sizes, queue-wait vs device time)
 	// register themselves on the same registry via diskq.Config.Metrics.
@@ -320,10 +310,7 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 		}
 		return n
 	})
-	r.GaugeFunc("netv3_srv_diskq_reads_total", func() int64 { return s.DiskStats().DiskQReads })
-	r.GaugeFunc("netv3_srv_diskq_writes_total", func() int64 { return s.DiskStats().DiskQWrites })
 	r.GaugeFunc("netv3_srv_diskq_batches_total", func() int64 { return s.DiskStats().DiskQBatches })
 	r.GaugeFunc("netv3_srv_diskq_fallbacks_total", func() int64 { return s.DiskStats().DiskQFallbacks })
-	r.GaugeFunc("netv3_srv_diskq_retries_total", func() int64 { return s.DiskStats().DiskQRetries })
 	return so
 }

@@ -24,7 +24,6 @@ import (
 func TestBreakdownSums(t *testing.T) {
 	scfg := DefaultServerConfig()
 	scfg.CacheBlocks = 256
-	scfg.DiskWorkers = 2
 	_, addr := startServer(t, scfg, 4<<20)
 	reg := obs.New()
 	ccfg := DefaultClientConfig()
@@ -93,7 +92,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	sreg := obs.New()
 	scfg := DefaultServerConfig()
 	scfg.CacheBlocks = 256
-	scfg.DiskWorkers = 2
 	scfg.Metrics = sreg
 	_, addr := startServer(t, scfg, 4<<20)
 	creg := obs.New()
@@ -191,18 +189,11 @@ func TestMetricsEndpoint(t *testing.T) {
 // severed session.
 func TestClientStats(t *testing.T) {
 	scfg := DefaultServerConfig()
-	srv := NewServer(scfg)
-	srv.AddVolume(1, &slowStore{BlockStore: NewMemStore(1 << 20), delay: 30 * time.Millisecond})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
+	_, addr := startTunedServer(t, scfg, tuning{}, &slowStore{BlockStore: NewMemStore(1 << 20), delay: 30 * time.Millisecond})
 
 	ccfg := DefaultClientConfig()
 	ccfg.ReconnectBackoff = 20 * time.Millisecond
-	c, err := Dial(addr.String(), ccfg)
+	c, err := Dial(addr, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,10 +59,10 @@ const maxEmitted = 4 * maxPrefetchBlocks
 // observe feeds one read into the detector and returns the blocks to
 // prefetch, if a stream is established and has caught up with the
 // previous read-ahead horizon. Sequential streams yield a contiguous
-// window; strided streams (allowed only when strideOK — scatter
-// read-ahead is affordable only over the batched disk queue, where a
-// window is one vectored submission rather than one blocking read per
-// block) yield the blocks under the next predicted read positions.
+// window; strided streams (allowed only when strideOK — a scattered
+// window is one vectored submission of single-block reads, affordable
+// only while the disk queue has ring headroom for it) yield the blocks
+// under the next predicted read positions.
 // cancel, returned when this read broke an established stream, is the
 // dead stream's emitted read-ahead — the caller should hand it to
 // prefetchDiscard so unconsumed speculation stops occupying the cache.
@@ -192,16 +192,15 @@ type prefetchReq struct {
 }
 
 // prefetchFillStreams is how many window fills a volume's prefetch
-// worker keeps in flight at once over the batched disk queue. A fill is
+// worker keeps in flight at once over the disk queue. A fill is
 // device-bound (one vectored batch, then a wait), so overlapping a few
-// keeps read-ahead supply at queue rate instead of one-window-per-device
-// -round; the classic path stays serial — its fill holds shard locks for
-// the whole store read, and overlapping those would stall demand hits.
+// keeps read-ahead supply at queue rate instead of one window per device
+// round.
 const prefetchFillStreams = 6
 
 // prefetchWorker is the per-volume background read-ahead engine: one
-// goroutine draining a small request channel (fanning out to a few
-// concurrent fills on the batched path). Requests that arrive while the
+// goroutine draining a small request channel, fanning out to a few
+// concurrent fills. Requests that arrive while the
 // lane is full are dropped — read-ahead is best-effort and a demand miss
 // is always correct, just slower.
 type prefetchWorker struct {
@@ -235,10 +234,6 @@ func (w *prefetchWorker) run(s *Server, done <-chan struct{}) {
 		case <-done:
 			return
 		case r := <-w.reqs:
-			if w.v.dq == nil {
-				w.fill(s, r.blks)
-				continue
-			}
 			select {
 			case sem <- struct{}{}:
 			case <-done:
@@ -254,27 +249,24 @@ func (w *prefetchWorker) run(s *Server, done <-chan struct{}) {
 	}
 }
 
-// fill services one window. When the shared scheduler is on, the store
-// work rides its background lane — read-ahead is exactly the speculative
-// traffic the lane exists to meter — with this goroutine (a dedicated
-// producer, never a scheduler worker) enqueueing and waiting; a refused
-// enqueue (scheduler closing) runs the fill here instead.
+// fill services one window on the scheduler's background lane —
+// read-ahead is exactly the speculative traffic the lane exists to meter
+// — with this goroutine (a dedicated producer, never a scheduler worker)
+// enqueueing and waiting; a refused enqueue (scheduler closing) runs the
+// fill here instead.
 func (w *prefetchWorker) fill(s *Server, blks []uint64) {
-	if sc := s.sched; sc != nil {
-		done := make(chan struct{})
-		if ok, _ := sc.tryEnqueue(w.bgKey, 1, true, func() { w.fillNow(s, blks); close(done) }); ok {
-			<-done
-			return
-		}
+	done := make(chan struct{})
+	if ok, _ := s.sched.tryEnqueue(w.bgKey, 1, true, func() { w.fillNow(s, blks); close(done) }); ok {
+		<-done
+		return
 	}
 	w.fillNow(s, blks)
 }
 
-// fillNow services one window on the calling goroutine, routing to the
-// batched or classic engine. A window is dropped whole when unconsumed
-// read-ahead already fills the cache's residency budget — fetching more
-// would only evict earlier read-ahead (or demand state) before anything
-// is consumed.
+// fillNow services one window on the calling goroutine. A window is
+// dropped whole when unconsumed read-ahead already fills the cache's
+// residency budget — fetching more would only evict earlier read-ahead
+// (or demand state) before anything is consumed.
 func (w *prefetchWorker) fillNow(s *Server, blks []uint64) {
 	if c := w.v.cache; c.prefResident.Load() >= c.prefBudget {
 		w.dropped.Add(1)
@@ -284,13 +276,7 @@ func (w *prefetchWorker) fillNow(s *Server, blks []uint64) {
 	if s.om != nil || s.flight != nil {
 		t0 = obs.Now()
 	}
-	var err error
-	if w.v.dq != nil {
-		err = w.fillBatched(blks)
-	} else {
-		err = w.fillClassic(blks)
-	}
-	if err != nil {
+	if err := w.fillBatched(blks); err != nil {
 		// Best-effort: log and move on; the demand path will
 		// surface a persistent store error to the client.
 		s.logf("netv3: prefetch %d blocks from %d: %v", len(blks), blks[0], err)
@@ -306,36 +292,16 @@ func (w *prefetchWorker) fillNow(s *Server, blks []uint64) {
 	}
 }
 
-// fillClassic services a window with the shard-locked contiguous fill,
-// one store read per contiguous run. The detector only emits gapped
-// windows over the batched queue, so in practice this is a single run.
-func (w *prefetchWorker) fillClassic(blks []uint64) error {
-	var firstErr error
-	for i := 0; i < len(blks); {
-		j := i + 1
-		for j < len(blks) && blks[j] == blks[j-1]+1 {
-			j++
-		}
-		if err := w.v.cache.prefetchFill(w.v, blks[i], j-i); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		i = j
-	}
-	return firstErr
-}
-
-// fillBatched is prefetchFill over the batched disk queue: the whole
+// fillBatched reads one window through the disk queue: the whole
 // doubling window goes down as one vectored submission — one read extent
 // per maximal run of wanted, block-contiguous entries — with NO shard
-// locks held across the device time. The classic fill pins every touched
-// shard for the whole store read, stalling demand hits behind read-ahead;
-// here the plan and install phases take the locks only briefly, and the
+// locks held across the device time, so read-ahead never stalls demand
+// hits: the plan and install phases take the locks only briefly, and the
 // epoch snapshot taken by prefetchPlan lets prefetchInstall drop any
 // block a write raced past the unlocked read (a dropped block just
 // misses later). Strided windows are where the vectoring earns its keep:
 // a gapped window becomes a scatter of single-block extents in one
-// submission, an I/O shape the classic one-read-per-call fill cannot
-// express without serializing on the worker.
+// submission.
 func (w *prefetchWorker) fillBatched(blks []uint64) error {
 	v := w.v
 	c := v.cache

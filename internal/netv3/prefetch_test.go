@@ -108,6 +108,26 @@ func TestPrefetcherStrideGate(t *testing.T) {
 	}
 }
 
+// prefetchDirect runs the prefetch worker's two cache phases — plan,
+// then install — around a plain store read of blocks [start, start+n),
+// standing in for the disk-queue batch between them.
+func prefetchDirect(t *testing.T, c *blockCache, v *volume, start uint64, n int) {
+	t.Helper()
+	blks := make([]uint64, n)
+	for i := range blks {
+		blks[i] = start + uint64(i)
+	}
+	want, epochs, need := c.prefetchPlan(v, blks)
+	if need == 0 {
+		return
+	}
+	buf := make([]byte, n*cacheBlockSize)
+	if err := v.store.ReadAt(buf, int64(start)*cacheBlockSize); err != nil {
+		t.Fatal(err)
+	}
+	c.prefetchInstall(v, blks, want, nil, epochs, buf)
+}
+
 // Residency accounting: installs charge prefResident, consumption and
 // discard release it, and discard never touches dirty or demand state.
 
@@ -120,12 +140,10 @@ func TestPrefetchDiscardAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := newBlockCache(64, 4, pool)
+	c := newBlockCache(64, pool)
 	v := &volume{store: store, cache: c}
 
-	if err := c.prefetchFill(v, 0, 8); err != nil {
-		t.Fatal(err)
-	}
+	prefetchDirect(t, c, v, 0, 8)
 	if got := c.prefResident.Load(); got != 8 {
 		t.Fatalf("prefResident after fill = %d, want 8", got)
 	}
@@ -188,8 +206,8 @@ func TestPrefetchDiscardAccounting(t *testing.T) {
 func TestDirtyShardRefusesInstalls(t *testing.T) {
 	pool := bufpool.New()
 	store := NewMemStore(256 * cacheBlockSize)
-	// One shard, four slots: easy to fill wall-to-wall with dirty blocks.
-	c := newBlockCache(4, 1, pool)
+	// Four one-slot shards: easy to fill wall-to-wall with dirty blocks.
+	c := newBlockCache(4, pool)
 	v := &volume{store: store, cache: c}
 
 	pattern := func(b byte) []byte { return bytes.Repeat([]byte{b}, cacheBlockSize) }
@@ -229,9 +247,7 @@ func TestDirtyShardRefusesInstalls(t *testing.T) {
 	}
 
 	// Prefetch over the full shard is refused, not forced.
-	if err := c.prefetchFill(v, 30, 4); err != nil {
-		t.Fatal(err)
-	}
+	prefetchDirect(t, c, v, 30, 4)
 	if got := c.prefResident.Load(); got != 0 {
 		t.Fatalf("prefResident = %d, want 0 — speculation must not displace dirty blocks", got)
 	}
@@ -266,7 +282,7 @@ func TestDirtyShardRefusesInstalls(t *testing.T) {
 func TestRedirtiedBlockStaysPinned(t *testing.T) {
 	pool := bufpool.New()
 	store := NewMemStore(256 * cacheBlockSize)
-	c := newBlockCache(4, 1, pool)
+	c := newBlockCache(4, pool)
 	v := &volume{store: store, cache: c}
 
 	w := bytes.Repeat([]byte{'1'}, cacheBlockSize)

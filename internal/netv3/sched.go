@@ -7,14 +7,15 @@ import (
 	"github.com/v3storage/v3/internal/obs"
 )
 
-// This file is the server's shared request scheduler — the dispatch model
-// behind session multiplexing. The paper's server (Section 4) multiplexes
-// many database sessions onto a small set of VIs and a fixed worker pool;
-// the TCP analogue here replaces per-session dispatch with one bounded
-// pool draining per-tenant weighted queues in two QoS lanes:
+// This file is the server's shared request scheduler — where every
+// request that can touch the store runs. The paper's server (Section 4)
+// multiplexes many database sessions onto a small set of VIs and a fixed
+// worker pool; the TCP analogue here is one bounded pool draining
+// per-tenant weighted queues in two QoS lanes:
 //
-//   - foreground: client reads, writes, and flushes — the latency-sensitive
-//     traffic whose p99 must stay flat as logical sessions scale to 10k+.
+//   - foreground: client read misses, writes the session loop could not
+//     absorb, and flushes — the latency-sensitive traffic whose p99 must
+//     stay flat as logical sessions scale to 10k+.
 //   - background: destage passes, prefetch fills, and requests from streams
 //     opened with ClassBackground (resync-style utility traffic).
 //
@@ -154,8 +155,7 @@ func (l *laneQ) removeAt(i int) {
 	}
 }
 
-// sched is the shared scheduler instance; one per server when
-// SchedWorkers > 0.
+// sched is the shared scheduler instance; one per server.
 type sched struct {
 	s       *Server
 	workers int
@@ -297,8 +297,7 @@ func (sc *sched) close() {
 	sc.wg.Wait()
 }
 
-// SchedStats is a snapshot of the shared scheduler; zero when the
-// scheduler is disabled.
+// SchedStats is a snapshot of the shared scheduler.
 type SchedStats struct {
 	Workers     int
 	FGQueued    int   // foreground tasks waiting
@@ -311,12 +310,9 @@ type SchedStats struct {
 	StrideFires int64 // anti-starvation pops (bg taken while fg was pending)
 }
 
-// SchedStats returns scheduler counters (zero value when SchedWorkers is 0).
+// SchedStats returns scheduler counters.
 func (s *Server) SchedStats() SchedStats {
 	sc := s.sched
-	if sc == nil {
-		return SchedStats{}
-	}
 	sc.mu.Lock()
 	st := SchedStats{
 		Workers:  sc.workers,
@@ -340,14 +336,11 @@ type SchedTenantStat struct {
 }
 
 // SchedTenants snapshots every tenant with queued work, foreground lane
-// first. Nil when the scheduler is disabled or idle — tenants retire the
-// moment their queues drain, so this is the transient backlog, not a
-// roster of connected streams.
+// first. Nil when the scheduler is idle — tenants retire the moment their
+// queues drain, so this is the transient backlog, not a roster of
+// connected streams.
 func (s *Server) SchedTenants() []SchedTenantStat {
 	sc := s.sched
-	if sc == nil {
-		return nil
-	}
 	var out []SchedTenantStat
 	sc.mu.Lock()
 	for _, l := range []*laneQ{&sc.fg, &sc.bg} {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,70 +23,28 @@ type ServerConfig struct {
 	Credits int
 	// MaxXfer bounds a single transfer.
 	MaxXfer uint32
-	// CacheBlocks enables a server-side MQ read cache of 8 KB blocks per
-	// volume (0 disables).
+	// CacheBlocks gives every volume a server-side MQ cache of that many
+	// 8 KB blocks and, with it, the rest of the cached disk path:
+	// write-behind destaging (a write is acknowledged once it is a dirty
+	// cache block; Flush is the durability barrier), sequential and
+	// strided read-ahead, and the per-volume disk queue both ride. 0
+	// serves every request straight from the store.
 	CacheBlocks int
-	// CacheShards is the number of independently locked cache shards per
-	// volume (rounded up to a power of two). 0 selects the default (16);
-	// 1 yields a single-lock cache, the ablation baseline.
-	CacheShards int
-	// NoPool disables payload buffer pooling (ablation: every request
-	// allocates fresh buffers, the pre-optimization behavior).
-	NoPool bool
-	// NoBatch disables response frame batching (ablation: every response
-	// is flushed to the socket individually).
-	NoBatch bool
-	// DiskWorkers, when positive, enables the pipelined disk path: each
-	// volume gets a pool of that many disk worker goroutines, cache hits
-	// are served inline on the session loop, and store I/O completes out
-	// of order through a per-session completion lane. 0 keeps the classic
-	// synchronous dispatch (the ablation baseline).
-	DiskWorkers int
-	// DiskQ routes every store I/O through a batched submission/completion
-	// queue (internal/diskq): demand-read misses, write-through writes,
-	// destage runs, and prefetch windows become submissions on one SQ/CQ
-	// pair per volume, drained by a single dispatcher goroutine, with
-	// io_uring underneath on Linux and a goroutine pool elsewhere. It
-	// supersedes DiskWorkers for dispatch (no per-volume worker pool is
-	// created); a positive DiskWorkers then only sizes the portable
-	// backend's pool.
-	DiskQ bool
-	// SQDepth bounds the in-flight operations of each volume's disk queue
-	// (submission-queue depth). 0 selects 64. Only meaningful with DiskQ.
-	SQDepth int
-	// NoWriteBehind disables write-behind destaging (ablation): writes go
-	// to the store before they are acknowledged, as in the seed. Only
-	// meaningful when CacheBlocks > 0, since dirty blocks live in the
-	// cache.
-	NoWriteBehind bool
-	// NoPrefetch disables sequential read-ahead (ablation). Only
-	// meaningful when CacheBlocks > 0.
-	NoPrefetch bool
-	// DirtyHighWater caps uncommitted write-behind blocks per volume;
-	// writes beyond it fall back to write-through until the destager
-	// catches up. 0 selects CacheBlocks/2.
-	DirtyHighWater int
-	// DestageInterval is the background destage period. 0 selects 5ms.
-	DestageInterval time.Duration
-	// SchedWorkers, when positive, replaces per-session dispatch with the
-	// shared request scheduler: a bounded pool of that many workers drains
-	// per-tenant weighted queues in two QoS lanes (foreground client I/O,
-	// background destage/prefetch/utility), with admission control shedding
-	// foreground work past AdmitLimit. 0 keeps per-session dispatch; see
-	// sched.go. When on, it supersedes DiskWorkers/DiskQ for request
-	// dispatch (the disk queue still carries destage batches).
+	// SchedWorkers sizes the shared request scheduler: a bounded pool of
+	// that many workers drains per-tenant weighted queues in two QoS lanes
+	// (foreground client I/O, background destage/prefetch/utility). 0
+	// selects GOMAXPROCS; see sched.go.
 	SchedWorkers int
 	// AdmitLimit caps queued foreground scheduler tasks; beyond it requests
 	// are refused with StatusEOverloaded plus a retry-after hint instead of
-	// queueing without bound. 0 selects SchedWorkers*256. Only meaningful
-	// with SchedWorkers > 0.
+	// queueing without bound. 0 selects SchedWorkers*256.
 	AdmitLimit int
 	// MaxStreams caps logical streams per connection (the wire protocol's
 	// session-multiplexing layer). 0 selects 65535, the field's ceiling.
 	MaxStreams int
 	// Metrics, when non-nil, enables server-side instrumentation on this
-	// registry: dispatch/queue-wait/disk-service/destage/flush/prefetch
-	// latency histograms plus gauge exports of the served/cache/pool/disk
+	// registry: dispatch/scheduler-wait/destage/flush/prefetch latency
+	// histograms plus gauge exports of the served/cache/pool/disk
 	// counters. Nil is the disabled fast path.
 	Metrics *obs.Registry
 	// NoTrace stops the server from negotiating FeatureTrace, so traced
@@ -93,9 +52,9 @@ type ServerConfig struct {
 	// stand-in for a pre-trace server binary.
 	NoTrace bool
 	// Flight, when non-nil, is the always-on flight recorder: dispatches,
-	// sheds, disk submissions/completions, destage and prefetch passes
-	// record fixed-size events into its ring, and admission-control sheds
-	// auto-capture an incident dump. Nil no-ops every site.
+	// sheds, destage and prefetch passes and flushes record fixed-size
+	// events into its ring, and admission-control sheds auto-capture an
+	// incident dump. Nil no-ops every site.
 	Flight *obs.Flight
 	// Logger receives connection-level errors; nil silences them.
 	Logger *log.Logger
@@ -106,24 +65,21 @@ func DefaultServerConfig() ServerConfig {
 	return ServerConfig{Credits: 64, MaxXfer: 1 << 20}
 }
 
+// tuning holds the cached disk path's three fixed sizes. Every server
+// built by NewServer runs the defaults; in-package tests hand newServer
+// other values to park the destager, force the write-through fallback,
+// or shrink the queue. A zero field selects its default.
+type tuning struct {
+	destageInterval time.Duration // background destage period (5 ms)
+	dirtyHighWater  int           // dirty blocks before writes go through (CacheBlocks/2)
+	sqDepth         int           // disk-queue submission depth (64)
+}
+
 const cacheBlockSize = 8192
 
-// sockBufSize sizes the per-session bufio reader and writer. The writer
-// doubles as the frame-batching byte threshold: a pending batch is
-// pushed to the kernel when it reaches this size even if responses are
-// still being produced.
+// sockBufSize sizes the per-session bufio reader (and the client's
+// submission writer, whose buffer doubles as its batching threshold).
 const sockBufSize = 64 << 10
-
-// readBufSize returns the session read-buffer size: the full batching
-// buffer normally, a single control frame when batching is ablated — so
-// the NoBatch baseline consumes inbound frames one syscall at a time,
-// like the unbatched path it stands in for.
-func readBufSize(noBatch bool) int {
-	if noBatch {
-		return wire.ControlSize
-	}
-	return sockBufSize
-}
 
 // srvStream is the server-side record of one open logical stream: its QoS
 // class and scheduler weight, as announced by StreamOpen. Owned by the
@@ -133,25 +89,25 @@ type srvStream struct {
 	weight int
 }
 
-// volume is one exported store with its optional sharded block cache
-// and the per-volume disk-pipeline components (each nil when its toggle
-// is off).
+// volume is one exported store. A cached volume (CacheBlocks > 0) carries
+// the whole cached disk path — cache, disk queue, destager, prefetcher —
+// and an uncached one none of it: the four are nil or non-nil together.
 type volume struct {
 	store BlockStore
 	cache *blockCache
-	pipe  *diskPipe       // DiskWorkers > 0 (without DiskQ): async store I/O
-	dq    *diskQueue      // DiskQ: batched submission/completion store I/O
-	wb    *destager       // cache + write-behind: dirty-block destaging
-	pf    *prefetchWorker // cache + prefetch: sequential read-ahead
+	dq    *diskQueue      // destage batches, prefetch windows, the Flush fsync
+	wb    *destager       // dirty-block destaging
+	pf    *prefetchWorker // read-ahead fills
 }
 
 // Server exports volumes over TCP.
 type Server struct {
 	cfg    ServerConfig
-	pool   *bufpool.Pool // nil when cfg.NoPool: Get/Put degrade to make/no-op
-	om     *serverObs    // nil when cfg.Metrics is unset
-	flight *obs.Flight   // nil when cfg.Flight is unset; every Record no-ops
-	sched  *sched        // nil unless cfg.SchedWorkers > 0
+	tune   tuning
+	pool   *bufpool.Pool
+	om     *serverObs  // nil when cfg.Metrics is unset
+	flight *obs.Flight // nil when cfg.Flight is unset; every Record no-ops
+	sched  *sched
 
 	// volumes is a copy-on-write map: lookups on the request hot path are
 	// a single atomic load, with no lock shared across sessions. addMu
@@ -181,7 +137,9 @@ type Server struct {
 }
 
 // NewServer returns a server with no volumes; add them with AddVolume.
-func NewServer(cfg ServerConfig) *Server {
+func NewServer(cfg ServerConfig) *Server { return newServer(cfg, tuning{}) }
+
+func newServer(cfg ServerConfig, tune tuning) *Server {
 	if cfg.Credits <= 0 {
 		cfg.Credits = 64
 	}
@@ -191,17 +149,27 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.MaxStreams <= 0 || cfg.MaxStreams > int(^uint16(0)) {
 		cfg.MaxStreams = int(^uint16(0))
 	}
-	s := &Server{cfg: cfg, done: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	if cfg.SchedWorkers <= 0 {
+		cfg.SchedWorkers = runtime.GOMAXPROCS(0)
+	}
+	if tune.destageInterval <= 0 {
+		tune.destageInterval = 5 * time.Millisecond
+	}
+	if tune.dirtyHighWater <= 0 {
+		tune.dirtyHighWater = max(cfg.CacheBlocks/2, 1)
+	}
+	if tune.sqDepth <= 0 {
+		tune.sqDepth = 64
+	}
+	s := &Server{cfg: cfg, tune: tune, pool: bufpool.New(),
+		done: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 	s.flight = cfg.Flight
 	s.flight.SetKindNames(flightKindNames)
-	if !cfg.NoPool {
-		s.pool = bufpool.New()
-	}
 	s.volumes.Store(&map[uint32]*volume{})
+	// The scheduler exists before the gauge funcs that read it are
+	// registered: the registry may be scraped at any time.
+	s.sched = newSched(s, cfg.SchedWorkers, cfg.AdmitLimit)
 	s.om = newServerObs(cfg.Metrics, s)
-	if cfg.SchedWorkers > 0 {
-		s.sched = newSched(s, cfg.SchedWorkers, cfg.AdmitLimit)
-	}
 	return s
 }
 
@@ -210,28 +178,19 @@ func (s *Server) AddVolume(id uint32, store BlockStore) {
 	s.addMu.Lock()
 	defer s.addMu.Unlock()
 	v := &volume{store: store}
-	if s.cfg.CacheBlocks > 0 {
-		v.cache = newBlockCache(s.cfg.CacheBlocks, s.cfg.CacheShards, s.pool)
-	}
-	if !s.closed.Load() {
-		if s.cfg.DiskQ {
-			dq, err := newDiskQueue(s, v)
-			if err != nil {
-				// Should not happen — the portable backend has no failure
-				// mode — but a volume without its queue still works through
-				// the classic paths.
-				s.logf("netv3: vol %d disk queue: %v", id, err)
-			} else {
-				v.dq = dq
-			}
-		} else if s.cfg.DiskWorkers > 0 {
-			v.pipe = newDiskPipe(s, v)
-		}
-		if v.cache != nil && !s.cfg.NoWriteBehind {
+	if s.cfg.CacheBlocks > 0 && !s.closed.Load() {
+		v.cache = newBlockCache(s.cfg.CacheBlocks, s.pool)
+		dq, err := newDiskQueue(s, v)
+		if err != nil {
+			// Cannot happen with the automatic backend choice (the portable
+			// backend has no failure mode); if it ever does, the volume is
+			// served uncached rather than half-built.
+			s.logf("netv3: vol %d disk queue: %v; serving uncached", id, err)
+			v.cache = nil
+		} else {
+			v.dq = dq
 			v.wb = newDestager(s, v)
 			go v.wb.run(s.done)
-		}
-		if v.cache != nil && !s.cfg.NoPrefetch {
 			v.pf = newPrefetchWorker(v)
 			go v.pf.run(s, s.done)
 		}
@@ -338,29 +297,20 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve()
 }
 
-// Close stops accepting, stops the background disk-path goroutines
-// (workers drain their queues first), severs every live session, and
-// closes the listener. Per volume the order matters: the destager and
-// prefetcher finish first (their final passes may still submit to the
-// disk queue), then the queue itself closes, draining every in-flight
-// completion before the dispatcher exits. Sessions racing this see
-// TrySubmit fail and take the classic path.
+// Close stops accepting, stops the background disk-path goroutines,
+// severs every live session, and closes the listener. Per volume the
+// order matters: the destager and prefetcher finish first (their final
+// passes still submit to the disk queue), then the queue itself closes,
+// draining every in-flight completion before the dispatcher exits.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	close(s.done)
 	for _, v := range *s.volumes.Load() {
-		if v.wb != nil {
+		if v.cache != nil {
 			<-v.wb.stopped
-		}
-		if v.pf != nil {
 			<-v.pf.stopped
-		}
-		if v.pipe != nil {
-			v.pipe.shutdown()
-		}
-		if v.dq != nil {
 			v.dq.close()
 		}
 	}
@@ -374,13 +324,11 @@ func (s *Server) Close() error {
 	}
 	s.conns = make(map[net.Conn]struct{})
 	s.connMu.Unlock()
-	// The scheduler closes last: sessions racing the shutdown see
-	// tryEnqueue fail and fall back to inline execution, and by this point
-	// the destagers/prefetchers (its background producers) have stopped and
-	// the conns are severed, so the drain is short.
-	if s.sched != nil {
-		s.sched.close()
-	}
+	// The scheduler closes last: by this point the destagers/prefetchers
+	// (its background producers) have stopped and the conns are severed,
+	// so the drain is short; a session racing the shutdown sees tryEnqueue
+	// refuse and answers EOverloaded on a socket that is already closing.
+	s.sched.close()
 	return err
 }
 
@@ -390,103 +338,65 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// obsDispatch folds one inline dispatch — frame decoded → response
-// buffered or disk task queued — into the dispatch histogram. t0 is zero
-// when metrics are off (or the request took the goroutine ablation
-// path), making the disabled case a single branch.
+// obsDispatch folds one session-loop dispatch — frame decoded → response
+// queued or task enqueued — into the dispatch histogram. t0 is zero when
+// metrics are off or the request fell outside the sample, making the
+// disabled case a single branch.
 func (s *Server) obsDispatch(t0 int64) {
 	if t0 != 0 {
 		s.om.dispatch.Observe(obs.Now() - t0)
 	}
 }
 
-// respWriter serializes response frames and bodies onto one session's
-// socket. In batching mode responses accumulate in a bufio.Writer and
-// the session loop issues one flush syscall when the inbound request
-// burst drains — the TCP analogue of the paper's interrupt batching
-// (Section 3.2): just as kDSA withholds completion interrupts while more
-// completions are imminent, the session withholds the flush while more
-// requests (hence more responses) are already buffered. The byte
-// threshold is the bufio buffer itself: a batch that reaches sockBufSize
-// is pushed to the kernel mid-stream.
-//
-// With noBatch the writer reproduces the seed's behavior exactly: no
-// write buffering, one syscall for the frame and a second for the body.
-// With noPool it also reproduces the seed's per-frame Marshal
-// allocation instead of staging frames in the scratch buffer.
+// respWriter is a session's completion writer: every response — inline
+// from the session loop or from a scheduler worker — is encoded and
+// appended to q under mu (a memcpy), and the dedicated writeLoop goroutine
+// swaps the queue out and writes it with mu released. A session
+// multiplexing hundreds of logical streams can have megabytes of
+// responses outstanding toward one socket; were responders to write the
+// socket themselves, a full kernel send buffer would block one of them
+// holding mu and every scheduler worker completing a request would queue
+// up behind the socket — the pool draining at wire speed instead of
+// device speed. Here socket backpressure stalls only the writer, and
+// concurrent completions coalesce into one large write: the TCP analogue
+// of the paper's interrupt batching (Section 3.2) and of its server's
+// completion-queue drain (Section 4) — workers post completions, one
+// agent moves them to the wire.
 type respWriter struct {
 	mu      sync.Mutex
 	conn    io.Writer
-	bw      *bufio.Writer // nil when noBatch
-	noBatch bool
-	noPool  bool
 	scratch [wire.ControlSize]byte // frame staging; guarded by mu
-
-	// responders counts scheduler workers currently inside respondSched:
-	// a worker flushes only when it is the last one out, so a burst of
-	// concurrent completions coalesces into one syscall — the adaptive
-	// flush discipline, ported to multi-producer response traffic.
-	responders atomic.Int32
-
-	// Async completion-writer state (scheduler sessions only). A session
-	// multiplexing hundreds of logical streams can have megabytes of
-	// responses outstanding toward one socket; once the kernel send buffer
-	// fills, a synchronous flush blocks while holding mu and every
-	// scheduler worker trying to complete a request queues up behind the
-	// socket — the worker pool drains at wire speed instead of device
-	// speed. In async mode workers append encoded responses to q (a
-	// memcpy) and return to the pool; the dedicated writeLoop goroutine
-	// swaps the queue out and writes it with mu released, so socket
-	// backpressure stalls only the writer and concurrent completions
-	// coalesce into one large write. This is the completion-queue drain
-	// from the paper's server (Section 4): workers post completions, one
-	// agent moves them to the wire.
-	async   bool
-	q       []byte     // pending response bytes; guarded by mu
-	qSpare  []byte     // writeLoop's drained buffer, recycled; guarded by mu
-	qCond   *sync.Cond // writeLoop waits here for work
-	qSpace  *sync.Cond // producers wait here when q exceeds asyncQMax
-	qErr    error      // sticky socket error; poisons all later responds
+	q       []byte                 // pending response bytes; guarded by mu
+	qSpare  []byte                 // writeLoop's drained buffer, recycled; guarded by mu
+	qCond   *sync.Cond             // writeLoop waits here for work
+	qSpace  *sync.Cond             // responders wait here when q exceeds respQMax
+	qErr    error                  // sticky socket error; poisons all later responds
 	qClosed bool
 	qWG     sync.WaitGroup
-
-	// Reusable hot-path response structs for inline (batching-mode)
-	// dispatch, where the session loop is the only responder. Guarded by
-	// mu like scratch.
-	rr wire.ReadResp
-	wr wire.WriteResp
 }
 
-func newRespWriter(conn io.Writer, noBatch, noPool bool) *respWriter {
-	w := &respWriter{conn: conn, noBatch: noBatch, noPool: noPool}
-	if !noBatch {
-		w.bw = bufio.NewWriterSize(conn, sockBufSize)
-	}
-	return w
-}
+// respQMax bounds the response queue. Responders block once the unsent
+// backlog passes it — the backpressure a blocking socket write would
+// apply, minus the convoy: the cap is far above what client credits
+// admit in normal operation, so it only engages against a peer that
+// stops reading.
+const respQMax = 16 << 20
 
-// asyncQMax bounds the async response queue. Producers (scheduler
-// workers) block once the unsent backlog passes it — the same
-// backpressure a blocking flush used to apply, minus the convoy: the cap
-// is far above what client credits admit in normal operation, so it only
-// engages against a peer that stops reading.
-const asyncQMax = 16 << 20
-
-// startAsync switches the writer into async completion mode and starts
-// writeLoop. closeConn force-closes the session socket, unblocking the
-// session read loop when the writer hits a socket error.
-func (w *respWriter) startAsync(closeConn func()) {
-	w.async = true
+// newRespWriter starts the writer for conn. closeConn force-closes the
+// session socket, unblocking the session read loop when the writer hits a
+// socket error.
+func newRespWriter(conn io.Writer, closeConn func()) *respWriter {
+	w := &respWriter{conn: conn}
 	w.qCond = sync.NewCond(&w.mu)
 	w.qSpace = sync.NewCond(&w.mu)
 	w.qWG.Add(1)
 	go w.writeLoop(closeConn)
+	return w
 }
 
-// stopAsync stops accepting responses and waits for writeLoop to drain
-// what is already queued (or die on the socket error that ended the
-// session).
-func (w *respWriter) stopAsync() {
+// stop stops accepting responses and waits for writeLoop to drain what is
+// already queued (or die on the socket error that ended the session).
+func (w *respWriter) stop() {
 	w.mu.Lock()
 	w.qClosed = true
 	w.mu.Unlock()
@@ -495,9 +405,9 @@ func (w *respWriter) stopAsync() {
 	w.qWG.Wait()
 }
 
-// writeLoop is the session's single socket writer in async mode: swap
-// the pending buffer out under mu, write it with mu released. The two
-// buffers ping-pong, so steady state allocates nothing.
+// writeLoop is the session's single socket writer: swap the pending
+// buffer out under mu, write it with mu released. The two buffers
+// ping-pong, so steady state allocates nothing.
 func (w *respWriter) writeLoop(closeConn func()) {
 	defer w.qWG.Done()
 	for {
@@ -528,10 +438,12 @@ func (w *respWriter) writeLoop(closeConn func()) {
 	}
 }
 
-// qAppend copies one frame plus optional body into the async queue and
-// wakes writeLoop. Call with mu held.
-func (w *respWriter) qAppend(frame, body []byte) error {
-	for len(w.q) >= asyncQMax && w.qErr == nil && !w.qClosed {
+// respond queues one response frame plus optional body for the wire. It
+// returns once the bytes are copied, so the caller may reuse m and body.
+func (w *respWriter) respond(m wire.Message, body []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for len(w.q) >= respQMax && w.qErr == nil && !w.qClosed {
 		w.qSpace.Wait()
 	}
 	if w.qErr != nil {
@@ -540,154 +452,43 @@ func (w *respWriter) qAppend(frame, body []byte) error {
 	if w.qClosed {
 		return net.ErrClosed
 	}
-	w.q = append(w.q, frame...)
+	wire.MarshalInto(w.scratch[:], m)
+	w.q = append(w.q, w.scratch[:]...)
 	w.q = append(w.q, body...)
 	w.qCond.Signal()
 	return nil
 }
 
-// frame encodes m either into the shared scratch buffer (pooling on) or
-// a fresh allocation (noPool, the seed's per-message cost). Call with mu
-// held.
-func (w *respWriter) frame(m wire.Message) []byte {
-	if w.noPool {
-		return wire.Marshal(m)
-	}
-	wire.MarshalInto(w.scratch[:], m)
-	return w.scratch[:]
-}
-
-// send writes one response frame plus optional body and pushes it to
-// the kernel immediately. It is the control-plane path (handshake,
-// pong, flow-control rejections) and the whole data path when batching
-// is off — where frame and body go out as two separate unbuffered
-// writes, like the seed.
-func (w *respWriter) send(m wire.Message, body []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.async {
-		return w.qAppend(w.frame(m), body)
-	}
-	if w.noBatch {
-		if _, err := w.conn.Write(w.frame(m)); err != nil {
-			return err
-		}
-		if len(body) > 0 {
-			if _, err := w.conn.Write(body); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if _, err := w.bw.Write(w.frame(m)); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.bw.Write(body); err != nil {
-			return err
-		}
-	}
-	return w.bw.Flush()
-}
-
-// buffer appends one response frame plus optional body to the pending
-// batch without flushing; the session loop flushes via flushPending when
-// the inbound burst drains. Batching mode only.
-func (w *respWriter) buffer(m wire.Message, body []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.async {
-		return w.qAppend(w.frame(m), body)
-	}
-	if _, err := w.bw.Write(w.frame(m)); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.bw.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// respMode selects how a response reaches the socket.
-type respMode int
-
-const (
-	// respGo writes and flushes immediately — goroutine dispatch, noBatch,
-	// and the control plane.
-	respGo respMode = iota
-	// respInline buffers; the session loop flushes when the inbound burst
-	// drains.
-	respInline
-	// respSched buffers and flushes only when no other scheduler worker is
-	// mid-response — the multi-producer adaptive flush.
-	respSched
-)
-
-// respond routes a response through the batch (inline dispatch), the
-// scheduler's last-responder-flushes path, or straight to the socket
-// (goroutine dispatch, noBatch).
-func (w *respWriter) respond(m wire.Message, body []byte, mode respMode) error {
-	switch mode {
-	case respInline:
-		return w.buffer(m, body)
-	case respSched:
-		return w.respondSched(m, body)
-	}
-	return w.send(m, body)
-}
-
-// respondSched writes one response from a scheduler worker. Unlike the
-// session loop, workers have no "burst is over" signal to hang a flush
-// on, so the discipline is: buffer under mu, and flush only if no other
-// worker is already waiting to append — the last responder out pushes the
-// whole batch in one syscall. The responders increment happens before
-// taking mu, so a waiter is visible to the current lock holder and
-// suppresses its flush.
-func (w *respWriter) respondSched(m wire.Message, body []byte) error {
-	if w.bw == nil || w.async {
-		return w.send(m, body)
-	}
-	w.responders.Add(1)
-	w.mu.Lock()
-	w.responders.Add(-1)
-	var err error
-	if _, err = w.bw.Write(w.frame(m)); err == nil && len(body) > 0 {
-		_, err = w.bw.Write(body)
-	}
-	if err == nil && w.responders.Load() == 0 {
-		err = w.bw.Flush()
-	}
-	w.mu.Unlock()
-	return err
-}
-
-// flushPending pushes any buffered responses to the kernel.
-func (w *respWriter) flushPending() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.async {
-		return w.qErr // writeLoop pushes continuously; only report death
-	}
-	if w.bw == nil || w.bw.Buffered() == 0 {
-		return nil
-	}
-	return w.bw.Flush()
+// session is one connection's protocol state, owned by its session
+// goroutine: the logical-stream registry, the sequential-read detector,
+// and the decode/response structs the inline paths reuse.
+type session struct {
+	s       *Server
+	w       *respWriter
+	id      uint64
+	credits int
+	// streams holds class and weight per open stream, fed by
+	// StreamOpen/StreamClose control frames. Stream 0 — the legacy/root
+	// session — is always implicitly open and foreground.
+	streams map[uint32]*srvStream
+	pf      prefetcher
+	rr      wire.ReadResp  // reused by inline read responses
+	wr      wire.WriteResp // reused by inline write responses
 }
 
 // session speaks the V3 protocol on one connection. Control messages are
 // fixed 64-byte frames; write payloads follow their Write message, read
 // payloads follow the ReadResp.
 //
-// Dispatch depends on the batching mode. Batching on: requests execute
-// inline in this loop (no per-request goroutine), responses accumulate
-// in the respWriter, and one flush goes out when no further request
-// frame is already buffered — the paper's completion pipeline, which
-// also lets the loop reuse one decoded message and one response struct
-// for the whole session. Batching off (the ablation baseline): each
-// request runs in its own goroutine and each response is written
-// unbuffered, the seed's dispatch.
+// There is one dispatch rule per request type. Work that is only a memcpy
+// runs inline on this goroutine, reusing one decoded message and one
+// response struct for the whole session: a read wholly resident in the
+// cache, and a write absorbed as dirty cache blocks under the
+// high-watermark. Everything that can touch the store — a read miss, a
+// write past the watermark or to an uncached volume, a Flush — becomes a
+// scheduler task, so a slow store call never stalls the frames queued
+// behind it and the lane policy and admission control see all of it.
+// Every response, from either side, goes through the session's respWriter.
 func (s *Server) session(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -695,12 +496,7 @@ func (s *Server) session(conn net.Conn) {
 		delete(s.conns, conn)
 		s.connMu.Unlock()
 	}()
-	inline := !s.cfg.NoBatch
-	mode := respGo
-	if inline {
-		mode = respInline
-	}
-	br := bufio.NewReaderSize(conn, readBufSize(s.cfg.NoBatch))
+	br := bufio.NewReaderSize(conn, sockBufSize)
 	var frame [wire.ControlSize]byte
 	msg, err := wire.ReadFrom(br)
 	if err != nil {
@@ -717,7 +513,8 @@ func (s *Server) session(conn net.Conn) {
 		credits = w
 	}
 	fc := flow.NewServer(credits)
-	w := newRespWriter(conn, s.cfg.NoBatch, s.cfg.NoPool)
+	w := newRespWriter(conn, func() { conn.Close() })
+	defer w.stop()
 	// Feature negotiation: the reply carries the intersection of what the
 	// client advertised and what this server speaks. An old client encodes
 	// zeros in the (formerly padding) feature field, so the intersection is
@@ -735,68 +532,20 @@ func (s *Server) session(conn net.Conn) {
 	if feats&wire.FeatureStreams != 0 {
 		resp.MaxStreams = uint16(s.cfg.MaxStreams)
 	}
-	sessID := resp.SessionID
-	if err := w.send(resp, nil); err != nil {
+	if err := w.respond(resp, nil); err != nil {
 		return
 	}
 	s.sessActive.Add(1)
 	defer s.sessActive.Add(-1)
-	// streams is the session's logical-stream registry: class and weight
-	// per open stream, fed by StreamOpen/StreamClose control frames. Only
-	// the session goroutine touches it. Stream 0 — the legacy/root session
-	// — is always implicitly open and foreground.
-	streams := make(map[uint32]*srvStream)
-	defer func() { s.streamsActive.Add(-int64(len(streams))) }()
-	// tenant resolves a frame's stream id to its scheduler coordinates,
-	// implicitly opening unknown streams as foreground (a data frame can
-	// legitimately precede its re-announced StreamOpen after a client
-	// reconnect).
-	tenant := func(stream uint32) (key uint64, bg bool, weight int) {
-		weight = 1
-		if st := streams[stream]; st != nil {
-			bg = st.class == wire.ClassBackground
-			if st.weight > 0 {
-				weight = st.weight
-			}
-		} else if stream != 0 {
-			streams[stream] = &srvStream{class: wire.ClassForeground}
-			s.streamsActive.Add(1)
-			s.streamsTotal.Add(1)
-		}
-		return tenantKey(sessID, stream), bg, weight
-	}
-	sched := s.sched
-	if sched != nil && w.bw != nil {
-		// Scheduler sessions complete requests from pool workers; route
-		// their responses through the async completion writer so a full
-		// socket never stalls the shared pool. The handshake above went
-		// out synchronously, so the ConnectResp error path stays simple.
-		w.startAsync(func() { conn.Close() })
-		defer w.stopAsync()
-	}
-	var sc *sessCtx // completion lane, with disk workers or the disk queue
-	if (s.cfg.DiskWorkers > 0 || s.cfg.DiskQ) && sched == nil {
-		sc = newSessCtx(s, w, credits)
-		defer func() {
-			// Kill the socket first so no new requests arrive, then wait
-			// out in-flight worker tasks before closing the lane.
-			conn.Close()
-			sc.close()
-		}()
-	}
-	var pf prefetcher    // per-session sequential-read detector
-	var rdMsg wire.Read  // reused by inline dispatch
-	var wrMsg wire.Write // reused by inline dispatch
-	var obsTick uint     // drives 1-in-traceSample dispatch timing
+	ss := &session{s: s, w: w, id: resp.SessionID, credits: credits,
+		streams: make(map[uint32]*srvStream)}
+	defer func() { s.streamsActive.Add(-int64(len(ss.streams))) }()
+	// One decoded Read and Write serve the whole session: the inline paths
+	// finish with them before the next decode, and tasks take a copy.
+	var rdMsg wire.Read
+	var wrMsg wire.Write
+	var obsTick uint // drives 1-in-traceSample dispatch timing
 	for {
-		// Adaptive flush: if no complete request frame is already
-		// buffered, the burst is over — push the batched responses out
-		// before blocking for more work.
-		if inline && br.Buffered() < wire.ControlSize {
-			if err := w.flushPending(); err != nil {
-				return
-			}
-		}
 		t, err := wire.ReadFrame(br, &frame)
 		if err != nil {
 			if err != io.EOF {
@@ -804,8 +553,8 @@ func (s *Server) session(conn net.Conn) {
 			}
 			return
 		}
-		// Inline-dispatch start stamp; zero when metrics are off or this
-		// request falls outside the 1-in-traceSample sample.
+		// Dispatch start stamp; zero when metrics are off or this request
+		// falls outside the 1-in-traceSample sample.
 		var dt0 int64
 		if s.om != nil {
 			if obsTick%traceSample == 0 {
@@ -821,41 +570,22 @@ func (s *Server) session(conn net.Conn) {
 			// by the credit the client holds until the ReadResp returns
 			// it. So there is nothing to reserve here and fc is untouched.
 			m := &rdMsg
-			if !inline {
-				m = new(wire.Read)
-			}
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
 				return
 			}
 			arr := traceArr(m.Trace)
 			s.flight.Record(fkDispatch, m.Trace, uint64(t), uint64(m.Volume))
-			if sched != nil {
-				s.schedRead(m, w, &pf, tenant, mode, arr)
-				s.obsDispatch(dt0)
-				continue
-			}
-			if s.fastRead(m, w, sc, &pf, mode, arr) {
-				s.obsDispatch(dt0)
-				continue
-			}
-			if inline {
-				s.handleRead(m, w, respInline, arr)
-				s.obsDispatch(dt0)
-				continue
-			}
-			go s.handleRead(m, w, respGo, arr)
+			ss.read(m, arr)
+			s.obsDispatch(dt0)
 		case wire.TWrite:
 			m := &wrMsg
-			if !inline {
-				m = new(wire.Write)
-			}
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
 				return
 			}
 			if err := fc.Reserve(m.Slot); err != nil {
 				s.logf("netv3: %v", err)
 				_ = w.respond(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-					ReqID: m.ReqID, Status: wire.StatusEAgain}, nil, mode)
+					ReqID: m.ReqID, Status: wire.StatusEAgain}, nil)
 				continue
 			}
 			// The payload follows the control message on the stream and
@@ -876,92 +606,12 @@ func (s *Server) session(conn net.Conn) {
 			// client's cancellation path relies on: a canceled request's
 			// slot, reused on the same session, reaches this Reserve only
 			// after the canceled write's payload already passed through here.
-			// (fc is now touched only by the session loop — no lock.)
+			// (fc is touched only by the session loop — no lock.)
 			_ = fc.Release(m.Slot)
 			arr := traceArr(m.Trace)
 			s.flight.Record(fkDispatch, m.Trace, uint64(t), uint64(m.Volume))
-			v := s.lookup(m.Volume)
-			if v != nil && v.wb != nil {
-				if !v.wb.overWater() {
-					// Write-behind: absorb into the cache as dirty blocks
-					// and acknowledge immediately; the destager owns the
-					// store write, Flush is the durability barrier.
-					st := wire.StatusOK
-					if err := v.absorbWrite(body, int64(m.Offset)); err != nil {
-						st = wire.StatusEIO
-						s.logf("netv3: write-behind vol %d [%d,+%d): %v", m.Volume, m.Offset, m.Length, err)
-					}
-					wr := &w.wr
-					if !inline {
-						wr = new(wire.WriteResp)
-					}
-					*wr = wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-						ReqID: m.ReqID, Status: st, Credits: 1}
-					fillSpan(&wr.Header, &wr.SrvSpan, m.Trace, arr, arr)
-					s.served.Add(1)
-					_ = w.respond(wr, nil, mode)
-					s.pool.Put(body)
-					s.obsDispatch(dt0)
-					continue
-				}
-				// Over the dirty high-watermark: this write goes through
-				// the slow path; prod the destager to start catching up.
-				v.wb.kickNow()
-			}
-			if sched != nil {
-				key, bg, weight := tenant(m.Stream)
-				mm := new(wire.Write)
-				*mm = *m
-				ok, qd := sched.tryEnqueue(key, weight, bg, func() {
-					s.handleWrite(mm, body, w, respSched, arr)
-					s.pool.Put(body)
-				})
-				if !ok {
-					s.pool.Put(body)
-					s.noteShed(m.Trace, key, qd)
-					_ = w.respond(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-						ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1,
-						RetryAfterMS: sched.retryAfterMS(qd)}, nil, mode)
-				}
-				s.obsDispatch(dt0)
-				continue
-			}
-			if v != nil && v.dq != nil && v.wb == nil {
-				// Write-through volume on the disk queue: the store write
-				// rides the SQ and the ack comes back through the completion
-				// lane. (Write-behind volumes never reach here below the
-				// high-watermark, and above it writeThrough must stay
-				// synchronous — it takes the destage mutex, which a
-				// completion callback may never block on.)
-				if checkStoreRange(v.store.Size(), int64(m.Offset), len(body)) == nil {
-					sc.wg.Add(1)
-					if v.dq.submitWrite(sc, m.Seq, m.ReqID, body, int64(m.Offset), m.Trace, arr) {
-						s.obsDispatch(dt0)
-						continue
-					}
-					sc.wg.Done()
-				}
-			}
-			if v != nil && v.pipe != nil {
-				t := diskTask{sc: sc, kind: taskWrite, seq: m.Seq, reqID: m.ReqID,
-					off: int64(m.Offset), body: body}
-				sc.wg.Add(1)
-				if v.pipe.trySubmit(t) {
-					s.obsDispatch(dt0)
-					continue
-				}
-				sc.wg.Done()
-			}
-			if inline {
-				s.handleWrite(m, body, w, respInline, arr)
-				s.pool.Put(body)
-				s.obsDispatch(dt0)
-				continue
-			}
-			go func() {
-				s.handleWrite(m, body, w, respGo, arr)
-				s.pool.Put(body)
-			}()
+			ss.write(m, body, arr)
+			s.obsDispatch(dt0)
 		case wire.TFlush:
 			m := new(wire.Flush)
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
@@ -969,61 +619,21 @@ func (s *Server) session(conn net.Conn) {
 			}
 			arr := traceArr(m.Trace)
 			s.flight.Record(fkDispatch, m.Trace, uint64(t), uint64(m.Volume))
-			if sched != nil {
-				// Flush rides the scheduler like any other foreground op —
-				// a durability barrier is latency-sensitive to its issuer.
-				// The worker running it may block in destage+fsync, which is
-				// safe: the pass never waits on another scheduler task.
-				key, bg, weight := tenant(m.Stream)
-				ok, qd := sched.tryEnqueue(key, weight, bg, func() { s.handleFlush(m, w, arr) })
-				if !ok {
-					s.noteShed(m.Trace, key, qd)
-					_ = w.respond(&wire.FlushResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-						ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1,
-						RetryAfterMS: sched.retryAfterMS(qd)}, nil, mode)
-				}
-				s.obsDispatch(dt0)
-				continue
+			// Flush rides the scheduler like any other foreground op — a
+			// durability barrier is latency-sensitive to its issuer. The
+			// worker running it may block in destage+fsync, which is safe:
+			// the pass never waits on another scheduler task.
+			if retry, shed := ss.enqueue(m.Stream, m.Trace, func() { s.handleFlush(m, w, arr) }); shed {
+				_ = w.respond(&wire.FlushResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+					ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1, RetryAfterMS: retry}, nil)
 			}
-			// Flush is rare and slow (full destage + fsync), so it always
-			// runs on its own goroutine; its response takes the direct
-			// send path and may complete out of order, which the client
-			// matches by Ack like any other response.
-			go s.handleFlush(m, w, arr)
+			s.obsDispatch(dt0)
 		case wire.TStreamOpen:
 			m := new(wire.StreamOpen)
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
 				return
 			}
-			sr := &wire.StreamOpenResp{Header: wire.Header{Stream: m.Stream}, Status: wire.StatusOK}
-			switch {
-			case m.Stream == 0:
-				// Stream 0 is the implicit root session; "opening" it just
-				// re-grants (harmless, and a cheap client probe).
-				sr.Credits = uint16(credits)
-			case streams[m.Stream] == nil && len(streams) >= s.cfg.MaxStreams:
-				sr.Status = wire.StatusEOverloaded
-				sr.RetryAfterMS = 10
-			default:
-				// New stream, or a reconnecting client re-announcing one this
-				// session already knows — re-registration is idempotent and
-				// the grant is re-sent (the client drops an unexpected reply).
-				if streams[m.Stream] == nil {
-					s.streamsActive.Add(1)
-					s.streamsTotal.Add(1)
-				}
-				streams[m.Stream] = &srvStream{class: m.Class, weight: int(m.Weight)}
-				grant := int(m.WantCreds)
-				if grant <= 0 {
-					grant = 1
-				}
-				if grant > credits {
-					grant = credits
-				}
-				sr.Credits = uint16(grant)
-			}
-			// Control-plane reply: direct send, like the handshake.
-			if err := w.send(sr, nil); err != nil {
+			if err := w.respond(ss.openStream(m), nil); err != nil {
 				return
 			}
 		case wire.TStreamClose:
@@ -1031,8 +641,8 @@ func (s *Server) session(conn net.Conn) {
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
 				return
 			}
-			if m.Stream != 0 && streams[m.Stream] != nil {
-				delete(streams, m.Stream)
+			if m.Stream != 0 && ss.streams[m.Stream] != nil {
+				delete(ss.streams, m.Stream)
 				s.streamsActive.Add(-1)
 			}
 		case wire.TPing:
@@ -1040,7 +650,7 @@ func (s *Server) session(conn net.Conn) {
 			if m, err := wire.Unmarshal(frame[:]); err == nil {
 				seq = m.Hdr().Seq
 			}
-			_ = w.send(&wire.Pong{Header: wire.Header{Seq: seq}}, nil)
+			_ = w.respond(&wire.Pong{Header: wire.Header{Seq: seq}}, nil)
 		case wire.TDisconnect:
 			return
 		default:
@@ -1050,44 +660,176 @@ func (s *Server) session(conn net.Conn) {
 	}
 }
 
-// handleRead serves one read. With inline dispatch the response struct
-// is the respWriter's reusable one, so a cache-hit read completes with
-// zero heap allocations; goroutine dispatch allocates per response like
-// the seed.
+// openStream registers (or re-registers) a logical stream and returns the
+// reply carrying its credit grant.
+func (ss *session) openStream(m *wire.StreamOpen) *wire.StreamOpenResp {
+	s := ss.s
+	sr := &wire.StreamOpenResp{Header: wire.Header{Stream: m.Stream}, Status: wire.StatusOK}
+	switch {
+	case m.Stream == 0:
+		// Stream 0 is the implicit root session; "opening" it just
+		// re-grants (harmless, and a cheap client probe).
+		sr.Credits = uint16(ss.credits)
+	case ss.streams[m.Stream] == nil && len(ss.streams) >= s.cfg.MaxStreams:
+		sr.Status = wire.StatusEOverloaded
+		sr.RetryAfterMS = 10
+	default:
+		// New stream, or a reconnecting client re-announcing one this
+		// session already knows — re-registration is idempotent and the
+		// grant is re-sent (the client drops an unexpected reply).
+		if ss.streams[m.Stream] == nil {
+			s.streamsActive.Add(1)
+			s.streamsTotal.Add(1)
+		}
+		ss.streams[m.Stream] = &srvStream{class: m.Class, weight: int(m.Weight)}
+		sr.Credits = uint16(min(max(int(m.WantCreds), 1), ss.credits))
+	}
+	return sr
+}
+
+// tenant resolves a frame's stream id to its scheduler coordinates,
+// implicitly opening an unknown stream as foreground (a data frame can
+// legitimately precede its re-announced StreamOpen after a client
+// reconnect). The implicit open honors the same MaxStreams cap as
+// StreamOpen: past it the frame is still served, under its own tenant
+// key, but the id is not remembered — otherwise a peer cycling stream ids
+// on data frames would grow the registry without bound.
+func (ss *session) tenant(stream uint32) (key uint64, bg bool, weight int) {
+	weight = 1
+	if st := ss.streams[stream]; st != nil {
+		bg = st.class == wire.ClassBackground
+		if st.weight > 0 {
+			weight = st.weight
+		}
+	} else if stream != 0 && len(ss.streams) < ss.s.cfg.MaxStreams {
+		ss.streams[stream] = &srvStream{class: wire.ClassForeground}
+		ss.s.streamsActive.Add(1)
+		ss.s.streamsTotal.Add(1)
+	}
+	return tenantKey(ss.id, stream), bg, weight
+}
+
+// enqueue hands run to the scheduler under the frame's stream. shed
+// reports that admission control (or a closing scheduler) refused it; the
+// caller then answers EOverloaded with the backlog-sized retry hint.
+func (ss *session) enqueue(stream uint32, trace uint64, run func()) (retryMS uint16, shed bool) {
+	key, bg, weight := ss.tenant(stream)
+	ok, qd := ss.s.sched.tryEnqueue(key, weight, bg, run)
+	if ok {
+		return 0, false
+	}
+	ss.s.noteShed(trace, key, qd)
+	return ss.s.sched.retryAfterMS(qd), true
+}
+
+// read dispatches one Read. On a cached volume it feeds the sequential-
+// read detector and serves a whole-range cache hit inline (a memcpy, zero
+// heap allocations); a miss, an uncached volume, and every malformed
+// request (whose error reply handleRead owns) become a scheduler task.
+//
+// arr is the traced request's arrival stamp (zero untraced): an inline
+// hit reports zero queue wait, a task the real lane wait.
+func (ss *session) read(m *wire.Read, arr int64) {
+	s := ss.s
+	v := s.lookup(m.Volume)
+	if v != nil && v.cache != nil && m.Length <= s.cfg.MaxXfer &&
+		checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) == nil {
+		// Strided read-ahead needs ring headroom: a strided window is one
+		// vectored batch of up to maxPrefetchBlocks scattered single-block
+		// reads, and speculation that can fill half the ring starves the
+		// destage batches queued behind it.
+		strideOK := v.dq.q.Depth() >= 2*maxPrefetchBlocks
+		blks, cancel, ok := ss.pf.observe(m.Volume, int64(m.Offset), int64(m.Length), strideOK)
+		if len(cancel) > 0 {
+			v.cache.prefetchDiscard(cancel)
+		}
+		if ok {
+			v.pf.submit(blks)
+		}
+		body := s.pool.Get(int(m.Length))
+		if v.tryCachedRead(body, int64(m.Offset)) {
+			ss.rr = wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+				ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1, Length: uint32(len(body))}
+			fillSpan(&ss.rr.Header, &ss.rr.SrvSpan, m.Trace, arr, arr)
+			s.served.Add(1)
+			_ = ss.w.respond(&ss.rr, body)
+			s.pool.Put(body)
+			return
+		}
+		s.pool.Put(body)
+	}
+	mm := new(wire.Read)
+	*mm = *m
+	w := ss.w // the task outlives this call; it needs the writer, not the session
+	if retry, shed := ss.enqueue(m.Stream, m.Trace, func() { s.handleRead(mm, w, arr) }); shed {
+		_ = ss.w.respond(&wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+			ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1, RetryAfterMS: retry}, nil)
+	}
+}
+
+// write dispatches one Write whose payload (body, pool-owned) is already
+// off the stream. On a cached volume under the dirty high-watermark it is
+// absorbed into the cache as dirty blocks and acknowledged at once — the
+// destager owns the store write, Flush is the durability barrier. Past
+// the watermark, or on an uncached volume, the store write is a scheduler
+// task.
+func (ss *session) write(m *wire.Write, body []byte, arr int64) {
+	s := ss.s
+	if v := s.lookup(m.Volume); v != nil && v.cache != nil {
+		if !v.wb.overWater() {
+			st := wire.StatusOK
+			if err := v.absorbWrite(body, int64(m.Offset)); err != nil {
+				st = wire.StatusEIO
+				s.logf("netv3: write-behind vol %d [%d,+%d): %v", m.Volume, m.Offset, m.Length, err)
+			}
+			ss.wr = wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+				ReqID: m.ReqID, Status: st, Credits: 1}
+			fillSpan(&ss.wr.Header, &ss.wr.SrvSpan, m.Trace, arr, arr)
+			s.served.Add(1)
+			_ = ss.w.respond(&ss.wr, nil)
+			s.pool.Put(body)
+			return
+		}
+		// Over the watermark: this write goes through; prod the destager
+		// to start catching up.
+		v.wb.kickNow()
+	}
+	mm := new(wire.Write)
+	*mm = *m
+	w := ss.w
+	if retry, shed := ss.enqueue(m.Stream, m.Trace, func() {
+		s.handleWrite(mm, body, w, arr)
+		s.pool.Put(body)
+	}); shed {
+		s.pool.Put(body)
+		_ = ss.w.respond(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+			ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1, RetryAfterMS: retry}, nil)
+	}
+}
+
+// handleRead is the read task: it serves one read on a scheduler worker,
+// through the cache (filling misses from the store) when the volume has
+// one. It also owns every read error reply.
 //
 // arr is the traced request's arrival stamp (zero untraced): the gap to
-// handler entry is the span block's queue wait — on the scheduler path
-// that is the real lane wait, since the worker runs this closure.
-func (s *Server) handleRead(m *wire.Read, w *respWriter, mode respMode, arr int64) {
+// task start is the span block's queue wait — the real lane wait.
+func (s *Server) handleRead(m *wire.Read, w *respWriter, arr int64) {
 	start := traceArr(m.Trace)
-	var rr *wire.ReadResp
-	if mode == respInline {
-		rr = &w.rr
-		*rr = wire.ReadResp{}
-	} else {
-		rr = new(wire.ReadResp)
-	}
-	rr.Stream = m.Stream
-	rr.Ack = uint32(m.Seq)
-	rr.ReqID = m.ReqID
-	rr.Credits = 1
+	rr := &wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+		ReqID: m.ReqID, Credits: 1}
 	v := s.lookup(m.Volume)
 	if v == nil {
 		rr.Status = wire.StatusENoVolume
-		_ = w.respond(rr, nil, mode)
-		return
-	}
-	if m.Length > s.cfg.MaxXfer {
-		rr.Status = wire.StatusEInval
-		_ = w.respond(rr, nil, mode)
+		_ = w.respond(rr, nil)
 		return
 	}
 	// Validate the range up front: the cached path slices per-block
 	// buffers from wire-supplied arithmetic, so a hostile offset (say,
 	// MaxInt64) must be rejected before it reaches any buffer math.
-	if checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) != nil {
+	if m.Length > s.cfg.MaxXfer ||
+		checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) != nil {
 		rr.Status = wire.StatusEInval
-		_ = w.respond(rr, nil, mode)
+		_ = w.respond(rr, nil)
 		return
 	}
 	body := s.pool.Get(int(m.Length))
@@ -1107,25 +849,17 @@ func (s *Server) handleRead(m *wire.Read, w *respWriter, mode respMode, arr int6
 	s.served.Add(1)
 	rr.Length = uint32(len(body))
 	fillSpan(&rr.Header, &rr.SrvSpan, m.Trace, arr, start)
-	_ = w.respond(rr, body, mode)
+	_ = w.respond(rr, body)
 	s.pool.Put(body)
 }
 
-func (s *Server) handleWrite(m *wire.Write, body []byte, w *respWriter, mode respMode, arr int64) {
+// handleWrite is the write task: the synchronous store write of a request
+// the session loop could not absorb.
+func (s *Server) handleWrite(m *wire.Write, body []byte, w *respWriter, arr int64) {
 	start := traceArr(m.Trace)
-	var wr *wire.WriteResp
-	if mode == respInline {
-		wr = &w.wr
-		*wr = wire.WriteResp{}
-	} else {
-		wr = new(wire.WriteResp)
-	}
-	wr.Stream = m.Stream
-	wr.Ack = uint32(m.Seq)
-	wr.ReqID = m.ReqID
-	wr.Credits = 1
+	wr := &wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+		ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1}
 	v := s.lookup(m.Volume)
-	wr.Status = wire.StatusOK
 	if v == nil {
 		wr.Status = wire.StatusENoVolume
 	} else if err := v.write(body, int64(m.Offset)); err != nil {
@@ -1134,58 +868,7 @@ func (s *Server) handleWrite(m *wire.Write, body []byte, w *respWriter, mode res
 	}
 	s.served.Add(1)
 	fillSpan(&wr.Header, &wr.SrvSpan, m.Trace, arr, start)
-	_ = w.respond(wr, nil, mode)
-}
-
-// schedRead is read dispatch under the shared scheduler: the session loop
-// feeds the sequential-read detector and serves whole-cache hits inline
-// (its serial fast path, same as fastRead), and everything else becomes a
-// foreground-lane task executing the classic read synchronously on a
-// scheduler worker. Admission refusals answer EOverloaded with a backlog-
-// sized retry hint. tenant is the session's stream→scheduler resolver.
-func (s *Server) schedRead(m *wire.Read, w *respWriter, pf *prefetcher,
-	tenant func(uint32) (uint64, bool, int), mode respMode, arr int64) {
-	v := s.lookup(m.Volume)
-	if v != nil && m.Length <= s.cfg.MaxXfer &&
-		checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) == nil {
-		if v.pf != nil {
-			strideOK := v.dq != nil && v.dq.q.Depth() >= 2*maxPrefetchBlocks
-			blks, cancel, ok := pf.observe(m.Volume, int64(m.Offset), int64(m.Length), strideOK)
-			if len(cancel) > 0 {
-				v.cache.prefetchDiscard(cancel)
-			}
-			if ok {
-				v.pf.submit(blks)
-			}
-		}
-		if v.cache != nil {
-			body := s.pool.Get(int(m.Length))
-			if v.tryCachedRead(body, int64(m.Offset)) {
-				rr := &w.rr
-				if mode != respInline {
-					rr = new(wire.ReadResp)
-				}
-				*rr = wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-					ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1, Length: uint32(len(body))}
-				fillSpan(&rr.Header, &rr.SrvSpan, m.Trace, arr, arr)
-				s.served.Add(1)
-				_ = w.respond(rr, body, mode)
-				s.pool.Put(body)
-				return
-			}
-			s.pool.Put(body)
-		}
-	}
-	key, bg, weight := tenant(m.Stream)
-	mm := new(wire.Read)
-	*mm = *m
-	ok, qd := s.sched.tryEnqueue(key, weight, bg, func() { s.handleRead(mm, w, respSched, arr) })
-	if !ok {
-		s.noteShed(m.Trace, key, qd)
-		_ = w.respond(&wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-			ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1,
-			RetryAfterMS: s.sched.retryAfterMS(qd)}, nil, mode)
-	}
+	_ = w.respond(wr, nil)
 }
 
 // noteShed records an admission-control refusal in the flight recorder
@@ -1197,90 +880,6 @@ func (s *Server) noteShed(trace, key uint64, backlog int) {
 	}
 	s.flight.Record(fkShed, trace, key, uint64(backlog))
 	s.flight.Incident("sched-shed")
-}
-
-// fastRead is the pipelined dispatch for reads: it feeds the session's
-// sequential-read detector, serves whole-cache hits inline (a memcpy on
-// the session goroutine), and hands misses to the volume's disk workers
-// so one slow store read cannot stall the requests queued behind it. A
-// false return sends the request down the classic path, which also owns
-// all error responses.
-func (s *Server) fastRead(m *wire.Read, w *respWriter, sc *sessCtx, pf *prefetcher, mode respMode, arr int64) bool {
-	v := s.lookup(m.Volume)
-	if v == nil || m.Length > s.cfg.MaxXfer {
-		return false
-	}
-	if v.pf != nil {
-		// Strided read-ahead needs the batched queue AND ring headroom: a
-		// strided window is one vectored batch of up to maxPrefetchBlocks
-		// scattered single-block reads, and speculation that can fill half
-		// the ring starves demand misses queued behind it.
-		strideOK := v.dq != nil && v.dq.q.Depth() >= 2*maxPrefetchBlocks
-		blks, cancel, ok := pf.observe(m.Volume, int64(m.Offset), int64(m.Length), strideOK)
-		if len(cancel) > 0 {
-			v.cache.prefetchDiscard(cancel)
-		}
-		if ok {
-			v.pf.submit(blks)
-		}
-	}
-	if v.pipe == nil && v.dq == nil {
-		return false
-	}
-	body := s.pool.Get(int(m.Length))
-	if v.cache != nil && v.tryCachedRead(body, int64(m.Offset)) {
-		var rr *wire.ReadResp
-		if mode == respInline {
-			rr = &w.rr
-		} else {
-			rr = new(wire.ReadResp)
-		}
-		*rr = wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-			ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1, Length: uint32(len(body))}
-		fillSpan(&rr.Header, &rr.SrvSpan, m.Trace, arr, arr)
-		s.served.Add(1)
-		_ = w.respond(rr, body, mode)
-		s.pool.Put(body)
-		return true
-	}
-	if v.dq != nil {
-		// Miss on a disk-queue volume: the store read rides the SQ without
-		// any shard lock held for the device time. The submit-time check
-		// proves no block in the range carries uncommitted write-behind
-		// bytes (those must come from the cache, via the classic path) and
-		// snapshots the covered shards' write epochs; completion-time
-		// revalidation catches the rare write that lands mid-flight.
-		off := int64(m.Offset)
-		if checkStoreRange(v.store.Size(), off, len(body)) != nil {
-			s.pool.Put(body)
-			return false // classic path owns the error response
-		}
-		var epochs []shardEpoch
-		if v.cache != nil {
-			startBlk := uint64(off / cacheBlockSize)
-			nblocks := int((off+int64(len(body))+cacheBlockSize-1)/cacheBlockSize) - int(startBlk)
-			var ok bool
-			if epochs, ok = v.cache.demandReadCheck(startBlk, nblocks); !ok {
-				s.pool.Put(body)
-				return false
-			}
-		}
-		sc.wg.Add(1)
-		if v.dq.submitDemandRead(sc, m.Seq, m.ReqID, body, off, epochs, m.Trace, arr) {
-			return true
-		}
-		sc.wg.Done()
-		s.pool.Put(body)
-		return false
-	}
-	t := diskTask{sc: sc, kind: taskRead, seq: m.Seq, reqID: m.ReqID, off: int64(m.Offset), body: body}
-	sc.wg.Add(1)
-	if v.pipe.trySubmit(t) {
-		return true
-	}
-	sc.wg.Done()
-	s.pool.Put(body)
-	return false
 }
 
 // handleFlush serves the wire-level durability barrier: drain the
@@ -1310,10 +909,10 @@ func (s *Server) handleFlush(m *wire.Flush, w *respWriter, arr int64) {
 	}
 	s.served.Add(1)
 	fillSpan(&fr.Header, &fr.SrvSpan, m.Trace, arr, start)
-	_ = w.send(fr, nil)
+	_ = w.respond(fr, nil)
 }
 
-// DiskStats aggregates disk-pipeline counters across volumes.
+// DiskStats aggregates the cached disk path's counters across volumes.
 type DiskStats struct {
 	// DirtyBlocks and OrphanBlocks together are the volume of acked but
 	// not yet committed write-behind data, in 8 KB blocks.
@@ -1331,52 +930,33 @@ type DiskStats struct {
 	PrefetchFills         int64 // blocks installed by read-ahead
 	PrefetchHits          int64 // demand hits on those blocks
 	PrefetchDropped       int64 // read-ahead requests dropped (worker busy)
-	// InlineFallbacks counts requests bounced to classic dispatch because
-	// the disk-worker queue was full.
-	InlineFallbacks int64
-	// Disk-queue counters (DiskQ mode): demand reads and write-through
-	// writes completed through the queue, vectored batches submitted,
-	// submissions bounced to the classic path (queue full or closing), and
-	// reads redone classically after a concurrent write bumped a covered
-	// shard's epoch mid-flight.
-	DiskQReads     int64
-	DiskQWrites    int64
+	// Disk-queue counters: vectored batches submitted (destage passes,
+	// orphan drains, prefetch windows) and ops a closing queue refused,
+	// which their submitters then ran synchronously.
 	DiskQBatches   int64
 	DiskQFallbacks int64
-	DiskQRetries   int64
 }
 
-// DiskStats returns cumulative disk-pipeline counters.
+// DiskStats returns cumulative disk-path counters.
 func (s *Server) DiskStats() DiskStats {
 	var d DiskStats
 	for _, v := range *s.volumes.Load() {
-		if v.cache != nil {
-			d.DirtyBlocks += v.cache.dirtyCount.Load()
-			d.OrphanBlocks += v.cache.orphanCount.Load()
-			d.PrefetchFills += v.cache.prefFills.Load()
-			d.PrefetchHits += v.cache.prefHits.Load()
+		if v.cache == nil {
+			continue
 		}
-		if v.wb != nil {
-			d.DestageRuns += v.wb.runs.Load()
-			d.DestagedBlocks += v.wb.blocks.Load()
-			for i := range v.wb.hist {
-				d.DestageBatchHist[i] += v.wb.hist[i].Load()
-			}
-			d.WriteThroughFallbacks += v.wb.wtFallbacks.Load()
+		d.DirtyBlocks += v.cache.dirtyCount.Load()
+		d.OrphanBlocks += v.cache.orphanCount.Load()
+		d.PrefetchFills += v.cache.prefFills.Load()
+		d.PrefetchHits += v.cache.prefHits.Load()
+		d.DestageRuns += v.wb.runs.Load()
+		d.DestagedBlocks += v.wb.blocks.Load()
+		for i := range v.wb.hist {
+			d.DestageBatchHist[i] += v.wb.hist[i].Load()
 		}
-		if v.pf != nil {
-			d.PrefetchDropped += v.pf.dropped.Load()
-		}
-		if v.pipe != nil {
-			d.InlineFallbacks += v.pipe.inlineFallbacks.Load()
-		}
-		if v.dq != nil {
-			d.DiskQReads += v.dq.reads.Load()
-			d.DiskQWrites += v.dq.writes.Load()
-			d.DiskQBatches += v.dq.batches.Load()
-			d.DiskQFallbacks += v.dq.fallbacks.Load()
-			d.DiskQRetries += v.dq.retries.Load()
-		}
+		d.WriteThroughFallbacks += v.wb.wtFallbacks.Load()
+		d.PrefetchDropped += v.pf.dropped.Load()
+		d.DiskQBatches += v.dq.batches.Load()
+		d.DiskQFallbacks += v.dq.fallbacks.Load()
 	}
 	return d
 }
@@ -1401,17 +981,9 @@ func (v *volume) cachedRead(b []byte, off int64) error {
 	return nil
 }
 
-// readInto fills b from off, through the cache when one exists.
-func (v *volume) readInto(b []byte, off int64) error {
-	if v.cache != nil {
-		return v.cachedRead(b, off)
-	}
-	return v.store.ReadAt(b, off)
-}
-
 // tryCachedRead serves b entirely from resident cache blocks, reporting
-// false (with b possibly partially filled) on any miss — the inline
-// fast path of the pipelined dispatch, which never touches the store.
+// false (with b possibly partially filled) on any miss — the session
+// loop's inline hit path, which never touches the store.
 func (v *volume) tryCachedRead(b []byte, off int64) bool {
 	// checkStoreRange, not a bare off+len comparison: off near MaxInt64
 	// wraps end negative, which sails past `end > size` AND makes the
@@ -1451,7 +1023,7 @@ func (v *volume) absorbWrite(b []byte, off int64) error {
 			n = end - cur
 		}
 		if err := v.cache.absorb(v, blk, within, n, b[cur-off:cur-off+n]); err != nil {
-			if err == errCacheBusy && v.wb != nil {
+			if err == errCacheBusy {
 				// This block's shard has every slot pinned by uncommitted
 				// state; commit the rest of the write through the
 				// backpressure path. Already-absorbed blocks are dirty and
@@ -1466,43 +1038,20 @@ func (v *volume) absorbWrite(b []byte, off int64) error {
 }
 
 // flush makes all acknowledged writes durable: drain write-behind state,
-// then sync the store. On a write-through disk-queue volume the fsync
-// rides the queue as a drain barrier, sequencing it after every
-// outstanding queued write.
+// then sync the store.
 func (v *volume) flush() error {
-	if v.wb != nil {
+	if v.cache != nil {
 		return v.wb.flush()
-	}
-	if v.dq != nil {
-		return v.dq.fsyncBarrier()
 	}
 	return v.store.Sync()
 }
 
-// write commits to the store and updates any cached blocks. On a
-// write-behind volume this is the slow synchronous path (worker tasks
-// and high-watermark fallbacks), which must coordinate with the
-// destager rather than write around dirty blocks.
+// write commits b to the store. On a cached volume this is the slow
+// synchronous path (past the dirty high-watermark), which must coordinate
+// with the destager rather than write around dirty blocks.
 func (v *volume) write(b []byte, off int64) error {
-	if v.wb != nil {
+	if v.cache != nil {
 		return v.wb.writeThrough(b, off)
 	}
-	if err := v.store.WriteAt(b, off); err != nil {
-		return err
-	}
-	if v.cache == nil {
-		return nil
-	}
-	end := off + int64(len(b))
-	for cur := off; cur < end; {
-		blk := uint64(cur / cacheBlockSize)
-		within := cur % cacheBlockSize
-		n := int64(cacheBlockSize - within)
-		if end-cur < n {
-			n = end - cur
-		}
-		v.cache.updateBlock(blk, within, n, b[cur-off:cur-off+n])
-		cur += n
-	}
-	return nil
+	return v.store.WriteAt(b, off)
 }

@@ -215,59 +215,3 @@ func TestAsyncAPI(t *testing.T) {
 		}
 	}
 }
-
-// TestAblationConfigs runs a roundtrip under every ablation combination
-// so the benchmark configurations are known-correct, not just fast.
-func TestAblationConfigs(t *testing.T) {
-	cases := []struct {
-		name    string
-		mut     func(*ServerConfig)
-		noBatch bool
-	}{
-		{"all-on", func(c *ServerConfig) {}, false},
-		{"no-pool", func(c *ServerConfig) { c.NoPool = true }, false},
-		{"no-batch", func(c *ServerConfig) { c.NoBatch = true }, true},
-		{"no-shard", func(c *ServerConfig) { c.CacheShards = 1 }, false},
-		{"all-off", func(c *ServerConfig) { c.NoPool = true; c.NoBatch = true; c.CacheShards = 1 }, true},
-		{"disk-workers", func(c *ServerConfig) { c.DiskWorkers = 8 }, false},
-		{"no-writebehind", func(c *ServerConfig) { c.NoWriteBehind = true }, false},
-		{"no-prefetch", func(c *ServerConfig) { c.NoPrefetch = true }, false},
-		{"disk-sync", func(c *ServerConfig) {
-			c.DiskWorkers = 8
-			c.NoWriteBehind = true
-			c.NoPrefetch = true
-		}, false},
-		{"disk-nobatch", func(c *ServerConfig) { c.DiskWorkers = 8; c.NoBatch = true }, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultServerConfig()
-			cfg.CacheBlocks = 64
-			tc.mut(&cfg)
-			srv, addr := startServer(t, cfg, 4<<20)
-			ccfg := DefaultClientConfig()
-			ccfg.NoBatch = tc.noBatch
-			c, err := Dial(addr, ccfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			data := bytes.Repeat([]byte{0x5A}, 24576) // spans 3 cache blocks
-			if err := c.Write(1, 4096, data); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, len(data))
-			for i := 0; i < 3; i++ { // repeat so the cache path hits
-				if err := c.Read(1, 4096, got); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, data) {
-					t.Fatalf("%s roundtrip corrupted", tc.name)
-				}
-			}
-			if hits, misses := srv.CacheStats(); hits == 0 && misses == 0 {
-				t.Fatalf("%s: cache never touched", tc.name)
-			}
-		})
-	}
-}

@@ -109,15 +109,18 @@ func TestTraceHandshakeFallback(t *testing.T) {
 
 // The merged cross-tier table must tile: per-stage means column-sum to
 // the caller-measured end-to-end mean over the same traced population.
-// Run against the inline path and the sched+diskq path, the two server
-// dispatch shapes with the most different span plumbing.
+// Run on both sides of the pipeline's dispatch rule, whose span plumbing
+// differs: a working set inside the cache, where after warm-up every read
+// is an inline hit, and a cache an eighth of the scanned region, where
+// reads miss into scheduler tasks and read-ahead windows ride the
+// background lane and the disk queue.
 func TestMergedBreakdownTiles(t *testing.T) {
 	shapes := []struct {
 		name string
 		cfg  ServerConfig
 	}{
 		{"inline", ServerConfig{CacheBlocks: 256}},
-		{"sched-diskq", ServerConfig{SchedWorkers: 4, DiskQ: true, CacheBlocks: 256}},
+		{"sched-diskq", ServerConfig{CacheBlocks: 16}},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -158,19 +161,12 @@ func TestSchedGaugesCrossCheckSpans(t *testing.T) {
 	// No cache: a cache hit is served inline and never meets the
 	// scheduler, so the lane counters would undercount the traced
 	// population. Cacheless, every read is a scheduled task.
-	srv := NewServer(ServerConfig{SchedWorkers: 2, Metrics: reg})
-	srv.AddVolume(1, NewMemStore(1<<20))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
+	srv, addr := startServer(t, ServerConfig{SchedWorkers: 2, Metrics: reg}, 1<<20)
 
 	creg := obs.New()
 	ccfg := DefaultClientConfig()
 	ccfg.Metrics = creg
-	c, err := Dial(addr.String(), ccfg)
+	c, err := Dial(addr, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,16 +228,9 @@ func TestSchedGaugesCrossCheckSpans(t *testing.T) {
 // incident with the shed event in the ring.
 func TestShedCapturesFlightIncident(t *testing.T) {
 	fl := obs.NewFlight(1024, 2)
-	srv := NewServer(ServerConfig{SchedWorkers: 1, AdmitLimit: 1, Flight: fl})
-	srv.AddVolume(1, NewMemStore(1<<20))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
+	_, addr := startServer(t, ServerConfig{SchedWorkers: 1, AdmitLimit: 1, Flight: fl}, 1<<20)
 
-	c, err := Dial(addr.String(), DefaultClientConfig())
+	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
