@@ -43,11 +43,26 @@ chaos:
 # smoke drives the binaries and every benchmark once: TPC-C over the
 # in-process cluster (single server, then a two-node vault), and each
 # Benchmark* at one iteration with no BENCH_JSON, so nothing is recorded —
-# it only proves they still build and run.
+# it only proves they still build and run. The judged benchmark (its own
+# module, invisible to ./...) is vetted, tested and run for one second per
+# workload, traced and untraced: it reaches config fields, stats and stage
+# names by reflection, so a rename here reads 0 there instead of failing to
+# build. run.sh exits non-zero on a failed op or verifier; the shape check
+# catches a pinned config field that went missing, beyond the four PR 13
+# deleted on purpose.
+BENCH_SMOKE_LOG = .bench_build/smoke.log
 smoke:
 	$(GO) run ./cmd/v3tpcc -net -quick
 	$(GO) run ./cmd/v3tpcc -net -quick -nodes 2
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout $(TEST_TIMEOUT) ./...
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
+	@mkdir -p $(dir $(BENCH_SMOKE_LOG))
+	bash benchmark/run.sh --workload all --seed 1 --seconds 1 > $(BENCH_SMOKE_LOG) || { cat $(BENCH_SMOKE_LOG); exit 1; }
+	@grep -E '^== |ops=' $(BENCH_SMOKE_LOG)
+	@if grep -o 'shape_skipped:.*' $(BENCH_SMOKE_LOG) | tr ' ' '\n' | \
+		grep -vxE 'shape_skipped:|DiskQ|SQDepth|NoWriteBehind|NoPrefetch|'; then \
+		echo 'smoke: the benchmark could not apply the shape fields above'; exit 1; fi
 
 # bench regenerates the netv3 fast-path numbers (BENCH_netv3.json) and
 # runs the paper-figure benchmarks once.

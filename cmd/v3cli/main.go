@@ -13,6 +13,7 @@
 //	v3cli -addr host:9300 bench -n 100000 -size 8192 -window 16   # async pipeline
 //	v3cli -addr host:9300 bench -n 100000 -streams 1000           # 1000 logical clients, one conn
 //	v3cli -addr host:9300 status                                  # session + stream counters
+//	v3cli -addr host:9300 status host:9400                        # + the server's frames per socket write
 //	v3cli -addr host:9300 breakdown -n 20000 -size 8192 -window 16
 //	v3cli -addr host:9300 trace -n 20000 -size 8192 -window 16            # merged cross-tier stage table
 //	v3cli -addr host:9300 trace -metrics host:9400                        # + per-lane/per-tenant sched breakdown
@@ -184,6 +185,11 @@ func main() {
 		} else {
 			printClientStatus(client)
 		}
+		// An optional argument names a server metrics endpoint, for the
+		// other end's half of the same counters.
+		for _, addr := range args[1:] {
+			fmt.Printf("server wire (%s): %s\n", addr, serverWireLine(fetchMetrics(addr)))
+		}
 	case "bench":
 		fs := flag.NewFlagSet("bench", flag.ExitOnError)
 		n := fs.Int("n", 1000, "I/Os")
@@ -255,6 +261,7 @@ func runBreakdown(c *netv3.Client, reg *obs.Registry, vol uint32, n, size, windo
 	fmt.Printf("%d %s of %d bytes, window %d (%d stage-traced)\n", done, op, size, window, count)
 	rows := obs.Breakdown(reg, netv3.ClientStageDefs())
 	fmt.Print(obs.FormatBreakdown(rows, float64(e2e.Nanoseconds())/float64(count)))
+	printClientWire(c)
 }
 
 // driveTraced runs the async-window workload that breakdown and trace
@@ -333,14 +340,38 @@ func runTrace(c *netv3.Client, reg *obs.Registry, vol uint32, n, size, window in
 	}
 	rows := obs.Breakdown(reg, netv3.MergedStageDefs())
 	fmt.Print(obs.FormatBreakdown(rows, float64(e2e.Nanoseconds())/float64(count)))
+	printClientWire(c)
 	if metrics != "" {
 		printSchedBreakdown(metrics)
 	}
 }
 
-// printSchedBreakdown fetches the server's metrics snapshot and renders
-// the scheduler's per-lane counters and per-tenant queue depths.
-func printSchedBreakdown(addr string) {
+// wireLine renders one end's frame-writer counters: frames put on the
+// wire, the socket writes that carried them, and their ratio — the
+// batching factor (1 for a lone blocking caller, up to the window for an
+// async submitter or the responses to one).
+func wireLine(frames, writes int64) string {
+	per := 0.0
+	if writes > 0 {
+		per = float64(frames) / float64(writes)
+	}
+	return fmt.Sprintf("frames_sent=%d wire_writes=%d frames_per_write=%.2f", frames, writes, per)
+}
+
+// serverWireLine is wireLine over a server's response writers, all
+// sessions, from its metrics snapshot.
+func serverWireLine(snap obs.SnapshotJSON) string {
+	return wireLine(snap.Gauges["netv3_srv_frames_sent_total"], snap.Gauges["netv3_srv_wire_writes_total"])
+}
+
+// printClientWire reports how the run's requests batched onto the socket.
+func printClientWire(c *netv3.Client) {
+	st := c.Stats()
+	fmt.Printf("client wire: %s\n", wireLine(st.FramesSent, st.WireWrites))
+}
+
+// fetchMetrics reads a server's JSON metrics snapshot.
+func fetchMetrics(addr string) obs.SnapshotJSON {
 	url := "http://" + addr + "/metrics?format=json"
 	resp, err := http.Get(url)
 	if err != nil {
@@ -351,8 +382,17 @@ func printSchedBreakdown(addr string) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		log.Fatalf("v3cli: decode %s: %v", url, err)
 	}
+	return snap
+}
+
+// printSchedBreakdown fetches the server's metrics snapshot and renders
+// its wire batching, the scheduler's per-lane counters and per-tenant
+// queue depths.
+func printSchedBreakdown(addr string) {
+	snap := fetchMetrics(addr)
 	g := snap.Gauges
-	fmt.Printf("\nserver scheduler (%s):\n", addr)
+	fmt.Printf("\nserver wire (%s): %s\n", addr, serverWireLine(snap))
+	fmt.Printf("server scheduler (%s):\n", addr)
 	for _, lane := range []string{"fg", "bg"} {
 		line := fmt.Sprintf("  lane %-2s: queued=%d done=%d tenants=%d", lane,
 			g["netv3_srv_sched_"+lane+"_queued"],
@@ -387,6 +427,7 @@ func printClientStatus(c *netv3.Client) {
 	fmt.Printf("streams_supported=%v max_streams=%d\n", c.StreamsSupported(), c.MaxStreams())
 	fmt.Printf("streams_open=%d streams_opened=%d in_flight=%d reconnects=%d retries=%d\n",
 		st.StreamsOpen, st.StreamsOpened, st.InFlight, st.Reconnects, st.Retries)
+	fmt.Println(wireLine(st.FramesSent, st.WireWrites))
 }
 
 // printStatus renders the vault's per-backend health table plus, in
@@ -416,6 +457,9 @@ func printStatus(v *vvault.Vault) {
 		}
 		if st.DirtyBytes > 0 {
 			fmt.Printf(" resync_remaining=%dB/%d ranges", st.DirtyBytes, st.DirtyRanges)
+		}
+		if st.WireWrites > 0 {
+			fmt.Printf(" %s", wireLine(st.FramesSent, st.WireWrites))
 		}
 		fmt.Println()
 	}
@@ -560,6 +604,7 @@ func runAsyncBench(c *netv3.Client, vol uint32, n, size, window int, writes bool
 		float64(n)/elapsed.Seconds(),
 		float64(n)*float64(size)/elapsed.Seconds()/1e6,
 		latColumns(lat.Snapshot()))
+	printClientWire(c)
 }
 
 // runBench fans `depth` synchronous streams over the target; against a

@@ -11,6 +11,10 @@
 //     cannot see; only deadline/keepalive machinery detects it.
 //   - Latency / bandwidth cap: a slow link, for exercising timeouts and
 //     cancellation under load.
+//   - Write stall: writes block — a peer that stopped reading, its socket
+//     buffer full — until released, closed or past the write deadline.
+//     Each Conn also counts the writes that reach its socket, so tests can
+//     assert how many frames one write carried.
 //   - Reset: every tracked connection is severed at once (the classic
 //     "connection closed" failure, for contrast with blackhole).
 //   - Short / erroring store I/O: the backing disk fails or truncates
@@ -26,6 +30,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -43,6 +48,7 @@ type Injector struct {
 	conns map[*Conn]struct{}
 
 	blackhole bool
+	stallWr   bool
 	latency   time.Duration // added to every conn I/O
 	jitter    time.Duration // max extra latency, drawn from rng
 	bps       int64         // bandwidth cap in bytes/sec; 0 = unlimited
@@ -71,6 +77,22 @@ func (i *Injector) Blackholed() bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.blackhole
+}
+
+// StallWrites turns the full-send-buffer fault on or off. While on, every
+// Write on a wrapped conn blocks (honoring close and write deadlines)
+// before reaching the socket; turning it off lets the blocked writes
+// through.
+func (i *Injector) StallWrites(on bool) {
+	i.mu.Lock()
+	i.stallWr = on
+	i.mu.Unlock()
+}
+
+func (i *Injector) writesStalled() bool {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.stallWr
 }
 
 // SetLatency adds d (plus up to jitter, seed-deterministically) to every
@@ -173,26 +195,29 @@ func (l *Listener) Accept() (net.Conn, error) {
 type Conn struct {
 	net.Conn
 	inj    *Injector
-	mu     sync.Mutex // guards closed and rdDeadline
+	mu     sync.Mutex // guards closed and the deadlines
 	closed bool
-	// rdDeadline mirrors the read deadline set on the inner conn, so a
-	// Read stalled by blackhole still honors it — the contract the netv3
-	// keepalive's deadline enforcement depends on.
+	// rdDeadline and wrDeadline mirror the deadlines set on the inner
+	// conn, so a Read stalled by blackhole (a Write by StallWrites) still
+	// honors them — the contract the netv3 keepalive's deadline
+	// enforcement and its client's bounded Close depend on.
 	rdDeadline time.Time
+	wrDeadline time.Time
+	writes     atomic.Int64
 }
 
 func newConn(c net.Conn, i *Injector) *Conn {
 	return &Conn{Conn: c, inj: i}
 }
 
-// stall blocks while the fault domain is blackholed. It returns early
-// with net.ErrClosed if the conn is closed, or os.ErrDeadlineExceeded if
-// the (mirrored) read deadline passes — exactly what the inner conn
-// would have returned had the bytes simply never arrived.
-func (c *Conn) stall() error {
-	for c.inj.Blackholed() {
+// stall blocks while faulted reports true. It returns early with
+// net.ErrClosed if the conn is closed, or os.ErrDeadlineExceeded if the
+// (mirrored) deadline passes — exactly what the inner conn would have
+// returned had the bytes simply never moved.
+func (c *Conn) stall(faulted func() bool, deadline *time.Time) error {
+	for faulted() {
 		c.mu.Lock()
-		closed, dl := c.closed, c.rdDeadline
+		closed, dl := c.closed, *deadline
 		c.mu.Unlock()
 		if closed {
 			return net.ErrClosed
@@ -211,7 +236,7 @@ func (c *Conn) stall() error {
 // bytes were in flight — the blackhole guarantees silence for I/O
 // started after it engages.
 func (c *Conn) Read(b []byte) (int, error) {
-	if err := c.stall(); err != nil {
+	if err := c.stall(c.inj.Blackholed, &c.rdDeadline); err != nil {
 		return 0, err
 	}
 	n, err := c.Conn.Read(b)
@@ -223,14 +248,22 @@ func (c *Conn) Read(b []byte) (int, error) {
 
 // Write implements net.Conn. While blackholed the bytes are swallowed:
 // the caller sees success, the peer sees nothing — the signature of a
-// hung peer that TCP-level error handling cannot observe.
+// hung peer that TCP-level error handling cannot observe. While writes
+// are stalled it blocks instead, like a socket whose send buffer is full.
 func (c *Conn) Write(b []byte) (int, error) {
 	if c.inj.Blackholed() {
 		return len(b), nil
 	}
+	if err := c.stall(c.inj.writesStalled, &c.wrDeadline); err != nil {
+		return 0, err
+	}
 	c.inj.delay(len(b))
+	c.writes.Add(1)
 	return c.Conn.Write(b)
 }
+
+// Writes returns how many Write calls reached the socket.
+func (c *Conn) Writes() int64 { return c.writes.Load() }
 
 // Close implements net.Conn.
 func (c *Conn) Close() error {
@@ -250,10 +283,19 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 	return c.Conn.SetReadDeadline(t)
 }
 
+// SetWriteDeadline implements net.Conn, mirroring the deadline so
+// stalled writes honor it.
+func (c *Conn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.wrDeadline = t
+	c.mu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
+}
+
 // SetDeadline implements net.Conn.
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
-	c.rdDeadline = t
+	c.rdDeadline, c.wrDeadline = t, t
 	c.mu.Unlock()
 	return c.Conn.SetDeadline(t)
 }

@@ -109,6 +109,64 @@ func TestBlackholedReadUnblocksOnClose(t *testing.T) {
 	}
 }
 
+// TestStallWrites: a stalled write blocks before the socket, honors the
+// write deadline and a close, goes through on release — and only writes
+// that reached the socket are counted.
+func TestStallWrites(t *testing.T) {
+	inj := New(1)
+	server, client := pipePair(t, inj)
+	fc := server.(*Conn)
+	inj.StallWrites(true)
+
+	server.SetWriteDeadline(time.Now().Add(30 * time.Millisecond))
+	if _, err := server.Write([]byte("late")); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled write past its deadline: err=%v, want deadline exceeded", err)
+	}
+	server.SetWriteDeadline(time.Time{})
+	if n := fc.Writes(); n != 0 {
+		t.Fatalf("Writes=%d after a write that never reached the socket", n)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := server.Write([]byte("held"))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("stalled write returned early: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	inj.StallWrites(false)
+	if err := <-done; err != nil {
+		t.Fatalf("released write: %v", err)
+	}
+	got := make([]byte, 4)
+	client.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := readFull(client, got); err != nil || string(got) != "held" {
+		t.Fatalf("peer read %q, %v", got, err)
+	}
+	if n := fc.Writes(); n != 1 {
+		t.Fatalf("Writes=%d, want 1", n)
+	}
+
+	inj.StallWrites(true)
+	go func() {
+		_, err := server.Write([]byte("doomed"))
+		done <- err
+	}()
+	time.Sleep(10 * time.Millisecond)
+	server.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("stalled write on a closed conn: err=%v, want net.ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("stalled write did not unblock on close")
+	}
+}
+
 func TestResetAllSevers(t *testing.T) {
 	inj := New(1)
 	server, client := pipePair(t, inj)

@@ -393,7 +393,7 @@ func BenchmarkNetv3ServerReadPath(b *testing.B) {
 		s := NewServer(cfg)
 		s.AddVolume(1, NewMemStore(64<<20))
 		b.Cleanup(func() { closeServer(b, s) })
-		w := newRespWriter(io.Discard, func() {})
+		w := newFrameWriter(io.Discard, &s.wire, func() {})
 		b.Cleanup(w.stop)
 		ss := &session{s: s, w: w, streams: make(map[uint32]*srvStream)}
 		req := &wire.Read{Header: wire.Header{Seq: 1}, ReqID: 1, Volume: 1, Length: 8192}

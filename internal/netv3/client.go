@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,18 +92,25 @@ type Pending struct {
 	st   *Stream // issuing stream (nil = root session); holds one stream credit
 	seq  uint64
 	slot uint32       // credit slot held until completion
-	msg  wire.Message // for replay after reconnection
+	msg  wire.Message // the request frame, for replay too; points at rd, wr or fl
 	body []byte       // write payload (replay) — nil for reads
 	buf  []byte       // read destination
 	err  error        // completion status; valid once done is closed
 	done chan struct{}
 
+	// The request message lives in the handle (one of the three, by its
+	// op), so a submit allocates the handle and its done channel only.
+	rd wire.Read
+	wr wire.Write
+	fl wire.Flush
+
 	// Stage-trace timestamps (obs.Now nanos), populated only when the
-	// client has a metrics registry: t0 submit entry, t1 frame staged,
-	// t2 socket write done, t3 response frame decoded, t4 completion
-	// published. The wakeup stamp is taken by whichever Wait/Done call
-	// first observes the completion; recorded makes the trace fold into
-	// the histograms exactly once.
+	// client has a metrics registry: t0 submit entry, t1 bookkeeping done,
+	// t2 frame and payload queued for the connection's writer (the
+	// doorbell rung), t3 response frame decoded, t4 completion published.
+	// The wakeup stamp is taken by whichever Wait/Done call first observes
+	// the completion; recorded makes the trace fold into the histograms
+	// exactly once.
 	t0, t1, t2, t3, t4 int64
 	recorded           atomic.Bool
 
@@ -241,7 +249,6 @@ func (h *Pending) cancel(cause error) bool {
 		return false
 	}
 	delete(c.pending, h.seq)
-	c.tracker.Ack(h.seq)
 	h.buf = nil
 	h.body = nil
 	h.msg = nil
@@ -274,13 +281,14 @@ func (c *Client) TraceSupported() bool {
 // concurrent use; requests overlap up to the credit window.
 //
 // Locking: mu guards only request bookkeeping (pending map, sequence
-// numbers, connection identity, reconnection state). Payload
-// transmission happens under the separate sendMu, so concurrent
-// submitters and the completion path never wait behind a blocking
-// network write — the lock-minimization lesson of Section 3.3 applied to
-// the client. Reconnection dials run under NEITHER lock (see recover):
-// a 5-second dial to a dead peer must not freeze Stats, Close, cancels,
-// or other submitters' bookkeeping.
+// numbers, connection identity, reconnection state). Nothing a caller
+// runs ever writes the socket: submitters copy their frame onto the
+// connection's frameWriter queue and its one goroutine issues the write,
+// so concurrent submitters and the completion path never wait behind a
+// blocking network write — the lock-minimization lesson of Section 3.3
+// applied to the client. Reconnection dials run under no lock (see
+// recover): a 5-second dial to a dead peer must not freeze Stats, Close,
+// cancels, or other submitters' bookkeeping.
 type Client struct {
 	cfg  ClientConfig
 	addr string
@@ -290,7 +298,6 @@ type Client struct {
 	fc         *flow.Client
 	creditC    chan uint32 // available slot ids (buffered = window)
 	pending    map[uint64]*Pending
-	tracker    *reliable.Tracker
 	reconn     *reliable.Reconnector
 	recovering bool // single-flight guard: one goroutine owns the reconnect loop
 	nextSeq    uint64
@@ -299,6 +306,14 @@ type Client struct {
 	closed     bool
 	genID      int // bumps on every reconnect; stale readers exit
 	start      time.Time
+	// fw is the current connection generation's frame writer. Submitters
+	// capture it under mu together with their bookkeeping; one that loses
+	// the race with a reconnect posts to a retired writer, which refuses —
+	// replay has already queued the request on the new one.
+	fw *frameWriter
+	// wrap, when set by an in-package test, interposes on every dialed
+	// socket (counting writes, stalling them).
+	wrap func(net.Conn) net.Conn
 
 	// Stream multiplexing state (guarded by mu). features/maxStreams come
 	// from the last handshake; streams holds the open logical streams;
@@ -310,14 +325,7 @@ type Client struct {
 	nextStream  uint32
 	openWaiters map[uint32]chan *wire.StreamOpenResp
 
-	// Submission path, guarded by sendMu. bw wraps the generation-bwGen
-	// connection; senders counts goroutines queued for sendMu, driving
-	// the adaptive flush (flush only when nobody else is about to write).
-	sendMu  sync.Mutex
-	bw      *bufio.Writer
-	bwGen   int
-	senders atomic.Int32
-	scratch [wire.ControlSize]byte // frame staging; guarded by sendMu
+	wire wireCounters // frames and socket writes, all generations
 
 	om        *clientObs    // stage-trace histograms; nil when Metrics is unset
 	traceCtr  atomic.Uint64 // submit counter driving 1-in-traceSample tracing
@@ -344,7 +352,9 @@ type Client struct {
 }
 
 // Dial connects to a netv3 server.
-func Dial(addr string, cfg ClientConfig) (*Client, error) {
+func Dial(addr string, cfg ClientConfig) (*Client, error) { return dial(addr, cfg, nil) }
+
+func dial(addr string, cfg ClientConfig, wrap func(net.Conn) net.Conn) (*Client, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
@@ -354,11 +364,14 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		pending:     make(map[uint64]*Pending),
 		streams:     make(map[uint32]*Stream),
 		openWaiters: make(map[uint32]chan *wire.StreamOpenResp),
-		tracker:     reliable.NewTracker(0, 0),
+		wrap:        wrap,
 		reconn:      reliable.NewReconnector(cfg.ReconnectBackoff, cfg.MaxReconnects),
 		start:       time.Now(),
 		om:          newClientObs(cfg.Metrics),
 		traceBase:   uint64(time.Now().UnixNano()),
+	}
+	if c.om != nil {
+		c.wire.batch, c.wire.writeNS = c.om.framesPerWrite, c.om.wireWrite
 	}
 	conn, resp, err := c.dialSession()
 	if err != nil {
@@ -378,6 +391,9 @@ func (c *Client) dialSession() (net.Conn, *wire.ConnectResp, error) {
 	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
 	if err != nil {
 		return nil, nil, err
+	}
+	if c.wrap != nil {
+		conn = c.wrap(conn)
 	}
 	_ = conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
 	feats := wire.FeatureStreams | wire.FeatureTrace
@@ -428,16 +444,16 @@ func (c *Client) installConn(conn net.Conn, resp *wire.ConnectResp) {
 		}
 	}
 	c.genID++
+	gen := c.genID
 	c.lastRecv.Store(obs.Now())
 	c.kaArmed.Store(false)
 	c.kaPingAt.Store(0)
-	c.sendMu.Lock()
-	c.bw = bufio.NewWriterSize(conn, sockBufSize)
-	c.bwGen = c.genID
-	c.sendMu.Unlock()
-	go c.reader(conn, c.genID)
+	// A failed write is this generation's to report, exactly like a failed
+	// read: connectionBroken ignores it once the generation has moved on.
+	c.fw = newFrameWriter(conn, &c.wire, func() { c.connectionBroken(gen) })
+	go c.reader(conn, gen)
 	if c.cfg.KeepaliveInterval > 0 {
-		go c.keepalive(conn, c.genID)
+		go c.keepalive(conn, c.fw, gen)
 	}
 }
 
@@ -501,6 +517,12 @@ type ClientStats struct {
 	// StreamsOpened is the cumulative count ever opened.
 	StreamsOpen   int64
 	StreamsOpened int64
+	// FramesSent counts frames put on the wire and WireWrites the socket
+	// writes that carried them, over every connection generation; their
+	// ratio is the submission-batching factor (1 for a lone blocking
+	// caller, up to the window for an async submitter).
+	FramesSent int64
+	WireWrites int64
 }
 
 // Stats snapshots the client's counters; safe to call concurrently with
@@ -520,10 +542,17 @@ func (c *Client) Stats() ClientStats {
 		HungDetections: c.hungPeers.Load(),
 		StreamsOpen:    c.streamsOpen.Load(),
 		StreamsOpened:  c.streamsOpened.Load(),
+		FramesSent:     c.wire.frames.Load(),
+		WireWrites:     c.wire.writes.Load(),
 	}
 }
 
-// Close tears the session down; outstanding requests fail.
+// Close tears the session down; outstanding requests fail. The teardown
+// is ordered: Disconnect queues behind every frame already submitted, the
+// writer puts them on the wire and exits, then the socket closes. Against
+// a peer that has stopped reading, the write deadline (DialTimeout, the
+// bound every other wait on a silent peer uses) fails the writer instead
+// of hanging Close.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -531,20 +560,14 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	conn := c.conn
+	conn, fw := c.conn, c.fw
 	failed := c.pending
 	c.pending = map[uint64]*Pending{}
 	c.mu.Unlock()
-	if conn != nil {
-		c.senders.Add(1)
-		c.sendMu.Lock()
-		c.senders.Add(-1)
-		wire.MarshalInto(c.scratch[:], &wire.Disconnect{})
-		_, _ = c.bw.Write(c.scratch[:])
-		_ = c.bw.Flush()
-		c.sendMu.Unlock()
-		conn.Close()
-	}
+	_ = fw.send(&wire.Disconnect{}, nil) // refused only if the connection is already dead
+	_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.DialTimeout))
+	fw.stop()
+	conn.Close()
 	for _, p := range failed {
 		c.finish(p, ErrClosed)
 	}
@@ -698,6 +721,10 @@ func (c *Client) submit(ctx context.Context, st *Stream, op int, vol uint32, off
 		return nil, err
 	}
 	p := &Pending{c: c, st: st, slot: slot, done: make(chan struct{}), t0: t0}
+	var sid uint32
+	if st != nil {
+		sid = st.id
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -707,27 +734,25 @@ func (c *Client) submit(ctx context.Context, st *Stream, op int, vol uint32, off
 	c.nextSeq++
 	c.nextReq++
 	p.seq = c.nextSeq
-	var sid uint32
-	if st != nil {
-		sid = st.id
-	}
+	hdr := wire.Header{Seq: p.seq, Stream: sid}
 	switch op {
 	case opWrite:
 		p.body = data
-		p.msg = &wire.Write{
-			Header: wire.Header{Seq: p.seq, Stream: sid}, ReqID: c.nextReq,
+		p.wr = wire.Write{
+			Header: hdr, ReqID: c.nextReq,
 			Volume: vol, Offset: uint64(off), Length: uint32(len(data)), Slot: slot,
 		}
+		p.msg = &p.wr
 	case opRead:
 		p.buf = buf
-		p.msg = &wire.Read{
-			Header: wire.Header{Seq: p.seq, Stream: sid}, ReqID: c.nextReq,
+		p.rd = wire.Read{
+			Header: hdr, ReqID: c.nextReq,
 			Volume: vol, Offset: uint64(off), Length: uint32(len(buf)),
 		}
+		p.msg = &p.rd
 	case opFlush:
-		p.msg = &wire.Flush{
-			Header: wire.Header{Seq: p.seq, Stream: sid}, ReqID: c.nextReq, Volume: vol,
-		}
+		p.fl = wire.Flush{Header: hdr, ReqID: c.nextReq, Volume: vol}
+		p.msg = &p.fl
 	}
 	// A traced request carries a trace id on the wire (when the server
 	// negotiated FeatureTrace), telling the server to answer with its
@@ -743,63 +768,36 @@ func (c *Client) submit(ctx context.Context, st *Stream, op int, vol uint32, off
 		p.msg.Hdr().Trace = tr
 	}
 	c.pending[p.seq] = p
-	c.tracker.Track(p.seq, time.Since(c.start))
-	gen := c.genID
+	fw, msg := c.fw, p.msg
 	c.mu.Unlock()
-	// The network write happens outside mu: a slow or blocking send no
-	// longer stalls other submitters' bookkeeping or the reader's
-	// completion path.
-	if err := c.send(gen, p, p.msg, p.body); err != nil {
-		c.connectionBroken()
-	}
-	// Even on a send error the request is tracked: reconnection replay
-	// (or permanent failure) will complete the handle.
+	// Whatever becomes of the send the request is tracked: reconnection
+	// replay (or permanent failure) will complete the handle.
+	c.send(fw, p, msg, data)
 	return p, nil
 }
 
-// send writes a control frame plus payload onto the submission stream.
-// Frames from concurrent submitters batch in bw; the flush syscall is
-// issued by whichever sender drains the queue (senders == 0), mirroring
-// the server's response batching. gen identifies the connection the
-// request was issued on: if a reconnect has replaced it, the write is
-// skipped — replay owns retransmission on the new connection.
-func (c *Client) send(gen int, p *Pending, m wire.Message, body []byte) error {
-	c.senders.Add(1)
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	c.senders.Add(-1)
-	if gen != c.bwGen {
-		// Still honor the flush contract for earlier senders' bytes.
-		if c.senders.Load() == 0 {
-			_ = c.bw.Flush()
-		}
-		return nil
-	}
-	// Stage trace: the frame is about to enter the submission batch. The
-	// wire-write stamp below lands after our own write (and flush, when
-	// this sender drains the batch) returns; a frame flushed later by
-	// another sender accounts that wait to the server+net stage instead.
-	trace := p != nil && p.t0 != 0
+// send posts a request frame plus payload to fw, the writer of the
+// connection generation the request was issued on; m and body are the
+// request's, read by the caller under mu or before the handle was shared.
+// The payload is copied here — the caller owns its buffer again the moment
+// this returns, which Cancel and WaitTimeout promise. The frames of every
+// submitter that gets here before the writer does leave in one socket
+// write. A refusal means that generation is dead (a write failed, or a
+// reconnect retired it): failure detection belongs to its reader and
+// writer, retransmission to replay, so there is nothing to do with it.
+func (c *Client) send(fw *frameWriter, p *Pending, m wire.Message, body []byte) {
+	// Stage trace: t1 closes the submission stage, t2 the "wire write"
+	// stage — now the time to ring the doorbell (lock, encode, copy). The
+	// writer's wake-up and the write syscall land in net+kernel; their
+	// per-batch cost is the netv3_client_wire_write_ns histogram.
+	trace := p.t0 != 0
 	if trace {
 		p.t1 = obs.Now()
 	}
-	wire.MarshalInto(c.scratch[:], m)
-	if _, err := c.bw.Write(c.scratch[:]); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := c.bw.Write(body); err != nil {
-			return err
-		}
-	}
-	var err error
-	if c.senders.Load() == 0 {
-		err = c.bw.Flush()
-	}
+	_ = fw.send(m, body)
 	if trace {
 		p.t2 = obs.Now()
 	}
-	return err
 }
 
 // keepalive is one connection generation's hung-peer detector. It wakes
@@ -811,7 +809,7 @@ func (c *Client) send(gen int, p *Pending, m wire.Message, body []byte) error {
 // the whole point: "dead peer ⇒ silent" becomes as detectable as
 // "dead peer ⇒ closed conn". While traffic flows, the hot path pays one
 // atomic store per inbound frame and this goroutine never sends.
-func (c *Client) keepalive(conn net.Conn, gen int) {
+func (c *Client) keepalive(conn net.Conn, fw *frameWriter, gen int) {
 	iv := c.cfg.KeepaliveInterval
 	tick := time.NewTicker(iv / 2)
 	defer tick.Stop()
@@ -836,31 +834,8 @@ func (c *Client) keepalive(conn net.Conn, gen int) {
 		_ = conn.SetReadDeadline(time.Now().Add(iv))
 		c.kaPings.Add(1)
 		c.om.notePing()
-		c.sendPing(gen)
+		_ = fw.send(&wire.Ping{}, nil) // a dead link is the armed deadline's to report
 	}
-}
-
-// sendPing pushes one TPing through the submission stream (respecting
-// generation and batching discipline).
-func (c *Client) sendPing(gen int) { c.sendCtl(gen, &wire.Ping{}) }
-
-// sendCtl pushes one control frame (ping, stream open/close) through the
-// submission stream, respecting generation and batching discipline.
-// Control frames are rare, so each flushes immediately; errors are left
-// to the reader, which owns connection-failure detection.
-func (c *Client) sendCtl(gen int, m wire.Message) {
-	c.senders.Add(1)
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	c.senders.Add(-1)
-	if gen != c.bwGen {
-		return
-	}
-	wire.MarshalInto(c.scratch[:], m)
-	if _, err := c.bw.Write(c.scratch[:]); err != nil {
-		return
-	}
-	_ = c.bw.Flush()
 }
 
 // reader demultiplexes responses for one connection generation. Frames
@@ -887,7 +862,7 @@ func (c *Client) reader(conn net.Conn, gen int) {
 			c.hungPeers.Add(1)
 			c.om.noteHung()
 		}
-		c.connectionBroken()
+		c.connectionBroken(gen)
 	}
 	for {
 		t, err := wire.ReadFrame(br, &frame)
@@ -915,10 +890,7 @@ func (c *Client) reader(conn net.Conn, gen int) {
 			// written into memory the caller got back.
 			c.mu.Lock()
 			p := c.pending[uint64(m.Ack)]
-			if p != nil {
-				delete(c.pending, uint64(m.Ack))
-				c.tracker.Ack(uint64(m.Ack))
-			}
+			delete(c.pending, uint64(m.Ack))
 			c.mu.Unlock()
 			n := int64(m.Length)
 			var ioErr error
@@ -992,7 +964,7 @@ func (c *Client) reader(conn net.Conn, gen int) {
 			}
 		default:
 			// Unexpected frame: treat as protocol failure.
-			c.connectionBroken()
+			c.connectionBroken(gen)
 			return
 		}
 	}
@@ -1020,15 +992,12 @@ func (c *Client) unclaim(p *Pending, gen int) {
 		return
 	}
 	c.pending[p.seq] = p
-	c.tracker.Track(p.seq, time.Since(c.start))
-	cur := c.genID
-	resend := cur != gen && !c.recovering
+	fw, msg, body := c.fw, p.msg, p.body
+	resend := c.genID != gen && !c.recovering
 	c.mu.Unlock()
 	if resend {
 		c.retries.Add(1)
-		if err := c.send(cur, p, p.msg, p.body); err != nil {
-			c.connectionBroken()
-		}
+		c.send(fw, p, msg, body)
 	}
 }
 
@@ -1036,7 +1005,6 @@ func (c *Client) complete(seq uint64, err error, sp wire.SrvSpan) {
 	c.mu.Lock()
 	p := c.pending[seq]
 	delete(c.pending, seq)
-	c.tracker.Ack(seq)
 	c.mu.Unlock()
 	if p != nil {
 		// Stage trace: the response has arrived; everything from the
@@ -1067,22 +1035,25 @@ func (c *Client) finish(p *Pending, err error) {
 	}
 }
 
-// connectionBroken starts the reconnection state machine. Only the first
-// caller becomes the recovery driver (single-flight); later callers —
-// concurrent submitters whose sends failed, a reader hitting EOF —
-// return immediately, their requests parked in the pending map for
-// replay.
-func (c *Client) connectionBroken() {
+// connectionBroken starts the reconnection state machine for connection
+// generation gen, reported dead by its reader (EOF, error, armed deadline)
+// or its writer (failed write). Only the first report becomes the recovery
+// driver (single-flight); the other half's report of the same death — and
+// any report from a generation already replaced, which must not tear down
+// its successor — returns immediately. Outstanding requests stay parked in
+// the pending map for replay. The generation's writer is retired with it:
+// frames queued but unwritten are dropped (replay re-sends them) and its
+// goroutine exits.
+func (c *Client) connectionBroken(gen int) {
 	c.mu.Lock()
-	if c.closed || c.recovering || c.reconn.State() != reliable.StateConnected {
+	if gen != c.genID || c.closed || c.recovering || c.reconn.State() != reliable.StateConnected {
 		c.mu.Unlock()
 		return
 	}
 	c.recovering = true
 	c.reconn.ConnectionBroken(time.Since(c.start))
-	if c.conn != nil {
-		c.conn.Close()
-	}
+	c.conn.Close()
+	c.fw.abort(net.ErrClosed)
 	c.mu.Unlock()
 	c.recover()
 }
@@ -1133,7 +1104,6 @@ func (c *Client) recover() {
 		c.installConn(conn, resp)
 		c.reconn.AttemptSucceeded()
 		c.reconnects.Add(1)
-		c.tracker.Reset(time.Since(c.start))
 		// Re-announce open streams before replaying their requests, so the
 		// new session's scheduler has each stream's class/weight/credits.
 		// Fire-and-forget: the responses find no waiter and are dropped,
@@ -1144,33 +1114,28 @@ func (c *Client) recover() {
 			if st.cfg.Background {
 				class = wire.ClassBackground
 			}
-			c.sendCtl(c.genID, &wire.StreamOpen{
+			_ = c.fw.send(&wire.StreamOpen{
 				Header: wire.Header{Stream: id},
 				Class:  class, Weight: uint16(st.cfg.Weight), WantCreds: uint16(cap(st.sem)),
-			})
+			}, nil)
 		}
-		// Replay unacknowledged requests in order on the new session.
-		replayed := true
-		for _, seq := range c.tracker.Unacked() {
-			p, ok := c.pending[seq]
-			if !ok {
-				continue
-			}
+		// Replay unanswered requests in submission order on the new
+		// session. Should the new connection die under the replay, its
+		// reader or writer reports it and the next recovery — which starts
+		// once this one lets go of mu — replays again.
+		seqs := make([]uint64, 0, len(c.pending))
+		for seq := range c.pending {
+			seqs = append(seqs, seq)
+		}
+		slices.Sort(seqs)
+		for _, seq := range seqs {
+			p := c.pending[seq]
 			c.retries.Add(1)
-			if err := c.send(c.genID, p, p.msg, p.body); err != nil {
-				// New connection failed immediately; loop again.
-				c.reconn.ConnectionBroken(time.Since(c.start))
-				c.conn.Close()
-				replayed = false
-				break
-			}
+			c.send(c.fw, p, p.msg, p.body)
 		}
-		if replayed {
-			c.recovering = false
-			c.mu.Unlock()
-			return
-		}
+		c.recovering = false
 		c.mu.Unlock()
+		return
 	}
 }
 

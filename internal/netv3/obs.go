@@ -14,16 +14,20 @@ import (
 // submission, transfer, server and completion costs that add up to the
 // measured round trip).
 const (
-	// stSubmit: ReadAsync/WriteAsync/FlushAsync entry → frame staged in
-	// the submission batch (credit wait, bookkeeping, sendMu wait).
+	// stSubmit: ReadAsync/WriteAsync/FlushAsync entry → request
+	// registered (credit wait, handle allocation, bookkeeping under mu).
 	stSubmit = iota
-	// stWire: frame staged → socket write returned (bufio copy, plus the
-	// flush syscall when this sender drains the batch).
+	// stWire: request registered → frame and payload queued for the
+	// connection's frame writer — the time to ring the doorbell (queue
+	// lock, encode, payload copy). No syscall: the writer goroutine issues
+	// one socket write per batch, timed per batch in
+	// netv3_client_wire_write_ns.
 	stWire
-	// stServer: socket write → response decoded and its payload landed in
-	// the caller's buffer — kernel, network, all server-side processing,
-	// and the inbound data transfer. The remote half of this stage is
-	// broken down further by the server's own histograms.
+	// stServer: frame queued → response decoded and its payload landed in
+	// the caller's buffer — the writer's wake-up and socket write, kernel,
+	// network, all server-side processing, and the inbound data transfer.
+	// The remote half of this stage is broken down further by the server's
+	// span block (see MergedStageDefs).
 	stServer
 	// stDeliver: response received → completion published (pending-map
 	// removal, error mapping, handle close).
@@ -119,6 +123,11 @@ type clientObs struct {
 	hungs     *obs.Counter // netv3_client_hung_peer_total
 	pings     *obs.Counter // netv3_client_keepalive_pings_total
 	kaRTT     *obs.Hist    // netv3_client_keepalive_rtt_ns
+
+	// The frame writer's per-batch pair (see wireCounters): how many
+	// frames each socket write carried, and how long the write took.
+	framesPerWrite *obs.Hist // netv3_client_frames_per_write
+	wireWrite      *obs.Hist // netv3_client_wire_write_ns
 }
 
 func newClientObs(r *obs.Registry) *clientObs {
@@ -136,6 +145,9 @@ func newClientObs(r *obs.Registry) *clientObs {
 		hungs:     r.Counter("netv3_client_hung_peer_total"),
 		pings:     r.Counter("netv3_client_keepalive_pings_total"),
 		kaRTT:     r.Hist("netv3_client_keepalive_rtt_ns"),
+
+		framesPerWrite: r.Hist("netv3_client_frames_per_write"),
+		wireWrite:      r.Hist("netv3_client_wire_write_ns"),
 	}
 	for i, name := range clientStageMetrics {
 		co.stages[i] = r.Hist(name)
@@ -262,6 +274,10 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 	r.GaugeFunc("netv3_srv_sessions_active", s.SessionsActive)
 	r.GaugeFunc("netv3_srv_streams_active", s.StreamsActive)
 	r.GaugeFunc("netv3_srv_streams_total", s.StreamsTotal)
+	// Response frames and the socket writes that carried them, all
+	// sessions: their ratio is the completion-batching factor.
+	r.GaugeFunc("netv3_srv_frames_sent_total", s.wire.frames.Load)
+	r.GaugeFunc("netv3_srv_wire_writes_total", s.wire.writes.Load)
 	r.GaugeFunc("netv3_srv_sched_fg_queued", func() int64 { return int64(s.SchedStats().FGQueued) })
 	r.GaugeFunc("netv3_srv_sched_bg_queued", func() int64 { return int64(s.SchedStats().BGQueued) })
 	r.GaugeFunc("netv3_srv_sched_fg_done_total", func() int64 { return s.SchedStats().FGDone })

@@ -77,8 +77,7 @@ type tuning struct {
 
 const cacheBlockSize = 8192
 
-// sockBufSize sizes the per-session bufio reader (and the client's
-// submission writer, whose buffer doubles as its batching threshold).
+// sockBufSize sizes the bufio reader on each end of a connection.
 const sockBufSize = 64 << 10
 
 // srvStream is the server-side record of one open logical stream: its QoS
@@ -128,6 +127,10 @@ type Server struct {
 	sessActive    atomic.Int64
 	streamsActive atomic.Int64
 	streamsTotal  atomic.Int64
+
+	// wire totals the response frames and socket writes of every session's
+	// frameWriter — frames per write is the completion-batching factor.
+	wire wireCounters
 
 	// connMu/conns track live session sockets so Close can sever them;
 	// without this a closed server would keep serving established
@@ -348,123 +351,12 @@ func (s *Server) obsDispatch(t0 int64) {
 	}
 }
 
-// respWriter is a session's completion writer: every response — inline
-// from the session loop or from a scheduler worker — is encoded and
-// appended to q under mu (a memcpy), and the dedicated writeLoop goroutine
-// swaps the queue out and writes it with mu released. A session
-// multiplexing hundreds of logical streams can have megabytes of
-// responses outstanding toward one socket; were responders to write the
-// socket themselves, a full kernel send buffer would block one of them
-// holding mu and every scheduler worker completing a request would queue
-// up behind the socket — the pool draining at wire speed instead of
-// device speed. Here socket backpressure stalls only the writer, and
-// concurrent completions coalesce into one large write: the TCP analogue
-// of the paper's interrupt batching (Section 3.2) and of its server's
-// completion-queue drain (Section 4) — workers post completions, one
-// agent moves them to the wire.
-type respWriter struct {
-	mu      sync.Mutex
-	conn    io.Writer
-	scratch [wire.ControlSize]byte // frame staging; guarded by mu
-	q       []byte                 // pending response bytes; guarded by mu
-	qSpare  []byte                 // writeLoop's drained buffer, recycled; guarded by mu
-	qCond   *sync.Cond             // writeLoop waits here for work
-	qSpace  *sync.Cond             // responders wait here when q exceeds respQMax
-	qErr    error                  // sticky socket error; poisons all later responds
-	qClosed bool
-	qWG     sync.WaitGroup
-}
-
-// respQMax bounds the response queue. Responders block once the unsent
-// backlog passes it — the backpressure a blocking socket write would
-// apply, minus the convoy: the cap is far above what client credits
-// admit in normal operation, so it only engages against a peer that
-// stops reading.
-const respQMax = 16 << 20
-
-// newRespWriter starts the writer for conn. closeConn force-closes the
-// session socket, unblocking the session read loop when the writer hits a
-// socket error.
-func newRespWriter(conn io.Writer, closeConn func()) *respWriter {
-	w := &respWriter{conn: conn}
-	w.qCond = sync.NewCond(&w.mu)
-	w.qSpace = sync.NewCond(&w.mu)
-	w.qWG.Add(1)
-	go w.writeLoop(closeConn)
-	return w
-}
-
-// stop stops accepting responses and waits for writeLoop to drain what is
-// already queued (or die on the socket error that ended the session).
-func (w *respWriter) stop() {
-	w.mu.Lock()
-	w.qClosed = true
-	w.mu.Unlock()
-	w.qCond.Broadcast()
-	w.qSpace.Broadcast()
-	w.qWG.Wait()
-}
-
-// writeLoop is the session's single socket writer: swap the pending
-// buffer out under mu, write it with mu released. The two buffers
-// ping-pong, so steady state allocates nothing.
-func (w *respWriter) writeLoop(closeConn func()) {
-	defer w.qWG.Done()
-	for {
-		w.mu.Lock()
-		for len(w.q) == 0 && !w.qClosed {
-			w.qCond.Wait()
-		}
-		if len(w.q) == 0 || w.qErr != nil { // closed and drained, or poisoned
-			w.mu.Unlock()
-			return
-		}
-		buf := w.q
-		w.q = w.qSpare[:0]
-		w.mu.Unlock()
-		w.qSpace.Broadcast()
-		_, err := w.conn.Write(buf)
-		w.mu.Lock()
-		w.qSpare = buf[:0]
-		if err != nil {
-			w.qErr = err
-			w.q = nil
-			w.mu.Unlock()
-			w.qSpace.Broadcast()
-			closeConn()
-			return
-		}
-		w.mu.Unlock()
-	}
-}
-
-// respond queues one response frame plus optional body for the wire. It
-// returns once the bytes are copied, so the caller may reuse m and body.
-func (w *respWriter) respond(m wire.Message, body []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for len(w.q) >= respQMax && w.qErr == nil && !w.qClosed {
-		w.qSpace.Wait()
-	}
-	if w.qErr != nil {
-		return w.qErr
-	}
-	if w.qClosed {
-		return net.ErrClosed
-	}
-	wire.MarshalInto(w.scratch[:], m)
-	w.q = append(w.q, w.scratch[:]...)
-	w.q = append(w.q, body...)
-	w.qCond.Signal()
-	return nil
-}
-
 // session is one connection's protocol state, owned by its session
 // goroutine: the logical-stream registry, the sequential-read detector,
 // and the decode/response structs the inline paths reuse.
 type session struct {
 	s       *Server
-	w       *respWriter
+	w       *frameWriter
 	id      uint64
 	credits int
 	// streams holds class and weight per open stream, fed by
@@ -488,7 +380,7 @@ type session struct {
 // write past the watermark or to an uncached volume, a Flush — becomes a
 // scheduler task, so a slow store call never stalls the frames queued
 // behind it and the lane policy and admission control see all of it.
-// Every response, from either side, goes through the session's respWriter.
+// Every response, from either side, goes through the session's frameWriter.
 func (s *Server) session(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -513,7 +405,7 @@ func (s *Server) session(conn net.Conn) {
 		credits = w
 	}
 	fc := flow.NewServer(credits)
-	w := newRespWriter(conn, func() { conn.Close() })
+	w := newFrameWriter(conn, &s.wire, func() { conn.Close() })
 	defer w.stop()
 	// Feature negotiation: the reply carries the intersection of what the
 	// client advertised and what this server speaks. An old client encodes
@@ -532,7 +424,7 @@ func (s *Server) session(conn net.Conn) {
 	if feats&wire.FeatureStreams != 0 {
 		resp.MaxStreams = uint16(s.cfg.MaxStreams)
 	}
-	if err := w.respond(resp, nil); err != nil {
+	if err := w.send(resp, nil); err != nil {
 		return
 	}
 	s.sessActive.Add(1)
@@ -584,7 +476,7 @@ func (s *Server) session(conn net.Conn) {
 			}
 			if err := fc.Reserve(m.Slot); err != nil {
 				s.logf("netv3: %v", err)
-				_ = w.respond(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+				_ = w.send(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
 					ReqID: m.ReqID, Status: wire.StatusEAgain}, nil)
 				continue
 			}
@@ -624,7 +516,7 @@ func (s *Server) session(conn net.Conn) {
 			// worker running it may block in destage+fsync, which is safe:
 			// the pass never waits on another scheduler task.
 			if retry, shed := ss.enqueue(m.Stream, m.Trace, func() { s.handleFlush(m, w, arr) }); shed {
-				_ = w.respond(&wire.FlushResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+				_ = w.send(&wire.FlushResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
 					ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1, RetryAfterMS: retry}, nil)
 			}
 			s.obsDispatch(dt0)
@@ -633,7 +525,7 @@ func (s *Server) session(conn net.Conn) {
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
 				return
 			}
-			if err := w.respond(ss.openStream(m), nil); err != nil {
+			if err := w.send(ss.openStream(m), nil); err != nil {
 				return
 			}
 		case wire.TStreamClose:
@@ -650,7 +542,7 @@ func (s *Server) session(conn net.Conn) {
 			if m, err := wire.Unmarshal(frame[:]); err == nil {
 				seq = m.Hdr().Seq
 			}
-			_ = w.respond(&wire.Pong{Header: wire.Header{Seq: seq}}, nil)
+			_ = w.send(&wire.Pong{Header: wire.Header{Seq: seq}}, nil)
 		case wire.TDisconnect:
 			return
 		default:
@@ -752,7 +644,7 @@ func (ss *session) read(m *wire.Read, arr int64) {
 				ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1, Length: uint32(len(body))}
 			fillSpan(&ss.rr.Header, &ss.rr.SrvSpan, m.Trace, arr, arr)
 			s.served.Add(1)
-			_ = ss.w.respond(&ss.rr, body)
+			_ = ss.w.send(&ss.rr, body)
 			s.pool.Put(body)
 			return
 		}
@@ -762,7 +654,7 @@ func (ss *session) read(m *wire.Read, arr int64) {
 	*mm = *m
 	w := ss.w // the task outlives this call; it needs the writer, not the session
 	if retry, shed := ss.enqueue(m.Stream, m.Trace, func() { s.handleRead(mm, w, arr) }); shed {
-		_ = ss.w.respond(&wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+		_ = ss.w.send(&wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
 			ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1, RetryAfterMS: retry}, nil)
 	}
 }
@@ -786,7 +678,7 @@ func (ss *session) write(m *wire.Write, body []byte, arr int64) {
 				ReqID: m.ReqID, Status: st, Credits: 1}
 			fillSpan(&ss.wr.Header, &ss.wr.SrvSpan, m.Trace, arr, arr)
 			s.served.Add(1)
-			_ = ss.w.respond(&ss.wr, nil)
+			_ = ss.w.send(&ss.wr, nil)
 			s.pool.Put(body)
 			return
 		}
@@ -802,7 +694,7 @@ func (ss *session) write(m *wire.Write, body []byte, arr int64) {
 		s.pool.Put(body)
 	}); shed {
 		s.pool.Put(body)
-		_ = ss.w.respond(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+		_ = ss.w.send(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
 			ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1, RetryAfterMS: retry}, nil)
 	}
 }
@@ -813,14 +705,14 @@ func (ss *session) write(m *wire.Write, body []byte, arr int64) {
 //
 // arr is the traced request's arrival stamp (zero untraced): the gap to
 // task start is the span block's queue wait — the real lane wait.
-func (s *Server) handleRead(m *wire.Read, w *respWriter, arr int64) {
+func (s *Server) handleRead(m *wire.Read, w *frameWriter, arr int64) {
 	start := traceArr(m.Trace)
 	rr := &wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
 		ReqID: m.ReqID, Credits: 1}
 	v := s.lookup(m.Volume)
 	if v == nil {
 		rr.Status = wire.StatusENoVolume
-		_ = w.respond(rr, nil)
+		_ = w.send(rr, nil)
 		return
 	}
 	// Validate the range up front: the cached path slices per-block
@@ -829,7 +721,7 @@ func (s *Server) handleRead(m *wire.Read, w *respWriter, arr int64) {
 	if m.Length > s.cfg.MaxXfer ||
 		checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) != nil {
 		rr.Status = wire.StatusEInval
-		_ = w.respond(rr, nil)
+		_ = w.send(rr, nil)
 		return
 	}
 	body := s.pool.Get(int(m.Length))
@@ -849,13 +741,13 @@ func (s *Server) handleRead(m *wire.Read, w *respWriter, arr int64) {
 	s.served.Add(1)
 	rr.Length = uint32(len(body))
 	fillSpan(&rr.Header, &rr.SrvSpan, m.Trace, arr, start)
-	_ = w.respond(rr, body)
+	_ = w.send(rr, body)
 	s.pool.Put(body)
 }
 
 // handleWrite is the write task: the synchronous store write of a request
 // the session loop could not absorb.
-func (s *Server) handleWrite(m *wire.Write, body []byte, w *respWriter, arr int64) {
+func (s *Server) handleWrite(m *wire.Write, body []byte, w *frameWriter, arr int64) {
 	start := traceArr(m.Trace)
 	wr := &wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
 		ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1}
@@ -868,7 +760,7 @@ func (s *Server) handleWrite(m *wire.Write, body []byte, w *respWriter, arr int6
 	}
 	s.served.Add(1)
 	fillSpan(&wr.Header, &wr.SrvSpan, m.Trace, arr, start)
-	_ = w.respond(wr, nil)
+	_ = w.send(wr, nil)
 }
 
 // noteShed records an admission-control refusal in the flight recorder
@@ -885,7 +777,7 @@ func (s *Server) noteShed(trace, key uint64, backlog int) {
 // handleFlush serves the wire-level durability barrier: drain the
 // volume's write-behind state and fsync the store. Writes acknowledged
 // before the Flush was received are durable once it succeeds.
-func (s *Server) handleFlush(m *wire.Flush, w *respWriter, arr int64) {
+func (s *Server) handleFlush(m *wire.Flush, w *frameWriter, arr int64) {
 	var t0 int64
 	if s.om != nil || s.flight != nil {
 		t0 = obs.Now()
@@ -909,7 +801,7 @@ func (s *Server) handleFlush(m *wire.Flush, w *respWriter, arr int64) {
 	}
 	s.served.Add(1)
 	fillSpan(&fr.Header, &fr.SrvSpan, m.Trace, arr, start)
-	_ = w.respond(fr, nil)
+	_ = w.send(fr, nil)
 }
 
 // DiskStats aggregates the cached disk path's counters across volumes.

@@ -239,14 +239,14 @@ func (st *Stream) Close() error {
 		}
 	}
 	delete(c.streams, st.id)
-	gen := c.genID
+	fw := c.fw
 	closed := c.closed
 	c.mu.Unlock()
 	for _, p := range inflight {
 		p.cancel(ErrStreamClosed)
 	}
 	if !closed {
-		c.sendCtl(gen, &wire.StreamClose{Header: wire.Header{Stream: st.id}})
+		_ = fw.send(&wire.StreamClose{Header: wire.Header{Stream: st.id}}, nil)
 	}
 	c.streamsOpen.Add(-1)
 	return nil
@@ -280,17 +280,17 @@ func (c *Client) OpenStream(cfg StreamConfig) (*Stream, error) {
 	id := c.nextStream
 	ch := make(chan *wire.StreamOpenResp, 1)
 	c.openWaiters[id] = ch
-	gen := c.genID
+	fw := c.fw
 	c.mu.Unlock()
 
 	class := wire.ClassForeground
 	if cfg.Background {
 		class = wire.ClassBackground
 	}
-	c.sendCtl(gen, &wire.StreamOpen{
+	_ = fw.send(&wire.StreamOpen{
 		Header: wire.Header{Stream: id},
 		Class:  class, Weight: uint16(cfg.Weight), WantCreds: uint16(cfg.Credits),
-	})
+	}, nil)
 
 	timeout := c.cfg.DialTimeout
 	if timeout <= 0 {

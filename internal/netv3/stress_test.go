@@ -16,7 +16,7 @@ import (
 // severs the TCP connection. Every I/O must eventually succeed (the
 // reconnection layer replays unacknowledged requests) and every read
 // must observe that worker's own writes. Run under -race this also
-// checks the mu/sendMu split for data races.
+// checks the mu / frame-writer-queue split for data races.
 func TestStressMixedIOWithReconnects(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 256

@@ -264,7 +264,6 @@ func TestUnclaimAfterRecoveryResends(t *testing.T) {
 	// The reader's claim, as it happens on a ReadResp frame.
 	c.mu.Lock()
 	delete(c.pending, h.seq)
-	c.tracker.Ack(h.seq)
 	c.mu.Unlock()
 	// The connection dies and recovery completes; the claimed request is
 	// not in the replay.

@@ -1083,6 +1083,11 @@ type BackendStatus struct {
 	// StreamCredits is the data stream's granted credit carve-out
 	// (0 on the bare connection).
 	StreamCredits int
+	// FramesSent and WireWrites are the current client's frame-writer
+	// counters: sub-I/O frames put on this backend's socket and the
+	// socket writes that carried them.
+	FramesSent int64
+	WireWrites int64
 }
 
 // Status snapshots every backend's health, in address order.
@@ -1102,7 +1107,8 @@ func (v *Vault) Status() []BackendStatus {
 		}
 		b.mu.Lock()
 		if b.client != nil {
-			s.Reconnects = b.client.Reconnects()
+			cs := b.client.Stats()
+			s.Reconnects, s.FramesSent, s.WireWrites = cs.Reconnects, cs.FramesSent, cs.WireWrites
 		}
 		if b.data != nil {
 			s.DataStream = b.data.ID()
