@@ -32,9 +32,9 @@ verify: vet build race
 
 # chaos runs every suite of the live stack's concurrent tiers — fault
 # injection (blackholed peers, cancel storms, partitions), resync and
-# replication-log protocols, the disk-queue backend differential, the
-# workload engine — under the race detector, twice, so an interleaving
-# that only fails sometimes gets two chances to.
+# replication-log protocols, the disk queue, the write-behind model
+# schedules, the workload engine — under the race detector, twice, so an
+# interleaving that only fails sometimes gets two chances to.
 chaos:
 	$(GO) test -race -count=2 -timeout $(TEST_TIMEOUT) \
 		./internal/netv3/ ./internal/vvault/ ./internal/diskq/ \

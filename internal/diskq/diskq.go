@@ -6,29 +6,19 @@
 // through a submission queue (many SQEs, one kernel transition) and
 // harvesting completions in batches from a completion queue.
 //
-// Two backends service the same SQ/CQ semantics and must produce
-// byte-identical results:
-//
-//   - io_uring (Linux): raw io_uring_setup/io_uring_enter syscalls, no
-//     cgo. A batch of N operations is one io_uring_enter; completions
-//     are harvested straight from the mmap'd CQ ring. Buffers drawn
-//     from the queue's registered arena are pinned in the kernel
-//     (IORING_REGISTER_BUFFERS) and submitted as READ_FIXED/WRITE_FIXED,
-//     skipping the per-I/O get_user_pages cost — the literal analogue of
-//     the paper's memory-registration caching.
-//   - portable: a bounded worker pool draining the same submission
-//     stream on any platform (and any File implementation, including
-//     fault injectors and latency models), preserving every ordering
-//     guarantee. The differential test in this package drives both
-//     backends over one workload trace and requires identical bytes.
+// One engine services the queue: a router goroutine feeding a bounded
+// worker pool (portable.go), on any platform and over any File
+// implementation, fault injectors and latency models included.
+// (DESIGN.md "What rides the disk queue" records the measurement that
+// retired the raw-syscall kernel-ring alternative.)
 //
 // Ordering: operations may complete in any order, except OpFsync, which
 // is a full drain barrier — it begins only after every earlier
 // submission has completed, and later submissions begin only after it
-// completes (IOSQE_IO_DRAIN on io_uring, an explicit drain point in the
-// portable router). Its completion is also reaped after the completions
-// of everything it waited for, so a consumer that sees the fsync CQE
-// has already seen every write the barrier covers.
+// completes (an explicit drain point in the router). Its completion is
+// also reaped after the completions of everything it waited for, so a
+// consumer that sees the fsync CQE has already seen every write the
+// barrier covers.
 //
 // Concurrency contract: any number of goroutines may submit; exactly
 // one goroutine drives Reap (the completion dispatcher). Submission
@@ -37,9 +27,7 @@ package diskq
 
 import (
 	"errors"
-	"fmt"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -47,28 +35,13 @@ import (
 	"github.com/v3storage/v3/internal/obs"
 )
 
-// File is the storage a Queue operates on. *os.File qualifies for the
-// io_uring backend; anything else (wrapped stores, fault injectors,
-// in-memory volumes) is serviced by the portable backend.
+// File is the storage a Queue operates on: an *os.File, or any wrapped
+// store, fault injector or in-memory volume.
 type File interface {
 	io.ReaderAt
 	io.WriterAt
 	Sync() error
 }
-
-// Backend selects the servicing engine.
-type Backend int
-
-const (
-	// Auto picks io_uring when the File is an *os.File on a kernel that
-	// supports it, else the portable pool.
-	Auto Backend = iota
-	// Portable forces the goroutine-pool backend.
-	Portable
-	// IOUring forces the io_uring backend; Open fails with
-	// ErrUnsupported when it cannot be used.
-	IOUring
-)
 
 // OpKind is a submission's operation type.
 type OpKind uint8
@@ -90,36 +63,21 @@ type Op struct {
 // Completion is one harvested CQE. QueueNS/DeviceNS split the op's life
 // at worker pickup, the decomposition the request tracer attributes to
 // individual requests: QueueNS is submit → service start (SQ wait),
-// DeviceNS is service start → done. The portable backend observes the
-// split directly; io_uring services inside the kernel, so there Reap
-// reports the whole submit → reap life as DeviceNS and QueueNS stays 0.
+// DeviceNS is service start → done. An fsync runs on the router, not a
+// worker, and reports neither.
 type Completion struct {
 	Token    uint64 // the token Submit returned for this op
 	N        int    // bytes transferred (0 for fsync)
 	Err      error  // nil on success
-	QueueNS  int64  // SQ wait (0 when the backend cannot observe it)
+	QueueNS  int64  // SQ wait
 	DeviceNS int64  // service/device time
 }
 
 // Config sizes a Queue.
 type Config struct {
-	// Depth bounds in-flight operations (default 64). The io_uring SQ/CQ
-	// rings are sized to match, so a full queue is backpressure at
-	// Submit, never a dropped completion.
+	// Depth bounds in-flight operations and the worker pool (default 64):
+	// a full queue is backpressure at Submit, never a dropped completion.
 	Depth int
-	// Backend selects the servicing engine (default Auto).
-	Backend Backend
-	// Workers bounds the portable backend's service goroutines
-	// (default: Depth). Ignored by io_uring.
-	Workers int
-	// RegBufs is the number of registered (pinned) staging slabs in the
-	// queue's buffer arena; 0 selects the default (8). Negative disables
-	// the arena. Arena slabs are RegBufSize bytes, O_DIRECT-aligned, and
-	// on io_uring submitted as READ_FIXED/WRITE_FIXED.
-	RegBufs int
-	// RegBufSize is the arena slab size (default 512 KiB — one maximal
-	// destage run).
-	RegBufSize int
 	// Metrics, when non-nil, receives the queue's instrumentation:
 	// submit/reap batch-size histograms, queue-wait vs device-time
 	// split, and in-flight depth. Multiple queues on one registry share
@@ -127,42 +85,22 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// Errors.
-var (
-	ErrClosed      = errors.New("diskq: queue closed")
-	ErrUnsupported = errors.New("diskq: io_uring unsupported here")
-)
+// ErrClosed is returned by Submit and Reap once the queue is closed (and,
+// for Reap, drained).
+var ErrClosed = errors.New("diskq: queue closed")
 
-const (
-	defaultDepth      = 64
-	defaultRegBufs    = 8
-	defaultRegBufSize = 512 << 10
-)
-
-// ring is the backend contract. submit enqueues ops (token, token+1,
-// ...) with one kernel transition / one router pass; reap harvests at
-// least min completions (blocking) unless closing. close stops intake
-// and, after in-flight operations drain, wakes any blocked reaper.
-type ring interface {
-	submit(ops []Op, token uint64) error
-	reap(out []Completion, min int) (int, error)
-	close() error
-	name() string
-}
+const defaultDepth = 64
 
 // Stats is a point-in-time snapshot of queue activity.
 type Stats struct {
 	Submitted int64 // operations submitted
 	Completed int64 // operations reaped
 	Batches   int64 // submit calls that carried more than one op
-	ArenaGets int64 // GetBuf served from the registered arena
-	PoolGets  int64 // GetBuf served from the aligned fallback pool
 }
 
 // Queue is one SQ/CQ pair over a File.
 type Queue struct {
-	r     ring
-	f     File
+	r     *portableRing
 	depth int
 
 	mu       sync.Mutex
@@ -171,47 +109,32 @@ type Queue struct {
 	nextTok  uint64
 	closed   bool
 
-	arena   *arena
-	aligned *bufpool.Aligned
+	bufs *bufpool.Pool // GetBuf/PutBuf staging slabs
 
 	submitted atomic.Int64
 	completed atomic.Int64
 	batches   atomic.Int64
-	arenaGets atomic.Int64
-	poolGets  atomic.Int64
 
 	// Metrics (nil when Config.Metrics is unset).
 	submitBatch *obs.Hist // diskq_submit_batch (ops per submit call)
 	reapBatch   *obs.Hist // diskq_reap_batch (ops per reap return)
-	queueWait   *obs.Hist // diskq_queue_wait_ns (submit → service start; portable only)
-	deviceTime  *obs.Hist // diskq_device_ns (service start → done; portable only)
-	opTotal     *obs.Hist // diskq_op_total_ns (submit → completion; both backends)
+	queueWait   *obs.Hist // diskq_queue_wait_ns (submit → service start)
+	deviceTime  *obs.Hist // diskq_device_ns (service start → done)
+	opTotal     *obs.Hist // diskq_op_total_ns (submit → reap)
 
 	tsMu sync.Mutex
 	ts   map[uint64]int64 // token → submit timestamp, only when metrics on
 }
 
-// Open builds a Queue over f. With Backend Auto an *os.File is probed
-// for io_uring support; everything else (and probe failure) selects the
-// portable backend.
+// Open builds a Queue over f and starts its router and workers. The
+// error is always nil today; the signature is what callers compile
+// against.
 func Open(f File, cfg Config) (*Queue, error) {
 	if cfg.Depth <= 0 {
 		cfg.Depth = defaultDepth
 	}
-	q := &Queue{f: f, depth: cfg.Depth, aligned: bufpool.NewAligned()}
+	q := &Queue{depth: cfg.Depth, bufs: bufpool.New()}
 	q.space = sync.NewCond(&q.mu)
-
-	nbufs, bufsz := cfg.RegBufs, cfg.RegBufSize
-	if nbufs == 0 {
-		nbufs = defaultRegBufs
-	}
-	if bufsz <= 0 {
-		bufsz = defaultRegBufSize
-	}
-	if nbufs > 0 {
-		q.arena = newArena(nbufs, bufsz)
-	}
-
 	if r := cfg.Metrics; r != nil {
 		q.submitBatch = r.Hist("diskq_submit_batch")
 		q.reapBatch = r.Hist("diskq_reap_batch")
@@ -220,38 +143,9 @@ func Open(f File, cfg Config) (*Queue, error) {
 		q.opTotal = r.Hist("diskq_op_total_ns")
 		q.ts = make(map[uint64]int64, cfg.Depth)
 	}
-
-	portable := func() *portableRing {
-		pr := newPortableRing(f, cfg.Depth, cfg.Workers, q.queueWait, q.deviceTime)
-		return pr
-	}
-	switch cfg.Backend {
-	case Portable:
-		q.r = portable()
-	case IOUring, Auto:
-		osf, ok := f.(*os.File)
-		if ok {
-			r, err := newURing(osf, cfg.Depth, q.arena)
-			if err == nil {
-				q.r = r
-				break
-			}
-			if cfg.Backend == IOUring {
-				return nil, err
-			}
-		} else if cfg.Backend == IOUring {
-			return nil, fmt.Errorf("%w: not an *os.File", ErrUnsupported)
-		}
-		q.r = portable()
-	default:
-		return nil, fmt.Errorf("diskq: unknown backend %d", cfg.Backend)
-	}
+	q.r = newPortableRing(f, cfg.Depth, q.queueWait, q.deviceTime)
 	return q, nil
 }
-
-// BackendName reports which engine services this queue ("io_uring" or
-// "portable").
-func (q *Queue) BackendName() string { return q.r.name() }
 
 // Depth returns the configured in-flight bound.
 func (q *Queue) Depth() int { return q.depth }
@@ -269,8 +163,6 @@ func (q *Queue) Stats() Stats {
 		Submitted: q.submitted.Load(),
 		Completed: q.completed.Load(),
 		Batches:   q.batches.Load(),
-		ArenaGets: q.arenaGets.Load(),
-		PoolGets:  q.poolGets.Load(),
 	}
 }
 
@@ -300,14 +192,14 @@ func (q *Queue) submitOne(op Op) (uint64, error) {
 	return tok, nil
 }
 
-// Submit enqueues a batch of operations in one pass (one io_uring_enter
-// for batches up to Depth; larger batches are chunked, blocking between
-// chunks). It returns the first token and the number of ops actually
-// handed to the backend; op i carries token first+i. Submit blocks
-// while the queue is at depth — the backpressure that bounds in-flight
-// I/O. On error, completions will arrive for exactly the first n ops
-// and never for the rest — a caller with a synchronous fallback runs it
-// on ops[n:] only, so nothing is issued twice.
+// Submit enqueues a batch of operations in one pass (batches larger than
+// Depth are chunked, blocking between chunks). It returns the first
+// token and the number of ops actually handed to the engine; op i
+// carries token first+i. Submit blocks while the queue is at depth — the
+// backpressure that bounds in-flight I/O. On error, completions will
+// arrive for exactly the first n ops and never for the rest — a caller
+// with a synchronous fallback runs it on ops[n:] only, so nothing is
+// issued twice.
 func (q *Queue) Submit(ops []Op) (first uint64, n int, err error) {
 	if len(ops) == 0 {
 		return 0, 0, errors.New("diskq: empty batch")
@@ -324,7 +216,7 @@ func (q *Queue) Submit(ops []Op) (first uint64, n int, err error) {
 	// would collide on one completion token. Reserving first..first+len-1
 	// here keeps every batch's tokens contiguous and unique no matter how
 	// submissions interleave; tokens reserved for ops that are never
-	// handed to the backend (close mid-batch) simply go unused.
+	// handed to the engine (close mid-batch) simply go unused.
 	first = q.nextTok
 	q.nextTok += uint64(len(ops))
 	rest := ops
@@ -349,9 +241,7 @@ func (q *Queue) Submit(ops []Op) (first uint64, n int, err error) {
 			}
 			q.tsMu.Unlock()
 		}
-		if err := q.r.submit(chunk, tok); err != nil {
-			return first, n, err
-		}
+		q.r.submit(chunk, tok)
 		q.inFlight += k
 		tok += uint64(k)
 		n += k
@@ -365,33 +255,6 @@ func (q *Queue) Submit(ops []Op) (first uint64, n int, err error) {
 		q.batches.Add(1)
 	}
 	return first, n, nil
-}
-
-// TrySubmit enqueues one operation without blocking: a false return
-// means the queue is at depth (or closed) and the caller should take
-// its fallback path.
-func (q *Queue) TrySubmit(op Op) (uint64, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || q.inFlight >= q.depth {
-		return 0, false
-	}
-	tok := q.nextTok
-	if q.ts != nil {
-		q.tsMu.Lock()
-		q.ts[tok] = obs.Now()
-		q.tsMu.Unlock()
-	}
-	if err := q.r.submit([]Op{op}, tok); err != nil {
-		return 0, false
-	}
-	q.inFlight++
-	q.nextTok++
-	q.submitted.Add(1)
-	if q.submitBatch != nil {
-		q.submitBatch.Observe(1)
-	}
-	return tok, true
 }
 
 // Reap harvests completions into out, blocking until at least min are
@@ -416,12 +279,6 @@ func (q *Queue) Reap(out []Completion, min int) (int, error) {
 				if t0, ok := q.ts[out[i].Token]; ok {
 					delete(q.ts, out[i].Token)
 					q.opTotal.Observe(now - t0)
-					// io_uring services inside the kernel and posts no
-					// split; report the whole submit→reap life as device
-					// time so traced requests still account the stage.
-					if out[i].QueueNS == 0 && out[i].DeviceNS == 0 {
-						out[i].DeviceNS = now - t0
-					}
 				}
 			}
 			q.tsMu.Unlock()
@@ -430,30 +287,15 @@ func (q *Queue) Reap(out []Completion, min int) (int, error) {
 	return n, err
 }
 
-// GetBuf returns an I/O staging buffer of length n: a pinned arena slab
-// when one fits and is free (registered with the kernel on io_uring),
-// else an O_DIRECT-aligned pooled slab. Pair with PutBuf.
-func (q *Queue) GetBuf(n int) []byte {
-	if q.arena != nil {
-		if b := q.arena.get(n); b != nil {
-			q.arenaGets.Add(1)
-			return b
-		}
-	}
-	q.poolGets.Add(1)
-	return q.aligned.Get(n)
-}
+// GetBuf returns a pooled I/O staging buffer of length n. Pair with
+// PutBuf.
+func (q *Queue) GetBuf(n int) []byte { return q.bufs.Get(n) }
 
 // PutBuf returns a GetBuf buffer for reuse.
-func (q *Queue) PutBuf(b []byte) {
-	if q.arena != nil && q.arena.put(b) {
-		return
-	}
-	q.aligned.Put(b)
-}
+func (q *Queue) PutBuf(b []byte) { q.bufs.Put(b) }
 
 // Close stops intake and waits for in-flight operations to drain
-// through the backend; their completions remain reapable until the
+// through the engine; their completions remain reapable until the
 // dispatcher has harvested everything, after which Reap returns
 // ErrClosed.
 func (q *Queue) Close() error {
@@ -465,5 +307,6 @@ func (q *Queue) Close() error {
 	q.closed = true
 	q.space.Broadcast()
 	q.mu.Unlock()
-	return q.r.close()
+	q.r.close()
+	return nil
 }

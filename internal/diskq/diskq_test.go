@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -28,23 +27,7 @@ func newTestFile(t *testing.T, size int64) *os.File {
 	return f
 }
 
-// uringAvailable probes once whether this kernel services io_uring.
-var uringAvailable = func() bool {
-	f, err := os.CreateTemp("", "diskq-probe")
-	if err != nil {
-		return false
-	}
-	defer os.Remove(f.Name())
-	defer f.Close()
-	q, err := Open(f, Config{Depth: 4, Backend: IOUring})
-	if err != nil {
-		return false
-	}
-	defer drainClose(q)
-	return true
-}()
-
-// drainClose closes q and reaps until the backend reports drained, as
+// drainClose closes q and reaps until the engine reports drained, as
 // the single-consumer contract requires.
 func drainClose(q *Queue) {
 	q.Close()
@@ -56,18 +39,9 @@ func drainClose(q *Queue) {
 	}
 }
 
-// eachBackend runs fn once per available backend. The portable pool
-// always runs; io_uring runs whenever the kernel cooperates, so on the
-// Linux CI runner every test exercises both engines.
-func eachBackend(t *testing.T, fn func(t *testing.T, b Backend)) {
-	t.Run("portable", func(t *testing.T) { fn(t, Portable) })
-	t.Run("io_uring", func(t *testing.T) {
-		if !uringAvailable {
-			t.Skip("io_uring not available on this kernel")
-		}
-		fn(t, IOUring)
-	})
-}
+// portable runs fn as the subtest "portable" — the id each test of the
+// worker-pool engine is tracked under (TestX/portable).
+func portable(t *testing.T, fn func(t *testing.T)) { t.Run("portable", fn) }
 
 // reapN harvests exactly n completions.
 func reapN(t *testing.T, q *Queue, n int) []Completion {
@@ -85,9 +59,9 @@ func reapN(t *testing.T, q *Queue, n int) []Completion {
 }
 
 func TestReadWriteFsync(t *testing.T) {
-	eachBackend(t, func(t *testing.T, b Backend) {
+	portable(t, func(t *testing.T) {
 		f := newTestFile(t, 1<<20)
-		q, err := Open(f, Config{Depth: 8, Backend: b})
+		q, err := Open(f, Config{Depth: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,9 +102,9 @@ func TestReadWriteFsync(t *testing.T) {
 }
 
 func TestVectoredBatchTokens(t *testing.T) {
-	eachBackend(t, func(t *testing.T, b Backend) {
+	portable(t, func(t *testing.T) {
 		f := newTestFile(t, 1<<20)
-		q, err := Open(f, Config{Depth: 16, Backend: b})
+		q, err := Open(f, Config{Depth: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,9 +159,9 @@ func TestVectoredBatchTokens(t *testing.T) {
 // depth: Submit must chunk it internally, blocking on its own
 // completions, provided someone reaps.
 func TestBatchLargerThanDepth(t *testing.T) {
-	eachBackend(t, func(t *testing.T, b Backend) {
+	portable(t, func(t *testing.T) {
 		f := newTestFile(t, 1<<20)
-		q, err := Open(f, Config{Depth: 4, Backend: b})
+		q, err := Open(f, Config{Depth: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +199,8 @@ func TestBatchLargerThanDepth(t *testing.T) {
 }
 
 // slowFile's reads take real time, keeping a tiny queue full so a
-// blocking batch Submit parks between chunks while TrySubmit races it.
+// blocking batch Submit parks between chunks while single submits race
+// it.
 type slowFile struct{}
 
 func (slowFile) ReadAt(p []byte, off int64) (int, error) {
@@ -238,13 +213,13 @@ func (slowFile) Sync() error                              { return nil }
 
 // TestSubmitTokensUniqueUnderInterleaving is the regression test for a
 // token-collision bug: Submit waits for queue space between chunks with
-// the queue mutex released, so a concurrent TrySubmit can draw tokens
+// the queue mutex released, so a concurrent submitter can draw tokens
 // mid-batch. The batch must reserve its whole contiguous token range up
 // front — if it instead re-derives tokens from a stale local counter,
 // two in-flight ops share one token and a completion is lost. Every
 // completion's token must be unique.
 func TestSubmitTokensUniqueUnderInterleaving(t *testing.T) {
-	q, err := Open(slowFile{}, Config{Depth: 2, Backend: Portable})
+	q, err := Open(slowFile{}, Config{Depth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,12 +254,13 @@ func TestSubmitTokensUniqueUnderInterleaving(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		accepted := 0
-		for spins := 0; accepted < batchOps && spins < 1_000_000; spins++ {
-			if tok, ok := q.TrySubmit(Op{Kind: OpRead, Buf: make([]byte, 64), Off: 0}); ok {
-				note(tok, 1)
-				accepted++
+		for i := 0; i < batchOps; i++ {
+			tok, err := q.SubmitRead(make([]byte, 64), 0)
+			if err != nil {
+				t.Errorf("single submit: %v", err)
+				return
 			}
+			note(tok, 1)
 		}
 	}()
 
@@ -326,9 +302,9 @@ func TestSubmitTokensUniqueUnderInterleaving(t *testing.T) {
 // fsync completion must be reaped after the completion of every write
 // submitted before it.
 func TestFsyncBarrierOrdering(t *testing.T) {
-	eachBackend(t, func(t *testing.T, b Backend) {
+	portable(t, func(t *testing.T) {
 		f := newTestFile(t, 1<<20)
-		q, err := Open(f, Config{Depth: 32, Backend: b})
+		q, err := Open(f, Config{Depth: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,16 +341,16 @@ func TestFsyncBarrierOrdering(t *testing.T) {
 	})
 }
 
-// TestReadPastEOFZeroFills pins the sparse-store read contract both
-// backends share: a read overlapping end-of-file reports full length
-// with the tail zeroed, exactly like a hole.
+// TestReadPastEOFZeroFills pins the sparse-store read contract: a read
+// overlapping end-of-file reports full length with the tail zeroed,
+// exactly like a hole.
 func TestReadPastEOFZeroFills(t *testing.T) {
-	eachBackend(t, func(t *testing.T, b Backend) {
+	portable(t, func(t *testing.T) {
 		f := newTestFile(t, 100)
 		if _, err := f.WriteAt(bytes.Repeat([]byte{0xee}, 100), 0); err != nil {
 			t.Fatal(err)
 		}
-		q, err := Open(f, Config{Depth: 4, Backend: b})
+		q, err := Open(f, Config{Depth: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,68 +377,11 @@ func TestReadPastEOFZeroFills(t *testing.T) {
 	})
 }
 
-// TestTrySubmitBackpressure fills the queue to depth and checks that
-// TrySubmit refuses instead of blocking, then succeeds after a reap
-// frees a slot.
-func TestTrySubmitBackpressure(t *testing.T) {
-	// Portable only: backpressure needs I/O held open, which wants a
-	// controllable File.
-	gate := make(chan struct{})
-	bf := &blockingFile{gate: gate, size: 1 << 20}
-	q, err := Open(bf, Config{Depth: 2, Backend: Portable})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { close(gate); drainClose(q) }()
-
-	b := make([]byte, 64)
-	if _, ok := q.TrySubmit(Op{Kind: OpRead, Buf: b, Off: 0}); !ok {
-		t.Fatal("first TrySubmit refused")
-	}
-	if _, ok := q.TrySubmit(Op{Kind: OpRead, Buf: make([]byte, 64), Off: 64}); !ok {
-		t.Fatal("second TrySubmit refused")
-	}
-	if _, ok := q.TrySubmit(Op{Kind: OpRead, Buf: make([]byte, 64), Off: 128}); ok {
-		t.Fatal("TrySubmit beyond depth accepted")
-	}
-	if got := q.InFlight(); got != 2 {
-		t.Fatalf("InFlight = %d, want 2", got)
-	}
-	gate <- struct{}{} // release one read
-	reapN(t, q, 1)
-	if _, ok := q.TrySubmit(Op{Kind: OpRead, Buf: make([]byte, 64), Off: 128}); !ok {
-		t.Fatal("TrySubmit after reap refused")
-	}
-	gate <- struct{}{}
-	gate <- struct{}{}
-	reapN(t, q, 2)
-}
-
-// blockingFile's reads block until released via gate; writes and sync
-// are immediate. It stands in for a device with controllable latency.
-type blockingFile struct {
-	gate chan struct{}
-	size int64
-	mu   sync.Mutex
-	data map[int64][]byte
-}
-
-func (b *blockingFile) ReadAt(p []byte, off int64) (int, error) {
-	<-b.gate
-	for i := range p {
-		p[i] = 0
-	}
-	return len(p), nil
-}
-
-func (b *blockingFile) WriteAt(p []byte, off int64) (int, error) { return len(p), nil }
-func (b *blockingFile) Sync() error                              { return nil }
-
 // TestReapMinZeroPolls checks min<=0 never blocks.
 func TestReapMinZeroPolls(t *testing.T) {
-	eachBackend(t, func(t *testing.T, b Backend) {
+	portable(t, func(t *testing.T) {
 		f := newTestFile(t, 4096)
-		q, err := Open(f, Config{Depth: 4, Backend: b})
+		q, err := Open(f, Config{Depth: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,9 +406,9 @@ func TestReapMinZeroPolls(t *testing.T) {
 // TestCloseWakesReaper blocks a reaper on an idle queue and closes it:
 // the reaper must wake with ErrClosed, not hang.
 func TestCloseWakesReaper(t *testing.T) {
-	eachBackend(t, func(t *testing.T, b Backend) {
+	portable(t, func(t *testing.T) {
 		f := newTestFile(t, 4096)
-		q, err := Open(f, Config{Depth: 4, Backend: b})
+		q, err := Open(f, Config{Depth: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,9 +436,9 @@ func TestCloseWakesReaper(t *testing.T) {
 // TestCloseDrainsInFlight submits work, closes immediately, and checks
 // every accepted op still completes before ErrClosed.
 func TestCloseDrainsInFlight(t *testing.T) {
-	eachBackend(t, func(t *testing.T, b Backend) {
+	portable(t, func(t *testing.T) {
 		f := newTestFile(t, 1<<20)
-		q, err := Open(f, Config{Depth: 32, Backend: b})
+		q, err := Open(f, Config{Depth: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -558,9 +477,9 @@ func TestCloseDrainsInFlight(t *testing.T) {
 // TestConcurrentSubmitters races many submitters against one reaper —
 // the package's -race workout.
 func TestConcurrentSubmitters(t *testing.T) {
-	eachBackend(t, func(t *testing.T, b Backend) {
+	portable(t, func(t *testing.T) {
 		f := newTestFile(t, 1<<20)
-		q, err := Open(f, Config{Depth: 16, Backend: b})
+		q, err := Open(f, Config{Depth: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -625,170 +544,11 @@ func TestConcurrentSubmitters(t *testing.T) {
 	})
 }
 
-// TestDifferential replays one pseudo-random workload trace through the
-// io_uring backend and the portable fallback and requires byte-identical
-// outcomes: every read completion's buffer and the final file image.
-// This is the acceptance gate that lets every consumer test run on
-// either backend interchangeably.
-func TestDifferential(t *testing.T) {
-	if !uringAvailable {
-		t.Skip("io_uring not available; differential needs both backends")
-	}
-	const (
-		fileSize = 1 << 20
-		rounds   = 40
-		opsPer   = 12
-		depth    = 16
-	)
-
-	type traceOp struct {
-		write bool
-		off   int64
-		n     int
-		seed  int64
-	}
-	rng := rand.New(rand.NewSource(0x5eed))
-	var trace [][]traceOp
-	for r := 0; r < rounds; r++ {
-		// Within a round offsets are disjoint, so intra-round completion
-		// order cannot affect the bytes; rounds are separated by a
-		// reap-all barrier.
-		write := r%2 == 0
-		used := map[int64]bool{}
-		var round []traceOp
-		for len(round) < opsPer {
-			blk := rng.Int63n(fileSize / 4096)
-			if used[blk] {
-				continue
-			}
-			used[blk] = true
-			round = append(round, traceOp{write: write, off: blk * 4096, n: 4096, seed: rng.Int63()})
-		}
-		trace = append(trace, round)
-	}
-
-	run := func(b Backend) ([]byte, [][]byte) {
-		f := newTestFile(t, fileSize)
-		q, err := Open(f, Config{Depth: depth, Backend: b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var readBufs [][]byte
-		for r, round := range trace {
-			ops := make([]Op, 0, len(round))
-			for _, to := range round {
-				buf := make([]byte, to.n)
-				if to.write {
-					rand.New(rand.NewSource(to.seed)).Read(buf)
-				} else {
-					readBufs = append(readBufs, buf)
-				}
-				kind := OpRead
-				if to.write {
-					kind = OpWrite
-				}
-				ops = append(ops, Op{Kind: kind, Buf: buf, Off: to.off})
-			}
-			if _, _, err := q.Submit(ops); err != nil {
-				t.Fatalf("round %d: %v", r, err)
-			}
-			for _, c := range reapN(t, q, len(ops)) {
-				if c.Err != nil {
-					t.Fatalf("round %d completion: %v", r, c.Err)
-				}
-			}
-			if r%7 == 6 {
-				if _, err := q.SubmitFsync(); err != nil {
-					t.Fatal(err)
-				}
-				reapN(t, q, 1)
-			}
-		}
-		drainClose(q)
-		img := make([]byte, fileSize)
-		if _, err := f.ReadAt(img, 0); err != nil {
-			t.Fatal(err)
-		}
-		return img, readBufs
-	}
-
-	imgU, readsU := run(IOUring)
-	imgP, readsP := run(Portable)
-	if !bytes.Equal(imgU, imgP) {
-		t.Fatal("final file images differ between io_uring and portable backends")
-	}
-	if len(readsU) != len(readsP) {
-		t.Fatalf("read counts differ: %d vs %d", len(readsU), len(readsP))
-	}
-	for i := range readsU {
-		if !bytes.Equal(readsU[i], readsP[i]) {
-			t.Fatalf("read %d differs between backends", i)
-		}
-	}
-}
-
-// TestRegisteredBuffers exercises the arena: in-arena gets, fallback to
-// the aligned pool on exhaustion and oversize, alignment of everything,
-// and I/O through arena slabs (FIXED opcodes on io_uring).
-func TestRegisteredBuffers(t *testing.T) {
-	eachBackend(t, func(t *testing.T, b Backend) {
-		f := newTestFile(t, 1<<20)
-		q, err := Open(f, Config{Depth: 8, Backend: b, RegBufs: 2, RegBufSize: 64 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer drainClose(q)
-
-		b1 := q.GetBuf(64 << 10)
-		b2 := q.GetBuf(4096)
-		b3 := q.GetBuf(4096)    // arena exhausted → pool
-		b4 := q.GetBuf(128 << 10) // oversize → pool
-		for i, buf := range [][]byte{b1, b2, b3, b4} {
-			if len(buf) == 0 {
-				t.Fatalf("buf %d empty", i)
-			}
-		}
-		st := q.Stats()
-		if st.ArenaGets != 2 || st.PoolGets != 2 {
-			t.Fatalf("gets = arena %d pool %d, want 2/2", st.ArenaGets, st.PoolGets)
-		}
-
-		// I/O through an arena slab (the registered path on io_uring).
-		copy(b1, bytes.Repeat([]byte{0xcd}, len(b1)))
-		if _, err := q.SubmitWrite(b1[:8192], 0); err != nil {
-			t.Fatal(err)
-		}
-		if c := reapN(t, q, 1)[0]; c.Err != nil || c.N != 8192 {
-			t.Fatalf("arena write completion = %+v", c)
-		}
-		got := q.GetBuf(8192) // reuses pooled space; content overwritten by read
-		if _, err := q.SubmitRead(got, 0); err != nil {
-			t.Fatal(err)
-		}
-		if c := reapN(t, q, 1)[0]; c.Err != nil {
-			t.Fatalf("read completion = %+v", c)
-		}
-		if got[0] != 0xcd || got[8191] != 0xcd {
-			t.Fatal("arena-written bytes not read back")
-		}
-		q.PutBuf(b1)
-		q.PutBuf(b2)
-		q.PutBuf(b3)
-		q.PutBuf(b4)
-		q.PutBuf(got)
-		if b5 := q.GetBuf(32 << 10); len(b5) != 32<<10 {
-			t.Fatal("arena reuse after PutBuf failed")
-		} else if st := q.Stats(); st.ArenaGets != 3 {
-			t.Fatalf("ArenaGets = %d after Put/Get cycle, want 3", st.ArenaGets)
-		}
-	})
-}
-
 func TestMetricsRecorded(t *testing.T) {
-	eachBackend(t, func(t *testing.T, b Backend) {
+	portable(t, func(t *testing.T) {
 		reg := obs.New()
 		f := newTestFile(t, 1<<20)
-		q, err := Open(f, Config{Depth: 8, Backend: b, Metrics: reg})
+		q, err := Open(f, Config{Depth: 8, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -810,54 +570,20 @@ func TestMetricsRecorded(t *testing.T) {
 		if n := reg.Hist("diskq_op_total_ns").Snapshot().Count(); n != 4 {
 			t.Fatalf("op-total histogram count = %d, want 4", n)
 		}
-		if b == Portable {
-			if n := reg.Hist("diskq_queue_wait_ns").Snapshot().Count(); n != 4 {
-				t.Fatalf("queue-wait count = %d, want 4", n)
-			}
-			if n := reg.Hist("diskq_device_ns").Snapshot().Count(); n != 4 {
-				t.Fatalf("device-time count = %d, want 4", n)
-			}
+		if n := reg.Hist("diskq_queue_wait_ns").Snapshot().Count(); n != 4 {
+			t.Fatalf("queue-wait count = %d, want 4", n)
+		}
+		if n := reg.Hist("diskq_device_ns").Snapshot().Count(); n != 4 {
+			t.Fatalf("device-time count = %d, want 4", n)
 		}
 	})
-}
-
-// TestBackendSelection pins Auto's choices: *os.File lands on io_uring
-// where available; a non-file File always lands on the portable pool,
-// and forcing IOUring on one fails loudly.
-func TestBackendSelection(t *testing.T) {
-	bf := &blockingFile{gate: make(chan struct{}), size: 4096}
-	q, err := Open(bf, Config{Depth: 2, Backend: Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.BackendName() != "portable" {
-		t.Fatalf("Auto over non-file chose %q", q.BackendName())
-	}
-	close(bf.gate)
-	drainClose(q)
-
-	if _, err := Open(bf, Config{Depth: 2, Backend: IOUring}); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("IOUring over non-file = %v, want ErrUnsupported", err)
-	}
-
-	if uringAvailable {
-		f := newTestFile(t, 4096)
-		q, err := Open(f, Config{Depth: 2, Backend: Auto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.BackendName() != "io_uring" {
-			t.Fatalf("Auto over *os.File chose %q", q.BackendName())
-		}
-		drainClose(q)
-	}
 }
 
 // TestErrorCompletion checks an I/O error surfaces on the completion,
 // not the submit, and carries the op range's actual failure.
 func TestErrorCompletion(t *testing.T) {
 	ef := &errFile{err: fmt.Errorf("injected device error")}
-	q, err := Open(ef, Config{Depth: 2, Backend: Portable})
+	q, err := Open(ef, Config{Depth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package diskq
 
 import (
+	"io"
 	"sync"
 
 	"github.com/v3storage/v3/internal/obs"
@@ -12,9 +13,8 @@ import (
 // workers and complete in any order, while an fsync is a drain
 // barrier — the router stops dispatching, waits for every in-service
 // operation's completion to be posted, runs Sync inline, posts the
-// fsync completion, and only then resumes. That reproduces io_uring's
-// IOSQE_IO_DRAIN semantics including CQ ordering: the fsync CQE is
-// visible only after every CQE it waited for.
+// fsync completion, and only then resumes. CQ ordering follows: the
+// fsync CQE is visible only after every CQE it waited for.
 type portableRing struct {
 	f File
 
@@ -36,10 +36,7 @@ type portableRing struct {
 	workerWG sync.WaitGroup
 	routerWG sync.WaitGroup
 
-	// queueWait/deviceTime split an op's latency at worker pickup — the
-	// decomposition only this backend can observe directly (io_uring
-	// services inside the kernel, so there the Queue's op-total histogram
-	// is the finest grain).
+	// queueWait/deviceTime split an op's latency at worker pickup.
 	queueWait  *obs.Hist
 	deviceTime *obs.Hist
 }
@@ -51,13 +48,9 @@ type pOp struct {
 	enq int64
 }
 
-func newPortableRing(f File, depth, workers int, queueWait, deviceTime *obs.Hist) *portableRing {
-	if workers <= 0 {
-		workers = depth
-	}
-	if workers > depth {
-		workers = depth
-	}
+// newPortableRing starts the router and one worker per queue slot, so an
+// accepted op never waits for a worker behind another op's device time.
+func newPortableRing(f File, depth int, queueWait, deviceTime *obs.Hist) *portableRing {
 	r := &portableRing{
 		f:          f,
 		sq:         make(chan pOp, depth),
@@ -67,7 +60,7 @@ func newPortableRing(f File, depth, workers int, queueWait, deviceTime *obs.Hist
 	}
 	r.cqCond = sync.NewCond(&r.cqMu)
 	r.svcCond = sync.NewCond(&r.svcMu)
-	for i := 0; i < workers; i++ {
+	for i := 0; i < depth; i++ {
 		r.workerWG.Add(1)
 		go r.worker()
 	}
@@ -76,16 +69,14 @@ func newPortableRing(f File, depth, workers int, queueWait, deviceTime *obs.Hist
 	return r
 }
 
-func (r *portableRing) name() string { return "portable" }
-
-func (r *portableRing) submit(ops []Op, token uint64) error {
+// submit enqueues ops as tokens token, token+1, ... in one router pass.
+func (r *portableRing) submit(ops []Op, token uint64) {
 	// Always stamped: the queue-wait/device-time split rides every
 	// Completion for per-request tracing, not just the metric histograms.
 	now := obs.Now()
 	for i, op := range ops {
 		r.sq <- pOp{op: op, tok: token + uint64(i), enq: now}
 	}
-	return nil
 }
 
 // router pulls the submission stream in order, fanning regular ops to
@@ -167,6 +158,7 @@ func (r *portableRing) post(c Completion) {
 	r.cqMu.Unlock()
 }
 
+// reap harvests at least min completions (blocking) unless closing.
 func (r *portableRing) reap(out []Completion, min int) (int, error) {
 	if min > len(out) {
 		min = len(out)
@@ -188,8 +180,21 @@ func (r *portableRing) reap(out []Completion, min int) (int, error) {
 // close stops intake; the router drains in-flight work, the workers
 // exit, and the CQ transitions to closed once every completion is
 // posted.
-func (r *portableRing) close() error {
+func (r *portableRing) close() {
 	close(r.sq)
 	r.routerWG.Wait()
-	return nil
+}
+
+// normalizeRead maps a ReaderAt result onto the queue's sparse-store read
+// contract: a read that ran past end-of-file zero-fills the remainder and
+// reports success, exactly like reading a sparse hole.
+func normalizeRead(buf []byte, n int, err error) (int, error) {
+	if n < 0 {
+		n = 0
+	}
+	if n < len(buf) && (err == nil || err == io.EOF || err == io.ErrUnexpectedEOF) {
+		clear(buf[n:])
+		return len(buf), nil
+	}
+	return n, err
 }

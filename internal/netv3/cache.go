@@ -2,6 +2,7 @@ package netv3
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,9 +38,9 @@ var errCacheBusy = errors.New("netv3: cache shard full of uncommitted blocks")
 //     Evicting one would either lose acked data (dirty) or let a reader
 //     re-fill the block from the store while the destager's batch write
 //     for the same bytes is still in flight (flushing) — a torn read.
-//     Should one slip through anyway, evictLocked still moves the
-//     payload to the orphan list, where the destager commits it and a
-//     re-fetching reader can re-adopt it.
+//     A pinned resident block is therefore the one encoding of "acked
+//     but not durable": each shard's pinned set equals dirty ∪ flushing,
+//     and evictLocked panics on a victim that breaks it.
 //   - Miss fills read the store while holding the block's shard lock,
 //     and writers update the store before the cache: an in-flight fill
 //     can observe stale store bytes, but the writer's cache update is
@@ -59,31 +60,11 @@ type blockCache struct {
 	// (the union of the shards' pref sets). The prefetcher refuses new
 	// windows once this passes its residency budget: unconsumed
 	// read-ahead competing with demand blocks for cache slots evicts the
-	// very state it is trying to shortcut — and under write load it
-	// pushes dirty blocks into orphan limbo. prefBudget is the cap, a
+	// very state it is trying to shortcut. prefBudget is the cap, a
 	// quarter of the cache.
 	prefResident atomic.Int64
 	prefBudget   int64
 	prefDiscards atomic.Int64 // dead-stream read-ahead blocks dropped
-
-	// Orphans: dirty/flushing payloads whose blocks were evicted before
-	// the destager committed them. orphanCount mirrors len(orphans) so
-	// the (hot) read path can skip the lock when the list is empty.
-	orphanMu    sync.Mutex
-	orphans     []*orphanEntry
-	orphanCount atomic.Int64
-	// orphanedTotal counts every block ever moved to the orphan list.
-	// Pinning is meant to keep it at zero; the test suites assert that at
-	// every server teardown — the evidence the orphan list needs before
-	// it can go.
-	orphanedTotal atomic.Int64
-}
-
-type orphanEntry struct {
-	blk     uint64
-	payload []byte // full cacheBlockSize slab, tail zeroed
-	n       int64  // meaningful bytes (short only for the volume's tail block)
-	writing bool   // destager is committing it right now
 }
 
 type cacheShard struct {
@@ -95,11 +76,11 @@ type cacheShard struct {
 	pref     map[uint64]struct{} // installed by prefetch, not yet demanded
 
 	// epochs count content-changing events in this shard, striped by
-	// block number: write absorbs, committed-write folds, destage
-	// unstages, and orphan commits all bump the written block's stripe
-	// under mu. The prefetcher reads the store without holding shard
-	// locks; it snapshots the covered blocks' stripes when it plans a
-	// window and revalidates at install — an unchanged stripe proves no
+	// block number: write absorbs, committed-write folds and destage
+	// unstages all bump the written block's stripe under mu. The
+	// prefetcher reads the store without holding shard locks; it
+	// snapshots the covered blocks' stripes when it plans a window and
+	// revalidates at install — an unchanged stripe proves no
 	// write touched any block sharing it mid-flight, so the store bytes it
 	// read are neither stale nor torn. Striping (rather than one counter
 	// per shard) keeps the false-conflict rate low under mixed workloads:
@@ -205,132 +186,23 @@ func (c *blockCache) prefetchDiscard(blks []uint64) int {
 	return dropped
 }
 
-// evictLocked disposes of a victim the MQ just evicted. Clean victims
-// release their slab; dirty or flushing victims move to the orphan list
-// so their bytes are never lost or raced (see the type comment). Call
-// with sh.mu held.
-func (c *blockCache) evictLocked(v *volume, sh *cacheShard, victim uint64) {
-	payload := sh.data[victim]
-	delete(sh.data, victim)
+// evictLocked releases the slab of a victim the MQ just evicted. The MQ
+// never selects a pinned entry and every dirty or flushing block is
+// pinned, so the victim is clean; one that is not is a bug that would
+// drop an acked write, and that must never happen quietly. Call with
+// sh.mu held.
+func (c *blockCache) evictLocked(sh *cacheShard, victim uint64) {
 	_, dirty := sh.dirty[victim]
 	_, flushing := sh.flushing[victim]
-	delete(sh.dirty, victim)
-	delete(sh.flushing, victim)
+	if dirty || flushing {
+		panic(fmt.Sprintf("netv3: cache evicted block %d holding uncommitted bytes (dirty=%v flushing=%v)", victim, dirty, flushing))
+	}
 	if _, p := sh.pref[victim]; p {
 		delete(sh.pref, victim)
 		c.prefResident.Add(-1)
 	}
-	if dirty {
-		c.dirtyCount.Add(-1)
-	}
-	if dirty || flushing {
-		e := &orphanEntry{blk: victim, payload: payload, n: blockLen(v.store.Size(), victim)}
-		c.orphanMu.Lock()
-		c.orphans = append(c.orphans, e)
-		c.orphanMu.Unlock()
-		c.orphanCount.Add(1)
-		c.orphanedTotal.Add(1)
-		return
-	}
-	c.pool.Put(payload)
-}
-
-// adoptOrphan returns an owned copy of blk's orphaned payload, or nil.
-// An orphan the destager is not yet committing is removed (the adopter
-// re-marks the block dirty, making the cache the single source of
-// truth); one mid-commit is left for the destager to finish.
-//
-// The list can hold several entries for one block: adopting a mid-commit
-// entry leaves it behind, and evicting the re-adopted dirty block
-// appends a fresh one. Entries append in age order, so the newest — the
-// last match — carries the authoritative bytes; adopting an older one
-// would resurrect data a later write already superseded.
-func (c *blockCache) adoptOrphan(blk uint64) []byte {
-	if c.orphanCount.Load() == 0 {
-		return nil
-	}
-	c.orphanMu.Lock()
-	defer c.orphanMu.Unlock()
-	idx := -1
-	for i, e := range c.orphans {
-		if e.blk == blk {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return nil
-	}
-	e := c.orphans[idx]
-	cp := c.pool.Get(cacheBlockSize)
-	copy(cp, e.payload)
-	if !e.writing {
-		c.orphans = append(c.orphans[:idx], c.orphans[idx+1:]...)
-		c.orphanCount.Add(-1)
-		c.pool.Put(e.payload)
-	}
-	return cp
-}
-
-// peekOrphan copies bytes [within, within+n) of blk's newest orphan
-// payload into dst without adopting the entry — the read path for a
-// refused cache insert: the bytes stay in orphan limbo (the destager
-// still commits them) and the reader just observes them. Newest-match
-// wins, as in adoptOrphan.
-func (c *blockCache) peekOrphan(blk uint64, within, n int64, dst []byte) bool {
-	if c.orphanCount.Load() == 0 {
-		return false
-	}
-	c.orphanMu.Lock()
-	defer c.orphanMu.Unlock()
-	var e *orphanEntry
-	for _, cand := range c.orphans {
-		if cand.blk == blk {
-			e = cand
-		}
-	}
-	if e == nil {
-		return false
-	}
-	copy(dst, e.payload[within:within+n])
-	return true
-}
-
-// orphanFold merges write bytes into blk's newest orphan entry, for the
-// write-through path when the cache refuses to adopt the orphan (shard
-// full of pinned blocks). The destager later commits the merged payload
-// in queue order, preserving write ordering without a cache slot.
-// Reports false if no foldable entry exists (none, or the newest is
-// mid-commit — impossible while the caller holds the destage mutex, as
-// writeThrough does, since drains run entirely under it).
-func (c *blockCache) orphanFold(blk uint64, within, n int64, src []byte) bool {
-	c.orphanMu.Lock()
-	defer c.orphanMu.Unlock()
-	var e *orphanEntry
-	for _, cand := range c.orphans {
-		if cand.blk == blk {
-			e = cand
-		}
-	}
-	if e == nil || e.writing {
-		return false
-	}
-	copy(e.payload[within:within+n], src)
-	return true
-}
-
-// orphaned reports whether blk currently has an orphan entry.
-func (c *blockCache) orphaned(blk uint64) bool {
-	if c.orphanCount.Load() == 0 {
-		return false
-	}
-	c.orphanMu.Lock()
-	defer c.orphanMu.Unlock()
-	for _, e := range c.orphans {
-		if e.blk == blk {
-			return true
-		}
-	}
-	return false
+	c.pool.Put(sh.data[victim])
+	delete(sh.data, victim)
 }
 
 // readBlock copies block blk's bytes [within, within+n) into dst,
@@ -353,30 +225,15 @@ func (c *blockCache) readBlock(v *volume, blk uint64, within, n int64, dst []byt
 	c.misses.Add(1)
 	if !inserted {
 		// Every slot in this shard is pinned by uncommitted write-behind
-		// state; serve the read without caching it. An orphan holds the
-		// freshest bytes if one exists; otherwise the store does (the
-		// shard lock orders this read against absorbs, like a miss fill).
-		if c.peekOrphan(blk, within, n, dst) {
-			sh.mu.Unlock()
-			return nil
-		}
+		// state; serve the read without caching it. The block is not
+		// resident, so the store holds its freshest bytes (the shard lock
+		// orders this read against absorbs, like a miss fill).
 		err := v.store.ReadAt(dst[:n], int64(blk)*cacheBlockSize+within)
 		sh.mu.Unlock()
 		return err
 	}
 	if evicted {
-		c.evictLocked(v, sh, victim)
-	}
-	if payload := c.adoptOrphan(blk); payload != nil {
-		// The freshest bytes were in orphan limbo, not on disk: re-adopt
-		// them as dirty so the destager commits them from here.
-		sh.data[blk] = payload
-		sh.dirty[blk] = struct{}{}
-		c.dirtyCount.Add(1)
-		sh.mq.Pin(blk)
-		copy(dst, payload[within:within+n])
-		sh.mu.Unlock()
-		return nil
+		c.evictLocked(sh, victim)
 	}
 	payload := c.pool.Get(cacheBlockSize)
 	bs := int64(blk) * cacheBlockSize
@@ -420,8 +277,8 @@ func (c *blockCache) readBlockHit(blk uint64, within, n int64, dst []byte) bool 
 // absorb folds write bytes into block blk as dirty state — the
 // write-behind path. An absent block is installed first: a fully
 // covered block needs no store round-trip, a partially covered one is
-// read-modify-write filled (from an orphan if one exists, else the
-// store, under the shard lock like any fill).
+// read-modify-write filled from the store, under the shard lock like any
+// fill.
 func (c *blockCache) absorb(v *volume, blk uint64, within, n int64, src []byte) error {
 	sh := c.shard(blk)
 	sh.mu.Lock()
@@ -437,23 +294,20 @@ func (c *blockCache) absorb(v *volume, blk uint64, within, n int64, src []byte) 
 			return errCacheBusy
 		}
 		if evicted {
-			c.evictLocked(v, sh, victim)
+			c.evictLocked(sh, victim)
 		}
-		payload = c.adoptOrphan(blk)
-		if payload == nil {
-			payload = c.pool.Get(cacheBlockSize)
-			bl := blockLen(v.store.Size(), blk)
-			if within == 0 && n == bl {
-				clear(payload[n:])
-			} else {
-				if err := v.store.ReadAt(payload[:bl], int64(blk)*cacheBlockSize); err != nil {
-					sh.mq.Remove(blk)
-					c.pool.Put(payload)
-					sh.mu.Unlock()
-					return err
-				}
-				clear(payload[bl:])
+		payload = c.pool.Get(cacheBlockSize)
+		bl := blockLen(v.store.Size(), blk)
+		if within == 0 && n == bl {
+			clear(payload[n:])
+		} else {
+			if err := v.store.ReadAt(payload[:bl], int64(blk)*cacheBlockSize); err != nil {
+				sh.mq.Remove(blk)
+				c.pool.Put(payload)
+				sh.mu.Unlock()
+				return err
 			}
+			clear(payload[bl:])
 		}
 		sh.data[blk] = payload
 	}
@@ -472,18 +326,18 @@ func (c *blockCache) absorb(v *volume, blk uint64, within, n int64, src []byte) 
 	return nil
 }
 
-// absorbIfResident folds write bytes into blk only if it is resident,
-// reporting (resident, wasDirty). Used by the write-through fallback: a
-// resident dirty block must absorb (its store ordering belongs to the
-// destager); a resident clean block absorbs and the caller also writes
-// the store so it can stay clean.
-func (c *blockCache) absorbIfResident(blk uint64, within, n int64, src []byte) (resident, wasDirty bool) {
+// absorbIfResident folds write bytes into blk only if it is resident and
+// reports whether it was resident and dirty. Used by the write-through
+// fallback: a resident dirty block must absorb (its store ordering
+// belongs to the destager); a resident clean block absorbs and the caller
+// also writes the store so it can stay clean.
+func (c *blockCache) absorbIfResident(blk uint64, within, n int64, src []byte) (wasDirty bool) {
 	sh := c.shard(blk)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	payload, ok := sh.data[blk]
 	if !ok {
-		sh.mu.Unlock()
-		return false, false
+		return false
 	}
 	sh.mq.Ref(blk)
 	copy(payload[within:within+n], src)
@@ -493,8 +347,7 @@ func (c *blockCache) absorbIfResident(blk uint64, within, n int64, src []byte) (
 		c.prefResident.Add(-1)
 	}
 	sh.epochs[epochStripe(blk)]++
-	sh.mu.Unlock()
-	return true, wasDirty
+	return wasDirty
 }
 
 // updateBlock folds a committed write into block blk if it is resident.
@@ -513,19 +366,9 @@ func (c *blockCache) updateBlock(blk uint64, within, n int64, src []byte) {
 	sh.mu.Unlock()
 }
 
-// bumpEpoch records an out-of-band store content change for blk
-// (the destager's orphan commits, which write the store with no resident
-// block to fold into).
-func (c *blockCache) bumpEpoch(blk uint64) {
-	sh := c.shard(blk)
-	sh.mu.Lock()
-	sh.epochs[epochStripe(blk)]++
-	sh.mu.Unlock()
-}
-
 // dirtySnapshot returns the sorted block numbers currently dirty — the
-// destager's work list. Blocks may be cleaned (or evicted to orphans)
-// between snapshot and staging; stage re-checks under the shard lock.
+// destager's work list. Blocks may be cleaned between snapshot and
+// staging; stage re-checks under the shard lock.
 func (c *blockCache) dirtySnapshot() []uint64 {
 	blks := make([]uint64, 0, c.dirtyCount.Load())
 	for i := range c.shards {
@@ -541,8 +384,8 @@ func (c *blockCache) dirtySnapshot() []uint64 {
 }
 
 // stage copies blk's payload into dst for a destage batch, moving the
-// block dirty → flushing. Reports false if the block is no longer a
-// resident dirty block (destaged, evicted, or re-adopted elsewhere).
+// block dirty → flushing. Reports false if the block is not resident and
+// dirty.
 func (c *blockCache) stage(blk uint64, dst []byte) bool {
 	sh := c.shard(blk)
 	sh.mu.Lock()
@@ -568,19 +411,17 @@ func (c *blockCache) stage(blk uint64, dst []byte) bool {
 }
 
 // unstage clears the flushing marks of a committed batch. With redirty,
-// the batch write failed: still-resident blocks return to dirty so the
-// next pass retries them (orphaned ones are already queued separately).
+// the batch write failed: the blocks (pinned, so still resident) return
+// to dirty and the next pass retries them.
 func (c *blockCache) unstage(blks []uint64, redirty bool) {
 	for _, blk := range blks {
 		sh := c.shard(blk)
 		sh.mu.Lock()
 		delete(sh.flushing, blk)
 		if redirty {
-			if _, resident := sh.data[blk]; resident {
-				if _, d := sh.dirty[blk]; !d {
-					sh.dirty[blk] = struct{}{}
-					c.dirtyCount.Add(1)
-				}
+			if _, d := sh.dirty[blk]; !d {
+				sh.dirty[blk] = struct{}{}
+				c.dirtyCount.Add(1)
 			}
 		}
 		if _, d := sh.dirty[blk]; !d {
@@ -597,7 +438,7 @@ func (c *blockCache) unstage(blks []uint64, redirty bool) {
 
 // prefetchPlan is the lock phase of a batched prefetch fill: under the
 // touched shards' locks it marks which of the window's blocks are worth
-// fetching (in-volume, absent and not orphaned) and snapshots each
+// fetching (in-volume and absent) and snapshots each
 // block's epoch stripe (want and epochs are index-aligned with blks).
 // The caller then reads the store with no locks held and hands the
 // bytes to prefetchInstall. Returns need=0 when nothing is wanted.
@@ -625,7 +466,7 @@ func (c *blockCache) prefetchPlan(v *volume, blks []uint64) (want []bool, epochs
 		sh := c.shard(blk)
 		st := epochStripe(blk)
 		epochs[i] = shardEpoch{idx: int(blk & c.mask), stripe: st, epoch: sh.epochs[st]}
-		if _, resident := sh.data[blk]; !resident && !c.orphaned(blk) {
+		if _, resident := sh.data[blk]; !resident {
 			want[i] = true
 			need++
 		}
@@ -643,10 +484,10 @@ func (c *blockCache) prefetchPlan(v *volume, blks []uint64) (want []bool, epochs
 // buf holds blks[i] as read from the store, want marks the blocks
 // prefetchPlan selected, and ok[i]=false marks blocks whose read extent
 // failed. A block installs only if its epoch stripe is unchanged since
-// the plan (no write raced the unlocked read), it is still absent, and
-// it has not been orphaned — otherwise it is skipped; a future demand
-// miss fetches it coherently. Returns the number installed.
-func (c *blockCache) prefetchInstall(v *volume, blks []uint64, want, ok []bool, epochs []shardEpoch, buf []byte) int {
+// the plan (no write raced the unlocked read) and it is still absent —
+// otherwise it is skipped; a future demand miss fetches it coherently.
+// Returns the number installed.
+func (c *blockCache) prefetchInstall(blks []uint64, want, ok []bool, epochs []shardEpoch, buf []byte) int {
 	shardSet := make([]bool, len(c.shards))
 	for i, blk := range blks {
 		if want[i] {
@@ -669,7 +510,7 @@ func (c *blockCache) prefetchInstall(v *volume, blks []uint64, want, ok []bool, 
 		if sh.epochs[epochs[i].stripe] != epochs[i].epoch {
 			continue
 		}
-		if _, resident := sh.data[blk]; resident || c.orphaned(blk) {
+		if _, resident := sh.data[blk]; resident {
 			continue
 		}
 		hit, victim, evicted, inserted := sh.mq.RefOrTryInsert(blk)
@@ -683,7 +524,7 @@ func (c *blockCache) prefetchInstall(v *volume, blks []uint64, want, ok []bool, 
 			continue
 		}
 		if evicted {
-			c.evictLocked(v, sh, victim)
+			c.evictLocked(sh, victim)
 		}
 		// Second reference on insert: without it a long scan's read-ahead
 		// lands in the MQ's lowest queue, whose LRU victim is the oldest

@@ -47,16 +47,14 @@ type destager struct {
 	hiWater  int
 
 	// Store errors during background destaging are sticky: the blocks
-	// stay dirty (or orphaned) and the error surfaces on the next Flush.
+	// stay dirty and the error surfaces on the next Flush.
 	errMu sync.Mutex
 	err   error
 
-	runs          atomic.Int64
-	blocks        atomic.Int64
-	hist          [destageHistBuckets]atomic.Int64
-	wtFallbacks   atomic.Int64 // writes bounced to write-through at the high-watermark
-	orphanWrites  atomic.Int64
-	orphanRetries atomic.Int64
+	runs        atomic.Int64
+	blocks      atomic.Int64
+	hist        [destageHistBuckets]atomic.Int64
+	wtFallbacks atomic.Int64 // writes bounced to write-through at the high-watermark
 }
 
 func newDestager(s *Server, v *volume) *destager {
@@ -116,11 +114,11 @@ func (d *destager) kickNow() {
 	}
 }
 
-// overWater reports whether uncommitted state (dirty + orphaned blocks)
-// has reached the high-watermark, at which point new writes fall back to
-// write-through so dirty state cannot grow without bound.
+// overWater reports whether the dirty set has reached the
+// high-watermark, at which point new writes fall back to write-through
+// so dirty state cannot grow without bound.
 func (d *destager) overWater() bool {
-	return d.cache.dirtyCount.Load()+d.cache.orphanCount.Load() >= int64(d.hiWater)
+	return d.cache.dirtyCount.Load() >= int64(d.hiWater)
 }
 
 func (d *destager) setErr(err error) {
@@ -140,9 +138,8 @@ func (d *destager) takeErr() error {
 	return err
 }
 
-// destageAll runs one complete pass: orphans first (they hold the oldest
-// acked bytes), then the dirty set coalesced into contiguous runs, then
-// orphans created by evictions during the pass.
+// destageAll runs one complete pass over the dirty set under the destage
+// mutex.
 func (d *destager) destageAll() {
 	var t0 int64
 	if d.s.om != nil || d.s.flight != nil {
@@ -150,9 +147,7 @@ func (d *destager) destageAll() {
 	}
 	blk0 := d.blocks.Load()
 	d.mu.Lock()
-	d.drainOrphansLocked()
 	d.passLocked()
-	d.drainOrphansLocked()
 	d.mu.Unlock()
 	if t0 != 0 {
 		dur := obs.Now() - t0
@@ -168,8 +163,8 @@ func (d *destager) destageAll() {
 
 // passLocked commits the dirty snapshot: adjacent dirty blocks coalesce
 // into contiguous runs of up to maxDestageRun blocks, and ALL runs of the
-// pass go to the disk queue as a single vectored batch — its backends keep
-// up to the queue depth in extents in flight at once, so a pass of k runs
+// pass go to the disk queue as a single vectored batch — it keeps up to
+// the queue depth in extents in flight at once, so a pass of k runs
 // costs ~1 device round instead of k. Waiting for the completions happens
 // under d.mu, which preserves the destage mutex's ordering contract at
 // pass granularity: the runs of one batch cover pairwise-disjoint block
@@ -177,8 +172,10 @@ func (d *destager) destageAll() {
 // non-overlapping runs), so their relative completion order cannot
 // change file contents, and no other destage-side write can start until
 // the whole batch has resolved. Each run stages into its own queue
-// buffer (registered with the kernel on the io_uring backend), sized so
-// one maximal run fills one registered slab. Caller holds d.mu.
+// buffer, sized to the run: the contiguous extent is measured in the
+// snapshot before the buffer is taken, because a random-write workload
+// destages ~1 block per run and a maximal slab for each would park 64×
+// the staged bytes. Caller holds d.mu.
 func (d *destager) passLocked() {
 	blks := d.cache.dirtySnapshot()
 	if len(blks) == 0 {
@@ -197,12 +194,16 @@ func (d *destager) passLocked() {
 	i := 0
 	for i < len(blks) {
 		start := blks[i]
-		buf := dq.q.GetBuf(maxDestageRun * cacheBlockSize)
+		extent := 1
+		for i+extent < len(blks) && extent < maxDestageRun && blks[i+extent] == start+uint64(extent) {
+			extent++
+		}
+		buf := dq.q.GetBuf(extent * cacheBlockSize)
 		n := 0
-		for i < len(blks) && n < maxDestageRun && blks[i] == start+uint64(n) {
+		for n < extent {
 			ln := blockLen(vsize, blks[i])
 			if !d.cache.stage(blks[i], buf[n*cacheBlockSize:int64(n)*cacheBlockSize+ln]) {
-				break // no longer resident-dirty; run ends here
+				break // not stageable; run ends here
 			}
 			n++
 			i++
@@ -258,96 +259,12 @@ func batchBucket(n int) int {
 	return b
 }
 
-// drainOrphansLocked commits evicted-while-dirty payloads. Orphans are a
-// scatter workload: eviction punches them out of the dirty set at
-// unrelated offsets, so a drain is a pile of discontiguous single-block
-// extents — committed one blocking store write each, under the destage
-// mutex, they would starve the coalesced pass behind them. Instead one
-// sweep marks every drainable entry writing under the orphan lock and
-// commits them all as one vectored batch; afterwards each entry is
-// removed (or unmarked, on error, so the next pass retries). A batch's
-// writes land in any order, so same-block entries (the list can hold
-// several; newest last is authoritative) must not share a batch: the
-// sweep claims only each block's first unclaimed entry, front to back,
-// and the outer loop picks up the rest. Caller holds d.mu.
-func (d *destager) drainOrphansLocked() {
-	c := d.cache
-	for {
-		if c.orphanCount.Load() == 0 {
-			return
-		}
-		c.orphanMu.Lock()
-		var batch []*orphanEntry
-		claimed := make(map[uint64]bool)
-		for _, cand := range c.orphans {
-			if cand.writing || claimed[cand.blk] {
-				continue
-			}
-			cand.writing = true
-			claimed[cand.blk] = true
-			batch = append(batch, cand)
-		}
-		c.orphanMu.Unlock()
-		if len(batch) == 0 {
-			return
-		}
-		ops := make([]diskq.Op, len(batch))
-		for i, e := range batch {
-			ops[i] = diskq.Op{Kind: diskq.OpWrite, Buf: e.payload[:e.n], Off: int64(e.blk) * cacheBlockSize}
-		}
-		comps, nsub := d.v.dq.runBatch(ops)
-		failed := false
-		for i, e := range batch {
-			var err error
-			if i < nsub {
-				err = comps[i].Err
-			} else {
-				// Queue closed mid-batch; this entry was never submitted.
-				err = d.v.store.WriteAt(e.payload[:e.n], int64(e.blk)*cacheBlockSize)
-			}
-			c.orphanMu.Lock()
-			if err != nil {
-				e.writing = false // leave queued for the next pass
-			} else {
-				for j, cand := range c.orphans {
-					if cand == e {
-						c.orphans = append(c.orphans[:j], c.orphans[j+1:]...)
-						break
-					}
-				}
-				c.orphanCount.Add(-1)
-				c.pool.Put(e.payload)
-			}
-			c.orphanMu.Unlock()
-			if err != nil {
-				d.s.logf("netv3: destage orphan block %d: %v", e.blk, err)
-				d.setErr(err)
-				d.orphanRetries.Add(1)
-				failed = true
-				continue
-			}
-			// The store changed under a block with no resident entry to
-			// fold into; invalidate any in-flight prefetch read over its
-			// stripe. (Ordered after orphanMu is released: shard locks are
-			// taken before orphanMu everywhere else.)
-			c.bumpEpoch(e.blk)
-			d.orphanWrites.Add(1)
-			d.runs.Add(1)
-			d.blocks.Add(1)
-			d.hist[0].Add(1)
-		}
-		if failed {
-			return // don't hot-loop against a failing store
-		}
-	}
-}
-
 // writeThrough commits one request's bytes under the destage mutex — the
 // backpressure path once the high-watermark is reached. Blocks resident
-// in the cache absorb the bytes (a dirty block's store ordering belongs
-// to the destager and must not be written around; a clean one also gets
-// a direct store write so it can stay clean); non-resident blocks write
-// straight through, write-around style.
+// in the cache absorb the bytes: for a dirty block that is all (its store
+// ordering belongs to the destager and must not be written around); a
+// clean one also gets a direct store write so it can stay clean, and a
+// non-resident block writes straight through, write-around style.
 func (d *destager) writeThrough(b []byte, off int64) error {
 	if err := checkStoreRange(d.v.store.Size(), off, len(b)); err != nil {
 		return err
@@ -365,41 +282,9 @@ func (d *destager) writeThrough(b []byte, off int64) error {
 		if n > int64(len(rest)) {
 			n = int64(len(rest))
 		}
-		resident, wasDirty := c.absorbIfResident(blk, within, n, rest[:n])
-		switch {
-		case resident && wasDirty:
-			// Dirty block: the destager owns its store ordering; the
-			// overlay above is enough.
-		case !resident && c.orphaned(blk):
-			// A queued orphan holds older acked bytes for this block.
-			// Writing around it would let the drain later commit those
-			// stale bytes *over* ours. Fold the new bytes into the
-			// cache instead — absorb adopts and merges the orphan and
-			// re-marks the block dirty, so the destager commits the
-			// merge in order. (We hold d.mu, so no drain can remove
-			// the entry between the check and the absorb; session-side
-			// adoption just makes the block resident, which absorb
-			// also handles.)
-			if err := c.absorb(d.v, blk, within, n, rest[:n]); err != nil {
-				if err == errCacheBusy {
-					// No cache slot to adopt the orphan into: merge the
-					// bytes into the orphan entry itself; the drain then
-					// commits the merged payload in order. (Entries are
-					// never mid-commit here — drains run under d.mu, which
-					// we hold — so the fold cannot miss; if the entry
-					// vanished anyway, write-around below is correct.)
-					if c.orphanFold(blk, within, n, rest[:n]) {
-						break
-					}
-					if err := d.v.store.WriteAt(rest[:n], cur); err != nil {
-						return err
-					}
-					c.updateBlock(blk, within, n, rest[:n])
-					break
-				}
-				return err
-			}
-		default:
+		// A resident dirty block is done once it has absorbed the bytes:
+		// the destager owns its store ordering.
+		if wasDirty := c.absorbIfResident(blk, within, n, rest[:n]); !wasDirty {
 			if err := d.v.store.WriteAt(rest[:n], cur); err != nil {
 				return err
 			}

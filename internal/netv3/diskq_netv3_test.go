@@ -3,10 +3,8 @@ package netv3
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -206,8 +204,8 @@ func TestDiskQCrashConsistency(t *testing.T) {
 }
 
 // TestDiskQPrefetchStream checks read-ahead over a file-backed volume
-// (io_uring underneath where the kernel has it): a sequential scan must
-// trigger window fills submitted as vectored batches, and later demand
+// (FileStore behind the queue's storeFile adapter): a sequential scan
+// must trigger window fills submitted as vectored batches, and later demand
 // reads must hit the installed blocks.
 func TestDiskQPrefetchStream(t *testing.T) {
 	cfg := DefaultServerConfig()
@@ -235,8 +233,7 @@ func TestDiskQPrefetchStream(t *testing.T) {
 	if d.PrefetchHits == 0 {
 		t.Fatal("prefetched blocks were never hit")
 	}
-	t.Logf("prefetch fills=%d hits=%d batches=%d (%s)",
-		d.PrefetchFills, d.PrefetchHits, d.DiskQBatches, srv.lookup(1).dq.q.BackendName())
+	t.Logf("prefetch fills=%d hits=%d batches=%d", d.PrefetchFills, d.PrefetchHits, d.DiskQBatches)
 }
 
 // TestDiskQStoreFaults wires a faultnet store fault injector (every Nth
@@ -325,98 +322,9 @@ func TestDiskQStoreFaults(t *testing.T) {
 	})
 }
 
-// opaqueStore hides a FileStore's concrete type so the server's queue
-// falls back to the portable backend instead of handing the raw file to
-// io_uring — the lever the differential test uses to run both backends
-// over identical storage.
-type opaqueStore struct{ BlockStore }
-
-// TestDiskQDifferentialBackends replays one deterministic workload trace
-// against two servers over file-backed cached volumes — one eligible
-// for io_uring, one forced onto the portable backend — and requires
-// byte-identical results: every read's payload and the final file
-// images. On kernels without io_uring both runs use the portable
-// backend and the test degenerates to a (still useful) determinism
-// check.
-func TestDiskQDifferentialBackends(t *testing.T) {
-	const size = 2 << 20
-	type result struct {
-		reads [][]byte
-		image []byte
-	}
-	runTrace := func(wrap bool) result {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), "vol.img")
-		fs, err := NewFileStore(path, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var store BlockStore = fs
-		if wrap {
-			store = opaqueStore{fs}
-		}
-		srv, addr := startTunedServer(t, diskCfg(), shallowQ, store)
-		c, err := Dial(addr, DefaultClientConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Identical op sequence on both servers: seeded offsets/sizes,
-		// write/read mix, periodic flush barriers.
-		rng := rand.New(rand.NewSource(0x5eed))
-		var res result
-		for i := 0; i < 300; i++ {
-			blk := rng.Intn(size / 8192)
-			off := int64(blk) * 8192
-			switch i % 3 {
-			case 0, 1:
-				data := bytes.Repeat([]byte{byte(rng.Intn(255) + 1)}, 8192)
-				if err := c.Write(1, off, data); err != nil {
-					t.Fatalf("trace write %d: %v", i, err)
-				}
-			case 2:
-				buf := make([]byte, 8192)
-				if err := c.Read(1, off, buf); err != nil {
-					t.Fatalf("trace read %d: %v", i, err)
-				}
-				res.reads = append(res.reads, buf)
-			}
-			if i%50 == 49 {
-				if err := c.Flush(1); err != nil {
-					t.Fatalf("trace flush %d: %v", i, err)
-				}
-			}
-		}
-		if err := c.Flush(1); err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
-		closeServer(t, srv)
-		fs.Close()
-		img, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.image = img
-		return res
-	}
-	uringSide := runTrace(false)
-	portableSide := runTrace(true)
-	if len(uringSide.reads) != len(portableSide.reads) {
-		t.Fatalf("trace divergence: %d vs %d reads", len(uringSide.reads), len(portableSide.reads))
-	}
-	for i := range uringSide.reads {
-		if !bytes.Equal(uringSide.reads[i], portableSide.reads[i]) {
-			t.Fatalf("read %d differs between backends", i)
-		}
-	}
-	if !bytes.Equal(uringSide.image, portableSide.image) {
-		t.Fatal("final file images differ between backends")
-	}
-}
-
 // TestDiskQChaosPartition is TestChaosDestagePartition over a file-backed
-// volume, so the destage batches and the flush barrier ride the real-file
-// queue (io_uring where the kernel has it): a transient blackhole
+// volume, so the destage batches and the flush barrier reach a real file
+// through FileStore: a transient blackhole
 // mid-write-burst, hung peer detection, reconnection replay, then a flush
 // barrier and full read-back — the queue must not change any of the
 // recovery semantics.
@@ -492,7 +400,7 @@ func TestDiskQChaosPartition(t *testing.T) {
 func TestDiskQFlushSurfacesSyncError(t *testing.T) {
 	for _, cacheBlocks := range []int{256, 0} {
 		flaky := faultnet.NewStore(NewMemStore(1<<20), faultnet.StoreConfig{})
-		srv, addr := startTunedServer(t, ServerConfig{CacheBlocks: cacheBlocks}, tuning{}, flaky)
+		_, addr := startTunedServer(t, ServerConfig{CacheBlocks: cacheBlocks}, tuning{}, flaky)
 		c, err := Dial(addr, DefaultClientConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -507,11 +415,6 @@ func TestDiskQFlushSurfacesSyncError(t *testing.T) {
 		}
 		if err := c.Flush(1); err != nil {
 			t.Fatalf("cache %d: flush did not recover after one-shot sync fault: %v", cacheBlocks, err)
-		}
-		if dq := srv.lookup(1).dq; dq != nil {
-			if name := dq.q.BackendName(); !strings.Contains(name, "portable") {
-				t.Fatalf("wrapped store unexpectedly not on portable backend: %s", name)
-			}
 		}
 	}
 }

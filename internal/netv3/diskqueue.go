@@ -1,7 +1,6 @@
 package netv3
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -10,16 +9,15 @@ import (
 
 // diskQueue is a cached volume's batched submission/completion disk
 // backend: the netv3 face of internal/diskq. The background store I/O of
-// the cached disk path — the destager's coalesced runs and orphan drains,
-// the prefetcher's read-ahead windows, and the Flush fsync barrier — moves
-// through one SQ/CQ pair as vectored submissions, and one dispatcher
-// goroutine drains completions for the whole volume. (Demand misses do
-// not ride it: a scheduler worker reads the store synchronously through
-// the cache.)
+// the cached disk path — the destager's coalesced runs, the prefetcher's
+// read-ahead windows, and the Flush fsync barrier — moves through one
+// SQ/CQ pair as vectored submissions, and one dispatcher goroutine drains
+// completions for the whole volume. (Demand misses do not ride it: a
+// scheduler worker reads the store synchronously through the cache.)
 //
 // Completion routing: every submission registers a callback keyed by
 // its token. Callbacks run on the dispatcher in reap order, which the
-// backends guarantee puts an fsync's completion after the completions
+// queue guarantees puts an fsync's completion after the completions
 // of every write it barriers — the property the flush path's
 // error-collection relies on. Callbacks must never block: the only ones
 // registered are dqWaiter countdowns.
@@ -44,9 +42,10 @@ type diskQueue struct {
 	fallbacks atomic.Int64 // ops a closing queue refused; the submitter ran them itself
 }
 
-// storeFile adapts a BlockStore to diskq.File so wrapped stores (fault
-// injectors, latency models, in-memory volumes) ride the portable
-// backend with their wrapping intact.
+// storeFile adapts a BlockStore to diskq.File. Every store rides the
+// queue through it, FileStore included, so the store's own range check,
+// its short-I/O error context and any wrapper around it (fault injectors,
+// latency models) stay in the queue's I/O path.
 type storeFile struct {
 	bs BlockStore
 }
@@ -67,20 +66,8 @@ func (f storeFile) WriteAt(p []byte, off int64) (int, error) {
 
 func (f storeFile) Sync() error { return f.bs.Sync() }
 
-// queueFile resolves the diskq.File a volume's queue operates on: a
-// *FileStore contributes its backing *os.File (making the io_uring
-// backend eligible, with the store's range discipline enforced by the
-// submitters); any other store is adapted, which lands on the portable
-// backend and keeps wrappers like faultnet in the I/O path.
-func queueFile(store BlockStore) diskq.File {
-	if fs, ok := store.(*FileStore); ok {
-		return fs.File()
-	}
-	return storeFile{bs: store}
-}
-
 func newDiskQueue(s *Server, v *volume) (*diskQueue, error) {
-	q, err := diskq.Open(queueFile(v.store), diskq.Config{
+	q, err := diskq.Open(storeFile{bs: v.store}, diskq.Config{
 		Depth:   s.tune.sqDepth,
 		Metrics: s.cfg.Metrics,
 	})
@@ -248,6 +235,3 @@ func (dq *diskQueue) close() {
 	dq.q.Close()
 	<-dq.dispatcherDone
 }
-
-// File exposes the store's backing file for the io_uring backend.
-func (s *FileStore) File() *os.File { return s.f }

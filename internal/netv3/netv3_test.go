@@ -12,7 +12,7 @@ import (
 
 // serve starts srv on ln (nil: a fresh loopback port) and returns its
 // address. Every test and benchmark server goes through here, so every
-// teardown runs closeServer's orphan check.
+// teardown runs closeServer's pin-invariant check.
 func serve(t testing.TB, srv *Server, ln net.Listener) string {
 	t.Helper()
 	if ln == nil {
@@ -27,19 +27,16 @@ func serve(t testing.TB, srv *Server, ln net.Listener) string {
 	return ln.Addr().String()
 }
 
-// closeServer closes srv and asserts that no block was ever evicted into
-// the orphan list while it ran: dirty and flushing blocks are pinned, so
-// the list must be unreachable — the proof ROADMAP item 2 asks for before
-// it can be deleted. Safe to call again from the cleanup.
+// closeServer closes srv and asserts, on every cached volume, the
+// invariant that encodes acked-but-not-durable: the pinned blocks are
+// exactly the dirty and flushing ones. Safe to call again from the
+// cleanup.
 func closeServer(t testing.TB, srv *Server) {
 	t.Helper()
 	srv.Close()
-	for id, v := range *srv.volumes.Load() {
-		if v.cache == nil {
-			continue
-		}
-		if n := v.cache.orphanedTotal.Load(); n != 0 {
-			t.Errorf("volume %d orphaned %d dirty blocks; pinning should make that impossible", id, n)
+	for _, v := range *srv.volumes.Load() {
+		if v.cache != nil {
+			checkPinInvariant(t, v.cache)
 		}
 	}
 }

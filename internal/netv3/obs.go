@@ -306,7 +306,6 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 	r.GaugeFunc("netv3_srv_pool_gets_total", func() int64 { return s.PoolStats().Gets })
 	r.GaugeFunc("netv3_srv_pool_allocs_total", func() int64 { return s.PoolStats().Allocs })
 	r.GaugeFunc("netv3_srv_dirty_blocks", func() int64 { return s.DiskStats().DirtyBlocks })
-	r.GaugeFunc("netv3_srv_orphan_blocks", func() int64 { return s.DiskStats().OrphanBlocks })
 	r.GaugeFunc("netv3_srv_destage_runs_total", func() int64 { return s.DiskStats().DestageRuns })
 	r.GaugeFunc("netv3_srv_destaged_blocks_total", func() int64 { return s.DiskStats().DestagedBlocks })
 	r.GaugeFunc("netv3_srv_write_through_fallbacks_total", func() int64 { return s.DiskStats().WriteThroughFallbacks })

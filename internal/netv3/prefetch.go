@@ -349,6 +349,6 @@ func (w *prefetchWorker) fillBatched(blks []uint64) error {
 			ok[run[0]+k] = good
 		}
 	}
-	c.prefetchInstall(v, blks, want, ok, epochs, buf)
+	c.prefetchInstall(blks, want, ok, epochs, buf)
 	return firstErr
 }

@@ -125,7 +125,7 @@ func prefetchDirect(t *testing.T, c *blockCache, v *volume, start uint64, n int)
 	if err := v.store.ReadAt(buf, int64(start)*cacheBlockSize); err != nil {
 		t.Fatal(err)
 	}
-	c.prefetchInstall(v, blks, want, nil, epochs, buf)
+	c.prefetchInstall(blks, want, nil, epochs, buf)
 }
 
 // Residency accounting: installs charge prefResident, consumption and
@@ -201,7 +201,7 @@ func TestPrefetchDiscardAccounting(t *testing.T) {
 
 // Pinning integration: dirty blocks are unevictable, a shard full of
 // dirty blocks refuses new installs, and both the read and write paths
-// degrade to uncached service instead of orphaning.
+// degrade to uncached service instead of evicting one.
 
 func TestDirtyShardRefusesInstalls(t *testing.T) {
 	pool := bufpool.New()
@@ -221,13 +221,10 @@ func TestDirtyShardRefusesInstalls(t *testing.T) {
 	}
 
 	// A fifth dirty block has nowhere to go: absorb must refuse rather
-	// than orphan an acked block.
+	// than evict an acked block.
 	err := c.absorb(v, 10, 0, cacheBlockSize, pattern('x'))
 	if err != errCacheBusy {
 		t.Fatalf("absorb into full dirty shard: err=%v, want errCacheBusy", err)
-	}
-	if got := c.orphanCount.Load(); got != 0 {
-		t.Fatalf("orphanCount = %d, want 0 — pinning must prevent orphaning", got)
 	}
 
 	// A demand read of an uncached block is served from the store
@@ -315,8 +312,5 @@ func TestRedirtiedBlockStaysPinned(t *testing.T) {
 	}
 	if !c.readBlockHit(0, 0, cacheBlockSize, buf) || buf[0] != '2' {
 		t.Fatal("re-dirtied block was evicted or lost its second write")
-	}
-	if got := c.orphanCount.Load(); got != 0 {
-		t.Fatalf("orphanCount = %d, want 0", got)
 	}
 }

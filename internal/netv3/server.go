@@ -185,9 +185,8 @@ func (s *Server) AddVolume(id uint32, store BlockStore) {
 		v.cache = newBlockCache(s.cfg.CacheBlocks, s.pool)
 		dq, err := newDiskQueue(s, v)
 		if err != nil {
-			// Cannot happen with the automatic backend choice (the portable
-			// backend has no failure mode); if it ever does, the volume is
-			// served uncached rather than half-built.
+			// diskq.Open has no failure mode today; should it gain one, the
+			// volume is served uncached rather than half-built.
 			s.logf("netv3: vol %d disk queue: %v; serving uncached", id, err)
 			v.cache = nil
 		} else {
@@ -806,10 +805,9 @@ func (s *Server) handleFlush(m *wire.Flush, w *frameWriter, arr int64) {
 
 // DiskStats aggregates the cached disk path's counters across volumes.
 type DiskStats struct {
-	// DirtyBlocks and OrphanBlocks together are the volume of acked but
-	// not yet committed write-behind data, in 8 KB blocks.
-	DirtyBlocks  int64
-	OrphanBlocks int64
+	// DirtyBlocks is the volume of acked but not yet committed
+	// write-behind data, in 8 KB blocks.
+	DirtyBlocks int64
 	// DestageRuns / DestagedBlocks count coalesced store writes issued by
 	// the destagers; DestageBatchHist buckets runs by size: 1, 2, ≤4, ≤8,
 	// ≤16, ≤32, ≤64 blocks.
@@ -823,7 +821,7 @@ type DiskStats struct {
 	PrefetchHits          int64 // demand hits on those blocks
 	PrefetchDropped       int64 // read-ahead requests dropped (worker busy)
 	// Disk-queue counters: vectored batches submitted (destage passes,
-	// orphan drains, prefetch windows) and ops a closing queue refused,
+	// prefetch windows) and ops a closing queue refused,
 	// which their submitters then ran synchronously.
 	DiskQBatches   int64
 	DiskQFallbacks int64
@@ -837,7 +835,6 @@ func (s *Server) DiskStats() DiskStats {
 			continue
 		}
 		d.DirtyBlocks += v.cache.dirtyCount.Load()
-		d.OrphanBlocks += v.cache.orphanCount.Load()
 		d.PrefetchFills += v.cache.prefFills.Load()
 		d.PrefetchHits += v.cache.prefHits.Load()
 		d.DestageRuns += v.wb.runs.Load()

@@ -1,16 +1,19 @@
 // Package netv3 is a real, runnable implementation of the V3 block
 // protocol over TCP: a storage server daemon exporting virtualized
-// volumes and a client with credit flow control and transparent
-// reconnection. It reuses the transport-independent pieces of the
-// repository — the wire format (internal/wire), credit accounting
-// (internal/flow), the reconnection state machine (internal/reliable),
-// and the MQ block cache (internal/mqcache) — so the protocol logic is
-// shared with the simulated VI transport.
+// volumes and a client with credit flow control, logical streams and
+// transparent reconnection. It shares the transport-independent pieces
+// of the repository with the simulated VI transport — the wire format
+// (internal/wire), credit accounting (internal/flow), the reconnection
+// state machine (internal/reliable) and the MQ replacement policy
+// (internal/mqcache) — and adds the server's one request pipeline
+// (DESIGN.md "Request pipeline"): scheduler, sharded write-behind block
+// cache, destager, prefetcher and the disk queue (internal/diskq).
 //
-// TCP stands in for the VI interconnect: it provides reliable in-order
-// delivery but none of VI's kernel-bypass properties, so this package
-// demonstrates the protocol and the API, not the paper's performance
-// claims (those are the simulation's job).
+// TCP stands in for the VI interconnect: reliable in-order delivery but
+// none of VI's kernel-bypass properties. The simulation reproduces the
+// paper's figures; this package is the live stack held to the paper's
+// method — its per-I/O CPU, kernel crossings and latency are what
+// benchmark/ measures, end to end and layer by layer.
 package netv3
 
 import (
