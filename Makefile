@@ -24,20 +24,27 @@ quick:
 race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...
 
+# internal/diskq has no importer left in this module: it stays on disk only
+# because benchmark/unit.go (which product PRs may not touch) times it, until
+# a [benchmark] PR deletes both. The second line keeps it from quietly
+# regaining a product importer in the meantime.
 vet:
 	$(GO) vet ./...
+	@if $(GO) list -deps ./cmd/... ./internal/netv3/ ./internal/vvault/ ./internal/workload/ | grep internal/diskq; then \
+		echo 'vet: internal/diskq is a stranded leaf and must not be imported'; exit 1; fi
 
 # verify is the gate every change must pass.
 verify: vet build race
 
 # chaos runs every suite of the live stack's concurrent tiers — fault
 # injection (blackholed peers, cancel storms, partitions), resync and
-# replication-log protocols, the disk queue, the write-behind model
-# schedules, the workload engine — under the race detector, twice, so an
-# interleaving that only fails sometimes gets two chances to.
+# replication-log protocols, the destage/read-ahead fan-out, the
+# write-behind model schedules, the workload engine — under the race
+# detector, twice, so an interleaving that only fails sometimes gets two
+# chances to.
 chaos:
 	$(GO) test -race -count=2 -timeout $(TEST_TIMEOUT) \
-		./internal/netv3/ ./internal/vvault/ ./internal/diskq/ \
+		./internal/netv3/ ./internal/vvault/ \
 		./internal/repl/ ./internal/workload/
 
 # smoke drives the binaries and every benchmark once: TPC-C over the

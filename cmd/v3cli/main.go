@@ -318,14 +318,14 @@ func driveTraced(c *netv3.Client, vol uint32, n, size, window int, writes bool) 
 }
 
 // runTrace drives the traced workload and prints the merged cross-tier
-// table: the client's six stages re-tiled so the opaque server interval
-// splits into scheduler wait, server CPU, disk-queue wait, and device
-// time reported by the server's span block, with the remainder as true
-// network+kernel cost. Against a pre-trace server (or -notrace) the
-// span columns read zero and the whole interval stays in net+kernel —
-// same table, graceful fallback. With -metrics it also fetches the
-// server registry and prints the per-lane and per-tenant scheduler
-// breakdowns the spans are attributed by.
+// table: the client's stages re-tiled so the opaque server interval
+// splits into the scheduler wait and service time reported by the
+// server's span block, with the remainder as true network+kernel cost.
+// Against a pre-trace server (or -notrace) the span columns read zero
+// and the whole interval stays in net+kernel — same table, graceful
+// fallback. With -metrics it also fetches the server registry and
+// prints the per-lane and per-tenant scheduler breakdowns the spans are
+// attributed by.
 func runTrace(c *netv3.Client, reg *obs.Registry, vol uint32, n, size, window int, writes bool, metrics string) {
 	done, count, e2e := driveTraced(c, vol, n, size, window, writes)
 	op := "reads"

@@ -56,7 +56,7 @@ func main() {
 	addr := flag.String("addr", ":9300", "listen address")
 	sizeStr := flag.String("size", "64M", "volume size (supports K/M/G suffix)")
 	file := flag.String("file", "", "back the volume with this file (default: memory)")
-	cache := flag.Int("cache", 8192, "server MQ cache size in 8K blocks, with write-behind, read-ahead and the disk queue (0 = uncached: every request goes to the store)")
+	cache := flag.Int("cache", 8192, "server MQ cache size in 8K blocks, with write-behind and read-ahead (0 = uncached: every request goes to the store)")
 	credits := flag.Int("credits", 64, "flow-control window per session")
 	schedWorkers := flag.Int("schedworkers", 0, "request scheduler worker pool (0 = GOMAXPROCS)")
 	admitLimit := flag.Int("admitlimit", 0, "foreground queue depth before admission control sheds (0 = schedworkers*256)")

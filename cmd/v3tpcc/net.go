@@ -183,9 +183,9 @@ func runNet(o netOptions) error {
 	fmt.Print(merged.Format())
 
 	// The merged table re-tiles the client trace's opaque server interval
-	// into the server's own span columns (sched wait, CPU, disk-queue
-	// wait, device) when the peers negotiated tracing; against pre-trace
-	// peers the extra columns read zero and the total still tiles, so
+	// into the server's own span columns (sched wait, service) when the
+	// peers negotiated tracing; against pre-trace peers the extra
+	// columns read zero and the total still tiles, so
 	// the accounting check below is tiling-independent.
 	rows := obs.Breakdown(reg, netv3.MergedStageDefs())
 	fmt.Println("\nper-stage latency (sampled cross-tier trace):")

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/v3storage/v3/internal/diskq"
 	"github.com/v3storage/v3/internal/obs"
 )
 
@@ -27,12 +26,15 @@ const destageHistBuckets = 7
 // op drains the dirty set and fsyncs — exactly the contract a database
 // log manager wants from a storage server.
 //
-// mu is the destage mutex. It is held for a whole destage pass, by the
-// write-through fallback, and by Flush, and it serializes every store
-// write the write-behind machinery issues. That gives a simple global
-// ordering argument: at any instant at most one destage-side store write
-// is in flight per volume, and cache state transitions (dirty →
-// flushing → clean) always happen under both mu and the shard lock.
+// mu is the destage mutex. It is held for a whole destage pass and by
+// the write-through fallback, and it serializes the store writes the
+// write-behind machinery issues at pass granularity. That gives a simple
+// global ordering argument: at any instant at most one pass — a fan-out
+// of writes to pairwise-disjoint runs — or one write-through is in
+// flight per volume, and cache state transitions (dirty → flushing →
+// clean) always happen under both mu and the shard lock. The store is
+// the only thing below: runs are plain BlockStore.WriteAt calls and the
+// Flush barrier a plain Sync.
 type destager struct {
 	s     *Server
 	v     *volume
@@ -163,15 +165,15 @@ func (d *destager) destageAll() {
 
 // passLocked commits the dirty snapshot: adjacent dirty blocks coalesce
 // into contiguous runs of up to maxDestageRun blocks, and ALL runs of the
-// pass go to the disk queue as a single vectored batch — it keeps up to
-// the queue depth in extents in flight at once, so a pass of k runs
-// costs ~1 device round instead of k. Waiting for the completions happens
+// pass go to the store as one fan-out (storeFanOut) — up to
+// maxStoreFanOut writes in flight at once, so a pass of k runs on a store
+// that blocks costs ~k/64 device rounds instead of k. The join happens
 // under d.mu, which preserves the destage mutex's ordering contract at
-// pass granularity: the runs of one batch cover pairwise-disjoint block
+// pass granularity: the runs of one pass cover pairwise-disjoint block
 // ranges (a sorted, deduplicated dirty snapshot partitions into
 // non-overlapping runs), so their relative completion order cannot
 // change file contents, and no other destage-side write can start until
-// the whole batch has resolved. Each run stages into its own queue
+// the whole pass has resolved. Each run stages into its own pooled
 // buffer, sized to the run: the contiguous extent is measured in the
 // snapshot before the buffer is taken, because a random-write workload
 // destages ~1 block per run and a maximal slab for each would park 64×
@@ -182,15 +184,9 @@ func (d *destager) passLocked() {
 		return
 	}
 	vsize := d.v.store.Size()
-	dq := d.v.dq
-	type runInfo struct {
-		staged []uint64
-		off    int64
-		bytes  int64
-		buf    []byte
-	}
-	var runs []runInfo
-	var ops []diskq.Op
+	pool := d.s.pool
+	var runs [][]uint64 // staged blocks per op
+	var ops []storeOp
 	i := 0
 	for i < len(blks) {
 		start := blks[i]
@@ -198,7 +194,7 @@ func (d *destager) passLocked() {
 		for i+extent < len(blks) && extent < maxDestageRun && blks[i+extent] == start+uint64(extent) {
 			extent++
 		}
-		buf := dq.q.GetBuf(extent * cacheBlockSize)
+		buf := pool.Get(extent * cacheBlockSize)
 		n := 0
 		for n < extent {
 			ln := blockLen(vsize, blks[i])
@@ -209,7 +205,7 @@ func (d *destager) passLocked() {
 			i++
 		}
 		if n == 0 {
-			dq.q.PutBuf(buf)
+			pool.Put(buf)
 			i++ // skip the unstageable block
 			continue
 		}
@@ -218,35 +214,23 @@ func (d *destager) passLocked() {
 		if off+runBytes > vsize {
 			runBytes = vsize - off
 		}
-		runs = append(runs, runInfo{staged: blks[i-n : i], off: off, bytes: runBytes, buf: buf})
-		ops = append(ops, diskq.Op{Kind: diskq.OpWrite, Buf: buf[:runBytes], Off: off})
+		runs = append(runs, blks[i-n:i])
+		ops = append(ops, storeOp{buf: buf[:runBytes], off: off})
 	}
-	if len(runs) == 0 {
-		return
-	}
-	comps, nsub := dq.runBatch(ops)
-	for ri, r := range runs {
-		var err error
-		if ri < nsub {
-			err = comps[ri].Err
+	storeFanOut(ops, d.v.store.WriteAt)
+	for ri, op := range ops {
+		staged := runs[ri]
+		if op.err != nil {
+			d.s.logf("netv3: destage vol run [%d,+%d): %v", op.off, len(op.buf), op.err)
+			d.cache.unstage(staged, true)
+			d.setErr(op.err)
 		} else {
-			// The queue closed mid-batch; this run was never submitted and
-			// will never complete, so commit it synchronously. No
-			// double-write hazard: the queue's contract is that completions
-			// arrive for exactly the first nsub ops.
-			err = d.v.store.WriteAt(r.buf[:r.bytes], r.off)
-		}
-		if err != nil {
-			d.s.logf("netv3: destage vol run [%d,+%d): %v", r.off, r.bytes, err)
-			d.cache.unstage(r.staged, true)
-			d.setErr(err)
-		} else {
-			d.cache.unstage(r.staged, false)
+			d.cache.unstage(staged, false)
 			d.runs.Add(1)
-			d.blocks.Add(int64(len(r.staged)))
-			d.hist[batchBucket(len(r.staged))].Add(1)
+			d.blocks.Add(int64(len(staged)))
+			d.hist[batchBucket(len(staged))].Add(1)
 		}
-		dq.q.PutBuf(r.buf)
+		pool.Put(op.buf)
 	}
 }
 
@@ -310,8 +294,10 @@ func (d *destager) flush() error {
 	if err := d.takeErr(); err != nil {
 		return err
 	}
-	// The fsync rides the queue as a drain-barrier SQE: it starts only
-	// after every outstanding write completes, without stalling
-	// submissions from other flows.
-	return d.v.dq.fsyncBarrier()
+	// The barrier needs no more than this order: destageAll returned
+	// under d.mu only after every destage write of every earlier-acked
+	// block completed, and write-through writes are synchronous under the
+	// same mutex — so every write this Flush must cover has already
+	// returned from the store when Sync starts.
+	return d.v.store.Sync()
 }

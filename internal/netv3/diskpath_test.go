@@ -2,13 +2,19 @@ package netv3
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/v3storage/v3/internal/faultnet"
 )
 
 // diskCfg is a server config with the cached disk path on. Paired with
@@ -281,9 +287,8 @@ func TestDirtyHighWaterFallsBackToWriteThrough(t *testing.T) {
 }
 
 // TestPrefetchSequentialStream drives a sequential scan over a RAM
-// volume (the disk queue's portable backend) and checks the read-ahead
-// pipeline: blocks get installed ahead of the reader and later demand
-// reads hit them.
+// volume and checks the read-ahead pipeline: blocks get installed ahead
+// of the reader and later demand reads hit them.
 func TestPrefetchSequentialStream(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 512
@@ -348,5 +353,546 @@ func TestFileStoreShortReadContext(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "[8192,+8192)") {
 		t.Fatalf("error lacks extent context: %v", err)
+	}
+}
+
+// TestCheckStoreRangeOverflow is the regression test for the wire-offset
+// integer overflow: off+int64(n) wraps negative for offsets near
+// MaxInt64, so the old comparison let a hostile extent through and the
+// panic surfaced deep inside buffer slicing. Every near-wrap shape must
+// now be rejected.
+func TestCheckStoreRangeOverflow(t *testing.T) {
+	const size = 1 << 20
+	bad := []struct {
+		off int64
+		n   int
+	}{
+		{math.MaxInt64, 1},
+		{math.MaxInt64 - 4095, 8192}, // the wrapping shape
+		{math.MaxInt64 - 8191, 8192}, // off+n == exactly MinInt64
+		{size - 1, 2},
+		{-1, 0},
+		{0, size + 1},
+		{4096, -1}, // negative length must not pass as "small"
+	}
+	for _, c := range bad {
+		if err := checkStoreRange(size, c.off, c.n); err == nil {
+			t.Errorf("checkStoreRange(%d, %d, %d) accepted an out-of-range extent", size, c.off, c.n)
+		}
+	}
+	good := []struct {
+		off int64
+		n   int
+	}{{0, 0}, {0, size}, {size, 0}, {size - 1, 1}, {8192, 4096}}
+	for _, c := range good {
+		if err := checkStoreRange(size, c.off, c.n); err != nil {
+			t.Errorf("checkStoreRange(%d, %d, %d) rejected a valid extent: %v", size, c.off, c.n, err)
+		}
+	}
+}
+
+// TestMaliciousOffset drives hostile extents through the wire protocol,
+// against a cached and an uncached volume (the inline paths and the
+// scheduler tasks each validate the range): a read or write at an offset
+// chosen to wrap the range check must come back as a clean error — not a
+// server panic — and the session must remain fully usable afterwards.
+func TestMaliciousOffset(t *testing.T) {
+	for _, cacheBlocks := range []int{256, 0} {
+		hostileOffsets(t, ServerConfig{CacheBlocks: cacheBlocks})
+	}
+}
+
+func hostileOffsets(t *testing.T, cfg ServerConfig) {
+	t.Helper()
+	_, addr := startTunedServer(t, cfg, parked, NewMemStore(1<<20))
+	c, err := Dial(addr, DefaultClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, 8192)
+	for _, off := range []int64{math.MaxInt64 - 4095, math.MaxInt64 - 8191, 1 << 40} {
+		if err := c.Read(1, off, buf); err == nil {
+			t.Fatalf("read at hostile offset %d succeeded", off)
+		}
+		if err := c.Write(1, off, buf); err == nil {
+			t.Fatalf("write at hostile offset %d succeeded", off)
+		}
+	}
+	// The session survived: a normal round trip still works.
+	data := bytes.Repeat([]byte{0x5A}, 8192)
+	if err := c.Write(1, 16384, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Read(1, 16384, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, data) {
+		t.Fatal("read back wrong bytes after hostile offsets")
+	}
+}
+
+// TestDestageBatches checks a multi-run pass end to end: with background
+// destaging parked, acked writes stay out of the file until Flush, whose
+// pass then commits both separated extents as one coalesced run each and
+// leaves the bytes on disk.
+func TestDestageBatches(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.img")
+	srv, addr := startFileServer(t, diskCfg(), parked, path, 4<<20)
+	c, err := Dial(addr, DefaultClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Two separated dirty extents → the pass has two runs to fan out.
+	a := bytes.Repeat([]byte{0xA1}, 64*1024)
+	b := bytes.Repeat([]byte{0xB2}, 64*1024)
+	if err := c.Write(1, 0, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(1, 1<<20, b); err != nil {
+		t.Fatal(err)
+	}
+	onDisk := make([]byte, len(a))
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.ReadAt(onDisk, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, make([]byte, len(a))) {
+		t.Fatal("write reached the file before any destage ran")
+	}
+	if err := c.Flush(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAt(onDisk, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, a) {
+		t.Fatal("Flush did not commit extent A")
+	}
+	if _, err := f.ReadAt(onDisk, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, b) {
+		t.Fatal("Flush did not commit extent B")
+	}
+	d := srv.DiskStats()
+	// 64 KB is 8 blocks: both runs land in the 5..8-block bucket.
+	if d.DestageRuns != 2 || d.DestageBatchHist[3] != 2 {
+		t.Fatalf("want two 8-block runs, got runs=%d hist=%v", d.DestageRuns, d.DestageBatchHist)
+	}
+	if d.DirtyBlocks != 0 {
+		t.Fatalf("dirty blocks remain after Flush: %d", d.DirtyBlocks)
+	}
+}
+
+// TestCrashConsistency is the durability criterion with an unflushed
+// tail: bytes acked and Flushed (a multi-run destage pass, then the
+// store's Sync) must be readable after the server goes away mid-stream
+// and a fresh process opens the file. The second write burst is
+// deliberately left unflushed — a crash may lose it, but must not corrupt
+// the flushed prefix.
+func TestCrashConsistency(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol.img")
+	const size = 4 << 20
+	fs, err := NewFileStore(path, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startTunedServer(t, diskCfg(), parked, fs)
+	c, err := Dial(addr, DefaultClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flushed = 96
+	for i := 0; i < flushed; i++ {
+		if err := c.Write(1, int64(i)*8192, bytes.Repeat([]byte{byte(i + 1)}, 8192)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(1); err != nil {
+		t.Fatal(err)
+	}
+	// Unflushed tail: dirty blocks whose pass may be cut off mid-flight.
+	for i := flushed; i < flushed+32; i++ {
+		if err := c.Write(1, int64(i)*8192, bytes.Repeat([]byte{0xEE}, 8192)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	closeServer(t, srv)
+	fs.Close()
+
+	_, addr2 := startFileServer(t, diskCfg(), parked, path, size)
+	c2, err := Dial(addr2, DefaultClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	got := make([]byte, 8192)
+	for i := 0; i < flushed; i++ {
+		if err := c2.Read(1, int64(i)*8192, got); err != nil {
+			t.Fatalf("read block %d after restart: %v", i, err)
+		}
+		if got[0] != byte(i+1) || got[8191] != byte(i+1) {
+			t.Fatalf("flushed block %d corrupted across restart: %d", i, got[0])
+		}
+	}
+}
+
+// TestPrefetchStream is TestPrefetchSequentialStream over a file-backed
+// volume: a sequential scan must trigger window fills read from the
+// FileStore, and later demand reads must hit the installed blocks.
+func TestPrefetchStream(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.CacheBlocks = 512
+	path := filepath.Join(t.TempDir(), "vol.img")
+	srv, addr := startFileServer(t, cfg, tuning{}, path, 4<<20)
+	c, err := Dial(addr, DefaultClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, 8192)
+	for i := 0; i < 256; i++ {
+		if err := c.Read(1, int64(i)*8192, buf); err != nil {
+			t.Fatal(err)
+		}
+		if i%16 == 0 {
+			time.Sleep(time.Millisecond) // let the prefetch worker run ahead
+		}
+	}
+	d := srv.DiskStats()
+	if d.PrefetchFills == 0 {
+		t.Fatal("sequential scan triggered no prefetch fills")
+	}
+	if d.PrefetchHits == 0 {
+		t.Fatal("prefetched blocks were never hit")
+	}
+	t.Logf("prefetch fills=%d hits=%d dropped=%d", d.PrefetchFills, d.PrefetchHits, d.PrefetchDropped)
+}
+
+// TestStoreFaults wires a faultnet store fault injector (every Nth op
+// fails, every Mth is short) under both halves of the pipeline and checks
+// the error plumbing: injected failures surface as errors — never hangs,
+// never wrong bytes on the ops that succeed — and the session survives
+// all of it.
+func TestStoreFaults(t *testing.T) {
+	// Uncached volume: every request is a scheduler task doing one store
+	// call, so a fault is that request's EIO.
+	t.Run("uncached", func(t *testing.T) {
+		flaky := faultnet.NewStore(NewMemStore(2<<20), faultnet.StoreConfig{ErrEvery: 7, ShortEvery: 11})
+		srv, addr := startTunedServer(t, DefaultServerConfig(), tuning{}, flaky)
+		c, err := Dial(addr, DefaultClientConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var wErrs, rErrs, ok int
+		data := bytes.Repeat([]byte{0x7C}, 8192)
+		buf := make([]byte, 8192)
+		for i := 0; i < 60; i++ {
+			off := int64(i) * 8192
+			if err := c.Write(1, off, data); err != nil {
+				wErrs++
+				continue
+			}
+			if err := c.Read(1, off, buf); err != nil {
+				rErrs++
+				continue
+			}
+			if !bytes.Equal(buf, data) {
+				t.Fatalf("op %d: successful read returned wrong bytes under fault injection", i)
+			}
+			ok++
+		}
+		if wErrs+rErrs == 0 {
+			t.Fatalf("fault injector never fired (ops=%d)", flaky.Ops())
+		}
+		if ok == 0 {
+			t.Fatal("no operation survived fault injection")
+		}
+		t.Logf("faults: writeErrs=%d readErrs=%d ok=%d served=%d", wErrs, rErrs, ok, srv.Served())
+	})
+	// Cached volume: writes are acked as dirty blocks and the faults hit
+	// the destage runs. A failed run stays dirty and its error is sticky
+	// until the next Flush reports it; the Flush after that retries the
+	// run. With destaging parked, each Flush is exactly one store op, so
+	// the schedule fails flushes 7, 11, 14, ...
+	t.Run("cached", func(t *testing.T) {
+		inner := NewMemStore(2 << 20)
+		flaky := faultnet.NewStore(inner, faultnet.StoreConfig{ErrEvery: 7, ShortEvery: 11})
+		_, addr := startTunedServer(t, diskCfg(), parked, flaky)
+		c, err := Dial(addr, DefaultClientConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		const rounds = 16
+		flushErrs := 0
+		for i := 0; i < rounds; i++ {
+			if err := c.Write(1, int64(i)*8192, bytes.Repeat([]byte{byte(i + 1)}, 8192)); err != nil {
+				t.Fatalf("round %d: absorbed write failed: %v", i, err)
+			}
+			err := c.Flush(1)
+			for tries := 0; err != nil; tries++ {
+				flushErrs++
+				if tries == 3 {
+					t.Fatalf("round %d: flush never recovered: %v", i, err)
+				}
+				err = c.Flush(1)
+			}
+		}
+		if flushErrs == 0 {
+			t.Fatalf("no Flush reported an injected destage fault (ops=%d)", flaky.Ops())
+		}
+		got := make([]byte, 8192)
+		for i := 0; i < rounds; i++ {
+			if err := inner.ReadAt(got, int64(i)*8192); err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != byte(i+1) || got[8191] != byte(i+1) {
+				t.Fatalf("block %d not on the store after a successful Flush", i)
+			}
+		}
+	})
+}
+
+// TestChaosPartition is TestChaosDestagePartition over a file-backed
+// volume, so the destage runs and the flush barrier reach a real file
+// through FileStore: a transient blackhole mid-write-burst, hung peer
+// detection, reconnection replay, then a flush barrier and full
+// read-back — a real file below the cache must not change any of the
+// recovery semantics.
+func TestChaosPartition(t *testing.T) {
+	scfg := DefaultServerConfig()
+	scfg.CacheBlocks = 512
+	fs, err := NewFileStore(filepath.Join(t.TempDir(), "vol.img"), 4<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	f, addr := startFaultServerStore(t, scfg, tuning{}, fs)
+	cfg := DefaultClientConfig()
+	cfg.KeepaliveInterval = 200 * time.Millisecond
+	cfg.DialTimeout = 300 * time.Millisecond
+	cfg.ReconnectBackoff = 100 * time.Millisecond
+	cfg.MaxReconnects = 8
+	c, err := Dial(addr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	block := func(i int) []byte {
+		b := make([]byte, 8192)
+		for j := range b {
+			b[j] = byte(i*31 + j)
+		}
+		return b
+	}
+	for i := 0; i < 16; i++ {
+		if err := c.Write(1, int64(i)*8192, block(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Inj.Blackhole(true)
+	var handles []*Pending
+	for i := 16; i < 24; i++ {
+		h, err := c.WriteAsync(1, int64(i)*8192, block(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	time.Sleep(600 * time.Millisecond)
+	f.Inj.Blackhole(false)
+	for i, h := range handles {
+		if err := h.WaitTimeout(15 * time.Second); err != nil {
+			t.Fatalf("partition write %d: %v (reconnects=%d)", i, err, c.Reconnects())
+		}
+	}
+	if c.Reconnects() < 1 {
+		t.Fatal("client never reconnected across the partition")
+	}
+	if err := c.Flush(1); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 8192)
+	for i := 0; i < 24; i++ {
+		if err := c.Read(1, int64(i)*8192, got); err != nil {
+			t.Fatalf("read-back %d: %v", i, err)
+		}
+		if !bytes.Equal(got, block(i)) {
+			t.Fatalf("block %d corrupted across partition", i)
+		}
+	}
+}
+
+// TestFlushSurfacesSyncError checks the Flush barrier's error path: a
+// store whose next Sync fails must turn the wire-level Flush into an
+// error — after the destage pass on a cached volume, and from the flush
+// task's bare Sync on an uncached one — not swallowed by either.
+func TestFlushSurfacesSyncError(t *testing.T) {
+	for _, cacheBlocks := range []int{256, 0} {
+		flaky := faultnet.NewStore(NewMemStore(1<<20), faultnet.StoreConfig{})
+		_, addr := startTunedServer(t, ServerConfig{CacheBlocks: cacheBlocks}, tuning{}, flaky)
+		c, err := Dial(addr, DefaultClientConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Write(1, 0, make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		flaky.FailNextSync(faultnet.ErrInjected)
+		if err := c.Flush(1); err == nil {
+			t.Fatalf("cache %d: flush succeeded despite injected fsync failure", cacheBlocks)
+		}
+		if err := c.Flush(1); err != nil {
+			t.Fatalf("cache %d: flush did not recover after one-shot sync fault: %v", cacheBlocks, err)
+		}
+	}
+}
+
+// gateStore is a MemStore whose WriteAt (or, with parkReads, ReadAt)
+// parks until width calls are inside it at once and flows freely from then
+// on: a caller that issues its extents one at a time — or fewer than
+// width at a time — deadlocks into the test timeout. It records the most
+// calls ever in flight, and fails the write at failOff (set only while
+// no pass is running).
+type gateStore struct {
+	*MemStore
+	parkReads bool
+	width     int32
+	failOff   int64
+
+	inflight, most atomic.Int32
+	once           sync.Once
+	open           chan struct{}
+}
+
+func newGateStore(size int64, width int, parkReads bool) *gateStore {
+	return &gateStore{MemStore: NewMemStore(size), parkReads: parkReads, width: int32(width), failOff: -1, open: make(chan struct{})}
+}
+
+func (s *gateStore) gate() {
+	n := s.inflight.Add(1)
+	for m := s.most.Load(); n > m && !s.most.CompareAndSwap(m, n); m = s.most.Load() {
+	}
+	if n >= s.width {
+		s.once.Do(func() { close(s.open) })
+	}
+	<-s.open
+}
+
+func (s *gateStore) WriteAt(b []byte, off int64) error {
+	if !s.parkReads {
+		s.gate()
+		defer s.inflight.Add(-1)
+	}
+	if off == s.failOff {
+		return faultnet.ErrInjected
+	}
+	return s.MemStore.WriteAt(b, off)
+}
+
+func (s *gateStore) ReadAt(b []byte, off int64) error {
+	if s.parkReads {
+		s.gate()
+		defer s.inflight.Add(-1)
+	}
+	return s.MemStore.ReadAt(b, off)
+}
+
+// TestDestageFanOutOverlapsAndIsBounded is the evidence that background
+// store I/O is issued in parallel, and only so far, on a store that
+// blocks. A 200-run destage pass over a store that returns no write until
+// maxStoreFanOut of them are inside it must complete (a serial loop, or a
+// narrower fan-out, hangs) with never more than maxStoreFanOut in flight;
+// the one run made to fail leaves exactly its own blocks dirty and its
+// error sticky until the next Flush. The same store with reads parked
+// proves a strided read-ahead window issues its scattered reads together.
+func TestDestageFanOutOverlapsAndIsBounded(t *testing.T) {
+	const volBlks = 512
+	block := func(blk uint64) []byte { return bytes.Repeat([]byte{byte(blk%251 + 1)}, cacheBlockSize) }
+
+	gs := newGateStore(volBlks*cacheBlockSize, maxStoreFanOut, false)
+	srv := newServer(ServerConfig{CacheBlocks: 1024}, parked)
+	defer closeServer(t, srv)
+	srv.AddVolume(1, gs)
+	v := srv.lookup(1)
+	// Every even block up to 400 plus block 11: 199 single-block runs and
+	// the three-block run [10,12], which is the one that fails.
+	dirty := []uint64{11}
+	for blk := uint64(0); blk <= 400; blk += 2 {
+		dirty = append(dirty, blk)
+	}
+	for _, blk := range dirty {
+		if err := v.absorbWrite(block(blk), int64(blk)*cacheBlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gs.failOff = 10 * cacheBlockSize
+	v.wb.destageAll() // a background pass: its error is not returned, it sticks
+	if got := gs.most.Load(); got != maxStoreFanOut {
+		t.Fatalf("most store writes in flight = %d, want exactly %d", got, maxStoreFanOut)
+	}
+	if d := srv.DiskStats(); d.DestageRuns != 199 || d.DestagedBlocks != 199 {
+		t.Fatalf("pass committed %d runs / %d blocks, want 199 / 199", d.DestageRuns, d.DestagedBlocks)
+	}
+	if left := v.cache.dirtySnapshot(); !slices.Equal(left, []uint64{10, 11, 12}) {
+		t.Fatalf("dirty after the failed run = %v, want exactly its blocks [10 11 12]", left)
+	}
+	checkPinInvariant(t, v.cache)
+
+	// The store heals. The next Flush retries the run (inline: one run is
+	// no fan-out) and commits it, yet still reports the sticky error; the
+	// one after is clean.
+	gs.failOff = -1
+	if err := v.flush(); !errors.Is(err, faultnet.ErrInjected) {
+		t.Fatalf("flush after a failed background run = %v, want the sticky injected error", err)
+	}
+	if n := v.cache.dirtyCount.Load(); n != 0 {
+		t.Fatalf("%d dirty blocks after the retry pass", n)
+	}
+	if err := v.flush(); err != nil {
+		t.Fatalf("second flush: %v", err)
+	}
+	got := make([]byte, cacheBlockSize)
+	for _, blk := range dirty {
+		if err := gs.MemStore.ReadAt(got, int64(blk)*cacheBlockSize); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, block(blk)) {
+			t.Fatalf("block %d not on the store after a clean flush", blk)
+		}
+	}
+
+	// Read side: a strided window of 8 scattered blocks, against a store
+	// that returns no read until all 8 are inside it.
+	rs := newGateStore(volBlks*cacheBlockSize, minPrefetchBlocks, true)
+	window := make([]uint64, minPrefetchBlocks)
+	for i := range window {
+		window[i] = uint64(3 * i)
+		if err := rs.MemStore.WriteAt(block(window[i]), int64(window[i])*cacheBlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.AddVolume(2, rs)
+	rv := srv.lookup(2)
+	if err := rv.pf.fillBatched(srv, window); err != nil {
+		t.Fatal(err)
+	}
+	if got := rs.most.Load(); got != minPrefetchBlocks {
+		t.Fatalf("most store reads in flight = %d, want %d", got, minPrefetchBlocks)
+	}
+	for _, blk := range window {
+		if !rv.tryCachedRead(got, int64(blk)*cacheBlockSize) || !bytes.Equal(got, block(blk)) {
+			t.Fatalf("read-ahead block %d not installed with the store's bytes", blk)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // Flight-recorder event kinds. netv3 owns the kind space: the server,
 // the disk path, and the vault all record into one ring, so a dump
 // interleaves tiers by timestamp — the point of the recorder is seeing
-// what the scheduler, the disk queue, and the replicas were doing in
+// what the scheduler, the disk path, and the replicas were doing in
 // the instants before an incident.
 //
 // Each kind's two free words (a, b) are documented inline; trace is the
@@ -78,9 +78,8 @@ func traceArr(trace uint64) int64 {
 }
 
 // fillSpan stamps a traced response's id and the two spans every path
-// shares: queue wait (arrival→start) and service time (start→now). The
-// disk-queue split fields stay zero: no demand I/O rides the disk queue,
-// so its device time sits inside the service span. No-op for untraced
+// shares: queue wait (arrival→start) and service time (start→now); a
+// miss's store call sits inside the service span. No-op for untraced
 // requests, leaving the block's zeros — the same bytes a pre-trace server
 // emits.
 func fillSpan(h *wire.Header, sp *wire.SrvSpan, trace uint64, arr, start int64) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -233,6 +234,21 @@ func TestServerCacheHits(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 128
 	srv, addr := startServer(t, cfg, 4<<20)
+	// A cached volume owns exactly two long-lived goroutines: destager and
+	// prefetch worker. Goroutines of earlier tests may still be exiting,
+	// which can only shrink the delta, so a short count retries on a
+	// fresh volume; a larger one is the regression and fails at once.
+	for id := uint32(2); ; id++ {
+		before := runtime.NumGoroutine()
+		srv.AddVolume(id, NewMemStore(1<<20))
+		grew := runtime.NumGoroutine() - before
+		if grew == 2 {
+			break
+		}
+		if grew > 2 || id == 10 {
+			t.Fatalf("AddVolume on a cached server grew the goroutine count by %d, want 2", grew)
+		}
+	}
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -73,30 +73,26 @@ func ClientStageDefs() []obs.StageDef {
 // Span-stage metric names: the server-side decomposition of stServer,
 // carried back in each traced response's SrvSpan block. Together with
 // the net residual they re-tile the server+net stage, so the merged
-// nine-column table still sums to the measured end-to-end mean.
+// seven-column table still sums to the measured end-to-end mean.
 const (
-	metricSrvSched  = "netv3_client_stage_srv_sched_ns"
-	metricSrvCPU    = "netv3_client_stage_srv_cpu_ns"
-	metricSrvDiskQ  = "netv3_client_stage_srv_diskq_ns"
-	metricSrvDevice = "netv3_client_stage_srv_device_ns"
-	metricNetResid  = "netv3_client_stage_net_ns"
+	metricSrvSched = "netv3_client_stage_srv_sched_ns"
+	metricSrvCPU   = "netv3_client_stage_srv_cpu_ns"
+	metricNetResid = "netv3_client_stage_net_ns"
 )
 
 // MergedStageDefs returns the cross-tier breakdown schema: the client's
-// local stages with the server+net stage replaced by its five-way
-// decomposition (scheduler wait, server CPU, disk-queue wait, device
-// time, and the network/kernel residual). Every row is clamped at zero
-// on capture, and against a pre-trace server the spans decode as zeros
-// so the whole server+net stage lands in the net residual — the table
-// tiles either way.
+// local stages with the server+net stage replaced by its three-way
+// decomposition (scheduler wait, server service time — CPU plus any
+// store call the request made — and the network/kernel residual). Every
+// row is clamped at zero on capture, and against a pre-trace server the
+// spans decode as zeros so the whole server+net stage lands in the net
+// residual — the table tiles either way.
 func MergedStageDefs() []obs.StageDef {
 	return []obs.StageDef{
 		{Display: "submission", Metric: clientStageMetrics[stSubmit]},
 		{Display: "wire write", Metric: clientStageMetrics[stWire]},
 		{Display: "srv sched wait", Metric: metricSrvSched},
 		{Display: "srv cpu", Metric: metricSrvCPU},
-		{Display: "srv diskq wait", Metric: metricSrvDiskQ},
-		{Display: "srv device", Metric: metricSrvDevice},
 		{Display: "net+kernel", Metric: metricNetResid},
 		{Display: "delivery", Metric: clientStageMetrics[stDeliver]},
 		{Display: "wakeup", Metric: clientStageMetrics[stWake]},
@@ -112,11 +108,9 @@ type clientObs struct {
 	stages [nStages]*obs.Hist
 
 	// Server-span decomposition of stServer (see MergedStageDefs).
-	srvSched  *obs.Hist
-	srvCPU    *obs.Hist
-	srvDiskQ  *obs.Hist
-	srvDevice *obs.Hist
-	netResid  *obs.Hist
+	srvSched *obs.Hist
+	srvCPU   *obs.Hist
+	netResid *obs.Hist
 
 	cancels   *obs.Counter // netv3_client_cancels_total
 	deadlines *obs.Counter // netv3_client_deadline_exceeded_total
@@ -137,8 +131,6 @@ func newClientObs(r *obs.Registry) *clientObs {
 	co := &clientObs{
 		srvSched:  r.Hist(metricSrvSched),
 		srvCPU:    r.Hist(metricSrvCPU),
-		srvDiskQ:  r.Hist(metricSrvDiskQ),
-		srvDevice: r.Hist(metricSrvDevice),
 		netResid:  r.Hist(metricNetResid),
 		cancels:   r.Counter("netv3_client_cancels_total"),
 		deadlines: r.Counter("netv3_client_deadline_exceeded_total"),
@@ -203,11 +195,11 @@ func (co *clientObs) noteKeepaliveRTT(ns int64) {
 // duration.
 //
 // sp is the server-side span block echoed in the response: the stServer
-// interval (t3-t2) is re-tiled as sched wait + server CPU + disk-queue
-// wait + device time + network residual, each clamped at zero so the
-// five spans still column-sum to the interval they decompose. A
-// pre-trace server answers all-zero spans, which lands the whole
-// interval in the residual — the merged table tiles either way.
+// interval (t3-t2) is re-tiled as sched wait + server service + network
+// residual, each clamped at zero so the three spans still column-sum to
+// the interval they decompose. A pre-trace server answers all-zero
+// spans, which lands the whole interval in the residual — the merged
+// table tiles either way.
 func (co *clientObs) recordTrace(t0, t1, t2, t3, t4, t5 int64, sp wire.SrvSpan) {
 	co.stages[stSubmit].Observe(maxNS(t1 - t0))
 	co.stages[stWire].Observe(maxNS(t2 - t1))
@@ -216,11 +208,8 @@ func (co *clientObs) recordTrace(t0, t1, t2, t3, t4, t5 int64, sp wire.SrvSpan) 
 	co.stages[stWake].Observe(maxNS(t5 - t4))
 
 	q, svc := int64(sp.SrvQueueNS), int64(sp.SrvServiceNS)
-	dq, dev := int64(sp.SrvDiskQNS), int64(sp.SrvDeviceNS)
 	co.srvSched.Observe(maxNS(q))
-	co.srvCPU.Observe(maxNS(svc - dq - dev))
-	co.srvDiskQ.Observe(maxNS(dq))
-	co.srvDevice.Observe(maxNS(dev))
+	co.srvCPU.Observe(maxNS(svc))
 	co.netResid.Observe(maxNS((t3 - t2) - q - svc))
 }
 
@@ -312,20 +301,5 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 	r.GaugeFunc("netv3_srv_prefetch_fills_total", func() int64 { return s.DiskStats().PrefetchFills })
 	r.GaugeFunc("netv3_srv_prefetch_hits_total", func() int64 { return s.DiskStats().PrefetchHits })
 	r.GaugeFunc("netv3_srv_prefetch_dropped_total", func() int64 { return s.DiskStats().PrefetchDropped })
-	// Disk-queue exports. The in-flight gauge reads the live
-	// SQ depth across volumes; the counters mirror DiskStats. The queue's
-	// own histograms (submit/reap batch sizes, queue-wait vs device time)
-	// register themselves on the same registry via diskq.Config.Metrics.
-	r.GaugeFunc("netv3_srv_diskq_inflight", func() int64 {
-		var n int64
-		for _, v := range *s.volumes.Load() {
-			if v.dq != nil {
-				n += int64(v.dq.q.InFlight())
-			}
-		}
-		return n
-	})
-	r.GaugeFunc("netv3_srv_diskq_batches_total", func() int64 { return s.DiskStats().DiskQBatches })
-	r.GaugeFunc("netv3_srv_diskq_fallbacks_total", func() int64 { return s.DiskStats().DiskQFallbacks })
 	return so
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/v3storage/v3/internal/diskq"
 	"github.com/v3storage/v3/internal/obs"
 )
 
@@ -59,17 +58,15 @@ const maxEmitted = 4 * maxPrefetchBlocks
 // observe feeds one read into the detector and returns the blocks to
 // prefetch, if a stream is established and has caught up with the
 // previous read-ahead horizon. Sequential streams yield a contiguous
-// window; strided streams (allowed only when strideOK — a scattered
-// window is one vectored submission of single-block reads, affordable
-// only while the disk queue has ring headroom for it) yield the blocks
-// under the next predicted read positions.
+// window; strided streams yield the blocks under the next predicted
+// read positions.
 // cancel, returned when this read broke an established stream, is the
 // dead stream's emitted read-ahead — the caller should hand it to
 // prefetchDiscard so unconsumed speculation stops occupying the cache.
-func (p *prefetcher) observe(vol uint32, off, length int64, strideOK bool) (blks, cancel []uint64, ok bool) {
+func (p *prefetcher) observe(vol uint32, off, length int64) (blks, cancel []uint64, ok bool) {
 	seq := p.started && vol == p.vol && off == p.nextOff
 	delta := off - p.lastOff
-	strided := p.started && vol == p.vol && !seq && strideOK &&
+	strided := p.started && vol == p.vol && !seq &&
 		delta == p.stride && delta != 0 &&
 		delta > -maxPrefetchStride && delta < maxPrefetchStride
 	if seq || strided {
@@ -192,17 +189,17 @@ type prefetchReq struct {
 }
 
 // prefetchFillStreams is how many window fills a volume's prefetch
-// worker keeps in flight at once over the disk queue. A fill is
-// device-bound (one vectored batch, then a wait), so overlapping a few
-// keeps read-ahead supply at queue rate instead of one window per device
-// round.
+// worker keeps in flight at once. A fill is device-bound (one fan-out of
+// store reads, then a join), so overlapping a few keeps read-ahead
+// supply at device rate instead of one window per device round.
 const prefetchFillStreams = 6
 
 // prefetchWorker is the per-volume background read-ahead engine: one
 // goroutine draining a small request channel, fanning out to a few
-// concurrent fills. Requests that arrive while the
-// lane is full are dropped — read-ahead is best-effort and a demand miss
-// is always correct, just slower.
+// concurrent fills, each a plan → store reads → install sequence (see
+// fillBatched). Requests that arrive while the lane is full are dropped
+// — read-ahead is best-effort and a demand miss is always correct, just
+// slower.
 type prefetchWorker struct {
 	v       *volume
 	reqs    chan prefetchReq
@@ -276,7 +273,7 @@ func (w *prefetchWorker) fillNow(s *Server, blks []uint64) {
 	if s.om != nil || s.flight != nil {
 		t0 = obs.Now()
 	}
-	if err := w.fillBatched(blks); err != nil {
+	if err := w.fillBatched(s, blks); err != nil {
 		// Best-effort: log and move on; the demand path will
 		// surface a persistent store error to the client.
 		s.logf("netv3: prefetch %d blocks from %d: %v", len(blks), blks[0], err)
@@ -292,17 +289,16 @@ func (w *prefetchWorker) fillNow(s *Server, blks []uint64) {
 	}
 }
 
-// fillBatched reads one window through the disk queue: the whole
-// doubling window goes down as one vectored submission — one read extent
-// per maximal run of wanted, block-contiguous entries — with NO shard
-// locks held across the device time, so read-ahead never stalls demand
-// hits: the plan and install phases take the locks only briefly, and the
-// epoch snapshot taken by prefetchPlan lets prefetchInstall drop any
-// block a write raced past the unlocked read (a dropped block just
-// misses later). Strided windows are where the vectoring earns its keep:
-// a gapped window becomes a scatter of single-block extents in one
-// submission.
-func (w *prefetchWorker) fillBatched(blks []uint64) error {
+// fillBatched reads one window from the store: the whole doubling window
+// goes down as one fan-out (storeFanOut) — one read extent per maximal
+// run of wanted, block-contiguous entries — with NO shard locks held
+// across the device time, so read-ahead never stalls demand hits: the
+// plan and install phases take the locks only briefly, and the epoch
+// snapshot taken by prefetchPlan lets prefetchInstall drop any block a
+// write raced past the unlocked read (a dropped block just misses
+// later). Strided windows are where the fan-out earns its keep: a gapped
+// window becomes a scatter of single-block reads issued together.
+func (w *prefetchWorker) fillBatched(s *Server, blks []uint64) error {
 	v := w.v
 	c := v.cache
 	want, epochs, need := c.prefetchPlan(v, blks)
@@ -310,11 +306,10 @@ func (w *prefetchWorker) fillBatched(blks []uint64) error {
 		return nil
 	}
 	n := len(blks)
-	dq := v.dq
-	buf := dq.q.GetBuf(n * cacheBlockSize)
-	defer dq.q.PutBuf(buf)
+	buf := s.pool.Get(n * cacheBlockSize)
+	defer s.pool.Put(buf)
 	vsize := v.store.Size()
-	var ops []diskq.Op
+	var ops []storeOp
 	var runs [][2]int // wanted-run [start index, block count] per op
 	for i := 0; i < n; {
 		if !want[i] {
@@ -333,20 +328,20 @@ func (w *prefetchWorker) fillBatched(blks []uint64) error {
 			ln = vsize - off
 			clear(buf[int64(i)*cacheBlockSize+ln : int64(j)*cacheBlockSize])
 		}
-		ops = append(ops, diskq.Op{Kind: diskq.OpRead, Buf: buf[int64(i)*cacheBlockSize : int64(i)*cacheBlockSize+ln], Off: off})
+		ops = append(ops, storeOp{buf: buf[int64(i)*cacheBlockSize : int64(i)*cacheBlockSize+ln], off: off})
 		runs = append(runs, [2]int{i, j - i})
 		i = j
 	}
-	comps, nsub := dq.runBatch(ops)
+	storeFanOut(ops, v.store.ReadAt)
 	ok := make([]bool, n)
 	var firstErr error
 	for oi, run := range runs {
-		good := oi < nsub && comps[oi].Err == nil
-		if oi < nsub && comps[oi].Err != nil && firstErr == nil {
-			firstErr = comps[oi].Err
+		err := ops[oi].err
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 		for k := 0; k < run[1]; k++ {
-			ok[run[0]+k] = good
+			ok[run[0]+k] = err == nil
 		}
 	}
 	c.prefetchInstall(blks, want, ok, epochs, buf)

@@ -14,13 +14,13 @@ func TestPrefetcherSequentialStream(t *testing.T) {
 	var p prefetcher
 	const rl = 2 * cacheBlockSize // 16 KB reads
 
-	if _, cancel, ok := p.observe(1, 0, rl, false); ok || cancel != nil {
+	if _, cancel, ok := p.observe(1, 0, rl); ok || cancel != nil {
 		t.Fatal("first read must not arm read-ahead")
 	}
-	if _, _, ok := p.observe(1, rl, rl, false); ok {
+	if _, _, ok := p.observe(1, rl, rl); ok {
 		t.Fatal("one adjacency is below the arming streak")
 	}
-	blks, _, ok := p.observe(1, 2*rl, rl, false)
+	blks, _, ok := p.observe(1, 2*rl, rl)
 	if !ok {
 		t.Fatal("third sequential read must open a window")
 	}
@@ -36,7 +36,7 @@ func TestPrefetcherSequentialStream(t *testing.T) {
 	}
 	// Continuing the scan doubles the degree once the previous window is
 	// half consumed.
-	blks2, _, ok := p.observe(1, 3*rl, rl, false)
+	blks2, _, ok := p.observe(1, 3*rl, rl)
 	if !ok {
 		t.Fatal("continuing read must extend the horizon")
 	}
@@ -51,21 +51,21 @@ func TestPrefetcherSequentialStream(t *testing.T) {
 func TestPrefetcherBreakCancelsEmitted(t *testing.T) {
 	var p prefetcher
 	const rl = 2 * cacheBlockSize
-	p.observe(1, 0, rl, false)
-	p.observe(1, rl, rl, false)
-	w1, _, _ := p.observe(1, 2*rl, rl, false)
-	w2, _, _ := p.observe(1, 3*rl, rl, false)
+	p.observe(1, 0, rl)
+	p.observe(1, rl, rl)
+	w1, _, _ := p.observe(1, 2*rl, rl)
+	w2, _, _ := p.observe(1, 3*rl, rl)
 
 	// A far-away read kills the stream: every block the dead stream
 	// emitted comes back for discard, exactly once.
-	_, cancel, ok := p.observe(1, 500*cacheBlockSize, rl, false)
+	_, cancel, ok := p.observe(1, 500*cacheBlockSize, rl)
 	if ok {
 		t.Fatal("stream-breaking read must not open a window")
 	}
 	if want := len(w1) + len(w2); len(cancel) != want {
 		t.Fatalf("cancel returned %d blocks, want %d", len(cancel), want)
 	}
-	if _, cancel2, _ := p.observe(1, 900*cacheBlockSize, rl, false); len(cancel2) != 0 {
+	if _, cancel2, _ := p.observe(1, 900*cacheBlockSize, rl); len(cancel2) != 0 {
 		t.Fatalf("second break returned %d canceled blocks, want 0", len(cancel2))
 	}
 }
@@ -75,12 +75,12 @@ func TestPrefetcherStridedStream(t *testing.T) {
 	const stride = 3 * cacheBlockSize
 	const rl = cacheBlockSize
 
-	p.observe(1, 0, rl, true)
-	p.observe(1, stride, rl, true) // establishes the stride
-	if _, _, ok := p.observe(1, 2*stride, rl, true); ok {
+	p.observe(1, 0, rl)
+	p.observe(1, stride, rl) // establishes the stride
+	if _, _, ok := p.observe(1, 2*stride, rl); ok {
 		t.Fatal("strided streak of 1 must not arm")
 	}
-	blks, _, ok := p.observe(1, 3*stride, rl, true)
+	blks, _, ok := p.observe(1, 3*stride, rl)
 	if !ok {
 		t.Fatal("third equal stride must open a strided window")
 	}
@@ -96,21 +96,9 @@ func TestPrefetcherStridedStream(t *testing.T) {
 	}
 }
 
-func TestPrefetcherStrideGate(t *testing.T) {
-	var p prefetcher
-	const stride = 3 * cacheBlockSize
-	// Identical access pattern, strideOK=false (shallow or absent disk
-	// queue): scatter read-ahead must never arm.
-	for i := int64(0); i < 12; i++ {
-		if _, _, ok := p.observe(1, i*stride, cacheBlockSize, false); ok {
-			t.Fatalf("strided window armed at read %d with strideOK=false", i)
-		}
-	}
-}
-
 // prefetchDirect runs the prefetch worker's two cache phases — plan,
 // then install — around a plain store read of blocks [start, start+n),
-// standing in for the disk-queue batch between them.
+// standing in for the worker's fan-out between them.
 func prefetchDirect(t *testing.T, c *blockCache, v *volume, start uint64, n int) {
 	t.Helper()
 	blks := make([]uint64, n)

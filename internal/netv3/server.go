@@ -26,9 +26,8 @@ type ServerConfig struct {
 	// CacheBlocks gives every volume a server-side MQ cache of that many
 	// 8 KB blocks and, with it, the rest of the cached disk path:
 	// write-behind destaging (a write is acknowledged once it is a dirty
-	// cache block; Flush is the durability barrier), sequential and
-	// strided read-ahead, and the per-volume disk queue both ride. 0
-	// serves every request straight from the store.
+	// cache block; Flush is the durability barrier) and sequential and
+	// strided read-ahead. 0 serves every request straight from the store.
 	CacheBlocks int
 	// SchedWorkers sizes the shared request scheduler: a bounded pool of
 	// that many workers drains per-tenant weighted queues in two QoS lanes
@@ -65,14 +64,13 @@ func DefaultServerConfig() ServerConfig {
 	return ServerConfig{Credits: 64, MaxXfer: 1 << 20}
 }
 
-// tuning holds the cached disk path's three fixed sizes. Every server
+// tuning holds the cached disk path's two fixed sizes. Every server
 // built by NewServer runs the defaults; in-package tests hand newServer
-// other values to park the destager, force the write-through fallback,
-// or shrink the queue. A zero field selects its default.
+// other values to park the destager or force the write-through
+// fallback. A zero field selects its default.
 type tuning struct {
 	destageInterval time.Duration // background destage period (5 ms)
 	dirtyHighWater  int           // dirty blocks before writes go through (CacheBlocks/2)
-	sqDepth         int           // disk-queue submission depth (64)
 }
 
 const cacheBlockSize = 8192
@@ -89,12 +87,12 @@ type srvStream struct {
 }
 
 // volume is one exported store. A cached volume (CacheBlocks > 0) carries
-// the whole cached disk path — cache, disk queue, destager, prefetcher —
-// and an uncached one none of it: the four are nil or non-nil together.
+// the whole cached disk path — cache, destager, prefetcher — and an
+// uncached one none of it: the three are nil or non-nil together. Either
+// way the store is the only disk interface.
 type volume struct {
 	store BlockStore
 	cache *blockCache
-	dq    *diskQueue      // destage batches, prefetch windows, the Flush fsync
 	wb    *destager       // dirty-block destaging
 	pf    *prefetchWorker // read-ahead fills
 }
@@ -161,9 +159,6 @@ func newServer(cfg ServerConfig, tune tuning) *Server {
 	if tune.dirtyHighWater <= 0 {
 		tune.dirtyHighWater = max(cfg.CacheBlocks/2, 1)
 	}
-	if tune.sqDepth <= 0 {
-		tune.sqDepth = 64
-	}
 	s := &Server{cfg: cfg, tune: tune, pool: bufpool.New(),
 		done: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 	s.flight = cfg.Flight
@@ -183,19 +178,10 @@ func (s *Server) AddVolume(id uint32, store BlockStore) {
 	v := &volume{store: store}
 	if s.cfg.CacheBlocks > 0 && !s.closed.Load() {
 		v.cache = newBlockCache(s.cfg.CacheBlocks, s.pool)
-		dq, err := newDiskQueue(s, v)
-		if err != nil {
-			// diskq.Open has no failure mode today; should it gain one, the
-			// volume is served uncached rather than half-built.
-			s.logf("netv3: vol %d disk queue: %v; serving uncached", id, err)
-			v.cache = nil
-		} else {
-			v.dq = dq
-			v.wb = newDestager(s, v)
-			go v.wb.run(s.done)
-			v.pf = newPrefetchWorker(v)
-			go v.pf.run(s, s.done)
-		}
+		v.wb = newDestager(s, v)
+		go v.wb.run(s.done)
+		v.pf = newPrefetchWorker(v)
+		go v.pf.run(s, s.done)
 	}
 	old := *s.volumes.Load()
 	next := make(map[uint32]*volume, len(old)+1)
@@ -299,11 +285,9 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve()
 }
 
-// Close stops accepting, stops the background disk-path goroutines,
-// severs every live session, and closes the listener. Per volume the
-// order matters: the destager and prefetcher finish first (their final
-// passes still submit to the disk queue), then the queue itself closes,
-// draining every in-flight completion before the dispatcher exits.
+// Close stops accepting, stops the background disk-path goroutines
+// (waiting out the destager's final pass and any read-ahead fill in
+// flight), severs every live session, and closes the listener.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -313,7 +297,6 @@ func (s *Server) Close() error {
 		if v.cache != nil {
 			<-v.wb.stopped
 			<-v.pf.stopped
-			v.dq.close()
 		}
 	}
 	var err error
@@ -625,12 +608,7 @@ func (ss *session) read(m *wire.Read, arr int64) {
 	v := s.lookup(m.Volume)
 	if v != nil && v.cache != nil && m.Length <= s.cfg.MaxXfer &&
 		checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) == nil {
-		// Strided read-ahead needs ring headroom: a strided window is one
-		// vectored batch of up to maxPrefetchBlocks scattered single-block
-		// reads, and speculation that can fill half the ring starves the
-		// destage batches queued behind it.
-		strideOK := v.dq.q.Depth() >= 2*maxPrefetchBlocks
-		blks, cancel, ok := ss.pf.observe(m.Volume, int64(m.Offset), int64(m.Length), strideOK)
+		blks, cancel, ok := ss.pf.observe(m.Volume, int64(m.Offset), int64(m.Length))
 		if len(cancel) > 0 {
 			v.cache.prefetchDiscard(cancel)
 		}
@@ -820,11 +798,6 @@ type DiskStats struct {
 	PrefetchFills         int64 // blocks installed by read-ahead
 	PrefetchHits          int64 // demand hits on those blocks
 	PrefetchDropped       int64 // read-ahead requests dropped (worker busy)
-	// Disk-queue counters: vectored batches submitted (destage passes,
-	// prefetch windows) and ops a closing queue refused,
-	// which their submitters then ran synchronously.
-	DiskQBatches   int64
-	DiskQFallbacks int64
 }
 
 // DiskStats returns cumulative disk-path counters.
@@ -844,8 +817,6 @@ func (s *Server) DiskStats() DiskStats {
 		}
 		d.WriteThroughFallbacks += v.wb.wtFallbacks.Load()
 		d.PrefetchDropped += v.pf.dropped.Load()
-		d.DiskQBatches += v.dq.batches.Load()
-		d.DiskQFallbacks += v.dq.fallbacks.Load()
 	}
 	return d
 }

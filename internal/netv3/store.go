@@ -7,7 +7,9 @@
 // state machine (internal/reliable) and the MQ replacement policy
 // (internal/mqcache) — and adds the server's one request pipeline
 // (DESIGN.md "Request pipeline"): scheduler, sharded write-behind block
-// cache, destager, prefetcher and the disk queue (internal/diskq).
+// cache, destager and prefetcher. Below the cache there is one disk
+// interface, BlockStore: misses, write-through, destage runs, read-ahead
+// windows and the Flush fsync are all plain calls on it.
 //
 // TCP stands in for the VI interconnect: reliable in-order delivery but
 // none of VI's kernel-bypass properties. The simulation reproduces the
@@ -21,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // BlockStore is the backing storage of one volume.
@@ -32,6 +35,42 @@ type BlockStore interface {
 	Sync() error
 	Size() int64
 	Close() error
+}
+
+// maxStoreFanOut bounds how many store calls one background pass (a
+// destage pass, a read-ahead window) keeps in flight at once.
+const maxStoreFanOut = 64
+
+// storeOp is one extent of a background pass: do(buf, off), result in err.
+type storeOp struct {
+	buf []byte
+	off int64
+	err error
+}
+
+// storeFanOut runs do (a store's ReadAt or WriteAt) over every op and
+// returns when all have finished, each op's outcome in its err. A single
+// op runs on the caller; more run on up to maxStoreFanOut goroutines, so
+// a store that blocks (a device, a latency model) sees the pass's
+// extents overlapped rather than one at a time. The ops must cover
+// disjoint ranges: their relative order at the store is unspecified.
+func storeFanOut(ops []storeOp, do func(b []byte, off int64) error) {
+	if len(ops) == 1 {
+		ops[0].err = do(ops[0].buf, ops[0].off)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(ops), maxStoreFanOut) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(ops)); i = next.Add(1) - 1 {
+				ops[i].err = do(ops[i].buf, ops[i].off)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // MemStore is a volatile in-memory volume.

@@ -113,14 +113,14 @@ func TestTraceHandshakeFallback(t *testing.T) {
 // differs: a working set inside the cache, where after warm-up every read
 // is an inline hit, and a cache an eighth of the scanned region, where
 // reads miss into scheduler tasks and read-ahead windows ride the
-// background lane and the disk queue.
+// background lane.
 func TestMergedBreakdownTiles(t *testing.T) {
 	shapes := []struct {
 		name string
 		cfg  ServerConfig
 	}{
 		{"inline", ServerConfig{CacheBlocks: 256}},
-		{"sched-diskq", ServerConfig{CacheBlocks: 16}},
+		{"sched-store", ServerConfig{CacheBlocks: 16}},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -138,6 +138,9 @@ func TestMergedBreakdownTiles(t *testing.T) {
 				t.Fatal("no traced requests")
 			}
 			rows := obs.Breakdown(reg, MergedStageDefs())
+			if len(rows) != 7 {
+				t.Fatalf("merged table has %d columns, want 7", len(rows))
+			}
 			var sum float64
 			for _, r := range rows {
 				sum += r.MeanNS

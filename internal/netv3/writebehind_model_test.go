@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/v3storage/v3/internal/bufpool"
 	"github.com/v3storage/v3/internal/faultnet"
@@ -98,7 +97,7 @@ func TestPropWriteBehindMatchesModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		mem := NewMemStore(volSize)
 		flaky := faultnet.NewStore(mem, faultnet.StoreConfig{})
-		srv := newServer(ServerConfig{CacheBlocks: 32}, tuning{destageInterval: time.Hour, sqDepth: 8})
+		srv := newServer(ServerConfig{CacheBlocks: 32}, parked)
 		srv.AddVolume(1, flaky)
 		v := srv.lookup(1)
 		c := v.cache

@@ -75,15 +75,11 @@ func parseHeader(b []byte) (MsgType, Header, error) {
 func putSpan(p []byte, s *SrvSpan) {
 	binary.BigEndian.PutUint32(p[spanOff:], s.SrvQueueNS)
 	binary.BigEndian.PutUint32(p[spanOff+4:], s.SrvServiceNS)
-	binary.BigEndian.PutUint32(p[spanOff+8:], s.SrvDiskQNS)
-	binary.BigEndian.PutUint32(p[spanOff+12:], s.SrvDeviceNS)
 }
 
 func parseSpan(p []byte, s *SrvSpan) {
 	s.SrvQueueNS = binary.BigEndian.Uint32(p[spanOff:])
 	s.SrvServiceNS = binary.BigEndian.Uint32(p[spanOff+4:])
-	s.SrvDiskQNS = binary.BigEndian.Uint32(p[spanOff+8:])
-	s.SrvDeviceNS = binary.BigEndian.Uint32(p[spanOff+12:])
 }
 
 // Marshal encodes m into a fresh ControlSize-byte buffer.

@@ -66,7 +66,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(traced)
 	f.Add(traced[:traceOff])
 	f.Add(Marshal(&ReadResp{Header: Header{Seq: 29, Trace: 0xfedcba9876543210}, ReqID: 17, Status: StatusOK,
-		SrvSpan: SrvSpan{SrvQueueNS: 100, SrvServiceNS: 2000, SrvDiskQNS: 300, SrvDeviceNS: 40000}}))
+		SrvSpan: SrvSpan{SrvQueueNS: 100, SrvServiceNS: 2000}}))
 	f.Add(Marshal(&WriteResp{Header: Header{Seq: 30, Trace: 1}, ReqID: 18, Status: StatusOK,
 		SrvSpan: SrvSpan{SrvQueueNS: ^uint32(0), SrvServiceNS: ^uint32(0)}}))
 	f.Add(Marshal(&FlushResp{Header: Header{Seq: 31, Trace: ^uint64(0)}, ReqID: 19, Status: StatusOK,

@@ -57,7 +57,7 @@ const (
 
 	// FeatureTrace: requests may carry a nonzero trace id in the header's
 	// Trace field and responses answer with a server-side span block
-	// (queue wait, service time, disk-queue wait, device time). Both ride
+	// (queue wait, service time). Both ride
 	// frame padding that pre-trace peers emit as zeros and never read, so
 	// a zero intersection falls back to untraced frames transparently.
 	FeatureTrace uint32 = 1 << 1
@@ -204,7 +204,8 @@ type Read struct {
 }
 
 // SrvSpan is the server-side span block a traced response carries back in
-// frame bytes 36..51 — more padding every pre-trace peer emits as zeros.
+// frame bytes 36..43 — more padding every pre-trace peer emits as zeros
+// (bytes 44..51, once two further spans, are zero padding again).
 // Returning the spans in the response itself (instead of a scrape-side
 // join) lets the client fold server time into its own stage table even
 // against a remote server, and makes the old-server fallback free: zeros
@@ -213,8 +214,6 @@ type Read struct {
 type SrvSpan struct {
 	SrvQueueNS   uint32 // sched admission + lane queue wait
 	SrvServiceNS uint32 // worker service time (handler start to response build)
-	SrvDiskQNS   uint32 // disk queue wait (submit to device pickup)
-	SrvDeviceNS  uint32 // device time (pickup to completion reap)
 }
 
 // ReadResp completes a Read. On the VI transport the payload has already

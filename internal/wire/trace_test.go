@@ -26,7 +26,7 @@ func TestTraceIDRoundtripAllRequests(t *testing.T) {
 }
 
 func TestSrvSpanRoundtripAllResponses(t *testing.T) {
-	sp := SrvSpan{SrvQueueNS: 11, SrvServiceNS: 2222, SrvDiskQNS: 333, SrvDeviceNS: 44444}
+	sp := SrvSpan{SrvQueueNS: 11, SrvServiceNS: 2222}
 	rr := roundtrip(t, &ReadResp{Header: Header{Seq: 5, Trace: 9}, ReqID: 1, Status: StatusOK, SrvSpan: sp}).(*ReadResp)
 	if rr.SrvSpan != sp || rr.Trace != 9 {
 		t.Fatalf("ReadResp span %+v trace %d, want %+v trace 9", rr.SrvSpan, rr.Trace, sp)
@@ -72,7 +72,7 @@ func TestPreTraceFrameDecodesUntraced(t *testing.T) {
 
 // Saturated span fields (the clamp ceiling) survive the round trip.
 func TestSrvSpanSaturation(t *testing.T) {
-	sp := SrvSpan{SrvQueueNS: ^uint32(0), SrvServiceNS: ^uint32(0), SrvDiskQNS: ^uint32(0), SrvDeviceNS: ^uint32(0)}
+	sp := SrvSpan{SrvQueueNS: ^uint32(0), SrvServiceNS: ^uint32(0)}
 	rr := roundtrip(t, &ReadResp{Header: Header{Seq: 9, Trace: 1}, ReqID: 5, Status: StatusOK, SrvSpan: sp}).(*ReadResp)
 	if rr.SrvSpan != sp {
 		t.Fatalf("saturated span %+v, want %+v", rr.SrvSpan, sp)

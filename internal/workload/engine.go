@@ -139,7 +139,7 @@ type Engine struct {
 
 // srvKindAcc is one tx kind's banked server-stage totals.
 type srvKindAcc struct {
-	n, sched, cpu, diskq, device atomic.Int64
+	n, sched, cpu atomic.Int64
 }
 
 func (a *srvKindAcc) fold(src *SrvSpanAcc) {
@@ -149,8 +149,6 @@ func (a *srvKindAcc) fold(src *SrvSpanAcc) {
 	a.n.Add(src.N)
 	a.sched.Add(src.SchedNS)
 	a.cpu.Add(src.CPUNS)
-	a.diskq.Add(src.DiskQNS)
-	a.device.Add(src.DeviceNS)
 }
 
 type counterSnap struct {
@@ -672,11 +670,9 @@ func (e *Engine) result(elapsed time.Duration) *Result {
 			Name: k.Name,
 			Lat:  e.lat[i].Snapshot(),
 			Srv: SrvStageStat{
-				N:        a.n.Load(),
-				SchedNS:  a.sched.Load(),
-				CPUNS:    a.cpu.Load(),
-				DiskQNS:  a.diskq.Load(),
-				DeviceNS: a.device.Load(),
+				N:       a.n.Load(),
+				SchedNS: a.sched.Load(),
+				CPUNS:   a.cpu.Load(),
 			},
 		})
 	}

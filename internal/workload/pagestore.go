@@ -58,31 +58,22 @@ type PageStore interface {
 }
 
 // SrvSpanAcc sums the server-reported span blocks of traced requests:
-// scheduler queue wait, worker CPU (service minus the disk split),
-// disk-queue wait, and device time. The caller owns attribution — the
-// engine keeps one per transaction and banks it per tx type — so the
-// stage columns that were only a global table in PR 4 become
-// per-transaction-type columns here.
+// scheduler queue wait and worker service time (CPU plus any store call
+// the request made). The caller owns attribution — the engine keeps one
+// per transaction and banks it per tx type — so the stage columns that
+// were only a global table in PR 4 become per-transaction-type columns
+// here.
 type SrvSpanAcc struct {
-	N        int64
-	SchedNS  int64
-	CPUNS    int64
-	DiskQNS  int64
-	DeviceNS int64
+	N       int64
+	SchedNS int64
+	CPUNS   int64
 }
 
-// add folds one traced response's span block in, splitting service time
-// into CPU vs the disk pipeline the same way the client registry does.
+// add folds one traced response's span block in.
 func (a *SrvSpanAcc) add(sp wire.SrvSpan) {
-	cpu := int64(sp.SrvServiceNS) - int64(sp.SrvDiskQNS) - int64(sp.SrvDeviceNS)
-	if cpu < 0 {
-		cpu = 0
-	}
 	a.N++
 	a.SchedNS += int64(sp.SrvQueueNS)
-	a.CPUNS += cpu
-	a.DiskQNS += int64(sp.SrvDiskQNS)
-	a.DeviceNS += int64(sp.SrvDeviceNS)
+	a.CPUNS += int64(sp.SrvServiceNS)
 }
 
 // SpanAttributor is the optional PageStore extension for adapters whose

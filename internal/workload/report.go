@@ -14,11 +14,9 @@ import (
 // cover; zero when the path is untraced (old peer, NoTrace) or the
 // adapter cannot attribute (VaultStore).
 type SrvStageStat struct {
-	N        int64 `json:"n"`
-	SchedNS  int64 `json:"sched_ns"`
-	CPUNS    int64 `json:"cpu_ns"`
-	DiskQNS  int64 `json:"diskq_ns"`
-	DeviceNS int64 `json:"device_ns"`
+	N       int64 `json:"n"`
+	SchedNS int64 `json:"sched_ns"`
+	CPUNS   int64 `json:"cpu_ns"`
 }
 
 // meanOf returns a per-request mean in float ns.
@@ -33,8 +31,6 @@ func (s *SrvStageStat) merge(o SrvStageStat) {
 	s.N += o.N
 	s.SchedNS += o.SchedNS
 	s.CPUNS += o.CPUNS
-	s.DiskQNS += o.DiskQNS
-	s.DeviceNS += o.DeviceNS
 }
 
 // KindStat is one transaction type's measured outcome: a commit count,
@@ -154,8 +150,7 @@ func (r *Result) Format() string {
 		// Per-request means of the server span block, attributed to the
 		// type's own traced demand reads — the paper's breakdown columns
 		// carried through to the transaction mix.
-		fmt.Fprintf(&b, " %10s %10s %10s %10s %10s",
-			"srv.n", "srv.sched", "srv.cpu", "srv.dq", "srv.dev")
+		fmt.Fprintf(&b, " %10s %10s %10s", "srv.n", "srv.sched", "srv.cpu")
 	}
 	b.WriteByte('\n')
 	for _, k := range r.Kinds {
@@ -167,9 +162,8 @@ func (r *Result) Format() string {
 			fmtMs(k.Lat.Quantile(0.95)), fmtMs(k.Lat.Quantile(0.99)))
 		if srv {
 			s := k.Srv
-			fmt.Fprintf(&b, " %10d %10s %10s %10s %10s", s.N,
-				fmtMs(s.meanOf(s.SchedNS)), fmtMs(s.meanOf(s.CPUNS)),
-				fmtMs(s.meanOf(s.DiskQNS)), fmtMs(s.meanOf(s.DeviceNS)))
+			fmt.Fprintf(&b, " %10d %10s %10s", s.N,
+				fmtMs(s.meanOf(s.SchedNS)), fmtMs(s.meanOf(s.CPUNS)))
 		}
 		b.WriteByte('\n')
 	}
