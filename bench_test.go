@@ -13,7 +13,6 @@ import (
 	"github.com/v3storage/v3/internal/core"
 	"github.com/v3storage/v3/internal/diskmodel"
 	"github.com/v3storage/v3/internal/mqcache"
-	"github.com/v3storage/v3/internal/netv3"
 	"github.com/v3storage/v3/internal/sim"
 	"github.com/v3storage/v3/internal/volume"
 )
@@ -164,64 +163,6 @@ func BenchmarkFig14CPUBreakdownMid(b *testing.B) {
 		b.ReportMetric(r.Breakdown["SQL"]*100, "cdsa-sql-%")
 		b.ReportMetric(r.Breakdown["Idle"]*100, "cdsa-idle-%")
 	}
-}
-
-// ---- Real TCP fast path (DESIGN.md "Real TCP fast path") ----
-
-// BenchmarkRealTCPFastPath is the headline number for the netv3 TCP
-// transport: pipelined 8 KB cached reads, window 16, over loopback with
-// every hot-path optimization on (buffer pooling, sharded cache, frame
-// batching). The per-optimization breakdown lives in
-// internal/netv3.BenchmarkNetv3Ablation.
-func BenchmarkRealTCPFastPath(b *testing.B) {
-	cfg := netv3.DefaultServerConfig()
-	cfg.CacheBlocks = 4096
-	srv := netv3.NewServer(cfg)
-	srv.AddVolume(1, netv3.NewMemStore(64<<20))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve()
-	defer srv.Close()
-	c, err := netv3.Dial(addr.String(), netv3.DefaultClientConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	const size, window = 8192, 16
-	const region = 32 << 20
-	bufs := make([][]byte, window)
-	for i := range bufs {
-		bufs[i] = make([]byte, size)
-	}
-	handles := make([]*netv3.Pending, window)
-	b.ResetTimer()
-	t0 := time.Now()
-	for n := 0; n < b.N; n++ {
-		s := n % window
-		if handles[s] != nil {
-			if err := handles[s].Wait(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		h, err := c.ReadAsync(1, int64(n*size)%(region-size), bufs[s])
-		if err != nil {
-			b.Fatal(err)
-		}
-		handles[s] = h
-	}
-	for _, h := range handles {
-		if h != nil {
-			if err := h.Wait(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	elapsed := time.Since(t0)
-	ops := float64(b.N) / elapsed.Seconds()
-	b.ReportMetric(ops, "ops/s")
-	b.ReportMetric(ops*size/1e6, "MB/s")
 }
 
 // ---- Ablations (DESIGN.md section 5) ----

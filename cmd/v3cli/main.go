@@ -14,7 +14,6 @@
 //	v3cli -addr host:9300 bench -n 100000 -streams 1000           # 1000 logical clients, one conn
 //	v3cli -addr host:9300 status                                  # session + stream counters
 //	v3cli -addr host:9300 status host:9400                        # + the server's frames per socket write
-//	v3cli -addr host:9300 breakdown -n 20000 -size 8192 -window 16
 //	v3cli -addr host:9300 trace -n 20000 -size 8192 -window 16            # merged cross-tier stage table
 //	v3cli -addr host:9300 trace -metrics host:9400                        # + per-lane/per-tenant sched breakdown
 //
@@ -102,7 +101,7 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "v3cli: need a command: read | write | flush | status | bench | breakdown | trace")
+		fmt.Fprintln(os.Stderr, "v3cli: need a command: read | write | flush | status | bench | trace")
 		os.Exit(2)
 	}
 
@@ -136,11 +135,10 @@ func main() {
 	} else {
 		ccfg := netv3.DefaultClientConfig()
 		ccfg.KeepaliveInterval = *keepalive
-		// The breakdown and trace commands need the client's stage trace
-		// enabled from the first request, so the registry attaches
-		// before Dial.
+		// The trace command needs the client's stage trace enabled from
+		// the first request, so the registry attaches before Dial.
 		var reg *obs.Registry
-		if args[0] == "breakdown" || args[0] == "trace" {
+		if args[0] == "trace" {
 			reg = obs.New()
 			ccfg.Metrics = reg
 		}
@@ -218,17 +216,6 @@ func main() {
 		default:
 			runBench(io, *n, *size, *depth, region, *writes)
 		}
-	case "breakdown":
-		if client == nil {
-			log.Fatal("v3cli: breakdown needs single-server mode (-addr)")
-		}
-		fs := flag.NewFlagSet("breakdown", flag.ExitOnError)
-		n := fs.Int("n", 20000, "I/Os")
-		size := fs.Int("size", 8192, "request size")
-		window := fs.Int("window", 16, "async pipeline depth")
-		writes := fs.Bool("writes", false, "write instead of read")
-		_ = fs.Parse(args[1:])
-		runBreakdown(client, clientReg, uint32(*vol), *n, *size, *window, *writes)
 	case "trace":
 		if client == nil {
 			log.Fatal("v3cli: trace needs single-server mode (-addr)")
@@ -246,27 +233,10 @@ func main() {
 	}
 }
 
-// runBreakdown drives the async-window workload with the client's stage
-// trace enabled and prints the paper-style per-stage latency table. Each
-// traced request's end-to-end time is also measured at the call site
-// (submit → Wait return), so the table's stage-sum row can be checked
-// against an independently measured mean over the same sampled
-// population.
-func runBreakdown(c *netv3.Client, reg *obs.Registry, vol uint32, n, size, window int, writes bool) {
-	done, count, e2e := driveTraced(c, vol, n, size, window, writes)
-	op := "reads"
-	if writes {
-		op = "writes"
-	}
-	fmt.Printf("%d %s of %d bytes, window %d (%d stage-traced)\n", done, op, size, window, count)
-	rows := obs.Breakdown(reg, netv3.ClientStageDefs())
-	fmt.Print(obs.FormatBreakdown(rows, float64(e2e.Nanoseconds())/float64(count)))
-	printClientWire(c)
-}
-
-// driveTraced runs the async-window workload that breakdown and trace
-// share, returning completions, the stage-traced subset's size, and the
-// traced subset's summed caller-measured end-to-end time.
+// driveTraced runs the trace command's async-window workload, returning
+// completions, the stage-traced subset's size, and that subset's summed
+// end-to-end time measured at the call site (submit → Wait return) — the
+// independent figure the table's stage-sum row is checked against.
 func driveTraced(c *netv3.Client, vol uint32, n, size, window int, writes bool) (done, count int, e2e time.Duration) {
 	if window < 1 {
 		window = 1
@@ -317,15 +287,14 @@ func driveTraced(c *netv3.Client, vol uint32, n, size, window int, writes bool) 
 	return done, count, e2e
 }
 
-// runTrace drives the traced workload and prints the merged cross-tier
-// table: the client's stages re-tiled so the opaque server interval
-// splits into the scheduler wait and service time reported by the
-// server's span block, with the remainder as true network+kernel cost.
-// Against a pre-trace server (or -notrace) the span columns read zero
-// and the whole interval stays in net+kernel — same table, graceful
-// fallback. With -metrics it also fetches the server registry and
-// prints the per-lane and per-tenant scheduler breakdowns the spans are
-// attributed by.
+// runTrace drives the traced workload and prints the stage table: the
+// client's stages, with the interval between doorbell and response split
+// into the scheduler wait and service time reported by the server's span
+// block and the remainder as true network+kernel cost. Against a
+// pre-trace server the span columns read zero and the whole interval
+// stays in net+kernel — same table, graceful fallback. With -metrics it
+// also fetches the server registry and prints the per-lane and
+// per-tenant scheduler breakdowns the spans are attributed by.
 func runTrace(c *netv3.Client, reg *obs.Registry, vol uint32, n, size, window int, writes bool, metrics string) {
 	done, count, e2e := driveTraced(c, vol, n, size, window, writes)
 	op := "reads"

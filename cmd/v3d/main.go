@@ -64,7 +64,6 @@ func main() {
 	stats := flag.Duration("stats", 0, "log served/cache/pool counters at this interval (0 = off)")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text and JSON metrics on this address (e.g. :9400; empty = off)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiles under /debug/pprof/ on the -metrics address")
-	noTrace := flag.Bool("notrace", false, "do not offer the trace feature bit (clients fall back to client-only stage traces)")
 	flag.Parse()
 
 	size, err := parseSize(*sizeStr)
@@ -79,7 +78,6 @@ func main() {
 	cfg.AdmitLimit = *admitLimit
 	cfg.MaxStreams = *maxStreams
 	cfg.Logger = log.New(os.Stderr, "v3d: ", log.LstdFlags)
-	cfg.NoTrace = *noTrace
 	var reg *obs.Registry
 	if *metricsAddr != "" || *stats > 0 {
 		reg = obs.New()

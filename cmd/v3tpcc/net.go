@@ -29,7 +29,7 @@ type netOptions struct {
 }
 
 // wlPreset maps a -wl name to the engine's mix, distribution, and
-// arrival process. The synthetic presets are the bench-tpcc rows.
+// arrival process.
 func wlPreset(name string, rate float64) ([]workload.TxKind, workload.DistSpec, workload.ArrivalSpec, error) {
 	switch name {
 	case "tpcc":

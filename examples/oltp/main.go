@@ -112,8 +112,8 @@ func real() {
 	}
 	fmt.Print(r.Format())
 
-	fmt.Println("\nPer-stage client latency (1-in-4 sampled trace) vs measured e2e:")
-	rows := obs.Breakdown(reg, netv3.ClientStageDefs())
+	fmt.Println("\nPer-stage latency, client and server (1-in-4 sampled trace) vs measured e2e:")
+	rows := obs.Breakdown(reg, netv3.MergedStageDefs())
 	fmt.Print(obs.FormatBreakdown(rows, r.E2E.Mean()))
 	fmt.Println("\nSame mix, same weights — but here the latencies are real wire round")
 	fmt.Println("trips, and the stage means column-sum to the measured e2e mean (the")

@@ -41,18 +41,13 @@ type ClientConfig struct {
 	// While traffic flows the detector costs one atomic store per inbound
 	// frame. 0 disables.
 	KeepaliveInterval time.Duration
-	// NoTrace stops the client from advertising FeatureTrace, so requests
-	// go out untraced and responses carry zero spans — the knob for the
-	// tracing ablation and for exercising the pre-trace-peer fallback
-	// without an old binary.
-	NoTrace bool
-	// Metrics, when non-nil, enables the client's stage trace: every
-	// request's submit → frame-stage → wire-write → server+net →
-	// delivery → wakeup timestamps aggregate into per-stage histograms
-	// (see ClientStageDefs) on this registry, plus the failure-path
-	// counters (cancels, deadline expiries, hung-peer detections) and the
-	// keepalive RTT histogram. Nil is the disabled fast path — capture
-	// sites cost one branch.
+	// Metrics, when non-nil, turns tracing on: one request in traceSample
+	// carries a trace id, the server answers it with its span block, and
+	// the submit → doorbell → response → delivery → wakeup timestamps
+	// fold into the per-stage histograms of MergedStageDefs on this
+	// registry, beside the failure-path counters (cancels, deadline
+	// expiries, hung-peer detections) and the keepalive RTT histogram. Nil
+	// is the untraced fast path — capture sites cost one branch.
 	Metrics *obs.Registry
 }
 
@@ -90,7 +85,7 @@ var ErrConnLost = errors.New("netv3: connection lost and reconnection failed")
 type Pending struct {
 	c    *Client
 	st   *Stream // issuing stream (nil = root session); holds one stream credit
-	seq  uint64
+	id   uint64
 	slot uint32       // credit slot held until completion
 	msg  wire.Message // the request frame, for replay too; points at rd, wr or fl
 	body []byte       // write payload (replay) — nil for reads
@@ -225,7 +220,7 @@ func (h *Pending) WaitContext(ctx context.Context) error {
 // ErrCanceled, the credit slot returns to the window immediately, and
 // the read/write buffers are released — the caller owns them again the
 // moment Cancel returns true. The request itself may still reach the
-// server; a late response is recognized by its stale sequence number and
+// server; a late response is recognized by its stale request id and
 // drained without touching caller memory (the server releases a write's
 // staging slot in frame order, so a canceled slot reused on the same
 // session cannot collide). Cancel reports false when the request already
@@ -244,11 +239,11 @@ func (h *Pending) cancel(cause error) bool {
 		return false
 	}
 	c.mu.Lock()
-	if c.pending[h.seq] != h {
+	if c.pending[h.id] != h {
 		c.mu.Unlock()
 		return false
 	}
-	delete(c.pending, h.seq)
+	delete(c.pending, h.id)
 	h.buf = nil
 	h.body = nil
 	h.msg = nil
@@ -268,9 +263,8 @@ func (h *Pending) Traced() bool { return h.t0 != 0 }
 
 // TraceSupported reports whether the connected server negotiated the
 // trace feature: sampled requests carry a trace id and return a filled
-// server span block. False against a pre-trace server or when either
-// side set NoTrace — the client then keeps its client-only stage trace
-// and the merged table's server columns read zero.
+// server span block. False against a pre-trace server — the client then
+// keeps its own stages and the table's server columns read zero.
 func (c *Client) TraceSupported() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -280,8 +274,8 @@ func (c *Client) TraceSupported() bool {
 // Client is a DSA-style block client for a netv3 server. It is safe for
 // concurrent use; requests overlap up to the credit window.
 //
-// Locking: mu guards only request bookkeeping (pending map, sequence
-// numbers, connection identity, reconnection state). Nothing a caller
+// Locking: mu guards only request bookkeeping (pending map, request ids,
+// connection identity, reconnection state). Nothing a caller
 // runs ever writes the socket: submitters copy their frame onto the
 // connection's frameWriter queue and its one goroutine issues the write,
 // so concurrent submitters and the completion path never wait behind a
@@ -300,12 +294,14 @@ type Client struct {
 	pending    map[uint64]*Pending
 	reconn     *reliable.Reconnector
 	recovering bool // single-flight guard: one goroutine owns the reconnect loop
-	nextSeq    uint64
-	nextReq    uint64
 	maxXfer    uint32
 	closed     bool
 	genID      int // bumps on every reconnect; stale readers exit
 	start      time.Time
+	// nextReq numbers requests. Responses are matched on the full 64-bit
+	// ReqID they echo: Header.Ack carries only the low 32 bits of Seq, which
+	// repeat after 2³² requests (hours at cached-read rates).
+	nextReq uint64
 	// fw is the current connection generation's frame writer. Submitters
 	// capture it under mu together with their bookkeeping; one that loses
 	// the race with a reconnect posts to a retired writer, which refuses —
@@ -396,13 +392,9 @@ func (c *Client) dialSession() (net.Conn, *wire.ConnectResp, error) {
 		conn = c.wrap(conn)
 	}
 	_ = conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
-	feats := wire.FeatureStreams | wire.FeatureTrace
-	if c.cfg.NoTrace {
-		feats &^= wire.FeatureTrace
-	}
 	if err := wire.WriteTo(conn, &wire.Connect{
 		ClientID: 1, WantCreds: uint16(c.cfg.WantCredits),
-		Features: feats,
+		Features: wire.FeatureStreams | wire.FeatureTrace,
 	}); err != nil {
 		conn.Close()
 		return nil, nil, err
@@ -731,43 +723,42 @@ func (c *Client) submit(ctx context.Context, st *Stream, op int, vol uint32, off
 		c.creditC <- slot // hand the slot to any other blocked submitter
 		return nil, ErrClosed
 	}
-	c.nextSeq++
 	c.nextReq++
-	p.seq = c.nextSeq
-	hdr := wire.Header{Seq: p.seq, Stream: sid}
+	p.id = c.nextReq
+	hdr := wire.Header{Seq: p.id, Stream: sid}
 	switch op {
 	case opWrite:
 		p.body = data
 		p.wr = wire.Write{
-			Header: hdr, ReqID: c.nextReq,
+			Header: hdr, ReqID: p.id,
 			Volume: vol, Offset: uint64(off), Length: uint32(len(data)), Slot: slot,
 		}
 		p.msg = &p.wr
 	case opRead:
 		p.buf = buf
 		p.rd = wire.Read{
-			Header: hdr, ReqID: c.nextReq,
+			Header: hdr, ReqID: p.id,
 			Volume: vol, Offset: uint64(off), Length: uint32(len(buf)),
 		}
 		p.msg = &p.rd
 	case opFlush:
-		p.fl = wire.Flush{Header: hdr, ReqID: c.nextReq, Volume: vol}
+		p.fl = wire.Flush{Header: hdr, ReqID: p.id, Volume: vol}
 		p.msg = &p.fl
 	}
 	// A traced request carries a trace id on the wire (when the server
 	// negotiated FeatureTrace), telling the server to answer with its
 	// span block — the join key between the client's stage trace and the
 	// server's flight-recorder events. The id mixes the per-client salt
-	// with the sequence number through a Weyl/Fibonacci step so ids from
+	// with the request id through a Weyl/Fibonacci step so ids from
 	// clients dialed in the same instant still diverge.
 	if t0 != 0 && c.features&wire.FeatureTrace != 0 {
-		tr := c.traceBase ^ (p.seq * 0x9e3779b97f4a7c15)
+		tr := c.traceBase ^ (p.id * 0x9e3779b97f4a7c15)
 		if tr == 0 {
 			tr = 1 // zero means untraced on the wire
 		}
 		p.msg.Hdr().Trace = tr
 	}
-	c.pending[p.seq] = p
+	c.pending[p.id] = p
 	fw, msg := c.fw, p.msg
 	c.mu.Unlock()
 	// Whatever becomes of the send the request is tracked: reconnection
@@ -889,8 +880,8 @@ func (c *Client) reader(conn net.Conn, gen int) {
 			// canceled (absent) request's payload is drained blind, never
 			// written into memory the caller got back.
 			c.mu.Lock()
-			p := c.pending[uint64(m.Ack)]
-			delete(c.pending, uint64(m.Ack))
+			p := c.pending[m.ReqID]
+			delete(c.pending, m.ReqID)
 			c.mu.Unlock()
 			n := int64(m.Length)
 			var ioErr error
@@ -905,7 +896,7 @@ func (c *Client) reader(conn net.Conn, gen int) {
 			case p != nil && int64(len(p.buf)) == n:
 				_, err = io.ReadFull(br, p.buf)
 			default:
-				// Unknown, stale or canceled seq, or a length mismatch. The
+				// Unknown, stale or canceled request, or a length mismatch. The
 				// payload must still leave the stream — otherwise its bytes
 				// would be parsed as the next control frame and every
 				// subsequent response on this connection would be corrupted.
@@ -933,13 +924,13 @@ func (c *Client) reader(conn net.Conn, gen int) {
 				fail(err)
 				return
 			}
-			c.complete(uint64(wr.Ack), respErr(wr.Status, wr.RetryAfterMS), wr.SrvSpan)
+			c.complete(wr.ReqID, respErr(wr.Status, wr.RetryAfterMS), wr.SrvSpan)
 		case wire.TFlushResp:
 			if err := wire.UnmarshalInto(frame[:], &fr); err != nil {
 				fail(err)
 				return
 			}
-			c.complete(uint64(fr.Ack), respErr(fr.Status, fr.RetryAfterMS), fr.SrvSpan)
+			c.complete(fr.ReqID, respErr(fr.Status, fr.RetryAfterMS), fr.SrvSpan)
 		case wire.TStreamOpenResp:
 			if err := wire.UnmarshalInto(frame[:], &sr); err != nil {
 				fail(err)
@@ -991,7 +982,7 @@ func (c *Client) unclaim(p *Pending, gen int) {
 		c.finish(p, ErrClosed)
 		return
 	}
-	c.pending[p.seq] = p
+	c.pending[p.id] = p
 	fw, msg, body := c.fw, p.msg, p.body
 	resend := c.genID != gen && !c.recovering
 	c.mu.Unlock()
@@ -1001,14 +992,14 @@ func (c *Client) unclaim(p *Pending, gen int) {
 	}
 }
 
-func (c *Client) complete(seq uint64, err error, sp wire.SrvSpan) {
+func (c *Client) complete(id uint64, err error, sp wire.SrvSpan) {
 	c.mu.Lock()
-	p := c.pending[seq]
-	delete(c.pending, seq)
+	p := c.pending[id]
+	delete(c.pending, id)
 	c.mu.Unlock()
 	if p != nil {
 		// Stage trace: the response has arrived; everything from the
-		// submitter's wire write to here is the server+net stage.
+		// submitter's wire write to here is the server and net stages.
 		// Untraced requests (t0 == 0) skip the clock.
 		if p.t0 != 0 {
 			p.t3 = obs.Now()
@@ -1123,13 +1114,13 @@ func (c *Client) recover() {
 		// session. Should the new connection die under the replay, its
 		// reader or writer reports it and the next recovery — which starts
 		// once this one lets go of mu — replays again.
-		seqs := make([]uint64, 0, len(c.pending))
-		for seq := range c.pending {
-			seqs = append(seqs, seq)
+		ids := make([]uint64, 0, len(c.pending))
+		for id := range c.pending {
+			ids = append(ids, id)
 		}
-		slices.Sort(seqs)
-		for _, seq := range seqs {
-			p := c.pending[seq]
+		slices.Sort(ids)
+		for _, id := range ids {
+			p := c.pending[id]
 			c.retries.Add(1)
 			c.send(c.fw, p, p.msg, p.body)
 		}

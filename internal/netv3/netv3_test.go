@@ -56,6 +56,24 @@ func startServer(t testing.TB, cfg ServerConfig, volSize int64) (*Server, string
 	return startTunedServer(t, cfg, tuning{}, NewMemStore(volSize))
 }
 
+// slowStore wraps a BlockStore with a fixed per-I/O latency, standing in
+// for a disk where a test or benchmark needs store calls that take real
+// wall time: queues that build, waits that overlap.
+type slowStore struct {
+	BlockStore
+	delay time.Duration
+}
+
+func (s *slowStore) ReadAt(b []byte, off int64) error {
+	time.Sleep(s.delay)
+	return s.BlockStore.ReadAt(b, off)
+}
+
+func (s *slowStore) WriteAt(b []byte, off int64) error {
+	time.Sleep(s.delay)
+	return s.BlockStore.WriteAt(b, off)
+}
+
 func TestReadWriteRoundtrip(t *testing.T) {
 	_, addr := startServer(t, DefaultServerConfig(), 1<<20)
 	c, err := Dial(addr, DefaultClientConfig())

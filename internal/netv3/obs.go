@@ -7,35 +7,36 @@ import (
 	"github.com/v3storage/v3/internal/wire"
 )
 
-// Client-side stage indices. The five stages tile a request's lifetime
-// exactly — submit-entry to waiter-wakeup — so the per-stage means of a
-// workload column-sum to its end-to-end mean, which is how the paper's
-// breakdown tables are laid out (each DSA variant's I/O decomposed into
-// submission, transfer, server and completion costs that add up to the
-// measured round trip).
+// Stage metric names. A traced request leaves six client timestamps and,
+// in its response, the server's span block; together they cut its
+// lifetime — submit entry to waiter wake-up — into seven stages that tile
+// it exactly, so the per-stage means of a workload column-sum to its
+// end-to-end mean. That is how the paper's breakdown tables are laid out:
+// each DSA variant's I/O decomposed into submission, transfer, server and
+// completion costs that add up to the measured round trip.
 const (
-	// stSubmit: ReadAsync/WriteAsync/FlushAsync entry → request
-	// registered (credit wait, handle allocation, bookkeeping under mu).
-	stSubmit = iota
-	// stWire: request registered → frame and payload queued for the
-	// connection's frame writer — the time to ring the doorbell (queue
-	// lock, encode, payload copy). No syscall: the writer goroutine issues
-	// one socket write per batch, timed per batch in
-	// netv3_client_wire_write_ns.
-	stWire
-	// stServer: frame queued → response decoded and its payload landed in
-	// the caller's buffer — the writer's wake-up and socket write, kernel,
-	// network, all server-side processing, and the inbound data transfer.
-	// The remote half of this stage is broken down further by the server's
-	// span block (see MergedStageDefs).
-	stServer
-	// stDeliver: response received → completion published (pending-map
-	// removal, error mapping, handle close).
-	stDeliver
-	// stWake: completion published → the waiter observing it (scheduler
-	// latency — the paper's completion-notification cost).
-	stWake
-	nStages
+	// ReadAsync/WriteAsync/FlushAsync entry → request registered (credit
+	// wait, handle allocation, bookkeeping under mu).
+	metricSubmit = "netv3_client_stage_submit_ns"
+	// Request registered → frame and payload queued for the connection's
+	// frame writer — the time to ring the doorbell (queue lock, encode,
+	// payload copy). No syscall: the writer goroutine issues one socket
+	// write per batch, timed per batch in netv3_client_wire_write_ns.
+	metricWire = "netv3_client_stage_wire_ns"
+	// Frame queued → response decoded and its payload landed in the
+	// caller's buffer, split three ways by the response's SrvSpan block:
+	// scheduler wait, server service time (CPU plus any store call the
+	// request made), and the residual — the writer's wake-up and socket
+	// write, kernel, network and the inbound data transfer.
+	metricSrvSched = "netv3_client_stage_srv_sched_ns"
+	metricSrvCPU   = "netv3_client_stage_srv_cpu_ns"
+	metricNetResid = "netv3_client_stage_net_ns"
+	// Response received → completion published (pending-map removal,
+	// error mapping, handle close).
+	metricDeliver = "netv3_client_stage_deliver_ns"
+	// Completion published → the waiter observing it (scheduler latency —
+	// the paper's completion-notification cost).
+	metricWake = "netv3_client_stage_wake_ns"
 )
 
 // traceSample is the stage-trace sampling interval: every traceSample-th
@@ -47,55 +48,20 @@ const (
 // uninstrumented one.
 const traceSample = 4
 
-// clientStageMetrics are the registry histogram names, index-aligned
-// with the stage constants.
-var clientStageMetrics = [nStages]string{
-	"netv3_client_stage_submit_ns",
-	"netv3_client_stage_wire_ns",
-	"netv3_client_stage_server_ns",
-	"netv3_client_stage_deliver_ns",
-	"netv3_client_stage_wake_ns",
-}
-
-// ClientStageDefs returns the breakdown-table schema of the client's
-// stage trace, for obs.Breakdown over the registry passed in
-// ClientConfig.Metrics.
-func ClientStageDefs() []obs.StageDef {
-	return []obs.StageDef{
-		{Display: "submission", Metric: clientStageMetrics[stSubmit]},
-		{Display: "wire write", Metric: clientStageMetrics[stWire]},
-		{Display: "server+net", Metric: clientStageMetrics[stServer]},
-		{Display: "delivery", Metric: clientStageMetrics[stDeliver]},
-		{Display: "wakeup", Metric: clientStageMetrics[stWake]},
-	}
-}
-
-// Span-stage metric names: the server-side decomposition of stServer,
-// carried back in each traced response's SrvSpan block. Together with
-// the net residual they re-tile the server+net stage, so the merged
-// seven-column table still sums to the measured end-to-end mean.
-const (
-	metricSrvSched = "netv3_client_stage_srv_sched_ns"
-	metricSrvCPU   = "netv3_client_stage_srv_cpu_ns"
-	metricNetResid = "netv3_client_stage_net_ns"
-)
-
-// MergedStageDefs returns the cross-tier breakdown schema: the client's
-// local stages with the server+net stage replaced by its three-way
-// decomposition (scheduler wait, server service time — CPU plus any
-// store call the request made — and the network/kernel residual). Every
-// row is clamped at zero on capture, and against a pre-trace server the
-// spans decode as zeros so the whole server+net stage lands in the net
+// MergedStageDefs returns the breakdown-table schema of a traced client,
+// for obs.Breakdown over the registry passed in ClientConfig.Metrics.
+// Every row is clamped at zero on capture, and against a pre-trace server
+// the spans decode as zeros so the whole server interval lands in the net
 // residual — the table tiles either way.
 func MergedStageDefs() []obs.StageDef {
 	return []obs.StageDef{
-		{Display: "submission", Metric: clientStageMetrics[stSubmit]},
-		{Display: "wire write", Metric: clientStageMetrics[stWire]},
+		{Display: "submission", Metric: metricSubmit},
+		{Display: "wire write", Metric: metricWire},
 		{Display: "srv sched wait", Metric: metricSrvSched},
 		{Display: "srv cpu", Metric: metricSrvCPU},
 		{Display: "net+kernel", Metric: metricNetResid},
-		{Display: "delivery", Metric: clientStageMetrics[stDeliver]},
-		{Display: "wakeup", Metric: clientStageMetrics[stWake]},
+		{Display: "delivery", Metric: metricDeliver},
+		{Display: "wakeup", Metric: metricWake},
 	}
 }
 
@@ -105,12 +71,14 @@ func MergedStageDefs() []obs.StageDef {
 // gates every capture site down to one branch — the note* helpers are
 // nil-receiver safe so callers never re-check.
 type clientObs struct {
-	stages [nStages]*obs.Hist
-
-	// Server-span decomposition of stServer (see MergedStageDefs).
+	// The seven stages, in MergedStageDefs order.
+	submit   *obs.Hist
+	doorbell *obs.Hist
 	srvSched *obs.Hist
 	srvCPU   *obs.Hist
 	netResid *obs.Hist
+	deliver  *obs.Hist
+	wake     *obs.Hist
 
 	cancels   *obs.Counter // netv3_client_cancels_total
 	deadlines *obs.Counter // netv3_client_deadline_exceeded_total
@@ -128,10 +96,14 @@ func newClientObs(r *obs.Registry) *clientObs {
 	if r == nil {
 		return nil
 	}
-	co := &clientObs{
+	return &clientObs{
+		submit:    r.Hist(metricSubmit),
+		doorbell:  r.Hist(metricWire),
 		srvSched:  r.Hist(metricSrvSched),
 		srvCPU:    r.Hist(metricSrvCPU),
 		netResid:  r.Hist(metricNetResid),
+		deliver:   r.Hist(metricDeliver),
+		wake:      r.Hist(metricWake),
 		cancels:   r.Counter("netv3_client_cancels_total"),
 		deadlines: r.Counter("netv3_client_deadline_exceeded_total"),
 		hungs:     r.Counter("netv3_client_hung_peer_total"),
@@ -141,10 +113,6 @@ func newClientObs(r *obs.Registry) *clientObs {
 		framesPerWrite: r.Hist("netv3_client_frames_per_write"),
 		wireWrite:      r.Hist("netv3_client_wire_write_ns"),
 	}
-	for i, name := range clientStageMetrics {
-		co.stages[i] = r.Hist(name)
-	}
-	return co
 }
 
 // noteCancel counts one canceled request (explicit Cancel or an expired
@@ -194,23 +162,19 @@ func (co *clientObs) noteKeepaliveRTT(ns int64) {
 // send-side stamps were overwritten mid-flight) cannot record a negative
 // duration.
 //
-// sp is the server-side span block echoed in the response: the stServer
-// interval (t3-t2) is re-tiled as sched wait + server service + network
-// residual, each clamped at zero so the three spans still column-sum to
-// the interval they decompose. A pre-trace server answers all-zero
-// spans, which lands the whole interval in the residual — the merged
-// table tiles either way.
+// sp is the server-side span block echoed in the response: the interval
+// from doorbell to response (t3-t2) is tiled as sched wait + server
+// service + network residual, each clamped at zero. A pre-trace server
+// answers all-zero spans, which lands the whole interval in the residual.
 func (co *clientObs) recordTrace(t0, t1, t2, t3, t4, t5 int64, sp wire.SrvSpan) {
-	co.stages[stSubmit].Observe(maxNS(t1 - t0))
-	co.stages[stWire].Observe(maxNS(t2 - t1))
-	co.stages[stServer].Observe(maxNS(t3 - t2))
-	co.stages[stDeliver].Observe(maxNS(t4 - t3))
-	co.stages[stWake].Observe(maxNS(t5 - t4))
-
+	co.submit.Observe(maxNS(t1 - t0))
+	co.doorbell.Observe(maxNS(t2 - t1))
 	q, svc := int64(sp.SrvQueueNS), int64(sp.SrvServiceNS)
-	co.srvSched.Observe(maxNS(q))
-	co.srvCPU.Observe(maxNS(svc))
+	co.srvSched.Observe(q)
+	co.srvCPU.Observe(svc)
 	co.netResid.Observe(maxNS((t3 - t2) - q - svc))
+	co.deliver.Observe(maxNS(t4 - t3))
+	co.wake.Observe(maxNS(t5 - t4))
 }
 
 func maxNS(ns int64) int64 {
@@ -225,8 +189,8 @@ func maxNS(ns int64) int64 {
 type serverObs struct {
 	// dispatch is the session loop's handling time per request: decode →
 	// response queued (or task enqueued) — the server half of the paper's
-	// "server processing" column that the client can only see folded into
-	// its server+net stage.
+	// "server processing" column, timed for every sampled frame whether
+	// or not the client traces it.
 	dispatch *obs.Hist
 	// destageRun is one background destage pass; flushDur one wire-level
 	// Flush barrier; prefetchFill one read-ahead fill.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +16,7 @@ import (
 )
 
 // TestBreakdownSums checks the tiling invariant behind the breakdown
-// table: the five client stages partition a request's lifetime, so their
+// table: the seven stages partition a request's lifetime, so their
 // per-stage means must column-sum to the end-to-end mean the caller
 // measures independently. Traces are sampled, so the caller's mean is
 // taken over the same traced requests (Pending.Traced) — otherwise a
@@ -57,10 +58,22 @@ func TestBreakdownSums(t *testing.T) {
 		}
 	}
 
-	rows := obs.Breakdown(reg, ClientStageDefs())
-	if len(rows) != nStages {
-		t.Fatalf("rows = %d, want %d", len(rows), nStages)
+	// benchmark/layers.go maps these rows to its per-layer metrics by
+	// display name and reads the histograms by metric name: a rename here
+	// reads zero there instead of failing to build.
+	want := []obs.StageDef{
+		{Display: "submission", Metric: "netv3_client_stage_submit_ns"},
+		{Display: "wire write", Metric: "netv3_client_stage_wire_ns"},
+		{Display: "srv sched wait", Metric: "netv3_client_stage_srv_sched_ns"},
+		{Display: "srv cpu", Metric: "netv3_client_stage_srv_cpu_ns"},
+		{Display: "net+kernel", Metric: "netv3_client_stage_net_ns"},
+		{Display: "delivery", Metric: "netv3_client_stage_deliver_ns"},
+		{Display: "wakeup", Metric: "netv3_client_stage_wake_ns"},
 	}
+	if defs := MergedStageDefs(); !slices.Equal(defs, want) {
+		t.Fatalf("stage table = %+v, want %+v", defs, want)
+	}
+	rows := obs.Breakdown(reg, MergedStageDefs())
 	// Traces are sampled 1-in-traceSample, deterministically by submit
 	// count, so the loop sees n/traceSample traced requests give or take
 	// the handshake write.
@@ -166,7 +179,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"netv3_srv_served_total",
 		"netv3_srv_cache_hits_total",
 		"netv3_client_stage_submit_ns",
-		"netv3_client_stage_server_ns",
+		"netv3_client_stage_net_ns",
 		`quantile="0.99"`,
 	} {
 		if !strings.Contains(prom, want) {
@@ -176,8 +189,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if snap.Gauges["netv3_srv_served_total"] <= 0 {
 		t.Fatalf("JSON snapshot served_total = %d, want > 0", snap.Gauges["netv3_srv_served_total"])
 	}
-	if h := snap.Hists["netv3_client_stage_server_ns"]; h.Count <= 0 || h.MeanNS <= 0 {
-		t.Fatalf("JSON snapshot client server stage empty: %+v", h)
+	if h := snap.Hists["netv3_client_stage_net_ns"]; h.Count <= 0 || h.MeanNS <= 0 {
+		t.Fatalf("JSON snapshot client net+kernel stage empty: %+v", h)
 	}
 	if h := snap.Hists["netv3_srv_dispatch_ns"]; h.Count <= 0 {
 		t.Fatalf("JSON snapshot dispatch hist empty: %+v", h)

@@ -46,10 +46,6 @@ type ServerConfig struct {
 	// histograms plus gauge exports of the served/cache/pool/disk
 	// counters. Nil is the disabled fast path.
 	Metrics *obs.Registry
-	// NoTrace stops the server from negotiating FeatureTrace, so traced
-	// clients get zero span blocks back — the ablation off-arm and the
-	// stand-in for a pre-trace server binary.
-	NoTrace bool
 	// Flight, when non-nil, is the always-on flight recorder: dispatches,
 	// sheds, destage and prefetch passes and flushes record fixed-size
 	// events into its ring, and admission-control sheds auto-capture an
@@ -64,13 +60,15 @@ func DefaultServerConfig() ServerConfig {
 	return ServerConfig{Credits: 64, MaxXfer: 1 << 20}
 }
 
-// tuning holds the cached disk path's two fixed sizes. Every server
-// built by NewServer runs the defaults; in-package tests hand newServer
-// other values to park the destager or force the write-through
-// fallback. A zero field selects its default.
+// tuning holds the cached disk path's two fixed sizes and the feature
+// bits the handshake offers. Every server built by NewServer runs the
+// defaults; in-package tests hand newServer other values to park the
+// destager, force the write-through fallback, or stand in for a server
+// binary that predates a feature. A zero field selects its default.
 type tuning struct {
 	destageInterval time.Duration // background destage period (5 ms)
 	dirtyHighWater  int           // dirty blocks before writes go through (CacheBlocks/2)
+	features        uint32        // offered at the handshake (FeatureStreams | FeatureTrace)
 }
 
 const cacheBlockSize = 8192
@@ -158,6 +156,9 @@ func newServer(cfg ServerConfig, tune tuning) *Server {
 	}
 	if tune.dirtyHighWater <= 0 {
 		tune.dirtyHighWater = max(cfg.CacheBlocks/2, 1)
+	}
+	if tune.features == 0 {
+		tune.features = wire.FeatureStreams | wire.FeatureTrace
 	}
 	s := &Server{cfg: cfg, tune: tune, pool: bufpool.New(),
 		done: make(chan struct{}), conns: make(map[net.Conn]struct{})}
@@ -393,11 +394,7 @@ func (s *Server) session(conn net.Conn) {
 	// client advertised and what this server speaks. An old client encodes
 	// zeros in the (formerly padding) feature field, so the intersection is
 	// empty and both sides keep the original protocol.
-	srvFeats := wire.FeatureStreams | wire.FeatureTrace
-	if s.cfg.NoTrace {
-		srvFeats &^= wire.FeatureTrace
-	}
-	feats := connect.Features & srvFeats
+	feats := connect.Features & s.tune.features
 	resp := &wire.ConnectResp{
 		Status: wire.StatusOK, Credits: uint16(credits),
 		MaxXfer: s.cfg.MaxXfer, SessionID: s.nextSess.Add(1),

@@ -219,8 +219,8 @@ func (st *Stream) Flush(vol uint32) error {
 
 // Close retires the stream: requests still in flight on it complete with
 // ErrStreamClosed (their buffers detach exactly like Cancel — a late
-// response from the server is drained by sequence-number mismatch without
-// touching caller memory), the server is told to drop the stream's
+// response from the server matches no pending request and is drained
+// without touching caller memory), the server is told to drop the stream's
 // scheduler state, and further submissions fail fast. Idempotent.
 func (st *Stream) Close() error {
 	if !st.closed.CompareAndSwap(false, true) {

@@ -1,12 +1,14 @@
 package netv3
 
 import (
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/v3storage/v3/internal/obs"
+	"github.com/v3storage/v3/internal/wire"
 )
 
 // driveTraced pushes n async reads through c with the given pipeline
@@ -49,13 +51,35 @@ func driveTracedLoad(t *testing.T, c *Client, n, size, window int) (count int, e
 	return count, e2e
 }
 
+// preTraceConn makes a client look like a binary that predates
+// FeatureTrace: it clears the bit in the Connect frame — the first write
+// on the socket — and passes everything else through.
+type preTraceConn struct {
+	net.Conn
+	sent bool
+}
+
+func (c *preTraceConn) Write(b []byte) (int, error) {
+	if c.sent {
+		return c.Conn.Write(b)
+	}
+	c.sent = true
+	m, err := wire.Unmarshal(b)
+	if err != nil {
+		return 0, err
+	}
+	m.(*wire.Connect).Features &^= wire.FeatureTrace
+	return c.Conn.Write(wire.Marshal(m))
+}
+
 // Feature negotiation: both sides trace-capable → negotiated; either
-// side opting out (the pre-trace-peer stand-in) → not negotiated, and
-// requests still complete with zero spans.
+// side a pre-trace binary (a server whose tuning offers streams only, a
+// client whose Connect is rewritten on the way out) → not negotiated,
+// and requests still complete with zero spans.
 func TestTraceHandshakeFallback(t *testing.T) {
 	cases := []struct {
 		name             string
-		srvOff, cliOff   bool
+		srvOld, cliOld   bool
 		wantTraceFeature bool
 	}{
 		{"both-trace", false, false, true},
@@ -65,11 +89,18 @@ func TestTraceHandshakeFallback(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, addr := startServer(t, ServerConfig{NoTrace: tc.srvOff}, 1<<20)
+			var tune tuning
+			if tc.srvOld {
+				tune.features = wire.FeatureStreams
+			}
+			_, addr := startTunedServer(t, ServerConfig{}, tune, NewMemStore(1<<20))
+			var wrap func(net.Conn) net.Conn
+			if tc.cliOld {
+				wrap = func(c net.Conn) net.Conn { return &preTraceConn{Conn: c} }
+			}
 			ccfg := DefaultClientConfig()
-			ccfg.NoTrace = tc.cliOff
 			ccfg.Metrics = obs.New() // sample stage traces regardless
-			c, err := Dial(addr, ccfg)
+			c, err := dial(addr, ccfg, wrap)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -263,7 +263,7 @@ func TestUnclaimAfterRecoveryResends(t *testing.T) {
 	}
 	// The reader's claim, as it happens on a ReadResp frame.
 	c.mu.Lock()
-	delete(c.pending, h.seq)
+	delete(c.pending, h.id)
 	c.mu.Unlock()
 	// The connection dies and recovery completes; the claimed request is
 	// not in the replay.
@@ -279,8 +279,8 @@ func TestUnclaimAfterRecoveryResends(t *testing.T) {
 	c.unclaim(h, 1)
 	select {
 	case a := <-reads:
-		if a.conn != 2 || a.rd.Seq != h.seq {
-			t.Fatalf("resend: connection %d seq %d, want connection 2 seq %d", a.conn, a.rd.Seq, h.seq)
+		if a.conn != 2 || a.rd.Seq != h.id {
+			t.Fatalf("resend: connection %d seq %d, want connection 2 seq %d", a.conn, a.rd.Seq, h.id)
 		}
 		rr := &wire.ReadResp{ReqID: a.rd.ReqID, Status: wire.StatusOK, Credits: 1, Length: a.rd.Length}
 		rr.Ack = uint32(a.rd.Seq)
@@ -298,5 +298,100 @@ func TestUnclaimAfterRecoveryResends(t *testing.T) {
 	}
 	if buf[0] != 0x5A || buf[511] != 0x5A {
 		t.Fatal("resent read delivered wrong bytes")
+	}
+}
+
+// TestRequestIDsSurvive32BitWrap: a response is matched to its request on
+// the 64-bit ReqID it echoes. Header.Ack carries only the low 32 bits of
+// Seq, so a client that matched on it dropped the response to request
+// 2³² as stale and never completed it — a wedge after ≈ 5 h of cached
+// reads. The counter is preset just under the boundary; 64 mixed requests
+// at window 16 cross it, the first sixteen by way of a reconnect replay.
+// Every wait is bounded, so a lost response fails the test instead of
+// hanging it.
+func TestRequestIDsSurvive32BitWrap(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.CacheBlocks = 64
+	_, addr := startServer(t, cfg, 1<<20)
+	c := dialFaulted(t, addr, quietClientConfig())
+	defer c.Close()
+
+	const (
+		blk, window, ops = 8192, 16, 64
+		bound            = 900 * time.Millisecond
+	)
+	// Reads check blocks 0..15 against this fill; writes go to 16..31.
+	for b := 0; b < window; b++ {
+		if err := c.Write(1, int64(b)*blk, bytes.Repeat([]byte{byte(b + 1)}, blk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.Lock()
+	c.nextReq = 1<<32 - 8
+	c.mu.Unlock()
+
+	handles := make([]*Pending, window)
+	bufs := make([][]byte, window)
+	for s := range bufs {
+		bufs[s] = make([]byte, blk)
+	}
+	wantRead := make([]byte, window) // the fill a slot's read must return; 0 = not a read
+	reap := func(s int) {
+		h := handles[s]
+		if h == nil {
+			return
+		}
+		handles[s] = nil
+		if err := h.WaitTimeout(bound); err != nil {
+			t.Fatalf("request id %d: %v", h.id, err)
+		}
+		if w := wantRead[s]; w != 0 && !bytes.Equal(bufs[s], bytes.Repeat([]byte{w}, blk)) {
+			t.Fatalf("request id %d: read returned %#x..., want %#x", h.id, bufs[s][:4], w)
+		}
+	}
+	// Nothing of the first window reaches the server: its sixteen frames —
+	// ids 2³²−7 to 2³²+8 — sit behind generation 1's stalled socket until
+	// the connection is killed, and reach it as one replay.
+	c.inj.StallWrites(true)
+	for i := 0; i < ops; i++ {
+		s := i % window
+		if i == window {
+			c.KillConnForTest()
+			c.inj.StallWrites(false)
+		}
+		reap(s)
+		wantRead[s] = 0
+		var err error
+		switch {
+		case i%8 == 7:
+			handles[s], err = c.FlushAsync(1)
+		case i%2 == 0:
+			for j := range bufs[s] {
+				bufs[s][j] = byte(i + 1)
+			}
+			handles[s], err = c.WriteAsync(1, int64(window+i/2%window)*blk, bufs[s])
+		default:
+			wantRead[s] = byte(i%window + 1)
+			handles[s], err = c.ReadAsync(1, int64(i%window)*blk, bufs[s])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s := range handles {
+		reap(s)
+	}
+	if st := c.Stats(); st.Reconnects != 1 || st.Retries != window {
+		t.Fatalf("Reconnects=%d Retries=%d, want 1 and %d: the replay did not carry the first window", st.Reconnects, st.Retries, window)
+	}
+	// Each written block holds its later write (op 32+2k landed on block 16+k after op 2k was reaped).
+	got := make([]byte, blk)
+	for k := 0; k < window; k++ {
+		if err := c.Read(1, int64(window+k)*blk, got); err != nil {
+			t.Fatal(err)
+		}
+		if want := bytes.Repeat([]byte{byte(2*k + 33)}, blk); !bytes.Equal(got, want) {
+			t.Fatalf("block %d holds %#x, want %#x", window+k, got[0], want[0])
+		}
 	}
 }

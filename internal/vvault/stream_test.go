@@ -1,6 +1,7 @@
 package vvault
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -90,33 +91,71 @@ func TestVaultRidesStreams(t *testing.T) {
 	}
 }
 
-// TestVaultStreamsOff checks the explicit fallback: with Config.Streams
-// false the vault rides bare connections (stream ids zero) and serves
-// I/O exactly as before the feature existed.
-func TestVaultStreamsOff(t *testing.T) {
-	member := int64(1 << 20)
-	_, addr0 := startBackend(t, netv3.NewMemStore(member), "127.0.0.1:0")
-	_, addr1 := startBackend(t, netv3.NewMemStore(member), "127.0.0.1:0")
+// TestVaultStreamRefusalFallsBack checks the fallback the peer selects: a
+// backend that caps a connection at one stream grants the data stream
+// and refuses the resync stream, so recovery replay rides the data path —
+// and still converges byte-identical.
+func TestVaultStreamRefusalFallsBack(t *testing.T) {
+	const member, blk, blocks = 1 << 20, 8192, 16
+	scfg := netv3.DefaultServerConfig()
+	scfg.MaxStreams = 1
+	store0, store1 := netv3.NewMemStore(member), netv3.NewMemStore(member)
+	srv0, addr0 := startBackendCfg(t, store0, "127.0.0.1:0", scfg)
+	_, addr1 := startBackendCfg(t, store1, "127.0.0.1:0", scfg)
 
-	cfg := testConfig(ModeMirror, member)
-	cfg.Streams = false
-	v, err := Open([]string{addr0, addr1}, cfg)
+	v, err := Open([]string{addr0, addr1}, testConfig(ModeMirror, member))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer v.Close()
-
-	for i, s := range v.Status() {
-		if s.DataStream != 0 || s.ResyncStream != 0 || s.StreamCredits != 0 {
-			t.Fatalf("backend %d: unexpected streams with Streams off: %+v", i, s)
+	checkStreams := func(when string) {
+		t.Helper()
+		for i, s := range v.Status() {
+			if s.DataStream == 0 || s.ResyncStream != 0 {
+				t.Fatalf("%s, backend %d: data stream %d resync stream %d, want a data stream and no resync stream",
+					when, i, s.DataStream, s.ResyncStream)
+			}
 		}
 	}
-	data := pattern(0, 3, 8192)
-	if err := v.Write(0, data); err != nil {
+	writeGen := func(gen byte) {
+		t.Helper()
+		for i := int64(0); i < blocks; i++ {
+			if err := v.Write(i*blk, pattern(i*blk, gen, blk)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkStreams("at open")
+	writeGen(1)
+
+	// Replica 0 misses a generation of writes, then returns with its stale
+	// content; resync replays them over the data stream.
+	srv0.Close()
+	waitForState(t, v, 0, "down", 5*time.Second)
+	writeGen(2)
+	startBackendCfg(t, store0, addr0, scfg)
+	waitForState(t, v, 0, "up", 10*time.Second)
+	checkStreams("after recovery")
+	if err := v.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Read(0, make([]byte, len(data))); err != nil {
+
+	// The backends are uncached, so the stores are the replicas.
+	got0, got1 := make([]byte, member), make([]byte, member)
+	if err := store0.ReadAt(got0, 0); err != nil {
 		t.Fatal(err)
+	}
+	if err := store1.ReadAt(got1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got0, got1) {
+		t.Fatal("replicas differ after resync over the data path")
+	}
+	if !bytes.Equal(got0[:blk], pattern(0, 2, blk)) {
+		t.Fatal("recovered replica lost the writes it missed")
+	}
+	if s := v.Stats(); s.Resyncs == 0 || s.ResyncedBytes == 0 {
+		t.Fatalf("stats did not record the resync: %+v", s)
 	}
 }
 

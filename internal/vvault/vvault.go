@@ -87,22 +87,6 @@ type Config struct {
 	// catches up from the folded summary instead of precise replay —
 	// more bytes copied, never fewer.
 	LogRecords int
-	// Streams rides each backend over logical streams when the peer
-	// negotiates the multiplexing feature: a foreground data stream for
-	// client I/O plus (mirror mode) a background-lane resync stream, so
-	// recovery replay cannot crowd live traffic out of the server's
-	// foreground QoS lane. Old backends that don't negotiate the feature
-	// fall back to the bare connection transparently. Health probes stay
-	// on the bare connection (stream 0) either way. DefaultConfig
-	// enables it.
-	Streams bool
-	// DataStreamCredits is the data stream's credit carve-out from the
-	// connection window (default 48 — under the server's default window
-	// of 64, so probes on stream 0 always have slot headroom).
-	DataStreamCredits int
-	// ResyncStreamCredits is the background resync stream's carve-out
-	// (default 8).
-	ResyncStreamCredits int
 	// Metrics, when non-nil, enables cluster-level instrumentation on
 	// this registry: per-backend health/dirty gauges, probe RTT
 	// histogram, degraded-time and resync counters. Nil is the disabled
@@ -130,7 +114,6 @@ func DefaultConfig(mode Mode) Config {
 		IOTimeout:      15 * time.Second,
 		ErrorThreshold: 3,
 		ResyncChunk:    256 << 10,
-		Streams:        true,
 	}
 }
 
@@ -175,7 +158,7 @@ type backend struct {
 	// data and rsync are the backend's logical streams when the peer
 	// negotiated multiplexing: data carries foreground client I/O,
 	// rsync rides the server's background QoS lane for resync replay.
-	// Nil means the bare connection (feature absent or Streams off).
+	// Nil means the bare connection (an old peer, or one that refused).
 	// Guarded by mu alongside client; cleared whenever the client is
 	// replaced or closed so a stale stream can never outlive its
 	// connection.
@@ -251,15 +234,26 @@ func (b *backend) resyncIO() netv3.IO {
 	return b.client
 }
 
-// attachStreams opens the backend's logical streams on a fresh client.
-// Best-effort: any refusal (old peer, stream cap, overload) leaves the
-// backend on the bare connection, which is always correct — streams are
-// a QoS upgrade, not a requirement.
+// The two streams' credit carve-outs from the connection window. Together
+// they stay under the server's default window of 64, so probes on stream
+// 0 always have slot headroom.
+const (
+	dataStreamCredits   = 48
+	resyncStreamCredits = 8
+)
+
+// attachStreams opens the backend's logical streams on a fresh client: a
+// foreground data stream for client I/O plus (mirror mode) a
+// background-lane resync stream, so recovery replay cannot crowd live
+// traffic out of the server's foreground QoS lane. Health probes stay on
+// the bare connection (stream 0). Best-effort: any refusal (old peer,
+// stream cap, overload) leaves the backend on the bare connection, which
+// is always correct — streams are a QoS upgrade, not a requirement.
 func (v *Vault) attachStreams(b *backend, c *netv3.Client) {
-	if !v.cfg.Streams || !c.StreamsSupported() {
+	if !c.StreamsSupported() {
 		return
 	}
-	data, err := c.OpenStream(netv3.StreamConfig{Credits: v.cfg.DataStreamCredits})
+	data, err := c.OpenStream(netv3.StreamConfig{Credits: dataStreamCredits})
 	if err != nil {
 		v.logf("vvault: backend %s: data stream refused (%v); riding bare connection", b.addr, err)
 		return
@@ -267,7 +261,7 @@ func (v *Vault) attachStreams(b *backend, c *netv3.Client) {
 	var rs *netv3.Stream
 	if v.mirror != nil {
 		rs, err = c.OpenStream(netv3.StreamConfig{
-			Credits: v.cfg.ResyncStreamCredits, Background: true,
+			Credits: resyncStreamCredits, Background: true,
 		})
 		if err != nil {
 			v.logf("vvault: backend %s: resync stream refused (%v); resync will ride the data path", b.addr, err)
@@ -396,12 +390,6 @@ func Open(addrs []string, cfg Config) (*Vault, error) {
 	}
 	if cfg.ResyncChunk <= 0 {
 		cfg.ResyncChunk = 256 << 10
-	}
-	if cfg.DataStreamCredits <= 0 {
-		cfg.DataStreamCredits = 48
-	}
-	if cfg.ResyncStreamCredits <= 0 {
-		cfg.ResyncStreamCredits = 8
 	}
 	if cfg.MemberSize <= 0 {
 		return nil, errors.New("vvault: MemberSize must be positive")
@@ -1077,7 +1065,7 @@ type BackendStatus struct {
 	LastProbeRTT time.Duration
 	// DataStream and ResyncStream are the logical stream ids the backend
 	// rides when the peer negotiated multiplexing; 0 means the bare
-	// connection (old peer, refusal, or Config.Streams off).
+	// connection (old peer or refusal).
 	DataStream   uint32
 	ResyncStream uint32
 	// StreamCredits is the data stream's granted credit carve-out

@@ -49,7 +49,7 @@ func checkResult(t *testing.T, r *Result) {
 
 // TestEngineNetSmoke drives the multi-terminal TPC-C engine against one
 // in-process v3d server (run under -race in CI) and checks the PR-4
-// accounting discipline end to end: the client stage means must
+// accounting discipline end to end: the stage means must
 // column-sum to the adapter's independently measured end-to-end mean.
 func TestEngineNetSmoke(t *testing.T) {
 	cl, err := StartCluster(1, testVolSize, netv3.DefaultServerConfig())
@@ -79,7 +79,7 @@ func TestEngineNetSmoke(t *testing.T) {
 	}
 	checkResult(t, r)
 
-	rows := obs.Breakdown(reg, netv3.ClientStageDefs())
+	rows := obs.Breakdown(reg, netv3.MergedStageDefs())
 	t.Logf("\n%s", obs.FormatBreakdown(rows, r.E2E.Mean()))
 	if r.E2E.Count() == 0 {
 		t.Fatal("no traced requests in the e2e histogram")
@@ -105,6 +105,13 @@ func TestEngineVaultSmoke(t *testing.T) {
 	}
 	defer closeStore()
 
+	// OpenStack runs the vault on its defaults, so each backend is ridden
+	// over its data stream, not the bare connection.
+	for i, srv := range cl.servers {
+		if n := srv.StreamsActive(); n < 1 {
+			t.Fatalf("server %d has %d open streams after OpenStack, want >= 1", i, n)
+		}
+	}
 	if got := store.Size(); got != 2*testVolSize {
 		t.Fatalf("striped x2 size = %d, want %d", got, 2*testVolSize)
 	}

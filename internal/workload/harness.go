@@ -59,7 +59,7 @@ type StackConfig struct {
 	// VolSize for one server or a mirror, len(Addrs)*VolSize striped.
 	// Must be a multiple of 64 KB for striping.
 	VolSize int64
-	// Reg receives the netv3 client stage trace (ClientStageDefs); nil
+	// Reg receives the netv3 stage trace (netv3.MergedStageDefs); nil
 	// disables tracing and the per-stage breakdown.
 	Reg *obs.Registry
 	// E2E receives the adapter's caller-measured request round trips
@@ -68,9 +68,11 @@ type StackConfig struct {
 }
 
 // OpenStack dials sc and returns the engine's PageStore plus a close
-// function for the underlying session(s).
+// function for the underlying session(s). Client and vault run their
+// production defaults, like every other way into the stack.
 func OpenStack(sc StackConfig) (PageStore, func() error, error) {
-	ccfg := netv3.ClientConfig{Metrics: sc.Reg}
+	ccfg := netv3.DefaultClientConfig()
+	ccfg.Metrics = sc.Reg
 	if len(sc.Addrs) == 0 {
 		return nil, nil, fmt.Errorf("workload: OpenStack needs at least one address")
 	}
@@ -85,12 +87,11 @@ func OpenStack(sc StackConfig) (PageStore, func() error, error) {
 	if sc.Mirror {
 		mode = vvault.ModeMirror
 	}
-	v, err := vvault.Open(sc.Addrs, vvault.Config{
-		Mode:       mode,
-		MemberSize: sc.VolSize,
-		Client:     ccfg,
-		Metrics:    sc.Reg,
-	})
+	vcfg := vvault.DefaultConfig(mode)
+	vcfg.MemberSize = sc.VolSize
+	vcfg.Client = ccfg
+	vcfg.Metrics = sc.Reg
+	v, err := vvault.Open(sc.Addrs, vcfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -11,7 +11,7 @@ import (
 // SrvStageStat is one transaction type's server-side stage attribution:
 // span totals harvested from the traced demand reads committed inside
 // that type's transactions. N is the traced-request count the totals
-// cover; zero when the path is untraced (old peer, NoTrace) or the
+// cover; zero when the path is untraced (old peer, no registry) or the
 // adapter cannot attribute (VaultStore).
 type SrvStageStat struct {
 	N       int64 `json:"n"`
