@@ -412,11 +412,8 @@ func printStatus(v *vvault.Vault) {
 		if st.LastProbeRTT > 0 {
 			fmt.Printf(" probe_rtt=%v", st.LastProbeRTT)
 		}
-		if st.DataStream != 0 {
-			fmt.Printf(" data_stream=%d credits=%d", st.DataStream, st.StreamCredits)
-		}
-		if st.ResyncStream != 0 {
-			fmt.Printf(" resync_stream=%d", st.ResyncStream)
+		if st.StreamCredits > 0 { // the backend has a client; stream 0 is its root
+			fmt.Printf(" data_stream=%d credits=%d resync_stream=%d", st.DataStream, st.StreamCredits, st.ResyncStream)
 		}
 		if mirror {
 			fmt.Printf(" log_cursor=%d watermark=%d", st.LogCursor, st.LogWatermark)

@@ -25,11 +25,11 @@ type Injected struct {
 }
 
 // TestCancelReleasesSlotsImmediately is the regression test for the
-// credit-slot leak: before this PR an expired WaitTimeout left the slot
+// credit leak: an expired WaitTimeout once left the request's credit
 // pinned until the server answered, so a window's worth of timed-out
 // requests against a hung server wedged the client permanently — every
-// later submission blocked forever in the credit acquire. Now the expiry
-// cancels the request and the slot comes straight home.
+// later submission blocked forever in the credit acquire. The expiry
+// cancels the request and the token comes straight home.
 func TestCancelReleasesSlotsImmediately(t *testing.T) {
 	addr := startHungServer(t) // grants 8 credits, never answers
 	cfg := DefaultClientConfig()
@@ -41,7 +41,7 @@ func TestCancelReleasesSlotsImmediately(t *testing.T) {
 	defer c.Close()
 	// Exhaust the whole window against the hung server and abandon every
 	// handle through a bounded wait.
-	for i := 0; i < cap(c.creditC); i++ {
+	for i := 0; i < c.Credits(); i++ {
 		h, err := c.ReadAsync(1, 0, make([]byte, 64))
 		if err != nil {
 			t.Fatal(err)
@@ -51,19 +51,19 @@ func TestCancelReleasesSlotsImmediately(t *testing.T) {
 		}
 	}
 	// The window must be fully reusable: a full window's worth of new
-	// submissions acquires slots without blocking. Pre-fix this deadlocked
+	// submissions acquires tokens without blocking. Pre-fix this deadlocked
 	// on the first iteration.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	for i := 0; i < cap(c.creditC); i++ {
+	for i := 0; i < c.Credits(); i++ {
 		h, err := c.ReadAsyncCtx(ctx, 1, 0, make([]byte, 64))
 		if err != nil {
 			t.Fatalf("post-cancel submission %d blocked: %v", i, err)
 		}
 		h.Cancel()
 	}
-	if st := c.Stats(); st.Cancels != int64(2*cap(c.creditC)) {
-		t.Fatalf("Cancels=%d, want %d", st.Cancels, 2*cap(c.creditC))
+	if st := c.Stats(); st.Cancels != int64(2*c.Credits()) {
+		t.Fatalf("Cancels=%d, want %d", st.Cancels, 2*c.Credits())
 	}
 }
 
@@ -216,8 +216,8 @@ func TestAcquireSlotHonorsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	handles := make([]*Pending, 0, cap(c.creditC))
-	for i := 0; i < cap(c.creditC); i++ {
+	handles := make([]*Pending, 0, c.Credits())
+	for i := 0; i < c.Credits(); i++ {
 		h, err := c.ReadAsync(1, 0, make([]byte, 64))
 		if err != nil {
 			t.Fatal(err)

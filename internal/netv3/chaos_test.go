@@ -137,21 +137,21 @@ func TestChaosCancelStorm(t *testing.T) {
 	}
 	f.Inj.SetLatency(0, 0)
 	// Zero leak criterion: once the in-flight count drains, every credit
-	// slot must be back in the channel.
+	// token must be back in the root's window.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if c.Stats().InFlight == 0 && len(c.creditC) == cap(c.creditC) {
+		if c.Stats().InFlight == 0 && len(c.sem) == c.Credits() {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("window not whole after storm: inflight=%d slots=%d/%d",
-				c.Stats().InFlight, len(c.creditC), cap(c.creditC))
+			t.Fatalf("window not whole after storm: inflight=%d tokens=%d/%d",
+				c.Stats().InFlight, len(c.sem), c.Credits())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	// And the whole window is genuinely usable: saturate it end-to-end.
 	var wg2 sync.WaitGroup
-	for i := 0; i < cap(c.creditC); i++ {
+	for i := 0; i < c.Credits(); i++ {
 		wg2.Add(1)
 		go func(i int) {
 			defer wg2.Done()

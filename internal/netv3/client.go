@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/v3storage/v3/internal/flow"
 	"github.com/v3storage/v3/internal/obs"
 	"github.com/v3storage/v3/internal/reliable"
 	"github.com/v3storage/v3/internal/wire"
@@ -65,7 +64,7 @@ func DefaultClientConfig() ClientConfig {
 var ErrClosed = errors.New("netv3: client closed")
 
 // ErrWaitTimeout is the completion status of a request whose bounded
-// wait expired: the request is canceled (buffer detached, credit slot
+// wait expired: the request is canceled (buffer detached, credit tokens
 // returned) and this error is published on the handle.
 var ErrWaitTimeout = errors.New("netv3: wait timed out")
 
@@ -83,10 +82,8 @@ var ErrConnLost = errors.New("netv3: connection lost and reconnection failed")
 // counterpart of the cDSA API's async calls plus Poll/Wait
 // (internal/core/api.go calls 5, 6, 9, 10).
 type Pending struct {
-	c    *Client
-	st   *Stream // issuing stream (nil = root session); holds one stream credit
-	id   uint64
-	slot uint32       // credit slot held until completion
+	st   *Stream      // issuing stream; its tokens are held until completion (see Stream.take)
+	id   uint64       // request id; the key in the client's pending map
 	msg  wire.Message // the request frame, for replay too; points at rd, wr or fl
 	body []byte       // write payload (replay) — nil for reads
 	buf  []byte       // read destination
@@ -128,8 +125,8 @@ func (h *Pending) ServerSpan() wire.SrvSpan { return h.span }
 // request without a full trace (metrics disabled, or failed before a
 // response arrived) records nothing.
 func (h *Pending) finishTrace() {
-	c := h.c
-	if c == nil || c.om == nil || h.t0 == 0 || h.t3 == 0 {
+	c := h.st.c
+	if c.om == nil || h.t0 == 0 || h.t3 == 0 {
 		return
 	}
 	if !h.recorded.CompareAndSwap(false, true) {
@@ -161,72 +158,54 @@ func (h *Pending) Wait() error {
 // WaitTimeout blocks until the request completes or d elapses. An
 // expired wait CANCELS the request: the buffers passed to
 // ReadAsync/WriteAsync are detached (the caller owns them again the
-// moment this returns) and the credit slot goes back to the window
-// immediately — an abandoned handle can no longer pin a slot until the
+// moment this returns) and the credit tokens go back to their windows
+// immediately — an abandoned handle can no longer pin a token until the
 // server deigns to answer. ErrWaitTimeout is both the return value and
 // the handle's published completion status, so later waiters see it too.
 // If the completion races the expiry, the request's real status wins and
 // is returned instead.
 func (h *Pending) WaitTimeout(d time.Duration) error {
-	select {
-	case <-h.done:
-		h.finishTrace()
-		return h.err
-	default:
+	if h.Done() {
+		return h.err // no timer for a request that has already completed
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
-	select {
-	case <-h.done:
-		h.finishTrace()
-		return h.err
-	case <-t.C:
-		if c := h.c; c != nil {
-			c.waitTimeouts.Add(1)
-			c.om.noteDeadline()
-		}
-		if h.cancel(ErrWaitTimeout) {
-			return ErrWaitTimeout
-		}
-		<-h.done
-		h.finishTrace()
-		return h.err
-	}
+	return boundedWait(h, t.C, func() error { return ErrWaitTimeout })
 }
 
 // WaitContext is the context-aware WaitTimeout: if ctx ends first the
-// request is canceled the same way (buffer detached, slot returned) and
+// request is canceled the same way (buffer detached, tokens returned) and
 // ctx.Err() is published and returned.
 func (h *Pending) WaitContext(ctx context.Context) error {
+	return boundedWait(h, ctx.Done(), ctx.Err)
+}
+
+// boundedWait is the one bounded wait: block until h completes or expired
+// fires, and in the second case cancel h with cause() — read only then,
+// because a context has no error until it is done.
+func boundedWait[T any](h *Pending, expired <-chan T, cause func() error) error {
 	select {
 	case <-h.done:
-		h.finishTrace()
-		return h.err
-	case <-ctx.Done():
-		if c := h.c; c != nil {
-			c.waitTimeouts.Add(1)
-			c.om.noteDeadline()
+	case <-expired:
+		h.st.c.waitTimeouts.Add(1)
+		if err := cause(); h.cancel(err) {
+			return err
 		}
-		if h.cancel(ctx.Err()) {
-			return ctx.Err()
-		}
-		<-h.done
-		h.finishTrace()
-		return h.err
+		<-h.done // the completion won the race; its status stands
 	}
+	h.finishTrace()
+	return h.err
 }
 
 // Cancel detaches the request from its caller: the handle completes with
-// ErrCanceled, the credit slot returns to the window immediately, and
+// ErrCanceled, the credit tokens return to their windows immediately, and
 // the read/write buffers are released — the caller owns them again the
 // moment Cancel returns true. The request itself may still reach the
 // server; a late response is recognized by its stale request id and
-// drained without touching caller memory (the server releases a write's
-// staging slot in frame order, so a canceled slot reused on the same
-// session cannot collide). Cancel reports false when the request already
-// completed — or its payload delivery had begun — in which case the
-// handle carries the real status and the caller must Wait before
-// touching the buffers.
+// drained without touching caller memory. Cancel reports false when the
+// request already completed — or its payload delivery had begun — in
+// which case the handle carries the real status and the caller must Wait
+// before touching the buffers.
 func (h *Pending) Cancel() bool { return h.cancel(ErrCanceled) }
 
 // cancel completes the handle with cause if the request is still
@@ -234,10 +213,7 @@ func (h *Pending) Cancel() bool { return h.cancel(ErrCanceled) }
 // against the reader's claim (see reader): whichever side removes the
 // request owns its buffers.
 func (h *Pending) cancel(cause error) bool {
-	c := h.c
-	if c == nil {
-		return false
-	}
+	c := h.st.c
 	c.mu.Lock()
 	if c.pending[h.id] != h {
 		c.mu.Unlock()
@@ -249,7 +225,6 @@ func (h *Pending) cancel(cause error) bool {
 	h.msg = nil
 	c.mu.Unlock()
 	c.cancels.Add(1)
-	c.om.noteCancel()
 	c.finish(h, cause)
 	return true
 }
@@ -274,6 +249,13 @@ func (c *Client) TraceSupported() bool {
 // Client is a DSA-style block client for a netv3 server. It is safe for
 // concurrent use; requests overlap up to the credit window.
 //
+// Every request is issued on a Stream. The embedded one is the session's
+// root — stream 0, foreground, as many tokens as the session window the
+// handshake negotiated — so Read/Write/Flush and their Async and Ctx forms
+// on a Client are the root's, and OpenStream adds further streams that
+// share its window. The root lives exactly as long as the Client: it
+// cannot be closed on its own.
+//
 // Locking: mu guards only request bookkeeping (pending map, request ids,
 // connection identity, reconnection state). Nothing a caller
 // runs ever writes the socket: submitters copy their frame onto the
@@ -284,13 +266,18 @@ func (c *Client) TraceSupported() bool {
 // recover): a 5-second dial to a dead peer must not freeze Stats, Close,
 // cancels, or other submitters' bookkeeping.
 type Client struct {
+	*Stream // the root: stream 0, whose I/O methods are the Client's (set once, by dial)
+
 	cfg  ClientConfig
 	addr string
+	// boot is the server incarnation the first handshake met: the high half
+	// of ConnectResp.SessionID, drawn once per server process (zero from a
+	// server that predates it). A reconnect that meets another one has
+	// reached a different process; see recover.
+	boot uint32
 
 	mu         sync.Mutex
 	conn       net.Conn
-	fc         *flow.Client
-	creditC    chan uint32 // available slot ids (buffered = window)
 	pending    map[uint64]*Pending
 	reconn     *reliable.Reconnector
 	recovering bool // single-flight guard: one goroutine owns the reconnect loop
@@ -312,7 +299,8 @@ type Client struct {
 	wrap func(net.Conn) net.Conn
 
 	// Stream multiplexing state (guarded by mu). features/maxStreams come
-	// from the last handshake; streams holds the open logical streams;
+	// from the last handshake; streams holds the streams OpenStream opened
+	// (not the root, which the cap and the gauges do not count);
 	// openWaiters routes StreamOpenResp frames (keyed by stream id) to the
 	// goroutine blocked in OpenStream.
 	features    uint32
@@ -324,6 +312,7 @@ type Client struct {
 	wire wireCounters // frames and socket writes, all generations
 
 	om        *clientObs    // stage-trace histograms; nil when Metrics is unset
+	kaRTT     *obs.Hist     // netv3_client_keepalive_rtt_ns; nil when Metrics is unset
 	traceCtr  atomic.Uint64 // submit counter driving 1-in-traceSample tracing
 	traceBase uint64        // per-client trace-id salt (wall-clock at Dial)
 
@@ -363,9 +352,10 @@ func dial(addr string, cfg ClientConfig, wrap func(net.Conn) net.Conn) (*Client,
 		wrap:        wrap,
 		reconn:      reliable.NewReconnector(cfg.ReconnectBackoff, cfg.MaxReconnects),
 		start:       time.Now(),
-		om:          newClientObs(cfg.Metrics),
+		kaRTT:       cfg.Metrics.Hist("netv3_client_keepalive_rtt_ns"),
 		traceBase:   uint64(time.Now().UnixNano()),
 	}
+	c.om = newClientObs(cfg.Metrics, c)
 	if c.om != nil {
 		c.wire.batch, c.wire.writeNS = c.om.framesPerWrite, c.om.wireWrite
 	}
@@ -373,11 +363,19 @@ func dial(addr string, cfg ClientConfig, wrap func(net.Conn) net.Conn) (*Client,
 	if err != nil {
 		return nil, err
 	}
+	// The window is negotiated once and survives reconnections: the server
+	// grants the same one per session, and requests in flight keep their
+	// tokens through the replay.
+	c.Stream = newStream(c, 0, StreamConfig{}, int(resp.Credits))
+	c.boot = bootOf(resp)
 	c.mu.Lock()
 	c.installConn(conn, resp)
 	c.mu.Unlock()
 	return c, nil
 }
+
+// bootOf extracts the server's boot nonce from a handshake reply.
+func bootOf(resp *wire.ConnectResp) uint32 { return uint32(resp.SessionID >> 32) }
 
 // dialSession dials and handshakes one session without holding any
 // client lock. The whole exchange runs under a DialTimeout deadline: a
@@ -419,22 +417,6 @@ func (c *Client) installConn(conn net.Conn, resp *wire.ConnectResp) {
 	c.maxXfer = resp.MaxXfer
 	c.features = resp.Features
 	c.maxStreams = resp.MaxStreams
-	// The credit window is created once; it survives reconnections (the
-	// server grants the same window per session, and in-flight slots are
-	// replayed on the new session).
-	if c.creditC == nil {
-		credits := int(resp.Credits)
-		c.fc = flow.NewClient()
-		c.fc.Grant(credits)
-		c.creditC = make(chan uint32, credits)
-		for {
-			slot, err := c.fc.TakeNow()
-			if err != nil {
-				break
-			}
-			c.creditC <- slot
-		}
-	}
 	c.genID++
 	gen := c.genID
 	c.lastRecv.Store(obs.Now())
@@ -451,21 +433,6 @@ func (c *Client) installConn(conn net.Conn, resp *wire.ConnectResp) {
 
 // MaxTransfer returns the server's per-request transfer bound.
 func (c *Client) MaxTransfer() int { return int(c.maxXfer) }
-
-// Credits returns the session's negotiated flow-control window — the
-// number of requests that can usefully be in flight at once. Callers
-// that fan a batch out over the async API (database read-ahead, extent
-// scatter) should clamp their outstanding-request count to this: past
-// the window, extra submissions only queue on the credit channel and
-// inflate the submission stage without adding concurrency.
-func (c *Client) Credits() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.creditC == nil {
-		return 0
-	}
-	return cap(c.creditC)
-}
 
 // KillConnForTest severs the underlying TCP connection without marking
 // the client closed, so the next I/O exercises the reconnection path.
@@ -487,7 +454,7 @@ func (c *Client) Reconnects() int64 { return c.reconnects.Load() }
 // counters — the submission-side visibility the server has always had.
 type ClientStats struct {
 	// InFlight is the number of requests submitted but not yet completed
-	// (each holds a credit slot).
+	// (each holds a token of the session window).
 	InFlight int
 	// Retries counts requests replayed onto a fresh session after a
 	// reconnect; Reconnects counts the sessions themselves.
@@ -497,16 +464,17 @@ type ClientStats struct {
 	// each also cancels its request, counted under Cancels.
 	WaitTimeouts int64
 	// Cancels counts requests canceled before completion — explicitly or
-	// by an expired bounded wait. Every cancel returned its credit slot
-	// to the window immediately.
+	// by an expired bounded wait. Every cancel returned its credit tokens
+	// at once.
 	Cancels int64
 	// KeepalivePings counts TPing probes sent on idle links;
 	// HungDetections counts connections declared dead because the probe's
 	// read deadline expired with the peer silent.
 	KeepalivePings int64
 	HungDetections int64
-	// StreamsOpen is the number of currently open logical streams;
-	// StreamsOpened is the cumulative count ever opened.
+	// StreamsOpen is the number of streams OpenStream opened that are
+	// still open; StreamsOpened is the cumulative count. Neither counts the
+	// root.
 	StreamsOpen   int64
 	StreamsOpened int64
 	// FramesSent counts frames put on the wire and WireWrites the socket
@@ -566,207 +534,6 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Read fills buf from volume vol at off.
-func (c *Client) Read(vol uint32, off int64, buf []byte) error {
-	h, err := c.ReadAsync(vol, off, buf)
-	if err != nil {
-		return err
-	}
-	return h.Wait()
-}
-
-// Write sends data to volume vol at off. Completion means the server
-// accepted the bytes and every later read observes them; on a
-// write-behind server they may not yet be durable — Flush is the
-// durability barrier.
-func (c *Client) Write(vol uint32, off int64, data []byte) error {
-	h, err := c.WriteAsync(vol, off, data)
-	if err != nil {
-		return err
-	}
-	return h.Wait()
-}
-
-// Flush is the durability barrier: when it returns nil, every write on
-// vol whose completion was observed before Flush was submitted is
-// durable on the server's store. Writes still in flight are not covered
-// — Wait them first.
-func (c *Client) Flush(vol uint32) error {
-	h, err := c.FlushAsync(vol)
-	if err != nil {
-		return err
-	}
-	return h.Wait()
-}
-
-// ReadCtx is the cancelable synchronous read: ctx bounds both the
-// credit-slot wait and the completion. If ctx ends first the request is
-// canceled — buf is the caller's again the moment this returns — and
-// ctx.Err() comes back.
-func (c *Client) ReadCtx(ctx context.Context, vol uint32, off int64, buf []byte) error {
-	h, err := c.ReadAsyncCtx(ctx, vol, off, buf)
-	if err != nil {
-		return err
-	}
-	return h.WaitContext(ctx)
-}
-
-// WriteCtx is the cancelable synchronous write; see ReadCtx.
-func (c *Client) WriteCtx(ctx context.Context, vol uint32, off int64, data []byte) error {
-	h, err := c.WriteAsyncCtx(ctx, vol, off, data)
-	if err != nil {
-		return err
-	}
-	return h.WaitContext(ctx)
-}
-
-// FlushCtx is the cancelable durability barrier; see ReadCtx. A canceled
-// flush guarantees nothing — reissue it after the window drains.
-func (c *Client) FlushCtx(ctx context.Context, vol uint32) error {
-	h, err := c.FlushAsyncCtx(ctx, vol)
-	if err != nil {
-		return err
-	}
-	return h.WaitContext(ctx)
-}
-
-// FlushAsync submits a flush barrier and returns a completion handle.
-func (c *Client) FlushAsync(vol uint32) (*Pending, error) {
-	return c.submit(nil, nil, opFlush, vol, 0, nil, nil)
-}
-
-// FlushAsyncCtx is FlushAsync with a cancelable credit-slot wait.
-func (c *Client) FlushAsyncCtx(ctx context.Context, vol uint32) (*Pending, error) {
-	return c.submit(ctx, nil, opFlush, vol, 0, nil, nil)
-}
-
-// ReadAsync submits a read and returns immediately with a completion
-// handle; buf must stay untouched until the handle reports completion
-// (or is canceled, which hands buf back to the caller). Submission
-// blocks only while the credit window is exhausted.
-func (c *Client) ReadAsync(vol uint32, off int64, buf []byte) (*Pending, error) {
-	return c.submit(nil, nil, opRead, vol, off, buf, nil)
-}
-
-// ReadAsyncCtx is ReadAsync with a cancelable credit-slot wait: if ctx
-// ends while the window is exhausted — say, wedged by hung data-path
-// requests — submission returns ctx.Err() instead of joining the wedge.
-// Health probes depend on this bound.
-func (c *Client) ReadAsyncCtx(ctx context.Context, vol uint32, off int64, buf []byte) (*Pending, error) {
-	return c.submit(ctx, nil, opRead, vol, off, buf, nil)
-}
-
-// WriteAsync submits a write and returns immediately with a completion
-// handle; data must stay untouched until the handle reports completion
-// (or is canceled).
-func (c *Client) WriteAsync(vol uint32, off int64, data []byte) (*Pending, error) {
-	return c.submit(nil, nil, opWrite, vol, off, nil, data)
-}
-
-// WriteAsyncCtx is WriteAsync with a cancelable credit-slot wait.
-func (c *Client) WriteAsyncCtx(ctx context.Context, vol uint32, off int64, data []byte) (*Pending, error) {
-	return c.submit(ctx, nil, opWrite, vol, off, nil, data)
-}
-
-// Client-side op kinds for submit. All three occupy a credit slot while
-// in flight: the slot bounds outstanding requests of any kind, even
-// though only writes stage payload bytes in a server slot.
-const (
-	opRead = iota
-	opWrite
-	opFlush
-)
-
-// acquireSlot takes a credit slot, blocking while the window is
-// exhausted. A nil ctx is the uncancelable fast path (one channel
-// receive, identical to the pre-context behavior); with a ctx the wait
-// ends early with ctx.Err() — the primitive that keeps health probes
-// out of a wedged window.
-func (c *Client) acquireSlot(ctx context.Context) (uint32, error) {
-	if ctx == nil {
-		return <-c.creditC, nil
-	}
-	select {
-	case slot := <-c.creditC:
-		return slot, nil
-	default:
-	}
-	select {
-	case slot := <-c.creditC:
-		return slot, nil
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-}
-
-func (c *Client) submit(ctx context.Context, st *Stream, op int, vol uint32, off int64, buf, data []byte) (*Pending, error) {
-	// Stage trace starts at API entry, so the submission stage includes
-	// any credit-window wait — the cost a caller actually experiences.
-	// Only every traceSample-th request is traced; the rest pay one
-	// counter increment here and zero-value branches downstream.
-	var t0 int64
-	if c.om != nil && c.traceCtr.Add(1)%traceSample == 0 {
-		t0 = obs.Now()
-	}
-	slot, err := c.acquireSlot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	p := &Pending{c: c, st: st, slot: slot, done: make(chan struct{}), t0: t0}
-	var sid uint32
-	if st != nil {
-		sid = st.id
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.creditC <- slot // hand the slot to any other blocked submitter
-		return nil, ErrClosed
-	}
-	c.nextReq++
-	p.id = c.nextReq
-	hdr := wire.Header{Seq: p.id, Stream: sid}
-	switch op {
-	case opWrite:
-		p.body = data
-		p.wr = wire.Write{
-			Header: hdr, ReqID: p.id,
-			Volume: vol, Offset: uint64(off), Length: uint32(len(data)), Slot: slot,
-		}
-		p.msg = &p.wr
-	case opRead:
-		p.buf = buf
-		p.rd = wire.Read{
-			Header: hdr, ReqID: p.id,
-			Volume: vol, Offset: uint64(off), Length: uint32(len(buf)),
-		}
-		p.msg = &p.rd
-	case opFlush:
-		p.fl = wire.Flush{Header: hdr, ReqID: p.id, Volume: vol}
-		p.msg = &p.fl
-	}
-	// A traced request carries a trace id on the wire (when the server
-	// negotiated FeatureTrace), telling the server to answer with its
-	// span block — the join key between the client's stage trace and the
-	// server's flight-recorder events. The id mixes the per-client salt
-	// with the request id through a Weyl/Fibonacci step so ids from
-	// clients dialed in the same instant still diverge.
-	if t0 != 0 && c.features&wire.FeatureTrace != 0 {
-		tr := c.traceBase ^ (p.id * 0x9e3779b97f4a7c15)
-		if tr == 0 {
-			tr = 1 // zero means untraced on the wire
-		}
-		p.msg.Hdr().Trace = tr
-	}
-	c.pending[p.id] = p
-	fw, msg := c.fw, p.msg
-	c.mu.Unlock()
-	// Whatever becomes of the send the request is tracked: reconnection
-	// replay (or permanent failure) will complete the handle.
-	c.send(fw, p, msg, data)
-	return p, nil
-}
-
 // send posts a request frame plus payload to fw, the writer of the
 // connection generation the request was issued on; m and body are the
 // request's, read by the caller under mu or before the handle was shared.
@@ -824,7 +591,6 @@ func (c *Client) keepalive(conn net.Conn, fw *frameWriter, gen int) {
 		c.kaArmed.Store(true)
 		_ = conn.SetReadDeadline(time.Now().Add(iv))
 		c.kaPings.Add(1)
-		c.om.notePing()
 		_ = fw.send(&wire.Ping{}, nil) // a dead link is the armed deadline's to report
 	}
 }
@@ -851,7 +617,6 @@ func (c *Client) reader(conn net.Conn, gen int) {
 			// a hung, not closed, connection — count it distinctly, then
 			// recover exactly like a break.
 			c.hungPeers.Add(1)
-			c.om.noteHung()
 		}
 		c.connectionBroken(gen)
 	}
@@ -951,7 +716,7 @@ func (c *Client) reader(conn net.Conn, gen int) {
 		case wire.TPong:
 			// Keepalive answer: log the round trip of the outstanding ping.
 			if at := c.kaPingAt.Swap(0); at != 0 {
-				c.om.noteKeepaliveRTT(obs.Now() - at)
+				c.kaRTT.Observe(obs.Now() - at)
 			}
 		default:
 			// Unexpected frame: treat as protocol failure.
@@ -1009,21 +774,18 @@ func (c *Client) complete(id uint64, err error, sp wire.SrvSpan) {
 	}
 }
 
-// finish publishes the completion and returns the credit slot (and the
-// issuing stream's carve-out token). Each Pending reaches finish exactly
-// once: the reader's claim, cancel, Close, and permanent reconnection
-// failure all remove it from the pending map under mu before calling
-// here, so no two paths can both own it.
+// finish publishes the completion and returns the request's credit
+// tokens. Each Pending reaches finish exactly once: the reader's claim,
+// cancel, Close, and permanent reconnection failure all remove it from the
+// pending map under mu before calling here, so no two paths can both own
+// it.
 func (c *Client) finish(p *Pending, err error) {
 	p.err = err
 	if p.t3 != 0 {
 		p.t4 = obs.Now()
 	}
 	close(p.done)
-	c.creditC <- p.slot
-	if p.st != nil {
-		p.st.release()
-	}
+	p.st.give()
 }
 
 // connectionBroken starts the reconnection state machine for connection
@@ -1051,7 +813,8 @@ func (c *Client) connectionBroken(gen int) {
 
 // recover drives reconnection to completion: redial with exponential
 // backoff and replay every unacknowledged request on the new session, or
-// — when the bounded retry budget is spent — complete everything
+// — when the bounded retry budget is spent, or the server that answers is
+// not the process the session began with — complete everything
 // outstanding with ErrConnLost so no waiter hangs forever. Dial attempts
 // (up to DialTimeout each) run with mu RELEASED: Stats, Close, cancels
 // and submitter bookkeeping stay responsive through a reconnect storm.
@@ -1091,6 +854,18 @@ func (c *Client) recover() {
 			}
 			c.mu.Unlock()
 			continue
+		}
+		if bootOf(resp) != c.boot {
+			// Reconnection is the remedy for a failed link. A new server
+			// process has lost the volatile state every earlier ack relied
+			// on — write-behind blocks it acknowledged and never destaged —
+			// so replaying onto it would let a later Flush report durable
+			// what is gone. The session ends here and the layer above (a
+			// vault trips the replica and resyncs it from its flush
+			// watermark) decides what to do about the loss.
+			conn.Close()
+			c.failAllLocked()
+			return
 		}
 		c.installConn(conn, resp)
 		c.reconn.AttemptSucceeded()

@@ -43,7 +43,6 @@ type destager struct {
 	mu      sync.Mutex // the destage mutex; see type comment
 	kick    chan struct{}
 	stopped chan struct{} // closed when run() has finished its final pass
-	bgKey   uint64        // scheduler tenant key for background-lane passes
 
 	interval time.Duration
 	hiWater  int
@@ -66,7 +65,6 @@ func newDestager(s *Server, v *volume) *destager {
 		cache:    v.cache,
 		kick:     make(chan struct{}, 1),
 		stopped:  make(chan struct{}),
-		bgKey:    newBGKey(),
 		interval: s.tune.destageInterval,
 		hiWater:  s.tune.dirtyHighWater,
 	}
@@ -74,38 +72,26 @@ func newDestager(s *Server, v *volume) *destager {
 
 // run is the background destage loop: every interval (or sooner when
 // kicked by a write crossing the high-watermark) it commits the current
-// dirty set.
+// dirty set, on this goroutine — a pass fans its store writes out itself
+// (storeFanOut), so there is nothing a scheduler worker would add. A tick
+// that finds nothing dirty does nothing: an idle volume takes no locks.
 func (d *destager) run(done <-chan struct{}) {
 	defer close(d.stopped)
 	t := time.NewTicker(d.interval)
 	defer t.Stop()
-	for {
+	for stop := false; !stop; {
 		select {
 		case <-done:
 			// Final best-effort pass so a clean shutdown leaves little
 			// behind; Flush remains the only durability guarantee.
-			d.destagePass()
-			return
+			stop = true
 		case <-t.C:
 		case <-d.kick:
 		}
-		d.destagePass()
+		if d.cache.dirtyCount.Load() > 0 {
+			d.destageAll()
+		}
 	}
-}
-
-// destagePass runs one pass, routed through the scheduler's background
-// lane — so destaging competes for workers under the lane policy
-// (foreground priority, starvation-guarded) instead of running unmetered
-// beside them. This goroutine is a dedicated producer, never a scheduler
-// worker, so enqueue-and-wait cannot deadlock; a refused enqueue
-// (scheduler closing) falls back to running the pass right here.
-func (d *destager) destagePass() {
-	done := make(chan struct{})
-	if ok, _ := d.s.sched.tryEnqueue(d.bgKey, 1, true, func() { d.destageAll(); close(done) }); ok {
-		<-done
-		return
-	}
-	d.destageAll()
 }
 
 // kickNow nudges the background loop without blocking.

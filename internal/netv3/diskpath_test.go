@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/v3storage/v3/internal/faultnet"
+	"github.com/v3storage/v3/internal/obs"
 )
 
 // diskCfg is a server config with the cached disk path on. Paired with
@@ -894,5 +895,44 @@ func TestDestageFanOutOverlapsAndIsBounded(t *testing.T) {
 		if !rv.tryCachedRead(got, int64(blk)*cacheBlockSize) || !bytes.Equal(got, block(blk)) {
 			t.Fatalf("read-ahead block %d not installed with the store's bytes", blk)
 		}
+	}
+}
+
+// TestIdleDestagerDoesNothing pins what a destage tick costs a volume with
+// nothing dirty: nothing. Fifty periods of a 1 ms destager over an idle
+// cached volume record no pass — a pass takes every shard lock — and put
+// no task on the scheduler's background lane; one absorbed write later, a
+// pass is recorded within the next ticks, still on the destager's own
+// goroutine.
+func TestIdleDestagerDoesNothing(t *testing.T) {
+	reg := obs.New()
+	cfg := diskCfg()
+	cfg.Metrics = reg
+	srv := newServer(cfg, tuning{destageInterval: time.Millisecond})
+	defer closeServer(t, srv)
+	srv.AddVolume(1, NewMemStore(1<<20))
+	passes := func() int64 { return reg.Hist("netv3_srv_destage_run_ns").Snapshot().Count() }
+
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for i := 0; i < 50; i++ {
+		<-tick.C
+	}
+	if n, bg := passes(), srv.SchedStats().BGDone; n != 0 || bg != 0 {
+		t.Fatalf("idle volume: %d destage passes recorded, %d background-lane tasks run; want none of either", n, bg)
+	}
+
+	v := srv.lookup(1)
+	if err := v.absorbWrite(make([]byte, cacheBlockSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; passes() == 0 || v.cache.dirtyCount.Load() != 0; i++ {
+		if i == 5000 {
+			t.Fatalf("no pass %d ticks after a write: passes=%d dirty=%d", i, passes(), v.cache.dirtyCount.Load())
+		}
+		<-tick.C
+	}
+	if d, bg := srv.DiskStats(), srv.SchedStats().BGDone; d.DestagedBlocks != 1 || bg != 0 {
+		t.Fatalf("after one write: %d blocks destaged, %d background-lane tasks; want 1 and 0", d.DestagedBlocks, bg)
 	}
 }

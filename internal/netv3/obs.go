@@ -65,11 +65,8 @@ func MergedStageDefs() []obs.StageDef {
 	}
 }
 
-// clientObs is a client's stage-histogram set plus the failure-path
-// counters (cancellation, deadline expiry, hung-peer detection) and the
-// keepalive RTT histogram; nil when no registry is configured, which
-// gates every capture site down to one branch — the note* helpers are
-// nil-receiver safe so callers never re-check.
+// clientObs is a client's stage-histogram set; nil when no registry is
+// configured, which gates every capture site down to one branch.
 type clientObs struct {
 	// The seven stages, in MergedStageDefs order.
 	submit   *obs.Hist
@@ -80,81 +77,36 @@ type clientObs struct {
 	deliver  *obs.Hist
 	wake     *obs.Hist
 
-	cancels   *obs.Counter // netv3_client_cancels_total
-	deadlines *obs.Counter // netv3_client_deadline_exceeded_total
-	hungs     *obs.Counter // netv3_client_hung_peer_total
-	pings     *obs.Counter // netv3_client_keepalive_pings_total
-	kaRTT     *obs.Hist    // netv3_client_keepalive_rtt_ns
-
 	// The frame writer's per-batch pair (see wireCounters): how many
 	// frames each socket write carried, and how long the write took.
 	framesPerWrite *obs.Hist // netv3_client_frames_per_write
 	wireWrite      *obs.Hist // netv3_client_wire_write_ns
 }
 
-func newClientObs(r *obs.Registry) *clientObs {
+// newClientObs builds the histogram set and exports c's failure-path
+// counters (cancellation, bounded-wait expiry, hung-peer detection,
+// keepalive pings) as gauge funcs over the atomics Stats already reads —
+// one bookkeeping, as newServerObs does for the server's.
+func newClientObs(r *obs.Registry, c *Client) *clientObs {
 	if r == nil {
 		return nil
 	}
+	r.GaugeFunc("netv3_client_cancels_total", c.cancels.Load)
+	r.GaugeFunc("netv3_client_deadline_exceeded_total", c.waitTimeouts.Load)
+	r.GaugeFunc("netv3_client_hung_peer_total", c.hungPeers.Load)
+	r.GaugeFunc("netv3_client_keepalive_pings_total", c.kaPings.Load)
 	return &clientObs{
-		submit:    r.Hist(metricSubmit),
-		doorbell:  r.Hist(metricWire),
-		srvSched:  r.Hist(metricSrvSched),
-		srvCPU:    r.Hist(metricSrvCPU),
-		netResid:  r.Hist(metricNetResid),
-		deliver:   r.Hist(metricDeliver),
-		wake:      r.Hist(metricWake),
-		cancels:   r.Counter("netv3_client_cancels_total"),
-		deadlines: r.Counter("netv3_client_deadline_exceeded_total"),
-		hungs:     r.Counter("netv3_client_hung_peer_total"),
-		pings:     r.Counter("netv3_client_keepalive_pings_total"),
-		kaRTT:     r.Hist("netv3_client_keepalive_rtt_ns"),
+		submit:   r.Hist(metricSubmit),
+		doorbell: r.Hist(metricWire),
+		srvSched: r.Hist(metricSrvSched),
+		srvCPU:   r.Hist(metricSrvCPU),
+		netResid: r.Hist(metricNetResid),
+		deliver:  r.Hist(metricDeliver),
+		wake:     r.Hist(metricWake),
 
 		framesPerWrite: r.Hist("netv3_client_frames_per_write"),
 		wireWrite:      r.Hist("netv3_client_wire_write_ns"),
 	}
-}
-
-// noteCancel counts one canceled request (explicit Cancel or an expired
-// bounded wait).
-func (co *clientObs) noteCancel() {
-	if co == nil {
-		return
-	}
-	co.cancels.Inc()
-}
-
-// noteDeadline counts one bounded-wait expiry (WaitTimeout/WaitContext).
-func (co *clientObs) noteDeadline() {
-	if co == nil {
-		return
-	}
-	co.deadlines.Inc()
-}
-
-// noteHung counts one connection declared dead by keepalive deadline
-// enforcement — a silent, not closed, peer.
-func (co *clientObs) noteHung() {
-	if co == nil {
-		return
-	}
-	co.hungs.Inc()
-}
-
-// notePing counts one keepalive TPing sent on an idle link.
-func (co *clientObs) notePing() {
-	if co == nil {
-		return
-	}
-	co.pings.Inc()
-}
-
-// noteKeepaliveRTT records one ping→pong round trip.
-func (co *clientObs) noteKeepaliveRTT(ns int64) {
-	if co == nil {
-		return
-	}
-	co.kaRTT.Observe(ns)
 }
 
 // recordTrace folds one completed request's timestamps into the stage

@@ -197,19 +197,18 @@ const prefetchFillStreams = 6
 // prefetchWorker is the per-volume background read-ahead engine: one
 // goroutine draining a small request channel, fanning out to a few
 // concurrent fills, each a plan → store reads → install sequence (see
-// fillBatched). Requests that arrive while the lane is full are dropped
-// — read-ahead is best-effort and a demand miss is always correct, just
-// slower.
+// fillBatched) on a goroutine of its own. Requests that arrive while the
+// channel is full are dropped — read-ahead is best-effort and a demand
+// miss is always correct, just slower.
 type prefetchWorker struct {
 	v       *volume
 	reqs    chan prefetchReq
 	stopped chan struct{} // closed when run() exits
-	bgKey   uint64        // scheduler tenant key for background-lane fills
 	dropped atomic.Int64
 }
 
 func newPrefetchWorker(v *volume) *prefetchWorker {
-	return &prefetchWorker{v: v, reqs: make(chan prefetchReq, 8), stopped: make(chan struct{}), bgKey: newBGKey()}
+	return &prefetchWorker{v: v, reqs: make(chan prefetchReq, 8), stopped: make(chan struct{})}
 }
 
 // submit queues a read-ahead window, dropping it if the worker is behind.
@@ -240,24 +239,10 @@ func (w *prefetchWorker) run(s *Server, done <-chan struct{}) {
 			go func() {
 				defer fills.Done()
 				defer func() { <-sem }()
-				w.fill(s, r.blks)
+				w.fillNow(s, r.blks)
 			}()
 		}
 	}
-}
-
-// fill services one window on the scheduler's background lane —
-// read-ahead is exactly the speculative traffic the lane exists to meter
-// — with this goroutine (a dedicated producer, never a scheduler worker)
-// enqueueing and waiting; a refused enqueue (scheduler closing) runs the
-// fill here instead.
-func (w *prefetchWorker) fill(s *Server, blks []uint64) {
-	done := make(chan struct{})
-	if ok, _ := s.sched.tryEnqueue(w.bgKey, 1, true, func() { w.fillNow(s, blks); close(done) }); ok {
-		<-done
-		return
-	}
-	w.fillNow(s, blks)
 }
 
 // fillNow services one window on the calling goroutine. A window is

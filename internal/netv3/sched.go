@@ -16,17 +16,19 @@ import (
 //   - foreground: client read misses, writes the session loop could not
 //     absorb, and flushes — the latency-sensitive traffic whose p99 must
 //     stay flat as logical sessions scale to 10k+.
-//   - background: destage passes, prefetch fills, and requests from streams
-//     opened with ClassBackground (resync-style utility traffic).
+//   - background: requests from streams a client opened with
+//     ClassBackground (resync-style utility traffic), and nothing else: the
+//     server's own destage passes and read-ahead fills run on the
+//     goroutines their volume already owns.
 //
 // The foreground lane has strict priority, except that every
 // bgStarvationStride-th pop takes background work first so a saturated
-// foreground can never starve destaging into a dirty-block pileup.
+// foreground can never starve a resync indefinitely.
 //
 // Isolation runs the other way too: at most workers-1 background tasks
-// execute concurrently, so a convoy of background work (e.g. write-through
-// and destage tasks serializing on the destage mutex) can never occupy
-// every worker — one is always free the moment foreground work arrives.
+// execute concurrently, so a convoy of background work (e.g. resync writes
+// past the dirty watermark serializing on the destage mutex) can never
+// occupy every worker — one is always free the moment foreground work arrives.
 // Without the reservation a saturated background lane adds its whole
 // convoy length to the foreground p99; with it the foreground wait is
 // bounded by its own service time. The cap is lifted during close so
@@ -41,24 +43,10 @@ import (
 // Admission control sheds foreground work instead of queueing without
 // bound: past the configured limit, tryEnqueue refuses and the session loop
 // answers StatusEOverloaded with a retry-after hint sized to the backlog.
-//
-// Deadlock discipline: a task running on a scheduler worker must never
-// block on the completion of another scheduler task. Background routing
-// therefore happens only from dedicated goroutines (the destager's run
-// loop, the prefetch worker's fill goroutines), which enqueue and wait;
-// flush tasks call destageAll inline rather than enqueueing it.
 
 // bgStarvationStride makes every N-th worker pop service the background
 // lane even when foreground work is pending.
 const bgStarvationStride = 16
-
-// schedBGKeys allocates tenant keys for the server's internal background
-// flows (destagers, prefetchers), counting down from the top of the key
-// space so they can never collide with session tenants (sessID<<32|stream
-// with a monotonically increasing session counter).
-var schedBGKeys atomic.Uint64
-
-func newBGKey() uint64 { return ^uint64(0) - schedBGKeys.Add(1) }
 
 // tenantKey names one logical stream's scheduler queue.
 func tenantKey(sess uint64, stream uint32) uint64 {
@@ -195,9 +183,9 @@ func newSched(s *Server, workers, limit int) *sched {
 // tryEnqueue queues run under the tenant's lane. A false return means the
 // task was NOT accepted: either admission shed it (queued reports the
 // foreground backlog for the retry hint) or the scheduler is closed
-// (queued == 0) and the caller must run the work itself or fail the
-// request. Background enqueues are never shed — their depth is bounded by
-// their producers (client credits, one destage pass at a time).
+// (queued == 0); either way the caller fails the request. Background
+// enqueues are never shed — their depth is bounded by their producers'
+// credit windows.
 func (sc *sched) tryEnqueue(key uint64, weight int, bg bool, run func()) (ok bool, queued int) {
 	var enq int64
 	if sc.s.om != nil {
@@ -329,7 +317,7 @@ func (s *Server) SchedStats() SchedStats {
 
 // SchedTenantStat is one tenant's live scheduler queue state.
 type SchedTenantStat struct {
-	Key    uint64 // sessID<<32|stream (internal bg flows count down from ^0)
+	Key    uint64 // sessID<<32|stream
 	BG     bool   // which lane the queue lives in
 	Queued int    // tasks waiting
 	Weight int    // round-robin weight

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"log"
+	"math/rand/v2"
 	"net"
 	"runtime"
 	"sync"
@@ -11,15 +12,14 @@ import (
 	"time"
 
 	"github.com/v3storage/v3/internal/bufpool"
-	"github.com/v3storage/v3/internal/flow"
 	"github.com/v3storage/v3/internal/obs"
 	"github.com/v3storage/v3/internal/wire"
 )
 
 // ServerConfig sizes a netv3 server.
 type ServerConfig struct {
-	// Credits is the flow-control window granted per session: the number
-	// of staging buffer slots, each MaxXfer bytes.
+	// Credits is the flow-control window granted per session: how many
+	// requests, each up to MaxXfer bytes, a client may have in flight.
 	Credits int
 	// MaxXfer bounds a single transfer.
 	MaxXfer uint32
@@ -31,7 +31,7 @@ type ServerConfig struct {
 	CacheBlocks int
 	// SchedWorkers sizes the shared request scheduler: a bounded pool of
 	// that many workers drains per-tenant weighted queues in two QoS lanes
-	// (foreground client I/O, background destage/prefetch/utility). 0
+	// (foreground client I/O, background-class streams such as resync). 0
 	// selects GOMAXPROCS; see sched.go.
 	SchedWorkers int
 	// AdmitLimit caps queued foreground scheduler tasks; beyond it requests
@@ -55,7 +55,7 @@ type ServerConfig struct {
 	Logger *log.Logger
 }
 
-// DefaultServerConfig returns sensible defaults: 64 slots of 1 MB.
+// DefaultServerConfig returns sensible defaults: 64 requests of 1 MB.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{Credits: 64, MaxXfer: 1 << 20}
 }
@@ -113,9 +113,15 @@ type Server struct {
 	ln       net.Listener
 	sessions atomic.Int64
 	served   atomic.Int64
-	nextSess atomic.Uint64
-	closed   atomic.Bool
-	done     chan struct{} // closed by Close; stops background goroutines
+	nextSess atomic.Uint32
+	// boot is this server process's incarnation, drawn once and carried in
+	// the high half of every SessionID: a client that reconnects and meets
+	// another one knows the volatile state its earlier acks relied on —
+	// write-behind blocks not yet destaged — is gone (see Client.recover).
+	boot uint32
+
+	closed atomic.Bool
+	done   chan struct{} // closed by Close; stops background goroutines
 
 	// Live (not cumulative) session and stream population, plus the
 	// cumulative stream count — the gauges behind v3d -stats and the
@@ -160,7 +166,7 @@ func newServer(cfg ServerConfig, tune tuning) *Server {
 	if tune.features == 0 {
 		tune.features = wire.FeatureStreams | wire.FeatureTrace
 	}
-	s := &Server{cfg: cfg, tune: tune, pool: bufpool.New(),
+	s := &Server{cfg: cfg, tune: tune, pool: bufpool.New(), boot: max(rand.Uint32(), 1),
 		done: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 	s.flight = cfg.Flight
 	s.flight.SetKindNames(flightKindNames)
@@ -310,9 +316,8 @@ func (s *Server) Close() error {
 	}
 	s.conns = make(map[net.Conn]struct{})
 	s.connMu.Unlock()
-	// The scheduler closes last: by this point the destagers/prefetchers
-	// (its background producers) have stopped and the conns are severed,
-	// so the drain is short; a session racing the shutdown sees tryEnqueue
+	// The scheduler closes last: by this point the conns are severed, so
+	// the drain is short; a session racing the shutdown sees tryEnqueue
 	// refuse and answers EOverloaded on a socket that is already closing.
 	s.sched.close()
 	return err
@@ -342,9 +347,11 @@ type session struct {
 	w       *frameWriter
 	id      uint64
 	credits int
-	// streams holds class and weight per open stream, fed by
-	// StreamOpen/StreamClose control frames. Stream 0 — the legacy/root
-	// session — is always implicitly open and foreground.
+	// streams holds class and weight per stream. The root, stream 0, is
+	// registered foreground when the session starts; StreamOpen and
+	// StreamClose control frames (and data frames that run ahead of their
+	// re-announcement) add and remove the rest. The root is not an opened
+	// stream: MaxStreams and the stream gauges count len(streams)-1.
 	streams map[uint32]*srvStream
 	pf      prefetcher
 	rr      wire.ReadResp  // reused by inline read responses
@@ -387,7 +394,6 @@ func (s *Server) session(conn net.Conn) {
 	if w := int(connect.WantCreds); w > 0 && w < credits {
 		credits = w
 	}
-	fc := flow.NewServer(credits)
 	w := newFrameWriter(conn, &s.wire, func() { conn.Close() })
 	defer w.stop()
 	// Feature negotiation: the reply carries the intersection of what the
@@ -397,7 +403,7 @@ func (s *Server) session(conn net.Conn) {
 	feats := connect.Features & s.tune.features
 	resp := &wire.ConnectResp{
 		Status: wire.StatusOK, Credits: uint16(credits),
-		MaxXfer: s.cfg.MaxXfer, SessionID: s.nextSess.Add(1),
+		MaxXfer: s.cfg.MaxXfer, SessionID: uint64(s.boot)<<32 | uint64(s.nextSess.Add(1)),
 		Features: feats,
 	}
 	if feats&wire.FeatureStreams != 0 {
@@ -409,8 +415,8 @@ func (s *Server) session(conn net.Conn) {
 	s.sessActive.Add(1)
 	defer s.sessActive.Add(-1)
 	ss := &session{s: s, w: w, id: resp.SessionID, credits: credits,
-		streams: make(map[uint32]*srvStream)}
-	defer func() { s.streamsActive.Add(-int64(len(ss.streams))) }()
+		streams: map[uint32]*srvStream{0: {class: wire.ClassForeground}}}
+	defer func() { s.streamsActive.Add(-int64(len(ss.streams) - 1)) }()
 	// One decoded Read and Write serve the whole session: the inline paths
 	// finish with them before the next decode, and tasks take a copy.
 	var rdMsg wire.Read
@@ -435,11 +441,6 @@ func (s *Server) session(conn net.Conn) {
 		}
 		switch t {
 		case wire.TRead:
-			// Reads reserve no server-side slot: flow-control slots name
-			// the staging buffers for payloads *arriving at* the server,
-			// and a read carries none — its response buffer is accounted
-			// by the credit the client holds until the ReadResp returns
-			// it. So there is nothing to reserve here and fc is untouched.
 			m := &rdMsg
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
 				return
@@ -453,14 +454,10 @@ func (s *Server) session(conn net.Conn) {
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
 				return
 			}
-			if err := fc.Reserve(m.Slot); err != nil {
-				s.logf("netv3: %v", err)
-				_ = w.send(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-					ReqID: m.ReqID, Status: wire.StatusEAgain}, nil)
-				continue
-			}
 			// The payload follows the control message on the stream and
-			// must be drained before the next frame.
+			// must be drained before the next frame. (Write.Slot is not
+			// read: the window is the client's to keep, MaxXfer bounds what
+			// one frame can make this loop stage, and tokens have no names.)
 			if m.Length > s.cfg.MaxXfer {
 				s.logf("netv3: oversized write %d", m.Length)
 				return
@@ -470,15 +467,6 @@ func (s *Server) session(conn net.Conn) {
 				s.pool.Put(body)
 				return
 			}
-			// The slot names the staging buffer for the payload *in transit*;
-			// those bytes are now off the stream, so release it immediately
-			// rather than at request completion. Frames are processed in
-			// order on one goroutine, which makes this the contract the
-			// client's cancellation path relies on: a canceled request's
-			// slot, reused on the same session, reaches this Reserve only
-			// after the canceled write's payload already passed through here.
-			// (fc is touched only by the session loop — no lock.)
-			_ = fc.Release(m.Slot)
 			arr := traceArr(m.Trace)
 			s.flight.Record(fkDispatch, m.Trace, uint64(t), uint64(m.Volume))
 			ss.write(m, body, arr)
@@ -512,7 +500,7 @@ func (s *Server) session(conn net.Conn) {
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
 				return
 			}
-			if m.Stream != 0 && ss.streams[m.Stream] != nil {
+			if ss.streams[m.Stream] != nil {
 				delete(ss.streams, m.Stream)
 				s.streamsActive.Add(-1)
 			}
@@ -536,25 +524,21 @@ func (s *Server) session(conn net.Conn) {
 func (ss *session) openStream(m *wire.StreamOpen) *wire.StreamOpenResp {
 	s := ss.s
 	sr := &wire.StreamOpenResp{Header: wire.Header{Stream: m.Stream}, Status: wire.StatusOK}
-	switch {
-	case m.Stream == 0:
-		// Stream 0 is the implicit root session; "opening" it just
-		// re-grants (harmless, and a cheap client probe).
-		sr.Credits = uint16(ss.credits)
-	case ss.streams[m.Stream] == nil && len(ss.streams) >= s.cfg.MaxStreams:
-		sr.Status = wire.StatusEOverloaded
-		sr.RetryAfterMS = 10
-	default:
-		// New stream, or a reconnecting client re-announcing one this
-		// session already knows — re-registration is idempotent and the
-		// grant is re-sent (the client drops an unexpected reply).
-		if ss.streams[m.Stream] == nil {
-			s.streamsActive.Add(1)
-			s.streamsTotal.Add(1)
+	if ss.streams[m.Stream] == nil {
+		if len(ss.streams) > s.cfg.MaxStreams { // the root is not one of them
+			sr.Status = wire.StatusEOverloaded
+			sr.RetryAfterMS = 10
+			return sr
 		}
-		ss.streams[m.Stream] = &srvStream{class: m.Class, weight: int(m.Weight)}
-		sr.Credits = uint16(min(max(int(m.WantCreds), 1), ss.credits))
+		s.streamsActive.Add(1)
+		s.streamsTotal.Add(1)
 	}
+	// New stream, or one this session already knows — a reconnecting
+	// client re-announcing it, or the root taking a class and weight:
+	// re-registration is idempotent and the grant is re-sent (the client
+	// drops an unexpected reply).
+	ss.streams[m.Stream] = &srvStream{class: m.Class, weight: int(m.Weight)}
+	sr.Credits = uint16(min(max(int(m.WantCreds), 1), ss.credits))
 	return sr
 }
 
@@ -572,7 +556,7 @@ func (ss *session) tenant(stream uint32) (key uint64, bg bool, weight int) {
 		if st.weight > 0 {
 			weight = st.weight
 		}
-	} else if stream != 0 && len(ss.streams) < ss.s.cfg.MaxStreams {
+	} else if len(ss.streams) <= ss.s.cfg.MaxStreams { // the root is not one of them
 		ss.streams[stream] = &srvStream{class: wire.ClassForeground}
 		ss.s.streamsActive.Add(1)
 		ss.s.streamsTotal.Add(1)

@@ -1,10 +1,11 @@
 // Package netv3 is a real, runnable implementation of the V3 block
 // protocol over TCP: a storage server daemon exporting virtualized
-// volumes and a client with credit flow control, logical streams and
-// transparent reconnection. It shares the transport-independent pieces
-// of the repository with the simulated VI transport — the wire format
-// (internal/wire), credit accounting (internal/flow), the reconnection
-// state machine (internal/reliable) and the MQ replacement policy
+// volumes and a client whose every request rides a logical stream, with
+// credit flow control and reconnection that is transparent across a
+// failed link and refused across a server restart. It shares the
+// transport-independent pieces of the repository with the simulated VI
+// transport — the wire format (internal/wire), the reconnection state
+// machine (internal/reliable) and the MQ replacement policy
 // (internal/mqcache) — and adds the server's one request pipeline
 // (DESIGN.md "Request pipeline"): scheduler, sharded write-behind block
 // cache, destager and prefetcher. Below the cache there is one disk

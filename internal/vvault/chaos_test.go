@@ -154,7 +154,7 @@ func TestChaosVaultProbeWedge(t *testing.T) {
 	}
 	// The probe loop must still trip the backend: starved probes count
 	// toward the threshold instead of joining the wedge. Pre-fix this
-	// poll never succeeds — probeOnce is parked in <-creditC.
+	// poll never succeeds — probeOnce is parked waiting for a credit token.
 	deadline := time.Now().Add(10 * time.Second)
 	for v.Status()[0].State != "down" {
 		if time.Now().After(deadline) {

@@ -10,11 +10,11 @@ import (
 )
 
 // errProbeStarved marks a probe that could not even acquire a credit
-// slot within ProbeTimeout — the window is wedged or saturated. It
+// token within ProbeTimeout — the window is wedged or saturated. It
 // counts toward the error threshold rather than tripping at once, so a
 // briefly saturated (but healthy) backend survives a probe or two while
 // a truly wedged one trips after ErrorThreshold ticks.
-var errProbeStarved = errors.New("vvault: probe starved of credit slot")
+var errProbeStarved = errors.New("vvault: probe starved of credit tokens")
 
 // fatalErr reports errors that mean the backend session is gone (as
 // opposed to an I/O status the backend itself returned): connection loss
@@ -74,7 +74,7 @@ func (v *Vault) recordProbeSuccess(b *backend) {
 
 // trip takes a backend out of service: state Down, replica masked out of
 // the mirror read rotation, and the client closed so everything blocked
-// on it (including submitters waiting for credit slots) fails fast. The
+// on it (including submitters waiting for credit tokens) fails fast. The
 // probe loop owns recovery.
 func (v *Vault) trip(b *backend, cause error) {
 	b.mu.Lock()
@@ -93,8 +93,7 @@ func (v *Vault) trip(b *backend, cause error) {
 		v.mirror.SetMask(b.idx, true)
 		v.noteMaskChange()
 	}
-	c := b.client
-	b.data, b.rsync = nil, nil // they die with the client below
+	c := b.client // its streams die with it below
 	b.mu.Unlock()
 	// The backend destages write-behind, so writes it acknowledged since
 	// its last successful flush may not have reached stable storage; if it
@@ -142,11 +141,12 @@ func (v *Vault) probeLoop(b *backend) {
 	}
 }
 
-// probeOnce issues the zero-length health read, timing its round trip.
+// probeOnce issues the zero-length health read on the client's root
+// stream, timing its round trip.
 // Submission is bounded by ProbeTimeout: when hung data-path requests
 // have exhausted the credit window, the probe must NOT join the queue
-// of goroutines blocked on a slot — that wedge would silence the one
-// loop whose job is to trip the wedged backend. A slot-acquire timeout
+// of goroutines blocked on a token — that wedge would silence the one
+// loop whose job is to trip the wedged backend. A token-wait timeout
 // counts toward the error threshold (a loaded-but-healthy backend can
 // legitimately run out of window for a few probes); the completion
 // timeout below stays fatal via fatalErr, as before.
@@ -191,8 +191,7 @@ func (v *Vault) tryRecover(b *backend) {
 		return
 	}
 	old := b.client
-	b.client = c
-	b.data, b.rsync = nil, nil // stale streams of the old client
+	b.setClient(c)
 	b.consec.Store(0)
 	b.probeConsec.Store(0)
 	// A backend that was unreachable at Open never contributed its

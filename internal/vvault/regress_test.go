@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/v3storage/v3/internal/faultnet"
 	"github.com/v3storage/v3/internal/netv3"
 )
 
@@ -55,8 +56,8 @@ func TestFlushNilClientTreatedAsFailedBarrier(t *testing.T) {
 	}
 
 	// Sever replica B's client while its state still says Up — the exact
-	// shape of the hazard: dataIO() returns nil but the flush loop sees a
-	// live replica.
+	// shape of the hazard: the backend has no stream to flush on, but the
+	// flush loop sees a live replica.
 	b := v.backends[1]
 	b.mu.Lock()
 	old := b.client
@@ -159,5 +160,85 @@ func TestResyncedBytesNetOfRequeues(t *testing.T) {
 	// per replay attempt of the same range.
 	if got := v.Stats().ResyncedBytes; got != 4*blk {
 		t.Fatalf("ResyncedBytes=%d after resyncing %d unique bytes (requeued replays double-counted?)", got, 4*blk)
+	}
+}
+
+// TestMirrorReplicaRestartTripsAndResyncs is the contract line "a flushed
+// write survives any crash" at vault scope, with the client configuration
+// production runs (the other restart tests give up after one 10 ms retry,
+// so their clients never meet the restarted server). A cached replica acks
+// a generation of writes and its process dies before destaging them; a new
+// process is serving the same address over the same store well inside the
+// default reconnect budget (8 attempts, ~12 s). The vault must not ride
+// that reconnect: the replica trips, its cursor rolls back to the flush
+// watermark, resync replays the lost generation, and the stores end
+// byte-identical. (A client that reconnects by itself leaves the replica
+// up with its cursor past the lost writes: Flush returns nil and the
+// stores differ for good.)
+func TestMirrorReplicaRestartTripsAndResyncs(t *testing.T) {
+	const member, blk, blocks = 1 << 20, 8192, 16
+	scfg := netv3.DefaultServerConfig()
+	scfg.CacheBlocks = 256
+	store0, store1 := netv3.NewMemStore(member), netv3.NewMemStore(member)
+	dying := faultnet.NewStore(store0, faultnet.StoreConfig{}) // takes no write once its process is "dying"
+	srv0, addr0 := startBackendCfg(t, dying, "127.0.0.1:0", scfg)
+	_, addr1 := startBackendCfg(t, store1, "127.0.0.1:0", scfg)
+
+	cfg := testConfig(ModeMirror, member)
+	cfg.Client = netv3.DefaultClientConfig()
+	v, err := Open([]string{addr0, addr1}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	writeGen := func(gen byte) {
+		t.Helper()
+		for i := int64(0); i < blocks; i++ {
+			if err := v.Write(i*blk, pattern(i*blk, gen, blk)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	writeGen(1)
+	if err := v.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Generation 2 is acknowledged by both replicas; replica 0's copy never
+	// leaves its process, which then dies and is replaced.
+	dying.FailAll(true)
+	writeGen(2)
+	srv0.Close()
+	startBackendCfg(t, store0, addr0, scfg)
+
+	// The next write meets replica 0's client either still reconnecting or
+	// already refused by the new process; both end in a trip, not in a
+	// replay onto a server that never saw generation 2.
+	if err := v.Write(0, pattern(0, 3, blk)); err != nil {
+		t.Fatal(err)
+	}
+	if s := v.Status()[0]; s.Trips == 0 {
+		t.Fatalf("replica 0 rode a server restart that lost %d acked writes: state=%s trips=0 reconnects=%d",
+			blocks, s.State, s.Reconnects)
+	}
+	waitForState(t, v, 0, "up", 10*time.Second)
+	if err := v.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got0, got1 := make([]byte, member), make([]byte, member)
+	if err := store0.ReadAt(got0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := store1.ReadAt(got1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got0, got1) {
+		t.Fatal("replicas differ after the restarted one resynced")
+	}
+	if !bytes.Equal(got0[:blk], pattern(0, 3, blk)) || !bytes.Equal(got0[blk:2*blk], pattern(blk, 2, blk)) {
+		t.Fatal("restarted replica is missing writes acknowledged around its restart")
+	}
+	if s := v.Stats(); s.Resyncs == 0 || s.ResyncedBytes < blocks*blk {
+		t.Fatalf("stats did not record the resync of the lost generation: %+v", s)
 	}
 }

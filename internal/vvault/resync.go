@@ -112,19 +112,19 @@ func (v *Vault) replayPlan(b *backend, plan repl.Plan, buf []byte) bool {
 }
 
 // writeBackend writes data straight to one backend (resync path),
-// chunked to the transfer cap. It rides the backend's background-lane
-// resync stream when one is attached, so replay traffic queues in the
-// server's background QoS lane instead of competing with live I/O.
+// chunked to the transfer cap. It rides the backend's resync stream —
+// background-lane when the peer granted one, so replay traffic queues in
+// the server's background QoS lane instead of competing with live I/O.
 func (v *Vault) writeBackend(b *backend, off int64, data []byte) error {
-	c := b.resyncIO()
-	if c == nil {
+	_, st := b.streams()
+	if st == nil {
 		return fmt.Errorf("backend %s has no client", b.addr)
 	}
 	deadline := time.Now().Add(v.cfg.IOTimeout)
 	maxio := v.maxIO()
 	for len(data) > 0 {
 		n := min(len(data), maxio)
-		h, err := c.WriteAsync(v.cfg.Volume, off, data[:n])
+		h, err := st.WriteAsync(v.cfg.Volume, off, data[:n])
 		if err != nil {
 			return err
 		}
@@ -138,13 +138,13 @@ func (v *Vault) writeBackend(b *backend, off int64, data []byte) error {
 }
 
 // flushBackend runs the durability barrier on one backend (resync
-// path), on the same background stream as the replay writes.
+// path), on the same stream as the replay writes.
 func (v *Vault) flushBackend(b *backend) error {
-	c := b.resyncIO()
-	if c == nil {
+	_, st := b.streams()
+	if st == nil {
 		return fmt.Errorf("backend %s has no client", b.addr)
 	}
-	h, err := c.FlushAsync(v.cfg.Volume)
+	h, err := st.FlushAsync(v.cfg.Volume)
 	if err != nil {
 		return err
 	}

@@ -93,8 +93,8 @@ func TestVaultRidesStreams(t *testing.T) {
 
 // TestVaultStreamRefusalFallsBack checks the fallback the peer selects: a
 // backend that caps a connection at one stream grants the data stream
-// and refuses the resync stream, so recovery replay rides the data path —
-// and still converges byte-identical.
+// and refuses the resync stream, so recovery replay stays on the session's
+// root stream (id 0) — and still converges byte-identical.
 func TestVaultStreamRefusalFallsBack(t *testing.T) {
 	const member, blk, blocks = 1 << 20, 8192, 16
 	scfg := netv3.DefaultServerConfig()
@@ -129,7 +129,7 @@ func TestVaultStreamRefusalFallsBack(t *testing.T) {
 	writeGen(1)
 
 	// Replica 0 misses a generation of writes, then returns with its stale
-	// content; resync replays them over the data stream.
+	// content; resync replays them over the root stream.
 	srv0.Close()
 	waitForState(t, v, 0, "down", 5*time.Second)
 	writeGen(2)
@@ -149,7 +149,7 @@ func TestVaultStreamRefusalFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got0, got1) {
-		t.Fatal("replicas differ after resync over the data path")
+		t.Fatal("replicas differ after resync over the root stream")
 	}
 	if !bytes.Equal(got0[:blk], pattern(0, 2, blk)) {
 		t.Fatal("recovered replica lost the writes it missed")

@@ -155,13 +155,13 @@ type backend struct {
 	client *netv3.Client
 	state  atomic.Int32
 
-	// data and rsync are the backend's logical streams when the peer
-	// negotiated multiplexing: data carries foreground client I/O,
-	// rsync rides the server's background QoS lane for resync replay.
-	// Nil means the bare connection (an old peer, or one that refused).
-	// Guarded by mu alongside client; cleared whenever the client is
-	// replaced or closed so a stale stream can never outlive its
-	// connection.
+	// data carries foreground client I/O and rsync resync replay. Both are
+	// the client's streams, set with it under mu (setClient) and nil only
+	// while there is no client: they start as its root and attachStreams
+	// replaces each with an opened stream the peer grants — data a
+	// foreground carve-out, rsync one on the server's background QoS lane —
+	// so a refusal (an old peer, a stream cap) leaves the root in place and
+	// costs the data path nothing to tell apart.
 	data  *netv3.Stream
 	rsync *netv3.Stream
 
@@ -205,38 +205,23 @@ func (b *backend) getClient() *netv3.Client {
 	return b.client
 }
 
-// dataIO returns the surface foreground requests ride: the data stream
-// when one is attached, else the bare client. Nil when the backend has
-// no client at all.
-func (b *backend) dataIO() netv3.IO {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.data != nil {
-		return b.data
-	}
-	if b.client == nil {
-		return nil
-	}
-	return b.client
+// setClient installs c with both streams on its root; call with mu held
+// (or before the backend is shared).
+func (b *backend) setClient(c *netv3.Client) {
+	b.client, b.data, b.rsync = c, c.Stream, c.Stream
 }
 
-// resyncIO is dataIO for the recovery path: the background-lane resync
-// stream when attached, else the bare client.
-func (b *backend) resyncIO() netv3.IO {
+// streams returns the backend's data and resync streams; nil when it has
+// no client.
+func (b *backend) streams() (data, rsync *netv3.Stream) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.rsync != nil {
-		return b.rsync
-	}
-	if b.client == nil {
-		return nil
-	}
-	return b.client
+	return b.data, b.rsync
 }
 
-// The two streams' credit carve-outs from the connection window. Together
-// they stay under the server's default window of 64, so probes on stream
-// 0 always have slot headroom.
+// The two streams' credit carve-outs from the session window. Together
+// they stay under the server's default window of 64, so probes on the
+// root always have a token left.
 const (
 	dataStreamCredits   = 48
 	resyncStreamCredits = 8
@@ -246,40 +231,30 @@ const (
 // foreground data stream for client I/O plus (mirror mode) a
 // background-lane resync stream, so recovery replay cannot crowd live
 // traffic out of the server's foreground QoS lane. Health probes stay on
-// the bare connection (stream 0). Best-effort: any refusal (old peer,
-// stream cap, overload) leaves the backend on the bare connection, which
-// is always correct — streams are a QoS upgrade, not a requirement.
+// the root. Best-effort: whatever the peer refuses (an old peer, a stream
+// cap, overload) stays on the root, which is always correct — streams are
+// a QoS upgrade, not a requirement.
 func (v *Vault) attachStreams(b *backend, c *netv3.Client) {
-	if !c.StreamsSupported() {
-		return
-	}
 	data, err := c.OpenStream(netv3.StreamConfig{Credits: dataStreamCredits})
 	if err != nil {
-		v.logf("vvault: backend %s: data stream refused (%v); riding bare connection", b.addr, err)
+		v.logf("vvault: backend %s: data stream refused (%v); riding the root stream", b.addr, err)
 		return
 	}
-	var rs *netv3.Stream
+	rs := c.Stream
 	if v.mirror != nil {
-		rs, err = c.OpenStream(netv3.StreamConfig{
-			Credits: resyncStreamCredits, Background: true,
-		})
-		if err != nil {
-			v.logf("vvault: backend %s: resync stream refused (%v); resync will ride the data path", b.addr, err)
+		if bg, err := c.OpenStream(netv3.StreamConfig{Credits: resyncStreamCredits, Background: true}); err != nil {
+			v.logf("vvault: backend %s: resync stream refused (%v); resync rides the root stream", b.addr, err)
+		} else {
+			rs = bg
 		}
 	}
+	// A client swapped out (trip + recover) while the streams were
+	// negotiating has been closed, and they died with it.
 	b.mu.Lock()
 	if b.client == c {
 		b.data, b.rsync = data, rs
-		b.mu.Unlock()
-		return
 	}
 	b.mu.Unlock()
-	// The client was swapped (trip + recover) while the streams were
-	// negotiating; they belong to a dead connection.
-	_ = data.Close()
-	if rs != nil {
-		_ = rs.Close()
-	}
 }
 
 // Vault is the cluster client: one logical volume over N backends. It is
@@ -442,7 +417,7 @@ func Open(addrs []string, cfg Config) (*Vault, error) {
 		c, err := netv3.Dial(addr, cfg.Client)
 		switch {
 		case err == nil:
-			b.client = c
+			b.setClient(c)
 			b.state.Store(stateUp)
 			v.clampMaxIO(c.MaxTransfer())
 			v.attachStreams(b, c)
@@ -670,8 +645,8 @@ func (v *Vault) Flush() error {
 		if b.cur != nil {
 			bar = b.cur.BarrierBegin()
 		}
-		c := b.dataIO()
-		if c == nil {
+		st, _ := b.streams()
+		if st == nil {
 			err := errors.New("no client")
 			v.flushFailed(b, err)
 			if firstErr == nil {
@@ -679,7 +654,7 @@ func (v *Vault) Flush() error {
 			}
 			continue
 		}
-		h, err := c.FlushAsync(v.cfg.Volume)
+		h, err := st.FlushAsync(v.cfg.Volume)
 		if err != nil {
 			v.flushFailed(b, err)
 			if firstErr == nil {
@@ -776,8 +751,8 @@ func (v *Vault) issueExtents(ext []volume.Extent, buf []byte, write bool) ([]ext
 		b := v.backends[e.Disk]
 		part := buf[cur : cur+e.Length]
 		cur += e.Length
-		c := b.dataIO()
-		if c == nil {
+		st, _ := b.streams()
+		if st == nil {
 			err := fmt.Errorf("vvault: backend %s has no client: %w", b.addr, ErrDegraded)
 			berrs[b] = err
 			return handles, berrs, err
@@ -791,9 +766,9 @@ func (v *Vault) issueExtents(ext []volume.Extent, buf []byte, write bool) ([]ext
 			var h *netv3.Pending
 			var err error
 			if write {
-				h, err = c.WriteAsync(v.cfg.Volume, memberOff, part[:n])
+				h, err = st.WriteAsync(v.cfg.Volume, memberOff, part[:n])
 			} else {
-				h, err = c.ReadAsync(v.cfg.Volume, memberOff, part[:n])
+				h, err = st.ReadAsync(v.cfg.Volume, memberOff, part[:n])
 			}
 			if err != nil {
 				v.recordError(b, err)
@@ -1019,23 +994,18 @@ func (v *Vault) Stats() Stats {
 }
 
 // Credits returns the vault's aggregate foreground credit window: the
-// sum over backends of the data stream's negotiated carve-out (or the
-// bare connection's session window when streams are off). It is the
-// cluster's negotiated-credit-window equivalent — callers fanning a
-// batch of page reads out over the vault should clamp their
-// outstanding-request count to it, the same rule the single-session
-// netv3 path applies with Client.Credits.
+// sum over backends of the data stream's window (the session's own when
+// the data path rides the root). It is the cluster's
+// negotiated-credit-window equivalent — callers fanning a batch of page
+// reads out over the vault should clamp their outstanding-request count
+// to it, the same rule the single-session netv3 path applies with
+// Stream.Credits.
 func (v *Vault) Credits() int {
 	total := 0
 	for _, b := range v.backends {
-		b.mu.Lock()
-		switch {
-		case b.data != nil:
-			total += b.data.Credits()
-		case b.client != nil:
-			total += b.client.Credits()
+		if st, _ := b.streams(); st != nil {
+			total += st.Credits()
 		}
-		b.mu.Unlock()
 	}
 	if total <= 0 {
 		total = 1
@@ -1063,13 +1033,13 @@ type BackendStatus struct {
 	// LastProbeRTT is the most recent successful health probe's round
 	// trip (0 before the first success).
 	LastProbeRTT time.Duration
-	// DataStream and ResyncStream are the logical stream ids the backend
-	// rides when the peer negotiated multiplexing; 0 means the bare
-	// connection (old peer or refusal).
+	// DataStream and ResyncStream are the ids of the streams the backend's
+	// client I/O and resync replay ride; 0 is the session's root stream
+	// (an old peer, or one that refused the opened stream).
 	DataStream   uint32
 	ResyncStream uint32
-	// StreamCredits is the data stream's granted credit carve-out
-	// (0 on the bare connection).
+	// StreamCredits is the data stream's credit window (the session's own
+	// on the root; 0 without a client).
 	StreamCredits int
 	// FramesSent and WireWrites are the current client's frame-writer
 	// counters: sub-I/O frames put on this backend's socket and the
@@ -1097,12 +1067,7 @@ func (v *Vault) Status() []BackendStatus {
 		if b.client != nil {
 			cs := b.client.Stats()
 			s.Reconnects, s.FramesSent, s.WireWrites = cs.Reconnects, cs.FramesSent, cs.WireWrites
-		}
-		if b.data != nil {
-			s.DataStream = b.data.ID()
-			s.StreamCredits = b.data.Credits()
-		}
-		if b.rsync != nil {
+			s.DataStream, s.StreamCredits = b.data.ID(), b.data.Credits()
 			s.ResyncStream = b.rsync.ID()
 		}
 		b.mu.Unlock()

@@ -233,15 +233,18 @@ type ReadResp struct {
 }
 
 // Write asks the server to commit length bytes to volume vol at offset.
-// The payload occupies the server buffer slot named Slot (granted by flow
-// control); on TCP the body follows this message.
+// In the paper's VI protocol the payload is RDMA-written into the server
+// buffer slot named Slot, granted by flow control (internal/flow models
+// that accounting). On TCP the body follows this message and credits are
+// anonymous: the field keeps its place in the frame, netv3 sends it as
+// zero and does not read it.
 type Write struct {
 	Header
 	ReqID    uint64
 	Volume   uint32
 	Offset   uint64
 	Length   uint32
-	Slot     uint32 // server buffer slot carrying the payload
+	Slot     uint32 // server buffer slot carrying the payload (unused on TCP)
 	FlagBits uint8
 }
 

@@ -81,7 +81,7 @@ func OpenStack(sc StackConfig) (PageStore, func() error, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return NewNetStore(cl, 1, sc.VolSize, sc.E2E), cl.Close, nil
+		return NewNetStore(cl.Stream, 1, sc.VolSize, sc.E2E), cl.Close, nil
 	}
 	mode := vvault.ModeStripe
 	if sc.Mirror {

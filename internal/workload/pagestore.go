@@ -87,14 +87,14 @@ type SpanAttributor interface {
 	SpanView(acc *SrvSpanAcc) PageStore
 }
 
-// NetStore adapts a netv3 session — the bare client or one logical
-// stream of it — to PageStore. The end-to-end histogram, when set,
+// NetStore adapts one stream of a netv3 session — the client's root or
+// one it opened — to PageStore. The end-to-end histogram, when set,
 // receives the caller-measured submit→Wait-return time of every
 // stage-traced request (Pending.Traced), the independent measurement the
 // PR-4 accounting discipline checks the per-stage breakdown against:
 // both sides then describe exactly the same sampled population.
 type NetStore struct {
-	io        netv3.IO
+	io        *netv3.Stream
 	vol       uint32
 	sizeBytes int64
 	limit     int
@@ -110,23 +110,11 @@ func (s *NetStore) SpanView(acc *SrvSpanAcc) PageStore {
 	return &v
 }
 
-// NewNetStore wraps a netv3 client or stream. volSize is the usable
-// volume size (netv3.IO carries no size query). The fan-out clamp is
-// derived from the surface's own negotiated window: the session credit
-// window for a *netv3.Client, the stream's carve-out for a
-// *netv3.Stream, 1 for anything else. e2e may be nil.
-func NewNetStore(io netv3.IO, vol uint32, volSize int64, e2e *obs.Hist) *NetStore {
-	limit := 1
-	switch c := io.(type) {
-	case *netv3.Client:
-		limit = c.Credits()
-	case *netv3.Stream:
-		limit = c.Credits()
-	}
-	if limit < 1 {
-		limit = 1
-	}
-	return &NetStore{io: io, vol: vol, sizeBytes: volSize, limit: limit, e2e: e2e}
+// NewNetStore wraps a netv3 stream (a Client's root is cl.Stream). volSize
+// is the usable volume size (the wire carries no size query). The fan-out
+// clamp is the stream's own credit window. e2e may be nil.
+func NewNetStore(io *netv3.Stream, vol uint32, volSize int64, e2e *obs.Hist) *NetStore {
+	return &NetStore{io: io, vol: vol, sizeBytes: volSize, limit: max(io.Credits(), 1), e2e: e2e}
 }
 
 // ReadPage implements PageStore.
