@@ -30,18 +30,22 @@ race:
 # regaining a product importer in the meantime. The second does the same
 # for internal/flow, which counts the simulated transport's named buffer
 # slots (internal/core) and nothing in the live stack: netv3's credit tokens
-# are anonymous. The third keeps the docs describing the system that exists:
-# README.md, and DESIGN.md above its appendix of retired mechanisms, may not
-# name deleted code. (The one-character classes keep this line from naming
+# are anonymous. The third does it for internal/reliable, the simulated
+# transport's retransmission tracker: netv3's reconnection is its own
+# (Client.recover). The fourth keeps the docs describing the system that
+# exists: README.md, and DESIGN.md above its appendix of retired mechanisms,
+# may not name deleted code. (The one-character classes keep this line from naming
 # it either, so a repo-wide grep for a deleted name stays empty outside that
 # appendix.)
-DELETED = BENCH_[n]etv3|bench[j]son|BENCH_[J]SON|bench-(netv3|mux|tpcc|resync)|Client[S]tageDefs|-no[t]race|io_uring|DiskWorkers|diskqueue|netv3[.]IO|acquire[S]lot|data[I]O|resync[I]O
+DELETED = BENCH_[n]etv3|bench[j]son|BENCH_[J]SON|bench-(netv3|mux|tpcc|resync)|Client[S]tageDefs|-no[t]race|io_uring|DiskWorkers|diskqueue|netv3[.]IO|acquire[S]lot|data[I]O|resync[I]O|issue[E]xtents|wait[E]xtents|Reconn[e]ctor|obs[.]Counter|obs[.]Gauge
 vet:
 	$(GO) vet ./...
 	@if $(GO) list -deps ./cmd/... ./internal/netv3/ ./internal/vvault/ ./internal/workload/ | grep internal/diskq; then \
 		echo 'vet: internal/diskq is a stranded leaf and must not be imported'; exit 1; fi
 	@if $(GO) list -deps ./internal/netv3/ | grep internal/flow; then \
 		echo 'vet: internal/flow belongs to the simulated transport; netv3 must not import it'; exit 1; fi
+	@if $(GO) list -deps ./internal/netv3/ | grep internal/reliable; then \
+		echo 'vet: internal/reliable belongs to the simulated transport; netv3 must not import it'; exit 1; fi
 	@bad=$$(grep -nHE -e '$(DELETED)' README.md; \
 		sed '/^## Appendix/,$$d' DESIGN.md | grep -nE -e '$(DELETED)' | sed 's/^/DESIGN.md:/'); \
 	if [ -n "$$bad" ]; then echo "$$bad"; \

@@ -18,6 +18,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Size-class bounds. 512 B covers small control-adjacent payloads; 1 MB
@@ -39,6 +40,10 @@ type Stats struct {
 // to use; call New. A nil *Pool is valid and degrades to plain
 // allocation, which keeps ablation call sites branch-free.
 type Pool struct {
+	// classes[i] holds slabs of classSize(i) bytes as pointers to their
+	// first byte: a pointer fits an interface word, so filing a slab
+	// allocates nothing (a *[]byte would cost a slice header per Put), and
+	// the class implies the length.
 	classes [classCount]sync.Pool
 	gets    atomic.Int64
 	puts    atomic.Int64
@@ -83,8 +88,7 @@ func (p *Pool) Get(n int) []byte {
 	}
 	p.gets.Add(1)
 	if v := p.classes[idx].Get(); v != nil {
-		b := *(v.(*[]byte))
-		return b[:n]
+		return unsafe.Slice(v.(*byte), classSize(idx))[:n]
 	}
 	p.allocs.Add(1)
 	return make([]byte, classSize(idx))[:n]
@@ -104,8 +108,7 @@ func (p *Pool) Put(b []byte) {
 		return
 	}
 	p.puts.Add(1)
-	b = b[:c]
-	p.classes[idx].Put(&b)
+	p.classes[idx].Put(unsafe.SliceData(b))
 }
 
 // Stats returns cumulative counters since the pool was created.

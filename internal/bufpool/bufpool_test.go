@@ -117,3 +117,13 @@ func BenchmarkGetPut8K(b *testing.B) {
 		}
 	})
 }
+
+// TestGetPutAllocatesNothing pins the steady state the package exists
+// for: recycling a slab costs no allocation, not even a slice header.
+func TestGetPutAllocatesNothing(t *testing.T) {
+	p := New()
+	p.Put(p.Get(8192))
+	if n := testing.AllocsPerRun(1000, func() { p.Put(p.Get(8192)) }); n != 0 {
+		t.Fatalf("Get/Put of a pooled class: %.0f allocations, want 0", n)
+	}
+}

@@ -132,11 +132,19 @@ func (m *MQ) Ref(key uint64) bool {
 	return true
 }
 
+// requeue puts a referenced entry at the MRU end of the queue its count
+// selects. Most references stay in their queue (the index moves only when
+// the count crosses a power of two, or after a demotion), and there the
+// move reuses the list element instead of allocating a fresh one.
 func (m *MQ) requeue(e *mqEntry) {
-	m.queues[e.queue].Remove(e.element)
-	e.queue = m.queueIndex(e.refs)
 	e.expire = m.now + m.lifeTicks
-	e.element = m.queues[e.queue].PushFront(e)
+	if q := m.queueIndex(e.refs); q != e.queue {
+		m.queues[e.queue].Remove(e.element)
+		e.queue = q
+		e.element = m.queues[q].PushFront(e)
+		return
+	}
+	m.queues[e.queue].MoveToFront(e.element)
 }
 
 // adjust implements MQ's lifetime demotion: the LRU block of each

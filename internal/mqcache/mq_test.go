@@ -1,6 +1,7 @@
 package mqcache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -309,5 +310,84 @@ func TestRefOrInsertEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refRemovePush is Ref as it was before requeue learned to move an
+// element in place: every reference unlinks the entry and pushes a fresh
+// element. It is the reference the in-place move is checked against.
+func refRemovePush(m *MQ, key uint64) bool {
+	m.now++
+	m.accesses++
+	m.adjust()
+	e, ok := m.entries[key]
+	if !ok {
+		return false
+	}
+	m.hits++
+	e.refs++
+	m.queues[e.queue].Remove(e.element)
+	e.queue = m.queueIndex(e.refs)
+	e.expire = m.now + m.lifeTicks
+	e.element = m.queues[e.queue].PushFront(e)
+	return true
+}
+
+// TestRequeueInPlaceKeepsVictimOrder drives one seeded reference stream —
+// skewed keys, pins and unpins, a lifetime short enough to demote —
+// through the MQ and through the remove-and-push reference, and requires
+// the same hit and victim at every step: moving an element to the front of
+// the queue it is already in is the same ordering as re-inserting it, so
+// nothing the simulated figures or the live cache measure can move.
+func TestRequeueInPlaceKeepsVictimOrder(t *testing.T) {
+	const capacity, keys, steps = 64, 512, 200000
+	rng := rand.New(rand.NewSource(20))
+	got, want := NewMQ(capacity, 0, 256), NewMQ(capacity, 0, 256)
+	for i := 0; i < steps; i++ {
+		// Half the stream lands on a hot eighth of the keys, so counts climb
+		// through several queues while the cold tail keeps evicting.
+		k := uint64(rng.Intn(keys))
+		if rng.Intn(2) == 0 {
+			k %= keys / 8
+		}
+		switch rng.Intn(16) {
+		case 0:
+			if got.Pin(k) != want.Pin(k) {
+				t.Fatalf("step %d: Pin(%d) differs", i, k)
+			}
+			continue
+		case 1, 2:
+			if got.Unpin(k) != want.Unpin(k) {
+				t.Fatalf("step %d: Unpin(%d) differs", i, k)
+			}
+			continue
+		}
+		hit, victim, evicted, inserted := got.RefOrTryInsert(k)
+		var wVictim uint64
+		var wEvicted, wInserted bool
+		wHit := refRemovePush(want, k)
+		if !wHit {
+			wVictim, wEvicted, wInserted = want.TryInsert(k)
+		}
+		if hit != wHit || victim != wVictim || evicted != wEvicted || inserted != wInserted {
+			t.Fatalf("step %d key %d: got (hit=%v victim=%d evicted=%v inserted=%v), reference (%v %d %v %v)",
+				i, k, hit, victim, evicted, inserted, wHit, wVictim, wEvicted, wInserted)
+		}
+	}
+	if got.hits == 0 || got.hits == got.accesses || got.PinnedLen() == 0 {
+		t.Fatalf("stream exercised too little: hits=%d accesses=%d pinned=%d", got.hits, got.accesses, got.PinnedLen())
+	}
+}
+
+// TestRefOnResidentAllocatesNothing: a reference that stays in its queue
+// — every one but those crossing a power of two — reuses its list element.
+func TestRefOnResidentAllocatesNothing(t *testing.T) {
+	m := NewMQ(16, 0, 0)
+	m.Insert(7)
+	for i := 0; i < 16; i++ { // count 17: the next power of two is 15 references off
+		m.Ref(7)
+	}
+	if n := testing.AllocsPerRun(10, func() { m.Ref(7) }); n != 0 {
+		t.Fatalf("Ref on a resident key: %.0f allocations, want 0", n)
 	}
 }

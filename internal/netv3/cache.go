@@ -257,7 +257,8 @@ func (c *blockCache) readBlock(v *volume, blk uint64, within, n int64, dst []byt
 // read path: it copies the block's bytes if resident and reports false
 // otherwise, never touching the store. A false return leaves dst
 // partially written; the caller re-issues the whole read as a scheduler
-// task.
+// task. The hit counter is the caller's to publish, once the whole range
+// has hit.
 func (c *blockCache) readBlockHit(blk uint64, within, n int64, dst []byte) bool {
 	sh := c.shard(blk)
 	sh.mu.Lock()
@@ -267,10 +268,24 @@ func (c *blockCache) readBlockHit(blk uint64, within, n int64, dst []byte) bool 
 		return false
 	}
 	sh.mq.Ref(blk)
-	c.hits.Add(1)
 	c.hitLocked(sh, blk)
 	copy(dst, payload[within:within+n])
 	sh.mu.Unlock()
+	return true
+}
+
+// resident reports whether every block of [first, last] is in the cache,
+// touching no recency or accounting state.
+func (c *blockCache) resident(first, last uint64) bool {
+	for blk := first; blk <= last; blk++ {
+		sh := c.shard(blk)
+		sh.mu.Lock()
+		_, ok := sh.data[blk]
+		sh.mu.Unlock()
+		if !ok {
+			return false
+		}
+	}
 	return true
 }
 

@@ -108,7 +108,7 @@ func TestChaosOverloadStormShedsBounded(t *testing.T) {
 // and a background-class write flood beside a foreground reader and
 // checks the QoS contract qualitatively: every foreground read completes,
 // and its p99 stays within a loose CI-safe bound while the background
-// lane is saturated — the lane split plus the weighted round-robin is
+// lane is saturated — the lane split plus the per-tenant round-robin is
 // what keeps one bulk stream from parking a point reader behind it.
 func TestChaosForegroundLatencyUnderBackgroundSaturation(t *testing.T) {
 	cfg := DefaultServerConfig()

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/v3storage/v3/internal/obs"
-	"github.com/v3storage/v3/internal/reliable"
 	"github.com/v3storage/v3/internal/wire"
 )
 
@@ -23,8 +22,10 @@ type ClientConfig struct {
 	// WantCredits asks the server for a flow-control window (0 accepts
 	// the server's default).
 	WantCredits int
-	// ReconnectBackoff and MaxReconnects drive the reconnection state
-	// machine after a connection failure.
+	// After a connection failure the client redials up to MaxReconnects
+	// times (default 8) before giving the session up, waiting
+	// ReconnectBackoff (default 100 ms) after the first failed attempt and
+	// twice as long after each further one.
 	ReconnectBackoff time.Duration
 	MaxReconnects    int
 	// DialTimeout bounds each dial attempt, including the handshake: a
@@ -279,12 +280,10 @@ type Client struct {
 	mu         sync.Mutex
 	conn       net.Conn
 	pending    map[uint64]*Pending
-	reconn     *reliable.Reconnector
 	recovering bool // single-flight guard: one goroutine owns the reconnect loop
 	maxXfer    uint32
 	closed     bool
 	genID      int // bumps on every reconnect; stale readers exit
-	start      time.Time
 	// nextReq numbers requests. Responses are matched on the full 64-bit
 	// ReqID they echo: Header.Ack carries only the low 32 bits of Seq, which
 	// repeat after 2³² requests (hours at cached-read rates).
@@ -343,6 +342,12 @@ func dial(addr string, cfg ClientConfig, wrap func(net.Conn) net.Conn) (*Client,
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
+	if cfg.ReconnectBackoff <= 0 {
+		cfg.ReconnectBackoff = 100 * time.Millisecond
+	}
+	if cfg.MaxReconnects <= 0 {
+		cfg.MaxReconnects = 8
+	}
 	c := &Client{
 		cfg:         cfg,
 		addr:        addr,
@@ -350,8 +355,6 @@ func dial(addr string, cfg ClientConfig, wrap func(net.Conn) net.Conn) (*Client,
 		streams:     make(map[uint32]*Stream),
 		openWaiters: make(map[uint32]chan *wire.StreamOpenResp),
 		wrap:        wrap,
-		reconn:      reliable.NewReconnector(cfg.ReconnectBackoff, cfg.MaxReconnects),
-		start:       time.Now(),
 		kaRTT:       cfg.Metrics.Hist("netv3_client_keepalive_rtt_ns"),
 		traceBase:   uint64(time.Now().UnixNano()),
 	}
@@ -788,9 +791,9 @@ func (c *Client) finish(p *Pending, err error) {
 	p.st.give()
 }
 
-// connectionBroken starts the reconnection state machine for connection
-// generation gen, reported dead by its reader (EOF, error, armed deadline)
-// or its writer (failed write). Only the first report becomes the recovery
+// connectionBroken starts recovery for connection generation gen,
+// reported dead by its reader (EOF, error, armed deadline) or its writer
+// (failed write). Only the first report becomes the recovery
 // driver (single-flight); the other half's report of the same death — and
 // any report from a generation already replaced, which must not tear down
 // its successor — returns immediately. Outstanding requests stay parked in
@@ -799,12 +802,11 @@ func (c *Client) finish(p *Pending, err error) {
 // goroutine exits.
 func (c *Client) connectionBroken(gen int) {
 	c.mu.Lock()
-	if gen != c.genID || c.closed || c.recovering || c.reconn.State() != reliable.StateConnected {
+	if gen != c.genID || c.closed || c.recovering {
 		c.mu.Unlock()
 		return
 	}
 	c.recovering = true
-	c.reconn.ConnectionBroken(time.Since(c.start))
 	c.conn.Close()
 	c.fw.abort(net.ErrClosed)
 	c.mu.Unlock()
@@ -819,19 +821,12 @@ func (c *Client) connectionBroken(gen int) {
 // (up to DialTimeout each) run with mu RELEASED: Stats, Close, cancels
 // and submitter bookkeeping stay responsive through a reconnect storm.
 func (c *Client) recover() {
-	for {
+	for failed := 0; ; {
 		c.mu.Lock()
 		if c.closed {
 			c.recovering = false
 			c.mu.Unlock()
 			return
-		}
-		now := time.Since(c.start)
-		if !c.reconn.ShouldAttempt(now) {
-			next, _ := c.reconn.NextAttemptAt()
-			c.mu.Unlock()
-			time.Sleep(next - now)
-			continue
 		}
 		c.mu.Unlock()
 
@@ -847,12 +842,12 @@ func (c *Client) recover() {
 			return
 		}
 		if err != nil {
-			c.reconn.AttemptFailed(time.Since(c.start))
-			if c.reconn.State() == reliable.StateFailed {
+			if failed++; failed >= c.cfg.MaxReconnects {
 				c.failAllLocked()
 				return
 			}
 			c.mu.Unlock()
+			time.Sleep(backoffDelay(c.cfg.ReconnectBackoff, failed))
 			continue
 		}
 		if bootOf(resp) != c.boot {
@@ -868,10 +863,9 @@ func (c *Client) recover() {
 			return
 		}
 		c.installConn(conn, resp)
-		c.reconn.AttemptSucceeded()
 		c.reconnects.Add(1)
 		// Re-announce open streams before replaying their requests, so the
-		// new session's scheduler has each stream's class/weight/credits.
+		// new session's scheduler has each stream's class and credits.
 		// Fire-and-forget: the responses find no waiter and are dropped,
 		// and a server that races a data frame ahead of its announcement
 		// implicitly opens the stream as foreground in the meantime.
@@ -882,7 +876,7 @@ func (c *Client) recover() {
 			}
 			_ = c.fw.send(&wire.StreamOpen{
 				Header: wire.Header{Stream: id},
-				Class:  class, Weight: uint16(st.cfg.Weight), WantCreds: uint16(cap(st.sem)),
+				Class:  class, WantCreds: uint16(cap(st.sem)),
 			}, nil)
 		}
 		// Replay unanswered requests in submission order on the new
@@ -903,6 +897,12 @@ func (c *Client) recover() {
 		c.mu.Unlock()
 		return
 	}
+}
+
+// backoffDelay is the wait that follows the failed-th consecutive failed
+// reconnect attempt (counting from 1): base, doubled per earlier failure.
+func backoffDelay(base time.Duration, failed int) time.Duration {
+	return base << (failed - 1)
 }
 
 // failAllLocked ends recovery permanently: every outstanding request

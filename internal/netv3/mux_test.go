@@ -52,7 +52,6 @@ func TestStreamsBasicIO(t *testing.T) {
 		cfg := StreamConfig{Credits: 4}
 		if i%3 == 2 {
 			cfg.Background = true
-			cfg.Weight = 2
 		}
 		st, err := c.OpenStream(cfg)
 		if err != nil {
@@ -414,7 +413,7 @@ func TestStreamSurvivesReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.OpenStream(StreamConfig{Credits: 4, Weight: 3})
+	st, err := c.OpenStream(StreamConfig{Credits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -290,6 +290,94 @@ func TestServerCacheHits(t *testing.T) {
 	}
 }
 
+// TestPartialHitCountsOnce: a read over one resident and one absent block
+// is probed inline, falls back and is served whole by a task. Each block
+// is one access — a hit and a miss — however many times the server looked
+// at the resident one on the way.
+func TestPartialHitCountsOnce(t *testing.T) {
+	srv, addr := startServer(t, ServerConfig{CacheBlocks: 64}, 1<<20)
+	c, err := Dial(addr, DefaultClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Write(1, 0, bytes.Repeat([]byte{7}, cacheBlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	hits0, misses0 := srv.CacheStats()
+	buf := make([]byte, 2*cacheBlockSize)
+	if err := c.Read(1, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf[0] != 7 || buf[cacheBlockSize] != 0 {
+		t.Fatal("partly resident read returned wrong bytes")
+	}
+	hits, misses := srv.CacheStats()
+	if hits-hits0 != 1 || misses-misses0 != 1 {
+		t.Fatalf("16 KB read over one resident and one absent block moved hits by %d and misses by %d, want 1 and 1",
+			hits-hits0, misses-misses0)
+	}
+}
+
+// TestHitReadAllocs pins what a cached read costs in allocations, counted
+// over the whole process: the client's handle and its completion channel,
+// and nothing on the server — not the pooled body, not the MQ reference.
+func TestHitReadAllocs(t *testing.T) {
+	_, addr := startServer(t, ServerConfig{CacheBlocks: 64}, 1<<20)
+	c, err := Dial(addr, DefaultClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, cacheBlockSize)
+	if err := c.Write(1, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if err := c.Read(1, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ { // warm: pools and queues grown
+		read()
+	}
+	if n := testing.AllocsPerRun(500, read); n > 2 {
+		t.Fatalf("cached 8 KB read: %.0f allocations, want at most 2", n)
+	}
+}
+
+// TestBackoffDelay pins the reconnect schedule and its defaults: the wait
+// doubles with every consecutive failed attempt, and a config that names
+// neither knob redials on 100 ms, eight times.
+func TestBackoffDelay(t *testing.T) {
+	for _, tc := range []struct {
+		base   time.Duration
+		failed int
+		want   time.Duration
+	}{
+		{100 * time.Millisecond, 1, 100 * time.Millisecond},
+		{100 * time.Millisecond, 2, 200 * time.Millisecond},
+		{100 * time.Millisecond, 3, 400 * time.Millisecond},
+		{100 * time.Millisecond, 7, 6400 * time.Millisecond}, // the default budget's last wait
+		{10 * time.Millisecond, 4, 80 * time.Millisecond},
+	} {
+		if got := backoffDelay(tc.base, tc.failed); got != tc.want {
+			t.Errorf("backoffDelay(%v, %d) = %v, want %v", tc.base, tc.failed, got, tc.want)
+		}
+	}
+	_, addr := startServer(t, DefaultServerConfig(), 1<<20)
+	for name, cfg := range map[string]ClientConfig{"zero": {}, "default": DefaultClientConfig()} {
+		c, err := Dial(addr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.cfg.ReconnectBackoff != 100*time.Millisecond || c.cfg.MaxReconnects != 8 {
+			t.Errorf("%s config redials on %v, %d times; want 100ms, 8", name, c.cfg.ReconnectBackoff, c.cfg.MaxReconnects)
+		}
+		c.Close()
+	}
+}
+
 func TestCachedReadConsistentAfterWrite(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 128

@@ -202,7 +202,7 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 			if t.BG {
 				lane = "bg"
 			}
-			out[fmt.Sprintf(`{lane=%q,tenant="%d",weight="%d"}`, lane, t.Key, t.Weight)] = int64(t.Queued)
+			out[fmt.Sprintf(`{lane=%q,tenant="%d"}`, lane, t.Key)] = int64(t.Queued)
 		}
 		return out
 	})

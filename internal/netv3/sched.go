@@ -11,7 +11,7 @@ import (
 // request that can touch the store runs. The paper's server (Section 4)
 // multiplexes many database sessions onto a small set of VIs and a fixed
 // worker pool; the TCP analogue here is one bounded pool draining
-// per-tenant weighted queues in two QoS lanes:
+// per-tenant queues in two QoS lanes:
 //
 //   - foreground: client read misses, writes the session loop could not
 //     absorb, and flushes — the latency-sensitive traffic whose p99 must
@@ -35,10 +35,9 @@ import (
 // shutdown still drains the background lane.
 //
 // Within a lane, tenants (one per logical stream, keyed sessID<<32|stream)
-// are drained round-robin with per-visit budgets equal to their weights, so
-// one chatty stream cannot monopolize the pool while 9,999 idle-ish streams
-// each wait for a single request — the mechanism that keeps p99 flat under
-// high session counts.
+// are drained round-robin, one task per visit, so one chatty stream cannot
+// monopolize the pool while 9,999 idle-ish streams each wait for a single
+// request — the mechanism that keeps p99 flat under high session counts.
 //
 // Admission control sheds foreground work instead of queueing without
 // bound: past the configured limit, tryEnqueue refuses and the session loop
@@ -63,8 +62,6 @@ type schedTask struct {
 // so dequeue is O(1) without reslicing the backing array away from reuse.
 type tenantQ struct {
 	key    uint64
-	weight int
-	budget int // tasks remaining in the current round-robin visit
 	head   int
 	tasks  []schedTask
 	queued bool // on the lane's active ring
@@ -82,28 +79,23 @@ type laneQ struct {
 func newLaneQ() laneQ { return laneQ{tenants: make(map[uint64]*tenantQ)} }
 
 // enqueue appends t to the tenant's FIFO, activating the tenant if idle.
-func (l *laneQ) enqueue(key uint64, weight int, t schedTask) {
-	if weight < 1 {
-		weight = 1
-	}
+func (l *laneQ) enqueue(key uint64, t schedTask) {
 	tq := l.tenants[key]
 	if tq == nil {
 		tq = &tenantQ{key: key}
 		l.tenants[key] = tq
 	}
-	tq.weight = weight
 	tq.tasks = append(tq.tasks, t)
 	l.n++
 	if !tq.queued {
 		tq.queued = true
-		tq.budget = weight
 		l.ring = append(l.ring, tq)
 	}
 }
 
-// pop removes one task by weighted round-robin: the tenant at the ring
-// position yields up to weight tasks per visit before the position
-// advances. Call only when l.n > 0.
+// pop removes one task by round-robin: the tenant at the ring position
+// yields one task per visit, then the position advances. Call only when
+// l.n > 0.
 func (l *laneQ) pop() schedTask {
 	for {
 		tq := l.ring[l.next]
@@ -115,13 +107,11 @@ func (l *laneQ) pop() schedTask {
 		tq.tasks[tq.head] = schedTask{} // release the closure
 		tq.head++
 		l.n--
-		tq.budget--
 		if tq.head >= len(tq.tasks) {
 			tq.tasks = tq.tasks[:0]
 			tq.head = 0
 			l.removeAt(l.next)
-		} else if tq.budget <= 0 {
-			tq.budget = tq.weight
+		} else {
 			l.next = (l.next + 1) % len(l.ring)
 		}
 		return t
@@ -186,7 +176,7 @@ func newSched(s *Server, workers, limit int) *sched {
 // (queued == 0); either way the caller fails the request. Background
 // enqueues are never shed — their depth is bounded by their producers'
 // credit windows.
-func (sc *sched) tryEnqueue(key uint64, weight int, bg bool, run func()) (ok bool, queued int) {
+func (sc *sched) tryEnqueue(key uint64, bg bool, run func()) (ok bool, queued int) {
 	var enq int64
 	if sc.s.om != nil {
 		enq = obs.Now()
@@ -205,7 +195,7 @@ func (sc *sched) tryEnqueue(key uint64, weight int, bg bool, run func()) (ok boo
 		sc.shed.Add(1)
 		return false, n
 	}
-	l.enqueue(key, weight, schedTask{run: run, enq: enq})
+	l.enqueue(key, schedTask{run: run, enq: enq})
 	sc.mu.Unlock()
 	sc.cond.Signal()
 	return true, 0
@@ -320,7 +310,6 @@ type SchedTenantStat struct {
 	Key    uint64 // sessID<<32|stream
 	BG     bool   // which lane the queue lives in
 	Queued int    // tasks waiting
-	Weight int    // round-robin weight
 }
 
 // SchedTenants snapshots every tenant with queued work, foreground lane
@@ -335,7 +324,7 @@ func (s *Server) SchedTenants() []SchedTenantStat {
 		for _, tq := range l.tenants {
 			out = append(out, SchedTenantStat{
 				Key: tq.key, BG: l == &sc.bg,
-				Queued: len(tq.tasks) - tq.head, Weight: tq.weight,
+				Queued: len(tq.tasks) - tq.head,
 			})
 		}
 	}

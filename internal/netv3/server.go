@@ -77,11 +77,9 @@ const cacheBlockSize = 8192
 const sockBufSize = 64 << 10
 
 // srvStream is the server-side record of one open logical stream: its QoS
-// class and scheduler weight, as announced by StreamOpen. Owned by the
-// session goroutine.
+// class, as announced by StreamOpen. Owned by the session goroutine.
 type srvStream struct {
-	class  uint8
-	weight int
+	class uint8
 }
 
 // volume is one exported store. A cached volume (CacheBlocks > 0) carries
@@ -347,7 +345,7 @@ type session struct {
 	w       *frameWriter
 	id      uint64
 	credits int
-	// streams holds class and weight per stream. The root, stream 0, is
+	// streams holds the class of each stream. The root, stream 0, is
 	// registered foreground when the session starts; StreamOpen and
 	// StreamClose control frames (and data frames that run ahead of their
 	// re-announcement) add and remove the rest. The root is not an opened
@@ -534,10 +532,10 @@ func (ss *session) openStream(m *wire.StreamOpen) *wire.StreamOpenResp {
 		s.streamsTotal.Add(1)
 	}
 	// New stream, or one this session already knows — a reconnecting
-	// client re-announcing it, or the root taking a class and weight:
+	// client re-announcing it, or the root taking a class:
 	// re-registration is idempotent and the grant is re-sent (the client
 	// drops an unexpected reply).
-	ss.streams[m.Stream] = &srvStream{class: m.Class, weight: int(m.Weight)}
+	ss.streams[m.Stream] = &srvStream{class: m.Class}
 	sr.Credits = uint16(min(max(int(m.WantCreds), 1), ss.credits))
 	return sr
 }
@@ -549,27 +547,23 @@ func (ss *session) openStream(m *wire.StreamOpen) *wire.StreamOpenResp {
 // StreamOpen: past it the frame is still served, under its own tenant
 // key, but the id is not remembered — otherwise a peer cycling stream ids
 // on data frames would grow the registry without bound.
-func (ss *session) tenant(stream uint32) (key uint64, bg bool, weight int) {
-	weight = 1
+func (ss *session) tenant(stream uint32) (key uint64, bg bool) {
 	if st := ss.streams[stream]; st != nil {
 		bg = st.class == wire.ClassBackground
-		if st.weight > 0 {
-			weight = st.weight
-		}
 	} else if len(ss.streams) <= ss.s.cfg.MaxStreams { // the root is not one of them
 		ss.streams[stream] = &srvStream{class: wire.ClassForeground}
 		ss.s.streamsActive.Add(1)
 		ss.s.streamsTotal.Add(1)
 	}
-	return tenantKey(ss.id, stream), bg, weight
+	return tenantKey(ss.id, stream), bg
 }
 
 // enqueue hands run to the scheduler under the frame's stream. shed
 // reports that admission control (or a closing scheduler) refused it; the
 // caller then answers EOverloaded with the backlog-sized retry hint.
 func (ss *session) enqueue(stream uint32, trace uint64, run func()) (retryMS uint16, shed bool) {
-	key, bg, weight := ss.tenant(stream)
-	ok, qd := ss.s.sched.tryEnqueue(key, weight, bg, run)
+	key, bg := ss.tenant(stream)
+	ok, qd := ss.s.sched.tryEnqueue(key, bg, run)
 	if ok {
 		return 0, false
 	}
@@ -825,6 +819,14 @@ func (v *volume) cachedRead(b []byte, off int64) error {
 // tryCachedRead serves b entirely from resident cache blocks, reporting
 // false (with b possibly partially filled) on any miss — the session
 // loop's inline hit path, which never touches the store.
+//
+// A hit is counted three ways (the hit counter, the block's MQ reference,
+// the read-ahead accounting), and a read that falls back is re-issued whole
+// as a task that counts every block again. So a read over several blocks
+// looks before it counts, and the hits are published only once the whole
+// range has hit; a block evicted between the look and the copy leaves at
+// most a stray MQ reference behind. One block needs no look: its hit is the
+// whole range's, in one lock hold.
 func (v *volume) tryCachedRead(b []byte, off int64) bool {
 	// checkStoreRange, not a bare off+len comparison: off near MaxInt64
 	// wraps end negative, which sails past `end > size` AND makes the
@@ -834,6 +836,11 @@ func (v *volume) tryCachedRead(b []byte, off int64) bool {
 		return false
 	}
 	end := off + int64(len(b))
+	first, last := uint64(off/cacheBlockSize), uint64((end-1)/cacheBlockSize)
+	if first < last && !v.cache.resident(first, last) {
+		return false
+	}
+	hits := int64(0)
 	for cur := off; cur < end; {
 		blk := uint64(cur / cacheBlockSize)
 		within := cur % cacheBlockSize
@@ -845,7 +852,9 @@ func (v *volume) tryCachedRead(b []byte, off int64) bool {
 			return false
 		}
 		cur += n
+		hits++
 	}
+	v.cache.hits.Add(hits)
 	return true
 }
 

@@ -4,9 +4,8 @@
 // credit flow control and reconnection that is transparent across a
 // failed link and refused across a server restart. It shares the
 // transport-independent pieces of the repository with the simulated VI
-// transport — the wire format (internal/wire), the reconnection state
-// machine (internal/reliable) and the MQ replacement policy
-// (internal/mqcache) — and adds the server's one request pipeline
+// transport — the wire format (internal/wire) and the MQ replacement
+// policy (internal/mqcache) — and adds the server's one request pipeline
 // (DESIGN.md "Request pipeline"): scheduler, sharded write-behind block
 // cache, destager and prefetcher. Below the cache there is one disk
 // interface, BlockStore: misses, write-through, destage runs, read-ahead

@@ -63,10 +63,6 @@ type StreamConfig struct {
 	// cap keeps one chatty logical client from monopolizing it. 0 asks
 	// for 1.
 	Credits int
-	// Weight is the stream's share in the server's per-tenant weighted
-	// round-robin (0 = default weight 1). A weight-4 stream gets up to 4
-	// requests dispatched per scheduler visit.
-	Weight int
 	// Background routes the stream's requests to the server's background
 	// QoS lane (destage/resync/prefetch-class traffic), which can never
 	// starve the foreground lane.
@@ -412,9 +408,11 @@ func (c *Client) OpenStream(cfg StreamConfig) (*Stream, error) {
 	if cfg.Background {
 		class = wire.ClassBackground
 	}
+	// StreamOpen.Weight stays zero, like Write.Slot: the server drains its
+	// tenants plain round-robin and has no use for a share.
 	_ = fw.send(&wire.StreamOpen{
 		Header: wire.Header{Stream: id},
-		Class:  class, Weight: uint16(cfg.Weight), WantCreds: uint16(cfg.Credits),
+		Class:  class, WantCreds: uint16(cfg.Credits),
 	}, nil)
 
 	timeout := c.cfg.DialTimeout

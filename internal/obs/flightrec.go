@@ -30,7 +30,7 @@ type Flight struct {
 
 	names atomic.Pointer[[]string] // kind → name, for dumps
 
-	incidents    Counter
+	incidents    atomic.Int64
 	lastIncident atomic.Pointer[FlightDump]
 	incidentNS   atomic.Int64 // Now() of last captured incident, for rate limiting
 }
@@ -179,15 +179,14 @@ func (f *Flight) Incident(reason string) {
 	if f == nil {
 		return
 	}
+	f.incidents.Add(1)
 	now := Now()
 	last := f.incidentNS.Load()
 	// last == 0 means no capture yet: the first incident always captures,
 	// even within a second of process start (Now is process-relative).
 	if (last != 0 && now-last < incidentMinGapNS) || !f.incidentNS.CompareAndSwap(last, now) {
-		f.incidents.Add(1)
 		return
 	}
-	f.incidents.Add(1)
 	f.lastIncident.Store(&FlightDump{
 		Reason:   reason,
 		TS:       now,

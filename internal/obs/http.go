@@ -27,7 +27,7 @@ func withLabel(name, label string) string {
 }
 
 // WritePrometheus renders every metric in the Prometheus text exposition
-// format: counters and gauges as single samples, histograms as summaries
+// format: gauges as single samples, histograms as summaries
 // (quantiles + _sum/_count, all in nanoseconds). Safe on a nil registry
 // (writes nothing).
 func (r *Registry) WritePrometheus(w io.Writer) {
@@ -35,14 +35,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		return
 	}
 	r.mu.Lock()
-	counters := make(map[string]int64, len(r.counters))
-	for k, c := range r.counters {
-		counters[k] = c.Load()
-	}
-	gauges := make(map[string]int64, len(r.gauges)+len(r.gaugeFns))
-	for k, g := range r.gauges {
-		gauges[k] = g.Load()
-	}
+	gauges := make(map[string]int64, len(r.gaugeFns))
 	fns := make(map[string]func() int64, len(r.gaugeFns))
 	for k, fn := range r.gaugeFns {
 		fns[k] = fn
@@ -67,9 +60,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		}
 	}
 
-	for _, k := range sortedKeys(counters) {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", promBase(k), k, counters[k])
-	}
 	for _, k := range sortedKeys(gauges) {
 		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", promBase(k), k, gauges[k])
 	}
@@ -95,29 +85,21 @@ type HistJSON struct {
 
 // SnapshotJSON is the whole registry as one JSON-marshalable value.
 type SnapshotJSON struct {
-	Counters map[string]int64    `json:"counters"`
-	Gauges   map[string]int64    `json:"gauges"`
-	Hists    map[string]HistJSON `json:"hists"`
+	Gauges map[string]int64    `json:"gauges"`
+	Hists  map[string]HistJSON `json:"hists"`
 }
 
 // Snapshot captures every metric for the JSON endpoint (and for tests).
 // Safe on a nil registry (returns empty maps).
 func (r *Registry) Snapshot() SnapshotJSON {
 	out := SnapshotJSON{
-		Counters: map[string]int64{},
-		Gauges:   map[string]int64{},
-		Hists:    map[string]HistJSON{},
+		Gauges: map[string]int64{},
+		Hists:  map[string]HistJSON{},
 	}
 	if r == nil {
 		return out
 	}
 	r.mu.Lock()
-	for k, c := range r.counters {
-		out.Counters[k] = c.Load()
-	}
-	for k, g := range r.gauges {
-		out.Gauges[k] = g.Load()
-	}
 	fns := make(map[string]func() int64, len(r.gaugeFns))
 	for k, fn := range r.gaugeFns {
 		fns[k] = fn
@@ -158,15 +140,11 @@ func Handler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Query().Get("format") == "json" {
 			merged := SnapshotJSON{
-				Counters: map[string]int64{},
-				Gauges:   map[string]int64{},
-				Hists:    map[string]HistJSON{},
+				Gauges: map[string]int64{},
+				Hists:  map[string]HistJSON{},
 			}
 			for _, r := range regs {
 				s := r.Snapshot()
-				for k, v := range s.Counters {
-					merged.Counters[k] = v
-				}
 				for k, v := range s.Gauges {
 					merged.Gauges[k] = v
 				}

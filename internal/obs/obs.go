@@ -1,7 +1,7 @@
-// Package obs is the repo's dependency-free observability core: sharded
-// lock-free counters, gauges, and mergeable log2 latency histograms,
-// collected in a Registry that can render itself as a Prometheus text
-// exposition or a JSON snapshot.
+// Package obs is the repo's dependency-free observability core: callback
+// gauges over the counters the instrumented code already keeps and
+// mergeable log2 latency histograms, collected in a Registry that can
+// render itself as a Prometheus text exposition or a JSON snapshot.
 //
 // The paper's whole evaluation method is the per-stage latency breakdown
 // (Tables 2-4 decompose each DSA variant's I/O into submission, data
@@ -11,16 +11,16 @@
 // stage timestamps and folds them into per-stage histograms here —
 // aggregation, never per-event logging.
 //
-// Every metric type is nil-receiver safe: a nil *Registry hands out nil
-// *Counter/*Gauge/*Hist whose methods are single-branch no-ops. That is
-// the disabled fast path — instrumentation stays compiled into the hot
-// paths, and costs one predictable branch when no registry is configured.
+// Everything is nil-receiver safe: a nil *Registry hands out a nil *Hist
+// whose methods are single-branch no-ops, and ignores gauge registrations.
+// That is the disabled fast path — instrumentation stays compiled into the
+// hot paths, and costs one predictable branch when no registry is
+// configured.
 package obs
 
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 )
@@ -32,81 +32,19 @@ var base = time.Now()
 // Now returns a monotonic nanosecond timestamp for stage tracing.
 func Now() int64 { return int64(time.Since(base)) }
 
-// counterShards spreads a Counter over independent cache lines so
-// concurrent submitters (sessions, disk workers) do not serialize on one
-// contended word. Power of two.
-const counterShards = 8
-
-// padCell is one atomic counter on its own cache line.
-type padCell struct {
-	v atomic.Int64
-	_ [7]int64
-}
+// shardIdxRange is the range of shardIdx: as many shards as the flight
+// recorder's default ring has. Power of two.
+const shardIdxRange = 8
 
 // shardIdx picks a shard from the caller's stack address — goroutines
 // have distinct stacks, so distinct hot goroutines land on distinct
-// shards without any per-goroutine registration or runtime hooks.
+// shards without any per-goroutine registration or runtime hooks, and
+// concurrent recorders (sessions, scheduler workers) do not serialize on
+// one contended word.
 func shardIdx() int {
 	var probe byte
 	p := uintptr(unsafe.Pointer(&probe))
-	return int((p>>10)^(p>>17)) & (counterShards - 1)
-}
-
-// Counter is a monotonically increasing sharded counter.
-type Counter struct {
-	shards [counterShards]padCell
-}
-
-// Add increments the counter by n. No-op on a nil receiver.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.shards[shardIdx()].v.Add(n)
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Load sums the shards.
-func (c *Counter) Load() int64 {
-	if c == nil {
-		return 0
-	}
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
-}
-
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v. No-op on a nil receiver.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
+	return int((p>>10)^(p>>17)) & (shardIdxRange - 1)
 }
 
 // Registry names and owns a set of metrics. The zero value is not
@@ -114,8 +52,6 @@ func (g *Gauge) Load() int64 {
 // lookup returns a nil metric whose methods no-op.
 type Registry struct {
 	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
 	hists     map[string]*Hist
 	gaugeFns  map[string]func() int64
 	gaugeSets map[string]func() map[string]int64
@@ -124,44 +60,10 @@ type Registry struct {
 // New returns an empty enabled registry.
 func New() *Registry {
 	return &Registry{
-		counters:  make(map[string]*Counter),
-		gauges:    make(map[string]*Gauge),
 		hists:     make(map[string]*Hist),
 		gaugeFns:  make(map[string]func() int64),
 		gaugeSets: make(map[string]func() map[string]int64),
 	}
-}
-
-// Counter returns (creating on first use) the named counter, or nil on a
-// nil registry.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns (creating on first use) the named gauge, or nil on a nil
-// registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Hist returns (creating on first use) the named histogram, or nil on a

@@ -111,29 +111,6 @@ func TestHistMerge(t *testing.T) {
 	}
 }
 
-func TestCounterConcurrent(t *testing.T) {
-	r := New()
-	c := r.Counter("hits")
-	const workers, perWorker = 16, 20000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Load(); got != workers*perWorker {
-		t.Fatalf("sharded counter lost updates: %d != %d", got, workers*perWorker)
-	}
-	if r.Counter("hits") != c {
-		t.Fatal("registry handed out a different counter for the same name")
-	}
-}
-
 func TestHistConcurrent(t *testing.T) {
 	r := New()
 	h := r.Hist("lat")
@@ -158,16 +135,11 @@ func TestHistConcurrent(t *testing.T) {
 func TestNilRegistryFastPath(t *testing.T) {
 	var r *Registry
 	// None of these may panic, and all reads come back zero.
-	c := r.Counter("x")
-	g := r.Gauge("y")
 	h := r.Hist("z")
 	r.GaugeFunc("f", func() int64 { return 1 })
-	c.Add(5)
-	c.Inc()
-	g.Set(7)
-	g.Add(1)
+	r.GaugeSet("s", func() map[string]int64 { return map[string]int64{`{k="v"}`: 1} })
 	h.Observe(123)
-	if c.Load() != 0 || g.Load() != 0 || h.Snapshot().Count() != 0 {
+	if h.Snapshot().Count() != 0 {
 		t.Fatal("nil metrics must read zero")
 	}
 	var sb strings.Builder
@@ -176,15 +148,15 @@ func TestNilRegistryFastPath(t *testing.T) {
 		t.Fatal("nil registry wrote prometheus output")
 	}
 	snap := r.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Hists) != 0 {
+	if len(snap.Gauges)+len(snap.Hists) != 0 {
 		t.Fatal("nil registry snapshot not empty")
 	}
 }
 
 func TestPrometheusAndJSON(t *testing.T) {
 	r := New()
-	r.Counter("req_total").Add(3)
-	r.Gauge("inflight").Set(2)
+	r.GaugeFunc("req_total", func() int64 { return 3 })
+	r.GaugeSet("queued", func() map[string]int64 { return map[string]int64{`{lane="fg"}`: 2} })
 	r.GaugeFunc(`backend_state{backend="0"}`, func() int64 { return 1 })
 	h := r.Hist("lat_ns")
 	h.Observe(1000)
@@ -194,8 +166,8 @@ func TestPrometheusAndJSON(t *testing.T) {
 	r.WritePrometheus(&sb)
 	out := sb.String()
 	for _, want := range []string{
-		"# TYPE req_total counter", "req_total 3",
-		"inflight 2",
+		"# TYPE req_total gauge", "req_total 3",
+		"# TYPE queued gauge", `queued{lane="fg"} 2`,
 		"# TYPE backend_state gauge", `backend_state{backend="0"} 1`,
 		"# TYPE lat_ns summary", `lat_ns{quantile="0.5"}`,
 		"lat_ns_sum 3000", "lat_ns_count 2",
@@ -213,7 +185,7 @@ func TestPrometheusAndJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Counters["req_total"] != 3 || snap.Gauges["inflight"] != 2 {
+	if snap.Gauges["req_total"] != 3 || snap.Gauges[`queued{lane="fg"}`] != 2 {
 		t.Fatalf("JSON snapshot wrong: %+v", snap)
 	}
 	if hj := snap.Hists["lat_ns"]; hj.Count != 2 || hj.MeanNS != 1500 || hj.MaxNS != 2000 {

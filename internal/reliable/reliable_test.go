@@ -132,88 +132,6 @@ func TestTrackerDefaults(t *testing.T) {
 	}
 }
 
-func TestReconnectorLifecycle(t *testing.T) {
-	r := NewReconnector(ms(100), 3)
-	if r.State() != StateConnected {
-		t.Fatal("should start connected")
-	}
-	r.ConnectionBroken(ms(0))
-	if r.State() != StateReconnecting {
-		t.Fatal("not reconnecting")
-	}
-	if !r.ShouldAttempt(ms(0)) {
-		t.Fatal("first attempt should be immediate")
-	}
-	r.AttemptFailed(ms(0))
-	if r.ShouldAttempt(ms(50)) {
-		t.Fatal("backoff ignored")
-	}
-	if !r.ShouldAttempt(ms(100)) {
-		t.Fatal("attempt after backoff refused")
-	}
-	r.AttemptSucceeded()
-	if r.State() != StateConnected || r.Reconnections() != 1 {
-		t.Fatalf("state=%v reconnects=%d", r.State(), r.Reconnections())
-	}
-}
-
-func TestReconnectorExponentialBackoff(t *testing.T) {
-	r := NewReconnector(ms(100), 5)
-	r.ConnectionBroken(0)
-	r.AttemptFailed(ms(0)) // next at 100
-	at, ok := r.NextAttemptAt()
-	if !ok || at != ms(100) {
-		t.Fatalf("next=%v", at)
-	}
-	r.AttemptFailed(ms(100)) // next at 100+200
-	if at, _ := r.NextAttemptAt(); at != ms(300) {
-		t.Fatalf("next=%v, want 300ms", at)
-	}
-	r.AttemptFailed(ms(300)) // next at 300+400
-	if at, _ := r.NextAttemptAt(); at != ms(700) {
-		t.Fatalf("next=%v, want 700ms", at)
-	}
-}
-
-func TestReconnectorPermanentFailure(t *testing.T) {
-	r := NewReconnector(ms(10), 2)
-	r.ConnectionBroken(0)
-	r.AttemptFailed(0)
-	r.AttemptFailed(ms(10))
-	if r.State() != StateFailed {
-		t.Fatalf("state=%v, want failed", r.State())
-	}
-	// Further events are no-ops.
-	r.AttemptSucceeded()
-	if r.State() != StateFailed {
-		t.Fatal("failed state should be terminal")
-	}
-	if _, ok := r.NextAttemptAt(); ok {
-		t.Fatal("failed state should have no next attempt")
-	}
-}
-
-func TestReconnectorBreakWhileBrokenIgnored(t *testing.T) {
-	r := NewReconnector(ms(10), 3)
-	r.ConnectionBroken(0)
-	r.AttemptFailed(0)
-	r.ConnectionBroken(ms(5)) // must not reset attempts/backoff
-	if r.ShouldAttempt(ms(5)) {
-		t.Fatal("break-while-broken reset the backoff")
-	}
-}
-
-func TestConnStateStrings(t *testing.T) {
-	if StateConnected.String() != "connected" ||
-		StateReconnecting.String() != "reconnecting" ||
-		StateFailed.String() != "failed" {
-		t.Fatal("state strings wrong")
-	}
-	if ConnState(9).String() == "" {
-		t.Fatal("unknown state should stringify")
-	}
-}
-
 // Property: no message is ever lost silently — every tracked seq is
 // eventually acked, retried, or reported failed; pending never goes
 // negative and equals tracked - acked - failed.

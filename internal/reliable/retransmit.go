@@ -1,14 +1,12 @@
-// Package reliable provides the retransmission and reconnection logic
-// DSA adds on top of VI (Section 2.2: "retransmission and reconnection
-// ... are critical for industrial-strength systems"). Most VI
-// implementations offer at best "reliable delivery" with connection
-// teardown on any error, so DSA tracks every outstanding request, retries
-// after a timeout, and transparently reconnects and replays when the
-// connection breaks.
+// Package reliable provides the retransmission logic DSA adds on top of
+// VI (Section 2.2: "retransmission and reconnection ... are critical for
+// industrial-strength systems"). Most VI implementations offer at best
+// "reliable delivery" with connection teardown on any error, so DSA tracks
+// every outstanding request and retries after a timeout. (Reconnection on
+// the real TCP path is netv3's own: Client.recover.)
 //
 // The package is pure: callers pass the current time explicitly, so the
-// same code runs under the simulation's virtual clock and the TCP
-// transport's wall clock.
+// code runs under the simulation's virtual clock.
 package reliable
 
 import (

@@ -112,6 +112,9 @@ func (f *Feed) Wait(stop <-chan struct{}) bool {
 			f.l.mu.Unlock()
 			return true
 		}
+		if f.l.notify == nil {
+			f.l.notify = make(chan struct{})
+		}
 		ch := f.l.notify
 		f.l.mu.Unlock()
 		select {

@@ -86,8 +86,10 @@ type Log struct {
 	// be served as precise record replay from the cursor.
 	fallbacks atomic.Int64
 
-	// notify is closed and replaced on every append; Feed.Wait blocks
-	// on it for catch-up-then-live semantics.
+	// notify is what Feed.Wait blocks on for catch-up-then-live
+	// semantics: a waiter creates it when absent, the next append closes
+	// and clears it. Nil while no feed waits, so an append nobody is
+	// listening for allocates nothing.
 	notify chan struct{}
 }
 
@@ -99,7 +101,7 @@ func New(size int64, cfg Config) *Log {
 	if cfg.MaxFolded <= 0 {
 		cfg.MaxFolded = 512
 	}
-	return &Log{size: size, cfg: cfg, notify: make(chan struct{})}
+	return &Log{size: size, cfg: cfg}
 }
 
 // Size returns the volume size the log describes.
@@ -123,9 +125,11 @@ func (l *Log) Append(off, n int64) uint64 {
 		l.folded = capSpans(l.folded, l.cfg.MaxFolded)
 	}
 	ch := l.notify
-	l.notify = make(chan struct{})
+	l.notify = nil
 	l.mu.Unlock()
-	close(ch)
+	if ch != nil {
+		close(ch)
+	}
 	return seq
 }
 

@@ -305,3 +305,22 @@ func TestSeedDebtBaseline(t *testing.T) {
 		t.Fatalf("baseline plan covers %d bytes", spanBytes(plan.Extents))
 	}
 }
+
+// TestAppendWithNoFeedAllocatesNothing: in steady state — the window full,
+// every append folding the oldest record into a summary that already
+// covers it — an append no feed is waiting for allocates nothing; the
+// wake-up channel exists only while a Feed.Wait is parked on it.
+func TestAppendWithNoFeedAllocatesNothing(t *testing.T) {
+	l := New(1<<20, Config{MaxRecords: 64})
+	i := 0
+	write := func() {
+		l.Append(int64(i%32)*8192, 8192)
+		i++
+	}
+	for n := 0; n < 1024; n++ {
+		write()
+	}
+	if n := testing.AllocsPerRun(1000, write); n != 0 {
+		t.Fatalf("Append with no feed waiting: %.0f allocations, want 0", n)
+	}
+}

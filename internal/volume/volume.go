@@ -259,12 +259,11 @@ func (m *Mirror) MapRead(off int64, length int) ([]Extent, error) {
 	if r < 0 {
 		return nil, ErrNoReplica
 	}
-	out := make([]Extent, len(ext))
-	for i, e := range ext {
-		e.Disk += r * m.inner.Members()
-		out[i] = e
+	// ext is the inner layout's own fresh slice: rebase it in place.
+	for i := range ext {
+		ext[i].Disk += r * m.inner.Members()
 	}
-	return out, nil
+	return ext, nil
 }
 
 // MapWrite implements Layout: every replica is written, including masked
@@ -275,12 +274,11 @@ func (m *Mirror) MapWrite(off int64, length int) ([]Extent, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Extent
+	out := make([]Extent, 0, len(ext)*m.replicas)
 	for r := 0; r < m.replicas; r++ {
 		for _, e := range ext {
-			e2 := e
-			e2.Disk += r * m.inner.Members()
-			out = append(out, e2)
+			e.Disk += r * m.inner.Members()
+			out = append(out, e)
 		}
 	}
 	return out, nil

@@ -3,6 +3,7 @@ package vvault
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"github.com/v3storage/v3/internal/netv3"
@@ -13,7 +14,7 @@ import (
 // token within ProbeTimeout — the window is wedged or saturated. It
 // counts toward the error threshold rather than tripping at once, so a
 // briefly saturated (but healthy) backend survives a probe or two while
-// a truly wedged one trips after ErrorThreshold ticks.
+// a truly wedged one trips after errorThreshold ticks.
 var errProbeStarved = errors.New("vvault: probe starved of credit tokens")
 
 // fatalErr reports errors that mean the backend session is gone (as
@@ -27,49 +28,20 @@ func fatalErr(err error) bool {
 		errors.Is(err, netv3.ErrWaitTimeout)
 }
 
-// recordError charges one data-path failure against a backend: fatal
-// errors trip it at once, others trip after ErrorThreshold consecutive
-// failures. An admission shed (ErrOverloaded) is load, not damage — the
-// backend answered, explicitly asking for backoff — so it neither trips
-// nor counts toward the threshold; the caller still sees the error and
-// owns the retry.
-func (v *Vault) recordError(b *backend, err error) {
+// recordError charges one failure against a backend on consec, the
+// counter of the path that saw it (backend.consec or probeConsec; a
+// success on the same path stores 0): fatal errors trip it at once, others
+// after errorThreshold consecutive failures. An admission shed
+// (ErrOverloaded) is load, not damage — the backend answered, explicitly
+// asking for backoff — so it neither trips nor counts toward the
+// threshold; the caller still sees the error and owns the retry.
+func (v *Vault) recordError(b *backend, consec *atomic.Int32, err error) {
 	if errors.Is(err, netv3.ErrOverloaded) {
 		return
 	}
-	if fatalErr(err) {
-		v.trip(b, err)
-		return
-	}
-	if int(b.consec.Add(1)) >= v.cfg.ErrorThreshold {
+	if fatalErr(err) || int(consec.Add(1)) >= v.tune.errorThreshold {
 		v.trip(b, err)
 	}
-}
-
-// recordSuccess resets the data-path consecutive-error count.
-func (v *Vault) recordSuccess(b *backend) {
-	b.consec.Store(0)
-}
-
-// recordProbeError / recordProbeSuccess are the probe loop's versions of
-// the pair above, on a separate counter: a backend can answer probes
-// while failing real I/O, and a passing probe must not keep resetting
-// the count that sporadic data-path errors are accumulating.
-func (v *Vault) recordProbeError(b *backend, err error) {
-	if errors.Is(err, netv3.ErrOverloaded) {
-		return
-	}
-	if fatalErr(err) {
-		v.trip(b, err)
-		return
-	}
-	if int(b.probeConsec.Add(1)) >= v.cfg.ErrorThreshold {
-		v.trip(b, err)
-	}
-}
-
-func (v *Vault) recordProbeSuccess(b *backend) {
-	b.probeConsec.Store(0)
 }
 
 // trip takes a backend out of service: state Down, replica masked out of
@@ -160,21 +132,20 @@ func (v *Vault) probeOnce(b *backend) {
 	t0 := obs.Now()
 	h, err := c.ReadAsyncCtx(ctx, v.cfg.Volume, 0, nil)
 	cancel()
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			err = errProbeStarved
-		}
-		v.recordProbeError(b, err)
-		return
+	if errors.Is(err, context.DeadlineExceeded) {
+		err = errProbeStarved
 	}
-	if err := h.WaitTimeout(v.cfg.ProbeTimeout); err != nil {
-		v.recordProbeError(b, err)
+	f := fanout{v: v}
+	f.settle(b, h, err)
+	f.join(v.cfg.ProbeTimeout)
+	if err := f.out(b.idx).err; err != nil {
+		v.recordError(b, &b.probeConsec, err)
 		return
 	}
 	rtt := obs.Now() - t0
 	b.lastProbeRTT.Store(rtt)
 	v.probeRTT.Observe(rtt)
-	v.recordProbeSuccess(b)
+	b.probeConsec.Store(0)
 }
 
 // tryRecover dials a fresh session to a down backend and, on success,

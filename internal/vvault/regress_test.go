@@ -93,8 +93,8 @@ func TestResyncedBytesNetOfRequeues(t *testing.T) {
 	_, addrA := startBackend(t, storeA, "127.0.0.1:0")
 	srvB, addrB := startBackend(t, storeB, "127.0.0.1:0")
 	cfg := testConfig(ModeMirror, member)
-	cfg.ResyncChunk = blk // one replay chunk per block: the fault hits mid-pass
-	v, err := Open([]string{addrA, addrB}, cfg)
+	// One replay chunk per block: the fault hits mid-pass.
+	v, err := open([]string{addrA, addrB}, cfg, tuning{resyncChunk: blk})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -276,7 +276,7 @@ func TestChaosVaultCursorCatchUpSkipsFullRescan(t *testing.T) {
 }
 
 // TestChaosVaultTruncatedCursorFallback is the slow path: the outage
-// outlives the log window (LogRecords writes), so precise replay from
+// outlives the log window (logRecords writes), so precise replay from
 // the tripped replica's cursor is impossible and catch-up must take the
 // extent-merge fallback — counted, and still byte-identical.
 func TestChaosVaultTruncatedCursorFallback(t *testing.T) {
@@ -288,8 +288,8 @@ func TestChaosVaultTruncatedCursorFallback(t *testing.T) {
 	_, addrA := startBackend(t, storeA, "127.0.0.1:0")
 	srvB, addrB := startBackend(t, storeB, "127.0.0.1:0")
 	cfg := testConfig(ModeMirror, member)
-	cfg.LogRecords = 8 // tiny window: the outage below truncates past B's cursor
-	v, err := Open([]string{addrA, addrB}, cfg)
+	// A tiny window: the outage below truncates past B's cursor.
+	v, err := open([]string{addrA, addrB}, cfg, tuning{logRecords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

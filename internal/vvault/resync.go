@@ -31,7 +31,7 @@ import (
 func (v *Vault) resyncLoop(b *backend) {
 	defer v.wg.Done()
 	v.resyncs.Add(1)
-	buf := make([]byte, v.cfg.ResyncChunk)
+	buf := make([]byte, v.tune.resyncChunk)
 	for {
 		if v.closed.Load() || b.state.Load() != stateResync {
 			return
@@ -51,7 +51,7 @@ func (v *Vault) resyncLoop(b *backend) {
 		// advances the watermark (and settles replayed debt) only if the
 		// replica did not trip under the flush.
 		bar := b.cur.BarrierBegin()
-		if err := v.flushBackend(b); err != nil {
+		if err := v.replayIO(b, ioFlush, 0, nil); err != nil {
 			v.trip(b, fmt.Errorf("resync flush: %w", err))
 			return
 		}
@@ -98,7 +98,7 @@ func (v *Vault) replayPlan(b *backend, plan repl.Plan, buf []byte) bool {
 				}
 				return true
 			}
-			if err := v.writeBackend(b, cur, buf[:n]); err != nil {
+			if err := v.replayIO(b, ioWrite, cur, buf[:n]); err != nil {
 				v.trip(b, fmt.Errorf("resync write [%d,+%d): %w", cur, n, err))
 				return false
 			}
@@ -111,42 +111,14 @@ func (v *Vault) replayPlan(b *backend, plan repl.Plan, buf []byte) bool {
 	return true
 }
 
-// writeBackend writes data straight to one backend (resync path),
-// chunked to the transfer cap. It rides the backend's resync stream —
-// background-lane when the peer granted one, so replay traffic queues in
-// the server's background QoS lane instead of competing with live I/O.
-func (v *Vault) writeBackend(b *backend, off int64, data []byte) error {
+// replayIO runs one sub-I/O — a replay write or the durability barrier —
+// on the recovering replica's resync stream: background-lane when the peer
+// granted one, so replay traffic queues in the server's background QoS
+// lane instead of competing with live I/O. The caller trips on an error.
+func (v *Vault) replayIO(b *backend, kind ioKind, off int64, data []byte) error {
 	_, st := b.streams()
-	if st == nil {
-		return fmt.Errorf("backend %s has no client", b.addr)
-	}
-	deadline := time.Now().Add(v.cfg.IOTimeout)
-	maxio := v.maxIO()
-	for len(data) > 0 {
-		n := min(len(data), maxio)
-		h, err := st.WriteAsync(v.cfg.Volume, off, data[:n])
-		if err != nil {
-			return err
-		}
-		if err := waitUntil(h, deadline); err != nil {
-			return err
-		}
-		data = data[n:]
-		off += int64(n)
-	}
-	return nil
-}
-
-// flushBackend runs the durability barrier on one backend (resync
-// path), on the same stream as the replay writes.
-func (v *Vault) flushBackend(b *backend) error {
-	_, st := b.streams()
-	if st == nil {
-		return fmt.Errorf("backend %s has no client", b.addr)
-	}
-	h, err := st.FlushAsync(v.cfg.Volume)
-	if err != nil {
-		return err
-	}
-	return h.WaitTimeout(v.cfg.IOTimeout)
+	f := fanout{v: v}
+	f.add(b, st, kind, off, data)
+	f.join(v.cfg.IOTimeout)
+	return f.out(b.idx).err
 }

@@ -173,8 +173,8 @@ func TestVaultOverloadNotFatal(t *testing.T) {
 	_, addr := startBackendCfg(t, startBackendStore, "127.0.0.1:0", scfg)
 
 	cfg := testConfig(ModeStripe, member)
-	cfg.ErrorThreshold = 2 // trip fast if sheds were (wrongly) counted
-	v, err := Open([]string{addr}, cfg)
+	// Trip fast if sheds were (wrongly) counted.
+	v, err := open([]string{addr}, cfg, tuning{errorThreshold: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,19 +74,6 @@ type Config struct {
 	// IOTimeout bounds every data-path completion wait; a timed-out
 	// backend is tripped immediately (default 15s).
 	IOTimeout time.Duration
-	// ErrorThreshold is the consecutive-error count that trips a backend
-	// to Down (default 3). Connection loss and timeouts trip at once.
-	ErrorThreshold int
-	// ResyncChunk is the copy unit the resync worker reads from a live
-	// replica and replays onto a recovered one (default 256 KB, capped
-	// at the backends' max transfer).
-	ResyncChunk int
-	// LogRecords bounds the mirror's replication log: how many precise
-	// write records it keeps before folding the oldest into an extent
-	// summary (default 4096). A replica whose outage outlives the window
-	// catches up from the folded summary instead of precise replay —
-	// more bytes copied, never fewer.
-	LogRecords int
 	// Metrics, when non-nil, enables cluster-level instrumentation on
 	// this registry: per-backend health/dirty gauges, probe RTT
 	// histogram, degraded-time and resync counters. Nil is the disabled
@@ -105,16 +92,24 @@ type Config struct {
 // DefaultConfig returns production defaults for the given mode.
 func DefaultConfig(mode Mode) Config {
 	return Config{
-		Mode:           mode,
-		Volume:         1,
-		StripeSize:     64 << 10,
-		Client:         netv3.DefaultClientConfig(),
-		ProbeInterval:  250 * time.Millisecond,
-		ProbeTimeout:   2 * time.Second,
-		IOTimeout:      15 * time.Second,
-		ErrorThreshold: 3,
-		ResyncChunk:    256 << 10,
+		Mode:          mode,
+		Volume:        1,
+		StripeSize:    64 << 10,
+		Client:        netv3.DefaultClientConfig(),
+		ProbeInterval: 250 * time.Millisecond,
+		ProbeTimeout:  2 * time.Second,
+		IOTimeout:     15 * time.Second,
 	}
+}
+
+// tuning holds the vault's three fixed sizes. Every vault built by Open
+// runs the defaults; in-package tests hand open other values to trip a
+// backend sooner, cut a replay pass into more chunks or overflow the log
+// window with a handful of writes. A zero field selects its default.
+type tuning struct {
+	errorThreshold int // consecutive errors that trip a backend Down (3); connection loss and timeouts trip at once
+	resyncChunk    int // resync's copy unit, live replica to recovered one (256 KB, capped at the backends' max transfer)
+	logRecords     int // write records the mirror's log keeps before folding the oldest into an extent summary (4096)
 }
 
 // ErrDegraded reports an operation the vault cannot serve in its current
@@ -261,6 +256,7 @@ func (v *Vault) attachStreams(b *backend, c *netv3.Client) {
 // safe for concurrent use.
 type Vault struct {
 	cfg      Config
+	tune     tuning
 	layout   volume.Layout
 	mirror   *volume.Mirror // non-nil in mirror mode
 	backends []*backend
@@ -341,7 +337,9 @@ func (v *Vault) degradedTime() time.Duration {
 // long as one replica does — unreachable replicas start Down with the
 // whole volume dirty, so the first successful probe triggers a full
 // resync.
-func Open(addrs []string, cfg Config) (*Vault, error) {
+func Open(addrs []string, cfg Config) (*Vault, error) { return open(addrs, cfg, tuning{}) }
+
+func open(addrs []string, cfg Config, tune tuning) (*Vault, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("vvault: need at least one backend address")
 	}
@@ -360,11 +358,11 @@ func Open(addrs []string, cfg Config) (*Vault, error) {
 	if cfg.IOTimeout <= 0 {
 		cfg.IOTimeout = 15 * time.Second
 	}
-	if cfg.ErrorThreshold <= 0 {
-		cfg.ErrorThreshold = 3
+	if tune.errorThreshold <= 0 {
+		tune.errorThreshold = 3
 	}
-	if cfg.ResyncChunk <= 0 {
-		cfg.ResyncChunk = 256 << 10
+	if tune.resyncChunk <= 0 {
+		tune.resyncChunk = 256 << 10
 	}
 	if cfg.MemberSize <= 0 {
 		return nil, errors.New("vvault: MemberSize must be positive")
@@ -373,7 +371,7 @@ func Open(addrs []string, cfg Config) (*Vault, error) {
 		return nil, errors.New("vvault: mirror mode needs at least two backends")
 	}
 
-	v := &Vault{cfg: cfg, done: make(chan struct{}), flight: cfg.Flight}
+	v := &Vault{cfg: cfg, tune: tune, done: make(chan struct{}), flight: cfg.Flight}
 	netv3.RegisterFlightKinds(v.flight)
 	v.maxio.Store(1 << 20)
 	switch cfg.Mode {
@@ -397,16 +395,11 @@ func Open(addrs []string, cfg Config) (*Vault, error) {
 			return nil, err
 		}
 		v.layout, v.mirror = m, m
+		v.rlog = repl.New(m.Size(), repl.Config{MaxRecords: tune.logRecords})
 	default:
 		return nil, fmt.Errorf("vvault: unknown mode %d", cfg.Mode)
 	}
-	v.size = cfg.MemberSize
-	if cfg.Mode == ModeStripe {
-		v.size = cfg.MemberSize * int64(len(addrs))
-	}
-	if cfg.Mode == ModeMirror {
-		v.rlog = repl.New(v.size, repl.Config{MaxRecords: cfg.LogRecords})
-	}
+	v.size = v.layout.Size()
 
 	live := 0
 	for i, addr := range addrs {
@@ -444,9 +437,7 @@ func Open(addrs []string, cfg Config) (*Vault, error) {
 	if live == 0 {
 		return nil, fmt.Errorf("%w: no backend reachable", ErrDegraded)
 	}
-	if mio := v.maxIO(); v.cfg.ResyncChunk > mio {
-		v.cfg.ResyncChunk = mio
-	}
+	v.tune.resyncChunk = min(v.tune.resyncChunk, v.maxIO())
 	v.noteMaskChange() // a replica may have started masked
 	v.registerMetrics(cfg.Metrics)
 
@@ -590,7 +581,7 @@ func (v *Vault) Read(off int64, buf []byte) error {
 	if v.mirror != nil {
 		return v.readMirror(off, buf)
 	}
-	return v.readStripe(off, buf)
+	return v.stripeIO(off, buf, ioRead)
 }
 
 // Write sends data to the logical volume at off. In mirror mode the
@@ -608,7 +599,7 @@ func (v *Vault) Write(off int64, data []byte) error {
 	if v.mirror != nil {
 		return v.writeMirror(off, data)
 	}
-	return v.writeStripe(off, data)
+	return v.stripeIO(off, data, ioWrite)
 }
 
 // Flush is the cluster-wide durability barrier: it fans out the netv3
@@ -627,205 +618,95 @@ func (v *Vault) Flush() error {
 	if v.closed.Load() {
 		return ErrClosed
 	}
-	type inflight struct {
-		b   *backend
-		h   *netv3.Pending
-		bar repl.Barrier
-	}
-	var issued []inflight
+	f := fanout{v: v}
 	var firstErr error
-	for _, b := range v.backends {
-		if b.state.Load() != stateUp {
+	for i, b := range v.backends {
+		if st := b.state.Load(); st != stateUp {
 			if v.mirror == nil {
-				firstErr = fmt.Errorf("%w: backend %s is %s", ErrDegraded, b.addr, stateName(b.state.Load()))
+				firstErr = fmt.Errorf("%w: backend %s is %s", ErrDegraded, b.addr, stateName(st))
 			}
 			continue
 		}
-		var bar repl.Barrier
 		if b.cur != nil {
-			bar = b.cur.BarrierBegin()
+			f.out(i).bar = b.cur.BarrierBegin()
 		}
 		st, _ := b.streams()
-		if st == nil {
-			err := errors.New("no client")
-			v.flushFailed(b, err)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("vvault: flush backend %s: %w", b.addr, err)
-			}
-			continue
-		}
-		h, err := st.FlushAsync(v.cfg.Volume)
-		if err != nil {
-			v.flushFailed(b, err)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("vvault: flush backend %s: %w", b.addr, err)
-			}
-			continue
-		}
-		issued = append(issued, inflight{b, h, bar})
+		f.add(b, st, ioFlush, 0, nil)
 	}
-	deadline := time.Now().Add(v.cfg.IOTimeout)
-	completed := 0
-	for _, f := range issued {
-		if err := waitUntil(f.h, deadline); err != nil {
-			v.flushFailed(f.b, err)
+	f.join(v.cfg.IOTimeout)
+	for i, b := range v.backends {
+		switch o := f.out(i); {
+		case !o.used:
+		case o.err != nil:
+			v.trip(b, fmt.Errorf("flush failed: %w", o.err))
 			if firstErr == nil {
-				firstErr = fmt.Errorf("vvault: flush backend %s: %w", f.b.addr, err)
+				firstErr = fmt.Errorf("vvault: flush backend %s: %w", b.addr, o.err)
 			}
-			continue
+		case b.cur != nil:
+			b.cur.BarrierCommit(o.bar)
 		}
-		if f.b.cur != nil {
-			f.b.cur.BarrierCommit(f.bar)
-		}
-		completed++
 	}
-	if v.mirror != nil && completed == 0 && firstErr == nil {
+	if v.mirror != nil && f.used == f.failed && firstErr == nil {
 		firstErr = fmt.Errorf("%w: flush reached no live replica", ErrDegraded)
 	}
 	return firstErr
 }
 
-// flushFailed handles a failed durability barrier on one backend: the
-// trip's cursor reset leaves everything above the watermark — the
-// acked-but-unflushed writes the barrier should have covered — as
-// replay debt for resync.
-func (v *Vault) flushFailed(b *backend, cause error) {
-	v.trip(b, fmt.Errorf("flush failed: %w", cause))
-}
-
-// readStripe reads one striped request: all covered backends must be up,
-// extents are issued in parallel through the async client API.
-func (v *Vault) readStripe(off int64, buf []byte) error {
-	ext, err := v.layout.MapRead(off, len(buf))
-	if err != nil {
-		return err
-	}
-	for _, e := range ext {
-		if st := v.backends[e.Disk].state.Load(); st != stateUp {
-			return fmt.Errorf("%w: striped read [%d,+%d) needs backend %s, which is %s",
-				ErrDegraded, off, len(buf), v.backends[e.Disk].addr, stateName(st))
-		}
-	}
-	handles, berrs, err := v.issueExtents(ext, buf, false)
-	if err2 := v.waitExtents(handles, berrs); err == nil {
-		err = err2
-	}
-	return err
-}
-
-// writeStripe mirrors readStripe for the write direction.
-func (v *Vault) writeStripe(off int64, data []byte) error {
-	ext, err := v.layout.MapWrite(off, len(data))
-	if err != nil {
-		return err
-	}
-	for _, e := range ext {
-		if st := v.backends[e.Disk].state.Load(); st != stateUp {
-			return fmt.Errorf("%w: striped write [%d,+%d) needs backend %s, which is %s",
-				ErrDegraded, off, len(data), v.backends[e.Disk].addr, stateName(st))
-		}
-	}
-	handles, berrs, err := v.issueExtents(ext, data, true)
-	if err2 := v.waitExtents(handles, berrs); err == nil {
-		err = err2
-	}
-	return err
-}
-
-// extentIO is one in-flight extent chunk.
-type extentIO struct {
-	b *backend
-	h *netv3.Pending
-}
-
-// issueExtents submits every extent asynchronously, slicing buf in
-// mapping order (extents tile the request) and chunking each extent to
-// the transfer cap. It returns the in-flight handles plus the first
-// submission error; handles already issued must still be waited.
-func (v *Vault) issueExtents(ext []volume.Extent, buf []byte, write bool) ([]extentIO, map[*backend]error, error) {
-	handles := make([]extentIO, 0, len(ext))
-	berrs := make(map[*backend]error)
-	maxio := v.maxIO()
-	cur := 0
+// mappedIO runs one mapped data-path call: every extent issued on its
+// backend's data stream, buf sliced in mapping order (extents tile the
+// request), joined, and charged by the data path's error rule — a backend
+// that failed is charged once, however many of its legs did, and one that
+// served every leg has its count reset. The first submission failure
+// stops the issuing — the call has failed — but what is in flight is still
+// waited out. Returns the first error.
+func (v *Vault) mappedIO(ext []volume.Extent, buf []byte, kind ioKind) error {
+	f := fanout{v: v}
 	for _, e := range ext {
 		b := v.backends[e.Disk]
-		part := buf[cur : cur+e.Length]
-		cur += e.Length
 		st, _ := b.streams()
-		if st == nil {
-			err := fmt.Errorf("vvault: backend %s has no client: %w", b.addr, ErrDegraded)
-			berrs[b] = err
-			return handles, berrs, err
+		if f.add(b, st, kind, e.Offset, buf[:e.Length]) != nil {
+			break
 		}
-		memberOff := e.Offset
-		for len(part) > 0 {
-			n := len(part)
-			if n > maxio {
-				n = maxio
+		buf = buf[e.Length:]
+	}
+	f.join(v.cfg.IOTimeout)
+	var first error
+	for i, b := range v.backends {
+		switch o := f.out(i); {
+		case !o.used:
+		case o.err == nil:
+			b.consec.Store(0)
+		default:
+			v.recordError(b, &b.consec, o.err)
+			if first == nil {
+				first = fmt.Errorf("vvault: backend %s: %w", b.addr, o.err)
 			}
-			var h *netv3.Pending
-			var err error
-			if write {
-				h, err = st.WriteAsync(v.cfg.Volume, memberOff, part[:n])
-			} else {
-				h, err = st.ReadAsync(v.cfg.Volume, memberOff, part[:n])
-			}
-			if err != nil {
-				v.recordError(b, err)
-				berrs[b] = err
-				return handles, berrs, fmt.Errorf("vvault: backend %s: %w", b.addr, err)
-			}
-			handles = append(handles, extentIO{b, h})
-			part = part[n:]
-			memberOff += int64(n)
 		}
 	}
-	return handles, berrs, nil
+	return first
 }
 
-// waitExtents waits out every handle against the I/O deadline, recording
-// per-backend failures (and tripping on timeout or connection loss).
-// berrs accumulates the first error per backend for callers that need
-// per-replica outcomes.
-func (v *Vault) waitExtents(handles []extentIO, berrs map[*backend]error) error {
-	deadline := time.Now().Add(v.cfg.IOTimeout)
-	var firstErr error
-	for _, io := range handles {
-		err := waitUntil(io.h, deadline)
-		if err != nil {
-			v.recordError(io.b, err)
-			if berrs[io.b] == nil {
-				berrs[io.b] = err
-			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("vvault: backend %s: %w", io.b.addr, err)
-			}
-			continue
-		}
-		v.recordSuccess(io.b)
-		// A traced response carries the replica's server-side span block;
-		// fold queue+service into the per-backend histogram and drop a
-		// flight event so a dump shows which replica each fan-out leg of
-		// a slow request spent its time on. Pre-trace replicas leave the
-		// block zero — skip rather than pollute the histogram with zeros.
-		if io.h.Traced() {
-			sp := io.h.ServerSpan()
-			if ns := uint64(sp.SrvQueueNS) + uint64(sp.SrvServiceNS); ns != 0 {
-				io.b.srvSpanH.Observe(int64(ns))
-				v.flight.Record(netv3.FlightReplicaIO, 0, uint64(io.b.idx), ns)
-			}
+// stripeIO serves one striped request in either direction: all covered
+// backends must be up (striping has no redundancy to route around a dead
+// one), and the extents go out in parallel.
+func (v *Vault) stripeIO(off int64, buf []byte, kind ioKind) error {
+	var ext []volume.Extent
+	var err error
+	if kind == ioWrite {
+		ext, err = v.layout.MapWrite(off, len(buf))
+	} else {
+		ext, err = v.layout.MapRead(off, len(buf))
+	}
+	if err != nil {
+		return err
+	}
+	for _, e := range ext {
+		if st := v.backends[e.Disk].state.Load(); st != stateUp {
+			return fmt.Errorf("%w: striped %v [%d,+%d) needs backend %s, which is %s",
+				ErrDegraded, kind, off, len(buf), v.backends[e.Disk].addr, stateName(st))
 		}
 	}
-	return firstErr
-}
-
-// waitUntil bounds h's completion by an absolute deadline.
-func waitUntil(h *netv3.Pending, deadline time.Time) error {
-	d := time.Until(deadline)
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	return h.WaitTimeout(d)
+	return v.mappedIO(ext, buf, kind)
 }
 
 // readMirror serves a read from one live replica, retrying the survivors
@@ -840,17 +721,12 @@ func (v *Vault) readMirror(off int64, buf []byte) error {
 			}
 			return err
 		}
-		handles, berrs, err := v.issueExtents(ext, buf, false)
-		if err2 := v.waitExtents(handles, berrs); err == nil {
-			err = err2
-		}
-		if err == nil {
+		if lastErr = v.mappedIO(ext, buf, ioRead); lastErr == nil {
 			if v.mirror.MaskedCount() > 0 {
 				v.degradedReads.Add(1)
 			}
 			return nil
 		}
-		lastErr = err
 	}
 	return fmt.Errorf("%w: no replica served read [%d,+%d): %v", ErrDegraded, off, len(buf), lastErr)
 }
@@ -869,81 +745,57 @@ func (v *Vault) readMirror(off int64, buf []byte) error {
 // serve that staleness back. The write succeeds when at least one
 // replica accepted every byte.
 func (v *Vault) writeMirror(off int64, data []byte) error {
-	ext, err := v.layout.MapWrite(off, len(data))
-	if err != nil {
+	// The layout owns the range check; over the single-member inner layout
+	// its answer is [off,+len) at off on every replica, which is what the
+	// loop below issues.
+	if _, err := v.layout.MapWrite(off, len(data)); err != nil {
 		return err
 	}
-	// Group the fan-out per replica: with the single-member inner layout
-	// every replica carries the same [off,+len) extent list.
-	perReplica := make([][]volume.Extent, len(v.backends))
-	for _, e := range ext {
-		perReplica[e.Disk] = append(perReplica[e.Disk], volume.Extent{
-			Disk: e.Disk, Offset: e.Offset, Length: e.Length,
-		})
-	}
-
-	var handles []extentIO
-	berrs := make(map[*backend]error)
-	gens := make([]uint64, len(v.backends))
-	skipped := 0
-	issuedTo := make([]*backend, 0, len(v.backends))
-	for r, rext := range perReplica {
-		b := v.backends[r]
+	f := fanout{v: v}
+	for i, b := range v.backends {
 		b.ioMu.RLock() // held until the outcome is sequenced below
 		if b.state.Load() != stateUp {
-			skipped++
 			continue
 		}
 		// Capture the consumer generation at issue: if the replica trips
 		// while the write is in flight, the late ack carries a stale gen
 		// and is discarded — the record stays above the rolled-back
 		// cursor as replay debt instead.
-		gens[r] = b.cur.Gen()
-		hs, _, err := v.issueExtents(rext, data, true)
-		handles = append(handles, hs...)
-		if err != nil {
-			berrs[b] = err
-		}
-		issuedTo = append(issuedTo, b)
+		f.out(i).gen = b.cur.Gen()
+		st, _ := b.streams()
+		f.add(b, st, ioWrite, off, data)
 	}
-	_ = v.waitExtents(handles, berrs)
+	f.join(v.cfg.IOTimeout)
 
-	succeeded := 0
-	for _, b := range issuedTo {
-		if berrs[b] == nil {
-			succeeded++
-		}
-	}
+	succeeded := f.used - f.failed
 	var seq uint64
 	if succeeded > 0 {
 		seq = v.rlog.Append(off, int64(len(data)))
 	}
-	var tripped []*backend
-	for _, b := range issuedTo {
-		if berrs[b] == nil {
-			if seq != 0 {
-				b.cur.Ack(seq, gens[b.idx])
-			}
-		} else {
+	for i, b := range v.backends {
+		switch o := f.out(i); {
+		case !o.used:
+		case o.err != nil:
 			b.cur.Fail(off, int64(len(data)))
-			tripped = append(tripped, b)
+		default:
+			b.consec.Store(0)
+			b.cur.Ack(seq, o.gen)
 		}
 	}
 	for _, b := range v.backends {
 		b.ioMu.RUnlock()
 	}
-	for _, b := range tripped {
-		v.trip(b, fmt.Errorf("mirror write [%d,+%d): %w", off, len(data), berrs[b]))
+	var detail error
+	for i, b := range v.backends {
+		if err := f.out(i).err; err != nil {
+			detail = fmt.Errorf("backend %s: %w", b.addr, err)
+			v.trip(b, fmt.Errorf("mirror write [%d,+%d): %w", off, len(data), err))
+		}
 	}
-	if skipped > 0 || succeeded < len(issuedTo) {
+	if succeeded < len(v.backends) {
 		v.degradedWrites.Add(1)
 	}
 	if succeeded == 0 {
-		var detail error
-		for b, e := range berrs {
-			detail = fmt.Errorf("backend %s: %w", b.addr, e)
-			break
-		}
 		if detail == nil {
 			detail = errors.New("every replica is down")
 		}

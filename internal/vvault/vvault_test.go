@@ -60,7 +60,6 @@ func testConfig(mode Mode, member int64) Config {
 	cfg.ProbeInterval = 20 * time.Millisecond
 	cfg.ProbeTimeout = 500 * time.Millisecond
 	cfg.IOTimeout = 2 * time.Second
-	cfg.ErrorThreshold = 2
 	cfg.Client.ReconnectBackoff = 10 * time.Millisecond
 	cfg.Client.MaxReconnects = 1
 	cfg.Client.DialTimeout = time.Second
@@ -613,5 +612,50 @@ func TestZeroLengthProbeOp(t *testing.T) {
 	}
 	if err := v.Read(v.Size()+1, []byte{}); err == nil {
 		t.Fatal("out-of-range zero-length read accepted")
+	}
+}
+
+// TestVaultOpAllocBudget pins the vault's bookkeeping cost per operation,
+// counted over the whole process (client, both in-process servers, the
+// replication log): a mirrored 8 KB write is two cached sub-writes and a
+// log record, a read one cached sub-read, and the fan-out that issues and
+// joins them adds one small allocation, its leg list.
+func TestVaultOpAllocBudget(t *testing.T) {
+	const (
+		member = 1 << 20
+		blk    = 8192
+	)
+	scfg := netv3.DefaultServerConfig()
+	scfg.CacheBlocks = 256
+	_, addrA := startBackendCfg(t, netv3.NewMemStore(member), "127.0.0.1:0", scfg)
+	_, addrB := startBackendCfg(t, netv3.NewMemStore(member), "127.0.0.1:0", scfg)
+	cfg := testConfig(ModeMirror, member)
+	cfg.ProbeInterval = time.Minute // no probe inside the counted runs
+	v, err := Open([]string{addrA, addrB}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+
+	buf := pattern(0, 1, blk)
+	op := func(f func(int64, []byte) error) func() {
+		return func() {
+			// One block over and over: no run and no stride for either
+			// server's read-ahead detector to predict from.
+			if err := f(3*blk, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write, read := op(v.Write), op(v.Read)
+	for i := 0; i < 64; i++ { // warm: blocks resident, pools and queues grown
+		write()
+		read()
+	}
+	if n := testing.AllocsPerRun(200, write); n > 14 {
+		t.Errorf("mirrored 8 KB write: %.0f allocations, budget 14", n)
+	}
+	if n := testing.AllocsPerRun(200, read); n > 9 {
+		t.Errorf("mirrored 8 KB read: %.0f allocations, budget 9", n)
 	}
 }

@@ -297,14 +297,13 @@ type FlushResp struct {
 }
 
 // StreamOpen asks the server to open the logical stream named by
-// Header.Stream with the given QoS class, scheduling weight, and credit
-// ask. Stream credits are carved from the connection's shared window, so
+// Header.Stream with the given QoS class and credit ask. Stream credits are carved from the connection's shared window, so
 // the grant bounds how many of the connection's slots this stream may
 // hold concurrently — it never adds new slots.
 type StreamOpen struct {
 	Header
 	Class     uint8  // ClassForeground or ClassBackground
-	Weight    uint16 // scheduler weight (0 = default)
+	Weight    uint16 // keeps its place in the frame; sent as zero and ignored (tenants drain plain round-robin)
 	WantCreds uint16 // requested per-stream credit cap
 }
 
