@@ -5,7 +5,7 @@ GO ?= go
 # run instead of hanging it.
 TEST_TIMEOUT ?= 10m
 
-.PHONY: all build test quick race vet verify chaos smoke bench clean
+.PHONY: all build test quick race vet verify chaos smoke bench pairs clean
 
 all: build
 
@@ -37,7 +37,7 @@ race:
 # may not name deleted code. (The one-character classes keep this line from naming
 # it either, so a repo-wide grep for a deleted name stays empty outside that
 # appendix.)
-DELETED = BENCH_[n]etv3|bench[j]son|BENCH_[J]SON|bench-(netv3|mux|tpcc|resync)|Client[S]tageDefs|-no[t]race|io_uring|DiskWorkers|diskqueue|netv3[.]IO|acquire[S]lot|data[I]O|resync[I]O|issue[E]xtents|wait[E]xtents|Reconn[e]ctor|obs[.]Counter|obs[.]Gauge
+DELETED = BENCH_[n]etv3|bench[j]son|BENCH_[J]SON|bench-(netv3|mux|tpcc|resync)|Client[S]tageDefs|-no[t]race|io_uring|DiskWorkers|diskqueue|netv3[.]IO|acquire[S]lot|data[I]O|resync[I]O|issue[E]xtents|wait[E]xtents|Reconn[e]ctor|obs[.]Counter|obs[.]Gauge|bounded[W]ait|stripe[I]O|read[M]irror
 vet:
 	$(GO) vet ./...
 	@if $(GO) list -deps ./cmd/... ./internal/netv3/ ./internal/vvault/ ./internal/workload/ | grep internal/diskq; then \
@@ -95,6 +95,17 @@ smoke:
 bench:
 	bash benchmark/run.sh --workload all --seed 1
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# pairs is how a performance claim is measured (ROADMAP, "the judged
+# numbers"): PAIRS interleaved runs of the judged benchmark on WORKLOAD, this
+# checkout against the checkout of its parent commit in PARENT, each side
+# built once, order alternating, a fresh seed per pair; per-metric medians,
+# quartiles and wins at the end. tools/pairs.sh says the rest.
+WORKLOAD ?= tpcc_mirror
+PAIRS ?= 10
+pairs:
+	@test -n "$(PARENT)" || { echo 'usage: make pairs PARENT=<checkout of the parent commit> [WORKLOAD=tpcc_mirror] [PAIRS=10]'; exit 2; }
+	bash tools/pairs.sh $(WORKLOAD) $(PAIRS) $(PARENT)
 
 clean:
 	$(GO) clean ./...

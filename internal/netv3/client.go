@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"slices"
@@ -82,17 +83,34 @@ var ErrConnLost = errors.New("netv3: connection lost and reconnection failed")
 // Pending is one in-flight request and its completion handle — the TCP
 // counterpart of the cDSA API's async calls plus Poll/Wait
 // (internal/core/api.go calls 5, 6, 9, 10).
+//
+// Completion is the cDSA shape: a word the completing side sets and the
+// caller polls (Done), and a wake-up asked for only by a waiter that finds
+// nothing to poll (Wait parks on a primitive embedded in the handle). A
+// submit therefore allocates the handle and nothing else — no channel, and
+// no timer for a bounded wait either: a deadline is data on the handle,
+// enforced by the client's one expiry timer (see Client.expireAt).
 type Pending struct {
 	st   *Stream      // issuing stream; its tokens are held until completion (see Stream.take)
 	id   uint64       // request id; the key in the client's pending map
 	msg  wire.Message // the request frame, for replay too; points at rd, wr or fl
 	body []byte       // write payload (replay) — nil for reads
 	buf  []byte       // read destination
-	err  error        // completion status; valid once done is closed
-	done chan struct{}
+	err  error        // completion status; valid once completed reads true
+
+	// finish stores completed, then releases parked (Add(1) at submit, one
+	// Done() at finish). Any number of goroutines may park, any number of
+	// times: the counter never rises again.
+	completed atomic.Bool
+	parked    sync.WaitGroup
+
+	// expiry is the obs.Now() instant at which the request is given up on
+	// behalf of its bounded waiters — the earliest deadline any WaitTimeout
+	// registered — or 0 when none has. Guarded by Client.mu.
+	expiry int64
 
 	// The request message lives in the handle (one of the three, by its
-	// op), so a submit allocates the handle and its done channel only.
+	// op), so the handle is a submit's only allocation.
 	rd wire.Read
 	wr wire.Write
 	fl wire.Flush
@@ -109,16 +127,18 @@ type Pending struct {
 
 	// span is the server-side stage block echoed in the response of a
 	// traced request (zeros against a pre-trace server). Written by the
-	// reader before the completion publishes, so it is stable once done
-	// is closed.
+	// reader before the completion publishes, so it is stable once
+	// completed reads true.
 	span wire.SrvSpan
 }
 
 // ServerSpan returns the server-side stage decomposition the response
-// carried back: scheduler+queue wait, worker service time, and the disk
-// queue-wait/device-time split. All zeros when the request was untraced
-// (see Traced), the server predates FeatureTrace, or the request failed
-// before a response arrived. Valid once the request completes.
+// carried back: the wait in the scheduler's queue and the service time of
+// the worker that ran the request — its CPU plus any store call it made (a
+// miss fill, a write-through); there is no finer split below the cache.
+// All zeros when the request was untraced (see Traced), the server
+// predates FeatureTrace, or the request failed before a response arrived.
+// Valid once the request completes.
 func (h *Pending) ServerSpan() wire.SrvSpan { return h.span }
 
 // finishTrace folds the request's stage trace into the client's
@@ -139,19 +159,17 @@ func (h *Pending) finishTrace() {
 // Done reports without blocking whether the request has completed — the
 // polling primitive.
 func (h *Pending) Done() bool {
-	select {
-	case <-h.done:
-		h.finishTrace()
-		return true
-	default:
+	if !h.completed.Load() {
 		return false
 	}
+	h.finishTrace()
+	return true
 }
 
 // Wait blocks until the request completes and returns its status. It may
 // be called any number of times, from any goroutine.
 func (h *Pending) Wait() error {
-	<-h.done
+	h.parked.Wait() // one atomic load once the request has completed
 	h.finishTrace()
 	return h.err
 }
@@ -164,38 +182,34 @@ func (h *Pending) Wait() error {
 // server deigns to answer. ErrWaitTimeout is both the return value and
 // the handle's published completion status, so later waiters see it too.
 // If the completion races the expiry, the request's real status wins and
-// is returned instead.
+// is returned instead. The wait costs no timer: the deadline is registered
+// on the handle and the client's one expiry timer enforces it, and a
+// request that has already completed costs not even that.
 func (h *Pending) WaitTimeout(d time.Duration) error {
-	if h.Done() {
-		return h.err // no timer for a request that has already completed
+	if !h.Done() {
+		at := obs.Now() + int64(max(d, 0))
+		if at < 0 {
+			at = math.MaxInt64 // now+d overflowed: a bound that far off never expires
+		}
+		h.st.c.expireAt(h, at)
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	return boundedWait(h, t.C, func() error { return ErrWaitTimeout })
+	return h.Wait()
 }
 
 // WaitContext is the context-aware WaitTimeout: if ctx ends first the
 // request is canceled the same way (buffer detached, tokens returned) and
-// ctx.Err() is published and returned.
+// ctx.Err() is published and returned. Unlike a WaitTimeout deadline, ctx
+// bounds the wait only through this one attempt to cancel at its end: if
+// the reader holds the request claimed at that instant (a payload in
+// delivery) and then loses its connection, the wait lasts until the replay
+// completes or reconnection gives up, as it always has.
 func (h *Pending) WaitContext(ctx context.Context) error {
-	return boundedWait(h, ctx.Done(), ctx.Err)
-}
-
-// boundedWait is the one bounded wait: block until h completes or expired
-// fires, and in the second case cancel h with cause() — read only then,
-// because a context has no error until it is done.
-func boundedWait[T any](h *Pending, expired <-chan T, cause func() error) error {
-	select {
-	case <-h.done:
-	case <-expired:
-		h.st.c.waitTimeouts.Add(1)
-		if err := cause(); h.cancel(err) {
-			return err
-		}
-		<-h.done // the completion won the race; its status stands
+	if h.Done() {
+		return h.err
 	}
-	h.finishTrace()
-	return h.err
+	stop := context.AfterFunc(ctx, func() { h.cancel(ctx.Err(), true) })
+	defer stop()
+	return h.Wait()
 }
 
 // Cancel detaches the request from its caller: the handle completes with
@@ -207,27 +221,123 @@ func boundedWait[T any](h *Pending, expired <-chan T, cause func() error) error 
 // request already completed — or its payload delivery had begun — in
 // which case the handle carries the real status and the caller must Wait
 // before touching the buffers.
-func (h *Pending) Cancel() bool { return h.cancel(ErrCanceled) }
+func (h *Pending) Cancel() bool { return h.cancel(ErrCanceled, false) }
 
 // cancel completes the handle with cause if the request is still
-// pending. Removal from the pending map under mu is the exclusion point
-// against the reader's claim (see reader): whichever side removes the
-// request owns its buffers.
-func (h *Pending) cancel(cause error) bool {
+// pending; expired says the cause is a bounded wait's expiry.
+func (h *Pending) cancel(cause error, expired bool) bool {
 	c := h.st.c
 	c.mu.Lock()
+	ok := c.detachLocked(h)
+	c.mu.Unlock()
+	if ok {
+		c.abandon(h, cause, expired)
+	}
+	return ok
+}
+
+// abandon counts and completes a request its caller has just detached.
+// The counters move first, so a waiter woken by the completion reads them
+// already moved.
+func (c *Client) abandon(h *Pending, cause error, expired bool) {
+	if expired {
+		c.waitTimeouts.Add(1)
+	}
+	c.cancels.Add(1)
+	c.finish(h, cause)
+}
+
+// detachLocked removes h from the pending map, if it is still there, and
+// drops its buffers; the caller, holding mu, then owes h its completion.
+// Removal under mu is the exclusion point against the reader's claim (see
+// reader): whichever side removes the request owns its buffers.
+func (c *Client) detachLocked(h *Pending) bool {
 	if c.pending[h.id] != h {
-		c.mu.Unlock()
 		return false
 	}
 	delete(c.pending, h.id)
 	h.buf = nil
 	h.body = nil
 	h.msg = nil
-	c.mu.Unlock()
-	c.cancels.Add(1)
-	c.finish(h, cause)
 	return true
+}
+
+// expireAt registers a bounded waiter's deadline on h — at, an obs.Now()
+// instant; the earliest registered stands — and makes sure the client's
+// expiry timer fires by then. That timer is the only one bounded waits
+// have: one time.AfterFunc per Client, armed for the earliest deadline it
+// knows of and re-armed by each sweep, so a steady stream of waits with a
+// common bound (a vault's IOTimeout on every leg) costs one firing per
+// bound, not a timer per wait. A handle that is not in the pending map is
+// never armed for: it has completed, or the reader holds it claimed — and
+// should the reader give it back (unclaim), its deadline is still on the
+// handle and unclaim arms for it, so such a wait stays bounded.
+func (c *Client) expireAt(h *Pending, at int64) {
+	c.mu.Lock()
+	if h.expiry == 0 || at < h.expiry {
+		h.expiry = at
+	}
+	if c.pending[h.id] == h {
+		c.armLocked(h.expiry)
+	}
+	c.mu.Unlock()
+}
+
+// armLocked makes the expiry timer fire no later than at; call with mu
+// held, for a request in the pending map — which a closed client's never
+// holds, so a closed client arms nothing.
+func (c *Client) armLocked(at int64) {
+	if c.armedFor != 0 && c.armedFor <= at {
+		return
+	}
+	c.armedFor = at
+	d := time.Duration(at - obs.Now())
+	if c.expiryTimer == nil {
+		c.expiryTimer = time.AfterFunc(d, c.sweep)
+	} else {
+		c.expiryTimer.Reset(d)
+	}
+}
+
+// disarmLocked stops the expiry timer for good: Close and failAllLocked
+// call it as they empty the pending map. Call with mu held.
+func (c *Client) disarmLocked() {
+	if c.expiryTimer != nil {
+		c.expiryTimer.Stop()
+	}
+	c.armedFor = 0
+}
+
+// sweep is the expiry timer's function: every pending request whose
+// deadline has passed is canceled exactly as Cancel would (removed from
+// the map under mu, so a completion the reader has already claimed wins
+// and keeps its real status) and completes with ErrWaitTimeout, and the
+// timer is re-armed for the earliest deadline left. The map holds at most
+// a window of requests. A firing that finds nothing due — the request it
+// was armed for completed long ago, the usual case — only re-arms.
+func (c *Client) sweep() {
+	now := obs.Now()
+	var expired []*Pending
+	c.mu.Lock()
+	c.armedFor = 0
+	var next int64
+	for _, p := range c.pending {
+		switch {
+		case p.expiry == 0:
+		case p.expiry <= now:
+			c.detachLocked(p)
+			expired = append(expired, p)
+		case next == 0 || p.expiry < next:
+			next = p.expiry
+		}
+	}
+	if next != 0 {
+		c.armLocked(next)
+	}
+	c.mu.Unlock()
+	for _, p := range expired {
+		c.abandon(p, ErrWaitTimeout, true)
+	}
 }
 
 // Traced reports whether this request carries the sampled stage trace
@@ -288,6 +398,11 @@ type Client struct {
 	// ReqID they echo: Header.Ack carries only the low 32 bits of Seq, which
 	// repeat after 2³² requests (hours at cached-read rates).
 	nextReq uint64
+	// expiryTimer is the one timer behind every bounded wait, created by the
+	// first that has to block; armedFor is the obs.Now() instant it is set
+	// to fire at, 0 while it is not armed. See expireAt.
+	expiryTimer *time.Timer
+	armedFor    int64
 	// fw is the current connection generation's frame writer. Submitters
 	// capture it under mu together with their bookkeeping; one that loses
 	// the race with a reconnect posts to a retired writer, which refuses —
@@ -463,8 +578,10 @@ type ClientStats struct {
 	// reconnect; Reconnects counts the sessions themselves.
 	Retries    int64
 	Reconnects int64
-	// WaitTimeouts counts bounded-wait expiries (WaitTimeout/WaitContext);
-	// each also cancels its request, counted under Cancels.
+	// WaitTimeouts counts requests given up by an expired bounded wait
+	// (WaitTimeout/WaitContext); each is a cancel too, counted under Cancels.
+	// An expiry that lost the race to the request's completion counts
+	// nowhere.
 	WaitTimeouts int64
 	// Cancels counts requests canceled before completion — explicitly or
 	// by an expired bounded wait. Every cancel returned its credit tokens
@@ -526,6 +643,7 @@ func (c *Client) Close() error {
 	conn, fw := c.conn, c.fw
 	failed := c.pending
 	c.pending = map[uint64]*Pending{}
+	c.disarmLocked()
 	c.mu.Unlock()
 	_ = fw.send(&wire.Disconnect{}, nil) // refused only if the connection is already dead
 	_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.DialTimeout))
@@ -751,6 +869,11 @@ func (c *Client) unclaim(p *Pending, gen int) {
 		return
 	}
 	c.pending[p.id] = p
+	if p.expiry != 0 {
+		// A bounded waiter registered while the request was claimed, or the
+		// sweep passed it by: either way nothing is armed for it.
+		c.armLocked(p.expiry)
+	}
 	fw, msg, body := c.fw, p.msg, p.body
 	resend := c.genID != gen && !c.recovering
 	c.mu.Unlock()
@@ -777,17 +900,19 @@ func (c *Client) complete(id uint64, err error, sp wire.SrvSpan) {
 	}
 }
 
-// finish publishes the completion and returns the request's credit
+// finish publishes the completion — status, then the word pollers read,
+// then the wake-up of whoever parked — and returns the request's credit
 // tokens. Each Pending reaches finish exactly once: the reader's claim,
-// cancel, Close, and permanent reconnection failure all remove it from the
-// pending map under mu before calling here, so no two paths can both own
-// it.
+// cancel, the expiry sweep, Close, and permanent reconnection failure all
+// remove it from the pending map under mu before calling here, so no two
+// paths can both own it.
 func (c *Client) finish(p *Pending, err error) {
 	p.err = err
 	if p.t3 != 0 {
 		p.t4 = obs.Now()
 	}
-	close(p.done)
+	p.completed.Store(true)
+	p.parked.Done()
 	p.st.give()
 }
 
@@ -913,6 +1038,7 @@ func (c *Client) failAllLocked() {
 	c.pending = map[uint64]*Pending{}
 	c.closed = true
 	c.recovering = false
+	c.disarmLocked()
 	c.mu.Unlock()
 	for _, p := range failed {
 		c.finish(p, ErrConnLost)

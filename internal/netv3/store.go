@@ -122,12 +122,12 @@ func (m *MemStore) WriteAt(b []byte, off int64) error {
 // Sync implements BlockStore; memory is as durable as it gets.
 func (m *MemStore) Sync() error { return nil }
 
-// Size implements BlockStore.
-func (m *MemStore) Size() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return int64(len(m.data))
-}
+// Size implements BlockStore. It takes no lock: data is allocated by
+// NewMemStore and never resized or replaced, so its length is a constant —
+// mu guards the bytes ReadAt and WriteAt copy, not the slice header — and
+// Size is on every request's range check and every cached block's fill,
+// absorb and destage.
+func (m *MemStore) Size() int64 { return int64(len(m.data)) }
 
 // Close implements BlockStore.
 func (m *MemStore) Close() error { return nil }

@@ -189,7 +189,8 @@ func (st *Stream) submit(ctx context.Context, op int, vol uint32, off int64, buf
 	if err := st.take(ctx); err != nil {
 		return nil, err
 	}
-	p := &Pending{st: st, done: make(chan struct{}), t0: t0}
+	p := &Pending{st: st, t0: t0}
+	p.parked.Add(1) // released by finish
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -364,7 +365,7 @@ func (st *Stream) Close() error {
 	closed := c.closed
 	c.mu.Unlock()
 	for _, p := range inflight {
-		p.cancel(ErrStreamClosed)
+		p.cancel(ErrStreamClosed, false)
 	}
 	if !closed {
 		_ = fw.send(&wire.StreamClose{Header: wire.Header{Stream: st.id}}, nil)

@@ -239,20 +239,43 @@ func (m *Mirror) Members() int { return m.inner.Members() * m.replicas }
 // chosen round-robin to spread load. With every replica masked it
 // returns ErrNoReplica.
 func (m *Mirror) MapRead(off int64, length int) ([]Extent, error) {
+	return m.mapRead(off, length, -1)
+}
+
+// MapReadAfter is MapRead for the retry of a read replica failed has just
+// failed: the first unmasked replica after it in ring order serves — failed
+// itself only when no other is left — and the rotation stays where it was.
+// A caller that retries this way meets every unmasked replica once before it
+// meets one twice.
+func (m *Mirror) MapReadAfter(off int64, length int, failed int) ([]Extent, error) {
+	if failed < 0 || failed >= m.replicas {
+		return nil, fmt.Errorf("volume: no mirror replica %d", failed)
+	}
+	return m.mapRead(off, length, failed)
+}
+
+// mapRead maps a read to the first unmasked replica from the rotation's
+// next (after < 0; the rotation then moves past it) or from the one after
+// replica after.
+func (m *Mirror) mapRead(off int64, length int, after int) ([]Extent, error) {
 	ext, err := m.inner.MapRead(off, length)
 	if err != nil {
 		return nil, err
 	}
 	m.mu.Lock()
+	start := after + 1
+	if after < 0 {
+		start = m.next
+	}
 	r := -1
 	for i := 0; i < m.replicas; i++ {
-		cand := (m.next + i) % m.replicas
+		cand := (start + i) % m.replicas
 		if !m.masked[cand] {
 			r = cand
 			break
 		}
 	}
-	if r >= 0 {
+	if r >= 0 && after < 0 {
 		m.next = (r + 1) % m.replicas
 	}
 	m.mu.Unlock()

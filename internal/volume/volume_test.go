@@ -185,6 +185,47 @@ func TestMirrorMaskedMemberReads(t *testing.T) {
 	}
 }
 
+// TestMirrorMapReadAfter: the retry mapping walks the ring from the replica
+// that failed, passes masked replicas over, falls back on the failed one
+// only when it is the last, and leaves the rotation alone.
+func TestMirrorMapReadAfter(t *testing.T) {
+	inner, _ := NewConcat(1 << 20)
+	m, err := NewMirror(inner, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := func(ext []Extent, err error) int {
+		t.Helper()
+		if err != nil || len(ext) != 1 {
+			t.Fatalf("mapping: %v, %v", ext, err)
+		}
+		return ext[0].Disk
+	}
+	for failed, want := range []int{1, 2, 0} {
+		if got := replica(m.MapReadAfter(0, 512, failed)); got != want {
+			t.Fatalf("after replica %d failed: replica %d, want %d", failed, got, want)
+		}
+	}
+	if got := replica(m.MapRead(0, 512)); got != 0 {
+		t.Fatalf("three retries moved the rotation: MapRead chose replica %d, want 0", got)
+	}
+	m.SetMask(1, true)
+	if got := replica(m.MapReadAfter(0, 512, 0)); got != 2 {
+		t.Fatalf("after replica 0 failed with 1 masked: replica %d, want 2", got)
+	}
+	m.SetMask(2, true)
+	if got := replica(m.MapReadAfter(0, 512, 0)); got != 0 {
+		t.Fatalf("after replica 0 failed with every other masked: replica %d, want 0 again", got)
+	}
+	m.SetMask(0, true)
+	if _, err := m.MapReadAfter(0, 512, 0); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("every replica masked: %v, want ErrNoReplica", err)
+	}
+	if _, err := m.MapReadAfter(0, 512, 3); err == nil {
+		t.Fatal("a replica the mirror does not have was accepted")
+	}
+}
+
 // TestMirrorAllMaskedFails pins the fail-fast contract: a mirror with
 // every replica masked cannot serve reads.
 func TestMirrorAllMaskedFails(t *testing.T) {

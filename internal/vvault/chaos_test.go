@@ -17,8 +17,13 @@ import (
 // failure the probe loop and keepalive exist to catch.
 func startFaultBackend(t *testing.T, store netv3.BlockStore) (*faultnet.Injector, string) {
 	t.Helper()
+	return startFaultBackendCfg(t, store, netv3.DefaultServerConfig())
+}
+
+func startFaultBackendCfg(t *testing.T, store netv3.BlockStore, cfg netv3.ServerConfig) (*faultnet.Injector, string) {
+	t.Helper()
 	inj := faultnet.New(1)
-	srv := netv3.NewServer(netv3.DefaultServerConfig())
+	srv := netv3.NewServer(cfg)
 	srv.AddVolume(1, store)
 	ln, err := inj.Listen("127.0.0.1:0")
 	if err != nil {

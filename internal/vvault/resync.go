@@ -87,7 +87,7 @@ func (v *Vault) replayPlan(b *backend, plan repl.Plan, buf []byte) bool {
 		cur := e.Off
 		for cur < e.End {
 			n := min(e.End-cur, int64(len(buf)))
-			if err := v.readMirror(cur, buf[:n]); err != nil {
+			if err := v.Read(cur, buf[:n]); err != nil {
 				// No live replica could source the data. The recovered
 				// backend is fine — drop the pass and retry after a beat.
 				v.logf("vvault: resync of %s stalled (source read: %v); will retry", b.addr, err)

@@ -569,19 +569,56 @@ func (v *Vault) clampMaxIO(mt int) {
 	}
 }
 
-// Read fills buf from the logical volume at off.
+// Read fills buf from the logical volume at off: the one-page case of
+// ReadPages.
 func (v *Vault) Read(off int64, buf []byte) error {
+	offs, bufs := [1]int64{off}, [1][]byte{buf}
+	return v.ReadPages(offs[:], bufs[:], nil)
+}
+
+// ReadPages fills bufs[i] from the logical volume at offs[i], the whole
+// batch as one fan-out: every page's extents are issued before any is
+// waited for, and the caller's goroutine reaps them all — a batch costs no
+// goroutine however many pages it has (database read-ahead; the engine's
+// miss batch). The backends' credit windows bound what is in flight: past
+// them, issuing waits for a token, which a completion returns whether or
+// not anybody has reaped it yet.
+//
+// harvested, when non-nil, is called on the caller's goroutine with the
+// index of each page that had bytes to read as the last of its extents is
+// reaped — once per page, in order unless a retry intervenes — so a caller
+// timing pages can stop each one's clock when that page, not the whole
+// batch, was there.
+//
+// Striped, every backend a page touches must be up: there is no redundancy
+// to route around a dead one. Mirrored, each page is served by one live
+// replica, and the pages a failed replica left unserved are read again
+// from the survivors until none is left to try.
+func (v *Vault) ReadPages(offs []int64, bufs [][]byte, harvested func(page int)) error {
 	if v.closed.Load() {
 		return ErrClosed
 	}
-	if len(buf) == 0 {
-		_, err := v.layout.MapRead(off, 0)
-		return err
+	if len(offs) != len(bufs) {
+		return fmt.Errorf("vvault: ReadPages got %d offsets, %d buffers", len(offs), len(bufs))
 	}
-	if v.mirror != nil {
-		return v.readMirror(off, buf)
+	var todo []retry // the pages still unserved; nil is all of them
+	for attempt := 1; ; attempt++ {
+		redo, err := v.mappedIO(ioRead, offs, bufs, todo, harvested)
+		switch {
+		case err == nil:
+			if v.mirror != nil && v.mirror.MaskedCount() > 0 {
+				v.degradedReads.Add(int64(len(offs)))
+			}
+			return nil
+		case v.mirror == nil || len(redo) == 0:
+			return err // striped, or nothing a retry could map: outside the volume, every replica down
+		case attempt > len(v.backends):
+			// Each retry moved every page on to the next replica in rotation:
+			// by now a page has met every live one, the first of them twice.
+			return fmt.Errorf("%w: no replica served %d of the %d pages read: %v", ErrDegraded, len(redo), len(offs), err)
+		}
+		todo = redo
 	}
-	return v.stripeIO(off, buf, ioRead)
 }
 
 // Write sends data to the logical volume at off. In mirror mode the
@@ -599,7 +636,9 @@ func (v *Vault) Write(off int64, data []byte) error {
 	if v.mirror != nil {
 		return v.writeMirror(off, data)
 	}
-	return v.stripeIO(off, data, ioWrite)
+	offs, bufs := [1]int64{off}, [1][]byte{data}
+	_, err := v.mappedIO(ioWrite, offs[:], bufs[:], nil, nil)
+	return err
 }
 
 // Flush is the cluster-wide durability barrier: it fans out the netv3
@@ -652,25 +691,56 @@ func (v *Vault) Flush() error {
 	return firstErr
 }
 
-// mappedIO runs one mapped data-path call: every extent issued on its
-// backend's data stream, buf sliced in mapping order (extents tile the
-// request), joined, and charged by the data path's error rule — a backend
-// that failed is charged once, however many of its legs did, and one that
-// served every leg has its count reset. The first submission failure
-// stops the issuing — the call has failed — but what is in flight is still
-// waited out. Returns the first error.
-func (v *Vault) mappedIO(ext []volume.Extent, buf []byte, kind ioKind) error {
-	f := fanout{v: v}
-	for _, e := range ext {
-		b := v.backends[e.Disk]
-		st, _ := b.streams()
-		if f.add(b, st, kind, e.Offset, buf[:e.Length]) != nil {
+// mappedIO makes one attempt at a mapped data-path call — a batch of page
+// reads, or the one page of a striped write — as one fan-out. todo lists
+// the pages of the batch to serve; nil is all of them. Each page is mapped
+// (a mirrored read picks its replica here, page by page, so a batch
+// spreads over the rotation exactly as its pages would one at a time, and
+// a page being retried moves on from the replica that failed it), checked
+// — striping has no redundancy, so every backend a page touches must be
+// up — and its extents issued on their backends' data streams, the
+// page's buffer sliced in mapping order (extents tile the page); then the
+// whole batch is joined once and charged by the data path's error rule: a
+// backend that failed is charged once, however many of its legs did, and
+// one that served every leg has its count reset. Nothing more is issued to
+// a backend after its first failure; the pages that leaves unserved, and
+// those with a failed leg, come back in redo with the first error.
+//
+// A page that cannot be mapped — outside the volume, no replica in
+// rotation, a striped extent on a backend that is not up — fails the call:
+// issuing stops, what is in flight is still waited out and charged, and
+// redo is nil, for there is nothing a retry could map differently.
+func (v *Vault) mappedIO(kind ioKind, offs []int64, bufs [][]byte, todo []retry, harvested func(page int)) (redo []retry, first error) {
+	n := len(offs)
+	if todo != nil {
+		n = len(todo)
+	}
+	f := fanout{v: v, harvested: harvested}
+	if n > inlineFan {
+		f.legs = make([]leg, 0, n)
+	}
+	for k := 0; k < n; k++ {
+		pg := retry{k, -1}
+		if todo != nil {
+			pg = todo[k]
+		}
+		f.page = pg.page
+		buf := bufs[f.page]
+		var ext []volume.Extent
+		if ext, first = v.mapPage(kind, offs[f.page], len(buf), pg.failed); first != nil {
 			break
 		}
-		buf = buf[e.Length:]
+		for _, e := range ext {
+			b := v.backends[e.Disk]
+			st, _ := b.streams()
+			if f.out(b.idx).err != nil || f.add(b, st, kind, e.Offset, buf[:e.Length]) != nil {
+				f.giveUp(b)
+				break
+			}
+			buf = buf[e.Length:]
+		}
 	}
 	f.join(v.cfg.IOTimeout)
-	var first error
 	for i, b := range v.backends {
 		switch o := f.out(i); {
 		case !o.used:
@@ -679,56 +749,40 @@ func (v *Vault) mappedIO(ext []volume.Extent, buf []byte, kind ioKind) error {
 		default:
 			v.recordError(b, &b.consec, o.err)
 			if first == nil {
-				first = fmt.Errorf("vvault: backend %s: %w", b.addr, o.err)
+				first, redo = fmt.Errorf("vvault: backend %s: %w", b.addr, o.err), f.redo
 			}
 		}
 	}
-	return first
+	return redo, first
 }
 
-// stripeIO serves one striped request in either direction: all covered
-// backends must be up (striping has no redundancy to route around a dead
-// one), and the extents go out in parallel.
-func (v *Vault) stripeIO(off int64, buf []byte, kind ioKind) error {
+// mapPage maps one page of a data-path call to its extents and checks that
+// they can be issued. failed is the backend that failed the page on the
+// call's last attempt, -1 on the first.
+func (v *Vault) mapPage(kind ioKind, off int64, n int, failed int) ([]volume.Extent, error) {
 	var ext []volume.Extent
 	var err error
-	if kind == ioWrite {
-		ext, err = v.layout.MapWrite(off, len(buf))
-	} else {
-		ext, err = v.layout.MapRead(off, len(buf))
+	switch {
+	case kind == ioWrite:
+		ext, err = v.layout.MapWrite(off, n)
+	case failed >= 0: // a retry, which only a mirror makes
+		ext, err = v.mirror.MapReadAfter(off, n, failed)
+	default:
+		ext, err = v.layout.MapRead(off, n)
 	}
-	if err != nil {
-		return err
+	if errors.Is(err, volume.ErrNoReplica) {
+		return nil, fmt.Errorf("%w: every replica is down (%v)", ErrDegraded, err)
+	}
+	if err != nil || v.mirror != nil {
+		return ext, err
 	}
 	for _, e := range ext {
 		if st := v.backends[e.Disk].state.Load(); st != stateUp {
-			return fmt.Errorf("%w: striped %v [%d,+%d) needs backend %s, which is %s",
-				ErrDegraded, kind, off, len(buf), v.backends[e.Disk].addr, stateName(st))
+			return nil, fmt.Errorf("%w: striped %v [%d,+%d) needs backend %s, which is %s",
+				ErrDegraded, kind, off, n, v.backends[e.Disk].addr, stateName(st))
 		}
 	}
-	return v.mappedIO(ext, buf, kind)
-}
-
-// readMirror serves a read from one live replica, retrying the survivors
-// when the chosen replica fails mid-read.
-func (v *Vault) readMirror(off int64, buf []byte) error {
-	var lastErr error
-	for attempt := 0; attempt <= len(v.backends); attempt++ {
-		ext, err := v.mirror.MapRead(off, len(buf))
-		if err != nil {
-			if errors.Is(err, volume.ErrNoReplica) {
-				return fmt.Errorf("%w: every replica is down (%v)", ErrDegraded, err)
-			}
-			return err
-		}
-		if lastErr = v.mappedIO(ext, buf, ioRead); lastErr == nil {
-			if v.mirror.MaskedCount() > 0 {
-				v.degradedReads.Add(1)
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: no replica served read [%d,+%d): %v", ErrDegraded, off, len(buf), lastErr)
+	return ext, nil
 }
 
 // writeMirror fans a write out to every replica and sequences the

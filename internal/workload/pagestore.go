@@ -34,9 +34,12 @@ import (
 // than BatchLimit, the path's negotiated credit-window equivalent — the
 // netv3 session window or stream carve-out for a single server, the
 // aggregate data-stream credits for a vault. Past that window extra
-// submissions cannot add concurrency; they only queue on the client's
-// credit channel and inflate the submission stage, so the batch slides
-// instead: one new read is issued as each of the oldest completes.
+// submissions cannot add concurrency; they only queue for a credit token
+// and inflate the submission stage. NetStore slides its batch (one new
+// read issued as each of the oldest completes); VaultStore hands the vault
+// the whole batch, and the vault's own streams hold what is in flight to
+// their windows. Either way the batch is issued and reaped on the calling
+// goroutine: a page read costs no goroutine, channel or timer of its own.
 type PageStore interface {
 	// ReadPage fills buf from the volume at off.
 	ReadPage(off int64, buf []byte) error
@@ -230,7 +233,11 @@ func (s *NetStore) BatchLimit() int { return s.limit }
 // stage trace underneath samples 1-in-4 of a homogeneous stream
 // systematically, so the all-requests mean and the traced-population
 // mean describe the same distribution (to within the vault's extent-map
-// overhead, microseconds against a wire round trip).
+// overhead, microseconds against a wire round trip). A page of a batch is
+// timed as NetStore times one: from its issue — the batch's — to the
+// moment its own extents are reaped, not to the end of the batch, which
+// would charge every page the slowest one's wait and stop the histogram
+// tiling against the stage table.
 type VaultStore struct {
 	v     *vvault.Vault
 	limit int
@@ -254,36 +261,14 @@ func (s *VaultStore) ReadPage(off int64, buf []byte) error {
 	return err
 }
 
-// ReadPages implements PageStore. The vault's Read is synchronous, so
-// the window fans out over goroutines, clamped to the cluster credit
-// window like every other batch.
+// ReadPages implements PageStore: the batch is one Vault.ReadPages call,
+// issued and reaped on this goroutine.
 func (s *VaultStore) ReadPages(offs []int64, bufs [][]byte) error {
-	if len(offs) != len(bufs) {
-		return fmt.Errorf("workload: ReadPages got %d offsets, %d buffers", len(offs), len(bufs))
+	if s.e2e == nil {
+		return s.v.ReadPages(offs, bufs, nil)
 	}
-	window := s.limit
-	if window > len(offs) {
-		window = len(offs)
-	}
-	errs := make([]error, len(offs))
-	sem := make(chan struct{}, window)
-	done := make(chan int, len(offs))
-	for i := range offs {
-		sem <- struct{}{}
-		go func(i int) {
-			errs[i] = s.ReadPage(offs[i], bufs[i])
-			<-sem
-			done <- i
-		}(i)
-	}
-	var firstErr error
-	for range offs {
-		i := <-done
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
-		}
-	}
-	return firstErr
+	t := time.Now()
+	return s.v.ReadPages(offs, bufs, func(int) { s.observeAll(t) })
 }
 
 // WritePage implements PageStore.
