@@ -13,7 +13,7 @@
 //	v3cli -addr host:9300 bench -n 100000 -size 8192 -window 16   # async pipeline
 //	v3cli -addr host:9300 bench -n 100000 -streams 1000           # 1000 logical clients, one conn
 //	v3cli -addr host:9300 status                                  # session + stream counters
-//	v3cli -addr host:9300 status host:9400                        # + the server's frames per socket write
+//	v3cli -addr host:9300 status host:9400                        # + the server's frames per socket write and lanes
 //	v3cli -addr host:9300 trace -n 20000 -size 8192 -window 16            # merged cross-tier stage table
 //	v3cli -addr host:9300 trace -metrics host:9400                        # + per-lane/per-tenant sched breakdown
 //
@@ -184,9 +184,9 @@ func main() {
 			printClientStatus(client)
 		}
 		// An optional argument names a server metrics endpoint, for the
-		// other end's half of the same counters.
+		// other end's half of the same counters and its scheduler lanes.
 		for _, addr := range args[1:] {
-			fmt.Printf("server wire (%s): %s\n", addr, serverWireLine(fetchMetrics(addr)))
+			printSchedBreakdown(addr)
 		}
 	case "bench":
 		fs := flag.NewFlagSet("bench", flag.ExitOnError)
@@ -389,11 +389,10 @@ func printSchedBreakdown(addr string) {
 	}
 }
 
-// printClientStatus renders one session's negotiated capabilities and
-// live counters — the single-server face of `status`.
+// printClientStatus renders one session's live counters — the
+// single-server face of `status`.
 func printClientStatus(c *netv3.Client) {
 	st := c.Stats()
-	fmt.Printf("streams_supported=%v max_streams=%d\n", c.StreamsSupported(), c.MaxStreams())
 	fmt.Printf("streams_open=%d streams_opened=%d in_flight=%d reconnects=%d retries=%d\n",
 		st.StreamsOpen, st.StreamsOpened, st.InFlight, st.Reconnects, st.Retries)
 	fmt.Println(wireLine(st.FramesSent, st.WireWrites))
@@ -462,16 +461,9 @@ func latColumns(s obs.HistSnapshot) string {
 // stream counts is what the multiplexing layer promises. Admission
 // sheds are counted, not fatal.
 func runStreamBench(c *netv3.Client, vol uint32, n, size, nStreams int, background, writes bool) {
-	if !c.StreamsSupported() {
-		log.Fatal("v3cli: server did not negotiate streams")
-	}
 	streams := make([]*netv3.Stream, nStreams)
 	for i := range streams {
-		st, err := c.OpenStream(netv3.StreamConfig{Credits: 4, Background: background})
-		if err != nil {
-			log.Fatalf("v3cli: open stream %d: %v", i, err)
-		}
-		streams[i] = st
+		streams[i] = c.OpenStream(netv3.StreamConfig{Credits: 4, Background: background})
 	}
 	per := n / nStreams
 	if per == 0 {

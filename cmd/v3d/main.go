@@ -6,7 +6,7 @@
 //	v3d -addr :9300 -size 256M                 # in-memory volume 1, 64 MB cache
 //	v3d -addr :9300 -file /data/vol.img -size 1G -cache 32768
 //	v3d -addr :9300 -cache 0 -stats 10s        # uncached: every request hits the store
-//	v3d -addr :9300 -schedworkers 8 -admitlimit 512 -maxstreams 10000
+//	v3d -addr :9300 -schedworkers 8 -admitlimit 512
 //	v3d -addr :9300 -metrics :9400             # Prometheus text + JSON snapshot
 //	v3d -addr :9300 -metrics :9400 -pprof      # + /debug/pprof/ profiles
 //	v3d -addr :9300 -metrics :9400             # /debug/flightrec is always there
@@ -60,7 +60,6 @@ func main() {
 	credits := flag.Int("credits", 64, "flow-control window per session")
 	schedWorkers := flag.Int("schedworkers", 0, "request scheduler worker pool (0 = GOMAXPROCS)")
 	admitLimit := flag.Int("admitlimit", 0, "foreground queue depth before admission control sheds (0 = schedworkers*256)")
-	maxStreams := flag.Int("maxstreams", 0, "logical streams allowed per connection (0 = 65535)")
 	stats := flag.Duration("stats", 0, "log served/cache/pool counters at this interval (0 = off)")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text and JSON metrics on this address (e.g. :9400; empty = off)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiles under /debug/pprof/ on the -metrics address")
@@ -76,7 +75,6 @@ func main() {
 	cfg.CacheBlocks = *cache
 	cfg.SchedWorkers = *schedWorkers
 	cfg.AdmitLimit = *admitLimit
-	cfg.MaxStreams = *maxStreams
 	cfg.Logger = log.New(os.Stderr, "v3d: ", log.LstdFlags)
 	var reg *obs.Registry
 	if *metricsAddr != "" || *stats > 0 {

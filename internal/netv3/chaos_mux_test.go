@@ -125,14 +125,8 @@ func TestChaosForegroundLatencyUnderBackgroundSaturation(t *testing.T) {
 	}
 	defer c.Close()
 
-	fg, err := c.OpenStream(StreamConfig{Credits: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bg, err := c.OpenStream(StreamConfig{Credits: 32, Background: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fg := c.OpenStream(StreamConfig{Credits: 4})
+	bg := c.OpenStream(StreamConfig{Credits: 32, Background: true})
 
 	stop := make(chan struct{})
 	var bgOps atomic.Int64
@@ -218,9 +212,7 @@ func TestChaosBlackholeFailsAllStreams(t *testing.T) {
 	const nStreams = 3
 	streams := make([]*Stream, nStreams)
 	for i := range streams {
-		if streams[i], err = c.OpenStream(StreamConfig{Credits: 4}); err != nil {
-			t.Fatal(err)
-		}
+		streams[i] = c.OpenStream(StreamConfig{Credits: 4})
 	}
 	f.Inj.Blackhole(true)
 	var handles []*Pending

@@ -351,11 +351,7 @@ func (h *Pending) Traced() bool { return h.t0 != 0 }
 // trace feature: sampled requests carry a trace id and return a filled
 // server span block. False against a pre-trace server — the client then
 // keeps its own stages and the table's server columns read zero.
-func (c *Client) TraceSupported() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.features&wire.FeatureTrace != 0
-}
+func (c *Client) TraceSupported() bool { return c.features&wire.FeatureTrace != 0 }
 
 // Client is a DSA-style block client for a netv3 server. It is safe for
 // concurrent use; requests overlap up to the credit window.
@@ -384,14 +380,17 @@ type Client struct {
 	// boot is the server incarnation the first handshake met: the high half
 	// of ConnectResp.SessionID, drawn once per server process (zero from a
 	// server that predates it). A reconnect that meets another one has
-	// reached a different process; see recover.
-	boot uint32
+	// reached a different process and ends the session (see recover), so
+	// what that handshake negotiated — the per-request transfer bound and
+	// the feature bits — is fixed for the client's life, like the window.
+	boot     uint32
+	maxXfer  uint32
+	features uint32
 
 	mu         sync.Mutex
 	conn       net.Conn
 	pending    map[uint64]*Pending
 	recovering bool // single-flight guard: one goroutine owns the reconnect loop
-	maxXfer    uint32
 	closed     bool
 	genID      int // bumps on every reconnect; stale readers exit
 	// nextReq numbers requests. Responses are matched on the full 64-bit
@@ -411,17 +410,8 @@ type Client struct {
 	// wrap, when set by an in-package test, interposes on every dialed
 	// socket (counting writes, stalling them).
 	wrap func(net.Conn) net.Conn
-
-	// Stream multiplexing state (guarded by mu). features/maxStreams come
-	// from the last handshake; streams holds the streams OpenStream opened
-	// (not the root, which the cap and the gauges do not count);
-	// openWaiters routes StreamOpenResp frames (keyed by stream id) to the
-	// goroutine blocked in OpenStream.
-	features    uint32
-	maxStreams  uint16
-	streams     map[uint32]*Stream
-	nextStream  uint32
-	openWaiters map[uint32]chan *wire.StreamOpenResp
+	// nextStream is the number OpenStream last handed out (guarded by mu).
+	nextStream uint32
 
 	wire wireCounters // frames and socket writes, all generations
 
@@ -464,14 +454,12 @@ func dial(addr string, cfg ClientConfig, wrap func(net.Conn) net.Conn) (*Client,
 		cfg.MaxReconnects = 8
 	}
 	c := &Client{
-		cfg:         cfg,
-		addr:        addr,
-		pending:     make(map[uint64]*Pending),
-		streams:     make(map[uint32]*Stream),
-		openWaiters: make(map[uint32]chan *wire.StreamOpenResp),
-		wrap:        wrap,
-		kaRTT:       cfg.Metrics.Hist("netv3_client_keepalive_rtt_ns"),
-		traceBase:   uint64(time.Now().UnixNano()),
+		cfg:       cfg,
+		addr:      addr,
+		pending:   make(map[uint64]*Pending),
+		wrap:      wrap,
+		kaRTT:     cfg.Metrics.Hist("netv3_client_keepalive_rtt_ns"),
+		traceBase: uint64(time.Now().UnixNano()),
 	}
 	c.om = newClientObs(cfg.Metrics, c)
 	if c.om != nil {
@@ -481,13 +469,13 @@ func dial(addr string, cfg ClientConfig, wrap func(net.Conn) net.Conn) (*Client,
 	if err != nil {
 		return nil, err
 	}
-	// The window is negotiated once and survives reconnections: the server
-	// grants the same one per session, and requests in flight keep their
-	// tokens through the replay.
-	c.Stream = newStream(c, 0, StreamConfig{}, int(resp.Credits))
-	c.boot = bootOf(resp)
+	// The handshake is negotiated once and survives reconnections: the
+	// server grants the same window per session, and requests in flight
+	// keep their tokens through the replay.
+	c.Stream = newStream(c, 0, int(resp.Credits))
+	c.boot, c.maxXfer, c.features = bootOf(resp), resp.MaxXfer, resp.Features
 	c.mu.Lock()
-	c.installConn(conn, resp)
+	c.installConn(conn)
 	c.mu.Unlock()
 	return c, nil
 }
@@ -510,7 +498,7 @@ func (c *Client) dialSession() (net.Conn, *wire.ConnectResp, error) {
 	_ = conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
 	if err := wire.WriteTo(conn, &wire.Connect{
 		ClientID: 1, WantCreds: uint16(c.cfg.WantCredits),
-		Features: wire.FeatureStreams | wire.FeatureTrace,
+		Features: wire.FeatureTrace,
 	}); err != nil {
 		conn.Close()
 		return nil, nil, err
@@ -530,11 +518,8 @@ func (c *Client) dialSession() (net.Conn, *wire.ConnectResp, error) {
 }
 
 // installConn adopts a freshly handshaken connection; call with mu held.
-func (c *Client) installConn(conn net.Conn, resp *wire.ConnectResp) {
+func (c *Client) installConn(conn net.Conn) {
 	c.conn = conn
-	c.maxXfer = resp.MaxXfer
-	c.features = resp.Features
-	c.maxStreams = resp.MaxStreams
 	c.genID++
 	gen := c.genID
 	c.lastRecv.Store(obs.Now())
@@ -549,7 +534,8 @@ func (c *Client) installConn(conn net.Conn, resp *wire.ConnectResp) {
 	}
 }
 
-// MaxTransfer returns the server's per-request transfer bound.
+// MaxTransfer returns the server's per-request transfer bound, fixed at
+// Dial; safe to call concurrently with anything.
 func (c *Client) MaxTransfer() int { return int(c.maxXfer) }
 
 // KillConnForTest severs the underlying TCP connection without marking
@@ -725,7 +711,6 @@ func (c *Client) reader(conn net.Conn, gen int) {
 	var rr wire.ReadResp
 	var wr wire.WriteResp
 	var fr wire.FlushResp
-	var sr wire.StreamOpenResp
 	fail := func(err error) {
 		c.mu.Lock()
 		stale := gen != c.genID || c.closed
@@ -817,23 +802,6 @@ func (c *Client) reader(conn net.Conn, gen int) {
 				return
 			}
 			c.complete(fr.ReqID, respErr(fr.Status, fr.RetryAfterMS), fr.SrvSpan)
-		case wire.TStreamOpenResp:
-			if err := wire.UnmarshalInto(frame[:], &sr); err != nil {
-				fail(err)
-				return
-			}
-			// Route by stream id to the goroutine blocked in OpenStream. No
-			// waiter (timed out, or a reconnect re-announcement) — drop it.
-			c.mu.Lock()
-			ch := c.openWaiters[sr.Stream]
-			c.mu.Unlock()
-			if ch != nil {
-				cp := sr
-				select {
-				case ch <- &cp:
-				default:
-				}
-			}
 		case wire.TPong:
 			// Keepalive answer: log the round trip of the outstanding ping.
 			if at := c.kaPingAt.Swap(0); at != 0 {
@@ -987,27 +955,13 @@ func (c *Client) recover() {
 			c.failAllLocked()
 			return
 		}
-		c.installConn(conn, resp)
+		c.installConn(conn)
 		c.reconnects.Add(1)
-		// Re-announce open streams before replaying their requests, so the
-		// new session's scheduler has each stream's class and credits.
-		// Fire-and-forget: the responses find no waiter and are dropped,
-		// and a server that races a data frame ahead of its announcement
-		// implicitly opens the stream as foreground in the meantime.
-		for id, st := range c.streams {
-			class := wire.ClassForeground
-			if st.cfg.Background {
-				class = wire.ClassBackground
-			}
-			_ = c.fw.send(&wire.StreamOpen{
-				Header: wire.Header{Stream: id},
-				Class:  class, WantCreds: uint16(cap(st.sem)),
-			}, nil)
-		}
 		// Replay unanswered requests in submission order on the new
-		// session. Should the new connection die under the replay, its
-		// reader or writer reports it and the next recovery — which starts
-		// once this one lets go of mu — replays again.
+		// session; each frame still carries its stream's class. Should the
+		// new connection die under the replay, its reader or writer reports
+		// it and the next recovery — which starts once this one lets go of
+		// mu — replays again.
 		ids := make([]uint64, 0, len(c.pending))
 		for id := range c.pending {
 			ids = append(ids, id)

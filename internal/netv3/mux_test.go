@@ -27,9 +27,9 @@ func startSchedServer(t *testing.T, cfg ServerConfig, volSize int64) (*Server, s
 
 // TestStreamsBasicIO drives reads, writes, and flushes over a handful of
 // logical streams multiplexed on one connection against a scheduler-mode
-// server, checks data integrity end to end, and checks that the active
-// session/stream gauges rise and fall with the population (satellite:
-// active — not just cumulative — tracking).
+// server, checks data integrity end to end, and checks that the client's
+// active stream count and the server's session gauge rise and fall with
+// the population (active — not just cumulative — tracking).
 func TestStreamsBasicIO(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 256
@@ -39,28 +39,11 @@ func TestStreamsBasicIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.StreamsSupported() {
-		t.Fatal("server did not negotiate the stream feature")
-	}
-	if c.MaxStreams() == 0 {
-		t.Fatal("negotiated MaxStreams is 0")
-	}
 
 	const nStreams = 8
 	streams := make([]*Stream, nStreams)
 	for i := range streams {
-		cfg := StreamConfig{Credits: 4}
-		if i%3 == 2 {
-			cfg.Background = true
-		}
-		st, err := c.OpenStream(cfg)
-		if err != nil {
-			t.Fatalf("OpenStream %d: %v", i, err)
-		}
-		streams[i] = st
-	}
-	if got := srv.StreamsActive(); got != nStreams {
-		t.Fatalf("server StreamsActive = %d, want %d", got, nStreams)
+		streams[i] = c.OpenStream(StreamConfig{Credits: 4, Background: i%3 == 2})
 	}
 	if got := c.Stats().StreamsOpen; got != nStreams {
 		t.Fatalf("client StreamsOpen = %d, want %d", got, nStreams)
@@ -113,54 +96,69 @@ func TestStreamsBasicIO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// StreamClose frames race the gauge check; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.StreamsActive() != 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := srv.StreamsActive(); got != 0 {
-		t.Fatalf("server StreamsActive after close = %d, want 0", got)
-	}
-	if got := c.Stats().StreamsOpen; got != 0 {
-		t.Fatalf("client StreamsOpen after close = %d, want 0", got)
-	}
-	if got := srv.StreamsTotal(); got < nStreams {
-		t.Fatalf("StreamsTotal = %d, want >= %d", got, nStreams)
+	if cs := c.Stats(); cs.StreamsOpen != 0 || cs.StreamsOpened != nStreams {
+		t.Fatalf("client streams after close: open %d opened %d, want 0 and %d", cs.StreamsOpen, cs.StreamsOpened, nStreams)
 	}
 	if _, err := streams[0].ReadAsync(1, 0, make([]byte, 8)); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("submit on closed stream: got %v, want ErrStreamClosed", err)
 	}
 }
 
-// TestImplicitStreamOpenHonorsMaxStreams is the regression test for the
-// registry leak: a data frame on an unknown stream id opens that stream
-// implicitly, and that path used to skip the MaxStreams cap StreamOpen
-// enforces — a peer cycling the 32-bit stream id in Read frames grew the
-// session's registry (and StreamsActive) without bound. Speaking the wire
-// protocol directly, 70,000 reads each on its own stream id (past the
-// field's 65,535 ceiling, so no configured cap could have hidden it) must
-// all be answered while the server remembers at most MaxStreams of them.
-func TestImplicitStreamOpenHonorsMaxStreams(t *testing.T) {
-	const maxStreams, ids, readLen = 4, 70000, 512
-	cfg := DefaultServerConfig()
-	cfg.MaxStreams = maxStreams
-	srv, addr := startSchedServer(t, cfg, 1<<20)
+// rawSession speaks the wire protocol directly: a Connect that offers no
+// features, then nothing but data frames. It returns the connection and a
+// reader positioned after the ConnectResp.
+func rawSession(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := wire.WriteTo(conn, &wire.Connect{Features: wire.FeatureStreams}); err != nil {
+	t.Cleanup(func() { conn.Close() })
+	if err := wire.WriteTo(conn, &wire.Connect{}); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
 	if m, err := wire.ReadFrom(br); err != nil {
 		t.Fatal(err)
-	} else if cr, ok := m.(*wire.ConnectResp); !ok || cr.Features&wire.FeatureStreams == 0 {
-		t.Fatalf("handshake: got %+v, want a ConnectResp with streams negotiated", m)
+	} else if cr, ok := m.(*wire.ConnectResp); !ok || cr.Status != wire.StatusOK {
+		t.Fatalf("handshake: got %+v, want a ConnectResp OK", m)
 	}
-	// The volume is uncached, so every read is a scheduler task and meets
-	// tenant(); a 32-deep window keeps the flood under admission control.
+	return conn, br
+}
+
+// readResp reads one ReadResp of readLen payload bytes off br.
+func readResp(t *testing.T, br *bufio.Reader, readLen int) wire.ReadResp {
+	t.Helper()
+	var rr wire.ReadResp
+	var frame [wire.ControlSize]byte
+	if _, err := wire.ReadFrame(br, &frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.UnmarshalInto(frame[:], &rr); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Status != wire.StatusOK || int(rr.Length) != readLen {
+		t.Fatalf("response %d on stream %#x: status %v length %d", rr.ReqID, rr.Stream, rr.Status, rr.Length)
+	}
+	if _, err := io.CopyN(io.Discard, br, int64(readLen)); err != nil {
+		t.Fatal(err)
+	}
+	return rr
+}
+
+// TestDistinctStreamIDsLeaveNoServerState pins that the server keeps no
+// record of a stream: a peer cycling the 32-bit stream id in Read frames —
+// 70,000 ids, more than a 16-bit counter could name — has every read
+// answered, and once they are the scheduler holds no tenant for any of
+// them (a tenant retires the moment its queue drains). There is no
+// registry to grow and so no cap to enforce.
+func TestDistinctStreamIDsLeaveNoServerState(t *testing.T) {
+	const ids, readLen = 70000, 512
+	srv, addr := startSchedServer(t, DefaultServerConfig(), 1<<20)
+	conn, br := rawSession(t, addr)
+	// The volume is uncached, so every read is a scheduler task under its
+	// stream's tenant; a 32-deep window keeps the flood under admission
+	// control.
 	window := make(chan struct{}, 32)
 	sendErr := make(chan error, 1)
 	go func() {
@@ -175,74 +173,107 @@ func TestImplicitStreamOpenHonorsMaxStreams(t *testing.T) {
 		}
 		sendErr <- nil
 	}()
-	var rr wire.ReadResp
-	var frame [wire.ControlSize]byte
-	body := make([]byte, readLen)
 	for i := 0; i < ids; i++ {
-		if _, err := wire.ReadFrame(br, &frame); err != nil {
-			t.Fatalf("response %d: %v", i, err)
-		}
-		if err := wire.UnmarshalInto(frame[:], &rr); err != nil {
-			t.Fatalf("response %d: %v", i, err)
-		}
-		if rr.Status != wire.StatusOK || rr.Length != readLen {
-			t.Fatalf("response %d on stream %d: status %v length %d", i, rr.Stream, rr.Status, rr.Length)
-		}
-		if _, err := io.ReadFull(br, body); err != nil {
-			t.Fatalf("response %d body: %v", i, err)
-		}
-		if got := srv.StreamsActive(); got > maxStreams {
-			t.Fatalf("StreamsActive = %d after %d answered reads, want <= %d", got, i+1, maxStreams)
-		}
+		readResp(t, br, readLen)
 		<-window
 	}
 	if err := <-sendErr; err != nil {
 		t.Fatalf("sending reads: %v", err)
 	}
+	// Each response left after its task was popped, and the pop that
+	// drains a tenant's queue retires it; a worker counts its task done
+	// after the response is queued.
+	waitFor(t, "every task to be counted", func() bool { return srv.SchedStats().FGDone == ids })
+	if st := srv.SchedStats(); st.FGTenants != 0 || st.BGTenants != 0 {
+		t.Fatalf("after %d answered reads: %d fg and %d bg tenants, want none", ids, st.FGTenants, st.BGTenants)
+	}
 }
 
-// TestStreamsUnsupportedPeer pins the fallback contract: against a server
-// that negotiates no features (an old binary, simulated by a minimal
-// handshake that echoes zero feature bits), the client connects and runs
-// plain I/O fine, and OpenStream fails with ErrStreamsUnsupported.
-func TestStreamsUnsupportedPeer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestStreamClassRidesEveryFrame pins where the server learns a stream's
+// QoS class: from the top bit of the stream id on the request frame
+// itself. A raw-protocol client that never sends anything but Connect and
+// Read frames gets every read whose id carries wire.StreamBackground run
+// on the background lane and every other read — the root's, a foreground
+// stream's — on the foreground one.
+func TestStreamClassRidesEveryFrame(t *testing.T) {
+	const readLen, perID = 512, 5
+	srv, addr := startSchedServer(t, DefaultServerConfig(), 1<<20)
+	conn, br := rawSession(t, addr)
+	ids := []uint32{0, 1, 7, wire.StreamBackground, wire.StreamBackground | 1,
+		wire.StreamBackground | 7, wire.StreamBackground | (wire.StreamBackground - 1)}
+	var wantFG, wantBG int64
+	seq := uint64(0)
+	for _, id := range ids {
+		for k := 0; k < perID; k++ {
+			seq++
+			rd := &wire.Read{Header: wire.Header{Seq: seq, Stream: id}, ReqID: seq, Volume: 1, Length: readLen}
+			if err := wire.WriteTo(conn, rd); err != nil {
+				t.Fatal(err)
+			}
+			if rr := readResp(t, br, readLen); rr.ReqID != seq || rr.Stream != id {
+				t.Fatalf("read %d on stream %#x answered as %d on %#x", seq, id, rr.ReqID, rr.Stream)
+			}
+			if id&wire.StreamBackground != 0 {
+				wantBG++
+			} else {
+				wantFG++
+			}
+		}
 	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		m, err := wire.ReadFrom(conn)
-		if err != nil {
-			return
-		}
-		if _, ok := m.(*wire.Connect); !ok {
-			return
-		}
-		// A pre-feature server: zeros where Features/MaxStreams now live.
-		resp := &wire.ConnectResp{Status: wire.StatusOK, Credits: 8, MaxXfer: 1 << 20, SessionID: 1}
-		_, _ = conn.Write(wire.Marshal(resp))
-		// Hold the connection open until the client is done.
-		buf := make([]byte, 1)
-		_, _ = conn.Read(buf)
-	}()
-	cfg := DefaultClientConfig()
-	cfg.KeepaliveInterval = 0
-	c, err := Dial(ln.Addr().String(), cfg)
+	// A worker counts its task done after the response is queued.
+	waitFor(t, "every task to be counted", func() bool {
+		st := srv.SchedStats()
+		return st.FGDone+st.BGDone == wantFG+wantBG
+	})
+	if st := srv.SchedStats(); st.FGDone != wantFG || st.BGDone != wantBG {
+		t.Fatalf("lanes: fg %d bg %d tasks done, want %d and %d", st.FGDone, st.BGDone, wantFG, wantBG)
+	}
+}
+
+// TestOpenStreamIsLocal pins that a stream is the client's alone: on a
+// connection blackholed in both directions OpenStream still returns at
+// once, its credits the ask clamped to [1, the session window] and its
+// class in the id every frame will carry.
+func TestOpenStreamIsLocal(t *testing.T) {
+	f, addr := startFaultServer(t, DefaultServerConfig(), 1<<20)
+	ccfg := DefaultClientConfig()
+	ccfg.KeepaliveInterval = 0
+	ccfg.DialTimeout = 2 * time.Second
+	c, err := Dial(addr, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.StreamsSupported() {
-		t.Fatal("StreamsSupported true against a zero-feature peer")
+	window := c.Credits()
+	f.Inj.Blackhole(true)
+	defer f.Inj.Blackhole(false)
+
+	t0 := time.Now()
+	for i, tc := range []struct {
+		ask, want int
+		bg        bool
+	}{{0, 1, false}, {1, 1, true}, {16, 16, false}, {window + 1000, window, true}} {
+		st := c.OpenStream(StreamConfig{Credits: tc.ask, Background: tc.bg})
+		if st.Credits() != tc.want || st.Background() != tc.bg || st.ID() != uint32(i+1) {
+			t.Fatalf("OpenStream(credits %d, background %v): id %d credits %d background %v; want id %d, %d credits",
+				tc.ask, tc.bg, st.ID(), st.Credits(), st.Background(), i+1, tc.want)
+		}
+		wantWire := st.ID()
+		if tc.bg {
+			wantWire |= wire.StreamBackground
+		}
+		if st.id != wantWire {
+			t.Fatalf("stream %d carries wire id %#x, want %#x", st.ID(), st.id, wantWire)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := c.OpenStream(StreamConfig{}); !errors.Is(err, ErrStreamsUnsupported) {
-		t.Fatalf("OpenStream: got %v, want ErrStreamsUnsupported", err)
+	if d := time.Since(t0); d >= ccfg.DialTimeout {
+		t.Fatalf("opening and closing four streams over a blackholed link took %v", d)
+	}
+	if cs := c.Stats(); cs.StreamsOpen != 0 || cs.StreamsOpened != 4 {
+		t.Fatalf("streams open %d opened %d, want 0 and 4", cs.StreamsOpen, cs.StreamsOpened)
 	}
 }
 
@@ -321,10 +352,7 @@ func TestClosedStreamResponseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.OpenStream(StreamConfig{Credits: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := c.OpenStream(StreamConfig{Credits: 4})
 	buf := bytes.Repeat([]byte{0xAB}, 8192)
 	p, err := st.ReadAsync(1, 0, buf)
 	if err != nil {
@@ -369,17 +397,11 @@ func TestStreamCreditCarveOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	narrow, err := c.OpenStream(StreamConfig{Credits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	narrow := c.OpenStream(StreamConfig{Credits: 1})
 	if narrow.Credits() != 1 {
 		t.Fatalf("granted credits = %d, want 1", narrow.Credits())
 	}
-	wide, err := c.OpenStream(StreamConfig{Credits: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wide := c.OpenStream(StreamConfig{Credits: 16})
 	var wg sync.WaitGroup
 	errc := make(chan error, 2)
 	for _, st := range []*Stream{narrow, wide} {
@@ -402,51 +424,69 @@ func TestStreamCreditCarveOut(t *testing.T) {
 	}
 }
 
-// TestStreamSurvivesReconnect checks that open streams are re-announced
-// on the replacement session: after a killed connection, traffic on an
-// already-open stream works again without reopening it.
+// TestStreamSurvivesReconnect checks that open streams outlive their
+// connection: after a killed connection, traffic on an already-open stream
+// works again without reopening it, and a background stream's request
+// replayed onto the new session — the first frame that session sees from
+// it — runs on the background lane, because the class rides the frame.
 func TestStreamSurvivesReconnect(t *testing.T) {
-	cfg := DefaultServerConfig()
-	_, addr := startSchedServer(t, cfg, 1<<20)
-	c, err := Dial(addr, DefaultClientConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, addr := startSchedServer(t, DefaultServerConfig(), 1<<20) // uncached: every request is a task
+	c := dialFaulted(t, addr, quietClientConfig())
 	defer c.Close()
-	st, err := c.OpenStream(StreamConfig{Credits: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := c.OpenStream(StreamConfig{Credits: 4})
+	bg := c.OpenStream(StreamConfig{Credits: 4, Background: true})
 	payload := []byte("before the cut")
 	if err := st.Write(1, 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	c.KillConnForTest()
-	// In-flight work fails with ErrConnLost; fresh submissions recover.
+	waitFor(t, "the write's task to be counted", func() bool { return srv.SchedStats().FGDone == 1 })
+
+	// A background read that never leaves the old connection: the frame
+	// writer is stalled when it is submitted and the connection is killed
+	// under it, so the replay is its first appearance on any session.
+	c.inj.StallWrites(true)
 	got := make([]byte, len(payload))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err = st.Read(1, 0, got)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stream never recovered: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	h, err := bg.ReadAsync(1, 0, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.KillConnForTest()
+	c.inj.StallWrites(false)
+	if err := h.WaitTimeout(5 * time.Second); err != nil {
+		t.Fatalf("replayed background read: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("replayed background read mismatch")
+	}
+	if cs := c.Stats(); cs.Reconnects != 1 || cs.Retries != 1 {
+		t.Fatalf("Reconnects=%d Retries=%d, want 1 and 1", cs.Reconnects, cs.Retries)
+	}
+	waitFor(t, "the replayed read's task to be counted", func() bool { return srv.SchedStats().BGDone == 1 })
+	if fg := srv.SchedStats().FGDone; fg != 1 {
+		t.Fatalf("fg tasks done = %d after the replay, want 1: the replayed background read ran foreground", fg)
+	}
+
+	// And the foreground stream carries on, on the foreground lane.
+	clear(got)
+	if err := st.Read(1, 0, got); err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("post-reconnect read mismatch")
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	waitFor(t, "the foreground read's task to be counted", func() bool { return srv.SchedStats().FGDone == 2 })
+	for _, s := range []*Stream{st, bg} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestManyStreamsOneConnection opens a few thousand logical streams on a
 // single wire connection — the headline scale claim, kept small enough
-// for CI — and drives one read on each, checking the gauges at peak and
-// after teardown.
+// for CI — and drives one read on each, checking the client's stream
+// counts at peak and after teardown and that the server is left holding
+// no tenant.
 func TestManyStreamsOneConnection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -462,14 +502,10 @@ func TestManyStreamsOneConnection(t *testing.T) {
 	const n = 2000
 	streams := make([]*Stream, n)
 	for i := range streams {
-		st, err := c.OpenStream(StreamConfig{Credits: 1})
-		if err != nil {
-			t.Fatalf("OpenStream %d: %v", i, err)
-		}
-		streams[i] = st
+		streams[i] = c.OpenStream(StreamConfig{Credits: 1})
 	}
-	if got := srv.StreamsActive(); got != n {
-		t.Fatalf("StreamsActive = %d, want %d", got, n)
+	if got := c.Stats().StreamsOpen; got != n {
+		t.Fatalf("StreamsOpen = %d, want %d", got, n)
 	}
 	var wg sync.WaitGroup
 	errc := make(chan error, n)
@@ -494,11 +530,10 @@ func TestManyStreamsOneConnection(t *testing.T) {
 	for _, st := range streams {
 		_ = st.Close()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.StreamsActive() != 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	if got := c.Stats().StreamsOpen; got != 0 {
+		t.Fatalf("StreamsOpen after teardown = %d, want 0", got)
 	}
-	if got := srv.StreamsActive(); got != 0 {
-		t.Fatalf("StreamsActive after teardown = %d, want 0", got)
+	if st := srv.SchedStats(); st.FGTenants != 0 || st.BGTenants != 0 {
+		t.Fatalf("server holds %d fg and %d bg tenants after every read was answered", st.FGTenants, st.BGTenants)
 	}
 }

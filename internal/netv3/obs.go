@@ -174,11 +174,9 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 	}
 	r.GaugeFunc("netv3_srv_served_total", s.Served)
 	r.GaugeFunc("netv3_srv_sessions_total", s.Sessions)
-	// Live population gauges (decremented on close, unlike the _total
-	// counters) plus the stream-multiplexing and scheduler exports.
+	// The live session population (decremented on close, unlike the
+	// _total counters) plus the scheduler exports.
 	r.GaugeFunc("netv3_srv_sessions_active", s.SessionsActive)
-	r.GaugeFunc("netv3_srv_streams_active", s.StreamsActive)
-	r.GaugeFunc("netv3_srv_streams_total", s.StreamsTotal)
 	// Response frames and the socket writes that carried them, all
 	// sessions: their ratio is the completion-batching factor.
 	r.GaugeFunc("netv3_srv_frames_sent_total", s.wire.frames.Load)

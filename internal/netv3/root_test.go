@@ -17,13 +17,12 @@ import (
 // TestRootIsStreamZero pins the one submission path: a request on the
 // Client and one on an opened stream are both requests on a *Stream — the
 // Client's is its root, id 0 — the root's tokens are the session window
-// every stream shares, the root cannot be closed on its own, and neither
-// the stream cap nor the stream gauges count it.
+// every stream shares, the root cannot be closed on its own, and the
+// client's stream counts leave it out.
 func TestRootIsStreamZero(t *testing.T) {
 	const window = 4
 	cfg := DefaultServerConfig()
 	cfg.Credits = window
-	cfg.MaxStreams = 1
 	// Two uncached volumes whose reads park until the test opens them: a
 	// request in flight holds its tokens for as long as the test likes.
 	held := []*gateStore{newGateStore(1<<20, 1<<30, true), newGateStore(1<<20, 1<<30, true)}
@@ -42,20 +41,13 @@ func TestRootIsStreamZero(t *testing.T) {
 		t.Fatalf("root: id %d background %v credits %d (client %d), want stream 0, foreground, the %d-request session window",
 			root.ID(), root.Background(), root.Credits(), c.Credits(), window)
 	}
-	st, err := c.OpenStream(StreamConfig{Credits: window})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := c.OpenStream(StreamConfig{Credits: window})
 	if st.ID() == 0 || st.Credits() != window {
 		t.Fatalf("opened stream: id %d credits %d, want a non-zero id and %d credits", st.ID(), st.Credits(), window)
 	}
-	// MaxStreams 1 grants exactly that one, and the root is in no count.
-	if extra, err := c.OpenStream(StreamConfig{}); err == nil {
-		t.Fatalf("second stream %d opened past MaxStreams 1", extra.ID())
-	}
-	if a, tot, cs := srv.StreamsActive(), srv.StreamsTotal(), c.Stats(); a != 1 || tot != 1 || cs.StreamsOpen != 1 || cs.StreamsOpened != 1 {
-		t.Fatalf("streams: server active %d total %d, client open %d opened %d; want 1 everywhere",
-			a, tot, cs.StreamsOpen, cs.StreamsOpened)
+	// The root is in neither of the client's stream counts.
+	if cs := c.Stats(); cs.StreamsOpen != 1 || cs.StreamsOpened != 1 {
+		t.Fatalf("streams: open %d opened %d; want 1 and 1", cs.StreamsOpen, cs.StreamsOpened)
 	}
 
 	// A full root window blocks a submitter on the opened stream, and an

@@ -16,9 +16,9 @@ import (
 //   - foreground: client read misses, writes the session loop could not
 //     absorb, and flushes — the latency-sensitive traffic whose p99 must
 //     stay flat as logical sessions scale to 10k+.
-//   - background: requests from streams a client opened with
-//     ClassBackground (resync-style utility traffic), and nothing else: the
-//     server's own destage passes and read-ahead fills run on the
+//   - background: requests whose stream id carries the class bit
+//     wire.StreamBackground (resync-style utility traffic), and nothing
+//     else: the server's own destage passes and read-ahead fills run on the
 //     goroutines their volume already owns.
 //
 // The foreground lane has strict priority, except that every

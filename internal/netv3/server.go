@@ -30,17 +30,14 @@ type ServerConfig struct {
 	// strided read-ahead. 0 serves every request straight from the store.
 	CacheBlocks int
 	// SchedWorkers sizes the shared request scheduler: a bounded pool of
-	// that many workers drains per-tenant weighted queues in two QoS lanes
-	// (foreground client I/O, background-class streams such as resync). 0
-	// selects GOMAXPROCS; see sched.go.
+	// that many workers drains per-tenant queues round-robin in two QoS
+	// lanes (foreground client I/O, background-class streams such as
+	// resync). 0 selects GOMAXPROCS; see sched.go.
 	SchedWorkers int
 	// AdmitLimit caps queued foreground scheduler tasks; beyond it requests
 	// are refused with StatusEOverloaded plus a retry-after hint instead of
 	// queueing without bound. 0 selects SchedWorkers*256.
 	AdmitLimit int
-	// MaxStreams caps logical streams per connection (the wire protocol's
-	// session-multiplexing layer). 0 selects 65535, the field's ceiling.
-	MaxStreams int
 	// Metrics, when non-nil, enables server-side instrumentation on this
 	// registry: dispatch/scheduler-wait/destage/flush/prefetch latency
 	// histograms plus gauge exports of the served/cache/pool/disk
@@ -60,27 +57,19 @@ func DefaultServerConfig() ServerConfig {
 	return ServerConfig{Credits: 64, MaxXfer: 1 << 20}
 }
 
-// tuning holds the cached disk path's two fixed sizes and the feature
-// bits the handshake offers. Every server built by NewServer runs the
-// defaults; in-package tests hand newServer other values to park the
-// destager, force the write-through fallback, or stand in for a server
-// binary that predates a feature. A zero field selects its default.
+// tuning holds the cached disk path's two fixed sizes. Every server built
+// by NewServer runs the defaults; in-package tests hand newServer other
+// values to park the destager or force the write-through fallback. A zero
+// field selects its default.
 type tuning struct {
 	destageInterval time.Duration // background destage period (5 ms)
 	dirtyHighWater  int           // dirty blocks before writes go through (CacheBlocks/2)
-	features        uint32        // offered at the handshake (FeatureStreams | FeatureTrace)
 }
 
 const cacheBlockSize = 8192
 
 // sockBufSize sizes the bufio reader on each end of a connection.
 const sockBufSize = 64 << 10
-
-// srvStream is the server-side record of one open logical stream: its QoS
-// class, as announced by StreamOpen. Owned by the session goroutine.
-type srvStream struct {
-	class uint8
-}
 
 // volume is one exported store. A cached volume (CacheBlocks > 0) carries
 // the whole cached disk path — cache, destager, prefetcher — and an
@@ -121,12 +110,9 @@ type Server struct {
 	closed atomic.Bool
 	done   chan struct{} // closed by Close; stops background goroutines
 
-	// Live (not cumulative) session and stream population, plus the
-	// cumulative stream count — the gauges behind v3d -stats and the
-	// netv3_srv_{sessions,streams}_active metrics.
-	sessActive    atomic.Int64
-	streamsActive atomic.Int64
-	streamsTotal  atomic.Int64
+	// Live (not cumulative) session population — the gauge behind
+	// netv3_srv_sessions_active.
+	sessActive atomic.Int64
 
 	// wire totals the response frames and socket writes of every session's
 	// frameWriter — frames per write is the completion-batching factor.
@@ -149,9 +135,6 @@ func newServer(cfg ServerConfig, tune tuning) *Server {
 	if cfg.MaxXfer == 0 {
 		cfg.MaxXfer = 1 << 20
 	}
-	if cfg.MaxStreams <= 0 || cfg.MaxStreams > int(^uint16(0)) {
-		cfg.MaxStreams = int(^uint16(0))
-	}
 	if cfg.SchedWorkers <= 0 {
 		cfg.SchedWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -160,9 +143,6 @@ func newServer(cfg ServerConfig, tune tuning) *Server {
 	}
 	if tune.dirtyHighWater <= 0 {
 		tune.dirtyHighWater = max(cfg.CacheBlocks/2, 1)
-	}
-	if tune.features == 0 {
-		tune.features = wire.FeatureStreams | wire.FeatureTrace
 	}
 	s := &Server{cfg: cfg, tune: tune, pool: bufpool.New(), boot: max(rand.Uint32(), 1),
 		done: make(chan struct{}), conns: make(map[net.Conn]struct{})}
@@ -218,13 +198,6 @@ func (s *Server) Sessions() int64 { return s.sessions.Load() }
 
 // SessionsActive returns the number of sessions currently established.
 func (s *Server) SessionsActive() int64 { return s.sessActive.Load() }
-
-// StreamsActive returns the number of logical streams currently open
-// across all sessions.
-func (s *Server) StreamsActive() int64 { return s.streamsActive.Load() }
-
-// StreamsTotal returns the cumulative number of logical streams opened.
-func (s *Server) StreamsTotal() int64 { return s.streamsTotal.Load() }
 
 // CacheStats returns aggregate (hits, misses) across volumes.
 func (s *Server) CacheStats() (hits, misses int64) {
@@ -338,22 +311,16 @@ func (s *Server) obsDispatch(t0 int64) {
 }
 
 // session is one connection's protocol state, owned by its session
-// goroutine: the logical-stream registry, the sequential-read detector,
-// and the decode/response structs the inline paths reuse.
+// goroutine: the sequential-read detector and the decode/response structs
+// the inline paths reuse. It keeps nothing per logical stream: a frame's
+// stream id is its scheduler tenant, and the id's top bit its lane.
 type session struct {
-	s       *Server
-	w       *frameWriter
-	id      uint64
-	credits int
-	// streams holds the class of each stream. The root, stream 0, is
-	// registered foreground when the session starts; StreamOpen and
-	// StreamClose control frames (and data frames that run ahead of their
-	// re-announcement) add and remove the rest. The root is not an opened
-	// stream: MaxStreams and the stream gauges count len(streams)-1.
-	streams map[uint32]*srvStream
-	pf      prefetcher
-	rr      wire.ReadResp  // reused by inline read responses
-	wr      wire.WriteResp // reused by inline write responses
+	s  *Server
+	w  *frameWriter
+	id uint64
+	pf prefetcher
+	rr wire.ReadResp  // reused by inline read responses
+	wr wire.WriteResp // reused by inline write responses
 }
 
 // session speaks the V3 protocol on one connection. Control messages are
@@ -398,23 +365,17 @@ func (s *Server) session(conn net.Conn) {
 	// client advertised and what this server speaks. An old client encodes
 	// zeros in the (formerly padding) feature field, so the intersection is
 	// empty and both sides keep the original protocol.
-	feats := connect.Features & s.tune.features
 	resp := &wire.ConnectResp{
 		Status: wire.StatusOK, Credits: uint16(credits),
 		MaxXfer: s.cfg.MaxXfer, SessionID: uint64(s.boot)<<32 | uint64(s.nextSess.Add(1)),
-		Features: feats,
-	}
-	if feats&wire.FeatureStreams != 0 {
-		resp.MaxStreams = uint16(s.cfg.MaxStreams)
+		Features: connect.Features & wire.FeatureTrace,
 	}
 	if err := w.send(resp, nil); err != nil {
 		return
 	}
 	s.sessActive.Add(1)
 	defer s.sessActive.Add(-1)
-	ss := &session{s: s, w: w, id: resp.SessionID, credits: credits,
-		streams: map[uint32]*srvStream{0: {class: wire.ClassForeground}}}
-	defer func() { s.streamsActive.Add(-int64(len(ss.streams) - 1)) }()
+	ss := &session{s: s, w: w, id: resp.SessionID}
 	// One decoded Read and Write serve the whole session: the inline paths
 	// finish with them before the next decode, and tasks take a copy.
 	var rdMsg wire.Read
@@ -485,23 +446,6 @@ func (s *Server) session(conn net.Conn) {
 					ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1, RetryAfterMS: retry}, nil)
 			}
 			s.obsDispatch(dt0)
-		case wire.TStreamOpen:
-			m := new(wire.StreamOpen)
-			if err := wire.UnmarshalInto(frame[:], m); err != nil {
-				return
-			}
-			if err := w.send(ss.openStream(m), nil); err != nil {
-				return
-			}
-		case wire.TStreamClose:
-			m := new(wire.StreamClose)
-			if err := wire.UnmarshalInto(frame[:], m); err != nil {
-				return
-			}
-			if ss.streams[m.Stream] != nil {
-				delete(ss.streams, m.Stream)
-				s.streamsActive.Add(-1)
-			}
 		case wire.TPing:
 			var seq uint64
 			if m, err := wire.Unmarshal(frame[:]); err == nil {
@@ -517,53 +461,13 @@ func (s *Server) session(conn net.Conn) {
 	}
 }
 
-// openStream registers (or re-registers) a logical stream and returns the
-// reply carrying its credit grant.
-func (ss *session) openStream(m *wire.StreamOpen) *wire.StreamOpenResp {
-	s := ss.s
-	sr := &wire.StreamOpenResp{Header: wire.Header{Stream: m.Stream}, Status: wire.StatusOK}
-	if ss.streams[m.Stream] == nil {
-		if len(ss.streams) > s.cfg.MaxStreams { // the root is not one of them
-			sr.Status = wire.StatusEOverloaded
-			sr.RetryAfterMS = 10
-			return sr
-		}
-		s.streamsActive.Add(1)
-		s.streamsTotal.Add(1)
-	}
-	// New stream, or one this session already knows — a reconnecting
-	// client re-announcing it, or the root taking a class:
-	// re-registration is idempotent and the grant is re-sent (the client
-	// drops an unexpected reply).
-	ss.streams[m.Stream] = &srvStream{class: m.Class}
-	sr.Credits = uint16(min(max(int(m.WantCreds), 1), ss.credits))
-	return sr
-}
-
-// tenant resolves a frame's stream id to its scheduler coordinates,
-// implicitly opening an unknown stream as foreground (a data frame can
-// legitimately precede its re-announced StreamOpen after a client
-// reconnect). The implicit open honors the same MaxStreams cap as
-// StreamOpen: past it the frame is still served, under its own tenant
-// key, but the id is not remembered — otherwise a peer cycling stream ids
-// on data frames would grow the registry without bound.
-func (ss *session) tenant(stream uint32) (key uint64, bg bool) {
-	if st := ss.streams[stream]; st != nil {
-		bg = st.class == wire.ClassBackground
-	} else if len(ss.streams) <= ss.s.cfg.MaxStreams { // the root is not one of them
-		ss.streams[stream] = &srvStream{class: wire.ClassForeground}
-		ss.s.streamsActive.Add(1)
-		ss.s.streamsTotal.Add(1)
-	}
-	return tenantKey(ss.id, stream), bg
-}
-
-// enqueue hands run to the scheduler under the frame's stream. shed
-// reports that admission control (or a closing scheduler) refused it; the
-// caller then answers EOverloaded with the backlog-sized retry hint.
+// enqueue hands run to the scheduler under the frame's stream id — the
+// tenant, whose top bit picks the lane. shed reports that admission control
+// (or a closing scheduler) refused it; the caller then answers EOverloaded
+// with the backlog-sized retry hint.
 func (ss *session) enqueue(stream uint32, trace uint64, run func()) (retryMS uint16, shed bool) {
-	key, bg := ss.tenant(stream)
-	ok, qd := ss.s.sched.tryEnqueue(key, bg, run)
+	key := tenantKey(ss.id, stream)
+	ok, qd := ss.s.sched.tryEnqueue(key, stream&wire.StreamBackground != 0, run)
 	if ok {
 		return 0, false
 	}

@@ -21,10 +21,6 @@ var ErrOverloaded = errors.New("netv3: server overloaded")
 // the completion status of requests in flight on a stream when it closed.
 var ErrStreamClosed = errors.New("netv3: stream closed")
 
-// ErrStreamsUnsupported is returned by OpenStream when the connected
-// server did not negotiate the stream feature (an old binary).
-var ErrStreamsUnsupported = errors.New("netv3: peer does not support streams")
-
 // OverloadedError is the concrete shed error: errors.Is(err,
 // ErrOverloaded) matches it, and RetryAfter carries the server's backoff
 // hint (zero when the server offered none).
@@ -57,15 +53,15 @@ func respErr(s wire.Status, retryMS uint16) error {
 // StreamConfig tunes one logical stream.
 type StreamConfig struct {
 	// Credits caps how many requests this stream may have in flight — its
-	// carve-out of the session window. Streams never add to the window:
-	// every request of an opened stream also holds one of the root's
-	// tokens, so the session window stays the hard bound and the per-stream
-	// cap keeps one chatty logical client from monopolizing it. 0 asks
-	// for 1.
+	// carve-out of the session window, clamped to [1, window]. Streams never
+	// add to the window: every request of an opened stream also holds one
+	// of the root's tokens, so the session window stays the hard bound and
+	// the per-stream cap keeps one chatty logical client from monopolizing
+	// it.
 	Credits int
 	// Background routes the stream's requests to the server's background
-	// QoS lane (destage/resync/prefetch-class traffic), which can never
-	// starve the foreground lane.
+	// QoS lane — bulk utility traffic such as a vault's resync replay —
+	// which can never starve the foreground lane.
 	Background bool
 }
 
@@ -73,12 +69,14 @@ type StreamConfig struct {
 // connection — the paper's many-database-sessions-per-VI shape — and the
 // only way onto that connection: every request is issued on a Stream.
 // Each holds its own credit tokens and QoS class; thousands can share one
-// wire connection. Stream 0 is the Client's root (see Client). Safe for
-// concurrent use.
+// wire connection. A stream is the client's alone: the server keeps no
+// record of it, and learns its class from every request frame's stream id.
+// Stream 0 is the Client's root (see Client). Safe for concurrent use.
 type Stream struct {
-	c   *Client
-	id  uint32
-	cfg StreamConfig
+	c *Client
+	// id is the stream id every request frame carries: the stream's number
+	// plus, on a background stream, the class bit wire.StreamBackground.
+	id uint32
 
 	// sem holds the stream's credit tokens (capacity = granted credits);
 	// the root's are the session window.
@@ -88,16 +86,16 @@ type Stream struct {
 }
 
 // newStream returns c's stream id, its window full: credits tokens.
-func newStream(c *Client, id uint32, cfg StreamConfig, credits int) *Stream {
-	st := &Stream{c: c, id: id, cfg: cfg, sem: make(chan struct{}, credits)}
+func newStream(c *Client, id uint32, credits int) *Stream {
+	st := &Stream{c: c, id: id, sem: make(chan struct{}, credits)}
 	for i := 0; i < credits; i++ {
 		st.sem <- struct{}{}
 	}
 	return st
 }
 
-// ID returns the wire stream id; 0 is the root.
-func (st *Stream) ID() uint32 { return st.id }
+// ID returns the stream's number, without its class bit; 0 is the root.
+func (st *Stream) ID() uint32 { return st.id &^ wire.StreamBackground }
 
 // Credits returns the stream's granted window — for the root, the
 // session's negotiated one: the number of requests that can usefully be in
@@ -108,7 +106,7 @@ func (st *Stream) ID() uint32 { return st.id }
 func (st *Stream) Credits() int { return cap(st.sem) }
 
 // Background reports whether the stream rides the background QoS lane.
-func (st *Stream) Background() bool { return st.cfg.Background }
+func (st *Stream) Background() bool { return st.id&wire.StreamBackground != 0 }
 
 // acquire takes one credit token from sem, blocking while it is empty. A
 // nil ctx is the uncancelable fast path (one channel receive); with a ctx
@@ -338,9 +336,10 @@ func (st *Stream) FlushCtx(ctx context.Context, vol uint32) error {
 // Close retires the stream: requests still in flight on it complete with
 // ErrStreamClosed (their buffers detach exactly like Cancel — a late
 // response from the server matches no pending request and is drained
-// without touching caller memory), the server is told to drop the stream's
-// scheduler state, and further submissions fail fast. Idempotent. The
-// root is the session itself and refuses: Client.Close ends it.
+// without touching caller memory), and further submissions fail fast.
+// Nothing goes on the wire: the server has no record of the stream to
+// drop. Idempotent. The root is the session itself and refuses:
+// Client.Close ends it.
 func (st *Stream) Close() error {
 	c := st.c
 	if st == c.Stream {
@@ -360,117 +359,30 @@ func (st *Stream) Close() error {
 			inflight = append(inflight, p)
 		}
 	}
-	delete(c.streams, st.id)
-	fw := c.fw
-	closed := c.closed
 	c.mu.Unlock()
 	for _, p := range inflight {
 		p.cancel(ErrStreamClosed, false)
-	}
-	if !closed {
-		_ = fw.send(&wire.StreamClose{Header: wire.Header{Stream: st.id}}, nil)
 	}
 	c.streamsOpen.Add(-1)
 	return nil
 }
 
-// OpenStream negotiates a new logical stream on the connection. The
-// request round-trips to the server (bounded by DialTimeout) so the grant
-// — per-stream credits, admission — is authoritative. Under overload the
-// server can refuse with ErrOverloaded plus a retry-after hint.
-func (c *Client) OpenStream(cfg StreamConfig) (*Stream, error) {
-	if cfg.Credits <= 0 {
-		cfg.Credits = 1
-	}
-	if cfg.Credits > int(^uint16(0)) {
-		cfg.Credits = int(^uint16(0))
-	}
+// OpenStream opens a logical stream beside the root, on the client alone:
+// it takes the next stream number and a token pool of cfg.Credits clamped
+// to [1, the session window], and the class rides every request frame as
+// the id's top bit. Nothing goes on the wire, so OpenStream neither blocks
+// nor fails; on a closed client the stream's submissions fail with
+// ErrClosed like the root's.
+func (c *Client) OpenStream(cfg StreamConfig) *Stream {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if c.features&wire.FeatureStreams == 0 {
-		c.mu.Unlock()
-		return nil, ErrStreamsUnsupported
-	}
-	if c.maxStreams > 0 && len(c.streams) >= int(c.maxStreams) {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("netv3: stream cap %d reached", c.maxStreams)
-	}
-	c.nextStream++
+	// Stream numbers run 1..2³¹-1: 0 is the root, the top bit the class.
+	c.nextStream = c.nextStream%(wire.StreamBackground-1) + 1
 	id := c.nextStream
-	ch := make(chan *wire.StreamOpenResp, 1)
-	c.openWaiters[id] = ch
-	fw := c.fw
 	c.mu.Unlock()
-
-	class := wire.ClassForeground
 	if cfg.Background {
-		class = wire.ClassBackground
+		id |= wire.StreamBackground
 	}
-	// StreamOpen.Weight stays zero, like Write.Slot: the server drains its
-	// tenants plain round-robin and has no use for a share.
-	_ = fw.send(&wire.StreamOpen{
-		Header: wire.Header{Stream: id},
-		Class:  class, WantCreds: uint16(cfg.Credits),
-	}, nil)
-
-	timeout := c.cfg.DialTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	var resp *wire.StreamOpenResp
-	select {
-	case resp = <-ch:
-	case <-t.C:
-		c.mu.Lock()
-		delete(c.openWaiters, id)
-		c.mu.Unlock()
-		// A response that raced the delete is ignored by the reader.
-		select {
-		case resp = <-ch:
-		default:
-			return nil, fmt.Errorf("netv3: stream open timed out after %v", timeout)
-		}
-	}
-	c.mu.Lock()
-	delete(c.openWaiters, id)
-	c.mu.Unlock()
-	if err := respErr(resp.Status, resp.RetryAfterMS); err != nil {
-		return nil, err
-	}
-	credits := int(resp.Credits)
-	if credits <= 0 {
-		credits = 1
-	}
-	st := newStream(c, id, cfg, credits)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	c.streams[id] = st
-	c.mu.Unlock()
 	c.streamsOpen.Add(1)
 	c.streamsOpened.Add(1)
-	return st, nil
-}
-
-// StreamsSupported reports whether the connected server negotiated the
-// stream feature.
-func (c *Client) StreamsSupported() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.features&wire.FeatureStreams != 0
-}
-
-// MaxStreams returns the server's per-connection stream cap (0 when
-// streams are off).
-func (c *Client) MaxStreams() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int(c.maxStreams)
+	return newStream(c, id, min(max(cfg.Credits, 1), c.Credits()))
 }

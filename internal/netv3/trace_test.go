@@ -51,9 +51,10 @@ func driveTracedLoad(t *testing.T, c *Client, n, size, window int) (count int, e
 	return count, e2e
 }
 
-// preTraceConn makes a client look like a binary that predates
-// FeatureTrace: it clears the bit in the Connect frame — the first write
-// on the socket — and passes everything else through.
+// preTraceConn makes either end of a connection look like a binary that
+// predates FeatureTrace: it clears the bit in the handshake frame — the
+// first write on the socket, a client's Connect or a server's ConnectResp —
+// and passes everything else through.
 type preTraceConn struct {
 	net.Conn
 	sent bool
@@ -68,14 +69,34 @@ func (c *preTraceConn) Write(b []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.(*wire.Connect).Features &^= wire.FeatureTrace
-	return c.Conn.Write(wire.Marshal(m))
+	switch m := m.(type) {
+	case *wire.Connect:
+		m.Features &^= wire.FeatureTrace
+	case *wire.ConnectResp:
+		m.Features &^= wire.FeatureTrace
+	}
+	if _, err := c.Conn.Write(append(wire.Marshal(m), b[wire.ControlSize:]...)); err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
+
+// preTraceListener serves every accepted session through a preTraceConn:
+// a server binary that predates FeatureTrace.
+type preTraceListener struct{ net.Listener }
+
+func (l preTraceListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &preTraceConn{Conn: c}, nil
 }
 
 // Feature negotiation: both sides trace-capable → negotiated; either
-// side a pre-trace binary (a server whose tuning offers streams only, a
-// client whose Connect is rewritten on the way out) → not negotiated,
-// and requests still complete with zero spans.
+// side a pre-trace binary (a server whose ConnectResp, or a client whose
+// Connect, is rewritten on the way out) → not negotiated, and requests
+// still complete with zero spans.
 func TestTraceHandshakeFallback(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -89,11 +110,16 @@ func TestTraceHandshakeFallback(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var tune tuning
-			if tc.srvOld {
-				tune.features = wire.FeatureStreams
+			srv := NewServer(ServerConfig{})
+			srv.AddVolume(1, NewMemStore(1<<20))
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-			_, addr := startTunedServer(t, ServerConfig{}, tune, NewMemStore(1<<20))
+			if tc.srvOld {
+				ln = preTraceListener{ln}
+			}
+			addr := serve(t, srv, ln)
 			var wrap func(net.Conn) net.Conn
 			if tc.cliOld {
 				wrap = func(c net.Conn) net.Conn { return &preTraceConn{Conn: c} }

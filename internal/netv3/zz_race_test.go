@@ -1,6 +1,7 @@
 package netv3
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/v3storage/v3/internal/obs"
@@ -37,4 +38,52 @@ func TestCrossGoroutineWaitTrace(t *testing.T) {
 	}
 	close(hs)
 	<-done
+}
+
+// MaxTransfer is read with no lock while reconnects install new
+// connections underneath it: the bound is negotiated once, at Dial, and no
+// reconnect can change it (one that reaches another server process ends
+// the session). Run under -race.
+func TestMaxTransferStableAcrossReconnects(t *testing.T) {
+	const maxXfer = 256 << 10
+	cfg := DefaultServerConfig()
+	cfg.MaxXfer = maxXfer
+	_, addr := startServer(t, cfg, 1<<20)
+	c, err := Dial(addr, quietClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stop := make(chan struct{})
+	wrong := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				wrong <- n
+				return
+			default:
+			}
+			if c.MaxTransfer() != maxXfer {
+				n++
+			}
+			runtime.Gosched()
+		}
+	}()
+	const kills = 20
+	buf := make([]byte, 512)
+	for i := 0; i < kills; i++ {
+		c.KillConnForTest()
+		if err := c.Read(1, 0, buf); err != nil {
+			t.Fatalf("read across forced reconnect %d: %v", i, err)
+		}
+	}
+	close(stop)
+	if n := <-wrong; n != 0 {
+		t.Fatalf("MaxTransfer read something other than %d %d times", maxXfer, n)
+	}
+	if n := c.Reconnects(); n != kills {
+		t.Fatalf("Reconnects = %d, want %d", n, kills)
+	}
 }

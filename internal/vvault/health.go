@@ -162,7 +162,7 @@ func (v *Vault) tryRecover(b *backend) {
 		return
 	}
 	old := b.client
-	b.setClient(c)
+	b.setClient(c, v.mirror != nil)
 	b.consec.Store(0)
 	b.probeConsec.Store(0)
 	// A backend that was unreachable at Open never contributed its
@@ -177,7 +177,6 @@ func (v *Vault) tryRecover(b *backend) {
 	if old != nil {
 		old.Close()
 	}
-	v.attachStreams(b, c)
 	if v.mirror != nil {
 		v.logf("vvault: backend %s reachable again; resyncing", b.addr)
 		v.wg.Add(1)

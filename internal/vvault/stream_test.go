@@ -1,7 +1,6 @@
 package vvault
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -28,10 +27,10 @@ func (d *delayStore) WriteAt(b []byte, off int64) error {
 	return d.MemStore.WriteAt(b, off)
 }
 
-// TestVaultRidesStreams checks the vault adopts the multiplexing feature
-// end to end: against stream-capable backends every replica rides a
-// foreground data stream plus a background resync stream, I/O works, and
-// a replica that dies and returns gets fresh streams on its new client.
+// TestVaultRidesStreams checks the vault rides streams end to end: every
+// replica rides a foreground data stream plus a background resync stream,
+// I/O works, and a replica that dies and returns gets fresh streams on its
+// new client.
 func TestVaultRidesStreams(t *testing.T) {
 	member := int64(1 << 20)
 	scfg := netv3.DefaultServerConfig()
@@ -88,74 +87,6 @@ func TestVaultRidesStreams(t *testing.T) {
 	s := v.Status()[0]
 	if s.DataStream == 0 || s.ResyncStream == 0 {
 		t.Fatalf("recovered backend has no streams: %+v", s)
-	}
-}
-
-// TestVaultStreamRefusalFallsBack checks the fallback the peer selects: a
-// backend that caps a connection at one stream grants the data stream
-// and refuses the resync stream, so recovery replay stays on the session's
-// root stream (id 0) — and still converges byte-identical.
-func TestVaultStreamRefusalFallsBack(t *testing.T) {
-	const member, blk, blocks = 1 << 20, 8192, 16
-	scfg := netv3.DefaultServerConfig()
-	scfg.MaxStreams = 1
-	store0, store1 := netv3.NewMemStore(member), netv3.NewMemStore(member)
-	srv0, addr0 := startBackendCfg(t, store0, "127.0.0.1:0", scfg)
-	_, addr1 := startBackendCfg(t, store1, "127.0.0.1:0", scfg)
-
-	v, err := Open([]string{addr0, addr1}, testConfig(ModeMirror, member))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	checkStreams := func(when string) {
-		t.Helper()
-		for i, s := range v.Status() {
-			if s.DataStream == 0 || s.ResyncStream != 0 {
-				t.Fatalf("%s, backend %d: data stream %d resync stream %d, want a data stream and no resync stream",
-					when, i, s.DataStream, s.ResyncStream)
-			}
-		}
-	}
-	writeGen := func(gen byte) {
-		t.Helper()
-		for i := int64(0); i < blocks; i++ {
-			if err := v.Write(i*blk, pattern(i*blk, gen, blk)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	checkStreams("at open")
-	writeGen(1)
-
-	// Replica 0 misses a generation of writes, then returns with its stale
-	// content; resync replays them over the root stream.
-	srv0.Close()
-	waitForState(t, v, 0, "down", 5*time.Second)
-	writeGen(2)
-	startBackendCfg(t, store0, addr0, scfg)
-	waitForState(t, v, 0, "up", 10*time.Second)
-	checkStreams("after recovery")
-	if err := v.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The backends are uncached, so the stores are the replicas.
-	got0, got1 := make([]byte, member), make([]byte, member)
-	if err := store0.ReadAt(got0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := store1.ReadAt(got1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got0, got1) {
-		t.Fatal("replicas differ after resync over the root stream")
-	}
-	if !bytes.Equal(got0[:blk], pattern(0, 2, blk)) {
-		t.Fatal("recovered replica lost the writes it missed")
-	}
-	if s := v.Stats(); s.Resyncs == 0 || s.ResyncedBytes == 0 {
-		t.Fatalf("stats did not record the resync: %+v", s)
 	}
 }
 

@@ -151,12 +151,9 @@ type backend struct {
 	state  atomic.Int32
 
 	// data carries foreground client I/O and rsync resync replay. Both are
-	// the client's streams, set with it under mu (setClient) and nil only
-	// while there is no client: they start as its root and attachStreams
-	// replaces each with an opened stream the peer grants — data a
-	// foreground carve-out, rsync one on the server's background QoS lane —
-	// so a refusal (an old peer, a stream cap) leaves the root in place and
-	// costs the data path nothing to tell apart.
+	// the client's streams, opened with it under mu (setClient) and nil
+	// only while there is no client: data a foreground carve-out, rsync one
+	// on the server's background QoS lane.
 	data  *netv3.Stream
 	rsync *netv3.Stream
 
@@ -200,10 +197,18 @@ func (b *backend) getClient() *netv3.Client {
 	return b.client
 }
 
-// setClient installs c with both streams on its root; call with mu held
-// (or before the backend is shared).
-func (b *backend) setClient(c *netv3.Client) {
-	b.client, b.data, b.rsync = c, c.Stream, c.Stream
+// setClient installs c and opens the backend's streams on it: a
+// foreground data stream for client I/O plus, in mirror mode, a
+// background-lane resync stream, so recovery replay cannot crowd live
+// traffic out of the server's foreground QoS lane (a stripe has no resync;
+// its rsync is the root). Health probes stay on the root. Opening a stream
+// is local to the client: no I/O, nothing to refuse. Call with mu held (or
+// before the backend is shared).
+func (b *backend) setClient(c *netv3.Client, mirror bool) {
+	b.client, b.data, b.rsync = c, c.OpenStream(netv3.StreamConfig{Credits: dataStreamCredits}), c.Stream
+	if mirror {
+		b.rsync = c.OpenStream(netv3.StreamConfig{Credits: resyncStreamCredits, Background: true})
+	}
 }
 
 // streams returns the backend's data and resync streams; nil when it has
@@ -221,36 +226,6 @@ const (
 	dataStreamCredits   = 48
 	resyncStreamCredits = 8
 )
-
-// attachStreams opens the backend's logical streams on a fresh client: a
-// foreground data stream for client I/O plus (mirror mode) a
-// background-lane resync stream, so recovery replay cannot crowd live
-// traffic out of the server's foreground QoS lane. Health probes stay on
-// the root. Best-effort: whatever the peer refuses (an old peer, a stream
-// cap, overload) stays on the root, which is always correct — streams are
-// a QoS upgrade, not a requirement.
-func (v *Vault) attachStreams(b *backend, c *netv3.Client) {
-	data, err := c.OpenStream(netv3.StreamConfig{Credits: dataStreamCredits})
-	if err != nil {
-		v.logf("vvault: backend %s: data stream refused (%v); riding the root stream", b.addr, err)
-		return
-	}
-	rs := c.Stream
-	if v.mirror != nil {
-		if bg, err := c.OpenStream(netv3.StreamConfig{Credits: resyncStreamCredits, Background: true}); err != nil {
-			v.logf("vvault: backend %s: resync stream refused (%v); resync rides the root stream", b.addr, err)
-		} else {
-			rs = bg
-		}
-	}
-	// A client swapped out (trip + recover) while the streams were
-	// negotiating has been closed, and they died with it.
-	b.mu.Lock()
-	if b.client == c {
-		b.data, b.rsync = data, rs
-	}
-	b.mu.Unlock()
-}
 
 // Vault is the cluster client: one logical volume over N backends. It is
 // safe for concurrent use.
@@ -410,10 +385,9 @@ func open(addrs []string, cfg Config, tune tuning) (*Vault, error) {
 		c, err := netv3.Dial(addr, cfg.Client)
 		switch {
 		case err == nil:
-			b.setClient(c)
+			b.setClient(c, v.mirror != nil)
 			b.state.Store(stateUp)
 			v.clampMaxIO(c.MaxTransfer())
-			v.attachStreams(b, c)
 			live++
 		case cfg.Mode == ModeMirror:
 			// Come up degraded: the replica's content is unknown, so the
@@ -900,8 +874,7 @@ func (v *Vault) Stats() Stats {
 }
 
 // Credits returns the vault's aggregate foreground credit window: the
-// sum over backends of the data stream's window (the session's own when
-// the data path rides the root). It is the cluster's
+// sum over backends of the data stream's window. It is the cluster's
 // negotiated-credit-window equivalent — callers fanning a batch of page
 // reads out over the vault should clamp their outstanding-request count
 // to it, the same rule the single-session netv3 path applies with
@@ -940,12 +913,12 @@ type BackendStatus struct {
 	// trip (0 before the first success).
 	LastProbeRTT time.Duration
 	// DataStream and ResyncStream are the ids of the streams the backend's
-	// client I/O and resync replay ride; 0 is the session's root stream
-	// (an old peer, or one that refused the opened stream).
+	// client I/O and resync replay ride; ResyncStream is 0, the session's
+	// root, in stripe mode, which has no resync.
 	DataStream   uint32
 	ResyncStream uint32
-	// StreamCredits is the data stream's credit window (the session's own
-	// on the root; 0 without a client).
+	// StreamCredits is the data stream's credit window (0 without a
+	// client).
 	StreamCredits int
 	// FramesSent and WireWrites are the current client's frame-writer
 	// counters: sub-I/O frames put on this backend's socket and the

@@ -17,7 +17,7 @@ import (
 //	36   16    server span block (responses; zeros from pre-trace peers)
 //	..   52    zero padding
 //	52   8     trace id (0 = untraced; zeros from pre-trace peers)
-//	60   4     stream id (0 = root session; zeros from pre-stream peers)
+//	60   4     stream id, top bit the class (0 = root session; zeros from pre-stream peers)
 //
 // The fixed 64-byte size mirrors the paper's 64-byte request messages and
 // keeps the simulated and TCP transports trivially framed. The stream id
@@ -110,7 +110,6 @@ func MarshalInto(b []byte, m Message) {
 		binary.BigEndian.PutUint32(p[3:], v.MaxXfer)
 		binary.BigEndian.PutUint64(p[7:], v.SessionID)
 		binary.BigEndian.PutUint32(p[15:], v.Features)
-		binary.BigEndian.PutUint16(p[19:], v.MaxStreams)
 	case *Read:
 		binary.BigEndian.PutUint64(p[0:], v.ReqID)
 		binary.BigEndian.PutUint32(p[8:], v.Volume)
@@ -153,16 +152,6 @@ func MarshalInto(b []byte, m Message) {
 		binary.BigEndian.PutUint16(p[9:], v.Credits)
 		binary.BigEndian.PutUint16(p[11:], v.RetryAfterMS)
 		putSpan(p, &v.SrvSpan)
-	case *StreamOpen:
-		p[0] = v.Class
-		binary.BigEndian.PutUint16(p[1:], v.Weight)
-		binary.BigEndian.PutUint16(p[3:], v.WantCreds)
-	case *StreamOpenResp:
-		p[0] = byte(v.Status)
-		binary.BigEndian.PutUint16(p[1:], v.Credits)
-		binary.BigEndian.PutUint16(p[3:], v.RetryAfterMS)
-	case *StreamClose:
-		// header only
 	default:
 		panic("wire: Marshal of unknown message type")
 	}
@@ -204,12 +193,6 @@ func Unmarshal(b []byte) (Message, error) {
 		m = &Flush{}
 	case TFlushResp:
 		m = &FlushResp{}
-	case TStreamOpen:
-		m = &StreamOpen{}
-	case TStreamOpenResp:
-		m = &StreamOpenResp{}
-	case TStreamClose:
-		m = &StreamClose{}
 	default:
 		return nil, ErrBadType
 	}
@@ -251,7 +234,6 @@ func UnmarshalInto(b []byte, m Message) error {
 		v.MaxXfer = binary.BigEndian.Uint32(p[3:])
 		v.SessionID = binary.BigEndian.Uint64(p[7:])
 		v.Features = binary.BigEndian.Uint32(p[15:])
-		v.MaxStreams = binary.BigEndian.Uint16(p[19:])
 	case *Read:
 		if t != TRead {
 			return ErrBadType
@@ -334,27 +316,6 @@ func UnmarshalInto(b []byte, m Message) error {
 		v.Credits = binary.BigEndian.Uint16(p[9:])
 		v.RetryAfterMS = binary.BigEndian.Uint16(p[11:])
 		parseSpan(p, &v.SrvSpan)
-	case *StreamOpen:
-		if t != TStreamOpen {
-			return ErrBadType
-		}
-		v.Header = h
-		v.Class = p[0]
-		v.Weight = binary.BigEndian.Uint16(p[1:])
-		v.WantCreds = binary.BigEndian.Uint16(p[3:])
-	case *StreamOpenResp:
-		if t != TStreamOpenResp {
-			return ErrBadType
-		}
-		v.Header = h
-		v.Status = Status(p[0])
-		v.Credits = binary.BigEndian.Uint16(p[1:])
-		v.RetryAfterMS = binary.BigEndian.Uint16(p[3:])
-	case *StreamClose:
-		if t != TStreamClose {
-			return ErrBadType
-		}
-		v.Header = h
 	default:
 		return ErrBadType
 	}

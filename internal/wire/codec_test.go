@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -182,20 +183,26 @@ func TestReadWriteStream(t *testing.T) {
 	}
 }
 
+// TestRoundtripStreamMessages pins the stream layer's whole wire footprint:
+// the header's stream id, class bit included, and nothing else — a stream
+// is opened and closed on the client alone, and type numbers 13–15 are
+// unassigned, so they decode as unknown types.
 func TestRoundtripStreamMessages(t *testing.T) {
-	so := roundtrip(t, &StreamOpen{Header: Header{Seq: 30, Stream: 17},
-		Class: ClassBackground, Weight: 4, WantCreds: 8}).(*StreamOpen)
-	if so.Stream != 17 || so.Class != ClassBackground || so.Weight != 4 || so.WantCreds != 8 {
-		t.Fatalf("StreamOpen %+v", so)
+	for _, id := range []uint32{0, 17, StreamBackground | 17, StreamBackground | (StreamBackground - 1)} {
+		rd := roundtrip(t, &Read{Header: Header{Seq: 30, Stream: id}, ReqID: 1, Volume: 1, Length: 512}).(*Read)
+		if rd.Stream != id {
+			t.Fatalf("stream id %#x decoded as %#x", id, rd.Stream)
+		}
 	}
-	sr := roundtrip(t, &StreamOpenResp{Header: Header{Seq: 31, Stream: 17},
-		Status: StatusEOverloaded, Credits: 0, RetryAfterMS: 25}).(*StreamOpenResp)
-	if sr.Stream != 17 || sr.Status != StatusEOverloaded || sr.RetryAfterMS != 25 {
-		t.Fatalf("StreamOpenResp %+v", sr)
-	}
-	sc := roundtrip(t, &StreamClose{Header: Header{Seq: 32, Stream: 17}}).(*StreamClose)
-	if sc.Stream != 17 {
-		t.Fatalf("StreamClose %+v", sc)
+	for typ := MsgType(13); typ <= 15; typ++ {
+		b := Marshal(&Ping{Header: Header{Seq: 31, Stream: 17}})
+		b[3] = byte(typ)
+		if _, err := Unmarshal(b); err != ErrBadType {
+			t.Fatalf("type %d: err %v, want ErrBadType", typ, err)
+		}
+		if got := typ.String(); got != fmt.Sprintf("MsgType(%d)", typ) {
+			t.Fatalf("type %d is named %q", typ, got)
+		}
 	}
 }
 
@@ -206,7 +213,6 @@ func TestStreamIDCarriedByAllTypes(t *testing.T) {
 	mk := []Message{
 		&Connect{}, &ConnectResp{}, &Read{}, &ReadResp{}, &Write{}, &WriteResp{},
 		&CreditGrant{}, &Ping{}, &Pong{}, &Disconnect{}, &Flush{}, &FlushResp{},
-		&StreamOpen{}, &StreamOpenResp{}, &StreamClose{},
 	}
 	for _, m := range mk {
 		m.Hdr().Stream = 0xabcd1234
@@ -242,8 +248,8 @@ func TestLegacyFrameDecodesAsStreamZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := got2.(*ConnectResp); r.Features != 0 || r.MaxStreams != 0 {
-		t.Fatalf("legacy ConnectResp decoded features=%d maxstreams=%d", r.Features, r.MaxStreams)
+	if r := got2.(*ConnectResp); r.Features != 0 {
+		t.Fatalf("legacy ConnectResp decoded features=%d", r.Features)
 	}
 }
 
@@ -327,7 +333,7 @@ func TestStatusAndTypeStrings(t *testing.T) {
 	if StatusEOverloaded.String() != "EOVERLOADED" {
 		t.Fatal("EOVERLOADED string wrong")
 	}
-	for _, typ := range []MsgType{TConnect, TConnectResp, TRead, TReadResp, TWrite, TWriteResp, TCreditGrant, TPing, TPong, TDisconnect, TFlush, TFlushResp, TStreamOpen, TStreamOpenResp, TStreamClose} {
+	for _, typ := range []MsgType{TConnect, TConnectResp, TRead, TReadResp, TWrite, TWriteResp, TCreditGrant, TPing, TPong, TDisconnect, TFlush, TFlushResp} {
 		if typ.String() == "" {
 			t.Fatalf("type %d has no name", typ)
 		}

@@ -45,14 +45,17 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(ping[:HeaderSize])
 	f.Add(ping[:ControlSize-8])
 	f.Add(append(append([]byte{}, ping...), ping...))
-	// Stream-layer seeds: stream-control frames, data frames addressed to
-	// a (possibly unknown) stream, a truncated stream frame whose stream
-	// bytes are cut off, and a duplicated stream frame. An unknown stream
-	// id is a session-layer concern — the codec must still decode it.
-	f.Add(Marshal(&StreamOpen{Header: Header{Seq: 22, Stream: 1}, Class: ClassForeground, Weight: 1, WantCreds: 16}))
-	f.Add(Marshal(&StreamOpenResp{Header: Header{Seq: 23, Stream: 1}, Status: StatusOK, Credits: 16}))
-	f.Add(Marshal(&StreamOpenResp{Header: Header{Seq: 24, Stream: 2}, Status: StatusEOverloaded, RetryAfterMS: 10}))
-	f.Add(Marshal(&StreamClose{Header: Header{Seq: 25, Stream: 1}}))
+	// Stream-layer seeds: frames of the unassigned type numbers 13–15
+	// (rejected), data frames addressed to a stream with and without the
+	// background class bit, a truncated stream frame whose stream bytes are
+	// cut off, and a duplicated stream frame. A stream id is a session-layer
+	// concern — the codec must decode any of them.
+	for typ := byte(13); typ <= 15; typ++ {
+		unassigned := Marshal(&Ping{Header: Header{Seq: 22, Stream: 1}})
+		unassigned[3] = typ
+		f.Add(unassigned)
+	}
+	f.Add(Marshal(&Write{Header: Header{Seq: 25, Stream: StreamBackground | 1}, ReqID: 20, Volume: 1, Length: 8192}))
 	sread := Marshal(&Read{Header: Header{Seq: 26, Stream: 0xffffffff}, ReqID: 15, Volume: 1, Length: 4096})
 	f.Add(sread)
 	f.Add(sread[:streamOff]) // truncation that amputates exactly the stream id

@@ -39,35 +39,28 @@ const (
 	TDisconnect
 	TFlush
 	TFlushResp
-	TStreamOpen
-	TStreamOpenResp
-	TStreamClose
+	// 13–15 are unassigned.
 )
 
 // Feature bits negotiated at session setup: the client advertises what it
 // speaks in Connect.Features, the server answers with the intersection in
 // ConnectResp.Features. Pre-feature peers encode zeros in the (formerly
 // padding) feature fields, so the intersection with an old peer is always
-// empty and both sides fall back to the original protocol.
-const (
-	// FeatureStreams: the connection carries multiplexed logical streams.
-	// Frames address a stream via the header's Stream field; stream 0 is
-	// the legacy/root session and is always valid.
-	FeatureStreams uint32 = 1 << 0
+// empty and both sides fall back to the original protocol. Bit 0 is
+// unassigned.
+//
+// FeatureTrace: requests may carry a nonzero trace id in the header's
+// Trace field and responses answer with a server-side span block (queue
+// wait, service time). Both ride frame padding that pre-trace peers emit
+// as zeros and never read, so a zero intersection falls back to untraced
+// frames transparently.
+const FeatureTrace uint32 = 1 << 1
 
-	// FeatureTrace: requests may carry a nonzero trace id in the header's
-	// Trace field and responses answer with a server-side span block
-	// (queue wait, service time). Both ride
-	// frame padding that pre-trace peers emit as zeros and never read, so
-	// a zero intersection falls back to untraced frames transparently.
-	FeatureTrace uint32 = 1 << 1
-)
-
-// Stream QoS classes carried on StreamOpen.
-const (
-	ClassForeground uint8 = 0 // latency-sensitive reads/writes/flushes
-	ClassBackground uint8 = 1 // destage/resync/prefetch-style utility traffic
-)
+// StreamBackground is the QoS class bit of a frame's stream id: set, the
+// request rides the server's background lane; clear — on the root, stream
+// 0, and on every foreground stream — the foreground one. The class travels
+// on every request frame, so the server keeps no record of a stream.
+const StreamBackground uint32 = 1 << 31
 
 // String returns the wire name of the type.
 func (t MsgType) String() string {
@@ -96,12 +89,6 @@ func (t MsgType) String() string {
 		return "Flush"
 	case TFlushResp:
 		return "FlushResp"
-	case TStreamOpen:
-		return "StreamOpen"
-	case TStreamOpenResp:
-		return "StreamOpenResp"
-	case TStreamClose:
-		return "StreamClose"
 	}
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
@@ -154,10 +141,11 @@ const (
 
 // Header prefixes every control message.
 //
-// Stream addresses a logical stream multiplexed over the connection. It is
-// encoded in the frame's trailing padding (bytes 60..63), which every
-// pre-stream peer emits as zeros and ignores on receipt — so stream 0 is
-// the legacy/root session and old binaries interoperate unchanged.
+// Stream addresses a logical stream multiplexed over the connection, its
+// top bit the stream's QoS class (StreamBackground). It is encoded in the
+// frame's trailing padding (bytes 60..63), which every pre-stream peer
+// emits as zeros and ignores on receipt — so stream 0 is the legacy/root
+// session and old binaries interoperate unchanged.
 //
 // Trace carries the request's trace id in frame bytes 52..59 by the same
 // padding trick (every payload ends by byte 48): zero means "untraced",
@@ -168,7 +156,7 @@ type Header struct {
 	Type   MsgType
 	Seq    uint64 // connection-scoped sequence number
 	Ack    uint32 // cumulative ack of the peer's sequence numbers (low 32 bits)
-	Stream uint32 // logical stream id (0 = root session / pre-stream peer)
+	Stream uint32 // logical stream id, class bit included (0 = root session / pre-stream peer)
 	Trace  uint64 // trace id (0 = untraced / pre-trace peer)
 }
 
@@ -183,12 +171,11 @@ type Connect struct {
 // ConnectResp answers Connect.
 type ConnectResp struct {
 	Header
-	Status     Status
-	Credits    uint16 // granted credits == server buffer slots
-	MaxXfer    uint32 // largest single transfer the server accepts
-	SessionID  uint64
-	Features   uint32 // intersection of client and server feature bits
-	MaxStreams uint16 // stream cap per connection (0 when streams are off)
+	Status    Status
+	Credits   uint16 // granted credits == server buffer slots
+	MaxXfer   uint32 // largest single transfer the server accepts
+	SessionID uint64
+	Features  uint32 // intersection of client and server feature bits
 }
 
 // Read asks the server to RDMA length bytes of volume vol at offset into
@@ -296,33 +283,6 @@ type FlushResp struct {
 	SrvSpan             // server-side spans (zeros from pre-trace servers)
 }
 
-// StreamOpen asks the server to open the logical stream named by
-// Header.Stream with the given QoS class and credit ask. Stream credits are carved from the connection's shared window, so
-// the grant bounds how many of the connection's slots this stream may
-// hold concurrently — it never adds new slots.
-type StreamOpen struct {
-	Header
-	Class     uint8  // ClassForeground or ClassBackground
-	Weight    uint16 // keeps its place in the frame; sent as zero and ignored (tenants drain plain round-robin)
-	WantCreds uint16 // requested per-stream credit cap
-}
-
-// StreamOpenResp answers StreamOpen for the stream in Header.Stream.
-type StreamOpenResp struct {
-	Header
-	Status       Status
-	Credits      uint16 // granted per-stream credit cap
-	RetryAfterMS uint16 // shed hint when Status is EOverloaded
-}
-
-// StreamClose retires the logical stream in Header.Stream. It needs no
-// response: requests already in flight on the stream complete normally
-// (their responses carry the stream id and the client-side demux routes
-// them by sequence number regardless).
-type StreamClose struct {
-	Header
-}
-
 // Message is implemented by every protocol message.
 type Message interface {
 	// Hdr returns the embedded header.
@@ -334,21 +294,18 @@ type Message interface {
 // Hdr implements Message.
 func (h *Header) Hdr() *Header { return h }
 
-func (*Connect) kind() MsgType        { return TConnect }
-func (*ConnectResp) kind() MsgType    { return TConnectResp }
-func (*Read) kind() MsgType           { return TRead }
-func (*ReadResp) kind() MsgType       { return TReadResp }
-func (*Write) kind() MsgType          { return TWrite }
-func (*WriteResp) kind() MsgType      { return TWriteResp }
-func (*CreditGrant) kind() MsgType    { return TCreditGrant }
-func (*Ping) kind() MsgType           { return TPing }
-func (*Pong) kind() MsgType           { return TPong }
-func (*Disconnect) kind() MsgType     { return TDisconnect }
-func (*Flush) kind() MsgType          { return TFlush }
-func (*FlushResp) kind() MsgType      { return TFlushResp }
-func (*StreamOpen) kind() MsgType     { return TStreamOpen }
-func (*StreamOpenResp) kind() MsgType { return TStreamOpenResp }
-func (*StreamClose) kind() MsgType    { return TStreamClose }
+func (*Connect) kind() MsgType     { return TConnect }
+func (*ConnectResp) kind() MsgType { return TConnectResp }
+func (*Read) kind() MsgType        { return TRead }
+func (*ReadResp) kind() MsgType    { return TReadResp }
+func (*Write) kind() MsgType       { return TWrite }
+func (*WriteResp) kind() MsgType   { return TWriteResp }
+func (*CreditGrant) kind() MsgType { return TCreditGrant }
+func (*Ping) kind() MsgType        { return TPing }
+func (*Pong) kind() MsgType        { return TPong }
+func (*Disconnect) kind() MsgType  { return TDisconnect }
+func (*Flush) kind() MsgType       { return TFlush }
+func (*FlushResp) kind() MsgType   { return TFlushResp }
 
 // TypeOf returns the wire type of m.
 func TypeOf(m Message) MsgType { return m.kind() }

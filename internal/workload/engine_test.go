@@ -106,10 +106,11 @@ func TestEngineVaultSmoke(t *testing.T) {
 	defer closeStore()
 
 	// OpenStack runs the vault on its defaults, so each backend is ridden
-	// over its data stream, not the bare connection.
-	for i, srv := range cl.servers {
-		if n := srv.StreamsActive(); n < 1 {
-			t.Fatalf("server %d has %d open streams after OpenStack, want >= 1", i, n)
+	// over its data stream, not the session's root.
+	for i, s := range store.(*VaultStore).v.Status() {
+		if s.DataStream == 0 || s.StreamCredits == 0 {
+			t.Fatalf("backend %d rides stream %d with %d credits after OpenStack, want an opened data stream",
+				i, s.DataStream, s.StreamCredits)
 		}
 	}
 	if got := store.Size(); got != 2*testVolSize {
