@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/v3storage/v3/internal/flow"
 	"github.com/v3storage/v3/internal/hw"
 	"github.com/v3storage/v3/internal/oskrnl"
-	"github.com/v3storage/v3/internal/reliable"
 	"github.com/v3storage/v3/internal/sim"
 	"github.com/v3storage/v3/internal/v3srv"
 	"github.com/v3storage/v3/internal/vi"
@@ -62,7 +60,7 @@ type clientConn struct {
 	vic     *vi.Conn
 	isr     *oskrnl.ISRQueue
 	credits *sim.Semaphore
-	fc      *flow.Client
+	fc      *slotCredits
 	locks   *hw.PairSet
 	volSize int64
 
@@ -71,7 +69,7 @@ type clientConn struct {
 	pending     []*Request // completions parked while interrupts are off
 	lastSubmit  sim.Time
 
-	tracker  *reliable.Tracker
+	tracker  *tracker
 	inflight map[uint64]*Request
 	seq      uint64
 }
@@ -136,10 +134,10 @@ func (c *Client) AttachServer(prov *vi.Provider, conn *vi.Conn, volBytes int64) 
 		prov:        prov,
 		vic:         conn,
 		credits:     sim.NewSemaphore(c.cfg.Credits),
-		fc:          flow.NewClient(),
+		fc:          newSlotCredits(),
 		volSize:     volBytes,
 		intrEnabled: true,
-		tracker:     reliable.NewTracker(c.cfg.RetxTimeout, c.cfg.RetxRetries),
+		tracker:     newTracker(c.cfg.RetxTimeout, c.cfg.RetxRetries),
 		inflight:    make(map[uint64]*Request),
 	}
 	cc.fc.Grant(c.cfg.Credits)

@@ -16,9 +16,9 @@
 //     for an interval and only then falls back to interrupts.
 //
 // All three share DSA's common machinery: credit flow control
-// (internal/flow), batched deregistration (internal/regtable via
-// internal/vi), retransmission/reconnection (internal/reliable), and
-// multiple VI connections to spread per-connection lock contention.
+// (slotCredits), batched deregistration (internal/regtable via
+// internal/vi), retransmission (tracker), and multiple VI connections to
+// spread per-connection lock contention.
 package core
 
 import (

@@ -393,9 +393,8 @@ type Client struct {
 	recovering bool // single-flight guard: one goroutine owns the reconnect loop
 	closed     bool
 	genID      int // bumps on every reconnect; stale readers exit
-	// nextReq numbers requests. Responses are matched on the full 64-bit
-	// ReqID they echo: Header.Ack carries only the low 32 bits of Seq, which
-	// repeat after 2³² requests (hours at cached-read rates).
+	// nextReq numbers requests: a request's ReqID, echoed by its Resp,
+	// 64 bits wide so it never repeats within a client's life.
 	nextReq uint64
 	// expiryTimer is the one timer behind every bounded wait, created by the
 	// first that has to block; armedFor is the obs.Now() instant it is set
@@ -702,15 +701,13 @@ func (c *Client) keepalive(conn net.Conn, fw *frameWriter, gen int) {
 	}
 }
 
-// reader demultiplexes responses for one connection generation. Frames
-// decode into two reusable structs (one per response type), so steady
-// state reads allocate nothing on the completion path.
+// reader demultiplexes responses for one connection generation. Every
+// request is answered by one Resp, decoded into one reusable struct, so
+// steady-state reads allocate nothing on the completion path.
 func (c *Client) reader(conn net.Conn, gen int) {
 	br := bufio.NewReaderSize(conn, sockBufSize)
 	var frame [wire.ControlSize]byte
-	var rr wire.ReadResp
-	var wr wire.WriteResp
-	var fr wire.FlushResp
+	var m wire.Resp
 	fail := func(err error) {
 		c.mu.Lock()
 		stale := gen != c.genID || c.closed
@@ -739,9 +736,8 @@ func (c *Client) reader(conn net.Conn, gen int) {
 			_ = conn.SetReadDeadline(time.Time{})
 		}
 		switch t {
-		case wire.TReadResp:
-			m := &rr
-			if err := wire.UnmarshalInto(frame[:], m); err != nil {
+		case wire.TResp:
+			if err := wire.UnmarshalInto(frame[:], &m); err != nil {
 				fail(err)
 				return
 			}
@@ -765,6 +761,8 @@ func (c *Client) reader(conn net.Conn, gen int) {
 					_, err = io.CopyN(io.Discard, br, n)
 				}
 			case p != nil && int64(len(p.buf)) == n:
+				// A read's data, or nothing for a write or a flush (whose
+				// buf is nil).
 				_, err = io.ReadFull(br, p.buf)
 			default:
 				// Unknown, stale or canceled request, or a length mismatch. The
@@ -773,7 +771,7 @@ func (c *Client) reader(conn net.Conn, gen int) {
 				// subsequent response on this connection would be corrupted.
 				_, err = io.CopyN(io.Discard, br, n)
 				if p != nil {
-					ioErr = fmt.Errorf("netv3: read response length %d != buffer %d", n, len(p.buf))
+					ioErr = fmt.Errorf("netv3: response length %d != buffer %d", n, len(p.buf))
 				}
 			}
 			if err != nil { // stream died mid-payload
@@ -784,24 +782,15 @@ func (c *Client) reader(conn net.Conn, gen int) {
 				return
 			}
 			if p != nil {
+				// Stage trace: the response has arrived; everything from the
+				// submitter's wire write to here is the server and net stages.
+				// Untraced requests (t0 == 0) skip the clock.
 				if p.t0 != 0 {
 					p.t3 = obs.Now()
 					p.span = m.SrvSpan
 				}
 				c.finish(p, ioErr)
 			}
-		case wire.TWriteResp:
-			if err := wire.UnmarshalInto(frame[:], &wr); err != nil {
-				fail(err)
-				return
-			}
-			c.complete(wr.ReqID, respErr(wr.Status, wr.RetryAfterMS), wr.SrvSpan)
-		case wire.TFlushResp:
-			if err := wire.UnmarshalInto(frame[:], &fr); err != nil {
-				fail(err)
-				return
-			}
-			c.complete(fr.ReqID, respErr(fr.Status, fr.RetryAfterMS), fr.SrvSpan)
 		case wire.TPong:
 			// Keepalive answer: log the round trip of the outstanding ping.
 			if at := c.kaPingAt.Swap(0); at != 0 {
@@ -848,23 +837,6 @@ func (c *Client) unclaim(p *Pending, gen int) {
 	if resend {
 		c.retries.Add(1)
 		c.send(fw, p, msg, body)
-	}
-}
-
-func (c *Client) complete(id uint64, err error, sp wire.SrvSpan) {
-	c.mu.Lock()
-	p := c.pending[id]
-	delete(c.pending, id)
-	c.mu.Unlock()
-	if p != nil {
-		// Stage trace: the response has arrived; everything from the
-		// submitter's wire write to here is the server and net stages.
-		// Untraced requests (t0 == 0) skip the clock.
-		if p.t0 != 0 {
-			p.t3 = obs.Now()
-			p.span = sp
-		}
-		c.finish(p, err)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"github.com/v3storage/v3/internal/obs"
 )
 
-// claim plays the reader's part on a ReadResp frame: the request leaves the
+// claim plays the reader's part on a Resp frame: the request leaves the
 // pending map, and whoever took it out owns it.
 func claim(c *Client, h *Pending) {
 	c.mu.Lock()

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/v3storage/v3/internal/obs"
-	"github.com/v3storage/v3/internal/wire"
 )
 
 // Flight-recorder event kinds. netv3 owns the kind space: the server,
@@ -21,7 +20,7 @@ const (
 	fkDestage                      // one destage pass; a=blocks written, b=pass ns
 	fkPrefetch                     // one read-ahead fill; a=offset, b=fill ns
 	fkFlush                        // durability barrier served; a=volume, b=barrier ns
-	fkResp                         // response built; a=status, b=service ns
+	_                              // unassigned
 	fkReplicaTrip                  // vault backend tripped to Down; a=backend index, b=consecutive errors
 	fkReplicaIO                    // vault per-replica sub-I/O done; a=backend index, b=rtt ns
 )
@@ -42,7 +41,7 @@ var flightKindNames = []string{
 	"destage",
 	"prefetch",
 	"flush",
-	"resp",
+	"",
 	"replica-trip",
 	"replica-io",
 }
@@ -75,18 +74,4 @@ func traceArr(trace uint64) int64 {
 		return 0
 	}
 	return obs.Now()
-}
-
-// fillSpan stamps a traced response's id and the two spans every path
-// shares: queue wait (arrival→start) and service time (start→now); a
-// miss's store call sits inside the service span. No-op for untraced
-// requests, leaving the block's zeros — the same bytes a pre-trace server
-// emits.
-func fillSpan(h *wire.Header, sp *wire.SrvSpan, trace uint64, arr, start int64) {
-	if trace == 0 {
-		return
-	}
-	h.Trace = trace
-	sp.SrvQueueNS = clamp32(start - arr)
-	sp.SrvServiceNS = clamp32(obs.Now() - start)
 }

@@ -126,10 +126,10 @@ func rawSession(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	return conn, br
 }
 
-// readResp reads one ReadResp of readLen payload bytes off br.
-func readResp(t *testing.T, br *bufio.Reader, readLen int) wire.ReadResp {
+// readResp reads one Resp of readLen payload bytes off br.
+func readResp(t *testing.T, br *bufio.Reader, readLen int) wire.Resp {
 	t.Helper()
-	var rr wire.ReadResp
+	var rr wire.Resp
 	var frame [wire.ControlSize]byte
 	if _, err := wire.ReadFrame(br, &frame); err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestDistinctStreamIDsLeaveNoServerState(t *testing.T) {
 	go func() {
 		for i := 1; i <= ids; i++ {
 			window <- struct{}{}
-			rd := &wire.Read{Header: wire.Header{Seq: uint64(i), Stream: uint32(i)},
+			rd := &wire.Read{Header: wire.Header{Stream: uint32(i)},
 				ReqID: uint64(i), Volume: 1, Length: readLen}
 			if err := wire.WriteTo(conn, rd); err != nil {
 				sendErr <- err
@@ -206,7 +206,7 @@ func TestStreamClassRidesEveryFrame(t *testing.T) {
 	for _, id := range ids {
 		for k := 0; k < perID; k++ {
 			seq++
-			rd := &wire.Read{Header: wire.Header{Seq: seq, Stream: id}, ReqID: seq, Volume: 1, Length: readLen}
+			rd := &wire.Read{Header: wire.Header{Stream: id}, ReqID: seq, Volume: 1, Length: readLen}
 			if err := wire.WriteTo(conn, rd); err != nil {
 				t.Fatal(err)
 			}

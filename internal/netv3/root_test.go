@@ -1,17 +1,13 @@
 package netv3
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"net"
 	"testing"
-	"time"
 
 	"github.com/v3storage/v3/internal/faultnet"
-	"github.com/v3storage/v3/internal/wire"
 )
 
 // TestRootIsStreamZero pins the one submission path: a request on the
@@ -167,64 +163,5 @@ func TestServerRestartIsNotTransparent(t *testing.T) {
 	}
 	if err := c.Read(1, 0, make([]byte, 8)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("read after the session ended: err=%v, want ErrClosed", err)
-	}
-}
-
-// TestWriteSlotFieldIsIgnored speaks the wire protocol directly: a Write
-// whose Slot names no buffer the server ever granted is served like any
-// other — credit tokens are anonymous, the field is a leftover of the
-// simulated transport — and the frame behind its payload decodes: a
-// server that refused the write without draining its payload would parse
-// the payload's bytes as the next control frame.
-func TestWriteSlotFieldIsIgnored(t *testing.T) {
-	_, addr := startServer(t, DefaultServerConfig(), 1<<20)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := wire.WriteTo(conn, &wire.Connect{}); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	if m, err := wire.ReadFrom(br); err != nil {
-		t.Fatal(err)
-	} else if cr, ok := m.(*wire.ConnectResp); !ok || cr.Status != wire.StatusOK {
-		t.Fatalf("handshake: %+v", m)
-	}
-	payload := bytes.Repeat([]byte{0x5A}, 4096)
-	wr := &wire.Write{Header: wire.Header{Seq: 1}, ReqID: 1, Volume: 1, Offset: 8192,
-		Length: uint32(len(payload)), Slot: 1 << 20}
-	if err := wire.WriteTo(conn, wr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	m, err := wire.ReadFrom(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wresp, ok := m.(*wire.WriteResp); !ok || wresp.ReqID != 1 || wresp.Status != wire.StatusOK {
-		t.Fatalf("write with an out-of-range Slot: got %+v, want WriteResp OK", m)
-	}
-	rd := &wire.Read{Header: wire.Header{Seq: 2}, ReqID: 2, Volume: 1, Offset: 8192, Length: uint32(len(payload))}
-	if err := wire.WriteTo(conn, rd); err != nil {
-		t.Fatal(err)
-	}
-	if m, err = wire.ReadFrom(br); err != nil {
-		t.Fatalf("frame after the write: %v", err)
-	}
-	rresp, ok := m.(*wire.ReadResp)
-	if !ok || rresp.ReqID != 2 || rresp.Status != wire.StatusOK || int(rresp.Length) != len(payload) {
-		t.Fatalf("frame after the write: got %+v, want ReadResp OK of %d bytes", m, len(payload))
-	}
-	got := make([]byte, len(payload))
-	if _, err := io.ReadFull(br, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("read-back of the written range differs")
 	}
 }

@@ -311,21 +311,21 @@ func (s *Server) obsDispatch(t0 int64) {
 }
 
 // session is one connection's protocol state, owned by its session
-// goroutine: the sequential-read detector and the decode/response structs
-// the inline paths reuse. It keeps nothing per logical stream: a frame's
-// stream id is its scheduler tenant, and the id's top bit its lane.
+// goroutine: the sequential-read detector and the response struct every
+// reply the loop sends itself reuses. It keeps nothing per logical stream:
+// a frame's stream id is its scheduler tenant, and the id's top bit its
+// lane.
 type session struct {
-	s  *Server
-	w  *frameWriter
-	id uint64
-	pf prefetcher
-	rr wire.ReadResp  // reused by inline read responses
-	wr wire.WriteResp // reused by inline write responses
+	s    *Server
+	w    *frameWriter
+	id   uint64
+	pf   prefetcher
+	resp wire.Resp // reused by inline replies and sheds
 }
 
 // session speaks the V3 protocol on one connection. Control messages are
 // fixed 64-byte frames; write payloads follow their Write message, read
-// payloads follow the ReadResp.
+// payloads follow their Resp.
 //
 // There is one dispatch rule per request type. Work that is only a memcpy
 // runs inline on this goroutine, reusing one decoded message and one
@@ -414,9 +414,9 @@ func (s *Server) session(conn net.Conn) {
 				return
 			}
 			// The payload follows the control message on the stream and
-			// must be drained before the next frame. (Write.Slot is not
-			// read: the window is the client's to keep, MaxXfer bounds what
-			// one frame can make this loop stage, and tokens have no names.)
+			// must be drained before the next frame. The window is the
+			// client's to keep; MaxXfer bounds what one frame can make this
+			// loop stage.
 			if m.Length > s.cfg.MaxXfer {
 				s.logf("netv3: oversized write %d", m.Length)
 				return
@@ -441,17 +441,10 @@ func (s *Server) session(conn net.Conn) {
 			// durability barrier is latency-sensitive to its issuer. The
 			// worker running it may block in destage+fsync, which is safe:
 			// the pass never waits on another scheduler task.
-			if retry, shed := ss.enqueue(m.Stream, m.Trace, func() { s.handleFlush(m, w, arr) }); shed {
-				_ = w.send(&wire.FlushResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-					ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1, RetryAfterMS: retry}, nil)
-			}
+			ss.enqueue(m.Header, m.ReqID, arr, func() { s.handleFlush(m, w, arr) })
 			s.obsDispatch(dt0)
 		case wire.TPing:
-			var seq uint64
-			if m, err := wire.Unmarshal(frame[:]); err == nil {
-				seq = m.Hdr().Seq
-			}
-			_ = w.send(&wire.Pong{Header: wire.Header{Seq: seq}}, nil)
+			_ = w.send(&wire.Pong{}, nil)
 		case wire.TDisconnect:
 			return
 		default:
@@ -461,18 +454,38 @@ func (s *Server) session(conn net.Conn) {
 	}
 }
 
-// enqueue hands run to the scheduler under the frame's stream id — the
-// tenant, whose top bit picks the lane. shed reports that admission control
-// (or a closing scheduler) refused it; the caller then answers EOverloaded
-// with the backlog-sized retry hint.
-func (ss *session) enqueue(stream uint32, trace uint64, run func()) (retryMS uint16, shed bool) {
-	key := tenantKey(ss.id, stream)
-	ok, qd := ss.s.sched.tryEnqueue(key, stream&wire.StreamBackground != 0, run)
-	if ok {
-		return 0, false
+// enqueue hands run, the task serving request id, to the scheduler under
+// the request's stream id h.Stream — the tenant, whose top bit picks the
+// lane — and reports whether the scheduler took it. A refusal by admission
+// control (or a closing scheduler) is answered here: EOverloaded with the
+// backlog-sized retry hint.
+func (ss *session) enqueue(h wire.Header, id uint64, arr int64, run func()) bool {
+	key := tenantKey(ss.id, h.Stream)
+	ok, qd := ss.s.sched.tryEnqueue(key, h.Stream&wire.StreamBackground != 0, run)
+	if !ok {
+		ss.s.noteShed(h.Trace, key, qd)
+		reply(ss.w, &ss.resp, h, id, wire.StatusEOverloaded, ss.s.sched.retryAfterMS(qd), nil, arr, arr)
 	}
-	ss.s.noteShed(trace, key, qd)
-	return ss.s.sched.retryAfterMS(qd), true
+	return ok
+}
+
+// reply is the one way a response leaves the server: the Resp answering
+// request id, whose header is h, on w — status st, the shed hint retryMS,
+// and body, a read's data (nil for everything else), after it. A traced
+// request's Resp (h.Trace != 0) echoes the trace id and carries the span
+// block: queue wait from arrival arr to service start start, service time
+// from start to now; an inline reply passes arr for both. r is scratch the
+// caller owns — the session's for what its loop answers, a task's own for
+// what a worker does — and w.send copies it before returning.
+func reply(w *frameWriter, r *wire.Resp, h wire.Header, id uint64, st wire.Status, retryMS uint16, body []byte, arr, start int64) {
+	*r = wire.Resp{Header: wire.Header{Stream: h.Stream}, ReqID: id, Status: st,
+		Length: uint32(len(body)), RetryAfterMS: retryMS}
+	if h.Trace != 0 {
+		r.Trace = h.Trace
+		r.SrvQueueNS = clamp32(start - arr)
+		r.SrvServiceNS = clamp32(obs.Now() - start)
+	}
+	_ = w.send(r, body)
 }
 
 // read dispatches one Read. On a cached volume it feeds the sequential-
@@ -496,11 +509,8 @@ func (ss *session) read(m *wire.Read, arr int64) {
 		}
 		body := s.pool.Get(int(m.Length))
 		if v.tryCachedRead(body, int64(m.Offset)) {
-			ss.rr = wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-				ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1, Length: uint32(len(body))}
-			fillSpan(&ss.rr.Header, &ss.rr.SrvSpan, m.Trace, arr, arr)
 			s.served.Add(1)
-			_ = ss.w.send(&ss.rr, body)
+			reply(ss.w, &ss.resp, m.Header, m.ReqID, wire.StatusOK, 0, body, arr, arr)
 			s.pool.Put(body)
 			return
 		}
@@ -509,10 +519,7 @@ func (ss *session) read(m *wire.Read, arr int64) {
 	mm := new(wire.Read)
 	*mm = *m
 	w := ss.w // the task outlives this call; it needs the writer, not the session
-	if retry, shed := ss.enqueue(m.Stream, m.Trace, func() { s.handleRead(mm, w, arr) }); shed {
-		_ = ss.w.send(&wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-			ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1, RetryAfterMS: retry}, nil)
-	}
+	ss.enqueue(m.Header, m.ReqID, arr, func() { s.handleRead(mm, w, arr) })
 }
 
 // write dispatches one Write whose payload (body, pool-owned) is already
@@ -530,11 +537,8 @@ func (ss *session) write(m *wire.Write, body []byte, arr int64) {
 				st = wire.StatusEIO
 				s.logf("netv3: write-behind vol %d [%d,+%d): %v", m.Volume, m.Offset, m.Length, err)
 			}
-			ss.wr = wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-				ReqID: m.ReqID, Status: st, Credits: 1}
-			fillSpan(&ss.wr.Header, &ss.wr.SrvSpan, m.Trace, arr, arr)
 			s.served.Add(1)
-			_ = ss.w.send(&ss.wr, nil)
+			reply(ss.w, &ss.resp, m.Header, m.ReqID, st, 0, nil, arr, arr)
 			s.pool.Put(body)
 			return
 		}
@@ -545,13 +549,11 @@ func (ss *session) write(m *wire.Write, body []byte, arr int64) {
 	mm := new(wire.Write)
 	*mm = *m
 	w := ss.w
-	if retry, shed := ss.enqueue(m.Stream, m.Trace, func() {
+	if !ss.enqueue(m.Header, m.ReqID, arr, func() {
 		s.handleWrite(mm, body, w, arr)
 		s.pool.Put(body)
-	}); shed {
+	}) {
 		s.pool.Put(body)
-		_ = ss.w.send(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-			ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1, RetryAfterMS: retry}, nil)
 	}
 }
 
@@ -563,41 +565,34 @@ func (ss *session) write(m *wire.Write, body []byte, arr int64) {
 // task start is the span block's queue wait — the real lane wait.
 func (s *Server) handleRead(m *wire.Read, w *frameWriter, arr int64) {
 	start := traceArr(m.Trace)
-	rr := &wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-		ReqID: m.ReqID, Credits: 1}
-	v := s.lookup(m.Volume)
-	if v == nil {
-		rr.Status = wire.StatusENoVolume
-		_ = w.send(rr, nil)
-		return
-	}
+	st := wire.StatusOK
+	var body []byte
+	switch v := s.lookup(m.Volume); {
+	case v == nil:
+		st = wire.StatusENoVolume
 	// Validate the range up front: the cached path slices per-block
 	// buffers from wire-supplied arithmetic, so a hostile offset (say,
 	// MaxInt64) must be rejected before it reaches any buffer math.
-	if m.Length > s.cfg.MaxXfer ||
-		checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) != nil {
-		rr.Status = wire.StatusEInval
-		_ = w.send(rr, nil)
-		return
+	case m.Length > s.cfg.MaxXfer ||
+		checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) != nil:
+		st = wire.StatusEInval
+	default:
+		body = s.pool.Get(int(m.Length))
+		var err error
+		if v.cache != nil {
+			err = v.cachedRead(body, int64(m.Offset))
+		} else {
+			err = v.store.ReadAt(body, int64(m.Offset))
+		}
+		if err != nil {
+			st = wire.StatusEIO
+			s.pool.Put(body)
+			body = nil
+			s.logf("netv3: read: %v", err)
+		}
+		s.served.Add(1)
 	}
-	body := s.pool.Get(int(m.Length))
-	var err error
-	if v.cache != nil {
-		err = v.cachedRead(body, int64(m.Offset))
-	} else {
-		err = v.store.ReadAt(body, int64(m.Offset))
-	}
-	rr.Status = wire.StatusOK
-	if err != nil {
-		rr.Status = wire.StatusEIO
-		s.pool.Put(body)
-		body = nil
-		s.logf("netv3: read: %v", err)
-	}
-	s.served.Add(1)
-	rr.Length = uint32(len(body))
-	fillSpan(&rr.Header, &rr.SrvSpan, m.Trace, arr, start)
-	_ = w.send(rr, body)
+	reply(w, new(wire.Resp), m.Header, m.ReqID, st, 0, body, arr, start)
 	s.pool.Put(body)
 }
 
@@ -605,18 +600,15 @@ func (s *Server) handleRead(m *wire.Read, w *frameWriter, arr int64) {
 // the session loop could not absorb.
 func (s *Server) handleWrite(m *wire.Write, body []byte, w *frameWriter, arr int64) {
 	start := traceArr(m.Trace)
-	wr := &wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-		ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1}
-	v := s.lookup(m.Volume)
-	if v == nil {
-		wr.Status = wire.StatusENoVolume
+	st := wire.StatusOK
+	if v := s.lookup(m.Volume); v == nil {
+		st = wire.StatusENoVolume
 	} else if err := v.write(body, int64(m.Offset)); err != nil {
-		wr.Status = wire.StatusEIO
+		st = wire.StatusEIO
 		s.logf("netv3: write: %v", err)
 	}
 	s.served.Add(1)
-	fillSpan(&wr.Header, &wr.SrvSpan, m.Trace, arr, start)
-	_ = w.send(wr, nil)
+	reply(w, new(wire.Resp), m.Header, m.ReqID, st, 0, nil, arr, start)
 }
 
 // noteShed records an admission-control refusal in the flight recorder
@@ -639,13 +631,11 @@ func (s *Server) handleFlush(m *wire.Flush, w *frameWriter, arr int64) {
 		t0 = obs.Now()
 	}
 	start := traceArr(m.Trace)
-	fr := &wire.FlushResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-		ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1}
-	v := s.lookup(m.Volume)
-	if v == nil {
-		fr.Status = wire.StatusENoVolume
+	st := wire.StatusOK
+	if v := s.lookup(m.Volume); v == nil {
+		st = wire.StatusENoVolume
 	} else if err := v.flush(); err != nil {
-		fr.Status = wire.StatusEIO
+		st = wire.StatusEIO
 		s.logf("netv3: flush vol %d: %v", m.Volume, err)
 	}
 	if t0 != 0 {
@@ -656,8 +646,7 @@ func (s *Server) handleFlush(m *wire.Flush, w *frameWriter, arr int64) {
 		s.flight.Record(fkFlush, m.Trace, uint64(m.Volume), uint64(d))
 	}
 	s.served.Add(1)
-	fillSpan(&fr.Header, &fr.SrvSpan, m.Trace, arr, start)
-	_ = w.send(fr, nil)
+	reply(w, new(wire.Resp), m.Header, m.ReqID, st, 0, nil, arr, start)
 }
 
 // DiskStats aggregates the cached disk path's counters across volumes.

@@ -17,6 +17,11 @@ import (
 // retry-after hint.
 var ErrOverloaded = errors.New("netv3: server overloaded")
 
+// ErrTooLarge is returned by a read or write longer than the server's
+// per-request bound, Client.MaxTransfer: the request is refused before it
+// takes a token or reaches the wire, since the server cannot stage it.
+var ErrTooLarge = errors.New("netv3: transfer exceeds the server's MaxTransfer")
+
 // ErrStreamClosed is returned by submissions on a closed stream, and is
 // the completion status of requests in flight on a stream when it closed.
 var ErrStreamClosed = errors.New("netv3: stream closed")
@@ -176,6 +181,13 @@ const (
 // the request, ring the doorbell.
 func (st *Stream) submit(ctx context.Context, op int, vol uint32, off int64, buf, data []byte) (*Pending, error) {
 	c := st.c
+	// A write past the server's bound cannot be staged: the server closes
+	// the session on it, and replay would send it into the next one
+	// forever. A read past it could only be refused. (A flush moves no
+	// bytes.)
+	if n := len(buf) + len(data); n > int(c.maxXfer) {
+		return nil, fmt.Errorf("%w: %d bytes, bound %d", ErrTooLarge, n, c.maxXfer)
+	}
 	// Stage trace starts at API entry, so the submission stage includes
 	// any credit-window wait — the cost a caller actually experiences.
 	// Only every traceSample-th request is traced; the rest pay one
@@ -197,11 +209,9 @@ func (st *Stream) submit(ctx context.Context, op int, vol uint32, off int64, buf
 	}
 	c.nextReq++
 	p.id = c.nextReq
-	hdr := wire.Header{Seq: p.id, Stream: st.id}
+	hdr := wire.Header{Stream: st.id}
 	switch op {
 	case opWrite:
-		// Write.Slot stays zero: credit tokens are anonymous, and the server
-		// has no use for the name of one.
 		p.body = data
 		p.wr = wire.Write{
 			Header: hdr, ReqID: p.id,

@@ -87,9 +87,9 @@ func TestStressMixedIOWithReconnects(t *testing.T) {
 }
 
 // TestUnknownSeqPayloadDrained is the regression test for the stream
-// desync bug: a ReadResp for an unknown/stale seq with StatusOK used to
+// desync bug: a Resp for an unknown/stale request id with StatusOK used to
 // leave its payload bytes on the connection, corrupting every subsequent
-// frame. The fake server answers each Read with a bogus unknown-seq
+// frame. The fake server answers each Read with a bogus unknown-id
 // response (plus payload) before the real one; the client must drain the
 // junk and keep completing real requests.
 func TestUnknownSeqPayloadDrained(t *testing.T) {
@@ -120,10 +120,7 @@ func TestUnknownSeqPayloadDrained(t *testing.T) {
 				return // Disconnect or anything else ends the session
 			}
 			junk := bytes.Repeat([]byte{0xEE}, 768)
-			bogus := &wire.ReadResp{
-				ReqID: 9999, Status: wire.StatusOK, Credits: 1, Length: uint32(len(junk)),
-			}
-			bogus.Ack = 0xFFFFFF0 // never a live seq in this test
+			bogus := &wire.Resp{ReqID: 9999, Status: wire.StatusOK, Length: uint32(len(junk))} // never a live id in this test
 			if err := wire.WriteTo(conn, bogus); err != nil {
 				return
 			}
@@ -131,10 +128,7 @@ func TestUnknownSeqPayloadDrained(t *testing.T) {
 				return
 			}
 			body := bytes.Repeat([]byte{byte(m.ReqID)}, int(m.Length))
-			real := &wire.ReadResp{
-				ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1, Length: m.Length,
-			}
-			real.Ack = uint32(m.Seq)
+			real := &wire.Resp{ReqID: m.ReqID, Status: wire.StatusOK, Length: m.Length}
 			if err := wire.WriteTo(conn, real); err != nil {
 				return
 			}

@@ -261,7 +261,7 @@ func TestUnclaimAfterRecoveryResends(t *testing.T) {
 	if a := <-reads; a.conn != 1 {
 		t.Fatalf("first read arrived on connection %d", a.conn)
 	}
-	// The reader's claim, as it happens on a ReadResp frame.
+	// The reader's claim, as it happens on a Resp frame.
 	c.mu.Lock()
 	delete(c.pending, h.id)
 	c.mu.Unlock()
@@ -279,11 +279,10 @@ func TestUnclaimAfterRecoveryResends(t *testing.T) {
 	c.unclaim(h, 1)
 	select {
 	case a := <-reads:
-		if a.conn != 2 || a.rd.Seq != h.id {
-			t.Fatalf("resend: connection %d seq %d, want connection 2 seq %d", a.conn, a.rd.Seq, h.id)
+		if a.conn != 2 || a.rd.ReqID != h.id {
+			t.Fatalf("resend: connection %d request %d, want connection 2 request %d", a.conn, a.rd.ReqID, h.id)
 		}
-		rr := &wire.ReadResp{ReqID: a.rd.ReqID, Status: wire.StatusOK, Credits: 1, Length: a.rd.Length}
-		rr.Ack = uint32(a.rd.Seq)
+		rr := &wire.Resp{ReqID: a.rd.ReqID, Status: wire.StatusOK, Length: a.rd.Length}
 		if err := wire.WriteTo(a.nc, rr); err != nil {
 			t.Fatal(err)
 		}
@@ -302,10 +301,9 @@ func TestUnclaimAfterRecoveryResends(t *testing.T) {
 }
 
 // TestRequestIDsSurvive32BitWrap: a response is matched to its request on
-// the 64-bit ReqID it echoes. Header.Ack carries only the low 32 bits of
-// Seq, so a client that matched on it dropped the response to request
-// 2³² as stale and never completed it — a wedge after ≈ 5 h of cached
-// reads. The counter is preset just under the boundary; 64 mixed requests
+// the 64-bit ReqID it echoes. A client that matched on only the low 32 bits
+// would drop the response to request 2³² as stale and never complete it —
+// a wedge after ≈ 5 h of cached reads. The counter is preset just under the boundary; 64 mixed requests
 // at window 16 cross it, the first sixteen by way of a reconnect replay.
 // Every wait is bounded, so a lost response fails the test instead of
 // hanging it.

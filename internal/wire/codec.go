@@ -11,23 +11,17 @@ import (
 //	0    2     magic
 //	2    1     version
 //	3    1     type
-//	4    8     seq
-//	12   4     ack
-//	16   ..    type-specific payload
-//	36   16    server span block (responses; zeros from pre-trace peers)
-//	..   52    zero padding
-//	52   8     trace id (0 = untraced; zeros from pre-trace peers)
-//	60   4     stream id, top bit the class (0 = root session; zeros from pre-stream peers)
+//	4    12    reserved (zero)
+//	16   ..    type-specific payload: Connect 14 bytes, ConnectResp 19,
+//	           Read/Write/Flush 24, Resp 17 plus its span block
+//	36   8     server span block (Resp; zeros when untraced)
+//	..         zero padding
+//	52   8     trace id (0 = untraced)
+//	60   4     stream id, top bit the class (0 = root session)
 //
 // The fixed 64-byte size mirrors the paper's 64-byte request messages and
-// keeps the simulated and TCP transports trivially framed. The stream id
-// lives in the frame's last four bytes — a region every pre-stream peer
-// both emits as zeros and never reads — so stream-aware and legacy
-// binaries interoperate without a version bump. The trace id and the
-// response span block reuse the same trick one notch earlier: the largest
-// payload (Read) ends at frame byte 48, every response payload by byte 33,
-// so bytes 52..59 are free in all frames and bytes 36..51 are free in
-// every response.
+// keeps the TCP stream trivially framed. Every byte the layout does not
+// name, and every payload byte a type does not use, is encoded as zero.
 
 // streamOff is the frame offset of the header's Stream field.
 const streamOff = ControlSize - 4
@@ -35,19 +29,9 @@ const streamOff = ControlSize - 4
 // traceOff is the frame offset of the header's Trace field.
 const traceOff = ControlSize - 12
 
-// spanOff is the payload-relative offset of the SrvSpan block carried by
-// ReadResp/WriteResp/FlushResp (frame byte 36).
+// spanOff is the payload-relative offset of Resp's SrvSpan block (frame
+// byte 36).
 const spanOff = 20
-
-func putHeader(b []byte, t MsgType, h *Header) {
-	binary.BigEndian.PutUint16(b[0:], Magic)
-	b[2] = Version
-	b[3] = byte(t)
-	binary.BigEndian.PutUint64(b[4:], h.Seq)
-	binary.BigEndian.PutUint32(b[12:], h.Ack)
-	binary.BigEndian.PutUint64(b[traceOff:], h.Trace)
-	binary.BigEndian.PutUint32(b[streamOff:], h.Stream)
-}
 
 func parseHeader(b []byte) (MsgType, Header, error) {
 	if len(b) < HeaderSize {
@@ -59,27 +43,26 @@ func parseHeader(b []byte) (MsgType, Header, error) {
 	if b[2] != Version {
 		return 0, Header{}, ErrBadVersion
 	}
-	t := MsgType(b[3])
-	h := Header{
-		Type: t,
-		Seq:  binary.BigEndian.Uint64(b[4:]),
-		Ack:  binary.BigEndian.Uint32(b[12:]),
-	}
+	var h Header
 	if len(b) >= ControlSize {
 		h.Trace = binary.BigEndian.Uint64(b[traceOff:])
 		h.Stream = binary.BigEndian.Uint32(b[streamOff:])
 	}
-	return t, h, nil
+	return MsgType(b[3]), h, nil
 }
 
-func putSpan(p []byte, s *SrvSpan) {
-	binary.BigEndian.PutUint32(p[spanOff:], s.SrvQueueNS)
-	binary.BigEndian.PutUint32(p[spanOff+4:], s.SrvServiceNS)
+// putReq and parseReq encode the body Read, Write and Flush share; a Flush
+// has no range and leaves off and n zero.
+func putReq(p []byte, id uint64, vol uint32, off uint64, n uint32) {
+	binary.BigEndian.PutUint64(p[0:], id)
+	binary.BigEndian.PutUint32(p[8:], vol)
+	binary.BigEndian.PutUint64(p[12:], off)
+	binary.BigEndian.PutUint32(p[20:], n)
 }
 
-func parseSpan(p []byte, s *SrvSpan) {
-	s.SrvQueueNS = binary.BigEndian.Uint32(p[spanOff:])
-	s.SrvServiceNS = binary.BigEndian.Uint32(p[spanOff+4:])
+func parseReq(p []byte) (id uint64, vol uint32, off uint64, n uint32) {
+	return binary.BigEndian.Uint64(p[0:]), binary.BigEndian.Uint32(p[8:]),
+		binary.BigEndian.Uint64(p[12:]), binary.BigEndian.Uint32(p[20:])
 }
 
 // Marshal encodes m into a fresh ControlSize-byte buffer.
@@ -96,8 +79,12 @@ func Marshal(m Message) []byte {
 func MarshalInto(b []byte, m Message) {
 	_ = b[:ControlSize]
 	clear(b[:ControlSize])
-	t := TypeOf(m)
-	putHeader(b, t, m.Hdr())
+	binary.BigEndian.PutUint16(b[0:], Magic)
+	b[2] = Version
+	b[3] = byte(m.kind())
+	h := m.Hdr()
+	binary.BigEndian.PutUint64(b[traceOff:], h.Trace)
+	binary.BigEndian.PutUint32(b[streamOff:], h.Stream)
 	p := b[HeaderSize:]
 	switch v := m.(type) {
 	case *Connect:
@@ -111,49 +98,18 @@ func MarshalInto(b []byte, m Message) {
 		binary.BigEndian.PutUint64(p[7:], v.SessionID)
 		binary.BigEndian.PutUint32(p[15:], v.Features)
 	case *Read:
-		binary.BigEndian.PutUint64(p[0:], v.ReqID)
-		binary.BigEndian.PutUint32(p[8:], v.Volume)
-		binary.BigEndian.PutUint64(p[12:], v.Offset)
-		binary.BigEndian.PutUint32(p[20:], v.Length)
-		binary.BigEndian.PutUint64(p[24:], v.BufAddr)
-		p[32] = v.FlagBits
-	case *ReadResp:
+		putReq(p, v.ReqID, v.Volume, v.Offset, v.Length)
+	case *Write:
+		putReq(p, v.ReqID, v.Volume, v.Offset, v.Length)
+	case *Flush:
+		putReq(p, v.ReqID, v.Volume, 0, 0)
+	case *Resp:
 		binary.BigEndian.PutUint64(p[0:], v.ReqID)
 		p[8] = byte(v.Status)
-		binary.BigEndian.PutUint16(p[9:], v.Credits)
 		binary.BigEndian.PutUint32(p[11:], v.Length)
 		binary.BigEndian.PutUint16(p[15:], v.RetryAfterMS)
-		putSpan(p, &v.SrvSpan)
-	case *Write:
-		binary.BigEndian.PutUint64(p[0:], v.ReqID)
-		binary.BigEndian.PutUint32(p[8:], v.Volume)
-		binary.BigEndian.PutUint64(p[12:], v.Offset)
-		binary.BigEndian.PutUint32(p[20:], v.Length)
-		binary.BigEndian.PutUint32(p[24:], v.Slot)
-		p[28] = v.FlagBits
-	case *WriteResp:
-		binary.BigEndian.PutUint64(p[0:], v.ReqID)
-		p[8] = byte(v.Status)
-		binary.BigEndian.PutUint16(p[9:], v.Credits)
-		binary.BigEndian.PutUint16(p[11:], v.RetryAfterMS)
-		putSpan(p, &v.SrvSpan)
-	case *CreditGrant:
-		binary.BigEndian.PutUint16(p[0:], v.Credits)
-	case *Ping, *Pong:
-		// header only
-	case *Disconnect:
-		p[0] = v.Reason
-	case *Flush:
-		binary.BigEndian.PutUint64(p[0:], v.ReqID)
-		binary.BigEndian.PutUint32(p[8:], v.Volume)
-	case *FlushResp:
-		binary.BigEndian.PutUint64(p[0:], v.ReqID)
-		p[8] = byte(v.Status)
-		binary.BigEndian.PutUint16(p[9:], v.Credits)
-		binary.BigEndian.PutUint16(p[11:], v.RetryAfterMS)
-		putSpan(p, &v.SrvSpan)
-	default:
-		panic("wire: Marshal of unknown message type")
+		binary.BigEndian.PutUint32(p[spanOff:], v.SrvQueueNS)
+		binary.BigEndian.PutUint32(p[spanOff+4:], v.SrvServiceNS)
 	}
 }
 
@@ -175,14 +131,10 @@ func Unmarshal(b []byte) (Message, error) {
 		m = &ConnectResp{}
 	case TRead:
 		m = &Read{}
-	case TReadResp:
-		m = &ReadResp{}
+	case TResp:
+		m = &Resp{}
 	case TWrite:
 		m = &Write{}
-	case TWriteResp:
-		m = &WriteResp{}
-	case TCreditGrant:
-		m = &CreditGrant{}
 	case TPing:
 		m = &Ping{}
 	case TPong:
@@ -191,8 +143,6 @@ func Unmarshal(b []byte) (Message, error) {
 		m = &Disconnect{}
 	case TFlush:
 		m = &Flush{}
-	case TFlushResp:
-		m = &FlushResp{}
 	default:
 		return nil, ErrBadType
 	}
@@ -214,110 +164,35 @@ func UnmarshalInto(b []byte, m Message) error {
 	if err != nil {
 		return err
 	}
+	if t != m.kind() {
+		return ErrBadType
+	}
+	*m.Hdr() = h
 	p := b[HeaderSize:]
 	switch v := m.(type) {
 	case *Connect:
-		if t != TConnect {
-			return ErrBadType
-		}
-		v.Header = h
 		v.ClientID = binary.BigEndian.Uint64(p[0:])
 		v.WantCreds = binary.BigEndian.Uint16(p[8:])
 		v.Features = binary.BigEndian.Uint32(p[10:])
 	case *ConnectResp:
-		if t != TConnectResp {
-			return ErrBadType
-		}
-		v.Header = h
 		v.Status = Status(p[0])
 		v.Credits = binary.BigEndian.Uint16(p[1:])
 		v.MaxXfer = binary.BigEndian.Uint32(p[3:])
 		v.SessionID = binary.BigEndian.Uint64(p[7:])
 		v.Features = binary.BigEndian.Uint32(p[15:])
 	case *Read:
-		if t != TRead {
-			return ErrBadType
-		}
-		v.Header = h
-		v.ReqID = binary.BigEndian.Uint64(p[0:])
-		v.Volume = binary.BigEndian.Uint32(p[8:])
-		v.Offset = binary.BigEndian.Uint64(p[12:])
-		v.Length = binary.BigEndian.Uint32(p[20:])
-		v.BufAddr = binary.BigEndian.Uint64(p[24:])
-		v.FlagBits = p[32]
-	case *ReadResp:
-		if t != TReadResp {
-			return ErrBadType
-		}
-		v.Header = h
+		v.ReqID, v.Volume, v.Offset, v.Length = parseReq(p)
+	case *Write:
+		v.ReqID, v.Volume, v.Offset, v.Length = parseReq(p)
+	case *Flush:
+		v.ReqID, v.Volume, _, _ = parseReq(p)
+	case *Resp:
 		v.ReqID = binary.BigEndian.Uint64(p[0:])
 		v.Status = Status(p[8])
-		v.Credits = binary.BigEndian.Uint16(p[9:])
 		v.Length = binary.BigEndian.Uint32(p[11:])
 		v.RetryAfterMS = binary.BigEndian.Uint16(p[15:])
-		parseSpan(p, &v.SrvSpan)
-	case *Write:
-		if t != TWrite {
-			return ErrBadType
-		}
-		v.Header = h
-		v.ReqID = binary.BigEndian.Uint64(p[0:])
-		v.Volume = binary.BigEndian.Uint32(p[8:])
-		v.Offset = binary.BigEndian.Uint64(p[12:])
-		v.Length = binary.BigEndian.Uint32(p[20:])
-		v.Slot = binary.BigEndian.Uint32(p[24:])
-		v.FlagBits = p[28]
-	case *WriteResp:
-		if t != TWriteResp {
-			return ErrBadType
-		}
-		v.Header = h
-		v.ReqID = binary.BigEndian.Uint64(p[0:])
-		v.Status = Status(p[8])
-		v.Credits = binary.BigEndian.Uint16(p[9:])
-		v.RetryAfterMS = binary.BigEndian.Uint16(p[11:])
-		parseSpan(p, &v.SrvSpan)
-	case *CreditGrant:
-		if t != TCreditGrant {
-			return ErrBadType
-		}
-		v.Header = h
-		v.Credits = binary.BigEndian.Uint16(p[0:])
-	case *Ping:
-		if t != TPing {
-			return ErrBadType
-		}
-		v.Header = h
-	case *Pong:
-		if t != TPong {
-			return ErrBadType
-		}
-		v.Header = h
-	case *Disconnect:
-		if t != TDisconnect {
-			return ErrBadType
-		}
-		v.Header = h
-		v.Reason = p[0]
-	case *Flush:
-		if t != TFlush {
-			return ErrBadType
-		}
-		v.Header = h
-		v.ReqID = binary.BigEndian.Uint64(p[0:])
-		v.Volume = binary.BigEndian.Uint32(p[8:])
-	case *FlushResp:
-		if t != TFlushResp {
-			return ErrBadType
-		}
-		v.Header = h
-		v.ReqID = binary.BigEndian.Uint64(p[0:])
-		v.Status = Status(p[8])
-		v.Credits = binary.BigEndian.Uint16(p[9:])
-		v.RetryAfterMS = binary.BigEndian.Uint16(p[11:])
-		parseSpan(p, &v.SrvSpan)
-	default:
-		return ErrBadType
+		v.SrvQueueNS = binary.BigEndian.Uint32(p[spanOff:])
+		v.SrvServiceNS = binary.BigEndian.Uint32(p[spanOff+4:])
 	}
 	return nil
 }
@@ -337,9 +212,9 @@ func ReadFrom(r io.Reader) (Message, error) {
 	return Unmarshal(b[:])
 }
 
-// ReadFrame reads one control frame into b and returns its validated
-// type, without decoding the payload. Hot loops pair it with
-// UnmarshalInto to demultiplex frames with zero allocations.
+// ReadFrame reads one control frame into b and returns its type, having
+// checked magic and version, without decoding the payload. Hot loops pair
+// it with UnmarshalInto to demultiplex frames with zero allocations.
 func ReadFrame(r io.Reader, b *[ControlSize]byte) (MsgType, error) {
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, err
