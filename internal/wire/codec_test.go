@@ -22,7 +22,7 @@ func roundtrip(t *testing.T, m Message) Message {
 }
 
 func TestRoundtripConnect(t *testing.T) {
-	m := &Connect{Header: Header{Stream: 3}, ClientID: 0xdeadbeef, WantCreds: 256, Features: FeatureTrace}
+	m := &Connect{Header: Header{Stream: 3}, ClientID: 0xdeadbeef, WantCreds: 256, Features: FeatureTrace, Incarnation: 5}
 	if got := roundtrip(t, m); !reflect.DeepEqual(got, m) {
 		t.Fatalf("got %+v, want %+v", got, m)
 	}
@@ -129,8 +129,8 @@ func TestUnmarshalErrors(t *testing.T) {
 
 // TestRetiredTypesAndVersionRejected pins the protocol's edges: the type
 // numbers nothing sends (6, 7, 12–15) decode as unknown, and every frame
-// of the first protocol version — whatever its type — is refused, which is
-// how a peer of that version is turned away at the handshake.
+// of an earlier protocol version — whatever its type — is refused, which
+// is how a peer of that version is turned away at the handshake.
 func TestRetiredTypesAndVersionRejected(t *testing.T) {
 	for _, typ := range []MsgType{0, 6, 7, 12, 13, 14, 15} {
 		b := Marshal(&Ping{Header: Header{Stream: 17}})
@@ -142,15 +142,17 @@ func TestRetiredTypesAndVersionRejected(t *testing.T) {
 			t.Fatalf("type %d is named %q", typ, got)
 		}
 	}
-	for typ := 1; typ <= 15; typ++ {
-		b := Marshal(&Ping{})
-		b[2], b[3] = 1, byte(typ)
-		if _, err := Unmarshal(b); err != ErrBadVersion {
-			t.Fatalf("version-1 frame of type %d: err %v, want ErrBadVersion", typ, err)
-		}
-		var frame [ControlSize]byte
-		if _, err := ReadFrame(bytes.NewReader(b), &frame); err != ErrBadVersion {
-			t.Fatalf("ReadFrame of version-1 type %d: err %v, want ErrBadVersion", typ, err)
+	for v := byte(1); v < Version; v++ {
+		for typ := 1; typ <= 15; typ++ {
+			b := Marshal(&Ping{})
+			b[2], b[3] = v, byte(typ)
+			if _, err := Unmarshal(b); err != ErrBadVersion {
+				t.Fatalf("version-%d frame of type %d: err %v, want ErrBadVersion", v, typ, err)
+			}
+			var frame [ControlSize]byte
+			if _, err := ReadFrame(bytes.NewReader(b), &frame); err != ErrBadVersion {
+				t.Fatalf("ReadFrame of version-%d type %d: err %v, want ErrBadVersion", v, typ, err)
+			}
 		}
 	}
 }
@@ -169,7 +171,7 @@ func TestReservedBytesStayZero(t *testing.T) {
 		m      Message
 		fields []span
 	}{
-		{&Connect{Header: h, ClientID: u64, WantCreds: u16, Features: u32}, []span{{16, 14}}},
+		{&Connect{Header: h, ClientID: u64, WantCreds: u16, Features: u32, Incarnation: u64}, []span{{16, 22}}},
 		{&ConnectResp{Header: h, Status: 0xff, Credits: u16, MaxXfer: u32, SessionID: u64, Features: u32}, []span{{16, 19}}},
 		{&Read{Header: h, ReqID: u64, Volume: u32, Offset: u64, Length: u32}, req},
 		{&Write{Header: h, ReqID: u64, Volume: u32, Offset: u64, Length: u32}, req},

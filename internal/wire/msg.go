@@ -19,7 +19,7 @@ import (
 // Protocol constants.
 const (
 	Magic       = 0x5633 // "V3"
-	Version     = 2
+	Version     = 3
 	ControlSize = 64 // every control message is exactly this many bytes
 	HeaderSize  = 16
 )
@@ -117,12 +117,17 @@ type Header struct {
 	Trace  uint64 // trace id (0 = untraced)
 }
 
-// Connect opens a session.
+// Connect opens a session. ClientID names the client across its
+// reconnections (0 is anonymous) and Incarnation counts its dials: the
+// server admits incarnation n of an id only after every session of that id
+// with a lower one has gone quiet, and refuses a lower one that arrives
+// after a higher.
 type Connect struct {
 	Header
-	ClientID  uint64
-	WantCreds uint16 // requested flow-control credits
-	Features  uint32 // feature bits the client speaks
+	ClientID    uint64
+	WantCreds   uint16 // requested flow-control credits
+	Features    uint32 // feature bits the client speaks
+	Incarnation uint64
 }
 
 // ConnectResp answers Connect.
