@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,18 +159,23 @@ func TestCancelSentinelSurvivesLateResponse(t *testing.T) {
 }
 
 // TestStatsResponsiveDuringReconnect is the regression test for the
-// reconnect-under-mutex stall: connectionBroken used to hold the client
-// mutex across every dial attempt (up to DialTimeout each), so Stats,
-// Close, and all submitter bookkeeping froze for seconds during a
-// reconnect storm. Dials now run with the lock released.
+// reconnect-under-mutex stall: recovery used to hold the client mutex
+// across every dial attempt (up to DialTimeout each), so Stats, Close, and
+// all submitter bookkeeping froze for seconds during a reconnect storm.
+// The test parks the recovery inside its dial — the socket is connected,
+// the handshake not yet sent — and Stats must answer meanwhile; released,
+// the recovery completes and a read submitted during it succeeds.
 func TestStatsResponsiveDuringReconnect(t *testing.T) {
-	f, addr := startFaultServer(t, DefaultServerConfig(), 1<<20)
-	cfg := DefaultClientConfig()
-	cfg.KeepaliveInterval = 0
-	cfg.DialTimeout = 2 * time.Second
-	cfg.ReconnectBackoff = 50 * time.Millisecond
-	cfg.MaxReconnects = 8
-	c, err := Dial(addr, cfg)
+	_, addr := startServer(t, DefaultServerConfig(), 1<<20)
+	dialing, release := make(chan struct{}), make(chan struct{})
+	var dials atomic.Int32
+	c, err := dial(addr, quietClientConfig(), func(conn net.Conn) net.Conn {
+		if dials.Add(1) == 2 {
+			close(dialing)
+			<-release
+		}
+		return conn
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,31 +183,25 @@ func TestStatsResponsiveDuringReconnect(t *testing.T) {
 	if err := c.Write(1, 0, make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
-	// Blackhole the server and sever the session: the reconnect loop's
-	// dial attempts will TCP-connect but hang in the handshake until
-	// DialTimeout — the worst case for a lock held across the dial.
-	f.Inj.Blackhole(true)
 	c.KillConnForTest()
-	time.Sleep(100 * time.Millisecond) // let recovery enter a dial attempt
-	start := time.Now()
-	_ = c.Stats()
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Fatalf("Stats blocked %v during reconnect (lock held across dial)", d)
+	<-dialing
+	stats := make(chan ClientStats)
+	go func() { stats <- c.Stats() }()
+	select {
+	case <-stats:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stats blocked while recovery dialed (lock held across the dial)")
 	}
-	// Heal and confirm the client actually recovers end-to-end.
-	f.Inj.Blackhole(false)
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if err := c.Read(1, 0, make([]byte, 512)); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("client never recovered after heal")
-		}
-		time.Sleep(50 * time.Millisecond)
+	h, err := c.ReadAsync(1, 0, make([]byte, 512))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Reconnects() < 1 {
-		t.Fatalf("Reconnects=%d, want >=1", c.Reconnects())
+	close(release)
+	if err := h.WaitTimeout(5 * time.Second); err != nil {
+		t.Fatalf("read submitted during the recovery: %v", err)
+	}
+	if c.Reconnects() != 1 {
+		t.Fatalf("Reconnects=%d, want 1", c.Reconnects())
 	}
 }
 

@@ -45,15 +45,10 @@ func TestChaosHungServerDetection(t *testing.T) {
 	}
 	// Detection bound: idle for ka arms the ping, the ping's read
 	// deadline fires ka later — 2×ka worst case, plus scheduler slack.
-	for time.Since(t0) < 2*ka+200*time.Millisecond {
-		if c.Stats().HungDetections >= 1 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, "hung-peer detection", func() bool { return c.Stats().HungDetections >= 1 })
 	detected := time.Since(t0)
-	if c.Stats().HungDetections < 1 {
-		t.Fatalf("hung peer not detected within %v (2×keepalive + slack)", detected)
+	if detected > 2*ka+200*time.Millisecond {
+		t.Fatalf("hung peer detected after %v, want within 2×keepalive + slack", detected)
 	}
 	t.Logf("hung peer detected after %v (keepalive %v)", detected, ka)
 	// With the peer still black, reconnection exhausts its budget and
@@ -136,18 +131,12 @@ func TestChaosCancelStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Inj.SetLatency(0, 0)
-	// Zero leak criterion: once the in-flight count drains, every credit
-	// token must be back in the root's window.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if c.Stats().InFlight == 0 && len(c.sem) == c.Credits() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("window not whole after storm: inflight=%d tokens=%d/%d",
-				c.Stats().InFlight, len(c.sem), c.Credits())
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Zero leak criterion: every handle has completed, and a completion
+	// returns its tokens before it wakes a waiter, so nothing is in flight
+	// and every credit token is back in the root's window.
+	if c.Stats().InFlight != 0 || len(c.sem) != c.Credits() {
+		t.Fatalf("window not whole after storm: inflight=%d tokens=%d/%d",
+			c.Stats().InFlight, len(c.sem), c.Credits())
 	}
 	// And the whole window is genuinely usable: saturate it end-to-end.
 	var wg2 sync.WaitGroup
@@ -206,9 +195,9 @@ func TestChaosDestagePartition(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
-	// Heal inside the retry budget: detection ≤ 2×ka (400ms), then
-	// reconnect attempts every ~100-300ms for up to 8 tries.
-	time.Sleep(600 * time.Millisecond)
+	// Heal once the keepalive has declared the peer hung, while recovery
+	// is inside its retry budget: attempts every ~100-300ms, up to 8.
+	waitFor(t, "hung-peer detection", func() bool { return c.Stats().HungDetections >= 1 })
 	f.Inj.Blackhole(false)
 	for i, h := range handles {
 		if err := h.WaitTimeout(15 * time.Second); err != nil {
@@ -251,24 +240,22 @@ func TestChaosKeepaliveQuietOnHealthyLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Traffic at 4× the keepalive frequency for several intervals.
+	// Back-to-back traffic for several intervals.
 	buf := make([]byte, 512)
-	for i := 0; i < 20; i++ {
+	for t0 := time.Now(); time.Since(t0) < 5*cfg.KeepaliveInterval; {
 		if err := c.Read(1, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(25 * time.Millisecond)
 	}
 	if st := c.Stats(); st.KeepalivePings != 0 {
 		t.Fatalf("keepalive sent %d pings on a busy link, want 0", st.KeepalivePings)
 	}
-	// Now idle: the ping fires, the server pongs, and nothing trips.
-	time.Sleep(350 * time.Millisecond)
-	st := c.Stats()
-	if st.KeepalivePings < 1 {
-		t.Fatal("keepalive never probed an idle link")
-	}
-	if st.HungDetections != 0 {
+	// Now idle: the ping fires, the server pongs (which disarms the
+	// deadline), and nothing trips.
+	waitFor(t, "a keepalive ping and its pong", func() bool {
+		return c.Stats().KeepalivePings >= 1 && !c.kaArmed.Load()
+	})
+	if st := c.Stats(); st.HungDetections != 0 {
 		t.Fatalf("healthy idle link produced %d hung detections", st.HungDetections)
 	}
 	// The link still works after idling through keepalive cycles.

@@ -13,10 +13,10 @@ import (
 )
 
 // claim plays the reader's part on a Resp frame: the request leaves the
-// pending map, and whoever took it out owns it.
+// core's table, and whoever took it out owns it.
 func claim(c *Client, h *Pending) {
 	c.mu.Lock()
-	delete(c.pending, h.id)
+	c.core.claim(h.id, c.core.gen)
 	c.mu.Unlock()
 }
 
@@ -195,7 +195,7 @@ func TestBoundedWaitsConcurrent(t *testing.T) {
 // TestUnclaimedRequestKeepsItsDeadline: the reader holds a request claimed
 // when its bounded wait expires — so the sweep passes it by — and then
 // loses the connection and gives the request back. The deadline is still
-// on the handle and unclaim arms for it, so the waiter is released by the
+// on the handle and restore arms for it, so the waiter is released by the
 // next sweep instead of waiting out the replay unbounded.
 func TestUnclaimedRequestKeepsItsDeadline(t *testing.T) {
 	c := dialHung(t)
@@ -206,12 +206,12 @@ func TestUnclaimedRequestKeepsItsDeadline(t *testing.T) {
 	claim(c, h)
 	c.expireAt(h, obs.Now()-1)
 	c.mu.Lock()
-	armed := c.armedFor
+	armed := c.core.armedFor
 	c.mu.Unlock()
 	if armed != 0 {
 		t.Fatal("the timer was armed for a request that is not pending")
 	}
-	c.unclaim(h, 1) // same generation: put back, not resent
+	c.restore(h, 1) // same generation: put back, not resent
 	if err := h.Wait(); !errors.Is(err, ErrWaitTimeout) {
 		t.Fatalf("unclaimed request past its deadline completed with %v, want ErrWaitTimeout", err)
 	}
@@ -224,7 +224,7 @@ func TestClosedClientLeavesNoTimer(t *testing.T) {
 	armedTimer := func(c *Client) (armed bool, active bool) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return c.armedFor != 0, c.expiryTimer != nil && c.expiryTimer.Stop()
+		return c.core.armedFor != 0, c.expiry != nil && c.expiry.Stop()
 	}
 	for _, tc := range []struct {
 		name string
@@ -251,7 +251,7 @@ func TestClosedClientLeavesNoTimer(t *testing.T) {
 			}
 			c.expireAt(h, obs.Now()+int64(time.Minute))
 			c.mu.Lock()
-			armed := c.armedFor != 0
+			armed := c.core.armedFor != 0
 			c.mu.Unlock()
 			if !armed {
 				t.Fatal("a bounded wait on a pending request armed nothing")

@@ -709,7 +709,9 @@ func TestChaosPartition(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
-	time.Sleep(600 * time.Millisecond)
+	// Heal once the keepalive has declared the peer hung, inside the
+	// retry budget.
+	waitFor(t, "hung-peer detection", func() bool { return c.Stats().HungDetections >= 1 })
 	f.Inj.Blackhole(false)
 	for i, h := range handles {
 		if err := h.WaitTimeout(15 * time.Second); err != nil {

@@ -341,10 +341,12 @@ func TestAdmissionControlSheds(t *testing.T) {
 // TestClosedStreamResponseDrains is the demux regression test: a response
 // arriving for a stream closed while the request was in flight must be
 // drained off the wire without scribbling on the caller's buffer, and the
-// connection must stay correctly framed for later traffic.
+// connection must stay correctly framed for later traffic. One scheduler
+// worker serves the requests in arrival order, so once later traffic has
+// round-tripped the late response has been received and drained.
 func TestClosedStreamResponseDrains(t *testing.T) {
 	cfg := DefaultServerConfig()
-	cfg.SchedWorkers = 2
+	cfg.SchedWorkers = 1
 	_, addr := startTunedServer(t, cfg, tuning{}, &slowStore{BlockStore: NewMemStore(1 << 20), delay: 50 * time.Millisecond})
 
 	c, err := Dial(addr, DefaultClientConfig())
@@ -364,14 +366,8 @@ func TestClosedStreamResponseDrains(t *testing.T) {
 	if err := p.Wait(); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("in-flight completion: got %v, want ErrStreamClosed", err)
 	}
-	// Let the server's (slow) response arrive and be drained.
-	time.Sleep(150 * time.Millisecond)
-	for _, b := range buf {
-		if b != 0xAB {
-			t.Fatal("late response for a closed stream scribbled on the detached buffer")
-		}
-	}
-	// Framing intact: fresh traffic on the same connection round-trips.
+	// Framing intact: fresh traffic on the same connection round-trips,
+	// behind the server's slow response to the closed stream.
 	want := []byte("post-close traffic")
 	if err := c.Write(1, 4096, want); err != nil {
 		t.Fatal(err)
@@ -382,6 +378,11 @@ func TestClosedStreamResponseDrains(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("post-close read mismatch — stream desynced")
+	}
+	for _, b := range buf {
+		if b != 0xAB {
+			t.Fatal("late response for a closed stream scribbled on the detached buffer")
+		}
 	}
 }
 

@@ -199,55 +199,41 @@ func (st *Stream) submit(ctx context.Context, op int, vol uint32, off int64, buf
 	if err := st.take(ctx); err != nil {
 		return nil, err
 	}
-	p := &Pending{st: st, t0: t0}
+	p := &Pending{st: st, t0: t0, buf: buf, body: data}
 	p.parked.Add(1) // released by finish
 	c.mu.Lock()
-	if c.closed {
+	if err := c.core.submit(p, op, st.id, vol, off); err != nil {
 		c.mu.Unlock()
 		st.give() // wakes any other blocked submitter into the same error
-		return nil, ErrClosed
-	}
-	c.nextReq++
-	p.id = c.nextReq
-	hdr := wire.Header{Stream: st.id}
-	switch op {
-	case opWrite:
-		p.body = data
-		p.wr = wire.Write{
-			Header: hdr, ReqID: p.id,
-			Volume: vol, Offset: uint64(off), Length: uint32(len(data)),
-		}
-		p.msg = &p.wr
-	case opRead:
-		p.buf = buf
-		p.rd = wire.Read{
-			Header: hdr, ReqID: p.id,
-			Volume: vol, Offset: uint64(off), Length: uint32(len(buf)),
-		}
-		p.msg = &p.rd
-	case opFlush:
-		p.fl = wire.Flush{Header: hdr, ReqID: p.id, Volume: vol}
-		p.msg = &p.fl
+		return nil, err
 	}
 	// A traced request carries a trace id on the wire (when the server
 	// negotiated FeatureTrace), telling the server to answer with its
 	// span block — the join key between the client's stage trace and the
 	// server's flight-recorder events. The id mixes the per-client salt
 	// with the request id through a Weyl/Fibonacci step so ids from
-	// clients dialed in the same instant still diverge.
+	// clients dialed in the same instant still diverge. Zero means
+	// untraced on the wire, so it becomes 1.
 	if t0 != 0 && c.features&wire.FeatureTrace != 0 {
-		tr := c.traceBase ^ (p.id * 0x9e3779b97f4a7c15)
-		if tr == 0 {
-			tr = 1 // zero means untraced on the wire
-		}
-		p.msg.Hdr().Trace = tr
+		p.msg.Hdr().Trace = max(c.traceBase^(p.id*0x9e3779b97f4a7c15), 1)
 	}
-	c.pending[p.id] = p
 	fw, msg := c.fw, p.msg
 	c.mu.Unlock()
-	// Whatever becomes of the send the request is tracked: reconnection
-	// replay (or permanent failure) will complete the handle.
-	c.send(fw, p, msg, data)
+	// Ring the doorbell: the frame and payload are copied onto the writer's
+	// queue, so the caller owns its buffer again once this returns, which
+	// Cancel and WaitTimeout promise. A refusal means that generation is
+	// dead; the request is tracked, and replay (or a permanent failure)
+	// completes it. Stage trace: t1 closes the submission stage, t2 the
+	// "wire write" stage — the time to ring the doorbell (lock, encode,
+	// copy); the writer's wake-up and the write syscall land in net+kernel,
+	// their per-batch cost in the netv3_client_wire_write_ns histogram.
+	if t0 != 0 {
+		p.t1 = obs.Now()
+	}
+	_ = fw.send(msg, data)
+	if t0 != 0 {
+		p.t2 = obs.Now()
+	}
 	return p, nil
 }
 
@@ -288,19 +274,9 @@ func (st *Stream) WriteAsync(vol uint32, off int64, data []byte) (*Pending, erro
 	return st.submit(nil, opWrite, vol, off, nil, data)
 }
 
-// WriteAsyncCtx is WriteAsync with a cancelable token wait.
-func (st *Stream) WriteAsyncCtx(ctx context.Context, vol uint32, off int64, data []byte) (*Pending, error) {
-	return st.submit(ctx, opWrite, vol, off, nil, data)
-}
-
 // FlushAsync submits a flush barrier and returns a completion handle.
 func (st *Stream) FlushAsync(vol uint32) (*Pending, error) {
 	return st.submit(nil, opFlush, vol, 0, nil, nil)
-}
-
-// FlushAsyncCtx is FlushAsync with a cancelable token wait.
-func (st *Stream) FlushAsyncCtx(ctx context.Context, vol uint32) (*Pending, error) {
-	return st.submit(ctx, opFlush, vol, 0, nil, nil)
 }
 
 // Read fills buf from volume vol at off.
@@ -359,19 +335,13 @@ func (st *Stream) Close() error {
 		return nil
 	}
 
-	// Detach in-flight requests. Collect under mu, cancel outside it:
-	// cancel re-takes mu and re-checks membership, so a racing completion
-	// simply wins.
+	// Detach in-flight requests in one hold of mu — a completion the
+	// reader has already claimed wins — and complete them outside it.
 	c.mu.Lock()
-	var inflight []*Pending
-	for _, p := range c.pending {
-		if p.st == st {
-			inflight = append(inflight, p)
-		}
-	}
+	detached := c.core.closeStream(st)
 	c.mu.Unlock()
-	for _, p := range inflight {
-		p.cancel(ErrStreamClosed, false)
+	for _, p := range detached {
+		c.abandon(p, ErrStreamClosed, false)
 	}
 	c.streamsOpen.Add(-1)
 	return nil
@@ -385,9 +355,7 @@ func (st *Stream) Close() error {
 // ErrClosed like the root's.
 func (c *Client) OpenStream(cfg StreamConfig) *Stream {
 	c.mu.Lock()
-	// Stream numbers run 1..2³¹-1: 0 is the root, the top bit the class.
-	c.nextStream = c.nextStream%(wire.StreamBackground-1) + 1
-	id := c.nextStream
+	id := c.core.openStream()
 	c.mu.Unlock()
 	if cfg.Background {
 		id |= wire.StreamBackground
