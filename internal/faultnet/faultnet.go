@@ -72,8 +72,8 @@ func (i *Injector) Blackhole(on bool) {
 	i.mu.Unlock()
 }
 
-// Blackholed reports the current blackhole state.
-func (i *Injector) Blackholed() bool {
+// blackholed reports the current blackhole state.
+func (i *Injector) blackholed() bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.blackhole
@@ -161,12 +161,7 @@ func (i *Injector) Listen(addr string) (*Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return i.Wrap(ln), nil
-}
-
-// Wrap places an existing listener into the injector's fault domain.
-func (i *Injector) Wrap(ln net.Listener) *Listener {
-	return &Listener{Listener: ln, inj: i}
+	return &Listener{Listener: ln, inj: i}, nil
 }
 
 // WrapConn places one established connection into the fault domain.
@@ -236,7 +231,7 @@ func (c *Conn) stall(faulted func() bool, deadline *time.Time) error {
 // bytes were in flight — the blackhole guarantees silence for I/O
 // started after it engages.
 func (c *Conn) Read(b []byte) (int, error) {
-	if err := c.stall(c.inj.Blackholed, &c.rdDeadline); err != nil {
+	if err := c.stall(c.inj.blackholed, &c.rdDeadline); err != nil {
 		return 0, err
 	}
 	n, err := c.Conn.Read(b)
@@ -251,7 +246,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 // hung peer that TCP-level error handling cannot observe. While writes
 // are stalled it blocks instead, like a socket whose send buffer is full.
 func (c *Conn) Write(b []byte) (int, error) {
-	if c.inj.Blackholed() {
+	if c.inj.blackholed() {
 		return len(b), nil
 	}
 	if err := c.stall(c.inj.writesStalled, &c.wrDeadline); err != nil {

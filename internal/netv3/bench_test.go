@@ -87,7 +87,7 @@ func BenchmarkNetv3Throughput(b *testing.B) {
 
 // BenchmarkNetv3Latency measures single-outstanding (synchronous)
 // round-trip time, the Figure 3 analogue. size=8192 is the QD1 guard of
-// ROADMAP item 2.
+// ROADMAP item 12.
 func BenchmarkNetv3Latency(b *testing.B) {
 	for _, size := range []int{512, 8192} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {

@@ -2,12 +2,13 @@
 // protocol over TCP: a storage server daemon exporting virtualized
 // volumes and a client whose every request rides a logical stream, with
 // credit flow control and reconnection that is transparent across a
-// failed link and refused across a server restart. It shares the
-// transport-independent pieces of the repository with the simulated VI
-// transport — the wire format (internal/wire) and the MQ replacement
-// policy (internal/mqcache) — and adds the server's one request pipeline
-// (DESIGN.md "Request pipeline"): scheduler, sharded write-behind block
-// cache, destager and prefetcher. Below the cache there is one disk
+// failed link and refused across a server restart. Its wire format
+// (internal/wire) is the TCP path's own; with the simulated VI transport
+// it shares the MQ replacement policy (internal/mqcache). On top come the
+// client's protocol core (core.go: every decision about a request's life,
+// and no I/O), the server's session fence (fence.go), and the server's one
+// request pipeline (DESIGN.md "Request pipeline"): scheduler, sharded
+// write-behind block cache, destager and prefetcher. Below the cache there is one disk
 // interface, BlockStore: misses, write-through, destage runs, read-ahead
 // windows and the Flush fsync are all plain calls on it.
 //
