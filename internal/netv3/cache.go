@@ -13,8 +13,14 @@ import (
 
 // errCacheBusy reports that a cache insert was refused because every
 // slot in the block's shard is pinned by uncommitted write-behind state
-// (dirty or flushing blocks). Callers fall back to an uncached path.
+// (dirty or flushing blocks). A read serves the block uncached; a write
+// waits for a destage pass to unpin some (volume.absorbBehind).
 var errCacheBusy = errors.New("netv3: cache shard full of uncommitted blocks")
+
+// errNeedsFill reports that a write only partly covers a block that is
+// not resident, so absorbing it needs a store read first — which the
+// session loop leaves to a scheduler worker.
+var errNeedsFill = errors.New("netv3: partial write to a non-resident block")
 
 // blockCache is the per-volume server cache, sharded so that cache hits
 // on different blocks stop serializing on one volume-wide mutex during
@@ -34,17 +40,18 @@ var errCacheBusy = errors.New("netv3: cache shard full of uncommitted blocks")
 //   - A dirty or flushing block is never evicted: it is pinned in the
 //     MQ, so victim selection skips it, and an insert that would need to
 //     evict from a shard whose every slot is pinned is refused instead
-//     (the caller serves uncached or falls back to write-through).
+//     (errCacheBusy).
 //     Evicting one would either lose acked data (dirty) or let a reader
 //     re-fill the block from the store while the destager's batch write
 //     for the same bytes is still in flight (flushing) — a torn read.
 //     A pinned resident block is therefore the one encoding of "acked
 //     but not durable": each shard's pinned set equals dirty ∪ flushing,
 //     and evictLocked panics on a victim that breaks it.
-//   - Miss fills read the store while holding the block's shard lock,
-//     and writers update the store before the cache: an in-flight fill
-//     can observe stale store bytes, but the writer's cache update is
-//     then ordered after the fill's insert and corrects the payload.
+//   - Every write lands here (absorb), and a block's store bytes change
+//     only in a destage pass, while the block is pinned and resident. So
+//     the store holds the freshest bytes of every block that is not
+//     resident, and they stay put while its shard lock is held: a miss
+//     fill that reads them under that lock installs current bytes.
 type blockCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -76,18 +83,17 @@ type cacheShard struct {
 	pref     map[uint64]struct{} // installed by prefetch, not yet demanded
 
 	// epochs count content-changing events in this shard, striped by
-	// block number: write absorbs, committed-write folds and destage
-	// unstages all bump the written block's stripe under mu. The
-	// prefetcher reads the store without holding shard locks; it
-	// snapshots the covered blocks' stripes when it plans a window and
-	// revalidates at install — an unchanged stripe proves no
-	// write touched any block sharing it mid-flight, so the store bytes it
-	// read are neither stale nor torn. Striping (rather than one counter
-	// per shard) keeps the false-conflict rate low under mixed workloads:
-	// a write stream bumps only its own stripes, not every reader's. The
-	// stripe count is prime so the power-of-two strides block workloads
-	// favor cannot alias a whole write region onto a reader's stripes; a
-	// false conflict only costs one skipped read-ahead block.
+	// block number: write absorbs and destage unstages bump the written
+	// block's stripe under mu. The prefetcher reads the store without
+	// holding shard locks; it snapshots the covered blocks' stripes when it
+	// plans a window and revalidates at install — an unchanged stripe
+	// proves no write touched any block sharing it mid-flight, so the store
+	// bytes it read are neither stale nor torn. Striping (rather than one
+	// counter per shard) keeps the false-conflict rate low under mixed
+	// workloads: a write stream bumps only its own stripes, not every
+	// reader's. The stripe count is prime so the power-of-two strides block
+	// workloads favor cannot alias a whole write region onto a reader's
+	// stripes; a false conflict only costs one skipped read-ahead block.
 	epochs [epochStripes]uint64
 }
 
@@ -207,10 +213,8 @@ func (c *blockCache) evictLocked(sh *cacheShard, victim uint64) {
 
 // readBlock copies block blk's bytes [within, within+n) into dst,
 // filling the block from store on a miss. The store read happens under
-// the shard lock: that serializes misses per shard but guarantees a
-// concurrent volume.write (store write, then cache update) can never
-// leave a stale payload resident — the writer's cache update always
-// observes a completed insert or no entry at all.
+// the shard lock, which orders the fill against an absorb of the same
+// block: the absorb lands on the installed payload, never under it.
 func (c *blockCache) readBlock(v *volume, blk uint64, within, n int64, dst []byte) error {
 	sh := c.shard(blk)
 	sh.mu.Lock()
@@ -290,21 +294,26 @@ func (c *blockCache) resident(first, last uint64) bool {
 }
 
 // absorb folds write bytes into block blk as dirty state — the
-// write-behind path. An absent block is installed first: a fully
-// covered block needs no store round-trip, a partially covered one is
-// read-modify-write filled from the store, under the shard lock like any
-// fill.
-func (c *blockCache) absorb(v *volume, blk uint64, within, n int64, src []byte) error {
+// write-behind path. An absent block is installed first: a fully covered
+// block needs no store round-trip; a partially covered one is
+// read-modify-write filled from the store under the shard lock, like any
+// fill, when fill is set, and refused with errNeedsFill when it is not.
+func (c *blockCache) absorb(v *volume, blk uint64, within, n int64, src []byte, fill bool) error {
 	sh := c.shard(blk)
 	sh.mu.Lock()
 	payload, resident := sh.data[blk]
 	if resident {
 		sh.mq.Ref(blk)
 	} else {
+		bl := blockLen(v.store.Size(), blk)
+		partial := within != 0 || n != bl
+		if partial && !fill {
+			sh.mu.Unlock()
+			return errNeedsFill
+		}
 		hit, victim, evicted, inserted := sh.mq.RefOrTryInsert(blk)
 		if !hit && !inserted {
 			// Shard wall-to-wall pinned: no slot for another dirty block.
-			// The caller commits these bytes via write-through instead.
 			sh.mu.Unlock()
 			return errCacheBusy
 		}
@@ -312,18 +321,15 @@ func (c *blockCache) absorb(v *volume, blk uint64, within, n int64, src []byte) 
 			c.evictLocked(sh, victim)
 		}
 		payload = c.pool.Get(cacheBlockSize)
-		bl := blockLen(v.store.Size(), blk)
-		if within == 0 && n == bl {
-			clear(payload[n:])
-		} else {
+		if partial {
 			if err := v.store.ReadAt(payload[:bl], int64(blk)*cacheBlockSize); err != nil {
 				sh.mq.Remove(blk)
 				c.pool.Put(payload)
 				sh.mu.Unlock()
 				return err
 			}
-			clear(payload[bl:])
 		}
+		clear(payload[bl:])
 		sh.data[blk] = payload
 	}
 	copy(payload[within:within+n], src)
@@ -339,46 +345,6 @@ func (c *blockCache) absorb(v *volume, blk uint64, within, n int64, src []byte) 
 	sh.epochs[epochStripe(blk)]++
 	sh.mu.Unlock()
 	return nil
-}
-
-// absorbIfResident folds write bytes into blk only if it is resident and
-// reports whether it was resident and dirty. Used by the write-through
-// fallback: a resident dirty block must absorb (its store ordering
-// belongs to the destager); a resident clean block absorbs and the caller
-// also writes the store so it can stay clean.
-func (c *blockCache) absorbIfResident(blk uint64, within, n int64, src []byte) (wasDirty bool) {
-	sh := c.shard(blk)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	payload, ok := sh.data[blk]
-	if !ok {
-		return false
-	}
-	sh.mq.Ref(blk)
-	copy(payload[within:within+n], src)
-	_, wasDirty = sh.dirty[blk]
-	if _, p := sh.pref[blk]; p {
-		delete(sh.pref, blk)
-		c.prefResident.Add(-1)
-	}
-	sh.epochs[epochStripe(blk)]++
-	return wasDirty
-}
-
-// updateBlock folds a committed write into block blk if it is resident.
-// Absent blocks are left absent (write-around): the read path will fetch
-// the new bytes from the store. The epoch bumps even for absent blocks —
-// the store itself just changed under this block, which is exactly what
-// an in-flight prefetch read over the range must learn about.
-func (c *blockCache) updateBlock(blk uint64, within, n int64, src []byte) {
-	sh := c.shard(blk)
-	sh.mu.Lock()
-	if payload, ok := sh.data[blk]; ok {
-		copy(payload[within:within+n], src)
-		sh.mq.Ref(blk)
-	}
-	sh.epochs[epochStripe(blk)]++
-	sh.mu.Unlock()
 }
 
 // dirtySnapshot returns the sorted block numbers currently dirty — the

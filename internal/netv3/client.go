@@ -21,9 +21,6 @@ import (
 
 // ClientConfig tunes a netv3 client.
 type ClientConfig struct {
-	// WantCredits asks the server for a flow-control window (0 accepts
-	// the server's default).
-	WantCredits int
 	// After a connection failure the client redials up to MaxReconnects
 	// times (default 8) before giving the session up, waiting
 	// ReconnectBackoff (default 100 ms) after the first failed attempt and
@@ -127,18 +124,17 @@ type Pending struct {
 	recorded           atomic.Bool
 
 	// span is the server-side stage block echoed in the response of a
-	// traced request (zeros against a pre-trace server). Written by the
-	// reader before the completion publishes, so it is stable once
-	// completed reads true.
+	// traced request. Written by the reader before the completion
+	// publishes, so it is stable once completed reads true.
 	span wire.SrvSpan
 }
 
 // ServerSpan returns the server-side stage decomposition the response
 // carried back: the wait in the scheduler's queue and the service time of
 // the worker that ran the request — its CPU plus any store call it made (a
-// miss fill, a write-through); there is no finer split below the cache.
-// All zeros when the request was untraced (see Traced), the server
-// predates FeatureTrace, or the request failed before a response arrived.
+// miss fill, a destage pass that made room for a write); there is no finer
+// split below the cache. All zeros when the request was untraced (see
+// Traced) or failed before a response arrived.
 // Valid once the request completes.
 func (h *Pending) ServerSpan() wire.SrvSpan { return h.span }
 
@@ -293,12 +289,6 @@ func (c *Client) sweep() {
 // same population.
 func (h *Pending) Traced() bool { return h.t0 != 0 }
 
-// TraceSupported reports whether the connected server negotiated the
-// trace feature: sampled requests carry a trace id and return a filled
-// server span block. False against a pre-trace server — the client then
-// keeps its own stages and the table's server columns read zero.
-func (c *Client) TraceSupported() bool { return c.features&wire.FeatureTrace != 0 }
-
 // Client is a DSA-style block client for a netv3 server. It is safe for
 // concurrent use; requests overlap up to the credit window.
 //
@@ -323,12 +313,10 @@ type Client struct {
 
 	cfg  ClientConfig
 	addr string
-	// What the first handshake negotiated — the per-request transfer bound
-	// and the feature bits — is fixed for the client's life, like the
-	// window: a reconnect that meets another server process ends the client
-	// (see clientCore.connected).
-	maxXfer  uint32
-	features uint32
+	// The per-request transfer bound the first handshake granted is fixed
+	// for the client's life, like the window: a reconnect that meets
+	// another server process ends the client (see clientCore.connected).
+	maxXfer uint32
 
 	mu   sync.Mutex
 	core clientCore
@@ -402,7 +390,7 @@ func dial(addr string, cfg ClientConfig, wrap func(net.Conn) net.Conn) (*Client,
 	// server grants the same window per session, and requests in flight
 	// keep their tokens through the replay.
 	c.Stream = newStream(c, 0, int(resp.Credits))
-	c.maxXfer, c.features = resp.MaxXfer, resp.Features
+	c.maxXfer = resp.MaxXfer
 	c.mu.Lock()
 	c.core.connected(resp.SessionID)
 	c.installConn(conn)
@@ -424,10 +412,7 @@ func (c *Client) dialSession(inc uint64) (net.Conn, *wire.ConnectResp, error) {
 	}
 	_ = conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
 	var msg wire.Message
-	err = wire.WriteTo(conn, &wire.Connect{
-		ClientID: c.core.id, Incarnation: inc, WantCreds: uint16(c.cfg.WantCredits),
-		Features: wire.FeatureTrace,
-	})
+	err = wire.WriteTo(conn, &wire.Connect{ClientID: c.core.id, Incarnation: inc})
 	if err == nil {
 		msg, err = wire.ReadFrom(conn)
 	}

@@ -1,6 +1,7 @@
 package netv3
 
 import (
+	"cmp"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -26,22 +27,18 @@ const destageHistBuckets = 7
 // op drains the dirty set and fsyncs — exactly the contract a database
 // log manager wants from a storage server.
 //
-// mu is the destage mutex. It is held for a whole destage pass and by
-// the write-through fallback, and it serializes the store writes the
-// write-behind machinery issues at pass granularity. That gives a simple
-// global ordering argument: at any instant at most one pass — a fan-out
-// of writes to pairwise-disjoint runs — or one write-through is in
-// flight per volume, and cache state transitions (dirty → flushing →
-// clean) always happen under both mu and the shard lock. The store is
-// the only thing below: runs are plain BlockStore.WriteAt calls and the
-// Flush barrier a plain Sync.
+// mu is the destage mutex, held for a whole destage pass. A block's store
+// bytes change only in a pass, while the block is pinned and resident
+// (dirty → flushing → clean, each move under both mu and the shard lock),
+// and at most one pass — a fan-out of writes to pairwise-disjoint runs —
+// is in flight per volume. The store is the only thing below: runs are
+// plain BlockStore.WriteAt calls and the Flush barrier a plain Sync.
 type destager struct {
 	s     *Server
 	v     *volume
 	cache *blockCache
 
-	mu      sync.Mutex // the destage mutex; see type comment
-	kick    chan struct{}
+	mu      sync.Mutex    // the destage mutex; see type comment
 	stopped chan struct{} // closed when run() has finished its final pass
 
 	interval time.Duration
@@ -52,10 +49,10 @@ type destager struct {
 	errMu sync.Mutex
 	err   error
 
-	runs        atomic.Int64
-	blocks      atomic.Int64
-	hist        [destageHistBuckets]atomic.Int64
-	wtFallbacks atomic.Int64 // writes bounced to write-through at the high-watermark
+	runs      atomic.Int64
+	blocks    atomic.Int64
+	hist      [destageHistBuckets]atomic.Int64
+	pressured atomic.Int64 // writes the session loop handed to a worker for want of room
 }
 
 func newDestager(s *Server, v *volume) *destager {
@@ -63,18 +60,17 @@ func newDestager(s *Server, v *volume) *destager {
 		s:        s,
 		v:        v,
 		cache:    v.cache,
-		kick:     make(chan struct{}, 1),
 		stopped:  make(chan struct{}),
 		interval: s.tune.destageInterval,
 		hiWater:  s.tune.dirtyHighWater,
 	}
 }
 
-// run is the background destage loop: every interval (or sooner when
-// kicked by a write crossing the high-watermark) it commits the current
-// dirty set, on this goroutine — a pass fans its store writes out itself
-// (storeFanOut), so there is nothing a scheduler worker would add. A tick
-// that finds nothing dirty does nothing: an idle volume takes no locks.
+// run is the background destage loop: every interval it commits the
+// current dirty set, on this goroutine — a pass fans its store writes out
+// itself (storeFanOut), so there is nothing a scheduler worker would add.
+// A tick that finds nothing dirty does nothing: an idle volume takes no
+// locks.
 func (d *destager) run(done <-chan struct{}) {
 	defer close(d.stopped)
 	t := time.NewTicker(d.interval)
@@ -86,7 +82,6 @@ func (d *destager) run(done <-chan struct{}) {
 			// behind; Flush remains the only durability guarantee.
 			stop = true
 		case <-t.C:
-		case <-d.kick:
 		}
 		if d.cache.dirtyCount.Load() > 0 {
 			d.destageAll()
@@ -94,17 +89,9 @@ func (d *destager) run(done <-chan struct{}) {
 	}
 }
 
-// kickNow nudges the background loop without blocking.
-func (d *destager) kickNow() {
-	select {
-	case d.kick <- struct{}{}:
-	default:
-	}
-}
-
 // overWater reports whether the dirty set has reached the
-// high-watermark, at which point new writes fall back to write-through
-// so dirty state cannot grow without bound.
+// high-watermark, past which a write makes room with a destage pass of
+// its own before it is absorbed (volume.absorbBehind).
 func (d *destager) overWater() bool {
 	return d.cache.dirtyCount.Load() >= int64(d.hiWater)
 }
@@ -127,15 +114,15 @@ func (d *destager) takeErr() error {
 }
 
 // destageAll runs one complete pass over the dirty set under the destage
-// mutex.
-func (d *destager) destageAll() {
+// mutex and returns the pass's first store error, which is also sticky.
+func (d *destager) destageAll() error {
 	var t0 int64
 	if d.s.om != nil || d.s.flight != nil {
 		t0 = obs.Now()
 	}
 	blk0 := d.blocks.Load()
 	d.mu.Lock()
-	d.passLocked()
+	err := d.passLocked()
 	d.mu.Unlock()
 	if t0 != 0 {
 		dur := obs.Now() - t0
@@ -147,6 +134,7 @@ func (d *destager) destageAll() {
 		// latency spike in the ring usually sits next to.
 		d.s.flight.Record(fkDestage, 0, uint64(d.blocks.Load()-blk0), uint64(dur))
 	}
+	return err
 }
 
 // passLocked commits the dirty snapshot: adjacent dirty blocks coalesce
@@ -164,10 +152,10 @@ func (d *destager) destageAll() {
 // snapshot before the buffer is taken, because a random-write workload
 // destages ~1 block per run and a maximal slab for each would park 64×
 // the staged bytes. Caller holds d.mu.
-func (d *destager) passLocked() {
+func (d *destager) passLocked() error {
 	blks := d.cache.dirtySnapshot()
 	if len(blks) == 0 {
-		return
+		return nil
 	}
 	vsize := d.v.store.Size()
 	pool := d.s.pool
@@ -204,12 +192,14 @@ func (d *destager) passLocked() {
 		ops = append(ops, storeOp{buf: buf[:runBytes], off: off})
 	}
 	storeFanOut(ops, d.v.store.WriteAt)
+	var err error
 	for ri, op := range ops {
 		staged := runs[ri]
 		if op.err != nil {
 			d.s.logf("netv3: destage vol run [%d,+%d): %v", op.off, len(op.buf), op.err)
 			d.cache.unstage(staged, true)
 			d.setErr(op.err)
+			err = cmp.Or(err, op.err)
 		} else {
 			d.cache.unstage(staged, false)
 			d.runs.Add(1)
@@ -218,6 +208,7 @@ func (d *destager) passLocked() {
 		}
 		pool.Put(op.buf)
 	}
+	return err
 }
 
 // batchBucket maps a run's block count to its log2 histogram bucket.
@@ -227,49 +218,6 @@ func batchBucket(n int) int {
 		b = destageHistBuckets - 1
 	}
 	return b
-}
-
-// writeThrough commits one request's bytes under the destage mutex — the
-// backpressure path once the high-watermark is reached. Blocks resident
-// in the cache absorb the bytes: for a dirty block that is all (its store
-// ordering belongs to the destager and must not be written around); a
-// clean one also gets a direct store write so it can stay clean, and a
-// non-resident block writes straight through, write-around style.
-func (d *destager) writeThrough(b []byte, off int64) error {
-	if err := checkStoreRange(d.v.store.Size(), off, len(b)); err != nil {
-		return err
-	}
-	d.wtFallbacks.Add(1)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c := d.cache
-	cur := off
-	rest := b
-	for len(rest) > 0 {
-		blk := uint64(cur) / cacheBlockSize
-		within := cur % cacheBlockSize
-		n := int64(cacheBlockSize) - within
-		if n > int64(len(rest)) {
-			n = int64(len(rest))
-		}
-		// A resident dirty block is done once it has absorbed the bytes:
-		// the destager owns its store ordering.
-		if wasDirty := c.absorbIfResident(blk, within, n, rest[:n]); !wasDirty {
-			if err := d.v.store.WriteAt(rest[:n], cur); err != nil {
-				return err
-			}
-			// A miss fill racing this store write can install the
-			// pre-write bytes (it reads the store under only its shard
-			// lock). Re-applying the bytes to any now-resident block
-			// restores the writer ordering rule (see blockCache): the
-			// fill either finished before this update, which corrects
-			// it, or starts after the store write and reads fresh bytes.
-			c.updateBlock(blk, within, n, rest[:n])
-		}
-		cur += n
-		rest = rest[n:]
-	}
-	return nil
 }
 
 // flush is the durability barrier behind the wire-level Flush op: drain
@@ -282,8 +230,7 @@ func (d *destager) flush() error {
 	}
 	// The barrier needs no more than this order: destageAll returned
 	// under d.mu only after every destage write of every earlier-acked
-	// block completed, and write-through writes are synchronous under the
-	// same mutex — so every write this Flush must cover has already
+	// block completed — so every write this Flush must cover has already
 	// returned from the store when Sync starts.
 	return d.v.store.Sync()
 }

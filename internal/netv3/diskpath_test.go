@@ -16,6 +16,7 @@ import (
 
 	"github.com/v3storage/v3/internal/faultnet"
 	"github.com/v3storage/v3/internal/obs"
+	"github.com/v3storage/v3/internal/wire"
 )
 
 // diskCfg is a server config with the cached disk path on. Paired with
@@ -253,8 +254,9 @@ func TestReconnectMidDestage(t *testing.T) {
 }
 
 // TestDirtyHighWaterFallsBackToWriteThrough checks the backpressure
-// valve: once uncommitted blocks reach the watermark, writes take the
-// synchronous path (and stay correct) instead of growing dirty state.
+// valve: once uncommitted blocks reach the watermark, a write goes to a
+// worker that destages before it absorbs, so dirty state stays at the
+// watermark, and every byte reads back and reaches the store.
 func TestDirtyHighWaterFallsBackToWriteThrough(t *testing.T) {
 	tune := parked
 	tune.dirtyHighWater = 4
@@ -269,9 +271,12 @@ func TestDirtyHighWaterFallsBackToWriteThrough(t *testing.T) {
 		if err := c.Write(1, int64(i)*8192, bytes.Repeat([]byte{byte(i + 1)}, 8192)); err != nil {
 			t.Fatal(err)
 		}
+		if d := srv.DiskStats().DirtyBlocks; d > 4 {
+			t.Fatalf("after write %d: %d dirty blocks, watermark 4", i, d)
+		}
 	}
-	if d := srv.DiskStats(); d.WriteThroughFallbacks == 0 {
-		t.Fatal("watermark never triggered write-through fallback")
+	if d := srv.DiskStats(); d.PressuredWrites == 0 || d.DestageRuns == 0 {
+		t.Fatalf("watermark never made a write destage first: %d pressured writes, %d runs", d.PressuredWrites, d.DestageRuns)
 	}
 	got := make([]byte, 8192)
 	for i := 0; i < 16; i++ {
@@ -284,6 +289,127 @@ func TestDirtyHighWaterFallsBackToWriteThrough(t *testing.T) {
 	}
 	if err := c.Flush(1); err != nil {
 		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if onDisk[i*8192] != byte(i+1) {
+			t.Fatalf("block %d not on disk after Flush", i)
+		}
+	}
+}
+
+// TestSessionLoopNeverWaitsOnStore pins the session loop's dispatch rule
+// for writes, on a cache of one slot per shard over a store whose writes
+// (or reads) park until the test opens the gate. A write that needs the
+// store — a destage pass to unpin a shard held wall to wall by a dirty
+// block, or a fill of the block a 4 KB write only half covers — goes to a
+// worker, and a cache hit queued behind it on the same connection is
+// answered while the store call is still parked.
+func TestSessionLoopNeverWaitsOnStore(t *testing.T) {
+	block := func(b byte) []byte { return bytes.Repeat([]byte{b}, cacheBlockSize) }
+	for _, tc := range []struct {
+		name      string
+		parkReads bool
+		off       int64 // of the write that needs the store
+		n         int
+		pressured int64
+	}{
+		{"pinned-full shard", false, cacheShards * cacheBlockSize, cacheBlockSize, 1},
+		{"partial non-resident block", true, 2 * cacheBlockSize, 4096, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gs := newGateStore(64*cacheBlockSize, math.MaxInt32, tc.parkReads)
+			srv, addr := startTunedServer(t, ServerConfig{CacheBlocks: cacheShards}, parked, gs)
+			open := func() { gs.once.Do(func() { close(gs.open) }) }
+			defer open() // before the server's cleanup, whose final pass writes
+			c, err := Dial(addr, quietClientConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			// Blocks 0 and 1 go resident and dirty without a store call, each
+			// filling its shard's one slot.
+			for blk := int64(0); blk < 2; blk++ {
+				if err := c.Write(1, blk*cacheBlockSize, block(byte(blk+1))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data := bytes.Repeat([]byte{0xEE}, tc.n)
+			hw, err := c.WriteAsync(1, tc.off, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, cacheBlockSize)
+			hr, err := c.ReadAsync(1, cacheBlockSize, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := hr.WaitTimeout(2 * time.Second); err != nil {
+				t.Fatalf("cache hit queued behind the write: %v (the session loop is waiting on the store)", err)
+			}
+			if !bytes.Equal(got, block(2)) {
+				t.Fatal("cache hit returned the wrong bytes")
+			}
+			if hw.Done() {
+				t.Fatal("the write completed with the store gate shut")
+			}
+			open()
+			if err := hw.WaitTimeout(5 * time.Second); err != nil {
+				t.Fatalf("write after the gate opened: %v", err)
+			}
+			want := make([]byte, cacheBlockSize)
+			copy(want[tc.off%cacheBlockSize:], data)
+			if err := c.Read(1, tc.off-tc.off%cacheBlockSize, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("the written block reads back wrong")
+			}
+			if n := srv.DiskStats().PressuredWrites; n != tc.pressured {
+				t.Fatalf("%d pressured writes, want %d", n, tc.pressured)
+			}
+		})
+	}
+}
+
+// TestFailingStoreRefusesPressuredWrite: a write that must make room on a
+// dead store is refused with EIO within a bound — the worker's destage
+// pass fails and leaves the shard full, and the worker does not spin on
+// it — and the pass's error stays sticky, so the next Flush reports it
+// even though the store has healed by then.
+func TestFailingStoreRefusesPressuredWrite(t *testing.T) {
+	flaky := faultnet.NewStore(NewMemStore(64*cacheBlockSize), faultnet.StoreConfig{})
+	_, addr := startTunedServer(t, ServerConfig{CacheBlocks: cacheShards}, parked, flaky)
+	c, err := Dial(addr, quietClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	first := bytes.Repeat([]byte{0x11}, cacheBlockSize)
+	if err := c.Write(1, 0, first); err != nil { // shard 0's one slot, dirty
+		t.Fatal(err)
+	}
+	flaky.FailAll(true)
+	h, err := c.WriteAsync(1, cacheShards*cacheBlockSize, make([]byte, cacheBlockSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.WaitTimeout(5 * time.Second); err == nil || err.Error() != wire.StatusEIO.Err().Error() {
+		t.Fatalf("write to a full shard on a dead store = %v, want %v", err, wire.StatusEIO.Err())
+	}
+	flaky.FailAll(false)
+	if err := c.Flush(1); err == nil {
+		t.Fatal("Flush after the refused write lost the sticky destage error")
+	}
+	if err := c.Flush(1); err != nil {
+		t.Fatalf("second Flush: %v", err)
+	}
+	got := make([]byte, cacheBlockSize)
+	if err := c.Read(1, 0, got); err != nil || !bytes.Equal(got, first) {
+		t.Fatalf("the acked block reads back wrong (err %v)", err)
 	}
 }
 
@@ -835,12 +961,14 @@ func TestDestageFanOutOverlapsAndIsBounded(t *testing.T) {
 		dirty = append(dirty, blk)
 	}
 	for _, blk := range dirty {
-		if err := v.absorbWrite(block(blk), int64(blk)*cacheBlockSize); err != nil {
+		if _, err := v.absorbWrite(block(blk), int64(blk)*cacheBlockSize, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	gs.failOff = 10 * cacheBlockSize
-	v.wb.destageAll() // a background pass: its error is not returned, it sticks
+	if err := v.wb.destageAll(); !errors.Is(err, faultnet.ErrInjected) { // and it sticks
+		t.Fatalf("pass over the failing run = %v, want the injected error", err)
+	}
 	if got := gs.most.Load(); got != maxStoreFanOut {
 		t.Fatalf("most store writes in flight = %d, want exactly %d", got, maxStoreFanOut)
 	}
@@ -925,7 +1053,7 @@ func TestIdleDestagerDoesNothing(t *testing.T) {
 	}
 
 	v := srv.lookup(1)
-	if err := v.absorbWrite(make([]byte, cacheBlockSize), 0); err != nil {
+	if _, err := v.absorbWrite(make([]byte, cacheBlockSize), 0, false); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; passes() == 0 || v.cache.dirtyCount.Load() != 0; i++ {

@@ -50,9 +50,7 @@ const traceSample = 4
 
 // MergedStageDefs returns the breakdown-table schema of a traced client,
 // for obs.Breakdown over the registry passed in ClientConfig.Metrics.
-// Every row is clamped at zero on capture, and against a pre-trace server
-// the spans decode as zeros so the whole server interval lands in the net
-// residual — the table tiles either way.
+// Every row is clamped at zero on capture, so the table tiles.
 func MergedStageDefs() []obs.StageDef {
 	return []obs.StageDef{
 		{Display: "submission", Metric: metricSubmit},
@@ -116,8 +114,7 @@ func newClientObs(r *obs.Registry, c *Client) *clientObs {
 //
 // sp is the server-side span block echoed in the response: the interval
 // from doorbell to response (t3-t2) is tiled as sched wait + server
-// service + network residual, each clamped at zero. A pre-trace server
-// answers all-zero spans, which lands the whole interval in the residual.
+// service + network residual, each clamped at zero.
 func (co *clientObs) recordTrace(t0, t1, t2, t3, t4, t5 int64, sp wire.SrvSpan) {
 	co.submit.Observe(maxNS(t1 - t0))
 	co.doorbell.Observe(maxNS(t2 - t1))
@@ -211,7 +208,7 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 	r.GaugeFunc("netv3_srv_dirty_blocks", func() int64 { return s.DiskStats().DirtyBlocks })
 	r.GaugeFunc("netv3_srv_destage_runs_total", func() int64 { return s.DiskStats().DestageRuns })
 	r.GaugeFunc("netv3_srv_destaged_blocks_total", func() int64 { return s.DiskStats().DestagedBlocks })
-	r.GaugeFunc("netv3_srv_write_through_fallbacks_total", func() int64 { return s.DiskStats().WriteThroughFallbacks })
+	r.GaugeFunc("netv3_srv_pressured_writes_total", func() int64 { return s.DiskStats().PressuredWrites })
 	r.GaugeFunc("netv3_srv_prefetch_fills_total", func() int64 { return s.DiskStats().PrefetchFills })
 	r.GaugeFunc("netv3_srv_prefetch_hits_total", func() int64 { return s.DiskStats().PrefetchHits })
 	r.GaugeFunc("netv3_srv_prefetch_dropped_total", func() int64 { return s.DiskStats().PrefetchDropped })

@@ -154,7 +154,7 @@ func TestPrefetchDiscardAccounting(t *testing.T) {
 
 	// A write claims another block: absorb clears its pref mark, so the
 	// later discard must leave the dirty bytes alone.
-	if err := c.absorb(v, 5, 0, cacheBlockSize, bytes.Repeat([]byte{'z'}, cacheBlockSize)); err != nil {
+	if err := c.absorb(v, 5, 0, cacheBlockSize, bytes.Repeat([]byte{'z'}, cacheBlockSize), false); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.prefResident.Load(); got != 6 {
@@ -200,7 +200,7 @@ func TestDirtyShardRefusesInstalls(t *testing.T) {
 
 	pattern := func(b byte) []byte { return bytes.Repeat([]byte{b}, cacheBlockSize) }
 	for blk := uint64(0); blk < 4; blk++ {
-		if err := c.absorb(v, blk, 0, cacheBlockSize, pattern(byte('a'+blk))); err != nil {
+		if err := c.absorb(v, blk, 0, cacheBlockSize, pattern(byte('a'+blk)), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestDirtyShardRefusesInstalls(t *testing.T) {
 
 	// A fifth dirty block has nowhere to go: absorb must refuse rather
 	// than evict an acked block.
-	err := c.absorb(v, 10, 0, cacheBlockSize, pattern('x'))
+	err := c.absorb(v, 10, 0, cacheBlockSize, pattern('x'), false)
 	if err != errCacheBusy {
 		t.Fatalf("absorb into full dirty shard: err=%v, want errCacheBusy", err)
 	}
@@ -256,7 +256,7 @@ func TestDirtyShardRefusesInstalls(t *testing.T) {
 		}
 	}
 	c.unstage([]uint64{0, 1, 2, 3}, false)
-	if err := c.absorb(v, 10, 0, cacheBlockSize, pattern('x')); err != nil {
+	if err := c.absorb(v, 10, 0, cacheBlockSize, pattern('x'), false); err != nil {
 		t.Fatalf("absorb after destage: %v", err)
 	}
 	if !c.readBlockHit(10, 0, cacheBlockSize, dst) || dst[0] != 'x' {
@@ -271,7 +271,7 @@ func TestRedirtiedBlockStaysPinned(t *testing.T) {
 	v := &volume{store: store, cache: c}
 
 	w := bytes.Repeat([]byte{'1'}, cacheBlockSize)
-	if err := c.absorb(v, 0, 0, cacheBlockSize, w); err != nil {
+	if err := c.absorb(v, 0, 0, cacheBlockSize, w, false); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, cacheBlockSize)
@@ -280,7 +280,7 @@ func TestRedirtiedBlockStaysPinned(t *testing.T) {
 	}
 	// Re-dirtied while its destage write is in flight: the unstage that
 	// follows must keep it pinned for the next pass.
-	if err := c.absorb(v, 0, 0, cacheBlockSize, bytes.Repeat([]byte{'2'}, cacheBlockSize)); err != nil {
+	if err := c.absorb(v, 0, 0, cacheBlockSize, bytes.Repeat([]byte{'2'}, cacheBlockSize), false); err != nil {
 		t.Fatal(err)
 	}
 	c.unstage([]uint64{0}, false)

@@ -59,11 +59,11 @@ func DefaultServerConfig() ServerConfig {
 
 // tuning holds the cached disk path's two fixed sizes. Every server built
 // by NewServer runs the defaults; in-package tests hand newServer other
-// values to park the destager or force the write-through fallback. A zero
+// values to park the destager or put writes over the watermark. A zero
 // field selects its default.
 type tuning struct {
 	destageInterval time.Duration // background destage period (5 ms)
-	dirtyHighWater  int           // dirty blocks before writes go through (CacheBlocks/2)
+	dirtyHighWater  int           // dirty blocks before a write destages first (CacheBlocks/2)
 }
 
 const cacheBlockSize = 8192
@@ -358,9 +358,10 @@ func (ss *session) quiesce() {
 // There is one dispatch rule per request type. Work that is only a memcpy
 // runs inline on this goroutine, reusing one decoded message and one
 // response struct for the whole session: a read wholly resident in the
-// cache, and a write absorbed as dirty cache blocks under the
-// high-watermark. Everything that can touch the store — a read miss, a
-// write past the watermark or to an uncached volume, a Flush — becomes a
+// cache, and a write absorbed as dirty cache blocks that are resident or
+// wholly covered, in shards with room, under the high-watermark.
+// Everything that can touch the store — a read miss, the rest of any
+// other write, a write to an uncached volume, a Flush — becomes a
 // scheduler task, so a slow store call never stalls the frames queued
 // behind it and the lane policy and admission control see all of it.
 // Every response, from either side, goes through the session's frameWriter.
@@ -403,22 +404,11 @@ func (s *Server) session(conn net.Conn) {
 	if ss.fenced.Load() { // a still newer incarnation arrived meanwhile
 		return
 	}
-	credits := s.cfg.Credits
-	if w := int(connect.WantCreds); w > 0 && w < credits {
-		credits = w
-	}
 	w := newFrameWriter(conn, &s.wire, func() { conn.Close() })
 	defer w.stop()
 	ss.w = w // before the loop's first task can need it
-	// Feature negotiation: the reply carries the intersection of what the
-	// client advertised and what this server speaks. An old client encodes
-	// zeros in the (formerly padding) feature field, so the intersection is
-	// empty and both sides keep the original protocol.
-	resp := &wire.ConnectResp{
-		Status: wire.StatusOK, Credits: uint16(credits),
-		MaxXfer: s.cfg.MaxXfer, SessionID: ss.id,
-		Features: connect.Features & wire.FeatureTrace,
-	}
+	resp := &wire.ConnectResp{Status: wire.StatusOK, Credits: uint16(s.cfg.Credits),
+		MaxXfer: s.cfg.MaxXfer, SessionID: ss.id}
 	if err := w.send(resp, nil); err != nil {
 		return
 	}
@@ -575,17 +565,26 @@ func (ss *session) read(m *wire.Read, arr int64) {
 }
 
 // write dispatches one Write whose payload (body, pool-owned) is already
-// off the stream. On a cached volume under the dirty high-watermark it is
-// absorbed into the cache as dirty blocks and acknowledged at once — the
-// destager owns the store write, Flush is the durability barrier. Past
-// the watermark, or on an uncached volume, the store write is a scheduler
-// task.
+// off the stream. On a cached volume the loop absorbs what it can with a
+// bare memcpy and acknowledges the write once all of it is in — the
+// destager owns the store write, Flush is the durability barrier. What is
+// left, from the first block that needs a store fill or has no room, and
+// any write to an uncached volume, is a scheduler task.
 func (ss *session) write(m *wire.Write, body []byte, arr int64) {
 	s := ss.s
+	rest, off := body, int64(m.Offset)
 	if v := s.lookup(m.Volume); v != nil && v.cache != nil {
+		err := errCacheBusy
 		if !v.wb.overWater() {
+			var n int
+			n, err = v.absorbWrite(body, off, false)
+			rest, off = body[n:], off+int64(n)
+		}
+		if err == errCacheBusy {
+			v.wb.pressured.Add(1)
+		} else if err != errNeedsFill {
 			st := wire.StatusOK
-			if err := v.absorbWrite(body, int64(m.Offset)); err != nil {
+			if err != nil {
 				st = wire.StatusEIO
 				s.logf("netv3: write-behind vol %d [%d,+%d): %v", m.Volume, m.Offset, m.Length, err)
 			}
@@ -594,14 +593,11 @@ func (ss *session) write(m *wire.Write, body []byte, arr int64) {
 			s.pool.Put(body)
 			return
 		}
-		// Over the watermark: this write goes through; prod the destager
-		// to start catching up.
-		v.wb.kickNow()
 	}
 	mm := new(wire.Write)
 	*mm = *m
 	if !ss.enqueue(m.Header, m.ReqID, arr, func() {
-		s.handleWrite(mm, body, ss.w, arr)
+		s.handleWrite(mm, rest, off, ss.w, arr)
 		s.pool.Put(body)
 		ss.tasks.Done()
 	}) {
@@ -648,14 +644,22 @@ func (s *Server) handleRead(m *wire.Read, w *frameWriter, arr int64) {
 	s.pool.Put(body)
 }
 
-// handleWrite is the write task: the synchronous store write of a request
-// the session loop could not absorb.
-func (s *Server) handleWrite(m *wire.Write, body []byte, w *frameWriter, arr int64) {
+// handleWrite is the write task: it commits b, the part of request m's
+// payload the session loop could not absorb, at off — absorbed on a cached
+// volume, a store write on an uncached one.
+func (s *Server) handleWrite(m *wire.Write, b []byte, off int64, w *frameWriter, arr int64) {
 	start := traceArr(m.Trace)
 	st := wire.StatusOK
-	if v := s.lookup(m.Volume); v == nil {
+	var err error
+	switch v := s.lookup(m.Volume); {
+	case v == nil:
 		st = wire.StatusENoVolume
-	} else if err := v.write(body, int64(m.Offset)); err != nil {
+	case v.cache != nil:
+		err = v.absorbBehind(b, off)
+	default:
+		err = v.store.WriteAt(b, off)
+	}
+	if err != nil {
 		st = wire.StatusEIO
 		s.logf("netv3: write: %v", err)
 	}
@@ -712,12 +716,13 @@ type DiskStats struct {
 	DestageRuns      int64
 	DestagedBlocks   int64
 	DestageBatchHist [destageHistBuckets]int64
-	// WriteThroughFallbacks counts writes bounced to the synchronous path
-	// at the dirty high-watermark.
-	WriteThroughFallbacks int64
-	PrefetchFills         int64 // blocks installed by read-ahead
-	PrefetchHits          int64 // demand hits on those blocks
-	PrefetchDropped       int64 // read-ahead requests dropped (worker busy)
+	// PressuredWrites counts writes the session loop handed to a worker
+	// for want of room: the dirty set at its high-watermark, or a shard
+	// pinned wall to wall.
+	PressuredWrites int64
+	PrefetchFills   int64 // blocks installed by read-ahead
+	PrefetchHits    int64 // demand hits on those blocks
+	PrefetchDropped int64 // read-ahead requests dropped (worker busy)
 }
 
 // DiskStats returns cumulative disk-path counters.
@@ -735,7 +740,7 @@ func (s *Server) DiskStats() DiskStats {
 		for i := range v.wb.hist {
 			d.DestageBatchHist[i] += v.wb.hist[i].Load()
 		}
-		d.WriteThroughFallbacks += v.wb.wtFallbacks.Load()
+		d.PressuredWrites += v.wb.pressured.Load()
 		d.PrefetchDropped += v.pf.dropped.Load()
 	}
 	return d
@@ -804,10 +809,12 @@ func (v *volume) tryCachedRead(b []byte, off int64) bool {
 }
 
 // absorbWrite folds a write into the cache as dirty blocks — the
-// write-behind acknowledge-then-destage path.
-func (v *volume) absorbWrite(b []byte, off int64) error {
+// write-behind acknowledge-then-destage path — and returns how many of
+// its bytes are in. It stops at the first block that has no room
+// (errCacheBusy) or, without fill, needs a store fill (errNeedsFill).
+func (v *volume) absorbWrite(b []byte, off int64, fill bool) (int, error) {
 	if err := checkStoreRange(v.store.Size(), off, len(b)); err != nil {
-		return err
+		return 0, err
 	}
 	end := off + int64(len(b))
 	for cur := off; cur < end; {
@@ -817,19 +824,35 @@ func (v *volume) absorbWrite(b []byte, off int64) error {
 		if end-cur < n {
 			n = end - cur
 		}
-		if err := v.cache.absorb(v, blk, within, n, b[cur-off:cur-off+n]); err != nil {
-			if err == errCacheBusy {
-				// This block's shard has every slot pinned by uncommitted
-				// state; commit the rest of the write through the
-				// backpressure path. Already-absorbed blocks are dirty and
-				// ordered by the destager as usual.
-				return v.wb.writeThrough(b[cur-off:], cur)
-			}
-			return err
+		if err := v.cache.absorb(v, blk, within, n, b[cur-off:cur-off+n], fill); err != nil {
+			return int(cur - off), err
 		}
 		cur += n
 	}
-	return nil
+	return len(b), nil
+}
+
+// absorbBehind is the worker's half of a cached write: it absorbs b at
+// off, filling partial blocks from the store, and makes room whenever
+// there is none — over the high-watermark, or in a shard pinned wall to
+// wall — by running a destage pass itself before it absorbs again. A pass
+// that fails and leaves no room refuses the write; its error stays sticky
+// for the next Flush.
+func (v *volume) absorbBehind(b []byte, off int64) error {
+	for pass := v.wb.overWater(); ; pass = true {
+		var perr error
+		if pass {
+			perr = v.wb.destageAll()
+		}
+		n, err := v.absorbWrite(b, off, true)
+		if err != errCacheBusy {
+			return err
+		}
+		if perr != nil {
+			return perr
+		}
+		b, off = b[n:], off+int64(n)
+	}
 }
 
 // flush makes all acknowledged writes durable: drain write-behind state,
@@ -839,14 +862,4 @@ func (v *volume) flush() error {
 		return v.wb.flush()
 	}
 	return v.store.Sync()
-}
-
-// write commits b to the store. On a cached volume this is the slow
-// synchronous path (past the dirty high-watermark), which must coordinate
-// with the destager rather than write around dirty blocks.
-func (v *volume) write(b []byte, off int64) error {
-	if v.cache != nil {
-		return v.wb.writeThrough(b, off)
-	}
-	return v.store.WriteAt(b, off)
 }

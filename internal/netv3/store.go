@@ -8,9 +8,10 @@
 // client's protocol core (core.go: every decision about a request's life,
 // and no I/O), the server's session fence (fence.go), and the server's one
 // request pipeline (DESIGN.md "Request pipeline"): scheduler, sharded
-// write-behind block cache, destager and prefetcher. Below the cache there is one disk
-// interface, BlockStore: misses, write-through, destage runs, read-ahead
-// windows and the Flush fsync are all plain calls on it.
+// write-behind block cache, destager and prefetcher. Below the cache there
+// is one disk interface, BlockStore: misses and partial-write fills,
+// destage runs (its only writes on a cached volume), read-ahead windows
+// and the Flush fsync are all plain calls on it.
 //
 // TCP stands in for the VI interconnect: reliable in-order delivery but
 // none of VI's kernel-bypass properties. The simulation reproduces the

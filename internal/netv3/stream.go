@@ -207,14 +207,13 @@ func (st *Stream) submit(ctx context.Context, op int, vol uint32, off int64, buf
 		st.give() // wakes any other blocked submitter into the same error
 		return nil, err
 	}
-	// A traced request carries a trace id on the wire (when the server
-	// negotiated FeatureTrace), telling the server to answer with its
-	// span block — the join key between the client's stage trace and the
-	// server's flight-recorder events. The id mixes the per-client salt
-	// with the request id through a Weyl/Fibonacci step so ids from
-	// clients dialed in the same instant still diverge. Zero means
+	// A traced request carries a trace id on the wire, telling the server
+	// to answer with its span block — the join key between the client's
+	// stage trace and the server's flight-recorder events. The id mixes the
+	// per-client salt with the request id through a Weyl/Fibonacci step so
+	// ids from clients dialed in the same instant still diverge. Zero means
 	// untraced on the wire, so it becomes 1.
-	if t0 != 0 && c.features&wire.FeatureTrace != 0 {
+	if t0 != 0 {
 		p.msg.Hdr().Trace = max(c.traceBase^(p.id*0x9e3779b97f4a7c15), 1)
 	}
 	fw, msg := c.fw, p.msg

@@ -1,14 +1,12 @@
 package netv3
 
 import (
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/v3storage/v3/internal/obs"
-	"github.com/v3storage/v3/internal/wire"
 )
 
 // driveTraced pushes n async reads through c with the given pipeline
@@ -49,119 +47,6 @@ func driveTracedLoad(t *testing.T, c *Client, n, size, window int) (count int, e
 		reap(s)
 	}
 	return count, e2e
-}
-
-// preTraceConn makes either end of a connection look like a binary that
-// predates FeatureTrace: it clears the bit in the handshake frame — the
-// first write on the socket, a client's Connect or a server's ConnectResp —
-// and passes everything else through.
-type preTraceConn struct {
-	net.Conn
-	sent bool
-}
-
-func (c *preTraceConn) Write(b []byte) (int, error) {
-	if c.sent {
-		return c.Conn.Write(b)
-	}
-	c.sent = true
-	m, err := wire.Unmarshal(b)
-	if err != nil {
-		return 0, err
-	}
-	switch m := m.(type) {
-	case *wire.Connect:
-		m.Features &^= wire.FeatureTrace
-	case *wire.ConnectResp:
-		m.Features &^= wire.FeatureTrace
-	}
-	if _, err := c.Conn.Write(append(wire.Marshal(m), b[wire.ControlSize:]...)); err != nil {
-		return 0, err
-	}
-	return len(b), nil
-}
-
-// preTraceListener serves every accepted session through a preTraceConn:
-// a server binary that predates FeatureTrace.
-type preTraceListener struct{ net.Listener }
-
-func (l preTraceListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &preTraceConn{Conn: c}, nil
-}
-
-// Feature negotiation: both sides trace-capable → negotiated; either
-// side a pre-trace binary (a server whose ConnectResp, or a client whose
-// Connect, is rewritten on the way out) → not negotiated, and requests
-// still complete with zero spans.
-func TestTraceHandshakeFallback(t *testing.T) {
-	cases := []struct {
-		name             string
-		srvOld, cliOld   bool
-		wantTraceFeature bool
-	}{
-		{"both-trace", false, false, true},
-		{"old-server", true, false, false},
-		{"old-client", false, true, false},
-		{"both-old", true, true, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv := NewServer(ServerConfig{})
-			srv.AddVolume(1, NewMemStore(1<<20))
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.srvOld {
-				ln = preTraceListener{ln}
-			}
-			addr := serve(t, srv, ln)
-			var wrap func(net.Conn) net.Conn
-			if tc.cliOld {
-				wrap = func(c net.Conn) net.Conn { return &preTraceConn{Conn: c} }
-			}
-			ccfg := DefaultClientConfig()
-			ccfg.Metrics = obs.New() // sample stage traces regardless
-			c, err := dial(addr, ccfg, wrap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if got := c.TraceSupported(); got != tc.wantTraceFeature {
-				t.Fatalf("TraceSupported = %v, want %v", got, tc.wantTraceFeature)
-			}
-			buf := make([]byte, 4096)
-			var tracedSpan, sampled int
-			for i := 0; i < 32; i++ {
-				h, err := c.ReadAsync(1, 0, buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := h.Wait(); err != nil {
-					t.Fatal(err)
-				}
-				if h.Traced() {
-					sampled++
-					if h.ServerSpan().SrvServiceNS != 0 {
-						tracedSpan++
-					}
-				}
-			}
-			if sampled == 0 {
-				t.Fatal("no client-sampled requests in 32")
-			}
-			if tc.wantTraceFeature && tracedSpan == 0 {
-				t.Fatal("trace negotiated but every server span is zero")
-			}
-			if !tc.wantTraceFeature && tracedSpan != 0 {
-				t.Fatalf("trace not negotiated but %d responses carried spans", tracedSpan)
-			}
-		})
-	}
 }
 
 // The merged cross-tier table must tile: per-stage means column-sum to
@@ -246,6 +131,11 @@ func TestSchedGaugesCrossCheckSpans(t *testing.T) {
 	h, ok := snap.Hists["netv3_client_stage_srv_sched_ns"]
 	if !ok || h.Count != int64(count) {
 		t.Fatalf("srv sched span hist count = %+v, want %d observations", h, count)
+	}
+	// Every traced request ran as a task, so each came back with its span
+	// block filled: the service column cannot read zero.
+	if cpu := snap.Hists[metricSrvCPU]; cpu.Count != int64(count) || cpu.MeanNS == 0 {
+		t.Fatalf("srv cpu span hist = %+v, want %d observations with a nonzero mean", cpu, count)
 	}
 	// The per-tenant gauge set reflects live backlog only — tenants
 	// retire the moment their queues drain — so it must be scraped

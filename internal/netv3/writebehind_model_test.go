@@ -49,7 +49,7 @@ func checkPinInvariant(t testing.TB, c *blockCache) {
 func TestEvictDirtyVictimPanics(t *testing.T) {
 	c := newBlockCache(4, bufpool.New())
 	v := &volume{store: NewMemStore(64 * cacheBlockSize), cache: c}
-	if err := c.absorb(v, 0, 0, cacheBlockSize, make([]byte, cacheBlockSize)); err != nil {
+	if err := c.absorb(v, 0, 0, cacheBlockSize, make([]byte, cacheBlockSize), false); err != nil {
 		t.Fatal(err)
 	}
 	evict := func() (panicked bool) {
@@ -140,33 +140,39 @@ func TestPropWriteBehindMatchesModel(t *testing.T) {
 			}
 			return off, n
 		}
-		// write mirrors session.write: absorbed under the watermark, through
-		// the destage mutex over it (through forces the latter).
-		write := func(off int64, data []byte, through bool) error {
-			if !through && !v.wb.overWater() {
-				wt0 := v.wb.wtFallbacks.Load()
-				err := v.absorbWrite(data, off)
-				busy += v.wb.wtFallbacks.Load() - wt0 // absorb said errCacheBusy
-				return err
+		// write mirrors session.write: the loop's memcpy absorb under the
+		// watermark, then the worker's absorbBehind for whatever is left
+		// (worker forces the whole write onto the latter).
+		write := func(off int64, data []byte, worker bool) error {
+			if !worker {
+				if v.wb.overWater() {
+					overWater++
+				} else {
+					n, err := v.absorbWrite(data, off, false)
+					if err == errCacheBusy {
+						busy++
+					}
+					if err != errCacheBusy && err != errNeedsFill {
+						return err
+					}
+					off, data = off+int64(n), data[n:]
+				}
 			}
-			if !through {
-				overWater++
-			}
-			return v.write(data, off)
+			return v.absorbBehind(data, off)
 		}
 		// ackedWrite applies a write to system and model. A write the dead
 		// store fails is not acked and leaves its range indeterminate, so
 		// the store comes back and the client's retry must succeed.
-		ackedWrite := func(off int64, n int, through bool) {
+		ackedWrite := func(off int64, n int, worker bool) {
 			at := rng.Intn(len(pool) - n)
 			data := pool[at : at+n]
-			if err := write(off, data, through); err != nil {
+			if err := write(off, data, worker); err != nil {
 				if !failing {
 					t.Fatalf("seed %d: write [%d,+%d) failed on a healthy store: %v", seed, off, n, err)
 				}
 				failing = false
 				flaky.FailAll(false)
-				if err := write(off, data, through); err != nil {
+				if err := write(off, data, worker); err != nil {
 					t.Fatalf("seed %d: retried write [%d,+%d): %v", seed, off, n, err)
 				}
 			}

@@ -132,10 +132,11 @@ func TestChaosVaultBlackholedBackendFailoverAndResync(t *testing.T) {
 // path alone detects it.
 func TestChaosVaultProbeWedge(t *testing.T) {
 	const member = 1 << 20
-	inj, addr := startFaultBackend(t, netv3.NewMemStore(member))
+	srvCfg := netv3.DefaultServerConfig()
+	srvCfg.Credits = 2 // tiny window wedges fast
+	inj, addr := startFaultBackendCfg(t, netv3.NewMemStore(member), srvCfg)
 	cfg := chaosConfig(ModeStripe, member)
 	cfg.Client.KeepaliveInterval = 0 // isolate: only the probe can save us
-	cfg.Client.WantCredits = 2       // tiny window wedges fast
 	cfg.ProbeTimeout = 200 * time.Millisecond
 	cfg.IOTimeout = 30 * time.Second // data path holds its slots for ages
 	v, err := Open([]string{addr}, cfg)

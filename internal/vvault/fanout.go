@@ -170,8 +170,8 @@ func (f *fanout) join(d time.Duration) {
 			// A traced response carries the replica's server-side span block;
 			// fold queue+service into the per-backend histogram and drop a
 			// flight event so a dump shows which replica each fan-out leg of
-			// a slow request spent its time on. Pre-trace replicas leave the
-			// block zero — skip rather than pollute the histogram with zeros.
+			// a slow request spent its time on. A block of zeros attributes
+			// nothing — skip it rather than pollute the histogram.
 			sp := l.h.ServerSpan()
 			if ns := uint64(sp.SrvQueueNS) + uint64(sp.SrvServiceNS); ns != 0 {
 				l.b.srvSpanH.Observe(int64(ns))

@@ -12,7 +12,7 @@ import (
 //	2    1     version
 //	3    1     type
 //	4    12    reserved (zero)
-//	16   ..    type-specific payload: Connect 22 bytes, ConnectResp 19,
+//	16   ..    type-specific payload: Connect 22 bytes (6 reserved), ConnectResp 15,
 //	           Read/Write/Flush 24, Resp 17 plus its span block
 //	36   8     server span block (Resp; zeros when untraced)
 //	..         zero padding
@@ -89,15 +89,12 @@ func MarshalInto(b []byte, m Message) {
 	switch v := m.(type) {
 	case *Connect:
 		binary.BigEndian.PutUint64(p[0:], v.ClientID)
-		binary.BigEndian.PutUint16(p[8:], v.WantCreds)
-		binary.BigEndian.PutUint32(p[10:], v.Features)
 		binary.BigEndian.PutUint64(p[14:], v.Incarnation)
 	case *ConnectResp:
 		p[0] = byte(v.Status)
 		binary.BigEndian.PutUint16(p[1:], v.Credits)
 		binary.BigEndian.PutUint32(p[3:], v.MaxXfer)
 		binary.BigEndian.PutUint64(p[7:], v.SessionID)
-		binary.BigEndian.PutUint32(p[15:], v.Features)
 	case *Read:
 		putReq(p, v.ReqID, v.Volume, v.Offset, v.Length)
 	case *Write:
@@ -173,15 +170,12 @@ func UnmarshalInto(b []byte, m Message) error {
 	switch v := m.(type) {
 	case *Connect:
 		v.ClientID = binary.BigEndian.Uint64(p[0:])
-		v.WantCreds = binary.BigEndian.Uint16(p[8:])
-		v.Features = binary.BigEndian.Uint32(p[10:])
 		v.Incarnation = binary.BigEndian.Uint64(p[14:])
 	case *ConnectResp:
 		v.Status = Status(p[0])
 		v.Credits = binary.BigEndian.Uint16(p[1:])
 		v.MaxXfer = binary.BigEndian.Uint32(p[3:])
 		v.SessionID = binary.BigEndian.Uint64(p[7:])
-		v.Features = binary.BigEndian.Uint32(p[15:])
 	case *Read:
 		v.ReqID, v.Volume, v.Offset, v.Length = parseReq(p)
 	case *Write:

@@ -22,14 +22,14 @@ func roundtrip(t *testing.T, m Message) Message {
 }
 
 func TestRoundtripConnect(t *testing.T) {
-	m := &Connect{Header: Header{Stream: 3}, ClientID: 0xdeadbeef, WantCreds: 256, Features: FeatureTrace, Incarnation: 5}
+	m := &Connect{Header: Header{Stream: 3}, ClientID: 0xdeadbeef, Incarnation: 5}
 	if got := roundtrip(t, m); !reflect.DeepEqual(got, m) {
 		t.Fatalf("got %+v, want %+v", got, m)
 	}
 }
 
 func TestRoundtripConnectResp(t *testing.T) {
-	m := &ConnectResp{Status: StatusOK, Credits: 128, MaxXfer: 1 << 17, SessionID: 42, Features: FeatureTrace}
+	m := &ConnectResp{Status: StatusOK, Credits: 128, MaxXfer: 1 << 17, SessionID: 42}
 	if got := roundtrip(t, m); !reflect.DeepEqual(got, m) {
 		t.Fatalf("got %+v, want %+v", got, m)
 	}
@@ -171,8 +171,8 @@ func TestReservedBytesStayZero(t *testing.T) {
 		m      Message
 		fields []span
 	}{
-		{&Connect{Header: h, ClientID: u64, WantCreds: u16, Features: u32, Incarnation: u64}, []span{{16, 22}}},
-		{&ConnectResp{Header: h, Status: 0xff, Credits: u16, MaxXfer: u32, SessionID: u64, Features: u32}, []span{{16, 19}}},
+		{&Connect{Header: h, ClientID: u64, Incarnation: u64}, []span{{16, 8}, {30, 8}}},
+		{&ConnectResp{Header: h, Status: 0xff, Credits: u16, MaxXfer: u32, SessionID: u64}, []span{{16, 15}}},
 		{&Read{Header: h, ReqID: u64, Volume: u32, Offset: u64, Length: u32}, req},
 		{&Write{Header: h, ReqID: u64, Volume: u32, Offset: u64, Length: u32}, req},
 		{&Flush{Header: h, ReqID: u64, Volume: u32}, []span{{16, 12}}},
@@ -204,7 +204,7 @@ func TestReservedBytesStayZero(t *testing.T) {
 func TestReadWriteStream(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
-		&Connect{ClientID: 1, WantCreds: 64},
+		&Connect{ClientID: 1},
 		&Read{ReqID: 2, Volume: 3, Offset: 4096, Length: 8192},
 		&Resp{ReqID: 2, Status: StatusOK},
 		&Disconnect{},
@@ -258,8 +258,7 @@ func TestStreamIDCarriedByAllTypes(t *testing.T) {
 }
 
 // TestLegacyFrameDecodesAsStreamZero pins the root session's encoding: a
-// stream-0 frame carries zeros in bytes 60..63 and decodes as stream 0,
-// and a ConnectResp with zero feature bytes decodes as features-off.
+// stream-0 frame carries zeros in bytes 60..63 and decodes as stream 0.
 func TestLegacyFrameDecodesAsStreamZero(t *testing.T) {
 	b := Marshal(&Read{ReqID: 9, Volume: 1, Length: 4096})
 	for _, x := range b[streamOff:] {
@@ -273,14 +272,6 @@ func TestLegacyFrameDecodesAsStreamZero(t *testing.T) {
 	}
 	if got.Hdr().Stream != 0 {
 		t.Fatalf("root frame decoded with stream %d", got.Hdr().Stream)
-	}
-	cr := Marshal(&ConnectResp{Status: StatusOK, Credits: 64, MaxXfer: 1 << 17, SessionID: 3})
-	got2, err := Unmarshal(cr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := got2.(*ConnectResp); r.Features != 0 {
-		t.Fatalf("featureless ConnectResp decoded features=%d", r.Features)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // unassigned-type and old-version frames.
 func FuzzUnmarshal(f *testing.F) {
 	seeds := []Message{
-		&Connect{ClientID: 7, WantCreds: 64, Features: FeatureTrace},
-		&ConnectResp{Status: StatusOK, Credits: 32, MaxXfer: 1 << 20, SessionID: 9, Features: FeatureTrace},
+		&Connect{ClientID: 7, Incarnation: 2},
+		&ConnectResp{Status: StatusOK, Credits: 32, MaxXfer: 1 << 20, SessionID: 9},
 		&Read{Header: Header{Stream: 1}, ReqID: 11, Volume: 1, Offset: 8192, Length: 4096},
 		&Resp{ReqID: 11, Status: StatusEIO},
 		&Write{ReqID: 12, Volume: 2, Offset: 16384, Length: 8192},

@@ -19,7 +19,7 @@ import (
 // Protocol constants.
 const (
 	Magic       = 0x5633 // "V3"
-	Version     = 3
+	Version     = 4
 	ControlSize = 64 // every control message is exactly this many bytes
 	HeaderSize  = 16
 )
@@ -39,16 +39,6 @@ const (
 	TDisconnect  MsgType = 10
 	TFlush       MsgType = 11
 )
-
-// Feature bits negotiated at session setup: the client advertises what it
-// speaks in Connect.Features, the server answers with the intersection in
-// ConnectResp.Features. Bit 0 is unassigned.
-//
-// FeatureTrace: requests may carry a nonzero trace id in the header's
-// Trace field and responses answer with a server-side span block (queue
-// wait, service time). A server that does not offer it answers with a
-// zero intersection, and both sides keep to untraced frames.
-const FeatureTrace uint32 = 1 << 1
 
 // StreamBackground is the QoS class bit of a frame's stream id: set, the
 // request rides the server's background lane; clear — on the root, stream
@@ -110,8 +100,8 @@ func (s Status) Err() error {
 // session. Responses echo the request's stream.
 //
 // Trace carries the request's trace id: zero means "untraced". Responses
-// echo a traced request's id. Only meaningful after FeatureTrace is
-// negotiated.
+// echo a traced request's id and answer it with a server-side span block
+// (queue wait, service time).
 type Header struct {
 	Stream uint32 // logical stream id, class bit included (0 = root session)
 	Trace  uint64 // trace id (0 = untraced)
@@ -125,8 +115,6 @@ type Header struct {
 type Connect struct {
 	Header
 	ClientID    uint64
-	WantCreds   uint16 // requested flow-control credits
-	Features    uint32 // feature bits the client speaks
 	Incarnation uint64
 }
 
@@ -137,7 +125,6 @@ type ConnectResp struct {
 	Credits   uint16 // granted window: requests the client may have in flight
 	MaxXfer   uint32 // largest single transfer the server accepts
 	SessionID uint64
-	Features  uint32 // intersection of client and server feature bits
 }
 
 // Read asks the server for Length bytes of volume Volume at Offset; they

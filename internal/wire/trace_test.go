@@ -36,9 +36,8 @@ func TestSrvSpanRoundtripAllResponses(t *testing.T) {
 	}
 }
 
-// An untraced frame carries all-zero trace and span bytes: a server that
-// never negotiated FeatureTrace sends exactly that, and the client reads it
-// as "no span".
+// An untraced frame carries all-zero trace and span bytes, and the client
+// reads them as "no span".
 func TestUntracedFramesKeepReservedBytesZero(t *testing.T) {
 	b := Marshal(&Read{ReqID: 2, Volume: 1, Offset: 4096, Length: 8192})
 	if !bytes.Equal(b[traceOff:traceOff+8], make([]byte, 8)) {

@@ -10,8 +10,9 @@ import (
 
 // Cluster is a set of in-process v3d servers backed by RAM volumes —
 // the default substrate for v3tpcc -net runs and the workload tests, so
-// the whole TPC-C stack (client, wire protocol, server scheduler,
-// cache, store) exercises for real without external processes.
+// the whole TPC-C stack (client, wire protocol, server scheduler, store,
+// and the cache and write-behind path when the config sizes a cache)
+// exercises for real without external processes.
 type Cluster struct {
 	servers []*netv3.Server
 	addrs   []string
