@@ -27,16 +27,20 @@ race:
 # internal/diskq has no importer left in this module: it stays on disk only
 # because benchmark/unit.go (which product PRs may not touch) times it, until
 # a [benchmark] PR deletes both. The first guard keeps it from quietly
-# regaining a product importer in the meantime. The second keeps the docs
-# describing the system that exists: README.md, and DESIGN.md above its
-# appendix of retired mechanisms, may not name deleted code. (The one-character classes keep this line from naming
-# it either, so a repo-wide grep for a deleted name stays empty outside that
-# appendix.)
+# regaining a product importer in the meantime. The second keeps
+# internal/mqcache on its slabs: container/list survives there only in the
+# _test.go oracle the slab MQ and LRU are checked against. The third keeps
+# the docs describing the system that exists: README.md, and DESIGN.md above
+# its appendix of retired mechanisms, may not name deleted code. (The
+# one-character classes keep this line from naming it either, so a repo-wide
+# grep for a deleted name stays empty outside that appendix.)
 DELETED = BENCH_[n]etv3|bench[j]son|BENCH_[J]SON|bench-(netv3|mux|tpcc|resync)|Client[S]tageDefs|-no[t]race|io_uring|DiskWorkers|diskqueue|netv3[.]IO|acquire[S]lot|data[I]O|resync[I]O|issue[E]xtents|wait[E]xtents|Reconn[e]ctor|obs[.]Counter|obs[.]Gauge|bounded[W]ait|stripe[I]O|read[M]irror|Stream[O]pen|Stream[C]lose\b|Max[S]treams|max[s]treams|open[W]aiters|Streams[S]upported|ErrStreams[U]nsupported|Streams[A]ctive|streams[_]active|Feature[S]treams|Credit[G]rant|Write[R]esp|Flush[R]esp|Buf[A]ddr|Flag[P]ollCompletion|Status[E]Again|Header[.]Ack|Write[.]Slot|internal/[f]low|internal/[r]eliable|u[n]claim\b|connection[B]roken|failAll[L]ocked|detach[L]ocked|WriteAsync[C]tx|FlushAsync[C]tx|write[T]hrough\b|absorbIf[R]esident|update[B]lock|WriteThrough[F]allbacks|Trace[S]upported|Feature[T]race|Want[C]red
 vet:
 	$(GO) vet ./...
 	@if $(GO) list -deps ./cmd/... ./internal/netv3/ ./internal/vvault/ ./internal/workload/ | grep internal/diskq; then \
 		echo 'vet: internal/diskq is a stranded leaf and must not be imported'; exit 1; fi
+	@if $(GO) list -f '{{.Imports}}' ./internal/mqcache/ | grep -w container/list; then \
+		echo 'vet: internal/mqcache keeps its queues on slabs and must not import container/list'; exit 1; fi
 	@bad=$$(grep -nHE -e '$(DELETED)' README.md; \
 		sed '/^## Appendix/,$$d' DESIGN.md | grep -nE -e '$(DELETED)' | sed 's/^/DESIGN.md:/'); \
 	if [ -n "$$bad" ]; then echo "$$bad"; \
@@ -48,14 +52,14 @@ verify: vet build race
 # chaos runs every suite of the live stack's concurrent tiers — fault
 # injection (blackholed peers, cancel storms, partitions), resync and
 # replication-log protocols, the destage/read-ahead fan-out, the
-# write-behind model schedules, the workload engine — under the race
-# detector, twice, so an interleaving that only fails sometimes gets two
-# chances to; then the stale-session fence and the reconnect stress test
-# fifty times each.
+# write-behind model schedules, the workload engine, the slab caches'
+# differential tests — under the race detector, twice, so an interleaving
+# that only fails sometimes gets two chances to; then the stale-session
+# fence and the reconnect stress test fifty times each.
 chaos:
 	$(GO) test -race -count=2 -timeout $(TEST_TIMEOUT) \
 		./internal/netv3/ ./internal/vvault/ \
-		./internal/repl/ ./internal/workload/
+		./internal/repl/ ./internal/workload/ ./internal/mqcache/
 	$(GO) test -race -count=50 -timeout $(TEST_TIMEOUT) \
 		-run 'TestStaleSessionFenced|TestStressMixedIOWithReconnects' ./internal/netv3/
 

@@ -12,9 +12,21 @@
 //
 // Keys are opaque uint64 block numbers. The caches store presence only;
 // callers own the data and dirty-state bookkeeping.
+//
+// Both caches keep their entries in a slab fixed at construction: the
+// queues are doubly linked lists threaded through it by int32 index, a
+// free list recycles the slots of removed keys, and one map finds a key's
+// slot (MQ's ghost queue is a second slab with a map of its own). So no
+// operation allocates beyond the occasional rehash of those maps.
+//
+// The slot is MQ's handle for a resident key, and the contract a caller
+// may hang its own per-block state on: a key keeps its slot, numbered
+// [0, Cap()), from the insert that makes it resident to the eviction or
+// Remove that ends its residency, and the key an insert makes resident
+// takes the slot of the victim it evicted. A caller holding a parallel
+// []T indexed by slot therefore finds the victim's state in the new key's
+// slot, to retire before it writes the new key's.
 package mqcache
-
-import "container/list"
 
 // Cache is a block-presence cache with a replacement policy.
 type Cache interface {
@@ -46,13 +58,75 @@ const (
 	DefaultLifeTicks = 32 * 1024
 )
 
+// NoSlot is the slot of no entry: a list's end, or a refused insert.
+const NoSlot int32 = -1
+
+// link threads a slab entry into one list by the slots of its neighbours.
+type link struct{ prev, next int32 }
+
+// slabList is a doubly linked list of slab slots, head the MRU end. Its links
+// live in a []link parallel to the slab, passed to every operation.
+type slabList struct {
+	head, tail int32
+	n          int
+}
+
+func newSlabList() slabList { return slabList{head: NoSlot, tail: NoSlot} }
+
+func (l *slabList) pushFront(lk []link, i int32) {
+	lk[i] = link{prev: NoSlot, next: l.head}
+	if l.head != NoSlot {
+		lk[l.head].prev = i
+	} else {
+		l.tail = i
+	}
+	l.head = i
+	l.n++
+}
+
+func (l *slabList) remove(lk []link, i int32) {
+	p, n := lk[i].prev, lk[i].next
+	if p != NoSlot {
+		lk[p].next = n
+	} else {
+		l.head = n
+	}
+	if n != NoSlot {
+		lk[n].prev = p
+	} else {
+		l.tail = p
+	}
+	l.n--
+}
+
+func (l *slabList) moveToFront(lk []link, i int32) {
+	if l.head != i {
+		l.remove(lk, i)
+		l.pushFront(lk, i)
+	}
+}
+
+// freeSlots returns a stack of the slots [0, n), slot 0 on top.
+func freeSlots(n int) []int32 {
+	free := make([]int32, n)
+	for i := range free {
+		free[i] = int32(n - 1 - i)
+	}
+	return free
+}
+
 type mqEntry struct {
-	key     uint64
-	refs    int   // reference count (drives queue index)
-	expire  int64 // currentTime + lifeTicks when (re)queued
-	queue   int   // which Qi the entry sits in
-	pinned  bool  // exempt from victim selection (e.g. dirty, being flushed)
-	element *list.Element
+	key    uint64
+	refs   int   // reference count (drives queue index)
+	expire int64 // currentTime + lifeTicks when (re)queued
+	queue  int32 // which Qi the entry sits in
+	pinned bool  // exempt from victim selection (e.g. dirty, being flushed)
+}
+
+// ghost is an evicted key remembered in Qout with its reference count.
+type ghost struct {
+	key  uint64
+	refs int
 }
 
 // MQ is the Multi-Queue cache.
@@ -61,12 +135,19 @@ type MQ struct {
 	numQueues int
 	lifeTicks int64
 
-	queues  []*list.List // Q0..Qm-1, each LRU (front = MRU)
-	entries map[uint64]*mqEntry
+	ents   []mqEntry  // the resident slab, indexed by slot
+	lk     []link     // ents' links in their queue
+	queues []slabList // Q0..Qm-1, each LRU (head = MRU)
+	free   []int32    // slots no resident key holds
+	slots  map[uint64]int32
 
-	qout     *list.List // ghost queue of evicted keys (stores mqEntry w/o residency)
-	qoutMap  map[uint64]*mqEntry
-	qoutCap  int
+	ghosts     []ghost // the ghost slab: Qout's entries
+	glk        []link
+	qout       slabList
+	ghostFree  []int32
+	ghostSlots map[uint64]int32
+	qoutCap    int
+
 	now      int64 // logical time in accesses
 	hits     int64
 	accesses int64
@@ -88,17 +169,23 @@ func NewMQ(capacity, numQueues int, lifeTicks int64) *MQ {
 		lifeTicks = DefaultLifeTicks
 	}
 	m := &MQ{
-		capacity:  capacity,
-		numQueues: numQueues,
-		lifeTicks: lifeTicks,
-		queues:    make([]*list.List, numQueues),
-		entries:   make(map[uint64]*mqEntry),
-		qout:      list.New(),
-		qoutMap:   make(map[uint64]*mqEntry),
-		qoutCap:   capacity,
+		capacity:   capacity,
+		numQueues:  numQueues,
+		lifeTicks:  lifeTicks,
+		ents:       make([]mqEntry, capacity),
+		lk:         make([]link, capacity),
+		queues:     make([]slabList, numQueues),
+		free:       freeSlots(capacity),
+		slots:      make(map[uint64]int32, capacity),
+		ghosts:     make([]ghost, capacity),
+		glk:        make([]link, capacity),
+		qout:       newSlabList(),
+		ghostFree:  freeSlots(capacity),
+		ghostSlots: make(map[uint64]int32, capacity),
+		qoutCap:    capacity,
 	}
 	for i := range m.queues {
-		m.queues[i] = list.New()
+		m.queues[i] = newSlabList()
 	}
 	return m
 }
@@ -116,51 +203,69 @@ func (m *MQ) queueIndex(refs int) int {
 	return idx
 }
 
+// Slot returns the slot of a resident key, touching no recency state.
+func (m *MQ) Slot(key uint64) (int32, bool) {
+	s, ok := m.slots[key]
+	return s, ok
+}
+
+// KeyAt returns the key resident in slot.
+func (m *MQ) KeyAt(slot int32) uint64 { return m.ents[slot].key }
+
 // Ref records an access. On hit the block's reference count increments
 // and it moves to the MRU end of its (possibly higher) queue.
 func (m *MQ) Ref(key uint64) bool {
+	m.tick()
+	s, ok := m.slots[key]
+	if ok {
+		m.hit(s)
+	}
+	return ok
+}
+
+// RefAt is Ref of the key resident in slot, which the caller looked up
+// with Slot: the same access, without a second lookup.
+func (m *MQ) RefAt(slot int32) {
+	m.tick()
+	m.hit(slot)
+}
+
+// tick advances logical time by one access and demotes what expired.
+func (m *MQ) tick() {
 	m.now++
 	m.accesses++
 	m.adjust()
-	e, ok := m.entries[key]
-	if !ok {
-		return false
-	}
-	m.hits++
-	e.refs++
-	m.requeue(e)
-	return true
 }
 
-// requeue puts a referenced entry at the MRU end of the queue its count
-// selects. Most references stay in their queue (the index moves only when
-// the count crosses a power of two, or after a demotion), and there the
-// move reuses the list element instead of allocating a fresh one.
-func (m *MQ) requeue(e *mqEntry) {
+// hit counts a reference to the entry in slot and requeues it: at the
+// MRU end of the queue its count selects, with a fresh lifetime.
+func (m *MQ) hit(slot int32) {
+	m.hits++
+	e := &m.ents[slot]
+	e.refs++
 	e.expire = m.now + m.lifeTicks
-	if q := m.queueIndex(e.refs); q != e.queue {
-		m.queues[e.queue].Remove(e.element)
+	if q := int32(m.queueIndex(e.refs)); q != e.queue {
+		m.queues[e.queue].remove(m.lk, slot)
 		e.queue = q
-		e.element = m.queues[q].PushFront(e)
+		m.queues[q].pushFront(m.lk, slot)
 		return
 	}
-	m.queues[e.queue].MoveToFront(e.element)
+	m.queues[e.queue].moveToFront(m.lk, slot)
 }
 
 // adjust implements MQ's lifetime demotion: the LRU block of each
 // non-bottom queue whose lifetime expired moves down one queue.
 func (m *MQ) adjust() {
 	for q := 1; q < m.numQueues; q++ {
-		back := m.queues[q].Back()
-		if back == nil {
+		s := m.queues[q].tail
+		if s == NoSlot {
 			continue
 		}
-		e := back.Value.(*mqEntry)
-		if e.expire <= m.now {
-			m.queues[q].Remove(e.element)
-			e.queue = q - 1
+		if e := &m.ents[s]; e.expire <= m.now {
+			m.queues[q].remove(m.lk, s)
+			e.queue = int32(q - 1)
 			e.expire = m.now + m.lifeTicks
-			e.element = m.queues[q-1].PushFront(e)
+			m.queues[q-1].pushFront(m.lk, s)
 		}
 	}
 }
@@ -174,7 +279,7 @@ func (m *MQ) adjust() {
 func (m *MQ) Insert(key uint64) (uint64, bool) {
 	victim, wasEvict, inserted := m.TryInsert(key)
 	if !inserted {
-		if _, ok := m.entries[key]; ok {
+		if _, ok := m.slots[key]; ok {
 			return 0, false // already resident; treat as no-op
 		}
 		panic("mqcache: Insert with every entry pinned (use TryInsert)")
@@ -188,90 +293,121 @@ func (m *MQ) Insert(key uint64) (uint64, bool) {
 // false with no eviction. With no pinned entries TryInsert behaves
 // exactly like Insert.
 func (m *MQ) TryInsert(key uint64) (victim uint64, wasEvict, inserted bool) {
-	if _, ok := m.entries[key]; ok {
+	if _, ok := m.slots[key]; ok {
 		return 0, false, false // already resident; treat as no-op
 	}
-	if len(m.entries) >= m.capacity {
-		v, ok := m.evict()
-		if !ok {
-			return 0, false, false // every candidate pinned; refuse
+	slot, victim, wasEvict := m.insertAbsent(key)
+	return victim, wasEvict, slot != NoSlot
+}
+
+// insertAbsent makes a key that is not resident resident, in a free slot
+// or in the slot of the victim it evicts. It returns NoSlot when the cache
+// is full and every entry is pinned.
+func (m *MQ) insertAbsent(key uint64) (slot int32, victim uint64, wasEvict bool) {
+	if n := len(m.free); n > 0 {
+		slot = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		if slot = m.evict(); slot == NoSlot {
+			return NoSlot, 0, false // every candidate pinned; refuse
 		}
-		victim, wasEvict = v, true
+		victim, wasEvict = m.ents[slot].key, true
 	}
 	refs := 1
-	if g, ok := m.qoutMap[key]; ok {
-		refs = g.refs + 1
-		m.qout.Remove(g.element)
-		delete(m.qoutMap, key)
+	if g, ok := m.ghostSlots[key]; ok {
+		refs = m.ghosts[g].refs + 1
+		m.qout.remove(m.glk, g)
+		delete(m.ghostSlots, key)
+		m.ghostFree = append(m.ghostFree, g)
 	}
-	e := &mqEntry{key: key, refs: refs, expire: m.now + m.lifeTicks}
-	e.queue = m.queueIndex(refs)
-	e.element = m.queues[e.queue].PushFront(e)
-	m.entries[key] = e
-	return victim, wasEvict, true
+	q := m.queueIndex(refs)
+	m.ents[slot] = mqEntry{key: key, refs: refs, expire: m.now + m.lifeTicks, queue: int32(q)}
+	m.queues[q].pushFront(m.lk, slot)
+	m.slots[key] = slot
+	return slot, victim, wasEvict
 }
 
 // evict removes the least-valuable unpinned block — walking each queue
-// from its LRU end upward, lowest queue first — and remembers it in the
-// ghost queue. Returns false if every resident entry is pinned.
-func (m *MQ) evict() (uint64, bool) {
-	if len(m.entries) == 0 {
+// from its LRU end upward, lowest queue first — remembers it in the ghost
+// queue and returns its slot, which still holds its entry. Returns NoSlot
+// if every resident entry is pinned.
+func (m *MQ) evict() int32 {
+	if len(m.slots) == 0 {
 		panic("mqcache: evict on empty cache")
 	}
-	if m.pinned >= len(m.entries) {
-		return 0, false
+	if m.pinned >= len(m.slots) {
+		return NoSlot
 	}
-	for q := 0; q < m.numQueues; q++ {
-		for el := m.queues[q].Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*mqEntry)
+	for q := range m.queues {
+		for s := m.queues[q].tail; s != NoSlot; s = m.lk[s].prev {
+			e := &m.ents[s]
 			if e.pinned {
 				continue
 			}
-			m.queues[q].Remove(e.element)
-			delete(m.entries, e.key)
-			// Remember in Qout.
-			ghost := &mqEntry{key: e.key, refs: e.refs}
-			ghost.element = m.qout.PushFront(ghost)
-			m.qoutMap[e.key] = ghost
-			if m.qout.Len() > m.qoutCap {
-				oldest := m.qout.Back()
-				g := oldest.Value.(*mqEntry)
-				m.qout.Remove(oldest)
-				delete(m.qoutMap, g.key)
-			}
-			return e.key, true
+			m.queues[q].remove(m.lk, s)
+			delete(m.slots, e.key)
+			m.remember(e.key, e.refs)
+			return s
 		}
 	}
-	return 0, false
+	return NoSlot
+}
+
+// remember puts an evicted key at the head of Qout, forgetting Qout's
+// oldest key first when it is full.
+func (m *MQ) remember(key uint64, refs int) {
+	if m.qout.n >= m.qoutCap {
+		g := m.qout.tail
+		m.qout.remove(m.glk, g)
+		delete(m.ghostSlots, m.ghosts[g].key)
+		m.ghostFree = append(m.ghostFree, g)
+	}
+	n := len(m.ghostFree)
+	g := m.ghostFree[n-1]
+	m.ghostFree = m.ghostFree[:n-1]
+	m.ghosts[g] = ghost{key: key, refs: refs}
+	m.qout.pushFront(m.glk, g)
+	m.ghostSlots[key] = g
 }
 
 // Pin exempts key from victim selection until Unpin. Reports whether the
 // key is resident. Pinning an already-pinned key is a no-op.
 func (m *MQ) Pin(key uint64) bool {
-	e, ok := m.entries[key]
-	if !ok {
-		return false
+	s, ok := m.slots[key]
+	if ok {
+		m.PinAt(s)
 	}
-	if !e.pinned {
-		e.pinned = true
-		m.pinned++
-	}
-	return true
+	return ok
 }
 
 // Unpin makes key evictable again. Reports whether the key is resident.
 // Unpinning an unpinned key is a no-op.
 func (m *MQ) Unpin(key uint64) bool {
-	e, ok := m.entries[key]
-	if !ok {
-		return false
+	s, ok := m.slots[key]
+	if ok {
+		m.UnpinAt(s)
 	}
-	if e.pinned {
+	return ok
+}
+
+// PinAt is Pin of the key resident in slot.
+func (m *MQ) PinAt(slot int32) {
+	if e := &m.ents[slot]; !e.pinned {
+		e.pinned = true
+		m.pinned++
+	}
+}
+
+// UnpinAt is Unpin of the key resident in slot.
+func (m *MQ) UnpinAt(slot int32) {
+	if e := &m.ents[slot]; e.pinned {
 		e.pinned = false
 		m.pinned--
 	}
-	return true
 }
+
+// PinnedAt reports whether the key resident in slot is pinned.
+func (m *MQ) PinnedAt(slot int32) bool { return m.ents[slot].pinned }
 
 // PinnedLen returns the number of resident pinned entries (for tests).
 func (m *MQ) PinnedLen() int { return m.pinned }
@@ -287,34 +423,41 @@ func (m *MQ) RefOrInsert(key uint64) (bool, uint64, bool) {
 
 // RefOrTryInsert is RefOrInsert with TryInsert's refusal semantics: on a
 // miss with the cache full of pinned entries it reports inserted ==
-// false and leaves the cache untouched (beyond the access tick).
-func (m *MQ) RefOrTryInsert(key uint64) (hit bool, victim uint64, wasEvict, inserted bool) {
-	if m.Ref(key) {
-		return true, 0, false, false
+// false and slot NoSlot, and leaves the cache untouched (beyond the access
+// tick). Otherwise slot is the key's: where it hit, or where it was
+// inserted — the victim's slot when one was evicted.
+func (m *MQ) RefOrTryInsert(key uint64) (slot int32, hit bool, victim uint64, wasEvict, inserted bool) {
+	m.tick()
+	if s, ok := m.slots[key]; ok {
+		m.hit(s)
+		return s, true, 0, false, false
 	}
-	victim, wasEvict, inserted = m.TryInsert(key)
-	return false, victim, wasEvict, inserted
+	slot, victim, wasEvict = m.insertAbsent(key)
+	return slot, false, victim, wasEvict, slot != NoSlot
 }
 
 // Contains implements Cache.
-func (m *MQ) Contains(key uint64) bool { _, ok := m.entries[key]; return ok }
+func (m *MQ) Contains(key uint64) bool { _, ok := m.slots[key]; return ok }
 
-// Remove implements Cache.
+// Remove implements Cache. The key's slot goes back to the free list.
 func (m *MQ) Remove(key uint64) bool {
-	e, ok := m.entries[key]
+	s, ok := m.slots[key]
 	if !ok {
 		return false
 	}
+	e := &m.ents[s]
 	if e.pinned {
+		e.pinned = false
 		m.pinned--
 	}
-	m.queues[e.queue].Remove(e.element)
-	delete(m.entries, key)
+	m.queues[e.queue].remove(m.lk, s)
+	delete(m.slots, key)
+	m.free = append(m.free, s)
 	return true
 }
 
 // Len implements Cache.
-func (m *MQ) Len() int { return len(m.entries) }
+func (m *MQ) Len() int { return len(m.slots) }
 
 // Cap implements Cache.
 func (m *MQ) Cap() int { return m.capacity }
@@ -328,4 +471,4 @@ func (m *MQ) HitRatio() float64 {
 }
 
 // GhostLen returns the current ghost-queue population (for tests).
-func (m *MQ) GhostLen() int { return m.qout.Len() }
+func (m *MQ) GhostLen() int { return m.qout.n }

@@ -313,81 +313,237 @@ func TestRefOrInsertEquivalence(t *testing.T) {
 	}
 }
 
-// refRemovePush is Ref as it was before requeue learned to move an
-// element in place: every reference unlinks the entry and pushes a fresh
-// element. It is the reference the in-place move is checked against.
-func refRemovePush(m *MQ, key uint64) bool {
-	m.now++
-	m.accesses++
-	m.adjust()
-	e, ok := m.entries[key]
-	if !ok {
-		return false
-	}
-	m.hits++
-	e.refs++
-	m.queues[e.queue].Remove(e.element)
-	e.queue = m.queueIndex(e.refs)
-	e.expire = m.now + m.lifeTicks
-	e.element = m.queues[e.queue].PushFront(e)
-	return true
+// diffStats counts what a differential run exercised, so a stream that
+// stopped reaching a branch fails instead of passing vacuously.
+type diffStats struct {
+	hits, evictions, refusals, restores, removes, pinned int
 }
 
-// TestRequeueInPlaceKeepsVictimOrder drives one seeded reference stream —
-// skewed keys, pins and unpins, a lifetime short enough to demote —
-// through the MQ and through the remove-and-push reference, and requires
-// the same hit and victim at every step: moving an element to the front of
-// the queue it is already in is the same ordering as re-inserting it, so
-// nothing the simulated figures or the live cache measure can move.
+// TestRequeueInPlaceKeepsVictimOrder holds the slab MQ to the list-based
+// MQ it replaced (oracle_test.go), step for step: 200 seeded streams over
+// capacities 1–64, every queue count, lifetimes short enough to demote, a
+// hot set that climbs the queues and a cold tail that evicts, with pins,
+// unpins and removes mixed in. Every step must agree on hit, victim,
+// evicted and inserted, and on Len, GhostLen and PinnedLen after it — so
+// the victim order, the ghost restores and the refusals the simulated
+// figures and the live cache depend on are the oracle's. (A reference
+// moves its entry to the front of the queue it is already in; the oracle
+// checks that this keeps the victim order of a remove and re-push too.)
 func TestRequeueInPlaceKeepsVictimOrder(t *testing.T) {
-	const capacity, keys, steps = 64, 512, 200000
-	rng := rand.New(rand.NewSource(20))
-	got, want := NewMQ(capacity, 0, 256), NewMQ(capacity, 0, 256)
-	for i := 0; i < steps; i++ {
-		// Half the stream lands on a hot eighth of the keys, so counts climb
-		// through several queues while the cold tail keeps evicting.
-		k := uint64(rng.Intn(keys))
-		if rng.Intn(2) == 0 {
-			k %= keys / 8
-		}
-		switch rng.Intn(16) {
-		case 0:
-			if got.Pin(k) != want.Pin(k) {
-				t.Fatalf("step %d: Pin(%d) differs", i, k)
+	const seeds, steps = 200, 20000
+	var st diffStats
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(64)
+		queues := 1 + rng.Intn(8)
+		life := int64(1 + rng.Intn(8*capacity))
+		keys := capacity * (2 + rng.Intn(6))
+		got, want := NewMQ(capacity, queues, life), newListMQ(capacity, queues, life)
+		for i := 0; i < steps; i++ {
+			// Half the stream lands on a hot eighth of the keys, so counts
+			// climb through several queues while the cold tail keeps evicting.
+			k := uint64(rng.Intn(keys))
+			if rng.Intn(2) == 0 {
+				k %= uint64(keys/8 + 1)
 			}
-			continue
-		case 1, 2:
-			if got.Unpin(k) != want.Unpin(k) {
-				t.Fatalf("step %d: Unpin(%d) differs", i, k)
+			fail := func(op string, g, w any) {
+				t.Fatalf("seed %d (cap %d, queues %d, life %d) step %d: %s(%d) = %v, oracle %v",
+					seed, capacity, queues, life, i, op, k, g, w)
 			}
-			continue
+			// Insert and RefOrInsert panic on a full cache of pinned entries.
+			insertSafe := got.Len() < capacity || got.PinnedLen() < got.Len()
+			switch op := rng.Intn(20); {
+			case op == 0:
+				if g, w := got.Pin(k), want.Pin(k); g != w {
+					fail("Pin", g, w)
+				}
+			case op <= 2:
+				if g, w := got.Unpin(k), want.Unpin(k); g != w {
+					fail("Unpin", g, w)
+				}
+			case op == 3:
+				g, w := got.Remove(k), want.Remove(k)
+				if g != w {
+					fail("Remove", g, w)
+				}
+				if g {
+					st.removes++
+				}
+			case op == 4:
+				if g, w := got.Contains(k), want.Contains(k); g != w {
+					fail("Contains", g, w)
+				}
+			case op == 5:
+				if g, w := got.Ref(k), want.Ref(k); g != w {
+					fail("Ref", g, w)
+				}
+			case op == 6:
+				_, restore := want.qoutMap[k]
+				gv, ge, gi := got.TryInsert(k)
+				wv, we, wi := want.TryInsert(k)
+				if gv != wv || ge != we || gi != wi {
+					fail("TryInsert", []any{gv, ge, gi}, []any{wv, we, wi})
+				}
+				st.count(false, we, wi, restore)
+			case op <= 8 && insertSafe:
+				_, restore := want.qoutMap[k]
+				gh, gv, ge := got.RefOrInsert(k)
+				wh, wv, we := want.RefOrInsert(k)
+				if gh != wh || gv != wv || ge != we {
+					fail("RefOrInsert", []any{gh, gv, ge}, []any{wh, wv, we})
+				}
+				st.count(wh, we, !wh, restore && !wh)
+			default:
+				_, restore := want.qoutMap[k]
+				slot, gh, gv, ge, gi := got.RefOrTryInsert(k)
+				wh, wv, we, wi := want.RefOrTryInsert(k)
+				if gh != wh || gv != wv || ge != we || gi != wi {
+					fail("RefOrTryInsert", []any{gh, gv, ge, gi}, []any{wh, wv, we, wi})
+				}
+				if (gh || gi) && got.KeyAt(slot) != k || !gh && !gi && slot != NoSlot {
+					fail("RefOrTryInsert slot", slot, k)
+				}
+				st.count(wh, we, wi || wh, restore && !wh)
+			}
+			if got.Len() != want.Len() || got.GhostLen() != want.GhostLen() || got.PinnedLen() != want.PinnedLen() {
+				t.Fatalf("seed %d step %d: Len/GhostLen/PinnedLen %d/%d/%d, oracle %d/%d/%d", seed, i,
+					got.Len(), got.GhostLen(), got.PinnedLen(), want.Len(), want.GhostLen(), want.PinnedLen())
+			}
+			if got.PinnedLen() > 0 {
+				st.pinned++
+			}
 		}
-		hit, victim, evicted, inserted := got.RefOrTryInsert(k)
-		var wVictim uint64
-		var wEvicted, wInserted bool
-		wHit := refRemovePush(want, k)
-		if !wHit {
-			wVictim, wEvicted, wInserted = want.TryInsert(k)
-		}
-		if hit != wHit || victim != wVictim || evicted != wEvicted || inserted != wInserted {
-			t.Fatalf("step %d key %d: got (hit=%v victim=%d evicted=%v inserted=%v), reference (%v %d %v %v)",
-				i, k, hit, victim, evicted, inserted, wHit, wVictim, wEvicted, wInserted)
+		if got.HitRatio() != want.HitRatio() {
+			t.Fatalf("seed %d: hit ratio %v, oracle %v", seed, got.HitRatio(), want.HitRatio())
 		}
 	}
-	if got.hits == 0 || got.hits == got.accesses || got.PinnedLen() == 0 {
-		t.Fatalf("stream exercised too little: hits=%d accesses=%d pinned=%d", got.hits, got.accesses, got.PinnedLen())
+	if st.hits == 0 || st.evictions == 0 || st.refusals == 0 || st.restores == 0 || st.removes == 0 || st.pinned == 0 {
+		t.Fatalf("streams exercised too little: %+v", st)
 	}
 }
 
-// TestRefOnResidentAllocatesNothing: a reference that stays in its queue
-// — every one but those crossing a power of two — reuses its list element.
-func TestRefOnResidentAllocatesNothing(t *testing.T) {
-	m := NewMQ(16, 0, 0)
-	m.Insert(7)
-	for i := 0; i < 16; i++ { // count 17: the next power of two is 15 references off
-		m.Ref(7)
+// count tallies one insert-or-hit step: a hit, an eviction, a refusal (a
+// miss that inserted nothing), a ghost restore.
+func (st *diffStats) count(hit, evicted, inserted, restore bool) {
+	switch {
+	case hit:
+		st.hits++
+	case !inserted:
+		st.refusals++
 	}
-	if n := testing.AllocsPerRun(10, func() { m.Ref(7) }); n != 0 {
-		t.Fatalf("Ref on a resident key: %.0f allocations, want 0", n)
+	if evicted {
+		st.evictions++
+	}
+	if restore && inserted {
+		st.restores++
+	}
+}
+
+// TestSlabLRUMatchesListLRU is the same differential test for the LRU: 200
+// seeded streams of references, inserts and removes, compared with the
+// list-based LRU at every step.
+func TestSlabLRUMatchesListLRU(t *testing.T) {
+	const seeds, steps = 200, 20000
+	evictions := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(64)
+		keys := capacity * (2 + rng.Intn(6))
+		got, want := NewLRU(capacity), newListLRU(capacity)
+		for i := 0; i < steps; i++ {
+			k := uint64(rng.Intn(keys))
+			if rng.Intn(2) == 0 {
+				k %= uint64(keys/8 + 1)
+			}
+			var g, w []any
+			switch rng.Intn(8) {
+			case 0:
+				g, w = []any{got.Remove(k)}, []any{want.Remove(k)}
+			case 1:
+				g, w = []any{got.Contains(k)}, []any{want.Contains(k)}
+			case 2:
+				g, w = []any{got.Ref(k)}, []any{want.Ref(k)}
+			case 3:
+				gv, ge := got.Insert(k)
+				wv, we := want.Insert(k)
+				g, w = []any{gv, ge}, []any{wv, we}
+			default:
+				gh, gv, ge := got.RefOrInsert(k)
+				wh, wv, we := want.RefOrInsert(k)
+				g, w = []any{gh, gv, ge}, []any{wh, wv, we}
+				if we {
+					evictions++
+				}
+			}
+			for j := range g {
+				if g[j] != w[j] {
+					t.Fatalf("seed %d (cap %d) step %d key %d: got %v, oracle %v", seed, capacity, i, k, g, w)
+				}
+			}
+			if got.Len() != want.Len() {
+				t.Fatalf("seed %d step %d: Len %d, oracle %d", seed, i, got.Len(), want.Len())
+			}
+		}
+		if got.HitRatio() != want.HitRatio() {
+			t.Fatalf("seed %d: hit ratio %v, oracle %v", seed, got.HitRatio(), want.HitRatio())
+		}
+	}
+	if evictions == 0 {
+		t.Fatal("streams never evicted")
+	}
+}
+
+// TestRefOnResidentAllocatesNothing: on a full cache whose maps have
+// settled, no operation of either cache allocates — not a reference, not
+// an insert that evicts (the new key takes the victim's slot and the
+// victim a ghost slot), not a ghost restore, not a remove and re-insert
+// (the slot comes back off the free list), not a pin or a refusal.
+func TestRefOnResidentAllocatesNothing(t *testing.T) {
+	const capacity = 64
+	m, l := NewMQ(capacity, 0, 256), NewLRU(capacity)
+	fresh := uint64(0)
+	next := func() uint64 { fresh++; return fresh }
+	for i := 0; i < 1000*capacity; i++ { // full, Qout full, maps grown to their churn
+		k := next()
+		m.RefOrInsert(k)
+		l.RefOrInsert(k)
+	}
+	hot := next()
+	m.Insert(hot)
+	l.Insert(hot)
+	for i := 0; i < 16; i++ { // count 17: well up the queues
+		m.Ref(hot)
+	}
+	walled := NewMQ(2, 0, 0) // full of pinned entries: every insert refused
+	walled.Insert(1)
+	walled.Insert(2)
+	walled.Pin(1)
+	walled.Pin(2)
+	for _, op := range []struct {
+		name string
+		f    func()
+	}{
+		{"MQ.Ref of a resident key", func() { m.Ref(hot) }},
+		{"MQ.Slot and RefAt", func() { s, _ := m.Slot(hot); m.RefAt(s) }},
+		{"MQ.RefOrInsert that evicts", func() { m.RefOrInsert(next()) }},
+		{"MQ.RefOrTryInsert that evicts", func() { m.RefOrTryInsert(next()) }},
+		{"MQ ghost restore", func() {
+			if v, ok := m.Insert(next()); ok {
+				m.Insert(v) // in Qout since the line above
+			}
+		}},
+		{"MQ.Remove and Insert", func() { m.Remove(hot); m.Insert(hot) }},
+		{"MQ.Pin and Unpin", func() { m.Pin(hot); m.Unpin(hot) }},
+		{"MQ.TryInsert refused", func() { walled.TryInsert(next()) }},
+		{"LRU.Ref of a resident key", func() { l.Ref(hot) }},
+		{"LRU.RefOrInsert that evicts", func() { l.RefOrInsert(next()); l.Ref(hot) }},
+		{"LRU.Remove and Insert", func() { l.Remove(hot); l.Insert(hot) }},
+	} {
+		if n := testing.AllocsPerRun(1000, op.f); n != 0 {
+			t.Errorf("%s: %.0f allocations, want 0", op.name, n)
+		}
+	}
+	if !m.Contains(hot) || !l.Contains(hot) || m.Len() != capacity || l.Len() != capacity {
+		t.Fatal("the hot key left, or the caches are not full")
 	}
 }

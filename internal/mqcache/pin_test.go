@@ -76,7 +76,7 @@ func TestRefOrTryInsertMatchesRefOrInsertUnpinned(t *testing.T) {
 	seq := []uint64{1, 2, 3, 1, 4, 5, 6, 7, 8, 9, 2, 10, 11, 1, 12, 3, 13, 14, 9, 15}
 	for _, k := range seq {
 		h1, v1, e1 := a.RefOrInsert(k)
-		h2, v2, e2, ins := b.RefOrTryInsert(k)
+		_, h2, v2, e2, ins := b.RefOrTryInsert(k)
 		if h1 != h2 || v1 != v2 || e1 != e2 {
 			t.Fatalf("key %d: RefOrInsert=(%v,%d,%v) RefOrTryInsert=(%v,%d,%v)", k, h1, v1, e1, h2, v2, e2)
 		}

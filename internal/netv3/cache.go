@@ -3,7 +3,7 @@ package netv3
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,24 +34,26 @@ var errNeedsFill = errors.New("netv3: partial write to a non-resident block")
 // paper's pipelined disk manager: blocks a write has landed in but the
 // destager has not yet committed are *dirty*; blocks the destager has
 // staged for an in-flight batch write are *flushing*; blocks installed
-// ahead of a sequential reader are *prefetched*. The rules that keep the
-// store and cache coherent:
+// ahead of a sequential reader are *prefetched*. All of it lives in one
+// blockState per MQ slot, beside the block's payload, so an access costs
+// one lookup: the MQ's. The rules that keep the store and cache coherent:
 //
-//   - A dirty or flushing block is never evicted: it is pinned in the
-//     MQ, so victim selection skips it, and an insert that would need to
-//     evict from a shard whose every slot is pinned is refused instead
+//   - A dirty or flushing block is never evicted: its slot is pinned in
+//     the MQ, so victim selection skips it, and an insert that would need
+//     to evict from a shard whose every slot is pinned is refused instead
 //     (errCacheBusy).
 //     Evicting one would either lose acked data (dirty) or let a reader
 //     re-fill the block from the store while the destager's batch write
 //     for the same bytes is still in flight (flushing) — a torn read.
-//     A pinned resident block is therefore the one encoding of "acked
-//     but not durable": each shard's pinned set equals dirty ∪ flushing,
-//     and evictLocked panics on a victim that breaks it.
+//     A pinned slot is therefore the one encoding of "acked but not
+//     durable": a slot is pinned exactly when its dirty or flushing flag
+//     is set, and evictLocked panics on a victim that breaks it.
 //   - Every write lands here (absorb), and a block's store bytes change
 //     only in a destage pass, while the block is pinned and resident. So
 //     the store holds the freshest bytes of every block that is not
-//     resident, and they stay put while its shard lock is held: a miss
-//     fill that reads them under that lock installs current bytes.
+//     resident. No store call runs under a shard lock: a fill reads them
+//     with the lock released and installs them only if the block's epoch
+//     stripe did not move meanwhile (fillLocked) — the prefetcher's rule.
 type blockCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -64,7 +66,7 @@ type blockCache struct {
 	prefHits   atomic.Int64 // demand hits on prefetched blocks
 
 	// prefResident counts installed-but-not-yet-demanded prefetch blocks
-	// (the union of the shards' pref sets). The prefetcher refuses new
+	// (the shards' slots with the pref flag). The prefetcher refuses new
 	// windows once this passes its residency budget: unconsumed
 	// read-ahead competing with demand blocks for cache slots evicts the
 	// very state it is trying to shortcut. prefBudget is the cap, a
@@ -75,26 +77,36 @@ type blockCache struct {
 }
 
 type cacheShard struct {
-	mu       sync.Mutex
-	mq       *mqcache.MQ
-	data     map[uint64][]byte   // resident block payloads, len cacheBlockSize
-	dirty    map[uint64]struct{} // written-behind, not yet destaged
-	flushing map[uint64]struct{} // staged in an in-flight destage batch
-	pref     map[uint64]struct{} // installed by prefetch, not yet demanded
+	mu    sync.Mutex
+	mq    *mqcache.MQ
+	state []blockState // indexed by MQ slot
 
 	// epochs count content-changing events in this shard, striped by
 	// block number: write absorbs and destage unstages bump the written
-	// block's stripe under mu. The prefetcher reads the store without
-	// holding shard locks; it snapshots the covered blocks' stripes when it
-	// plans a window and revalidates at install — an unchanged stripe
+	// block's stripe under mu. The prefetcher and a miss fill read the
+	// store without holding the shard lock; they snapshot the covered
+	// blocks' stripes first and revalidate at install — an unchanged stripe
 	// proves no write touched any block sharing it mid-flight, so the store
-	// bytes it read are neither stale nor torn. Striping (rather than one
+	// bytes read are neither stale nor torn. Striping (rather than one
 	// counter per shard) keeps the false-conflict rate low under mixed
 	// workloads: a write stream bumps only its own stripes, not every
 	// reader's. The stripe count is prime so the power-of-two strides block
 	// workloads favor cannot alias a whole write region onto a reader's
-	// stripes; a false conflict only costs one skipped read-ahead block.
+	// stripes; a false conflict only costs one skipped read-ahead block,
+	// or one repeated fill read.
 	epochs [epochStripes]uint64
+}
+
+// blockState is the cache's half of one MQ slot: the payload of the block
+// resident there and its write-behind flags. The slot keeps its payload
+// slab when its block leaves, for the next block that takes the slot — an
+// evicting insert takes the victim's slot, so it finds the victim's flags
+// to retire and its slab to reuse.
+type blockState struct {
+	payload  []byte // len cacheBlockSize; nil until the slot's first use
+	dirty    bool   // written-behind, not yet destaged
+	flushing bool   // staged in an in-flight destage batch
+	pref     bool   // installed by prefetch, not yet demanded
 }
 
 // epochStripes is the per-shard epoch stripe count. Prime (see above).
@@ -114,6 +126,11 @@ type shardEpoch struct {
 // capacity useful for small caches while allowing 16-way concurrent hits.
 const cacheShards = 16
 
+// maxUnlockedFills bounds how often a fill re-reads the store because a
+// write moved the block's epoch stripe during the read; the read after
+// that holds the shard lock, which nothing can race.
+const maxUnlockedFills = 4
+
 // newBlockCache builds a cache of totalBlocks across cacheShards shards —
 // fewer for a cache too small to give each shard a block.
 func newBlockCache(totalBlocks int, pool *bufpool.Pool) *blockCache {
@@ -132,10 +149,7 @@ func newBlockCache(totalBlocks int, pool *bufpool.Pool) *blockCache {
 	}
 	for i := range c.shards {
 		c.shards[i].mq = mqcache.NewMQ(per, 0, 0)
-		c.shards[i].data = make(map[uint64][]byte, per)
-		c.shards[i].dirty = make(map[uint64]struct{})
-		c.shards[i].flushing = make(map[uint64]struct{})
-		c.shards[i].pref = make(map[uint64]struct{})
+		c.shards[i].state = make([]blockState, per)
 	}
 	return c
 }
@@ -154,11 +168,21 @@ func blockLen(vsize int64, blk uint64) int64 {
 	return n
 }
 
-// hitLocked records prefetch accounting for a demand hit. Call with the
-// shard lock held.
-func (c *blockCache) hitLocked(sh *cacheShard, blk uint64) {
-	if _, ok := sh.pref[blk]; ok {
-		delete(sh.pref, blk)
+// slab returns st's payload, taking one from the pool for a slot's first
+// block.
+func (c *blockCache) slab(st *blockState) []byte {
+	if st.payload == nil {
+		st.payload = c.pool.Get(cacheBlockSize)
+	}
+	return st.payload
+}
+
+// hitLocked records a demand reference to the block in slot: the MQ's
+// recency, and the prefetch accounting. Call with the shard lock held.
+func (c *blockCache) hitLocked(sh *cacheShard, slot int32) {
+	sh.mq.RefAt(slot)
+	if st := &sh.state[slot]; st.pref {
+		st.pref = false
 		c.prefResident.Add(-1)
 		c.prefHits.Add(1)
 	}
@@ -175,16 +199,13 @@ func (c *blockCache) prefetchDiscard(blks []uint64) int {
 	for _, blk := range blks {
 		sh := c.shard(blk)
 		sh.mu.Lock()
-		_, p := sh.pref[blk]
-		_, d := sh.dirty[blk]
-		_, f := sh.flushing[blk]
-		if p && !d && !f {
-			delete(sh.pref, blk)
-			c.prefResident.Add(-1)
-			c.pool.Put(sh.data[blk])
-			delete(sh.data, blk)
-			sh.mq.Remove(blk)
-			dropped++
+		if slot, ok := sh.mq.Slot(blk); ok {
+			if st := &sh.state[slot]; st.pref && !st.dirty && !st.flushing {
+				st.pref = false
+				c.prefResident.Add(-1)
+				sh.mq.Remove(blk)
+				dropped++
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -192,69 +213,100 @@ func (c *blockCache) prefetchDiscard(blks []uint64) int {
 	return dropped
 }
 
-// evictLocked releases the slab of a victim the MQ just evicted. The MQ
-// never selects a pinned entry and every dirty or flushing block is
-// pinned, so the victim is clean; one that is not is a bug that would
-// drop an acked write, and that must never happen quietly. Call with
-// sh.mu held.
-func (c *blockCache) evictLocked(sh *cacheShard, victim uint64) {
-	_, dirty := sh.dirty[victim]
-	_, flushing := sh.flushing[victim]
-	if dirty || flushing {
-		panic(fmt.Sprintf("netv3: cache evicted block %d holding uncommitted bytes (dirty=%v flushing=%v)", victim, dirty, flushing))
+// evictLocked retires the state of victim, which the MQ just evicted from
+// slot to make room for the block now there. The MQ never selects a pinned
+// entry and every dirty or flushing block is pinned, so the victim is
+// clean; one that is not is a bug that would drop an acked write, and
+// that must never happen quietly. The slot keeps its payload slab for the
+// new block. Call with sh.mu held.
+func (c *blockCache) evictLocked(sh *cacheShard, slot int32, victim uint64) {
+	st := &sh.state[slot]
+	if st.dirty || st.flushing {
+		panic(fmt.Sprintf("netv3: cache evicted block %d holding uncommitted bytes (dirty=%v flushing=%v)", victim, st.dirty, st.flushing))
 	}
-	if _, p := sh.pref[victim]; p {
-		delete(sh.pref, victim)
+	if st.pref {
+		st.pref = false
 		c.prefResident.Add(-1)
 	}
-	c.pool.Put(sh.data[victim])
-	delete(sh.data, victim)
+}
+
+// insertLocked makes blk, which is not resident, resident in sh: it
+// returns the block's slot with the victim it evicted retired, or false
+// when the shard is wall-to-wall pinned. Call with sh.mu held.
+func (c *blockCache) insertLocked(sh *cacheShard, blk uint64) (int32, bool) {
+	slot, _, victim, evicted, inserted := sh.mq.RefOrTryInsert(blk)
+	if evicted {
+		c.evictLocked(sh, slot, victim)
+	}
+	return slot, inserted
+}
+
+// fillLocked reads block blk's store bytes into payload (zero past the
+// volume's end) with sh.mu released, and returns with it held again, so a
+// store read never holds up the shard's hits. The block is not resident
+// when it is called. If it went resident meanwhile — another fill, a
+// write — fillLocked reports its slot, whose bytes are at least as fresh:
+// payload is then to be discarded. Otherwise payload holds the block's
+// current store bytes, or err: the block's epoch stripe did not move
+// across the read, so no write was absorbed into it, and none destaged
+// from it, while the store call ran. A moved stripe means a re-read.
+func (c *blockCache) fillLocked(v *volume, sh *cacheShard, blk uint64, payload []byte) (slot int32, resident bool, err error) {
+	stripe := epochStripe(blk)
+	n := blockLen(v.store.Size(), blk)
+	for try := 1; ; try++ {
+		epoch := sh.epochs[stripe]
+		unlocked := try <= maxUnlockedFills
+		if unlocked {
+			sh.mu.Unlock()
+		}
+		err = v.store.ReadAt(payload[:n], int64(blk)*cacheBlockSize)
+		if unlocked {
+			sh.mu.Lock()
+		}
+		if slot, ok := sh.mq.Slot(blk); ok {
+			return slot, true, nil
+		}
+		if sh.epochs[stripe] == epoch {
+			// Pooled slabs arrive dirty; the tail past EOF must read as zeros.
+			clear(payload[n:])
+			return mqcache.NoSlot, false, err
+		}
+	}
 }
 
 // readBlock copies block blk's bytes [within, within+n) into dst,
-// filling the block from store on a miss. The store read happens under
-// the shard lock, which orders the fill against an absorb of the same
-// block: the absorb lands on the installed payload, never under it.
+// filling the block from store on a miss. The fill reads the store with
+// the shard lock released (fillLocked) and installs the block after;
+// a shard wall-to-wall pinned serves the bytes read without caching them.
 func (c *blockCache) readBlock(v *volume, blk uint64, within, n int64, dst []byte) error {
 	sh := c.shard(blk)
 	sh.mu.Lock()
-	hit, victim, evicted, inserted := sh.mq.RefOrTryInsert(blk)
-	if hit {
+	defer sh.mu.Unlock()
+	if slot, ok := sh.mq.Slot(blk); ok {
 		c.hits.Add(1)
-		c.hitLocked(sh, blk)
-		copy(dst, sh.data[blk][within:within+n])
-		sh.mu.Unlock()
+		c.hitLocked(sh, slot)
+		copy(dst, sh.state[slot].payload[within:within+n])
 		return nil
 	}
 	c.misses.Add(1)
-	if !inserted {
-		// Every slot in this shard is pinned by uncommitted write-behind
-		// state; serve the read without caching it. The block is not
-		// resident, so the store holds its freshest bytes (the shard lock
-		// orders this read against absorbs, like a miss fill).
-		err := v.store.ReadAt(dst[:n], int64(blk)*cacheBlockSize+within)
-		sh.mu.Unlock()
-		return err
-	}
-	if evicted {
-		c.evictLocked(sh, victim)
-	}
 	payload := c.pool.Get(cacheBlockSize)
-	bs := int64(blk) * cacheBlockSize
-	readLen := blockLen(v.store.Size(), blk)
-	if err := v.store.ReadAt(payload[:readLen], bs); err != nil {
-		// Roll the insert back so the failed block is not resident.
-		sh.mq.Remove(blk)
-		c.pool.Put(payload)
-		sh.mu.Unlock()
-		return err
+	slot, resident, err := c.fillLocked(v, sh, blk, payload)
+	if resident {
+		// Filled or written while the store read ran: that copy is current.
+		c.hitLocked(sh, slot)
+		copy(dst, sh.state[slot].payload[within:within+n])
+	} else if err == nil {
+		copy(dst, payload[within:within+n])
+		if slot, ok := c.insertLocked(sh, blk); ok {
+			// The slot's old slab goes back instead of the filled one. A
+			// shard wall-to-wall pinned has no slot: the read is served
+			// uncached.
+			st := &sh.state[slot]
+			payload, st.payload = st.payload, payload
+		}
 	}
-	// Pooled slabs arrive dirty; the tail past EOF must read as zeros.
-	clear(payload[readLen:])
-	sh.data[blk] = payload
-	copy(dst, payload[within:within+n])
-	sh.mu.Unlock()
-	return nil
+	c.pool.Put(payload)
+	return err
 }
 
 // readBlockHit is the hit-only probe behind the session loop's inline
@@ -266,16 +318,13 @@ func (c *blockCache) readBlock(v *volume, blk uint64, within, n int64, dst []byt
 func (c *blockCache) readBlockHit(blk uint64, within, n int64, dst []byte) bool {
 	sh := c.shard(blk)
 	sh.mu.Lock()
-	payload, ok := sh.data[blk]
-	if !ok {
-		sh.mu.Unlock()
-		return false
+	slot, ok := sh.mq.Slot(blk)
+	if ok {
+		c.hitLocked(sh, slot)
+		copy(dst, sh.state[slot].payload[within:within+n])
 	}
-	sh.mq.Ref(blk)
-	c.hitLocked(sh, blk)
-	copy(dst, payload[within:within+n])
 	sh.mu.Unlock()
-	return true
+	return ok
 }
 
 // resident reports whether every block of [first, last] is in the cache,
@@ -284,7 +333,7 @@ func (c *blockCache) resident(first, last uint64) bool {
 	for blk := first; blk <= last; blk++ {
 		sh := c.shard(blk)
 		sh.mu.Lock()
-		_, ok := sh.data[blk]
+		_, ok := sh.mq.Slot(blk)
 		sh.mu.Unlock()
 		if !ok {
 			return false
@@ -296,54 +345,61 @@ func (c *blockCache) resident(first, last uint64) bool {
 // absorb folds write bytes into block blk as dirty state — the
 // write-behind path. An absent block is installed first: a fully covered
 // block needs no store round-trip; a partially covered one is
-// read-modify-write filled from the store under the shard lock, like any
-// fill, when fill is set, and refused with errNeedsFill when it is not.
+// read-modify-write filled from the store (fillLocked), like any fill,
+// when fill is set, and refused with errNeedsFill when it is not.
 func (c *blockCache) absorb(v *volume, blk uint64, within, n int64, src []byte, fill bool) error {
 	sh := c.shard(blk)
 	sh.mu.Lock()
-	payload, resident := sh.data[blk]
-	if resident {
-		sh.mq.Ref(blk)
-	} else {
+	defer sh.mu.Unlock()
+	slot, resident := sh.mq.Slot(blk)
+	if !resident {
 		bl := blockLen(v.store.Size(), blk)
-		partial := within != 0 || n != bl
-		if partial && !fill {
-			sh.mu.Unlock()
-			return errNeedsFill
-		}
-		hit, victim, evicted, inserted := sh.mq.RefOrTryInsert(blk)
-		if !hit && !inserted {
-			// Shard wall-to-wall pinned: no slot for another dirty block.
-			sh.mu.Unlock()
-			return errCacheBusy
-		}
-		if evicted {
-			c.evictLocked(sh, victim)
-		}
-		payload = c.pool.Get(cacheBlockSize)
-		if partial {
-			if err := v.store.ReadAt(payload[:bl], int64(blk)*cacheBlockSize); err != nil {
-				sh.mq.Remove(blk)
-				c.pool.Put(payload)
-				sh.mu.Unlock()
+		var filled []byte
+		if within != 0 || n != bl {
+			if !fill {
+				return errNeedsFill
+			}
+			filled = c.pool.Get(cacheBlockSize)
+			var err error
+			if slot, resident, err = c.fillLocked(v, sh, blk, filled); err != nil || resident {
+				c.pool.Put(filled)
+				filled = nil
+			}
+			if err != nil {
 				return err
 			}
 		}
-		clear(payload[bl:])
-		sh.data[blk] = payload
+		if !resident {
+			var ok bool
+			if slot, ok = c.insertLocked(sh, blk); !ok {
+				// Shard wall-to-wall pinned: no slot for another dirty block.
+				c.pool.Put(filled)
+				return errCacheBusy
+			}
+			st := &sh.state[slot]
+			if filled != nil {
+				filled, st.payload = st.payload, filled
+				c.pool.Put(filled)
+			} else {
+				clear(c.slab(st)[bl:])
+			}
+		}
 	}
-	copy(payload[within:within+n], src)
-	if _, d := sh.dirty[blk]; !d {
-		sh.dirty[blk] = struct{}{}
+	if resident {
+		sh.mq.RefAt(slot)
+	}
+	st := &sh.state[slot]
+	copy(st.payload[within:within+n], src)
+	if !st.dirty {
+		st.dirty = true
 		c.dirtyCount.Add(1)
-		sh.mq.Pin(blk)
+		sh.mq.PinAt(slot)
 	}
-	if _, p := sh.pref[blk]; p {
-		delete(sh.pref, blk)
+	if st.pref {
+		st.pref = false
 		c.prefResident.Add(-1)
 	}
 	sh.epochs[epochStripe(blk)]++
-	sh.mu.Unlock()
 	return nil
 }
 
@@ -355,12 +411,14 @@ func (c *blockCache) dirtySnapshot() []uint64 {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for blk := range sh.dirty {
-			blks = append(blks, blk)
+		for slot := range sh.state {
+			if sh.state[slot].dirty {
+				blks = append(blks, sh.mq.KeyAt(int32(slot)))
+			}
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
+	slices.Sort(blks)
 	return blks
 }
 
@@ -370,24 +428,23 @@ func (c *blockCache) dirtySnapshot() []uint64 {
 func (c *blockCache) stage(blk uint64, dst []byte) bool {
 	sh := c.shard(blk)
 	sh.mu.Lock()
-	payload, resident := sh.data[blk]
-	if _, dirty := sh.dirty[blk]; !resident || !dirty {
-		sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	slot, ok := sh.mq.Slot(blk)
+	if !ok || !sh.state[slot].dirty {
 		return false
 	}
-	if _, f := sh.flushing[blk]; f {
+	st := &sh.state[slot]
+	if st.flushing {
 		// A prior batch's write for this block is still in flight (it was
 		// re-dirtied mid-batch). Staging it again would put two writes for
 		// the same extent in flight at once with no ordering between them;
 		// leave it dirty for the next pass, after unstage clears the mark.
-		sh.mu.Unlock()
 		return false
 	}
-	copy(dst, payload[:len(dst)])
-	delete(sh.dirty, blk)
+	copy(dst, st.payload[:len(dst)])
+	st.dirty = false
 	c.dirtyCount.Add(-1)
-	sh.flushing[blk] = struct{}{}
-	sh.mu.Unlock()
+	st.flushing = true
 	return true
 }
 
@@ -398,17 +455,18 @@ func (c *blockCache) unstage(blks []uint64, redirty bool) {
 	for _, blk := range blks {
 		sh := c.shard(blk)
 		sh.mu.Lock()
-		delete(sh.flushing, blk)
-		if redirty {
-			if _, d := sh.dirty[blk]; !d {
-				sh.dirty[blk] = struct{}{}
+		if slot, ok := sh.mq.Slot(blk); ok {
+			st := &sh.state[slot]
+			st.flushing = false
+			if redirty && !st.dirty {
+				st.dirty = true
 				c.dirtyCount.Add(1)
 			}
-		}
-		if _, d := sh.dirty[blk]; !d {
-			// No uncommitted state left on this block (it was not
-			// re-dirtied mid-flight): make it evictable again.
-			sh.mq.Unpin(blk)
+			if !st.dirty {
+				// No uncommitted state left on this block (it was not
+				// re-dirtied mid-flight): make it evictable again.
+				sh.mq.UnpinAt(slot)
+			}
 		}
 		// The destage write for this block just finished (well or badly);
 		// either way the store range was in motion while it was in flight.
@@ -447,7 +505,7 @@ func (c *blockCache) prefetchPlan(v *volume, blks []uint64) (want []bool, epochs
 		sh := c.shard(blk)
 		st := epochStripe(blk)
 		epochs[i] = shardEpoch{idx: int(blk & c.mask), stripe: st, epoch: sh.epochs[st]}
-		if _, resident := sh.data[blk]; !resident {
+		if _, resident := sh.mq.Slot(blk); !resident {
 			want[i] = true
 			need++
 		}
@@ -491,31 +549,24 @@ func (c *blockCache) prefetchInstall(blks []uint64, want, ok []bool, epochs []sh
 		if sh.epochs[epochs[i].stripe] != epochs[i].epoch {
 			continue
 		}
-		if _, resident := sh.data[blk]; resident {
+		if _, resident := sh.mq.Slot(blk); resident {
 			continue
 		}
-		hit, victim, evicted, inserted := sh.mq.RefOrTryInsert(blk)
-		if hit {
-			continue
-		}
+		slot, inserted := c.insertLocked(sh, blk)
 		if !inserted {
 			// Shard wall-to-wall pinned: speculative bytes never displace
 			// uncommitted ones, so the block is skipped; a later demand
 			// miss fetches it coherently.
 			continue
 		}
-		if evicted {
-			c.evictLocked(sh, victim)
-		}
 		// Second reference on insert: without it a long scan's read-ahead
 		// lands in the MQ's lowest queue, whose LRU victim is the oldest
 		// not-yet-read prefetched block — the next one the stream needs.
 		// Promoted one level, eviction falls on already-consumed blocks.
-		sh.mq.Ref(blk)
-		payload := c.pool.Get(cacheBlockSize)
-		copy(payload, buf[i*cacheBlockSize:(i+1)*cacheBlockSize])
-		sh.data[blk] = payload
-		sh.pref[blk] = struct{}{}
+		sh.mq.RefAt(slot)
+		st := &sh.state[slot]
+		copy(c.slab(st), buf[i*cacheBlockSize:(i+1)*cacheBlockSize])
+		st.pref = true
 		c.prefResident.Add(1)
 		c.prefFills.Add(1)
 		installed++

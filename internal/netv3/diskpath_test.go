@@ -302,27 +302,33 @@ func TestDirtyHighWaterFallsBackToWriteThrough(t *testing.T) {
 }
 
 // TestSessionLoopNeverWaitsOnStore pins the session loop's dispatch rule
-// for writes, on a cache of one slot per shard over a store whose writes
-// (or reads) park until the test opens the gate. A write that needs the
-// store — a destage pass to unpin a shard held wall to wall by a dirty
-// block, or a fill of the block a 4 KB write only half covers — goes to a
-// worker, and a cache hit queued behind it on the same connection is
-// answered while the store call is still parked.
+// on a cache of one or two slots per shard over a store whose writes (or
+// reads) park until the test opens the gate. A request that needs the
+// store — a write waiting on a destage pass to unpin a shard held wall to
+// wall by a dirty block, a write filling the block it only half covers, a
+// read missing a block — goes to a worker, and a cache hit queued behind it
+// on the same connection is answered while the store call is still parked.
+// In the last case the hit is in the missed block's shard: a miss fill
+// reads the store with the shard lock released.
 func TestSessionLoopNeverWaitsOnStore(t *testing.T) {
 	block := func(b byte) []byte { return bytes.Repeat([]byte{b}, cacheBlockSize) }
 	for _, tc := range []struct {
 		name      string
-		parkReads bool
-		off       int64 // of the write that needs the store
+		perShard  int  // cache slots per shard
+		parkReads bool // else writes park
+		read      bool // the request that needs the store is a read, else a write
+		off       int64
 		n         int
+		hit       int64 // the block the queued cache hit reads
 		pressured int64
 	}{
-		{"pinned-full shard", false, cacheShards * cacheBlockSize, cacheBlockSize, 1},
-		{"partial non-resident block", true, 2 * cacheBlockSize, 4096, 0},
+		{"pinned-full shard", 1, false, false, cacheShards * cacheBlockSize, cacheBlockSize, 1, 1},
+		{"partial non-resident block", 1, true, false, 2 * cacheBlockSize, 4096, 1, 0},
+		{"miss fill with a hit in its shard", 2, true, true, cacheShards * cacheBlockSize, cacheBlockSize, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gs := newGateStore(64*cacheBlockSize, math.MaxInt32, tc.parkReads)
-			srv, addr := startTunedServer(t, ServerConfig{CacheBlocks: cacheShards}, parked, gs)
+			srv, addr := startTunedServer(t, ServerConfig{CacheBlocks: tc.perShard * cacheShards}, parked, gs)
 			open := func() { gs.once.Do(func() { close(gs.open) }) }
 			defer open() // before the server's cleanup, whose final pass writes
 			c, err := Dial(addr, quietClientConfig())
@@ -331,34 +337,47 @@ func TestSessionLoopNeverWaitsOnStore(t *testing.T) {
 			}
 			defer c.Close()
 			// Blocks 0 and 1 go resident and dirty without a store call, each
-			// filling its shard's one slot.
+			// in its own shard.
 			for blk := int64(0); blk < 2; blk++ {
 				if err := c.Write(1, blk*cacheBlockSize, block(byte(blk+1))); err != nil {
 					t.Fatal(err)
 				}
 			}
 			data := bytes.Repeat([]byte{0xEE}, tc.n)
-			hw, err := c.WriteAsync(1, tc.off, data)
+			var hs *Pending
+			if tc.read {
+				got := make([]byte, tc.n)
+				hs, err = c.ReadAsync(1, tc.off, got)
+				data = make([]byte, tc.n) // never written: reads as zeros
+				// The miss must be inside the store before the hit is sent.
+				for deadline := time.Now().Add(5 * time.Second); gs.inflight.Load() == 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the miss never reached the store")
+					}
+				}
+			} else {
+				hs, err = c.WriteAsync(1, tc.off, data)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := make([]byte, cacheBlockSize)
-			hr, err := c.ReadAsync(1, cacheBlockSize, got)
+			hr, err := c.ReadAsync(1, tc.hit*cacheBlockSize, got)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := hr.WaitTimeout(2 * time.Second); err != nil {
-				t.Fatalf("cache hit queued behind the write: %v (the session loop is waiting on the store)", err)
+				t.Fatalf("cache hit queued behind the store call: %v (the session loop is waiting on the store)", err)
 			}
-			if !bytes.Equal(got, block(2)) {
+			if !bytes.Equal(got, block(byte(tc.hit+1))) {
 				t.Fatal("cache hit returned the wrong bytes")
 			}
-			if hw.Done() {
-				t.Fatal("the write completed with the store gate shut")
+			if hs.Done() {
+				t.Fatal("the request that needs the store completed with the store gate shut")
 			}
 			open()
-			if err := hw.WaitTimeout(5 * time.Second); err != nil {
-				t.Fatalf("write after the gate opened: %v", err)
+			if err := hs.WaitTimeout(5 * time.Second); err != nil {
+				t.Fatalf("the request after the gate opened: %v", err)
 			}
 			want := make([]byte, cacheBlockSize)
 			copy(want[tc.off%cacheBlockSize:], data)
@@ -366,7 +385,7 @@ func TestSessionLoopNeverWaitsOnStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatal("the written block reads back wrong")
+				t.Fatal("the block reads back wrong")
 			}
 			if n := srv.DiskStats().PressuredWrites; n != tc.pressured {
 				t.Fatalf("%d pressured writes, want %d", n, tc.pressured)

@@ -9,33 +9,40 @@ import (
 	"github.com/v3storage/v3/internal/faultnet"
 )
 
-// checkPinInvariant asserts the one encoding of acked-but-not-durable:
-// in every shard the MQ's pinned set is exactly dirty ∪ flushing, each
-// such block is resident, and dirtyCount is the size of the shards' dirty
-// sets. Call it only while no write, destage pass or flush is running.
+// checkPinInvariant asserts the one encoding of acked-but-not-durable,
+// slot by slot: in every shard a resident block's MQ slot is pinned
+// exactly when its dirty or flushing flag is set, a slot no block holds
+// carries no flag, and dirtyCount is the number of dirty flags. Call it
+// only while no write, destage pass or flush is running.
 func checkPinInvariant(t testing.TB, c *blockCache) {
 	t.Helper()
 	var dirty int64
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		uncommitted := len(sh.dirty)
-		for blk := range sh.flushing {
-			if _, d := sh.dirty[blk]; !d {
-				uncommitted++
-			}
-		}
-		if got := sh.mq.PinnedLen(); got != uncommitted {
-			t.Errorf("shard %d: %d pinned blocks, |dirty ∪ flushing| = %d", i, got, uncommitted)
-		}
-		for _, set := range []map[uint64]struct{}{sh.dirty, sh.flushing} {
-			for blk := range set {
-				if _, ok := sh.data[blk]; !ok || !sh.mq.Contains(blk) {
-					t.Errorf("shard %d: uncommitted block %d is not resident", i, blk)
+		pinned := 0
+		for slot, st := range sh.state {
+			s := int32(slot)
+			blk := sh.mq.KeyAt(s)
+			at, ok := sh.mq.Slot(blk)
+			uncommitted := st.dirty || st.flushing
+			switch {
+			case !ok || at != s:
+				if uncommitted || st.pref {
+					t.Errorf("shard %d: free slot %d carries flags dirty=%v flushing=%v pref=%v", i, s, st.dirty, st.flushing, st.pref)
 				}
+			case sh.mq.PinnedAt(s) != uncommitted:
+				t.Errorf("shard %d: block %d pinned=%v, dirty=%v flushing=%v", i, blk, sh.mq.PinnedAt(s), st.dirty, st.flushing)
+			case uncommitted:
+				pinned++
+			}
+			if st.dirty {
+				dirty++
 			}
 		}
-		dirty += int64(len(sh.dirty))
+		if got := sh.mq.PinnedLen(); got != pinned {
+			t.Errorf("shard %d: %d pinned blocks, %d slots dirty or flushing", i, got, pinned)
+		}
 		sh.mu.Unlock()
 	}
 	if got := c.dirtyCount.Load(); got != dirty {
@@ -57,7 +64,8 @@ func TestEvictDirtyVictimPanics(t *testing.T) {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		defer func() { panicked = recover() != nil }()
-		c.evictLocked(sh, 0)
+		slot, _ := sh.mq.Slot(0)
+		c.evictLocked(sh, slot, 0)
 		return false
 	}
 	if !evict() {
