@@ -34,7 +34,7 @@ race:
 # its appendix of retired mechanisms, may not name deleted code. (The
 # one-character classes keep this line from naming it either, so a repo-wide
 # grep for a deleted name stays empty outside that appendix.)
-DELETED = BENCH_[n]etv3|bench[j]son|BENCH_[J]SON|bench-(netv3|mux|tpcc|resync)|Client[S]tageDefs|-no[t]race|io_uring|DiskWorkers|diskqueue|netv3[.]IO|acquire[S]lot|data[I]O|resync[I]O|issue[E]xtents|wait[E]xtents|Reconn[e]ctor|obs[.]Counter|obs[.]Gauge|bounded[W]ait|stripe[I]O|read[M]irror|Stream[O]pen|Stream[C]lose\b|Max[S]treams|max[s]treams|open[W]aiters|Streams[S]upported|ErrStreams[U]nsupported|Streams[A]ctive|streams[_]active|Feature[S]treams|Credit[G]rant|Write[R]esp|Flush[R]esp|Buf[A]ddr|Flag[P]ollCompletion|Status[E]Again|Header[.]Ack|Write[.]Slot|internal/[f]low|internal/[r]eliable|u[n]claim\b|connection[B]roken|failAll[L]ocked|detach[L]ocked|WriteAsync[C]tx|FlushAsync[C]tx|write[T]hrough\b|absorbIf[R]esident|update[B]lock|WriteThrough[F]allbacks|Trace[S]upported|Feature[T]race|Want[C]red
+DELETED = BENCH_[n]etv3|bench[j]son|BENCH_[J]SON|bench-(netv3|mux|tpcc|resync)|Client[S]tageDefs|-no[t]race|io_uring|DiskWorkers|diskqueue|netv3[.]IO|acquire[S]lot|data[I]O|resync[I]O|issue[E]xtents|wait[E]xtents|Reconn[e]ctor|obs[.]Counter|obs[.]Gauge|bounded[W]ait|stripe[I]O|read[M]irror|Stream[O]pen|Stream[C]lose\b|Max[S]treams|max[s]treams|open[W]aiters|Streams[S]upported|ErrStreams[U]nsupported|Streams[A]ctive|streams[_]active|Feature[S]treams|Credit[G]rant|Write[R]esp|Flush[R]esp|Buf[A]ddr|Flag[P]ollCompletion|Status[E]Again|Header[.]Ack|Write[.]Slot|internal/[f]low|internal/[r]eliable|u[n]claim\b|connection[B]roken|failAll[L]ocked|detach[L]ocked|WriteAsync[C]tx|FlushAsync[C]tx|write[T]hrough\b|absorbIf[R]esident|update[B]lock|WriteThrough[F]allbacks|Trace[S]upported|Feature[T]race|Want[C]red|DestageBatch[H]ist|destageHist[B]uckets|batch[B]ucket|DestageFan[O]ut
 vet:
 	$(GO) vet ./...
 	@if $(GO) list -deps ./cmd/... ./internal/netv3/ ./internal/vvault/ ./internal/workload/ | grep internal/diskq; then \
@@ -51,11 +51,11 @@ verify: vet build race
 
 # chaos runs every suite of the live stack's concurrent tiers — fault
 # injection (blackholed peers, cancel storms, partitions), resync and
-# replication-log protocols, the destage/read-ahead fan-out, the
-# write-behind model schedules, the workload engine, the slab caches'
-# differential tests — under the race detector, twice, so an interleaving
-# that only fails sometimes gets two chances to; then the stale-session
-# fence and the reconnect stress test fifty times each.
+# replication-log protocols, the in-order destage pass and the read-ahead
+# fan-out, the write-behind model schedules, the workload engine, the slab
+# caches' differential tests — under the race detector, twice, so an
+# interleaving that only fails sometimes gets two chances to; then the
+# stale-session fence and the reconnect stress test fifty times each.
 chaos:
 	$(GO) test -race -count=2 -timeout $(TEST_TIMEOUT) \
 		./internal/netv3/ ./internal/vvault/ \

@@ -188,10 +188,11 @@ func pipelineMixed(b *testing.B, c *Client, size, outstanding int) time.Duration
 }
 
 // BenchmarkNetv3SlowStore drives the whole cached disk path — misses,
-// write-behind, destage fan-out, read-ahead — over a file-backed store
-// that sleeps diskBenchDelay per call, so overlap of store waits shows:
-// mixed is 8 KB × 16 reads and writes, seq a blocking sequential scan
-// that only read-ahead can speed up.
+// write-behind, in-order destage passes, read-ahead — over a file-backed
+// store that sleeps diskBenchDelay per call, so overlap of store waits
+// shows: mixed is 8 KB × 16 reads and writes, whose strided reads arm the
+// read-ahead fan-out, seq a blocking sequential scan that only read-ahead
+// can speed up.
 func BenchmarkNetv3SlowStore(b *testing.B) {
 	b.Run("mixed", func(b *testing.B) {
 		c := benchDiskPair(b)

@@ -114,14 +114,6 @@ const epochStripes = 127
 
 func epochStripe(blk uint64) int { return int(blk % epochStripes) }
 
-// shardEpoch is one entry of a plan-time epoch snapshot: the observed
-// counter of one (shard, stripe) pair.
-type shardEpoch struct {
-	idx    int
-	stripe int
-	epoch  uint64
-}
-
 // cacheShards is the shard count (a power of two): 16 keeps per-shard
 // capacity useful for small caches while allowing 16-way concurrent hits.
 const cacheShards = 16
@@ -404,10 +396,11 @@ func (c *blockCache) absorb(v *volume, blk uint64, within, n int64, src []byte, 
 }
 
 // dirtySnapshot returns the sorted block numbers currently dirty — the
-// destager's work list. Blocks may be cleaned between snapshot and
-// staging; stage re-checks under the shard lock.
-func (c *blockCache) dirtySnapshot() []uint64 {
-	blks := make([]uint64, 0, c.dirtyCount.Load())
+// destager's work list — in blks[:0]'s backing array, grown as needed.
+// Blocks may be cleaned between snapshot and staging; stage re-checks
+// under the shard lock.
+func (c *blockCache) dirtySnapshot(blks []uint64) []uint64 {
+	blks = blks[:0]
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -475,78 +468,88 @@ func (c *blockCache) unstage(blks []uint64, redirty bool) {
 	}
 }
 
+// windowPlan is prefetchPlan's verdict on one read-ahead window of at most
+// maxPrefetchBlocks blocks, index-aligned with them: want marks the blocks
+// worth fetching, epochs the counter of each block's epoch stripe at plan
+// time. Fixed-size, so a fill keeps its plan on its own stack.
+type windowPlan struct {
+	want   [maxPrefetchBlocks]bool
+	epochs [maxPrefetchBlocks]uint64
+}
+
+// A shard set is a uint32 bit mask; this stops compiling if cacheShards
+// outgrows it.
+const _ = uint32(1) << (cacheShards - 1)
+
+// lockShards locks every shard in mask (bit i = shard i) in index order,
+// so that two windows locking overlapping shard sets cannot deadlock.
+func (c *blockCache) lockShards(mask uint32) {
+	for idx := range c.shards {
+		if mask&(1<<idx) != 0 {
+			c.shards[idx].mu.Lock()
+		}
+	}
+}
+
+func (c *blockCache) unlockShards(mask uint32) {
+	for idx := range c.shards {
+		if mask&(1<<idx) != 0 {
+			c.shards[idx].mu.Unlock()
+		}
+	}
+}
+
 // prefetchPlan is the lock phase of a batched prefetch fill: under the
-// touched shards' locks it marks which of the window's blocks are worth
-// fetching (in-volume and absent) and snapshots each
-// block's epoch stripe (want and epochs are index-aligned with blks).
-// The caller then reads the store with no locks held and hands the
-// bytes to prefetchInstall. Returns need=0 when nothing is wanted.
-func (c *blockCache) prefetchPlan(v *volume, blks []uint64) (want []bool, epochs []shardEpoch, need int) {
+// touched shards' locks it fills p with which of the window's blocks are
+// worth fetching (in-volume and absent) and each one's epoch stripe. The
+// caller then reads the store with no locks held and hands the bytes to
+// prefetchInstall. Returns need=0 when nothing is wanted.
+func (c *blockCache) prefetchPlan(v *volume, blks []uint64, p *windowPlan) (need int) {
 	vsize := v.store.Size()
-	shardSet := make([]bool, len(c.shards))
+	var mask uint32
 	for _, blk := range blks {
 		if int64(blk)*cacheBlockSize < vsize {
-			shardSet[blk&c.mask] = true
+			mask |= 1 << (blk & c.mask)
 		}
 	}
-	var locked []*cacheShard
-	for idx := range c.shards {
-		if shardSet[idx] {
-			c.shards[idx].mu.Lock()
-			locked = append(locked, &c.shards[idx])
-		}
-	}
-	want = make([]bool, len(blks))
-	epochs = make([]shardEpoch, len(blks))
+	c.lockShards(mask)
 	for i, blk := range blks {
+		p.want[i] = false
 		if int64(blk)*cacheBlockSize >= vsize {
-			continue // out of volume; want stays false
+			continue // out of volume
 		}
 		sh := c.shard(blk)
-		st := epochStripe(blk)
-		epochs[i] = shardEpoch{idx: int(blk & c.mask), stripe: st, epoch: sh.epochs[st]}
+		p.epochs[i] = sh.epochs[epochStripe(blk)]
 		if _, resident := sh.mq.Slot(blk); !resident {
-			want[i] = true
+			p.want[i] = true
 			need++
 		}
 	}
-	for _, sh := range locked {
-		sh.mu.Unlock()
-	}
-	if need == 0 {
-		return nil, nil, 0
-	}
-	return want, epochs, need
+	c.unlockShards(mask)
+	return need
 }
 
 // prefetchInstall publishes a lock-free prefetch read's bytes: slot i of
-// buf holds blks[i] as read from the store, want marks the blocks
-// prefetchPlan selected, and ok[i]=false marks blocks whose read extent
-// failed. A block installs only if its epoch stripe is unchanged since
-// the plan (no write raced the unlocked read) and it is still absent —
-// otherwise it is skipped; a future demand miss fetches it coherently.
-// Returns the number installed.
-func (c *blockCache) prefetchInstall(blks []uint64, want, ok []bool, epochs []shardEpoch, buf []byte) int {
-	shardSet := make([]bool, len(c.shards))
+// buf holds blks[i] as read from the store for every block p wants (the
+// filler clears want for a block whose read failed). A block installs
+// only if its epoch stripe is unchanged since the plan (no write raced the
+// unlocked read) and it is still absent — otherwise it is skipped; a
+// future demand miss fetches it coherently. Returns the number installed.
+func (c *blockCache) prefetchInstall(blks []uint64, p *windowPlan, buf []byte) int {
+	var mask uint32
 	for i, blk := range blks {
-		if want[i] {
-			shardSet[blk&c.mask] = true
+		if p.want[i] {
+			mask |= 1 << (blk & c.mask)
 		}
 	}
-	var locked []*cacheShard
-	for idx := range c.shards {
-		if shardSet[idx] {
-			c.shards[idx].mu.Lock()
-			locked = append(locked, &c.shards[idx])
-		}
-	}
+	c.lockShards(mask)
 	installed := 0
 	for i, blk := range blks {
-		if !want[i] || (ok != nil && !ok[i]) {
+		if !p.want[i] {
 			continue
 		}
 		sh := c.shard(blk)
-		if sh.epochs[epochs[i].stripe] != epochs[i].epoch {
+		if sh.epochs[epochStripe(blk)] != p.epochs[i] {
 			continue
 		}
 		if _, resident := sh.mq.Slot(blk); resident {
@@ -571,9 +574,7 @@ func (c *blockCache) prefetchInstall(blks []uint64, want, ok []bool, epochs []sh
 		c.prefFills.Add(1)
 		installed++
 	}
-	for _, sh := range locked {
-		sh.mu.Unlock()
-	}
+	c.unlockShards(mask)
 	return installed
 }
 

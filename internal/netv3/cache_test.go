@@ -1,10 +1,6 @@
 package netv3
 
-import (
-	"testing"
-
-	"github.com/v3storage/v3/internal/bufpool"
-)
+import "testing"
 
 // TestCacheOpsAllocateNothing: on a warmed, full block cache, the block
 // operations allocate nothing — the MQ recycles its slots, each slot keeps
@@ -12,26 +8,46 @@ import (
 // and goes back as the slot's old one. Covered: an inline hit, a worker
 // hit, a miss fill that evicts, an absorb into a block that is not
 // resident (evicting) and into one that is, and the destager's stage and
-// unstage of each.
+// unstage of each; a whole destage pass of two runs, its snapshot and
+// staging buffer reused; and a read-ahead window's plan and install.
 func TestCacheOpsAllocateNothing(t *testing.T) {
 	const capacity, volBlocks = 64, 1024
-	c := newBlockCache(capacity, bufpool.New())
 	const hot = volBlocks // outside the scan; a full cache still holds it
-	v := &volume{store: NewMemStore((volBlocks + 1) * cacheBlockSize), cache: c}
+	srv := newServer(ServerConfig{CacheBlocks: capacity}, parked)
+	defer closeServer(t, srv)
+	srv.AddVolume(1, NewMemStore((volBlocks+1)*cacheBlockSize))
+	v := srv.lookup(1)
+	c := v.cache
 	dst := make([]byte, cacheBlockSize)
 	src := make([]byte, cacheBlockSize)
 	one := make([]uint64, 1)
 	cold := uint64(0) // a cyclic scan of 16x the cache: every block a miss
 	next := func() uint64 { cold = (cold + 1) % volBlocks; return cold }
-	writeBack := func(blk uint64) {
+	absorb := func(blk uint64) {
 		if err := c.absorb(v, blk, 0, cacheBlockSize, src, false); err != nil {
 			t.Fatal(err)
 		}
+	}
+	writeBack := func(blk uint64) {
+		absorb(blk)
 		if !c.stage(blk, dst) {
 			t.Fatalf("stage(%d) refused", blk)
 		}
 		one[0] = blk
 		c.unstage(one, false)
+	}
+	var plan windowPlan
+	window := make([]uint64, minPrefetchBlocks)
+	read := make([]byte, len(window)*cacheBlockSize) // the window's store bytes
+	wanted, installed := 0, 0
+	readAhead := func() {
+		for i := range window {
+			window[i] = next()
+		}
+		if need := c.prefetchPlan(v, window, &plan); need > 0 {
+			wanted += need
+			installed += c.prefetchInstall(window, &plan, read)
+		}
 	}
 	for i := 0; i < 100*volBlocks; i++ { // full, every slot's slab taken, maps settled
 		if err := c.readBlock(v, next(), 0, cacheBlockSize, dst); err != nil {
@@ -54,6 +70,15 @@ func TestCacheOpsAllocateNothing(t *testing.T) {
 		{"readBlock miss that evicts", func() { _ = c.readBlock(v, next(), 0, cacheBlockSize, dst) }},
 		{"absorb that evicts, stage, unstage", func() { writeBack(next()) }},
 		{"absorb into a resident block, stage, unstage", func() { writeBack(hot) }},
+		{"a destage pass of two runs", func() {
+			for _, blk := range [...]uint64{2, 3, 4, 7, 8} {
+				absorb(blk)
+			}
+			if err := v.wb.destageAll(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"read-ahead plan and install of a window that evicts", readAhead},
 	} {
 		if n := testing.AllocsPerRun(1000, op.f); n != 0 {
 			t.Errorf("%s: %.0f allocations, want 0", op.name, n)
@@ -61,6 +86,12 @@ func TestCacheOpsAllocateNothing(t *testing.T) {
 	}
 	if got := c.misses.Load() - misses; got < 1000 {
 		t.Fatalf("%d misses in the miss runs, want every one", got)
+	}
+	if d := srv.DiskStats(); d.DestageRuns < 2*1000 || d.DestagedBlocks < 5*1000 {
+		t.Fatalf("destage passes committed %d runs / %d blocks, want two runs / five blocks a pass", d.DestageRuns, d.DestagedBlocks)
+	}
+	if installed != wanted || installed < 1000 {
+		t.Fatalf("read-ahead installed %d of the %d blocks its plans wanted", installed, wanted)
 	}
 	checkPinInvariant(t, c)
 }

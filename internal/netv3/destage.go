@@ -2,7 +2,6 @@ package netv3
 
 import (
 	"cmp"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,10 +14,6 @@ import (
 // enough to bound staging-buffer size and store-write latency.
 const maxDestageRun = 64
 
-// destageHistBuckets is the number of log2 batch-size buckets: runs of
-// 1, 2, ≤4, ≤8, ≤16, ≤32 and ≤64 blocks.
-const destageHistBuckets = 7
-
 // destager is the per-volume write-behind engine, the TCP-path analogue
 // of the paper's pipelined disk manager (Section 3.2): writes are
 // absorbed into the cache as dirty blocks and acknowledged immediately,
@@ -30,9 +25,10 @@ const destageHistBuckets = 7
 // mu is the destage mutex, held for a whole destage pass. A block's store
 // bytes change only in a pass, while the block is pinned and resident
 // (dirty → flushing → clean, each move under both mu and the shard lock),
-// and at most one pass — a fan-out of writes to pairwise-disjoint runs —
-// is in flight per volume. The store is the only thing below: runs are
-// plain BlockStore.WriteAt calls and the Flush barrier a plain Sync.
+// and at most one pass is in flight per volume: one store write at a
+// time, in ascending offset order, on the goroutine that called it. The
+// store is the only thing below: runs are plain BlockStore.WriteAt calls
+// and the Flush barrier a plain Sync.
 type destager struct {
 	s     *Server
 	v     *volume
@@ -44,14 +40,13 @@ type destager struct {
 	interval time.Duration
 	hiWater  int
 
-	// Store errors during background destaging are sticky: the blocks
-	// stay dirty and the error surfaces on the next Flush.
-	errMu sync.Mutex
+	// Guarded by mu. A store error during background destaging is sticky:
+	// the blocks stay dirty and the error surfaces on the next Flush.
 	err   error
+	dirty []uint64 // the pass's dirty snapshot, its backing array reused
 
 	runs      atomic.Int64
 	blocks    atomic.Int64
-	hist      [destageHistBuckets]atomic.Int64
 	pressured atomic.Int64 // writes the session loop handed to a worker for want of room
 }
 
@@ -67,10 +62,9 @@ func newDestager(s *Server, v *volume) *destager {
 }
 
 // run is the background destage loop: every interval it commits the
-// current dirty set, on this goroutine — a pass fans its store writes out
-// itself (storeFanOut), so there is nothing a scheduler worker would add.
-// A tick that finds nothing dirty does nothing: an idle volume takes no
-// locks.
+// current dirty set, on this goroutine — a pass is a loop of store calls,
+// so there is nothing a scheduler worker would add. A tick that finds
+// nothing dirty does nothing: an idle volume takes no locks.
 func (d *destager) run(done <-chan struct{}) {
 	defer close(d.stopped)
 	t := time.NewTicker(d.interval)
@@ -96,20 +90,12 @@ func (d *destager) overWater() bool {
 	return d.cache.dirtyCount.Load() >= int64(d.hiWater)
 }
 
-func (d *destager) setErr(err error) {
-	d.errMu.Lock()
-	if d.err == nil {
-		d.err = err
-	}
-	d.errMu.Unlock()
-}
-
 // takeErr returns and clears the sticky destage error.
 func (d *destager) takeErr() error {
-	d.errMu.Lock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	err := d.err
 	d.err = nil
-	d.errMu.Unlock()
 	return err
 }
 
@@ -137,87 +123,50 @@ func (d *destager) destageAll() error {
 	return err
 }
 
-// passLocked commits the dirty snapshot: adjacent dirty blocks coalesce
-// into contiguous runs of up to maxDestageRun blocks, and ALL runs of the
-// pass go to the store as one fan-out (storeFanOut) — up to
-// maxStoreFanOut writes in flight at once, so a pass of k runs on a store
-// that blocks costs ~k/64 device rounds instead of k. The join happens
-// under d.mu, which preserves the destage mutex's ordering contract at
-// pass granularity: the runs of one pass cover pairwise-disjoint block
-// ranges (a sorted, deduplicated dirty snapshot partitions into
-// non-overlapping runs), so their relative completion order cannot
-// change file contents, and no other destage-side write can start until
-// the whole pass has resolved. Each run stages into its own pooled
-// buffer, sized to the run: the contiguous extent is measured in the
-// snapshot before the buffer is taken, because a random-write workload
-// destages ~1 block per run and a maximal slab for each would park 64×
-// the staged bytes. Caller holds d.mu.
+// passLocked commits the dirty snapshot in ascending block order: each
+// run of up to maxDestageRun adjacent blocks is staged (dirty → flushing)
+// into one pooled buffer, written with one store call and unstaged, before
+// the next run is staged into the same buffer. A block that will not stage
+// ends its run and is skipped. A failed run's blocks return to dirty and
+// its error is sticky. Caller holds d.mu.
 func (d *destager) passLocked() error {
-	blks := d.cache.dirtySnapshot()
+	d.dirty = d.cache.dirtySnapshot(d.dirty)
+	blks := d.dirty
 	if len(blks) == 0 {
 		return nil
 	}
 	vsize := d.v.store.Size()
-	pool := d.s.pool
-	var runs [][]uint64 // staged blocks per op
-	var ops []storeOp
-	i := 0
-	for i < len(blks) {
-		start := blks[i]
-		extent := 1
-		for i+extent < len(blks) && extent < maxDestageRun && blks[i+extent] == start+uint64(extent) {
-			extent++
-		}
-		buf := pool.Get(extent * cacheBlockSize)
-		n := 0
-		for n < extent {
-			ln := blockLen(vsize, blks[i])
-			if !d.cache.stage(blks[i], buf[n*cacheBlockSize:int64(n)*cacheBlockSize+ln]) {
-				break // not stageable; run ends here
+	buf := d.s.pool.Get(min(len(blks), maxDestageRun) * cacheBlockSize)
+	defer d.s.pool.Put(buf)
+	var err error
+	for i := 0; i < len(blks); {
+		first := i
+		for i < len(blks) && i-first < maxDestageRun && blks[i] == blks[first]+uint64(i-first) {
+			at := int64(i-first) * cacheBlockSize
+			if !d.cache.stage(blks[i], buf[at:at+blockLen(vsize, blks[i])]) {
+				break
 			}
-			n++
 			i++
 		}
-		if n == 0 {
-			pool.Put(buf)
-			i++ // skip the unstageable block
+		if i == first {
+			i++ // not stageable
 			continue
 		}
-		off := int64(start) * cacheBlockSize
-		runBytes := int64(n) * cacheBlockSize
-		if off+runBytes > vsize {
-			runBytes = vsize - off
+		run := blks[first:i]
+		off := int64(run[0]) * cacheBlockSize
+		b := buf[:min(int64(len(run))*cacheBlockSize, vsize-off)]
+		werr := d.v.store.WriteAt(b, off)
+		d.cache.unstage(run, werr != nil)
+		if werr != nil {
+			d.s.logf("netv3: destage vol run [%d,+%d): %v", off, len(b), werr)
+			d.err = cmp.Or(d.err, werr)
+			err = cmp.Or(err, werr)
+			continue
 		}
-		runs = append(runs, blks[i-n:i])
-		ops = append(ops, storeOp{buf: buf[:runBytes], off: off})
-	}
-	storeFanOut(ops, d.v.store.WriteAt)
-	var err error
-	for ri, op := range ops {
-		staged := runs[ri]
-		if op.err != nil {
-			d.s.logf("netv3: destage vol run [%d,+%d): %v", op.off, len(op.buf), op.err)
-			d.cache.unstage(staged, true)
-			d.setErr(op.err)
-			err = cmp.Or(err, op.err)
-		} else {
-			d.cache.unstage(staged, false)
-			d.runs.Add(1)
-			d.blocks.Add(int64(len(staged)))
-			d.hist[batchBucket(len(staged))].Add(1)
-		}
-		pool.Put(op.buf)
+		d.runs.Add(1)
+		d.blocks.Add(int64(len(run)))
 	}
 	return err
-}
-
-// batchBucket maps a run's block count to its log2 histogram bucket.
-func batchBucket(n int) int {
-	b := bits.Len(uint(n - 1)) // 1→0, 2→1, 3..4→2, 5..8→3, ...
-	if b >= destageHistBuckets {
-		b = destageHistBuckets - 1
-	}
-	return b
 }
 
 // flush is the durability barrier behind the wire-level Flush op: drain

@@ -2,11 +2,13 @@ package netv3
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -152,14 +154,10 @@ func TestWriteBehindIsBehind(t *testing.T) {
 	if d.DestageRuns == 0 || d.DestagedBlocks == 0 {
 		t.Fatal("flush recorded no destage activity")
 	}
-	// Two adjacent dirty blocks must have coalesced: at least one run of
-	// more than one block in the batch histogram.
-	coalesced := int64(0)
-	for i := 1; i < len(d.DestageBatchHist); i++ {
-		coalesced += d.DestageBatchHist[i]
-	}
-	if coalesced == 0 {
-		t.Fatalf("no coalesced destage run recorded: hist %v", d.DestageBatchHist)
+	// Two adjacent dirty blocks must have coalesced: some run carried more
+	// than one block.
+	if d.DestagedBlocks <= d.DestageRuns {
+		t.Fatalf("no coalesced destage run recorded: %d blocks in %d runs", d.DestagedBlocks, d.DestageRuns)
 	}
 }
 
@@ -590,7 +588,7 @@ func TestDestageBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Two separated dirty extents → the pass has two runs to fan out.
+	// Two separated dirty extents → the pass has two runs to write.
 	a := bytes.Repeat([]byte{0xA1}, 64*1024)
 	b := bytes.Repeat([]byte{0xB2}, 64*1024)
 	if err := c.Write(1, 0, a); err != nil {
@@ -627,9 +625,9 @@ func TestDestageBatches(t *testing.T) {
 		t.Fatal("Flush did not commit extent B")
 	}
 	d := srv.DiskStats()
-	// 64 KB is 8 blocks: both runs land in the 5..8-block bucket.
-	if d.DestageRuns != 2 || d.DestageBatchHist[3] != 2 {
-		t.Fatalf("want two 8-block runs, got runs=%d hist=%v", d.DestageRuns, d.DestageBatchHist)
+	// 64 KB is 8 blocks: two runs of 8 blocks each.
+	if d.DestageRuns != 2 || d.DestagedBlocks != 16 {
+		t.Fatalf("want two 8-block runs, got runs=%d blocks=%d", d.DestageRuns, d.DestagedBlocks)
 	}
 	if d.DirtyBlocks != 0 {
 		t.Fatalf("dirty blocks remain after Flush: %d", d.DirtyBlocks)
@@ -910,13 +908,11 @@ func TestFlushSurfacesSyncError(t *testing.T) {
 // parks until width calls are inside it at once and flows freely from then
 // on: a caller that issues its extents one at a time — or fewer than
 // width at a time — deadlocks into the test timeout. It records the most
-// calls ever in flight, and fails the write at failOff (set only while
-// no pass is running).
+// calls ever in flight.
 type gateStore struct {
 	*MemStore
 	parkReads bool
 	width     int32
-	failOff   int64
 
 	inflight, most atomic.Int32
 	once           sync.Once
@@ -924,7 +920,7 @@ type gateStore struct {
 }
 
 func newGateStore(size int64, width int, parkReads bool) *gateStore {
-	return &gateStore{MemStore: NewMemStore(size), parkReads: parkReads, width: int32(width), failOff: -1, open: make(chan struct{})}
+	return &gateStore{MemStore: NewMemStore(size), parkReads: parkReads, width: int32(width), open: make(chan struct{})}
 }
 
 func (s *gateStore) gate() {
@@ -942,9 +938,6 @@ func (s *gateStore) WriteAt(b []byte, off int64) error {
 		s.gate()
 		defer s.inflight.Add(-1)
 	}
-	if off == s.failOff {
-		return faultnet.ErrInjected
-	}
 	return s.MemStore.WriteAt(b, off)
 }
 
@@ -956,25 +949,78 @@ func (s *gateStore) ReadAt(b []byte, off int64) error {
 	return s.MemStore.ReadAt(b, off)
 }
 
-// TestDestageFanOutOverlapsAndIsBounded is the evidence that background
-// store I/O is issued in parallel, and only so far, on a store that
-// blocks. A 200-run destage pass over a store that returns no write until
-// maxStoreFanOut of them are inside it must complete (a serial loop, or a
-// narrower fan-out, hangs) with never more than maxStoreFanOut in flight;
-// the one run made to fail leaves exactly its own blocks dirty and its
-// error sticky until the next Flush. The same store with reads parked
-// proves a strided read-ahead window issues its scattered reads together.
-func TestDestageFanOutOverlapsAndIsBounded(t *testing.T) {
+// storeCall is one call recordStore logged: a write of n bytes at off, or
+// a Sync.
+type storeCall struct {
+	sync   bool
+	off, n int64
+}
+
+// recordStore is a MemStore that logs its calls in the order a Flush
+// barrier is about: each WriteAt that succeeded when it returns, each Sync
+// when it starts. It records the most WriteAts ever in flight at once and
+// fails the write at failOff (set only while no pass is running).
+type recordStore struct {
+	*MemStore
+	failOff        int64
+	inflight, most atomic.Int32
+
+	mu  sync.Mutex
+	log []storeCall
+}
+
+func newRecordStore(size int64) *recordStore {
+	return &recordStore{MemStore: NewMemStore(size), failOff: -1}
+}
+
+func (s *recordStore) record(c storeCall) {
+	s.mu.Lock()
+	s.log = append(s.log, c)
+	s.mu.Unlock()
+}
+
+func (s *recordStore) calls() []storeCall {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.log)
+}
+
+func (s *recordStore) WriteAt(b []byte, off int64) error {
+	n := s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	for m := s.most.Load(); n > m && !s.most.CompareAndSwap(m, n); m = s.most.Load() {
+	}
+	runtime.Gosched() // a concurrent writer, if any, gets in while this one is inside
+	if off == s.failOff {
+		return faultnet.ErrInjected
+	}
+	if err := s.MemStore.WriteAt(b, off); err != nil {
+		return err
+	}
+	s.record(storeCall{off: off, n: int64(len(b))})
+	return nil
+}
+
+func (s *recordStore) Sync() error {
+	s.record(storeCall{sync: true})
+	return s.MemStore.Sync()
+}
+
+// TestDestagePassWritesInOrder pins the shape of a destage pass: its runs
+// reach the store one at a time, in ascending offset order. A 200-run
+// pass — every even block up to 400, and block 11, which joins 10 and 12
+// into the one three-block run, made to fail — sees at most one store
+// write in flight; the failed run leaves exactly its own blocks dirty and
+// its error sticky until the next Flush, whose retry commits them.
+func TestDestagePassWritesInOrder(t *testing.T) {
 	const volBlks = 512
 	block := func(blk uint64) []byte { return bytes.Repeat([]byte{byte(blk%251 + 1)}, cacheBlockSize) }
 
-	gs := newGateStore(volBlks*cacheBlockSize, maxStoreFanOut, false)
+	rs := newRecordStore(volBlks * cacheBlockSize)
 	srv := newServer(ServerConfig{CacheBlocks: 1024}, parked)
 	defer closeServer(t, srv)
-	srv.AddVolume(1, gs)
+	srv.AddVolume(1, rs)
 	v := srv.lookup(1)
-	// Every even block up to 400 plus block 11: 199 single-block runs and
-	// the three-block run [10,12], which is the one that fails.
 	dirty := []uint64{11}
 	for blk := uint64(0); blk <= 400; blk += 2 {
 		dirty = append(dirty, blk)
@@ -984,25 +1030,28 @@ func TestDestageFanOutOverlapsAndIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gs.failOff = 10 * cacheBlockSize
+	rs.failOff = 10 * cacheBlockSize
 	if err := v.wb.destageAll(); !errors.Is(err, faultnet.ErrInjected) { // and it sticks
 		t.Fatalf("pass over the failing run = %v, want the injected error", err)
 	}
-	if got := gs.most.Load(); got != maxStoreFanOut {
-		t.Fatalf("most store writes in flight = %d, want exactly %d", got, maxStoreFanOut)
+	if got := rs.most.Load(); got != 1 {
+		t.Fatalf("most store writes in flight = %d, want 1", got)
 	}
-	if d := srv.DiskStats(); d.DestageRuns != 199 || d.DestagedBlocks != 199 {
-		t.Fatalf("pass committed %d runs / %d blocks, want 199 / 199", d.DestageRuns, d.DestagedBlocks)
+	writes := rs.calls()
+	if !slices.IsSortedFunc(writes, func(a, b storeCall) int { return cmp.Compare(a.off, b.off) }) {
+		t.Fatalf("pass wrote its runs out of offset order: %v", writes)
 	}
-	if left := v.cache.dirtySnapshot(); !slices.Equal(left, []uint64{10, 11, 12}) {
+	if d := srv.DiskStats(); d.DestageRuns != 199 || d.DestagedBlocks != 199 || len(writes) != 199 {
+		t.Fatalf("pass committed %d runs / %d blocks in %d store writes, want 199 / 199 / 199", d.DestageRuns, d.DestagedBlocks, len(writes))
+	}
+	if left := v.cache.dirtySnapshot(nil); !slices.Equal(left, []uint64{10, 11, 12}) {
 		t.Fatalf("dirty after the failed run = %v, want exactly its blocks [10 11 12]", left)
 	}
 	checkPinInvariant(t, v.cache)
 
-	// The store heals. The next Flush retries the run (inline: one run is
-	// no fan-out) and commits it, yet still reports the sticky error; the
-	// one after is clean.
-	gs.failOff = -1
+	// The store heals. The next Flush retries the run and commits it, yet
+	// still reports the sticky error; the one after is clean.
+	rs.failOff = -1
 	if err := v.flush(); !errors.Is(err, faultnet.ErrInjected) {
 		t.Fatalf("flush after a failed background run = %v, want the sticky injected error", err)
 	}
@@ -1012,34 +1061,88 @@ func TestDestageFanOutOverlapsAndIsBounded(t *testing.T) {
 	if err := v.flush(); err != nil {
 		t.Fatalf("second flush: %v", err)
 	}
+	if got := rs.most.Load(); got != 1 {
+		t.Fatalf("most store writes in flight = %d, want 1", got)
+	}
 	got := make([]byte, cacheBlockSize)
 	for _, blk := range dirty {
-		if err := gs.MemStore.ReadAt(got, int64(blk)*cacheBlockSize); err != nil {
+		if err := rs.MemStore.ReadAt(got, int64(blk)*cacheBlockSize); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, block(blk)) {
 			t.Fatalf("block %d not on the store after a clean flush", blk)
 		}
 	}
+}
 
-	// Read side: a strided window of 8 scattered blocks, against a store
-	// that returns no read until all 8 are inside it.
-	rs := newGateStore(volBlks*cacheBlockSize, minPrefetchBlocks, true)
-	window := make([]uint64, minPrefetchBlocks)
-	for i := range window {
-		window[i] = uint64(3 * i)
-		if err := rs.MemStore.WriteAt(block(window[i]), int64(window[i])*cacheBlockSize); err != nil {
+// TestFlushSyncsAfterItsWrites pins the Flush barrier's order: the store's
+// Sync starts only once the destage write of every block the Flush covers
+// has returned, and the Flush leaves nothing dirty. A Sync issued before
+// the pass, or none at all, would ack writes it never made durable.
+func TestFlushSyncsAfterItsWrites(t *testing.T) {
+	rs := newRecordStore(64 * cacheBlockSize)
+	srv := newServer(ServerConfig{CacheBlocks: 256}, parked)
+	defer closeServer(t, srv)
+	srv.AddVolume(1, rs)
+	v := srv.lookup(1)
+	dirty := []uint64{0, 1, 2, 5, 9, 10, 11, 12, 63} // runs [0,2], [5], [9,12], [63]
+	for _, blk := range dirty {
+		if _, err := v.absorbWrite(bytes.Repeat([]byte{byte(blk + 1)}, cacheBlockSize), int64(blk)*cacheBlockSize, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	srv.AddVolume(2, rs)
-	rv := srv.lookup(2)
+	if err := v.flush(); err != nil {
+		t.Fatal(err)
+	}
+	log := rs.calls()
+	at := slices.IndexFunc(log, func(c storeCall) bool { return c.sync })
+	if at < 0 {
+		t.Fatalf("Flush never synced the store: %v", log)
+	}
+	written := map[uint64]bool{}
+	for _, c := range log[:at] {
+		for blk := c.off / cacheBlockSize; blk*cacheBlockSize < c.off+c.n; blk++ {
+			written[uint64(blk)] = true
+		}
+	}
+	for _, blk := range dirty {
+		if !written[blk] {
+			t.Fatalf("block %d's destage write had not returned when Sync started: %v", blk, log)
+		}
+	}
+	if n := v.cache.dirtyCount.Load(); n != 0 {
+		t.Fatalf("%d dirty blocks after Flush", n)
+	}
+}
+
+// TestReadAheadWindowReadsOverlap is the evidence that a read-ahead
+// window's store reads are issued together on a store that blocks: a
+// strided window of 8 scattered blocks, against a store that returns no
+// read until all 8 are inside it, completes (a serial loop hangs) and
+// installs every block with the store's bytes.
+func TestReadAheadWindowReadsOverlap(t *testing.T) {
+	const volBlks = 512
+	block := func(blk uint64) []byte { return bytes.Repeat([]byte{byte(blk%251 + 1)}, cacheBlockSize) }
+
+	gs := newGateStore(volBlks*cacheBlockSize, minPrefetchBlocks, true)
+	window := make([]uint64, minPrefetchBlocks)
+	for i := range window {
+		window[i] = uint64(3 * i)
+		if err := gs.MemStore.WriteAt(block(window[i]), int64(window[i])*cacheBlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := newServer(ServerConfig{CacheBlocks: 1024}, parked)
+	defer closeServer(t, srv)
+	srv.AddVolume(1, gs)
+	rv := srv.lookup(1)
 	if err := rv.pf.fillBatched(srv, window); err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.most.Load(); got != minPrefetchBlocks {
+	if got := gs.most.Load(); got != minPrefetchBlocks {
 		t.Fatalf("most store reads in flight = %d, want %d", got, minPrefetchBlocks)
 	}
+	got := make([]byte, cacheBlockSize)
 	for _, blk := range window {
 		if !rv.tryCachedRead(got, int64(blk)*cacheBlockSize) || !bytes.Equal(got, block(blk)) {
 			t.Fatalf("read-ahead block %d not installed with the store's bytes", blk)

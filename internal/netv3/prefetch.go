@@ -1,6 +1,7 @@
 package netv3
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 
@@ -286,8 +287,8 @@ func (w *prefetchWorker) fillNow(s *Server, blks []uint64) {
 func (w *prefetchWorker) fillBatched(s *Server, blks []uint64) error {
 	v := w.v
 	c := v.cache
-	want, epochs, need := c.prefetchPlan(v, blks)
-	if need == 0 {
+	var plan windowPlan
+	if c.prefetchPlan(v, blks, &plan) == 0 {
 		return nil
 	}
 	n := len(blks)
@@ -297,12 +298,12 @@ func (w *prefetchWorker) fillBatched(s *Server, blks []uint64) error {
 	var ops []storeOp
 	var runs [][2]int // wanted-run [start index, block count] per op
 	for i := 0; i < n; {
-		if !want[i] {
+		if !plan.want[i] {
 			i++
 			continue
 		}
 		j := i + 1
-		for j < n && want[j] && blks[j] == blks[j-1]+1 {
+		for j < n && plan.want[j] && blks[j] == blks[j-1]+1 {
 			j++
 		}
 		off := int64(blks[i]) * cacheBlockSize
@@ -318,17 +319,13 @@ func (w *prefetchWorker) fillBatched(s *Server, blks []uint64) error {
 		i = j
 	}
 	storeFanOut(ops, v.store.ReadAt)
-	ok := make([]bool, n)
 	var firstErr error
 	for oi, run := range runs {
-		err := ops[oi].err
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		for k := 0; k < run[1]; k++ {
-			ok[run[0]+k] = err == nil
+		if err := ops[oi].err; err != nil {
+			firstErr = cmp.Or(firstErr, err)
+			clear(plan.want[run[0] : run[0]+run[1]]) // nothing of a failed read installs
 		}
 	}
-	c.prefetchInstall(blks, want, ok, epochs, buf)
+	c.prefetchInstall(blks, &plan, buf)
 	return firstErr
 }

@@ -105,15 +105,15 @@ func prefetchDirect(t *testing.T, c *blockCache, v *volume, start uint64, n int)
 	for i := range blks {
 		blks[i] = start + uint64(i)
 	}
-	want, epochs, need := c.prefetchPlan(v, blks)
-	if need == 0 {
+	var plan windowPlan
+	if c.prefetchPlan(v, blks, &plan) == 0 {
 		return
 	}
 	buf := make([]byte, n*cacheBlockSize)
 	if err := v.store.ReadAt(buf, int64(start)*cacheBlockSize); err != nil {
 		t.Fatal(err)
 	}
-	c.prefetchInstall(blks, want, nil, epochs, buf)
+	c.prefetchInstall(blks, &plan, buf)
 }
 
 // Residency accounting: installs charge prefResident, consumption and

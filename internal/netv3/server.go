@@ -711,11 +711,9 @@ type DiskStats struct {
 	// write-behind data, in 8 KB blocks.
 	DirtyBlocks int64
 	// DestageRuns / DestagedBlocks count coalesced store writes issued by
-	// the destagers; DestageBatchHist buckets runs by size: 1, 2, ≤4, ≤8,
-	// ≤16, ≤32, ≤64 blocks.
-	DestageRuns      int64
-	DestagedBlocks   int64
-	DestageBatchHist [destageHistBuckets]int64
+	// the destagers and the blocks they carried.
+	DestageRuns    int64
+	DestagedBlocks int64
 	// PressuredWrites counts writes the session loop handed to a worker
 	// for want of room: the dirty set at its high-watermark, or a shard
 	// pinned wall to wall.
@@ -737,9 +735,6 @@ func (s *Server) DiskStats() DiskStats {
 		d.PrefetchHits += v.cache.prefHits.Load()
 		d.DestageRuns += v.wb.runs.Load()
 		d.DestagedBlocks += v.wb.blocks.Load()
-		for i := range v.wb.hist {
-			d.DestageBatchHist[i] += v.wb.hist[i].Load()
-		}
 		d.PressuredWrites += v.wb.pressured.Load()
 		d.PrefetchDropped += v.pf.dropped.Load()
 	}

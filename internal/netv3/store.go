@@ -10,8 +10,9 @@
 // request pipeline (DESIGN.md "Request pipeline"): scheduler, sharded
 // write-behind block cache, destager and prefetcher. Below the cache there
 // is one disk interface, BlockStore: misses and partial-write fills,
-// destage runs (its only writes on a cached volume), read-ahead windows
-// and the Flush fsync are all plain calls on it.
+// destage runs (its only writes on a cached volume, one at a time and in
+// offset order), read-ahead windows and the Flush fsync are all plain
+// calls on it.
 //
 // TCP stands in for the VI interconnect: reliable in-order delivery but
 // none of VI's kernel-bypass properties. The simulation reproduces the
@@ -39,23 +40,23 @@ type BlockStore interface {
 	Close() error
 }
 
-// maxStoreFanOut bounds how many store calls one background pass (a
-// destage pass, a read-ahead window) keeps in flight at once.
+// maxStoreFanOut bounds how many store reads one read-ahead window keeps
+// in flight at once.
 const maxStoreFanOut = 64
 
-// storeOp is one extent of a background pass: do(buf, off), result in err.
+// storeOp is one extent of a read-ahead window: do(buf, off), result in err.
 type storeOp struct {
 	buf []byte
 	off int64
 	err error
 }
 
-// storeFanOut runs do (a store's ReadAt or WriteAt) over every op and
-// returns when all have finished, each op's outcome in its err. A single
-// op runs on the caller; more run on up to maxStoreFanOut goroutines, so
-// a store that blocks (a device, a latency model) sees the pass's
-// extents overlapped rather than one at a time. The ops must cover
-// disjoint ranges: their relative order at the store is unspecified.
+// storeFanOut runs do (a store's ReadAt) over every op and returns when
+// all have finished, each op's outcome in its err. A single op runs on the
+// caller; more run on up to maxStoreFanOut goroutines, so a store that
+// blocks (a device, a latency model) sees the window's extents overlapped
+// rather than one at a time. Their relative order at the store is
+// unspecified.
 func storeFanOut(ops []storeOp, do func(b []byte, off int64) error) {
 	if len(ops) == 1 {
 		ops[0].err = do(ops[0].buf, ops[0].off)

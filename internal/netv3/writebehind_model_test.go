@@ -239,7 +239,8 @@ func TestPropWriteBehindMatchesModel(t *testing.T) {
 				for i := range blks {
 					blks[i] = start + uint64(i)
 				}
-				want, epochs, need := c.prefetchPlan(v, blks)
+				var plan windowPlan
+				need := c.prefetchPlan(v, blks, &plan)
 				if need == 0 {
 					break
 				}
@@ -254,12 +255,12 @@ func TestPropWriteBehindMatchesModel(t *testing.T) {
 					if off := int64(blks[rng.Intn(n)]) * cacheBlockSize; off < volSize {
 						ackedWrite(off, int(min(cacheBlockSize, volSize-off)), rng.Intn(2) == 0)
 					}
-					c.prefetchInstall(blks, want, nil, epochs, buf)
+					c.prefetchInstall(blks, &plan, buf)
 					break
 				}
 				// Nothing moved since the plan, so a wanted block that does not
 				// install was refused by a wall-to-wall pinned shard.
-				refused += int64(need - c.prefetchInstall(blks, want, nil, epochs, buf))
+				refused += int64(need - c.prefetchInstall(blks, &plan, buf))
 			case op < 96:
 				c.prefetchDiscard([]uint64{uint64(rng.Intn(volBlks)), uint64(rng.Intn(volBlks))})
 			case op < 98:
