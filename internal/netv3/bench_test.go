@@ -2,16 +2,18 @@ package netv3
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"path/filepath"
 	"testing"
 	"time"
 )
 
 // These benchmarks record nothing: benchmark/ is the repository's one
-// measurement (benchmark/README.md). They are the two things it has no
-// rung for and PRs have reached for while working: the QD1 round trip,
-// and a store that sleeps (a 150 µs time.Sleep measures the Go timer
-// floor, so it shows overlap, not device speed).
+// measurement (benchmark/README.md). They are the three things it has no
+// rung for and PRs have reached for while working: the QD1 round trip, a
+// store that sleeps (a 150 µs time.Sleep measures the Go timer floor, so it
+// shows overlap, not device speed), and the kernel's price for overwriting
+// file pages that one large write created.
 
 // benchPair starts a server with a 32 MB cache — the cached-read
 // benchmarks cycle over at most that much — and a client, for one
@@ -212,4 +214,47 @@ func BenchmarkNetv3SlowStore(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/time.Since(t0).Seconds(), "ops/s")
 	})
+}
+
+// BenchmarkFileStoreOverwrite times random 8 KB FileStore.WriteAt calls
+// into a 64 MB cached file first filled in 1 MB calls: fill=store through
+// FileStore.WriteAt (the judged benchmark's fill, cut into filePiece
+// pwrites), fill=os-1MB by raw 1 MB pwrites that bypass the pieces. The gap
+// between the two is the per-write kernel cost the pieces avoid (DESIGN.md
+// "BlockStore"); a kernel on which it reads zero no longer needs them.
+func BenchmarkFileStoreOverwrite(b *testing.B) {
+	const size = 64 << 20
+	fills := []struct {
+		name  string
+		write func(fs *FileStore, p []byte, off int64) error
+	}{
+		{"store", (*FileStore).WriteAt},
+		{"os-1MB", func(fs *FileStore, p []byte, off int64) error {
+			_, err := fs.f.WriteAt(p, off)
+			return err
+		}},
+	}
+	for _, fill := range fills {
+		b.Run("fill="+fill.name, func(b *testing.B) {
+			fs, err := NewFileStore(filepath.Join(b.TempDir(), "vol.img"), size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer fs.Close()
+			chunk := make([]byte, 1<<20)
+			for off := int64(0); off < size; off += int64(len(chunk)) {
+				if err := fill.write(fs, chunk, off); err != nil {
+					b.Fatal(err)
+				}
+			}
+			buf := make([]byte, 8192)
+			rng := rand.New(rand.NewPCG(1, 2))
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if err := fs.WriteAt(buf, rng.Int64N(size/8192)*8192); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

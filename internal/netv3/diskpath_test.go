@@ -500,6 +500,78 @@ func TestFileStoreShortReadContext(t *testing.T) {
 	}
 }
 
+// TestFileStoreWritesInPieces checks FileStore.WriteAt's piece loop: every
+// cut sits on a filePiece boundary, a write spanning many pieces from an
+// unaligned offset lands byte-identical (seen through ReadAt and through the
+// file itself), a multi-piece write may end exactly at the volume's end, and
+// a write to a closed file is an error naming the extent.
+func TestFileStoreWritesInPieces(t *testing.T) {
+	const size = 4 << 20
+	for _, c := range []struct{ off, end int64 }{
+		{0, size}, {12 << 10, 12<<10 + 1<<20 + 12<<10}, {filePiece - 8192, filePiece + 8192}, {8192, 16384},
+	} {
+		for at := c.off; at < c.end; {
+			next := pieceEnd(at, c.end)
+			if next <= at || next-at > filePiece || (next != c.end && next%filePiece != 0) {
+				t.Fatalf("[%d,%d): piece [%d,%d) is not cut on a %d-byte boundary", c.off, c.end, at, next, filePiece)
+			}
+			at = next
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "vol.img")
+	fs, err := NewFileStore(path, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	pattern := func(n int, seed byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7) + seed
+		}
+		return b
+	}
+	want := make([]byte, size)
+	for _, w := range []struct {
+		off int64
+		b   []byte
+	}{
+		{12 << 10, pattern(1<<20+12<<10, 1)},                      // unaligned start, 17 pieces
+		{size - 3*filePiece - 8192, pattern(3*filePiece+8192, 2)}, // ends at the volume's end
+	} {
+		if err := fs.WriteAt(w.b, w.off); err != nil {
+			t.Fatalf("WriteAt [%d,+%d): %v", w.off, len(w.b), err)
+		}
+		copy(want[w.off:], w.b)
+	}
+	got := make([]byte, size)
+	if err := fs.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("ReadAt differs from what was written")
+	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, want) {
+		t.Fatal("backing file differs from what was written")
+	}
+
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = fs.WriteAt(make([]byte, 2*filePiece), 8192)
+	if err == nil {
+		t.Fatal("write to a closed file store should fail")
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("[8192,+%d)", 2*filePiece)) {
+		t.Fatalf("error lacks extent context: %v", err)
+	}
+}
+
 // TestCheckStoreRangeOverflow is the regression test for the wire-offset
 // integer overflow: off+int64(n) wraps negative for offsets near
 // MaxInt64, so the old comparison let a hostile extent through and the
