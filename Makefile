@@ -34,7 +34,7 @@ race:
 # its appendix of retired mechanisms, may not name deleted code. (The
 # one-character classes keep this line from naming it either, so a repo-wide
 # grep for a deleted name stays empty outside that appendix.)
-DELETED = BENCH_[n]etv3|bench[j]son|BENCH_[J]SON|bench-(netv3|mux|tpcc|resync)|Client[S]tageDefs|-no[t]race|io_uring|DiskWorkers|diskqueue|netv3[.]IO|acquire[S]lot|data[I]O|resync[I]O|issue[E]xtents|wait[E]xtents|Reconn[e]ctor|obs[.]Counter|obs[.]Gauge|bounded[W]ait|stripe[I]O|read[M]irror|Stream[O]pen|Stream[C]lose\b|Max[S]treams|max[s]treams|open[W]aiters|Streams[S]upported|ErrStreams[U]nsupported|Streams[A]ctive|streams[_]active|Feature[S]treams|Credit[G]rant|Write[R]esp|Flush[R]esp|Buf[A]ddr|Flag[P]ollCompletion|Status[E]Again|Header[.]Ack|Write[.]Slot|internal/[f]low|internal/[r]eliable|u[n]claim\b|connection[B]roken|failAll[L]ocked|detach[L]ocked|WriteAsync[C]tx|FlushAsync[C]tx|write[T]hrough\b|absorbIf[R]esident|update[B]lock|WriteThrough[F]allbacks|Trace[S]upported|Feature[T]race|Want[C]red|DestageBatch[H]ist|destageHist[B]uckets|batch[B]ucket|DestageFan[O]ut
+DELETED = BENCH_[n]etv3|bench[j]son|BENCH_[J]SON|bench-(netv3|mux|tpcc|resync)|Client[S]tageDefs|-no[t]race|io_uring|DiskWorkers|diskqueue|netv3[.]IO|acquire[S]lot|data[I]O|resync[I]O|issue[E]xtents|wait[E]xtents|Reconn[e]ctor|obs[.]Counter|obs[.]Gauge|bounded[W]ait|stripe[I]O|read[M]irror|Stream[O]pen|Stream[C]lose\b|Max[S]treams|max[s]treams|open[W]aiters|Streams[S]upported|ErrStreams[U]nsupported|Streams[A]ctive|streams[_]active|Feature[S]treams|Credit[G]rant|Write[R]esp|Flush[R]esp|Buf[A]ddr|Flag[P]ollCompletion|Status[E]Again|Header[.]Ack|Write[.]Slot|internal/[f]low|internal/[r]eliable|u[n]claim\b|connection[B]roken|failAll[L]ocked|detach[L]ocked|WriteAsync[C]tx|FlushAsync[C]tx|write[T]hrough\b|absorbIf[R]esident|update[B]lock|WriteThrough[F]allbacks|Trace[S]upported|Feature[T]race|Want[C]red|DestageBatch[H]ist|destageHist[B]uckets|batch[B]ucket|DestageFan[O]ut|-cach[e] 0|uncache[d] volume
 # vet also refuses unformatted Go anywhere in the tree — the module and the
 # benchmark's own — except the benchmark's build caches under .bench_build/.
 GOFMT ?= gofmt
@@ -70,8 +70,10 @@ chaos:
 		-run 'TestStaleSessionFenced|TestStressMixedIOWithReconnects' ./internal/netv3/
 
 # smoke drives the binaries and every benchmark once: TPC-C over the
-# in-process cluster (single server, then a two-node vault), and each
-# Benchmark* at one iteration, which only proves they still build and run.
+# in-process cluster (single server, then a two-node vault), the examples
+# that have no tests (each must finish inside its timeout, so one that
+# hangs fails here), and each Benchmark* at one iteration, which only
+# proves they still build and run.
 # The judged benchmark (its own module, invisible to ./...) is vetted,
 # tested and run for one second per workload, traced and untraced: it
 # reaches config fields, stats and stage names by reflection, so a rename
@@ -82,6 +84,9 @@ BENCH_SMOKE_LOG = .bench_build/smoke.log
 smoke:
 	$(GO) run ./cmd/v3tpcc -net -quick
 	$(GO) run ./cmd/v3tpcc -net -quick -nodes 2
+	timeout 120 $(GO) run ./examples/quickstart
+	timeout 120 $(GO) run ./examples/cluster
+	timeout 120 $(GO) run ./examples/clone
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout $(TEST_TIMEOUT) ./...
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .

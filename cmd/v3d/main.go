@@ -5,15 +5,15 @@
 //
 //	v3d -addr :9300 -size 256M                 # in-memory volume 1, 64 MB cache
 //	v3d -addr :9300 -file /data/vol.img -size 1G -cache 32768
-//	v3d -addr :9300 -cache 0 -stats 10s        # uncached: every request hits the store
+//	v3d -addr :9300 -stats 10s                 # log the counters every 10 s
 //	v3d -addr :9300 -schedworkers 8 -admitlimit 512
 //	v3d -addr :9300 -metrics :9400             # Prometheus text + JSON snapshot
 //	v3d -addr :9300 -metrics :9400 -pprof      # + /debug/pprof/ profiles
 //	v3d -addr :9300 -metrics :9400             # /debug/flightrec is always there
 //
-// With a cache (the default) a write is acknowledged once it is a dirty
-// cache block: an acknowledged write is readable at once and durable after
-// the client's next Flush.
+// Every volume sits behind the server's cache: a write is acknowledged once
+// it is a dirty cache block, readable at once and durable after the
+// client's next Flush.
 package main
 
 import (
@@ -56,7 +56,8 @@ func main() {
 	addr := flag.String("addr", ":9300", "listen address")
 	sizeStr := flag.String("size", "64M", "volume size (supports K/M/G suffix)")
 	file := flag.String("file", "", "back the volume with this file (default: memory)")
-	cache := flag.Int("cache", 8192, "server MQ cache size in 8K blocks, with write-behind and read-ahead (0 = uncached: every request goes to the store)")
+	cfg := netv3.DefaultServerConfig()
+	cache := flag.Int("cache", cfg.CacheBlocks, "server MQ cache size in 8K blocks, with write-behind and read-ahead (at least 1)")
 	credits := flag.Int("credits", 64, "flow-control window per session")
 	schedWorkers := flag.Int("schedworkers", 0, "request scheduler worker pool (0 = GOMAXPROCS)")
 	admitLimit := flag.Int("admitlimit", 0, "foreground queue depth before admission control sheds (0 = schedworkers*256)")
@@ -70,7 +71,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "v3d: bad -size %q\n", *sizeStr)
 		os.Exit(2)
 	}
-	cfg := netv3.DefaultServerConfig()
+	if *cache < 1 {
+		fmt.Fprintf(os.Stderr, "v3d: bad -cache %d: at least one block\n", *cache)
+		os.Exit(2)
+	}
 	cfg.Credits = *credits
 	cfg.CacheBlocks = *cache
 	cfg.SchedWorkers = *schedWorkers

@@ -607,32 +607,25 @@ func TestCheckStoreRangeOverflow(t *testing.T) {
 	}
 }
 
-// TestMaliciousOffset drives hostile extents through the wire protocol,
-// against a cached and an uncached volume (the inline paths and the
-// scheduler tasks each validate the range): a read or write at an offset
-// chosen to wrap the range check must come back as a clean error — not a
-// server panic — and the session must remain fully usable afterwards.
+// TestMaliciousOffset drives hostile extents through the wire protocol: a
+// read or write at an offset chosen to wrap the range check must come back
+// as EINVAL — not a server panic — and the session must remain fully
+// usable afterwards.
 func TestMaliciousOffset(t *testing.T) {
-	for _, cacheBlocks := range []int{256, 0} {
-		hostileOffsets(t, ServerConfig{CacheBlocks: cacheBlocks})
-	}
-}
-
-func hostileOffsets(t *testing.T, cfg ServerConfig) {
-	t.Helper()
-	_, addr := startTunedServer(t, cfg, parked, NewMemStore(1<<20))
+	_, addr := startTunedServer(t, ServerConfig{CacheBlocks: 256}, parked, NewMemStore(1<<20))
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	buf := make([]byte, 8192)
+	einval := wire.StatusEInval.Err().Error()
 	for _, off := range []int64{math.MaxInt64 - 4095, math.MaxInt64 - 8191, 1 << 40} {
-		if err := c.Read(1, off, buf); err == nil {
-			t.Fatalf("read at hostile offset %d succeeded", off)
+		if err := c.Read(1, off, buf); err == nil || err.Error() != einval {
+			t.Fatalf("read at hostile offset %d: %v, want EINVAL", off, err)
 		}
-		if err := c.Write(1, off, buf); err == nil {
-			t.Fatalf("write at hostile offset %d succeeded", off)
+		if err := c.Write(1, off, buf); err == nil || err.Error() != einval {
+			t.Fatalf("write at hostile offset %d: %v, want EINVAL", off, err)
 		}
 	}
 	// The session survived: a normal round trip still works.
@@ -793,49 +786,13 @@ func TestPrefetchStream(t *testing.T) {
 }
 
 // TestStoreFaults wires a faultnet store fault injector (every Nth op
-// fails, every Mth is short) under both halves of the pipeline and checks
-// the error plumbing: injected failures surface as errors — never hangs,
-// never wrong bytes on the ops that succeed — and the session survives
-// all of it.
+// fails, every Mth is short) under the pipeline and checks the error
+// plumbing: injected failures surface as errors — never hangs, never
+// wrong bytes on the ops that succeed — and the session survives all of
+// it.
 func TestStoreFaults(t *testing.T) {
-	// Uncached volume: every request is a scheduler task doing one store
-	// call, so a fault is that request's EIO.
-	t.Run("uncached", func(t *testing.T) {
-		flaky := faultnet.NewStore(NewMemStore(2<<20), faultnet.StoreConfig{ErrEvery: 7, ShortEvery: 11})
-		srv, addr := startTunedServer(t, DefaultServerConfig(), tuning{}, flaky)
-		c, err := Dial(addr, DefaultClientConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		var wErrs, rErrs, ok int
-		data := bytes.Repeat([]byte{0x7C}, 8192)
-		buf := make([]byte, 8192)
-		for i := 0; i < 60; i++ {
-			off := int64(i) * 8192
-			if err := c.Write(1, off, data); err != nil {
-				wErrs++
-				continue
-			}
-			if err := c.Read(1, off, buf); err != nil {
-				rErrs++
-				continue
-			}
-			if !bytes.Equal(buf, data) {
-				t.Fatalf("op %d: successful read returned wrong bytes under fault injection", i)
-			}
-			ok++
-		}
-		if wErrs+rErrs == 0 {
-			t.Fatalf("fault injector never fired (ops=%d)", flaky.Ops())
-		}
-		if ok == 0 {
-			t.Fatal("no operation survived fault injection")
-		}
-		t.Logf("faults: writeErrs=%d readErrs=%d ok=%d served=%d", wErrs, rErrs, ok, srv.Served())
-	})
-	// Cached volume: writes are acked as dirty blocks and the faults hit
-	// the destage runs. A failed run stays dirty and its error is sticky
+	// Writes are acked as dirty blocks and the faults hit the destage
+	// runs. A failed run stays dirty and its error is sticky
 	// until the next Flush reports it; the Flush after that retries the
 	// run. With destaging parked, each Flush is exactly one store op, so
 	// the schedule fails flushes 7, 11, 14, ...
@@ -951,28 +908,25 @@ func TestChaosPartition(t *testing.T) {
 }
 
 // TestFlushSurfacesSyncError checks the Flush barrier's error path: a
-// store whose next Sync fails must turn the wire-level Flush into an
-// error — after the destage pass on a cached volume, and from the flush
-// task's bare Sync on an uncached one — not swallowed by either.
+// store whose next Sync fails must turn the wire-level Flush, after its
+// destage pass, into an error — not swallow it.
 func TestFlushSurfacesSyncError(t *testing.T) {
-	for _, cacheBlocks := range []int{256, 0} {
-		flaky := faultnet.NewStore(NewMemStore(1<<20), faultnet.StoreConfig{})
-		_, addr := startTunedServer(t, ServerConfig{CacheBlocks: cacheBlocks}, tuning{}, flaky)
-		c, err := Dial(addr, DefaultClientConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.Write(1, 0, make([]byte, 4096)); err != nil {
-			t.Fatal(err)
-		}
-		flaky.FailNextSync(faultnet.ErrInjected)
-		if err := c.Flush(1); err == nil {
-			t.Fatalf("cache %d: flush succeeded despite injected fsync failure", cacheBlocks)
-		}
-		if err := c.Flush(1); err != nil {
-			t.Fatalf("cache %d: flush did not recover after one-shot sync fault: %v", cacheBlocks, err)
-		}
+	flaky := faultnet.NewStore(NewMemStore(1<<20), faultnet.StoreConfig{})
+	_, addr := startTunedServer(t, ServerConfig{CacheBlocks: 256}, tuning{}, flaky)
+	c, err := Dial(addr, DefaultClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Write(1, 0, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	flaky.FailNextSync(faultnet.ErrInjected)
+	if err := c.Flush(1); err == nil {
+		t.Fatal("flush succeeded despite injected fsync failure")
+	}
+	if err := c.Flush(1); err != nil {
+		t.Fatalf("flush did not recover after one-shot sync fault: %v", err)
 	}
 }
 
@@ -1124,13 +1078,13 @@ func TestDestagePassWritesInOrder(t *testing.T) {
 	// The store heals. The next Flush retries the run and commits it, yet
 	// still reports the sticky error; the one after is clean.
 	rs.failOff = -1
-	if err := v.flush(); !errors.Is(err, faultnet.ErrInjected) {
+	if err := v.wb.flush(); !errors.Is(err, faultnet.ErrInjected) {
 		t.Fatalf("flush after a failed background run = %v, want the sticky injected error", err)
 	}
 	if n := v.cache.dirtyCount.Load(); n != 0 {
 		t.Fatalf("%d dirty blocks after the retry pass", n)
 	}
-	if err := v.flush(); err != nil {
+	if err := v.wb.flush(); err != nil {
 		t.Fatalf("second flush: %v", err)
 	}
 	if got := rs.most.Load(); got != 1 {
@@ -1163,7 +1117,7 @@ func TestFlushSyncsAfterItsWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := v.flush(); err != nil {
+	if err := v.wb.flush(); err != nil {
 		t.Fatal(err)
 	}
 	log := rs.calls()

@@ -127,28 +127,30 @@ func TestStaleSessionFenced(t *testing.T) {
 	}
 }
 
-// parkFirstWrite is a MemStore whose first WriteAt parks until released.
-type parkFirstWrite struct {
+// parkFirstRead is a MemStore whose first ReadAt parks until released.
+type parkFirstRead struct {
 	*MemStore
 	once             sync.Once
 	parked, released chan struct{}
 }
 
-func (s *parkFirstWrite) WriteAt(b []byte, off int64) error {
+func (s *parkFirstRead) ReadAt(b []byte, off int64) error {
 	s.once.Do(func() {
 		close(s.parked)
 		<-s.released
 	})
-	return s.MemStore.WriteAt(b, off)
+	return s.MemStore.ReadAt(b, off)
 }
 
 // TestFenceWaitsOutTasks: the old session's write is not held in its loop
-// but running, a scheduler task parked in the store. The new incarnation
-// is admitted by the fence at once, and answered only when that task has
-// finished: until then the client's replay and its next write wait, and
-// afterwards both land after the stale copy.
+// but running, a scheduler task parked in the store — a partial write to a
+// block that is not resident, whose task fills the block from the store
+// before it absorbs. The new incarnation is admitted by the fence at once,
+// and answered only when that task has finished: until then the client's
+// replay and its next write wait, and afterwards both land after the stale
+// copy.
 func TestFenceWaitsOutTasks(t *testing.T) {
-	store := &parkFirstWrite{MemStore: NewMemStore(1 << 20), parked: make(chan struct{}), released: make(chan struct{})}
+	store := &parkFirstRead{MemStore: NewMemStore(1 << 20), parked: make(chan struct{}), released: make(chan struct{})}
 	cfg := DefaultServerConfig()
 	cfg.SchedWorkers = 4
 	srv, addr := startTunedServer(t, cfg, tuning{}, store)

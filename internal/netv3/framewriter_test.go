@@ -63,36 +63,20 @@ func quietClientConfig() ClientConfig {
 	return cfg
 }
 
-// writeLogStore records every WriteAt's offset in arrival order.
-type writeLogStore struct {
-	BlockStore
-	mu   sync.Mutex
-	offs []int64
-}
-
-func (s *writeLogStore) WriteAt(b []byte, off int64) error {
-	s.mu.Lock()
-	s.offs = append(s.offs, off)
-	s.mu.Unlock()
-	return s.BlockStore.WriteAt(b, off)
-}
-
-func (s *writeLogStore) writes() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int64(nil), s.offs...)
-}
-
-// startWriteLogServer serves an uncached volume with one scheduler worker,
-// so every client write is exactly one store write and they are applied in
-// the order their frames arrived.
-func startWriteLogServer(t *testing.T) (*Server, *writeLogStore, string) {
+// storedBlocks reports whether the first n bytes of each of store's first
+// len(want) 8 KB blocks hold that block's byte of want.
+func storedBlocks(t *testing.T, store *MemStore, want []byte, n int) bool {
 	t.Helper()
-	store := &writeLogStore{BlockStore: NewMemStore(1 << 20)}
-	cfg := DefaultServerConfig()
-	cfg.SchedWorkers = 1
-	srv, addr := startTunedServer(t, cfg, tuning{}, store)
-	return srv, store, addr
+	got := make([]byte, n)
+	for i, b := range want {
+		if err := store.ReadAt(got, int64(i)*8192); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, bytes.Repeat([]byte{b}, n)) {
+			return false
+		}
+	}
+	return true
 }
 
 // waitFor polls cond until it holds or five seconds pass.
@@ -232,9 +216,12 @@ func TestLoneCallerIsNeverHeldBack(t *testing.T) {
 // with its generation and replay re-sends the window: every handle
 // completes once, the server applies each write once and in submission
 // order, and no writer goroutine outlives its connection — not after this,
-// and not after fifty more forced reconnects.
+// and not after fifty more forced reconnects. Write i covers blocks i and
+// i+1, so each block a later write overlaps shows which of the two came
+// last.
 func TestChaosKillWithQueuedFrames(t *testing.T) {
-	srv, store, addr := startWriteLogServer(t)
+	store := NewMemStore(1 << 20)
+	srv, addr := startTunedServer(t, DefaultServerConfig(), tuning{}, store)
 	goroutines := runtime.NumGoroutine()
 	c := dialFaulted(t, addr, quietClientConfig())
 
@@ -242,7 +229,7 @@ func TestChaosKillWithQueuedFrames(t *testing.T) {
 	c.inj.StallWrites(true)
 	handles := make([]*Pending, window)
 	for i := range handles {
-		h, err := c.WriteAsync(1, int64(i)*8192, bytes.Repeat([]byte{byte(i + 1)}, 8192))
+		h, err := c.WriteAsync(1, int64(i)*8192, bytes.Repeat([]byte{byte(i + 1)}, 2*8192))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,14 +249,18 @@ func TestChaosKillWithQueuedFrames(t *testing.T) {
 	if st.Reconnects != 1 || st.Retries != window {
 		t.Fatalf("Reconnects=%d Retries=%d, want 1 and %d", st.Reconnects, st.Retries, window)
 	}
-	offs := store.writes()
-	if len(offs) != window {
-		t.Fatalf("server applied %d writes, want %d: %v", len(offs), window, offs)
+	if n := srv.Served(); n != window {
+		t.Fatalf("server applied %d writes, want %d", n, window)
 	}
-	for i, off := range offs {
-		if off != int64(i)*8192 {
-			t.Fatalf("server applied writes out of order: %v", offs)
-		}
+	if err := c.Flush(1); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, window+1)
+	for i := range want {
+		want[i] = byte(min(i, window-1) + 1) // block i's last writer is write i
+	}
+	if !storedBlocks(t, store, want, 8192) {
+		t.Fatal("server applied writes out of order")
 	}
 
 	buf := make([]byte, 512)
@@ -294,16 +285,21 @@ func TestChaosKillWithQueuedFrames(t *testing.T) {
 }
 
 // TestCloseDrainsQueueThenDisconnects: Close with frames still queued puts
-// them, then Disconnect, on the wire before the socket closes.
+// them, then Disconnect, on the wire before the socket closes. Each write
+// covers half a block nothing has touched, so it is a task whose fill
+// parks in the store until the session has ended: the server answers
+// nothing while it reads the frames, and no reply to the closed client can
+// cut the session short before it has read them all.
 func TestCloseDrainsQueueThenDisconnects(t *testing.T) {
-	srv, store, addr := startWriteLogServer(t)
+	store := newGateStore(1<<20, 1<<30, true)
+	srv, addr := startTunedServer(t, DefaultServerConfig(), tuning{}, store)
 	c := dialFaulted(t, addr, quietClientConfig())
 
 	const queued = 8
 	c.inj.StallWrites(true)
 	handles := make([]*Pending, queued)
 	for i := range handles {
-		h, err := c.WriteAsync(1, int64(i)*8192, bytes.Repeat([]byte{byte(i + 1)}, 8192))
+		h, err := c.WriteAsync(1, int64(i)*8192, bytes.Repeat([]byte{byte(i + 1)}, 4096))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,9 +326,14 @@ func TestCloseDrainsQueueThenDisconnects(t *testing.T) {
 			t.Fatalf("handle %d: %v, want ErrClosed", i, err)
 		}
 	}
-	waitFor(t, "the queued writes to reach the store", func() bool { return len(store.writes()) == queued })
 	// The session ends on the Disconnect frame that followed them.
 	waitFor(t, "the session to end", func() bool { return srv.SessionsActive() == 0 })
+	store.once.Do(func() { close(store.open) })
+	want := make([]byte, queued)
+	for i := range want {
+		want[i] = byte(i + 1)
+	}
+	waitFor(t, "the queued writes to reach the store", func() bool { return storedBlocks(t, store.MemStore, want, 4096) })
 	if st := c.Stats(); st.FramesSent != queued+1 {
 		t.Fatalf("FramesSent=%d, want %d writes and the Disconnect", st.FramesSent, queued)
 	}

@@ -147,26 +147,28 @@ func readResp(t *testing.T, br *bufio.Reader, readLen int) wire.Resp {
 }
 
 // TestDistinctStreamIDsLeaveNoServerState pins that the server keeps no
-// record of a stream: a peer cycling the 32-bit stream id in Read frames —
-// 70,000 ids, more than a 16-bit counter could name — has every read
+// record of a stream: a peer cycling the 32-bit stream id in Flush frames
+// — 70,000 ids, more than a 16-bit counter could name — has every flush
 // answered, and once they are the scheduler holds no tenant for any of
 // them (a tenant retires the moment its queue drains). There is no
 // registry to grow and so no cap to enforce.
 func TestDistinctStreamIDsLeaveNoServerState(t *testing.T) {
-	const ids, readLen = 70000, 512
-	srv, addr := startSchedServer(t, DefaultServerConfig(), 1<<20)
+	const ids = 70000
+	// A small cache: each Flush's destage pass scans every cache slot for
+	// dirty blocks, and there are none to find.
+	cfg := DefaultServerConfig()
+	cfg.CacheBlocks = 64
+	srv, addr := startSchedServer(t, cfg, 1<<20)
 	conn, br := rawSession(t, addr)
-	// The volume is uncached, so every read is a scheduler task under its
-	// stream's tenant; a 32-deep window keeps the flood under admission
-	// control.
+	// Every Flush is a scheduler task under its stream's tenant; a 32-deep
+	// window keeps the flood under admission control.
 	window := make(chan struct{}, 32)
 	sendErr := make(chan error, 1)
 	go func() {
 		for i := 1; i <= ids; i++ {
 			window <- struct{}{}
-			rd := &wire.Read{Header: wire.Header{Stream: uint32(i)},
-				ReqID: uint64(i), Volume: 1, Length: readLen}
-			if err := wire.WriteTo(conn, rd); err != nil {
+			fl := &wire.Flush{Header: wire.Header{Stream: uint32(i)}, ReqID: uint64(i), Volume: 1}
+			if err := wire.WriteTo(conn, fl); err != nil {
 				sendErr <- err
 				return
 			}
@@ -174,18 +176,18 @@ func TestDistinctStreamIDsLeaveNoServerState(t *testing.T) {
 		sendErr <- nil
 	}()
 	for i := 0; i < ids; i++ {
-		readResp(t, br, readLen)
+		readResp(t, br, 0)
 		<-window
 	}
 	if err := <-sendErr; err != nil {
-		t.Fatalf("sending reads: %v", err)
+		t.Fatalf("sending flushes: %v", err)
 	}
 	// Each response left after its task was popped, and the pop that
 	// drains a tenant's queue retires it; a worker counts its task done
 	// after the response is queued.
 	waitFor(t, "every task to be counted", func() bool { return srv.SchedStats().FGDone == ids })
 	if st := srv.SchedStats(); st.FGTenants != 0 || st.BGTenants != 0 {
-		t.Fatalf("after %d answered reads: %d fg and %d bg tenants, want none", ids, st.FGTenants, st.BGTenants)
+		t.Fatalf("after %d answered flushes: %d fg and %d bg tenants, want none", ids, st.FGTenants, st.BGTenants)
 	}
 }
 
@@ -194,10 +196,12 @@ func TestDistinctStreamIDsLeaveNoServerState(t *testing.T) {
 // itself. A raw-protocol client that never sends anything but Connect and
 // Read frames gets every read whose id carries wire.StreamBackground run
 // on the background lane and every other read — the root's, a foreground
-// stream's — on the foreground one.
+// stream's — on the foreground one. Each read is of a block of its own,
+// at gaps that grow by a block each time (no stream the read-ahead
+// detector would arm on), so each misses and runs as a scheduler task.
 func TestStreamClassRidesEveryFrame(t *testing.T) {
 	const readLen, perID = 512, 5
-	srv, addr := startSchedServer(t, DefaultServerConfig(), 1<<20)
+	srv, addr := startSchedServer(t, DefaultServerConfig(), 8<<20)
 	conn, br := rawSession(t, addr)
 	ids := []uint32{0, 1, 7, wire.StreamBackground, wire.StreamBackground | 1,
 		wire.StreamBackground | 7, wire.StreamBackground | (wire.StreamBackground - 1)}
@@ -206,7 +210,8 @@ func TestStreamClassRidesEveryFrame(t *testing.T) {
 	for _, id := range ids {
 		for k := 0; k < perID; k++ {
 			seq++
-			rd := &wire.Read{Header: wire.Header{Stream: id}, ReqID: seq, Volume: 1, Length: readLen}
+			blk := seq * (seq + 1) / 2
+			rd := &wire.Read{Header: wire.Header{Stream: id}, ReqID: seq, Volume: 1, Offset: blk * cacheBlockSize, Length: readLen}
 			if err := wire.WriteTo(conn, rd); err != nil {
 				t.Fatal(err)
 			}
@@ -431,11 +436,14 @@ func TestStreamCreditCarveOut(t *testing.T) {
 // replayed onto the new session — the first frame that session sees from
 // it — runs on the background lane, because the class rides the frame.
 func TestStreamSurvivesReconnect(t *testing.T) {
-	srv, addr := startSchedServer(t, DefaultServerConfig(), 1<<20) // uncached: every request is a task
+	srv, addr := startSchedServer(t, DefaultServerConfig(), 1<<20)
 	c := dialFaulted(t, addr, quietClientConfig())
 	defer c.Close()
 	st := c.OpenStream(StreamConfig{Credits: 4})
 	bg := c.OpenStream(StreamConfig{Credits: 4, Background: true})
+	// Each request below reaches a block nothing has touched yet — the
+	// write fills block 0, each read ends one block further on — so each
+	// misses and is a scheduler task whose lane the counters show.
 	payload := []byte("before the cut")
 	if err := st.Write(1, 0, payload); err != nil {
 		t.Fatal(err)
@@ -446,7 +454,7 @@ func TestStreamSurvivesReconnect(t *testing.T) {
 	// writer is stalled when it is submitted and the connection is killed
 	// under it, so the replay is its first appearance on any session.
 	c.inj.StallWrites(true)
-	got := make([]byte, len(payload))
+	got := make([]byte, cacheBlockSize+len(payload))
 	h, err := bg.ReadAsync(1, 0, got)
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +464,7 @@ func TestStreamSurvivesReconnect(t *testing.T) {
 	if err := h.WaitTimeout(5 * time.Second); err != nil {
 		t.Fatalf("replayed background read: %v", err)
 	}
-	if !bytes.Equal(got, payload) {
+	if !bytes.Equal(got[:len(payload)], payload) {
 		t.Fatal("replayed background read mismatch")
 	}
 	if cs := c.Stats(); cs.Reconnects != 1 || cs.Retries != 1 {
@@ -468,11 +476,11 @@ func TestStreamSurvivesReconnect(t *testing.T) {
 	}
 
 	// And the foreground stream carries on, on the foreground lane.
-	clear(got)
+	got = make([]byte, 2*cacheBlockSize+len(payload))
 	if err := st.Read(1, 0, got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
+	if !bytes.Equal(got[:len(payload)], payload) {
 		t.Fatal("post-reconnect read mismatch")
 	}
 	waitFor(t, "the foreground read's task to be counted", func() bool { return srv.SchedStats().FGDone == 2 })

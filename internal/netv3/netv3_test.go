@@ -28,17 +28,14 @@ func serve(t testing.TB, srv *Server, ln net.Listener) string {
 	return ln.Addr().String()
 }
 
-// closeServer closes srv and asserts, on every cached volume, the
-// invariant that encodes acked-but-not-durable: the pinned blocks are
-// exactly the dirty and flushing ones. Safe to call again from the
-// cleanup.
+// closeServer closes srv and asserts, on every volume, the invariant
+// that encodes acked-but-not-durable: the pinned blocks are exactly the
+// dirty and flushing ones. Safe to call again from the cleanup.
 func closeServer(t testing.TB, srv *Server) {
 	t.Helper()
 	srv.Close()
 	for _, v := range *srv.volumes.Load() {
-		if v.cache != nil {
-			checkPinInvariant(t, v.cache)
-		}
+		checkPinInvariant(t, v.cache)
 	}
 }
 
@@ -244,8 +241,37 @@ func TestOutOfRangeIO(t *testing.T) {
 		t.Fatal("out-of-range write should fail")
 	}
 	if err := c.Read(1, 0, make([]byte, 512)); err != nil {
-		t.Fatalf("session unusable after EIO: %v", err)
+		t.Fatalf("session unusable after the refused write: %v", err)
 	}
+}
+
+// TestAddVolumeAfterClose: a closed server exports nothing more. AddVolume
+// returns, starts no goroutine that outlives the server, and a second
+// Close does not wait for a destager or read-ahead worker that never ran.
+func TestAddVolumeAfterClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv := NewServer(DefaultServerConfig())
+	srv.AddVolume(1, NewMemStore(1<<20))
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	returned := make(chan struct{})
+	go func() {
+		srv.AddVolume(2, NewMemStore(1<<20))
+		srv.Close()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("AddVolume or the second Close blocked on a closed server")
+	}
+	if n := srv.VolumeSize(2); n != 0 {
+		t.Fatalf("a closed server exported a %d-byte volume", n)
+	}
+	waitFor(t, "goroutine count to return to its baseline", func() bool {
+		return runtime.NumGoroutine() <= before
+	})
 }
 
 func TestServerCacheHits(t *testing.T) {

@@ -85,8 +85,8 @@ func splitFrames(t *testing.T, dir string, b []byte, payload func(wire.Message) 
 // response shape. One live session, tapped in both directions, drives a
 // request down every reply path the server has — a cached read hit and a
 // read miss, an absorbed write and one written through past the dirty
-// watermark, a flush, a shed, a read of an unknown volume and one past the
-// end of a volume — and idles long enough for a keepalive ping. Every frame
+// watermark, a flush, a shed, a read of an unknown volume, and a read and a
+// write past the end of a volume — and idles long enough for a keepalive ping. Every frame
 // the server sends after its ConnectResp is a Resp or a Pong; each Resp's
 // Length is exactly the payload that follows it (a read's data, nothing for
 // anything else); and in both directions every frame's reserved bytes are
@@ -165,6 +165,8 @@ func TestEveryReplyIsOneResp(t *testing.T) {
 	expect("unknown volume", h, err, wire.StatusENoVolume, 0)
 	h, err = c.ReadAsync(1, 64*blk, buf)
 	expect("out-of-range read", h, err, wire.StatusEInval, 0)
+	h, err = c.WriteAsync(1, 64*blk, data)
+	expect("out-of-range write", h, err, wire.StatusEInval, 0)
 
 	held, err := c.ReadAsync(2, 0, buf)
 	if err != nil {

@@ -19,8 +19,9 @@ func TestRootIsStreamZero(t *testing.T) {
 	const window = 4
 	cfg := DefaultServerConfig()
 	cfg.Credits = window
-	// Two uncached volumes whose reads park until the test opens them: a
-	// request in flight holds its tokens for as long as the test likes.
+	// Two volumes whose store reads park until the test opens them: a read
+	// of a block not yet resident parks in its fill, and a request in
+	// flight holds its tokens for as long as the test likes.
 	held := []*gateStore{newGateStore(1<<20, 1<<30, true), newGateStore(1<<20, 1<<30, true)}
 	srv := NewServer(cfg)
 	srv.AddVolume(1, held[0])

@@ -23,11 +23,11 @@ type ServerConfig struct {
 	Credits int
 	// MaxXfer bounds a single transfer.
 	MaxXfer uint32
-	// CacheBlocks gives every volume a server-side MQ cache of that many
-	// 8 KB blocks and, with it, the rest of the cached disk path:
+	// CacheBlocks sizes every volume's server-side MQ cache, in 8 KB
+	// blocks. The cache carries the rest of the disk path with it:
 	// write-behind destaging (a write is acknowledged once it is a dirty
 	// cache block; Flush is the durability barrier) and sequential and
-	// strided read-ahead. 0 serves every request straight from the store.
+	// strided read-ahead. 0 selects 8192 (64 MB).
 	CacheBlocks int
 	// SchedWorkers sizes the shared request scheduler: a bounded pool of
 	// that many workers drains per-tenant queues round-robin in two QoS
@@ -52,10 +52,13 @@ type ServerConfig struct {
 	Logger *log.Logger
 }
 
-// DefaultServerConfig returns sensible defaults: 64 requests of 1 MB.
+// DefaultServerConfig returns sensible defaults: 64 requests of 1 MB, and
+// a 64 MB cache per volume.
 func DefaultServerConfig() ServerConfig {
-	return ServerConfig{Credits: 64, MaxXfer: 1 << 20}
+	return ServerConfig{Credits: 64, MaxXfer: 1 << 20, CacheBlocks: defaultCacheBlocks}
 }
+
+const defaultCacheBlocks = 8192
 
 // tuning holds the cached disk path's two fixed sizes. Every server built
 // by NewServer runs the defaults; in-package tests hand newServer other
@@ -71,10 +74,8 @@ const cacheBlockSize = 8192
 // sockBufSize sizes the bufio reader on each end of a connection.
 const sockBufSize = 64 << 10
 
-// volume is one exported store. A cached volume (CacheBlocks > 0) carries
-// the whole cached disk path — cache, destager, prefetcher — and an
-// uncached one none of it: the three are nil or non-nil together. Either
-// way the store is the only disk interface.
+// volume is one exported store and the disk path in front of it: cache,
+// destager, prefetcher. The store is the only disk interface.
 type volume struct {
 	store BlockStore
 	cache *blockCache
@@ -140,6 +141,9 @@ func newServer(cfg ServerConfig, tune tuning) *Server {
 	if cfg.MaxXfer == 0 {
 		cfg.MaxXfer = 1 << 20
 	}
+	if cfg.CacheBlocks <= 0 {
+		cfg.CacheBlocks = defaultCacheBlocks
+	}
 	if cfg.SchedWorkers <= 0 {
 		cfg.SchedWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -161,18 +165,21 @@ func newServer(cfg ServerConfig, tune tuning) *Server {
 	return s
 }
 
-// AddVolume exports store under the given volume ID.
+// AddVolume exports store under the given volume ID, behind a cache of
+// CacheBlocks blocks with its destager and read-ahead worker. On a closed
+// server it does nothing: a closed server exports nothing and starts no
+// goroutine.
 func (s *Server) AddVolume(id uint32, store BlockStore) {
 	s.addMu.Lock()
 	defer s.addMu.Unlock()
-	v := &volume{store: store}
-	if s.cfg.CacheBlocks > 0 && !s.closed.Load() {
-		v.cache = newBlockCache(s.cfg.CacheBlocks, s.pool)
-		v.wb = newDestager(s, v)
-		go v.wb.run(s.done)
-		v.pf = newPrefetchWorker(v)
-		go v.pf.run(s, s.done)
+	if s.closed.Load() {
+		return
 	}
+	v := &volume{store: store, cache: newBlockCache(s.cfg.CacheBlocks, s.pool)}
+	v.wb = newDestager(s, v)
+	go v.wb.run(s.done)
+	v.pf = newPrefetchWorker(v)
+	go v.pf.run(s, s.done)
 	old := *s.volumes.Load()
 	next := make(map[uint32]*volume, len(old)+1)
 	for k, ov := range old {
@@ -207,11 +214,9 @@ func (s *Server) SessionsActive() int64 { return s.sessActive.Load() }
 // CacheStats returns aggregate (hits, misses) across volumes.
 func (s *Server) CacheStats() (hits, misses int64) {
 	for _, v := range *s.volumes.Load() {
-		if v.cache != nil {
-			h, m := v.cache.stats()
-			hits += h
-			misses += m
-		}
+		h, m := v.cache.stats()
+		hits += h
+		misses += m
 	}
 	return hits, misses
 }
@@ -274,15 +279,18 @@ func (s *Server) ListenAndServe(addr string) error {
 // flight), severs every live session and waits until each has ended, and
 // closes the listener.
 func (s *Server) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
+	// Under addMu, so every volume AddVolume exports, and every goroutine
+	// it starts, is in the map read below.
+	s.addMu.Lock()
+	closing := s.closed.CompareAndSwap(false, true)
+	s.addMu.Unlock()
+	if !closing {
 		return nil
 	}
 	close(s.done)
 	for _, v := range *s.volumes.Load() {
-		if v.cache != nil {
-			<-v.wb.stopped
-			<-v.pf.stopped
-		}
+		<-v.wb.stopped
+		<-v.pf.stopped
 	}
 	var err error
 	if s.ln != nil {
@@ -360,10 +368,11 @@ func (ss *session) quiesce() {
 // response struct for the whole session: a read wholly resident in the
 // cache, and a write absorbed as dirty cache blocks that are resident or
 // wholly covered, in shards with room, under the high-watermark.
+// So does the error reply to a request for no volume or outside it.
 // Everything that can touch the store — a read miss, the rest of any
-// other write, a write to an uncached volume, a Flush — becomes a
-// scheduler task, so a slow store call never stalls the frames queued
-// behind it and the lane policy and admission control see all of it.
+// other write, a Flush — becomes a scheduler task, so a slow store call
+// never stalls the frames queued behind it and the lane policy and
+// admission control see all of it.
 // Every response, from either side, goes through the session's frameWriter.
 func (s *Server) session(conn net.Conn) {
 	defer func() {
@@ -531,73 +540,89 @@ func reply(w *frameWriter, r *wire.Resp, h wire.Header, id uint64, st wire.Statu
 	_ = w.send(r, body)
 }
 
-// read dispatches one Read. On a cached volume it feeds the sequential-
-// read detector and serves a whole-range cache hit inline (a memcpy, zero
-// heap allocations); a miss, an uncached volume, and every malformed
-// request (whose error reply handleRead owns) become a scheduler task.
+// target resolves the volume a read or write of n bytes at off addresses
+// and validates the range once, before any of it reaches buffer or block
+// arithmetic (a hostile offset, say MaxInt64, must not): ENoVolume for an
+// unknown volume, EInval for a transfer over MaxXfer or outside the
+// volume.
+func (s *Server) target(vol uint32, off uint64, n uint32) (*volume, wire.Status) {
+	v := s.lookup(vol)
+	switch {
+	case v == nil:
+		return nil, wire.StatusENoVolume
+	case n > s.cfg.MaxXfer || checkStoreRange(v.store.Size(), int64(off), int(n)) != nil:
+		return nil, wire.StatusEInval
+	}
+	return v, wire.StatusOK
+}
+
+// read dispatches one Read. It answers a malformed request inline, feeds
+// the sequential-read detector and serves a whole-range cache hit inline
+// (a memcpy, zero heap allocations); a miss becomes a scheduler task.
 //
 // arr is the traced request's arrival stamp (zero untraced): an inline
 // hit reports zero queue wait, a task the real lane wait.
 func (ss *session) read(m *wire.Read, arr int64) {
 	s := ss.s
-	v := s.lookup(m.Volume)
-	if v != nil && v.cache != nil && m.Length <= s.cfg.MaxXfer &&
-		checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) == nil {
-		blks, cancel, ok := ss.pf.observe(m.Volume, int64(m.Offset), int64(m.Length))
-		if len(cancel) > 0 {
-			v.cache.prefetchDiscard(cancel)
-		}
-		if ok {
-			v.pf.submit(blks)
-		}
-		body := s.pool.Get(int(m.Length))
-		if v.tryCachedRead(body, int64(m.Offset)) {
-			s.served.Add(1)
-			reply(ss.w, &ss.resp, m.Header, m.ReqID, wire.StatusOK, 0, body, arr, arr)
-			s.pool.Put(body)
-			return
-		}
-		s.pool.Put(body)
+	v, st := s.target(m.Volume, m.Offset, m.Length)
+	if st != wire.StatusOK {
+		reply(ss.w, &ss.resp, m.Header, m.ReqID, st, 0, nil, arr, arr)
+		return
 	}
+	blks, cancel, ok := ss.pf.observe(m.Volume, int64(m.Offset), int64(m.Length))
+	if len(cancel) > 0 {
+		v.cache.prefetchDiscard(cancel)
+	}
+	if ok {
+		v.pf.submit(blks)
+	}
+	body := s.pool.Get(int(m.Length))
+	if v.tryCachedRead(body, int64(m.Offset)) {
+		s.served.Add(1)
+		reply(ss.w, &ss.resp, m.Header, m.ReqID, wire.StatusOK, 0, body, arr, arr)
+		s.pool.Put(body)
+		return
+	}
+	s.pool.Put(body)
 	mm := new(wire.Read)
 	*mm = *m
-	ss.enqueue(m.Header, m.ReqID, arr, func() { s.handleRead(mm, ss.w, arr); ss.tasks.Done() })
+	ss.enqueue(m.Header, m.ReqID, arr, func() { s.handleRead(v, mm, ss.w, arr); ss.tasks.Done() })
 }
 
 // write dispatches one Write whose payload (body, pool-owned) is already
-// off the stream. On a cached volume the loop absorbs what it can with a
-// bare memcpy and acknowledges the write once all of it is in — the
-// destager owns the store write, Flush is the durability barrier. What is
-// left, from the first block that needs a store fill or has no room, and
-// any write to an uncached volume, is a scheduler task.
+// off the stream. It answers a malformed request inline, then absorbs
+// what it can with a bare memcpy and acknowledges the write once all of
+// it is in — the destager owns the store write, Flush is the durability
+// barrier. What is left, from the first block that needs a store fill or
+// has no room, is a scheduler task.
 func (ss *session) write(m *wire.Write, body []byte, arr int64) {
 	s := ss.s
+	v, st := s.target(m.Volume, m.Offset, m.Length)
+	if st != wire.StatusOK {
+		reply(ss.w, &ss.resp, m.Header, m.ReqID, st, 0, nil, arr, arr)
+		s.pool.Put(body)
+		return
+	}
 	rest, off := body, int64(m.Offset)
-	if v := s.lookup(m.Volume); v != nil && v.cache != nil {
-		err := errCacheBusy
-		if !v.wb.overWater() {
-			var n int
-			n, err = v.absorbWrite(body, off, false)
-			rest, off = body[n:], off+int64(n)
-		}
-		if err == errCacheBusy {
-			v.wb.pressured.Add(1)
-		} else if err != errNeedsFill {
-			st := wire.StatusOK
-			if err != nil {
-				st = wire.StatusEIO
-				s.logf("netv3: write-behind vol %d [%d,+%d): %v", m.Volume, m.Offset, m.Length, err)
-			}
-			s.served.Add(1)
-			reply(ss.w, &ss.resp, m.Header, m.ReqID, st, 0, nil, arr, arr)
-			s.pool.Put(body)
-			return
-		}
+	err := errCacheBusy
+	if !v.wb.overWater() {
+		var n int
+		n, err = v.absorbWrite(body, off, false)
+		rest, off = body[n:], off+int64(n)
+	}
+	if err == nil {
+		s.served.Add(1)
+		reply(ss.w, &ss.resp, m.Header, m.ReqID, wire.StatusOK, 0, nil, arr, arr)
+		s.pool.Put(body)
+		return
+	}
+	if err == errCacheBusy {
+		v.wb.pressured.Add(1)
 	}
 	mm := new(wire.Write)
 	*mm = *m
 	if !ss.enqueue(m.Header, m.ReqID, arr, func() {
-		s.handleWrite(mm, rest, off, ss.w, arr)
+		s.handleWrite(v, mm, rest, off, ss.w, arr)
 		s.pool.Put(body)
 		ss.tasks.Done()
 	}) {
@@ -605,61 +630,33 @@ func (ss *session) write(m *wire.Write, body []byte, arr int64) {
 	}
 }
 
-// handleRead is the read task: it serves one read on a scheduler worker,
-// through the cache (filling misses from the store) when the volume has
-// one. It also owns every read error reply.
+// handleRead is the read task: it serves one read of v, whose range
+// session.read validated, on a scheduler worker, through the cache,
+// filling misses from the store.
 //
 // arr is the traced request's arrival stamp (zero untraced): the gap to
 // task start is the span block's queue wait — the real lane wait.
-func (s *Server) handleRead(m *wire.Read, w *frameWriter, arr int64) {
+func (s *Server) handleRead(v *volume, m *wire.Read, w *frameWriter, arr int64) {
 	start := traceArr(m.Trace)
 	st := wire.StatusOK
-	var body []byte
-	switch v := s.lookup(m.Volume); {
-	case v == nil:
-		st = wire.StatusENoVolume
-	// Validate the range up front: the cached path slices per-block
-	// buffers from wire-supplied arithmetic, so a hostile offset (say,
-	// MaxInt64) must be rejected before it reaches any buffer math.
-	case m.Length > s.cfg.MaxXfer ||
-		checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) != nil:
-		st = wire.StatusEInval
-	default:
-		body = s.pool.Get(int(m.Length))
-		var err error
-		if v.cache != nil {
-			err = v.cachedRead(body, int64(m.Offset))
-		} else {
-			err = v.store.ReadAt(body, int64(m.Offset))
-		}
-		if err != nil {
-			st = wire.StatusEIO
-			s.pool.Put(body)
-			body = nil
-			s.logf("netv3: read: %v", err)
-		}
-		s.served.Add(1)
+	body := s.pool.Get(int(m.Length))
+	if err := v.cachedRead(body, int64(m.Offset)); err != nil {
+		st = wire.StatusEIO
+		s.pool.Put(body)
+		body = nil
+		s.logf("netv3: read: %v", err)
 	}
+	s.served.Add(1)
 	reply(w, new(wire.Resp), m.Header, m.ReqID, st, 0, body, arr, start)
 	s.pool.Put(body)
 }
 
-// handleWrite is the write task: it commits b, the part of request m's
-// payload the session loop could not absorb, at off — absorbed on a cached
-// volume, a store write on an uncached one.
-func (s *Server) handleWrite(m *wire.Write, b []byte, off int64, w *frameWriter, arr int64) {
+// handleWrite is the write task: it absorbs b, the part of request m's
+// payload the session loop could not, at off in v.
+func (s *Server) handleWrite(v *volume, m *wire.Write, b []byte, off int64, w *frameWriter, arr int64) {
 	start := traceArr(m.Trace)
 	st := wire.StatusOK
-	var err error
-	switch v := s.lookup(m.Volume); {
-	case v == nil:
-		st = wire.StatusENoVolume
-	case v.cache != nil:
-		err = v.absorbBehind(b, off)
-	default:
-		err = v.store.WriteAt(b, off)
-	}
-	if err != nil {
+	if err := v.absorbBehind(b, off); err != nil {
 		st = wire.StatusEIO
 		s.logf("netv3: write: %v", err)
 	}
@@ -690,7 +687,7 @@ func (s *Server) handleFlush(m *wire.Flush, w *frameWriter, arr int64) {
 	st := wire.StatusOK
 	if v := s.lookup(m.Volume); v == nil {
 		st = wire.StatusENoVolume
-	} else if err := v.flush(); err != nil {
+	} else if err := v.wb.flush(); err != nil {
 		st = wire.StatusEIO
 		s.logf("netv3: flush vol %d: %v", m.Volume, err)
 	}
@@ -727,9 +724,6 @@ type DiskStats struct {
 func (s *Server) DiskStats() DiskStats {
 	var d DiskStats
 	for _, v := range *s.volumes.Load() {
-		if v.cache == nil {
-			continue
-		}
 		d.DirtyBlocks += v.cache.dirtyCount.Load()
 		d.PrefetchFills += v.cache.prefFills.Load()
 		d.PrefetchHits += v.cache.prefHits.Load()
@@ -761,9 +755,10 @@ func (v *volume) cachedRead(b []byte, off int64) error {
 	return nil
 }
 
-// tryCachedRead serves b entirely from resident cache blocks, reporting
-// false (with b possibly partially filled) on any miss — the session
-// loop's inline hit path, which never touches the store.
+// tryCachedRead serves b, whose range the caller validated, entirely from
+// resident cache blocks, reporting false (with b possibly partially
+// filled) on any miss — the session loop's inline hit path, which never
+// touches the store.
 //
 // A hit is counted three ways (the hit counter, the block's MQ reference,
 // the read-ahead accounting), and a read that falls back is re-issued whole
@@ -773,13 +768,6 @@ func (v *volume) cachedRead(b []byte, off int64) error {
 // most a stray MQ reference behind. One block needs no look: its hit is the
 // whole range's, in one lock hold.
 func (v *volume) tryCachedRead(b []byte, off int64) bool {
-	// checkStoreRange, not a bare off+len comparison: off near MaxInt64
-	// wraps end negative, which sails past `end > size` AND makes the
-	// loop below run zero iterations — reporting a successful "hit" that
-	// returned no bytes at all.
-	if checkStoreRange(v.store.Size(), off, len(b)) != nil {
-		return false
-	}
 	end := off + int64(len(b))
 	first, last := uint64(off/cacheBlockSize), uint64((end-1)/cacheBlockSize)
 	if first < last && !v.cache.resident(first, last) {
@@ -803,14 +791,12 @@ func (v *volume) tryCachedRead(b []byte, off int64) bool {
 	return true
 }
 
-// absorbWrite folds a write into the cache as dirty blocks — the
-// write-behind acknowledge-then-destage path — and returns how many of
-// its bytes are in. It stops at the first block that has no room
-// (errCacheBusy) or, without fill, needs a store fill (errNeedsFill).
+// absorbWrite folds a write, whose range the caller validated, into the
+// cache as dirty blocks — the write-behind acknowledge-then-destage path —
+// and returns how many of its bytes are in. It stops at the first block
+// that has no room (errCacheBusy) or, without fill, needs a store fill
+// (errNeedsFill).
 func (v *volume) absorbWrite(b []byte, off int64, fill bool) (int, error) {
-	if err := checkStoreRange(v.store.Size(), off, len(b)); err != nil {
-		return 0, err
-	}
 	end := off + int64(len(b))
 	for cur := off; cur < end; {
 		blk := uint64(cur / cacheBlockSize)
@@ -848,13 +834,4 @@ func (v *volume) absorbBehind(b []byte, off int64) error {
 		}
 		b, off = b[n:], off+int64(n)
 	}
-}
-
-// flush makes all acknowledged writes durable: drain write-behind state,
-// then sync the store.
-func (v *volume) flush() error {
-	if v.cache != nil {
-		return v.wb.flush()
-	}
-	return v.store.Sync()
 }

@@ -10,11 +10,12 @@
 // request pipeline (DESIGN.md "Request pipeline"): scheduler, sharded
 // write-behind block cache, destager and prefetcher. Below the cache there
 // is one disk interface, BlockStore: misses and partial-write fills,
-// destage runs (its only writes on a cached volume, one at a time and in
-// offset order), read-ahead windows and the Flush fsync are all plain
-// calls on it. Its file-backed implementation, FileStore, cuts each write
-// into pwrites of at most 64 KB at 64 KB-aligned file offsets, which keeps
-// the kernel's later 8 KB overwrites of those pages cheap.
+// destage runs (its only writes, one at a time and in offset order),
+// read-ahead windows and the Flush fsync are all plain calls on it. Every
+// volume has this whole path. BlockStore's file-backed implementation,
+// FileStore, cuts each write into pwrites of at most 64 KB at 64
+// KB-aligned file offsets, which keeps the kernel's later 8 KB overwrites
+// of those pages cheap.
 //
 // TCP stands in for the VI interconnect: reliable in-order delivery but
 // none of VI's kernel-bypass properties. The simulation reproduces the

@@ -9,10 +9,10 @@ import (
 	"github.com/v3storage/v3/internal/obs"
 )
 
-// driveTraced pushes n async reads through c with the given pipeline
-// window and returns the traced subset's count and summed
-// caller-measured end-to-end time.
-func driveTracedLoad(t *testing.T, c *Client, n, size, window int) (count int, e2e time.Duration) {
+// driveTracedLoad pushes n async reads of size bytes, the i-th at off(i),
+// through c with the given pipeline window and returns the traced subset's
+// count and summed caller-measured end-to-end time.
+func driveTracedLoad(t *testing.T, c *Client, n, size, window int, off func(i int) int64) (count int, e2e time.Duration) {
 	t.Helper()
 	bufs := make([][]byte, window)
 	for i := range bufs {
@@ -37,7 +37,7 @@ func driveTracedLoad(t *testing.T, c *Client, n, size, window int) (count int, e
 		s := i % window
 		reap(s)
 		starts[s] = time.Now()
-		h, err := c.ReadAsync(1, int64(i*size)%(1<<20), bufs[s])
+		h, err := c.ReadAsync(1, off(i), bufs[s])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestMergedBreakdownTiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			count, e2e := driveTracedLoad(t, c, 4000, 8192, 16)
+			count, e2e := driveTracedLoad(t, c, 4000, 8192, 16, func(i int) int64 { return int64(i*8192) % (1 << 20) })
 			if count == 0 {
 				t.Fatal("no traced requests")
 			}
@@ -103,10 +103,14 @@ func TestMergedBreakdownTiles(t *testing.T) {
 // spans sample a subset of what the lane counters see in full.
 func TestSchedGaugesCrossCheckSpans(t *testing.T) {
 	reg := obs.New()
-	// No cache: a cache hit is served inline and never meets the
-	// scheduler, so the lane counters would undercount the traced
-	// population. Cacheless, every read is a scheduled task.
-	srv, addr := startServer(t, ServerConfig{SchedWorkers: 2, Metrics: reg}, 1<<20)
+	// A cache hit is served inline and never meets the scheduler, so the
+	// lane counters would undercount a traced population with hits in it.
+	// Every read here is a miss, so a task: 4 KB reads of distinct blocks
+	// of a 4096-block volume, scattered by a stride far wider than any the
+	// read-ahead detector arms on, through a cache that holds few of them.
+	const volBlocks = 4096
+	scatter := func(i int) int64 { return int64(i*7919%volBlocks) * cacheBlockSize }
+	srv, addr := startServer(t, ServerConfig{CacheBlocks: 64, SchedWorkers: 2, Metrics: reg}, volBlocks*cacheBlockSize)
 
 	creg := obs.New()
 	ccfg := DefaultClientConfig()
@@ -116,7 +120,7 @@ func TestSchedGaugesCrossCheckSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	count, _ := driveTracedLoad(t, c, 2000, 4096, 8)
+	count, _ := driveTracedLoad(t, c, 2000, 4096, 8, scatter)
 
 	st := srv.SchedStats()
 	if st.FGDone == 0 {
@@ -161,7 +165,7 @@ func TestSchedGaugesCrossCheckSpans(t *testing.T) {
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for !found.Load() && time.Now().Before(deadline) {
-		driveTracedLoad(t, c, 512, 4096, 64)
+		driveTracedLoad(t, c, 512, 4096, 64, scatter)
 	}
 	close(pollStop)
 	<-pollDone
@@ -175,7 +179,8 @@ func TestSchedGaugesCrossCheckSpans(t *testing.T) {
 }
 
 // An admission-control shed must auto-capture a flight-recorder
-// incident with the shed event in the ring.
+// incident with the shed event in the ring. The load is Flushes, each a
+// scheduler task, against one worker and an admission limit of one.
 func TestShedCapturesFlightIncident(t *testing.T) {
 	fl := obs.NewFlight(1024, 2)
 	_, addr := startServer(t, ServerConfig{SchedWorkers: 1, AdmitLimit: 1, Flight: fl}, 1<<20)
@@ -185,13 +190,12 @@ func TestShedCapturesFlightIncident(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	buf := make([]byte, 4096)
 	var shed bool
 	deadline := time.Now().Add(5 * time.Second)
 	for !shed && time.Now().Before(deadline) {
 		handles := make([]*Pending, 0, 64)
 		for i := 0; i < 64; i++ {
-			h, err := c.ReadAsync(1, 0, buf)
+			h, err := c.FlushAsync(1)
 			if err != nil {
 				break
 			}

@@ -217,7 +217,7 @@ func TestPropWriteBehindMatchesModel(t *testing.T) {
 			case op < 80:
 				v.wb.destageAll()
 			case op < 86:
-				err := v.flush()
+				err := v.wb.flush()
 				if err != nil && !mayFail && !failing {
 					t.Fatalf("seed %d step %d: flush failed with nothing injected: %v", seed, step, err)
 				}
@@ -272,7 +272,7 @@ func TestPropWriteBehindMatchesModel(t *testing.T) {
 					break
 				}
 				flaky.FailNextSync(faultnet.ErrInjected)
-				if err := v.flush(); err == nil {
+				if err := v.wb.flush(); err == nil {
 					t.Fatalf("seed %d step %d: flush swallowed an injected sync failure", seed, step)
 				}
 			}
@@ -282,8 +282,8 @@ func TestPropWriteBehindMatchesModel(t *testing.T) {
 		// The schedule's last word: with the store healthy, two flushes (the
 		// first may still carry a sticky destage error) leave store == model.
 		flaky.FailAll(false)
-		_ = v.flush()
-		if err := v.flush(); err != nil {
+		_ = v.wb.flush()
+		if err := v.wb.flush(); err != nil {
 			t.Fatalf("seed %d: final flush: %v", seed, err)
 		}
 		if !storeMatchesModel(true) {

@@ -32,6 +32,18 @@ func seed(t *testing.T, v *Vault, blocks, blk int, gen byte) {
 	}
 }
 
+// stamp writes seed's pattern straight into a replica's store, before a
+// server exports it: nothing is in the server's cache, so its first read
+// of each block reaches the store.
+func stamp(t *testing.T, store netv3.BlockStore, blocks, blk int, gen byte) {
+	t.Helper()
+	for i := 0; i < blocks; i++ {
+		if err := store.WriteAt(pattern(int64(i*blk), gen, blk), int64(i*blk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // checkBatch compares every page of a batch, blk bytes at a time, with
 // what seed wrote there.
 func checkBatch(t *testing.T, offs []int64, bufs [][]byte, blk int, gen byte) {
@@ -132,14 +144,17 @@ func TestVaultReadPagesSurvivesReplicaLoss(t *testing.T) {
 		blk    = 8192
 		pages  = 6
 	)
-	// Replica B: uncached, so every read reaches its store — which answers
-	// late, and can be told to fail — behind a listener that can be cut.
+	// Both replicas are stamped before their servers start, so each page
+	// is a miss that reaches the store. Replica B's store answers late, and
+	// can be told to fail; B sits behind a listener that can be cut.
 	setup := func(t *testing.T) (*Vault, *faultnet.Injector, *faultnet.Store) {
-		_, addrA := startBackend(t, netv3.NewMemStore(member), "127.0.0.1:0")
-		storeB := faultnet.NewStore(netv3.NewMemStore(member), faultnet.StoreConfig{Latency: 20 * time.Millisecond})
-		scfg := netv3.DefaultServerConfig()
-		scfg.CacheBlocks = 0
-		injB, addrB := startFaultBackendCfg(t, storeB, scfg)
+		memA, memB := netv3.NewMemStore(member), netv3.NewMemStore(member)
+		for _, m := range []*netv3.MemStore{memA, memB} {
+			stamp(t, m, (pages+1)*(pages+2)/2, blk, 1)
+		}
+		_, addrA := startBackend(t, memA, "127.0.0.1:0")
+		storeB := faultnet.NewStore(memB, faultnet.StoreConfig{Latency: 20 * time.Millisecond})
+		injB, addrB := startFaultBackendCfg(t, storeB, netv3.DefaultServerConfig())
 		cfg := chaosConfig(ModeMirror, member)
 		cfg.ProbeInterval = time.Minute // the data path alone charges and trips
 		cfg.Client.KeepaliveInterval = 0
@@ -148,7 +163,6 @@ func TestVaultReadPagesSurvivesReplicaLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { v.Close() })
-		seed(t, v, (pages+1)*(pages+2)/2, blk, 1)
 		return v, injB, storeB
 	}
 

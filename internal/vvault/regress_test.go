@@ -2,32 +2,12 @@ package vvault
 
 import (
 	"bytes"
-	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/v3storage/v3/internal/faultnet"
 	"github.com/v3storage/v3/internal/netv3"
 )
-
-// gateStore is a MemStore whose writes start failing after a countdown:
-// while armed, each WriteAt spends one unit of allow and fails once the
-// budget is gone. It shapes the mid-pass resync fault — the first replay
-// chunk lands, the second trips the backend — that the net-progress
-// accounting test needs.
-type gateStore struct {
-	*netv3.MemStore
-	allow atomic.Int64
-	armed atomic.Bool
-}
-
-func (g *gateStore) WriteAt(b []byte, off int64) error {
-	if g.armed.Load() && g.allow.Add(-1) < 0 {
-		return errors.New("injected write fault")
-	}
-	return g.MemStore.WriteAt(b, off)
-}
 
 // TestFlushNilClientTreatedAsFailedBarrier pins the durability contract
 // of the cluster flush: an Up replica that cannot be issued a barrier
@@ -80,20 +60,23 @@ func TestFlushNilClientTreatedAsFailedBarrier(t *testing.T) {
 }
 
 // TestResyncedBytesNetOfRequeues pins resync progress accounting: a
-// replay pass that fails mid-way requeues its tail and a later pass
-// re-runs it, but the ResyncedBytes counter reports bytes brought back
-// in sync — so replaying the same range twice must not count it twice.
+// recovery pass that fails is requeued and a later pass re-runs it, but
+// the ResyncedBytes counter reports bytes brought back in sync — so
+// replaying the same range twice must not count it twice. The recovered
+// server absorbs every replay write into its cache; its failing store
+// surfaces at the pass's closing flush, which trips the replica after the
+// whole range was replayed once.
 func TestResyncedBytesNetOfRequeues(t *testing.T) {
 	const (
 		member = 1 << 20
 		blk    = 8192
 	)
 	storeA := netv3.NewMemStore(member)
-	storeB := &gateStore{MemStore: netv3.NewMemStore(member)}
+	storeB := &faultStore{MemStore: netv3.NewMemStore(member)}
 	_, addrA := startBackend(t, storeA, "127.0.0.1:0")
 	srvB, addrB := startBackend(t, storeB, "127.0.0.1:0")
 	cfg := testConfig(ModeMirror, member)
-	// One replay chunk per block: the fault hits mid-pass.
+	// One replay chunk per block.
 	v, err := open([]string{addrA, addrB}, cfg, tuning{resyncChunk: blk})
 	if err != nil {
 		t.Fatal(err)
@@ -125,10 +108,10 @@ func TestResyncedBytesNetOfRequeues(t *testing.T) {
 		}
 	}
 
-	// Let the first recovery pass land one chunk and then fail, forcing a
-	// requeue and a second pass over ranges already replayed once.
-	storeB.allow.Store(1)
-	storeB.armed.Store(true)
+	// Let the first recovery pass replay every chunk and then fail its
+	// flush, forcing a requeue and a second pass over ranges already
+	// replayed once.
+	storeB.failWrites.Store(true)
 	_, _ = startBackend(t, storeB, addrB)
 	deadline := time.Now().Add(15 * time.Second)
 	for v.Status()[1].Trips == trips0 {
@@ -137,7 +120,7 @@ func TestResyncedBytesNetOfRequeues(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	storeB.armed.Store(false)
+	storeB.failWrites.Store(false)
 
 	waitForState(t, v, 1, "up", 20*time.Second)
 	if err := v.Flush(); err != nil {
@@ -158,6 +141,9 @@ func TestResyncedBytesNetOfRequeues(t *testing.T) {
 
 	// ...and the counter reports the outage's unique bytes, not one count
 	// per replay attempt of the same range.
+	if got := v.Stats().ResyncReplayedBytes; got < 2*4*blk {
+		t.Fatalf("ResyncReplayedBytes=%d: the outage's %d bytes were not replayed twice", got, 4*blk)
+	}
 	if got := v.Stats().ResyncedBytes; got != 4*blk {
 		t.Fatalf("ResyncedBytes=%d after resyncing %d unique bytes (requeued replays double-counted?)", got, 4*blk)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -445,10 +446,13 @@ func TestVaultUsesMirrorMapping(t *testing.T) {
 }
 
 // TestMirrorWriteFailureTripsReplica pins the no-stale-reads contract: a
-// replica whose mirror write fails keeps answering probes, but it now
-// holds stale data for an extent the vault acknowledged — so it must
-// leave the read rotation immediately, not linger Up until an error
-// threshold that passing probes keep resetting.
+// replica whose store fails a mirror write keeps answering probes, but it
+// would hold stale data for an extent the vault acknowledged — so it must
+// leave the read rotation at once, not linger Up until an error threshold
+// that passing probes keep resetting. The server acknowledges the write
+// from its cache and meets the store's failure when it destages it: until
+// then the replica serves the fresh bytes from its cache, and the failure
+// surfaces on the vault's next Flush, which trips the replica.
 func TestMirrorWriteFailureTripsReplica(t *testing.T) {
 	const member = 1 << 20
 	storeA := netv3.NewMemStore(member)
@@ -470,26 +474,35 @@ func TestMirrorWriteFailureTripsReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One write fails on B (which keeps serving reads and probes). The
-	// vault write still succeeds — A took it — but B is now stale there.
+	// B's store fails the write (B keeps serving reads and probes). The
+	// vault write succeeds — both servers absorbed it — and B's store is
+	// stale there from its first failed destage on.
 	storeB.failWrites.Store(true)
 	fresh := pattern(off, 2, 8192)
 	if err := v.Write(off, fresh); err != nil {
 		t.Fatalf("mirror write with one faulty replica: %v", err)
 	}
-	waitForState(t, v, 1, "down", 10*time.Second)
-
-	// Every read must serve the acknowledged data; a rotation onto B
-	// would hand back the stale generation.
+	// Every read must serve the acknowledged data — from B's cache while
+	// B is in the rotation, from A once it is not; a read that reached
+	// B's store would hand back the stale generation.
 	got := make([]byte, len(fresh))
-	for i := 0; i < 16; i++ {
-		if err := v.Read(off, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, fresh) {
-			t.Fatalf("read %d returned stale data after acknowledged write", i)
+	readFresh := func(when string) {
+		t.Helper()
+		for i := 0; i < 16; i++ {
+			if err := v.Read(off, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, fresh) {
+				t.Fatalf("read %d %s returned stale data after acknowledged write", i, when)
+			}
 		}
 	}
+	readFresh("before the flush")
+	if err := v.Flush(); err == nil || !strings.Contains(err.Error(), addrB) {
+		t.Fatalf("flush over B's failing store: %v, want B's flush failure", err)
+	}
+	waitForState(t, v, 1, "down", 10*time.Second)
+	readFresh("after the trip")
 
 	// Heal the store: resync replays the dirty extent and the replicas
 	// converge again.
