@@ -94,7 +94,7 @@ func main() {
 
 	// Restart B on the same address over the same (now stale) store. The
 	// probe loop notices, the resync worker replays the dirty extents,
-	// and B rejoins the rotation.
+	// and B serves reads again.
 	srvB2, _ := startBackend(storeB, addrB)
 	defer srvB2.Close()
 	for v.Status()[1].State != "up" {
@@ -104,7 +104,7 @@ func main() {
 		log.Fatal(err)
 	}
 	stats := v.Stats()
-	fmt.Printf("backend B restarted: resync replayed %d bytes, replica back in rotation\n",
+	fmt.Printf("backend B restarted: resync replayed %d bytes, replica serving reads again\n",
 		stats.ResyncedBytes)
 
 	// Proof: both replicas byte-identical, holding the generation-2 data.

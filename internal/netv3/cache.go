@@ -27,8 +27,9 @@ var errNeedsFill = errors.New("netv3: partial write to a non-resident block")
 // the payload memcpy. It is the TCP-path form of the paper's
 // lock-synchronization minimization (Section 3.3): the same MQ policy,
 // but the single lock pair per access now covers only 1/nshards of the
-// key space. Shards are selected by low bits of the block number, so a
-// sequential scan also spreads across shards.
+// key space. Shards are selected by a fold of the block number's low bits
+// (shardOf), so a sequential scan spreads across shards, and so does a
+// strided one.
 //
 // Beyond read caching, the cache carries the write-behind state of the
 // paper's pipelined disk manager: blocks a write has landed in but the
@@ -116,7 +117,10 @@ func epochStripe(blk uint64) int { return int(blk % epochStripes) }
 
 // cacheShards is the shard count (a power of two): 16 keeps per-shard
 // capacity useful for small caches while allowing 16-way concurrent hits.
-const cacheShards = 16
+const (
+	cacheShardBits = 4
+	cacheShards    = 1 << cacheShardBits
+)
 
 // maxUnlockedFills bounds how often a fill re-reads the store because a
 // write moved the block's epoch stripe during the read; the read after
@@ -147,7 +151,17 @@ func newBlockCache(totalBlocks int, pool *bufpool.Pool) *blockCache {
 }
 
 func (c *blockCache) shard(blk uint64) *cacheShard {
-	return &c.shards[blk&c.mask]
+	return &c.shards[c.shardOf(blk)]
+}
+
+// shardOf is blk's shard: its low bits folded with the next ones up. An
+// aligned run of cacheShards blocks still covers every shard once, and
+// cacheShards² consecutive blocks of a stride up to cacheShards cover every
+// shard equally: the blocks at home on one replica of a mirror
+// (volume.Mirror) are such a stride, and with the low bits alone a stride
+// of 2 filled half the shards and left the other half of the cache idle.
+func (c *blockCache) shardOf(blk uint64) uint64 {
+	return (blk ^ blk>>cacheShardBits) & c.mask
 }
 
 // blockLen returns the meaningful byte count of blk: cacheBlockSize,
@@ -509,7 +523,7 @@ func (c *blockCache) prefetchPlan(v *volume, blks []uint64, p *windowPlan) (need
 	var mask uint32
 	for _, blk := range blks {
 		if int64(blk)*cacheBlockSize < vsize {
-			mask |= 1 << (blk & c.mask)
+			mask |= 1 << c.shardOf(blk)
 		}
 	}
 	c.lockShards(mask)
@@ -539,7 +553,7 @@ func (c *blockCache) prefetchInstall(blks []uint64, p *windowPlan, buf []byte) i
 	var mask uint32
 	for i, blk := range blks {
 		if p.want[i] {
-			mask |= 1 << (blk & c.mask)
+			mask |= 1 << c.shardOf(blk)
 		}
 	}
 	c.lockShards(mask)

@@ -95,3 +95,30 @@ func TestCacheOpsAllocateNothing(t *testing.T) {
 	}
 	checkPinInvariant(t, c)
 }
+
+// TestCacheHoldsStridedBlocks: a cache of cacheShards² slots holds as many
+// blocks of a stride as it has slots — the blocks at home on one replica of
+// a mirror of 1 to 8 replicas — because the shard choice spreads such a
+// stride over every shard equally. With the block number's low bits alone,
+// stride 2 filled half the shards and most of a second pass missed.
+func TestCacheHoldsStridedBlocks(t *testing.T) {
+	const capacity = cacheShards * cacheShards
+	for stride := uint64(1); stride <= 8; stride++ {
+		srv := newServer(ServerConfig{CacheBlocks: capacity}, parked)
+		srv.AddVolume(1, NewMemStore(int64(stride*capacity)*cacheBlockSize))
+		v := srv.lookup(1)
+		dst := make([]byte, cacheBlockSize)
+		for pass := 0; pass < 2; pass++ {
+			for i := uint64(0); i < capacity; i++ {
+				if err := v.cache.readBlock(v, i*stride, 0, cacheBlockSize, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if hits, misses := v.cache.stats(); hits != capacity || misses != capacity {
+			t.Errorf("stride %d: %d hits, %d misses over two passes of %d blocks in a %d-block cache; want a miss then a hit each",
+				stride, hits, misses, capacity, capacity)
+		}
+		closeServer(t, srv)
+	}
+}

@@ -42,8 +42,9 @@ type destager struct {
 
 	// Guarded by mu. A store error during background destaging is sticky:
 	// the blocks stay dirty and the error surfaces on the next Flush.
-	err   error
-	dirty []uint64 // the pass's dirty snapshot, its backing array reused
+	err    error
+	erring bool     // the last pass that wrote anything had a run fail
+	dirty  []uint64 // the pass's dirty snapshot, its backing array reused
 
 	runs      atomic.Int64
 	blocks    atomic.Int64
@@ -128,8 +129,19 @@ func (d *destager) destageAll() error {
 // into one pooled buffer, written with one store call and unstaged, before
 // the next run is staged into the same buffer. A block that will not stage
 // ends its run and is skipped. A failed run's blocks return to dirty and
-// its error is sticky. Caller holds d.mu.
+// its error is sticky. Failures are logged once per episode: a pass logs
+// its first failed run only if the sticky error was clear or the previous
+// pass had no run fail, so a store that keeps failing is logged once, not
+// once per interval. Caller holds d.mu.
+//
+// With nothing dirty the pass returns before the snapshot, which takes
+// every shard lock. The check is sound only here, under d.mu: a run a
+// concurrent pass has staged is no longer counted dirty, and a Flush must
+// wait that pass out before it syncs.
 func (d *destager) passLocked() error {
+	if d.cache.dirtyCount.Load() == 0 {
+		return nil
+	}
 	d.dirty = d.cache.dirtySnapshot(d.dirty)
 	blks := d.dirty
 	if len(blks) == 0 {
@@ -158,7 +170,9 @@ func (d *destager) passLocked() error {
 		werr := d.v.store.WriteAt(b, off)
 		d.cache.unstage(run, werr != nil)
 		if werr != nil {
-			d.s.logf("netv3: destage vol run [%d,+%d): %v", off, len(b), werr)
+			if err == nil && (d.err == nil || !d.erring) {
+				d.s.logf("netv3: destage vol run [%d,+%d): %v", off, len(b), werr)
+			}
 			d.err = cmp.Or(d.err, werr)
 			err = cmp.Or(err, werr)
 			continue
@@ -166,6 +180,7 @@ func (d *destager) passLocked() error {
 		d.runs.Add(1)
 		d.blocks.Add(int64(len(run)))
 	}
+	d.erring = err != nil
 	return err
 }
 

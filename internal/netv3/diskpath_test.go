@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"log"
 	"math"
 	"os"
 	"path/filepath"
@@ -299,6 +300,17 @@ func TestDirtyHighWaterFallsBackToWriteThrough(t *testing.T) {
 	}
 }
 
+// shardMate is the first block after blk in blk's shard of a cache with
+// every shard.
+func shardMate(blk int64) int64 {
+	c := blockCache{mask: cacheShards - 1}
+	for m := blk + 1; ; m++ {
+		if c.shardOf(uint64(m)) == c.shardOf(uint64(blk)) {
+			return m
+		}
+	}
+}
+
 // TestSessionLoopNeverWaitsOnStore pins the session loop's dispatch rule
 // on a cache of one or two slots per shard over a store whose writes (or
 // reads) park until the test opens the gate. A request that needs the
@@ -320,9 +332,9 @@ func TestSessionLoopNeverWaitsOnStore(t *testing.T) {
 		hit       int64 // the block the queued cache hit reads
 		pressured int64
 	}{
-		{"pinned-full shard", 1, false, false, cacheShards * cacheBlockSize, cacheBlockSize, 1, 1},
+		{"pinned-full shard", 1, false, false, shardMate(0) * cacheBlockSize, cacheBlockSize, 1, 1},
 		{"partial non-resident block", 1, true, false, 2 * cacheBlockSize, 4096, 1, 0},
-		{"miss fill with a hit in its shard", 2, true, true, cacheShards * cacheBlockSize, cacheBlockSize, 0, 0},
+		{"miss fill with a hit in its shard", 2, true, true, shardMate(0) * cacheBlockSize, cacheBlockSize, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gs := newGateStore(64*cacheBlockSize, math.MaxInt32, tc.parkReads)
@@ -410,7 +422,7 @@ func TestFailingStoreRefusesPressuredWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky.FailAll(true)
-	h, err := c.WriteAsync(1, cacheShards*cacheBlockSize, make([]byte, cacheBlockSize))
+	h, err := c.WriteAsync(1, shardMate(0)*cacheBlockSize, make([]byte, cacheBlockSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1139,6 +1151,119 @@ func TestFlushSyncsAfterItsWrites(t *testing.T) {
 	if n := v.cache.dirtyCount.Load(); n != 0 {
 		t.Fatalf("%d dirty blocks after Flush", n)
 	}
+}
+
+// parkStore is a recordStore whose first WriteAt closes entered and parks
+// until release is closed.
+type parkStore struct {
+	*recordStore
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (s *parkStore) WriteAt(b []byte, off int64) error {
+	s.once.Do(func() {
+		close(s.entered)
+		<-s.release
+	})
+	return s.recordStore.WriteAt(b, off)
+}
+
+// TestFlushWaitsOutBackgroundRun: a Flush issued while a background pass's
+// run is inside the store finds nothing dirty — staging took the run's
+// block out of the count — and must still wait that write out before it
+// syncs. Flush does not return while the write is parked, and the store
+// sees the write return before Sync starts.
+func TestFlushWaitsOutBackgroundRun(t *testing.T) {
+	ps := &parkStore{recordStore: newRecordStore(64 * cacheBlockSize), entered: make(chan struct{}), release: make(chan struct{})}
+	srv := newServer(ServerConfig{CacheBlocks: 256}, tuning{destageInterval: time.Millisecond})
+	defer closeServer(t, srv)
+	var unpark sync.Once
+	defer unpark.Do(func() { close(ps.release) }) // before the close, which waits for a final pass
+	srv.AddVolume(1, ps)
+	v := srv.lookup(1)
+	if _, err := v.absorbWrite(bytes.Repeat([]byte{7}, cacheBlockSize), 5*cacheBlockSize, false); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ps.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no background pass reached the store")
+	}
+	if n := v.cache.dirtyCount.Load(); n != 0 {
+		t.Fatalf("%d blocks counted dirty with the pass's one run staged", n)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- v.wb.flush() }()
+	select {
+	case err := <-flushed:
+		t.Fatalf("Flush returned (%v) while the run it covers was parked in the store", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	unpark.Do(func() { close(ps.release) })
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	calls := ps.calls()
+	if len(calls) != 2 || calls[0] != (storeCall{off: 5 * cacheBlockSize, n: cacheBlockSize}) || !calls[1].sync {
+		t.Fatalf("store calls %v, want the parked write, then Sync", calls)
+	}
+}
+
+// lineCounter is a log destination that counts the lines naming a destage.
+type lineCounter struct{ n atomic.Int64 }
+
+func (c *lineCounter) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("destage")) {
+		c.n.Add(1)
+	}
+	return len(p), nil
+}
+
+// TestDestageFailureLoggedOncePerEpisode: a store that keeps failing is
+// logged once, not once per pass or per run. Fifty passes over two failing
+// runs log one line; a clean pass ends the episode, so the next failure is
+// logged although the sticky error is still set; a Flush takes the sticky
+// error, so the pass after it logs again.
+func TestDestageFailureLoggedOncePerEpisode(t *testing.T) {
+	var lines lineCounter
+	flaky := faultnet.NewStore(NewMemStore(64*cacheBlockSize), faultnet.StoreConfig{})
+	srv := newServer(ServerConfig{CacheBlocks: 256, Logger: log.New(&lines, "", 0)}, parked)
+	defer closeServer(t, srv)
+	srv.AddVolume(1, flaky)
+	v := srv.lookup(1)
+	absorb := func(blks ...int64) {
+		t.Helper()
+		for _, blk := range blks {
+			if _, err := v.absorbWrite(make([]byte, cacheBlockSize), blk*cacheBlockSize, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	passes := func(n int, want int64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			v.wb.destageAll()
+		}
+		if got := lines.n.Load(); got != want {
+			t.Fatalf("%d destage lines logged, want %d", got, want)
+		}
+	}
+	flaky.FailAll(true)
+	absorb(0, 10) // two runs
+	passes(50, 1)
+	flaky.FailAll(false)
+	passes(1, 1)
+	if n := v.cache.dirtyCount.Load(); n != 0 {
+		t.Fatalf("%d blocks dirty after a clean pass", n)
+	}
+	flaky.FailAll(true)
+	absorb(3)
+	passes(50, 2)
+	if err := v.wb.flush(); err == nil {
+		t.Fatal("Flush over a failing store succeeded")
+	}
+	passes(50, 3)
 }
 
 // TestReadAheadWindowReadsOverlap is the evidence that a read-ahead

@@ -12,7 +12,8 @@ package volume
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"math/bits"
+	"sync/atomic"
 )
 
 // Extent is a contiguous byte range on a member device.
@@ -38,7 +39,10 @@ type Layout interface {
 // ErrOutOfRange reports an access beyond the end of the volume.
 var ErrOutOfRange = errors.New("volume: access out of range")
 
-func checkRange(size, off int64, length int) error {
+// CheckRange returns ErrOutOfRange, wrapped, unless [off, off+length) lies
+// within a volume of size bytes. It is the check every Layout's mapping
+// makes, for a caller that needs the check without the extents.
+func CheckRange(size, off int64, length int) error {
 	if off < 0 || length < 0 || off+int64(length) > size {
 		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, length, size)
 	}
@@ -76,7 +80,7 @@ func (c *Concat) Members() int { return len(c.sizes) }
 
 // MapRead implements Layout.
 func (c *Concat) MapRead(off int64, length int) ([]Extent, error) {
-	if err := checkRange(c.total, off, length); err != nil {
+	if err := CheckRange(c.total, off, length); err != nil {
 		return nil, err
 	}
 	var out []Extent
@@ -132,7 +136,7 @@ func (s *Stripe) Members() int { return s.members }
 
 // MapRead implements Layout.
 func (s *Stripe) MapRead(off int64, length int) ([]Extent, error) {
-	if err := checkRange(s.Size(), off, length); err != nil {
+	if err := CheckRange(s.Size(), off, length); err != nil {
 		return nil, err
 	}
 	var out []Extent
@@ -164,43 +168,61 @@ func (s *Stripe) MapWrite(off int64, length int) ([]Extent, error) {
 // ErrNoReplica reports a mirror read with every replica masked out.
 var ErrNoReplica = errors.New("volume: every mirror replica is masked")
 
-// Mirror replicates an inner layout n times (RAID-1). Reads rotate over
-// replicas; writes fan out to all of them. Member indices are
-// replica*inner.Members() + innerDisk.
+// maxReplicas bounds a Mirror by its mask word.
+const maxReplicas = 64
+
+// homeShift is log2 of the unit a mirrored read is routed by: 8 KB, the
+// block size of a V3 server's cache, so each cached block has one home
+// replica and the replicas' caches partition the volume instead of each
+// holding the same blocks.
+const homeShift = 13
+
+// Mirror replicates an inner layout n times (RAID-1). A read goes to the
+// home replica of its first 8 KB block, the block number mod n, so the
+// same block is read from the same replica on every call and each replica
+// is home to an equal share of the blocks. While a home is masked its
+// blocks go to the unmasked replica that wins a rendezvous hash of the
+// block number, so they spread over the survivors, and they go back to it
+// when it is unmasked. Writes fan out to every replica.
+// Member indices are replica*inner.Members() + innerDisk.
 //
-// A replica may be masked (SetMask) to take it out of the read rotation
-// while it is failed or resynchronizing. Masking affects reads only:
-// MapWrite keeps fanning out to every replica, masked or not, so a
-// cluster layer can see exactly which extents it is *not* sending to the
-// dead replica and record them in its dirty log for resync. Rotation and
-// mask state are guarded by a mutex, so a Mirror is safe for concurrent
-// mapping calls.
+// A replica may be masked (SetMask) to keep reads off it while it is
+// failed or resynchronizing. Masking affects reads only: MapWrite keeps
+// fanning out to every replica, masked or not, so a cluster layer can see
+// exactly which extents it is *not* sending to the dead replica and record
+// them in its dirty log for resync. The mask is one atomic word, so a
+// Mirror is safe for concurrent mapping calls and MapRead takes no lock.
 type Mirror struct {
 	inner    Layout
 	replicas int
-
-	mu     sync.Mutex
-	next   int // read rotation
-	masked []bool
+	masked   atomic.Uint64 // bit r set: replica r is masked
 }
 
-// NewMirror mirrors inner across replicas copies.
+// NewMirror mirrors inner across replicas copies (2 to 64).
 func NewMirror(inner Layout, replicas int) (*Mirror, error) {
-	if inner == nil || replicas < 2 {
-		return nil, errors.New("volume: mirror needs an inner layout and >= 2 replicas")
+	if inner == nil || replicas < 2 || replicas > maxReplicas {
+		return nil, fmt.Errorf("volume: mirror needs an inner layout and 2 to %d replicas", maxReplicas)
 	}
-	return &Mirror{inner: inner, replicas: replicas, masked: make([]bool, replicas)}, nil
+	return &Mirror{inner: inner, replicas: replicas}, nil
 }
 
-// SetMask marks replica as masked (excluded from read rotation) or
-// unmasked. Out-of-range replicas are ignored.
+// SetMask marks replica as masked (no reads go to it) or unmasked.
+// Out-of-range replicas are ignored.
 func (m *Mirror) SetMask(replica int, masked bool) {
 	if replica < 0 || replica >= m.replicas {
 		return
 	}
-	m.mu.Lock()
-	m.masked[replica] = masked
-	m.mu.Unlock()
+	bit := uint64(1) << replica
+	for {
+		old := m.masked.Load()
+		upd := old &^ bit
+		if masked {
+			upd = old | bit
+		}
+		if upd == old || m.masked.CompareAndSwap(old, upd) {
+			return
+		}
+	}
 }
 
 // Masked reports whether replica is currently masked.
@@ -208,23 +230,11 @@ func (m *Mirror) Masked(replica int) bool {
 	if replica < 0 || replica >= m.replicas {
 		return false
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.masked[replica]
+	return m.masked.Load()&(1<<replica) != 0
 }
 
 // MaskedCount returns how many replicas are masked.
-func (m *Mirror) MaskedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, v := range m.masked {
-		if v {
-			n++
-		}
-	}
-	return n
-}
+func (m *Mirror) MaskedCount() int { return bits.OnesCount64(m.masked.Load()) }
 
 // Replicas returns the replica count.
 func (m *Mirror) Replicas() int { return m.replicas }
@@ -235,8 +245,8 @@ func (m *Mirror) Size() int64 { return m.inner.Size() }
 // Members implements Layout.
 func (m *Mirror) Members() int { return m.inner.Members() * m.replicas }
 
-// MapRead implements Layout: one unmasked replica serves the read,
-// chosen round-robin to spread load. With every replica masked it
+// MapRead implements Layout: the home replica of the read's first 8 KB
+// block among the unmasked ones serves it. With every replica masked it
 // returns ErrNoReplica.
 func (m *Mirror) MapRead(off int64, length int) ([]Extent, error) {
 	return m.mapRead(off, length, -1)
@@ -244,9 +254,8 @@ func (m *Mirror) MapRead(off int64, length int) ([]Extent, error) {
 
 // MapReadAfter is MapRead for the retry of a read replica failed has just
 // failed: the first unmasked replica after it in ring order serves — failed
-// itself only when no other is left — and the rotation stays where it was.
-// A caller that retries this way meets every unmasked replica once before it
-// meets one twice.
+// itself only when no other is left. A caller that retries this way meets
+// every unmasked replica once before it meets one twice.
 func (m *Mirror) MapReadAfter(off int64, length int, failed int) ([]Extent, error) {
 	if failed < 0 || failed >= m.replicas {
 		return nil, fmt.Errorf("volume: no mirror replica %d", failed)
@@ -254,31 +263,25 @@ func (m *Mirror) MapReadAfter(off int64, length int, failed int) ([]Extent, erro
 	return m.mapRead(off, length, failed)
 }
 
-// mapRead maps a read to the first unmasked replica from the rotation's
-// next (after < 0; the rotation then moves past it) or from the one after
-// replica after.
+// mapRead maps a read to the home replica of off's block (after < 0) or
+// to the first unmasked replica after replica after in ring order.
 func (m *Mirror) mapRead(off int64, length int, after int) ([]Extent, error) {
 	ext, err := m.inner.MapRead(off, length)
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	start := after + 1
-	if after < 0 {
-		start = m.next
-	}
+	masked := m.masked.Load()
 	r := -1
-	for i := 0; i < m.replicas; i++ {
-		cand := (start + i) % m.replicas
-		if !m.masked[cand] {
-			r = cand
-			break
+	if after < 0 {
+		r = m.home(uint64(off)>>homeShift, masked)
+	} else {
+		for i := 1; i <= m.replicas; i++ {
+			if cand := (after + i) % m.replicas; masked&(1<<cand) == 0 {
+				r = cand
+				break
+			}
 		}
 	}
-	if r >= 0 && after < 0 {
-		m.next = (r + 1) % m.replicas
-	}
-	m.mu.Unlock()
 	if r < 0 {
 		return nil, ErrNoReplica
 	}
@@ -287,6 +290,39 @@ func (m *Mirror) mapRead(off int64, length int, after int) ([]Extent, error) {
 		ext[i].Disk += r * m.inner.Members()
 	}
 	return ext, nil
+}
+
+// home returns blk's home replica, blk mod replicas, or while that one is
+// masked the unmasked replica with the highest rendezvous score for blk;
+// -1 when every replica is masked. Homes striped by block number keep a
+// sequential scan a constant-stride stream on every replica, which the
+// server's read-ahead follows; hashed homes would leave each server an
+// irregular subsequence it cannot read ahead. A replica's score does not
+// depend on the mask, so masking one moves only the blocks it was home
+// to, spread over the survivors.
+func (m *Mirror) home(blk uint64, masked uint64) int {
+	if r := int(blk % uint64(m.replicas)); masked&(1<<r) == 0 {
+		return r
+	}
+	r, best := -1, uint64(0)
+	for cand := 0; cand < m.replicas; cand++ {
+		if masked&(1<<cand) != 0 {
+			continue
+		}
+		if s := score(blk, cand); r < 0 || s > best {
+			r, best = cand, s
+		}
+	}
+	return r
+}
+
+// score is replica r's rendezvous score for blk: splitmix64's finalizer
+// over the block number offset by a per-replica constant.
+func score(blk uint64, r int) uint64 {
+	x := blk + uint64(r+1)*0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // MapWrite implements Layout: every replica is written, including masked

@@ -2,6 +2,8 @@ package volume
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -113,23 +115,63 @@ func TestStripeGeometryValidation(t *testing.T) {
 	}
 }
 
-func TestMirrorReadsRotateWritesFanOut(t *testing.T) {
-	inner, _ := NewConcat(100)
+// TestMirrorReadsGoHomeWritesFanOut pins the read routing: a block is read
+// from the same replica on every call, a multi-block read goes where its
+// first block does, and a write still fans out to every replica.
+func TestMirrorReadsGoHomeWritesFanOut(t *testing.T) {
+	inner, _ := NewConcat(1 << 30)
 	m, err := NewMirror(inner, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Size() != 100 || m.Members() != 2 {
+	if m.Size() != 1<<30 || m.Members() != 2 {
 		t.Fatalf("size=%d members=%d", m.Size(), m.Members())
 	}
-	r1, _ := m.MapRead(0, 10)
-	r2, _ := m.MapRead(0, 10)
-	if r1[0].Disk == r2[0].Disk {
-		t.Fatalf("reads did not rotate: %v then %v", r1, r2)
+	for blk := int64(0); blk < 256; blk++ {
+		want := replicaOf(t, m, blk<<homeShift, 512)
+		for _, at := range []int64{0, 100, 1<<homeShift - 512} {
+			if got := replicaOf(t, m, blk<<homeShift+at, 512); got != want {
+				t.Fatalf("block %d byte %d read from replica %d, the block's first read from %d", blk, at, got, want)
+			}
+		}
+		if got := replicaOf(t, m, blk<<homeShift, 3<<homeShift); got != want {
+			t.Fatalf("3-block read at block %d went to replica %d, its first block's home is %d", blk, got, want)
+		}
 	}
 	w, _ := m.MapWrite(0, 10)
 	if len(w) != 2 || w[0].Disk == w[1].Disk {
 		t.Fatalf("write fan-out wrong: %v", w)
+	}
+}
+
+// replicaOf maps a read of a mirror over a one-member inner layout and
+// returns the replica that serves it.
+func replicaOf(t *testing.T, m *Mirror, off int64, n int) int {
+	t.Helper()
+	ext, err := m.MapRead(off, n)
+	if err != nil || len(ext) != 1 {
+		t.Fatalf("MapRead(%d, %d) = %v, %v", off, n, ext, err)
+	}
+	return ext[0].Disk
+}
+
+// TestMirrorHomesAreEvenShares: over 64k consecutive blocks each replica of
+// a 2- and of a 3-replica mirror is home to its share of them within ±2 %.
+func TestMirrorHomesAreEvenShares(t *testing.T) {
+	const blocks = 1 << 16
+	for _, replicas := range []int{2, 3} {
+		inner, _ := NewConcat(blocks << homeShift)
+		m, _ := NewMirror(inner, replicas)
+		got := make([]int, replicas)
+		for blk := int64(0); blk < blocks; blk++ {
+			got[replicaOf(t, m, blk<<homeShift, 1<<homeShift)]++
+		}
+		share := float64(blocks) / float64(replicas)
+		for r, n := range got {
+			if dev := float64(n)/share - 1; dev < -0.02 || dev > 0.02 {
+				t.Fatalf("%d replicas: replica %d is home to %d of %d blocks (%+.1f %% off its share)", replicas, r, n, blocks, 100*dev)
+			}
+		}
 	}
 }
 
@@ -157,37 +199,107 @@ func TestMirrorOverStripe(t *testing.T) {
 }
 
 // TestMirrorMaskedMemberReads pins the degraded-mode read contract the
-// cluster vault (internal/vvault) relies on: with replica 1 masked,
-// every read maps to replica 0 — rotation never lands on the dead
-// member — and unmasking restores the rotation.
+// cluster vault (internal/vvault) relies on: with a replica masked no read
+// maps to it, the blocks it was home to spread over the survivors while
+// every other block stays where it was, and unmasking brings each block
+// back to its home.
 func TestMirrorMaskedMemberReads(t *testing.T) {
-	inner, _ := NewConcat(100)
-	m, _ := NewMirror(inner, 2)
+	const blocks = 3000
+	inner, _ := NewConcat(blocks << homeShift)
+	m, _ := NewMirror(inner, 3)
+	home := make([]int, blocks)
+	for blk := range home {
+		home[blk] = replicaOf(t, m, int64(blk)<<homeShift, 1<<homeShift)
+	}
 	m.SetMask(1, true)
 	if !m.Masked(1) || m.Masked(0) || m.MaskedCount() != 1 {
 		t.Fatalf("mask state wrong: %v %v %d", m.Masked(0), m.Masked(1), m.MaskedCount())
 	}
-	for i := 0; i < 4; i++ {
-		ext, err := m.MapRead(10, 20)
+	moved := make([]int, 3)
+	for blk, h := range home {
+		ext, err := m.MapRead(int64(blk)<<homeShift+10, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := []Extent{{Disk: 0, Offset: 10, Length: 20}}
-		if len(ext) != 1 || ext[0] != want[0] {
-			t.Fatalf("read %d under mask: ext=%v, want %v", i, ext, want)
+		r := ext[0].Disk
+		if want := (Extent{Disk: r, Offset: int64(blk)<<homeShift + 10, Length: 20}); len(ext) != 1 || ext[0] != want {
+			t.Fatalf("block %d under mask: ext=%v, want %v", blk, ext, want)
+		}
+		switch {
+		case r == 1:
+			t.Fatalf("block %d read from masked replica 1", blk)
+		case h != 1 && r != h:
+			t.Fatalf("block %d moved from replica %d, which is not masked, to %d", blk, h, r)
+		case h == 1:
+			moved[r]++
 		}
 	}
+	if moved[0] == 0 || moved[2] == 0 || moved[0]+moved[2] < blocks/4 {
+		t.Fatalf("masked replica's blocks went %v to replicas 0 and 2; want a share to each", moved)
+	}
 	m.SetMask(1, false)
-	r1, _ := m.MapRead(0, 10)
-	r2, _ := m.MapRead(0, 10)
-	if r1[0].Disk == r2[0].Disk {
-		t.Fatalf("rotation did not resume after unmask: %v then %v", r1, r2)
+	for blk, h := range home {
+		if r := replicaOf(t, m, int64(blk)<<homeShift, 1<<homeShift); r != h {
+			t.Fatalf("after unmask block %d reads from replica %d, its home is %d", blk, r, h)
+		}
+	}
+}
+
+// TestMirrorConcurrentMapReadAndMask races reads against mask flips (run
+// it under -race): every read maps to a replica, none of them to one that
+// is masked for the whole run, and the mask ends as it was last set.
+func TestMirrorConcurrentMapReadAndMask(t *testing.T) {
+	inner, _ := NewConcat(1 << 24)
+	m, _ := NewMirror(inner, 3)
+	m.SetMask(2, true)
+	stop, masked := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(masked)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m.SetMask(i%2, i%4 < 2)
+		}
+	}()
+	var readers sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; i < 20000; i++ {
+				ext, err := m.MapRead(int64(i*(g+1))<<homeShift%(1<<24), 512)
+				if errors.Is(err, ErrNoReplica) {
+					continue // replicas 0 and 1 both masked for a moment
+				}
+				if err != nil || len(ext) != 1 || ext[0].Disk == 2 {
+					errs <- fmt.Errorf("read %d: %v, %v", i, ext, err)
+					return
+				}
+			}
+		}(g)
+	}
+	readers.Wait()
+	close(stop)
+	<-masked
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	m.SetMask(0, false)
+	m.SetMask(1, true)
+	if m.Masked(0) || !m.Masked(1) || !m.Masked(2) || m.MaskedCount() != 2 {
+		t.Fatalf("mask after the race: %v %v %v, count %d", m.Masked(0), m.Masked(1), m.Masked(2), m.MaskedCount())
 	}
 }
 
 // TestMirrorMapReadAfter: the retry mapping walks the ring from the replica
 // that failed, passes masked replicas over, falls back on the failed one
-// only when it is the last, and leaves the rotation alone.
+// only when it is the last, and leaves the block's home where it was.
 func TestMirrorMapReadAfter(t *testing.T) {
 	inner, _ := NewConcat(1 << 20)
 	m, err := NewMirror(inner, 3)
@@ -201,13 +313,14 @@ func TestMirrorMapReadAfter(t *testing.T) {
 		}
 		return ext[0].Disk
 	}
+	home := replica(m.MapRead(0, 512))
 	for failed, want := range []int{1, 2, 0} {
 		if got := replica(m.MapReadAfter(0, 512, failed)); got != want {
 			t.Fatalf("after replica %d failed: replica %d, want %d", failed, got, want)
 		}
 	}
-	if got := replica(m.MapRead(0, 512)); got != 0 {
-		t.Fatalf("three retries moved the rotation: MapRead chose replica %d, want 0", got)
+	if got := replica(m.MapRead(0, 512)); got != home {
+		t.Fatalf("three retries moved block 0: MapRead chose replica %d, its home is %d", got, home)
 	}
 	m.SetMask(1, true)
 	if got := replica(m.MapReadAfter(0, 512, 0)); got != 2 {
@@ -293,6 +406,12 @@ func TestMirrorValidation(t *testing.T) {
 	}
 	if _, err := NewMirror(nil, 2); err == nil {
 		t.Fatal("nil inner accepted")
+	}
+	if _, err := NewMirror(inner, maxReplicas); err != nil {
+		t.Fatalf("%d-replica mirror refused: %v", maxReplicas, err)
+	}
+	if _, err := NewMirror(inner, maxReplicas+1); err == nil {
+		t.Fatalf("%d-replica mirror accepted: its mask word has %d bits", maxReplicas+1, maxReplicas)
 	}
 }
 

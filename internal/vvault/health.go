@@ -44,8 +44,8 @@ func (v *Vault) recordError(b *backend, consec *atomic.Int32, err error) {
 	}
 }
 
-// trip takes a backend out of service: state Down, replica masked out of
-// the mirror read rotation, and the client closed so everything blocked
+// trip takes a backend out of service: state Down, replica masked from
+// mirror reads, and the client closed so everything blocked
 // on it (including submitters waiting for credit tokens) fails fast. The
 // probe loop owns recovery.
 func (v *Vault) trip(b *backend, cause error) {

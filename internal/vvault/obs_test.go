@@ -11,7 +11,7 @@ import (
 
 // TestMetricsAndDegradedTime exercises the cluster-level observability:
 // probe RTTs surface in Status and the registry, and wall time spent
-// with a replica out of rotation accumulates in DegradedSeconds.
+// with a replica masked from reads accumulates in DegradedSeconds.
 func TestMetricsAndDegradedTime(t *testing.T) {
 	const member = 1 << 20
 	_, addrA := startBackend(t, netv3.NewMemStore(member), "127.0.0.1:0")

@@ -166,8 +166,9 @@ func TestVaultReadPagesSurvivesReplicaLoss(t *testing.T) {
 		return v, injB, storeB
 	}
 
-	// The rotation starts at replica A and no read has moved it: pages 0, 2
-	// and 4 of the first batch go to A, pages 1, 3 and 5 to B.
+	// Each page is read from its block's home replica, the block number
+	// mod 2: blocks 6 and 10 (pages 2 and 3) from A, blocks 1, 3, 15 and 21
+	// (pages 0, 1, 4 and 5) from B.
 	t.Run("errors", func(t *testing.T) {
 		v, _, storeB := setup(t)
 		storeB.FailAll(true)
@@ -176,10 +177,10 @@ func TestVaultReadPagesSurvivesReplicaLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkBatch(t, offs, bufs, blk, 1)
-		// B failed three legs of the first attempt and was charged for the
-		// attempt; the retry moved all three pages on to A.
+		// B failed four legs of the first attempt and was charged for the
+		// attempt; the retry moved all four pages on to A.
 		if a, b := v.backends[0].consec.Load(), v.backends[1].consec.Load(); a != 0 || b != 1 {
-			t.Fatalf("consecutive errors charged: A %d, B %d; want 0 and 1 (three failed legs, one charge)", a, b)
+			t.Fatalf("consecutive errors charged: A %d, B %d; want 0 and 1 (four failed legs, one charge)", a, b)
 		}
 		if st := v.Status()[1]; st.State != "up" || st.Trips != 0 {
 			t.Fatalf("replica B after I/O errors under the threshold: %+v", st)
@@ -192,7 +193,7 @@ func TestVaultReadPagesSurvivesReplicaLoss(t *testing.T) {
 		var order []int
 		err := v.ReadPages(offs, bufs, func(page int) {
 			if order = append(order, page); len(order) == 1 {
-				// Page 0 is back from A; B's three are inside its slow store.
+				// A page is back from A; B's four are inside its slow store.
 				// B goes silent and every connection to it is cut.
 				injB.Blackhole(true)
 				injB.ResetAll()
@@ -212,7 +213,7 @@ func TestVaultReadPagesSurvivesReplicaLoss(t *testing.T) {
 			t.Fatalf("replica A: %+v, want up and uncharged", st)
 		}
 		if got := v.Stats().DegradedReads; got != pages {
-			t.Fatalf("DegradedReads = %d, want %d: the batch completed with a replica out of rotation", got, pages)
+			t.Fatalf("DegradedReads = %d, want %d: the batch completed with a replica masked", got, pages)
 		}
 		// The next batch never goes near B.
 		if err := v.ReadPages(offs, bufs, nil); err != nil {

@@ -68,7 +68,7 @@ func (v *Vault) resyncLoop(b *backend) {
 		}
 		b.ioMu.Unlock()
 		if done {
-			v.logf("vvault: backend %s resynced and back in rotation", b.addr)
+			v.logf("vvault: backend %s resynced and serving reads again", b.addr)
 			return
 		}
 		continue // new writes arrived during the flush; another round

@@ -12,8 +12,8 @@
 // probe loop and an error-count trip, degraded-mode routing (mirror
 // reads and writes route around a dead replica; striped volumes fail
 // fast), a per-replica dirty-extent log, and a background resync worker
-// that replays dirty ranges onto a recovered replica before returning it
-// to the read rotation. Flush fans out to every live backend and is the
+// that replays dirty ranges onto a recovered replica before it serves
+// reads again. Flush fans out to every live backend and is the
 // cluster-wide durability barrier.
 package vvault
 
@@ -39,8 +39,9 @@ const (
 	// maximum throughput, no redundancy — one dead backend fails every
 	// request that touches it.
 	ModeStripe Mode = iota
-	// ModeMirror replicates the volume RAID-1 on every backend: reads
-	// rotate over live replicas, writes fan out, and a dead replica is
+	// ModeMirror replicates the volume RAID-1 on every backend: a read
+	// goes to its block's home among the live replicas (so the servers'
+	// caches partition the volume), writes fan out, and a dead replica is
 	// routed around and resynced when it returns.
 	ModeMirror
 )
@@ -269,7 +270,7 @@ type Vault struct {
 	flight *obs.Flight
 
 	// Degraded-time accounting (mirror mode): degSince is non-zero while
-	// at least one replica is masked out of rotation, degAccum the closed
+	// at least one replica is masked from reads, degAccum the closed
 	// intervals already summed. Guarded by degMu; maintained by
 	// noteMaskChange after every mask transition.
 	degMu    sync.Mutex
@@ -296,7 +297,7 @@ func (v *Vault) noteMaskChange() {
 }
 
 // degradedTime is the cumulative wall time spent with at least one
-// replica out of rotation, including the currently open interval.
+// replica masked from reads, including the currently open interval.
 func (v *Vault) degradedTime() time.Duration {
 	v.degMu.Lock()
 	d := v.degAccum
@@ -587,8 +588,9 @@ func (v *Vault) ReadPages(offs []int64, bufs [][]byte, harvested func(page int))
 		case v.mirror == nil || len(redo) == 0:
 			return err // striped, or nothing a retry could map: outside the volume, every replica down
 		case attempt > len(v.backends):
-			// Each retry moved every page on to the next replica in rotation:
-			// by now a page has met every live one, the first of them twice.
+			// Each retry moved every page on to the next replica in ring
+			// order: by now a page has met every live one, the first of them
+			// twice.
 			return fmt.Errorf("%w: no replica served %d of the %d pages read: %v", ErrDegraded, len(redo), len(offs), err)
 		}
 		todo = redo
@@ -668,9 +670,9 @@ func (v *Vault) Flush() error {
 // mappedIO makes one attempt at a mapped data-path call — a batch of page
 // reads, or the one page of a striped write — as one fan-out. todo lists
 // the pages of the batch to serve; nil is all of them. Each page is mapped
-// (a mirrored read picks its replica here, page by page, so a batch
-// spreads over the rotation exactly as its pages would one at a time, and
-// a page being retried moves on from the replica that failed it), checked
+// (a mirrored read picks its replica here, page by page: each page goes
+// to its block's home replica exactly as it would read alone, and a page
+// being retried moves on from the replica that failed it), checked
 // — striping has no redundancy, so every backend a page touches must be
 // up — and its extents issued on their backends' data streams, the
 // page's buffer sliced in mapping order (extents tile the page); then the
@@ -680,8 +682,8 @@ func (v *Vault) Flush() error {
 // a backend after its first failure; the pages that leaves unserved, and
 // those with a failed leg, come back in redo with the first error.
 //
-// A page that cannot be mapped — outside the volume, no replica in
-// rotation, a striped extent on a backend that is not up — fails the call:
+// A page that cannot be mapped — outside the volume, every replica
+// masked, a striped extent on a backend that is not up — fails the call:
 // issuing stops, what is in flight is still waited out and charged, and
 // redo is nil, for there is nothing a retry could map differently.
 func (v *Vault) mappedIO(kind ioKind, offs []int64, bufs [][]byte, todo []retry, harvested func(page int)) (redo []retry, first error) {
@@ -769,14 +771,14 @@ func (v *Vault) mapPage(kind ioKind, off int64, n int, failed int) ([]volume.Ext
 // resyncing need nothing logged per replica: the record sits above
 // their frozen cursor, which IS the debt. A live replica that fails
 // mid-write has the suspect range recorded as out-of-band debt and is
-// tripped on the spot: it must leave the read rotation before it can
-// serve that staleness back. The write succeeds when at least one
+// tripped on the spot: it must be masked from reads before it can serve
+// that staleness back. The write succeeds when at least one
 // replica accepted every byte.
 func (v *Vault) writeMirror(off int64, data []byte) error {
-	// The layout owns the range check; over the single-member inner layout
-	// its answer is [off,+len) at off on every replica, which is what the
-	// loop below issues.
-	if _, err := v.layout.MapWrite(off, len(data)); err != nil {
+	// Over the single-member inner layout the mirror maps [off,+len) to off
+	// on every replica, which is what the loop below issues: the range
+	// check is all that is left of the mapping.
+	if err := volume.CheckRange(v.layout.Size(), off, len(data)); err != nil {
 		return err
 	}
 	f := fanout{v: v}
@@ -836,7 +838,7 @@ func (v *Vault) writeMirror(off int64, data []byte) error {
 // Stats are cumulative cluster-level counters.
 type Stats struct {
 	// DegradedReads and DegradedWrites count operations served while at
-	// least one replica was out of rotation.
+	// least one replica was masked from reads.
 	DegradedReads  int64
 	DegradedWrites int64
 	// Resyncs counts recovery passes started. ResyncedBytes is net
@@ -853,7 +855,7 @@ type Stats struct {
 	// summary or full volume range instead.
 	ResyncFallbacks int64
 	// DegradedSeconds is cumulative wall time with at least one replica
-	// out of the rotation (mirror mode), including any open interval.
+	// masked from reads (mirror mode), including any open interval.
 	DegradedSeconds float64
 }
 
